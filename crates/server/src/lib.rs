@@ -6,8 +6,9 @@
 //! queries; the ROADMAP's "sharded/async server" open item):
 //!
 //! * [`ShardedService`] — the POI set strip-partitioned across N
-//!   R\*-tree shards, batches fanned out on scoped threads, per-shard
-//!   candidate lists merged under global bound tightening. Returns
+//!   R\*-tree shards, each request's per-shard candidate lists merged
+//!   under global bound tightening, batches big enough to repay a spawn
+//!   fanned out over their requests on scoped threads. Returns
 //!   answers identical to the single-tree [`senn_core::RTreeServer`]
 //!   (golden-tested), with per-shard counters and p50/p99 batch-latency
 //!   histograms for observability.

@@ -1,7 +1,7 @@
 //! The sharded backend: the POI set strip-partitioned across N
-//! [`RStarTree`] shards, batches fanned out over the shards with the
-//! `senn-par` scoped-thread engine, per-shard candidate lists merged under
-//! **global bound tightening**.
+//! [`RStarTree`] shards, every request answered by its home strip first
+//! and by the other strips under **global bound tightening**, batches
+//! fanned out over *requests* with the `senn-par` scoped-thread engine.
 //!
 //! ## Partitioning
 //!
@@ -11,7 +11,7 @@
 //! partition the POI set (disjoint, complete), which is what makes the
 //! merge a plain sort with no deduplication.
 //!
-//! ## Two-pass search with bound tightening
+//! ## Request-major search with bound tightening
 //!
 //! For each request the **home shard** (the strip owning the query's x)
 //! answers first under the request's own bounds. Its k-th candidate
@@ -25,6 +25,11 @@
 //! single-tree search would have returned; the merged, distance-sorted,
 //! truncated candidate list is therefore identical to the single-tree
 //! answer (golden-tested against [`senn_core::RTreeServer`]).
+//!
+//! A request's searches depend on no other request, so a batch is one
+//! fan-out over its requests — and only when it is big enough to repay a
+//! thread spawn (`FANOUT_GRAIN`); the transport's one-request dispatches
+//! run on the caller.
 //!
 //! ## Observability
 //!
@@ -171,9 +176,19 @@ struct Shard {
     counters: ShardCounters,
 }
 
-/// One shard's output for one fan-out pass: `(request index, hits, node
-/// accesses)` per request it served, plus the shard's busy nanoseconds.
-type PassOutput = (Vec<(usize, Vec<(CachedNn, f64)>, u64)>, u64);
+/// Requests that repay one more worker thread. A scoped spawn measures
+/// 40–80 µs on the benchmark box (`par.fanout_t2_ns`) and one bounded shard
+/// search 1.4 µs (`rtree.einn_ns`), a request being one to `shards` of
+/// them: 64 requests are 90–360 µs of search, the first point at which a
+/// second worker cannot lose.
+const FANOUT_GRAIN: usize = 64;
+
+/// What one batch routed to one shard: searches, and nanoseconds in them.
+#[derive(Default)]
+struct BatchLoad {
+    searches: AtomicU64,
+    nanos: AtomicU64,
+}
 
 /// The sharded [`SpatialService`] backend.
 pub struct ShardedService {
@@ -182,6 +197,8 @@ pub struct ShardedService {
     boundaries: Vec<f64>,
     /// POI id → shard currently holding it (relocation routing).
     homes: std::collections::HashMap<u64, usize>,
+    /// Most worker threads one batch may occupy.
+    threads: usize,
     batches: AtomicU64,
     requests: AtomicU64,
     batch_latency: LatencyHist,
@@ -193,12 +210,7 @@ impl ShardedService {
     /// empty when there are fewer POIs than shards).
     pub fn new(pois: impl IntoIterator<Item = (u64, Point)>, shard_count: usize) -> Self {
         let mut items: Vec<(u64, Point)> = pois.into_iter().collect();
-        items.sort_by(|a, b| {
-            a.1.x
-                .partial_cmp(&b.1.x)
-                .unwrap()
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        items.sort_by(|a, b| a.1.x.total_cmp(&b.1.x).then_with(|| a.0.cmp(&b.0)));
         let n = shard_count.max(1);
         let per = items.len().div_ceil(n).max(1);
         let mut homes = std::collections::HashMap::with_capacity(items.len());
@@ -224,10 +236,19 @@ impl ShardedService {
             shards,
             boundaries,
             homes,
+            threads: senn_par::worker_count(),
             batches: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             batch_latency: LatencyHist::new(),
         }
+    }
+
+    /// Caps the worker threads one batch may occupy (clamped to at least
+    /// 1; the default is [`senn_par::worker_count`]). Replies and counters
+    /// do not depend on it.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 
     /// Number of shards.
@@ -285,41 +306,87 @@ impl ShardedService {
         }
     }
 
-    /// One bounded search against one shard.
+    /// One bounded search of shard `s` for `r`: appends the hits to `pois`,
+    /// returns the node accesses, and books the time since `clock` to the
+    /// shard.
     fn search(
-        shard: &Shard,
-        query: Point,
-        count: usize,
+        &self,
+        s: usize,
+        r: &ServerRequest,
         bounds: SearchBounds,
-    ) -> (Vec<(CachedNn, f64)>, u64) {
-        let mut it = shard.tree.nn_iter_bounded(query, bounds);
-        let hits: Vec<(CachedNn, f64)> = it
-            .by_ref()
-            .take(count)
-            .map(|n| {
-                (
-                    CachedNn {
-                        poi_id: *n.value,
-                        position: n.point,
-                    },
-                    n.dist,
-                )
-            })
-            .collect();
+        pois: &mut Vec<(CachedNn, f64)>,
+        clock: &mut Instant,
+        load: &[BatchLoad],
+    ) -> u64 {
+        let shard = &self.shards[s];
+        let mut it = shard.tree.nn_iter_bounded(r.query, bounds);
+        pois.extend(it.by_ref().take(r.count).map(|n| {
+            (
+                CachedNn {
+                    poi_id: *n.value,
+                    position: n.point,
+                },
+                n.dist,
+            )
+        }));
         let accesses = it.page_accesses();
         shard.counters.requests.fetch_add(1, Ordering::Relaxed);
         shard
             .counters
             .node_accesses
             .fetch_add(accesses, Ordering::Relaxed);
-        (hits, accesses)
+        let now = Instant::now();
+        load[s].searches.fetch_add(1, Ordering::Relaxed);
+        load[s]
+            .nanos
+            .fetch_add((now - *clock).as_nanos() as u64, Ordering::Relaxed);
+        *clock = now;
+        accesses
     }
 
-    fn bump_queue_depth(&self, shard: usize, depth: u64) {
-        self.shards[shard]
-            .counters
-            .max_queue_depth
-            .fetch_max(depth, Ordering::Relaxed);
+    /// Answers one request: home strip, tightened bound, foreign strips,
+    /// merge.
+    fn serve(&self, r: &ServerRequest, load: &[BatchLoad]) -> ServerReply {
+        let home = self.strip_for(r.query.x);
+        let mut pois = Vec::new();
+        let mut clock = Instant::now();
+        let mut accesses = self.search(home, r, r.bounds, &mut pois, &mut clock, load);
+
+        // Global bound tightening: the home k-th distance caps the search
+        // of every foreign shard.
+        let mut bounds = r.bounds;
+        if let Some(&(_, kth)) = pois.last().filter(|_| pois.len() == r.count) {
+            bounds.upper = Some(bounds.upper.map_or(kth, |u| u.min(kth)));
+        }
+        for (s, shard) in self.shards.iter().enumerate() {
+            if s == home || shard.tree.is_empty() {
+                continue;
+            }
+            // MBR-skipped when provably out of range.
+            let prunable = bounds
+                .upper
+                .is_some_and(|ub| shard.tree.bounding_rect().min_dist(r.query) > ub + EPS);
+            if prunable {
+                shard.counters.skipped.fetch_add(1, Ordering::Relaxed);
+            } else {
+                accesses += self.search(s, r, bounds, &mut pois, &mut clock, load);
+            }
+        }
+
+        // Merge: shards are disjoint, so a sort + truncate suffices. Ties
+        // break by POI id to stay deterministic across shard counts.
+        pois.sort_by(|a, b| {
+            a.1.total_cmp(&b.1)
+                .then_with(|| a.0.poi_id.cmp(&b.0.poi_id))
+        });
+        pois.truncate(r.count);
+        ServerReply::ok(
+            r.id,
+            ServerResponse {
+                pois,
+                node_accesses: accesses,
+            },
+        )
     }
 }
 
@@ -329,124 +396,27 @@ impl SpatialService for ShardedService {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.requests
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let n = self.shards.len();
-
-        // Route every request to its home strip.
-        let home_of: Vec<usize> = batch.iter().map(|r| self.strip_for(r.query.x)).collect();
-        let mut home_work: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, &h) in home_of.iter().enumerate() {
-            home_work[h].push(i);
-        }
-
-        // Pass 1 — home shards answer under the request's own bounds.
-        let shard_ids: Vec<usize> = (0..n).collect();
-        let pass1: Vec<PassOutput> = senn_par::par_map(&shard_ids, |_, &s| {
-            let started = Instant::now();
-            let out = home_work[s]
-                .iter()
-                .map(|&i| {
-                    let r = &batch[i];
-                    let (hits, accesses) =
-                        Self::search(&self.shards[s], r.query, r.count, r.bounds);
-                    (i, hits, accesses)
-                })
-                .collect();
-            (out, started.elapsed().as_nanos() as u64)
-        });
-
-        // Global bound tightening: the home k-th distance caps the search
-        // of every foreign shard.
-        let mut merged: Vec<Vec<(CachedNn, f64)>> = vec![Vec::new(); batch.len()];
-        let mut accesses: Vec<u64> = vec![0; batch.len()];
-        let mut tight_upper: Vec<Option<f64>> = vec![None; batch.len()];
-        for (shard_out, _) in &pass1 {
-            for (i, hits, acc) in shard_out {
-                let r = &batch[*i];
-                let mut upper = r.bounds.upper;
-                if hits.len() == r.count {
-                    let kth = hits[hits.len() - 1].1;
-                    upper = Some(upper.map_or(kth, |u| u.min(kth)));
-                }
-                tight_upper[*i] = upper;
-                accesses[*i] += acc;
-                merged[*i].extend_from_slice(hits);
-            }
-        }
-
-        // Pass 2 — foreign shards, MBR-skipped when provably out of range.
-        let mut foreign_work: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, r) in batch.iter().enumerate() {
-            for (s, shard) in self.shards.iter().enumerate() {
-                if s == home_of[i] || shard.tree.is_empty() {
-                    continue;
-                }
-                let prunable = tight_upper[i]
-                    .is_some_and(|ub| shard.tree.bounding_rect().min_dist(r.query) > ub + EPS);
-                if prunable {
-                    shard.counters.skipped.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    foreign_work[s].push(i);
-                }
-            }
-        }
-        for s in 0..n {
-            let depth = (home_work[s].len() + foreign_work[s].len()) as u64;
-            if depth > 0 {
-                self.bump_queue_depth(s, depth);
-            }
-        }
-        let pass2: Vec<PassOutput> = senn_par::par_map(&shard_ids, |_, &s| {
-            let started = Instant::now();
-            let out = foreign_work[s]
-                .iter()
-                .map(|&i| {
-                    let r = &batch[i];
-                    let bounds = SearchBounds {
-                        upper: tight_upper[i],
-                        lower: r.bounds.lower,
-                    };
-                    let (hits, acc) = Self::search(&self.shards[s], r.query, r.count, bounds);
-                    (i, hits, acc)
-                })
-                .collect();
-            (out, started.elapsed().as_nanos() as u64)
-        });
-        for (shard_out, _) in &pass2 {
-            for (i, hits, acc) in shard_out {
-                accesses[*i] += acc;
-                merged[*i].extend_from_slice(hits);
-            }
-        }
-        for (s, ((_, nanos1), (_, nanos2))) in pass1.iter().zip(&pass2).enumerate() {
-            if !home_work[s].is_empty() || !foreign_work[s].is_empty() {
-                self.shards[s]
+        let load: Vec<BatchLoad> = self.shards.iter().map(|_| BatchLoad::default()).collect();
+        let replies = senn_par::par_map_grained(
+            batch,
+            self.threads,
+            FANOUT_GRAIN,
+            || (),
+            |(), _, r| self.serve(r, &load),
+        );
+        for (shard, load) in self.shards.iter().zip(&load) {
+            let searches = load.searches.load(Ordering::Relaxed);
+            if searches > 0 {
+                shard
+                    .counters
+                    .max_queue_depth
+                    .fetch_max(searches, Ordering::Relaxed);
+                shard
                     .counters
                     .batch_latency
-                    .record(nanos1 + nanos2);
+                    .record(load.nanos.load(Ordering::Relaxed));
             }
         }
-
-        // Merge: shards are disjoint, so a sort + truncate suffices. Ties
-        // break by POI id to stay deterministic across shard counts.
-        let replies = batch
-            .iter()
-            .zip(merged.iter_mut().zip(&accesses))
-            .map(|(r, (hits, &acc))| {
-                hits.sort_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .unwrap()
-                        .then_with(|| a.0.poi_id.cmp(&b.0.poi_id))
-                });
-                hits.truncate(r.count);
-                ServerReply::ok(
-                    r.id,
-                    ServerResponse {
-                        pois: std::mem::take(hits),
-                        node_accesses: acc,
-                    },
-                )
-            })
-            .collect();
         self.batch_latency
             .record(batch_started.elapsed().as_nanos() as u64);
         replies

@@ -44,6 +44,11 @@ use senn_network::{
 use crate::comms::WorkerScratch;
 use crate::simulator::{KChoice, NetworkModelKind, Simulator};
 
+/// Queries of one interval that repay one more worker thread: a query
+/// costs 5–40 µs in either parallel pass and a scoped spawn 40–80 µs.
+#[cfg(feature = "parallel")]
+const BATCH_GRAIN: usize = 16;
+
 /// One planned query of a batch. Every random draw happens up front in
 /// batch order, so executing a plan is a pure function of the frozen world
 /// snapshot and can run on any thread.
@@ -275,16 +280,25 @@ impl Simulator {
         plans
     }
 
+    /// The batch engine's thread budget.
+    #[cfg(feature = "parallel")]
+    fn threads(&self) -> usize {
+        self.config.threads.unwrap_or_else(senn_par::worker_count)
+    }
+
     /// Executes the peer stages of every planned query against the frozen
     /// snapshot, fanning out across worker threads. Each worker owns one
     /// [`WorkerScratch`] — and therefore one reused `QueryContext` — for
     /// its whole share of the batch.
     #[cfg(feature = "parallel")]
     pub(crate) fn execute_batch(&self, plans: &[QueryPlan]) -> Vec<PendingQuery> {
-        let threads = self.config.threads.unwrap_or_else(senn_par::worker_count);
-        senn_par::par_map_with_threads(plans, threads, WorkerScratch::new, |scratch, _, plan| {
-            self.execute_query(plan, scratch)
-        })
+        senn_par::par_map_grained(
+            plans,
+            self.threads(),
+            BATCH_GRAIN,
+            WorkerScratch::new,
+            |scratch, _, plan| self.execute_query(plan, scratch),
+        )
     }
 
     /// Sequential fallback when the `parallel` feature is disabled.
@@ -749,10 +763,10 @@ impl Simulator {
         plans: &[QueryPlan],
         pendings: &[PendingQuery],
     ) -> Vec<Measured> {
-        let threads = self.config.threads.unwrap_or_else(senn_par::worker_count);
-        senn_par::par_map_with_threads(
+        senn_par::par_map_grained(
             pendings,
-            threads,
+            self.threads(),
+            BATCH_GRAIN,
             || (),
             |(), i, pending| self.measure_query(&plans[i], pending),
         )

@@ -251,9 +251,10 @@ pub struct SimConfig {
     /// entries older than this. `None` disables TTL invalidation.
     pub cache_ttl_secs: Option<f64>,
     /// Worker threads for the batch engine when the `parallel` feature is
-    /// on: `None` uses every available core (`SENN_THREADS` still
-    /// overrides), `Some(1)` forces the in-process sequential path.
-    /// Metrics are identical either way; only wall time changes.
+    /// on, and for a sharded service backend: `None` uses every available
+    /// core (`SENN_THREADS` still overrides), `Some(1)` keeps the whole run
+    /// on the calling thread. Metrics are identical either way; only wall
+    /// time changes.
     pub threads: Option<usize>,
     /// Shard count of the residual-query service backend: `1` serves from
     /// the single-tree [`RTreeServer`] reference backend, `> 1`
@@ -881,7 +882,12 @@ impl Simulator {
             "the service needs at least one shard"
         );
         let backend = if config.server_shards > 1 {
-            ServiceBackend::Sharded(ShardedService::new(pois.clone(), config.server_shards))
+            let sharded = ShardedService::new(pois.clone(), config.server_shards);
+            // `None` leaves the service its default, every available core.
+            ServiceBackend::Sharded(match config.threads {
+                Some(threads) => sharded.with_threads(threads),
+                None => sharded,
+            })
         } else {
             ServiceBackend::Plain(RTreeServer::new(pois.clone()))
         };

@@ -100,7 +100,11 @@ fn tiny_queues_shed_under_burst_arrivals_and_stay_attributed() {
 /// the default AIMD band, pinned down to the attribution split, the
 /// ladder counters and the whole window trajectory summary. Any change
 /// to the controller's arithmetic, the lane dequeue order or the keyed
-/// draw discipline moves at least one of these numbers.
+/// draw discipline moves at least one of these numbers. The same pins
+/// hold over four shards at one and two threads — where every residual
+/// is a one-request `ShardedService::submit` under the simulator's thread
+/// budget — with `Metrics`, the transport fields of `BatchStats` and the
+/// per-shard accounting bit-identical between the two budgets.
 #[test]
 fn adaptive_goldens_are_pinned_for_three_seeds() {
     // (seed, queries, single, multi, server, uncertain, shed, retries,
@@ -111,31 +115,60 @@ fn adaptive_goldens_are_pinned_for_three_seeds() {
         (2006, [68, 23, 0, 45, 0, 0, 3, 0, 4, 24, 79, 63, 0]),
     ];
     for (seed, want) in goldens {
-        let cfg = SimConfig::new(tiny_params(), seed)
-            .to_builder()
-            .fault(FaultConfig::lossy(5))
-            .transport_adaptive(AdaptivePolicy::default())
-            .build();
-        let mut sim = Simulator::new(cfg);
-        let m = sim.run();
-        let s = sim.transport_stats().expect("overlapped mode");
-        let got = [
-            m.queries,
-            m.single_peer,
-            m.multi_peer,
-            m.server,
-            m.accepted_uncertain,
-            m.server_shed,
-            m.server_retries,
-            m.server_retries_denied,
-            s.window_min,
-            s.window_max,
-            s.window_final,
-            s.window_grows,
-            s.window_shrinks,
-        ];
-        assert_eq!(got, want, "adaptive golden moved at seed {seed}");
-        assert_eq!(s.priority_inversions, 0, "seed {seed}");
+        let mut sharded = Vec::new();
+        for (shards, threads) in [(1, None), (4, Some(1)), (4, Some(2))] {
+            let mut b = SimConfig::new(tiny_params(), seed)
+                .to_builder()
+                .server_shards(shards)
+                .fault(FaultConfig::lossy(5))
+                .transport_adaptive(AdaptivePolicy::default());
+            if let Some(threads) = threads {
+                b = b.threads(threads);
+            }
+            let mut sim = Simulator::new(b.build());
+            let m = sim.run();
+            let s = sim.transport_stats().expect("overlapped mode");
+            let got = [
+                m.queries,
+                m.single_peer,
+                m.multi_peer,
+                m.server,
+                m.accepted_uncertain,
+                m.server_shed,
+                m.server_retries,
+                m.server_retries_denied,
+                s.window_min,
+                s.window_max,
+                s.window_final,
+                s.window_grows,
+                s.window_shrinks,
+            ];
+            let layout = format!("seed {seed} shards {shards} threads {threads:?}");
+            assert_eq!(got, want, "adaptive golden moved at {layout}");
+            assert_eq!(s.priority_inversions, 0, "{layout}");
+            if let Some(service) = sim.service_metrics() {
+                let b = sim.batch_stats();
+                let transport = [
+                    b.queue_depth_peak,
+                    b.in_flight_peak,
+                    b.shed_count,
+                    b.latency_p50_ms.to_bits(),
+                    b.latency_p99_ms.to_bits(),
+                    b.window_min,
+                    b.window_max,
+                    b.window_final,
+                    b.retries_denied,
+                ];
+                let per_shard: Vec<[u64; 3]> = service
+                    .shards
+                    .iter()
+                    .map(|s| [s.requests, s.node_accesses, s.skipped])
+                    .collect();
+                sharded.push((m, transport, per_shard));
+            }
+        }
+        assert_eq!(sharded.len(), 2);
+        assert_eq!(sharded[0], sharded[1], "seed {seed}: threads moved the run");
     }
 }
 
