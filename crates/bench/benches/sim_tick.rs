@@ -1,11 +1,11 @@
 //! End-to-end simulator throughput on the scaled Los Angeles world, plus
 //! the peer-discovery ablation: incrementally maintained grid (what
-//! production runs) vs rebuild-per-batch vs naive linear scan.
+//! the simulator runs) vs a fresh build per interval vs naive linear scan.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::random_points;
 use senn_geom::{Point, Rect};
-use senn_sim::{GridMaintenance, HostGrid, ParamSet, SimConfig, SimParams, Simulator};
+use senn_sim::{HostGrid, ParamSet, SimConfig, SimParams, Simulator};
 
 fn sim_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_tick");
@@ -15,17 +15,6 @@ fn sim_tick(c: &mut Criterion) {
             params.t_execution_hours = 1.0 / 60.0;
             let mut cfg = SimConfig::new(params, 7);
             cfg.warmup_frac = 0.0;
-            let mut sim = Simulator::new(cfg);
-            black_box(sim.run().queries)
-        })
-    });
-    group.bench_function("la_2x2_one_minute_rebuild_grid", |b| {
-        b.iter(|| {
-            let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
-            params.t_execution_hours = 1.0 / 60.0;
-            let mut cfg = SimConfig::new(params, 7);
-            cfg.warmup_frac = 0.0;
-            cfg.grid_maintenance = GridMaintenance::Rebuild;
             let mut sim = Simulator::new(cfg);
             black_box(sim.run().queries)
         })

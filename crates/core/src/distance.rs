@@ -77,7 +77,7 @@ impl LowerBoundOracle for EuclideanBound {
 }
 
 /// The vacuous oracle: `-inf` bounds never exceed anything, so pruned
-/// expansion degenerates to the unpruned PR-4 path (every candidate is
+/// expansion degenerates to the unpruned path (every candidate is
 /// evaluated exactly). Useful as the experimental control.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NeverPrune;

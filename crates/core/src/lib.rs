@@ -22,7 +22,6 @@
 //! | [`trace`] | the unified [`QueryTrace`] outcome (attribution + accounting + stage timings) |
 //! | [`senn`] | Algorithm 1 — the SENN driver over the staged kernel |
 //! | [`snnn`] | Algorithm 2 — the SNNN/IER driver, generic over [`DistanceModel`] (§3.4) |
-//! | [`shared_expansion`] | batch-shared Dijkstra frontiers: one settle sweep per query group |
 //! | [`rknn`] | reverse-kNN ("which hosts rank me top-k?") over the service seam |
 //! | [`service`] | the batched request/reply service API |
 //! | [`transport`] | the event-driven async transport (virtual clock, admission control) and the retry/degradation client |
@@ -44,7 +43,6 @@ pub mod rknn;
 pub mod senn;
 pub mod server;
 pub mod service;
-pub mod shared_expansion;
 pub mod single;
 pub mod snnn;
 pub mod trace;
@@ -64,7 +62,6 @@ pub use senn_cache::{CacheEntry as PeerCacheEntry, CachedNn};
 pub use senn_rtree::SearchBounds;
 pub use server::{RTreeServer, ServerResponse};
 pub use service::{ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService};
-pub use shared_expansion::{FrontierPool, FrontierProbe, SharedFrontier, SharedStats};
 pub use snnn::{
     snnn_query, snnn_query_pruned, snnn_query_pruned_with, snnn_query_with, SnnnConfig,
     SnnnExpansion, SnnnNeighbor, SnnnOutcome,
@@ -104,7 +101,6 @@ pub mod prelude {
     pub use crate::service::{
         ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService,
     };
-    pub use crate::shared_expansion::{FrontierPool, FrontierProbe, SharedFrontier, SharedStats};
     pub use crate::snnn::{
         snnn_query, snnn_query_pruned, snnn_query_pruned_with, snnn_query_with, SnnnConfig,
         SnnnNeighbor, SnnnOutcome,

@@ -112,13 +112,6 @@ pub struct QueryTrace {
     /// Exact model distance evaluations the expansion skipped because an
     /// admissible lower bound already exceeded the k-th network distance.
     pub model_evals_saved: u64,
-    /// Node settlements the batch-shared frontier avoided for this query
-    /// versus a fresh per-call search (`senn_core::shared_expansion`) —
-    /// `0` whenever `SimConfig::shared_expansion` is off. Observation
-    /// only: the counter never feeds back into any pruning decision, so
-    /// it is the *only* trace field allowed to differ between the shared
-    /// and per-query expansion paths.
-    pub shared_settles_saved: u64,
     /// Wall-clock nanoseconds spent per stage (observation only; never
     /// fed back into any algorithmic decision).
     pub stage_nanos: [u64; STAGE_COUNT],
@@ -147,7 +140,6 @@ impl QueryTrace {
         self.server_failed = false;
         self.lb_evals = 0;
         self.model_evals_saved = 0;
-        self.shared_settles_saved = 0;
         self.stage_nanos = [0; STAGE_COUNT];
         self.stage_calls = [0; STAGE_COUNT];
     }
@@ -189,7 +181,6 @@ impl QueryTrace {
         self.server_failed |= round.server_failed;
         self.lb_evals += round.lb_evals;
         self.model_evals_saved += round.model_evals_saved;
-        self.shared_settles_saved += round.shared_settles_saved;
         for i in 0..STAGE_COUNT {
             self.stage_nanos[i] += round.stage_nanos[i];
             self.stage_calls[i] += round.stage_calls[i];
@@ -234,7 +225,6 @@ mod tests {
         b.server_contacted = true;
         b.lb_evals = 5;
         b.model_evals_saved = 2;
-        b.shared_settles_saved = 9;
         b.record_stage(Stage::ServerResidual, 20);
         total.absorb(&a);
         total.absorb(&b);
@@ -244,7 +234,6 @@ mod tests {
         assert!(total.server_contacted);
         assert_eq!(total.lb_evals, 5);
         assert_eq!(total.model_evals_saved, 2);
-        assert_eq!(total.shared_settles_saved, 9);
         assert_eq!(total.stage_calls, [1, 0, 0, 1]);
         assert_eq!(total.stage_nanos, [10, 0, 0, 20]);
     }
@@ -281,7 +270,6 @@ mod tests {
         t.server_failed = true;
         t.lb_evals = 4;
         t.model_evals_saved = 2;
-        t.shared_settles_saved = 6;
         t.record_stage(Stage::MultiVerify, 5);
         t.reset();
         assert_eq!(t, QueryTrace::new());

@@ -323,16 +323,18 @@ proptest! {
 }
 
 /// On a sizable grid the landmark oracle must actually fire: a fixed
-/// seed where pruning demonstrably saves exact evaluations while the
-/// result set stays identical (the claim the perf gate quantifies).
+/// seed where pruning saves at least 30 % of the exact evaluations
+/// while the result set stays identical.
 #[test]
 fn pruning_saves_evaluations_on_a_large_grid() {
     let case = make_case(14, 14, 0x5eed, 3, ModelSel::Alt, 6);
     let plain = run_unpruned(&case);
     let pruned = run_pruned(&case, true);
     assert!(
-        pruned.trace.model_evals_saved > 0,
-        "landmark pruning never fired on a 14x14 grid"
+        pruned.trace.model_evals_saved * 10 >= pruned.trace.lb_evals * 3,
+        "landmark pruning saved {} of {} exact evaluations on a 14x14 grid",
+        pruned.trace.model_evals_saved,
+        pruned.trace.lb_evals
     );
     assert_eq!(plain.trace.lb_evals, pruned.trace.lb_evals);
     assert_eq!(plain.results.len(), pruned.results.len());

@@ -166,6 +166,69 @@ fn by_ticket(outs: Vec<(Ticket, RequestOutcome)>) -> BTreeMap<Ticket, Dispositio
         .collect()
 }
 
+/// A flash crowd — 40 intervals of 100 virtual ms, 16 arrivals each, plus
+/// a 400-request spike in interval 4 — over the keyed flaky service, in
+/// two submission layouts: *blocking* drains each interval's batch,
+/// retries included, before admitting the next; *overlapped* enqueues at
+/// arrival, polls at interval boundaries and drains once at the end. The
+/// interval is shorter than a retry ladder, so blocking idles the uplink
+/// at every batch tail. Every request id must meet the same fate in both,
+/// and overlapping must finish the schedule at least 1.5× sooner on the
+/// virtual clock.
+#[test]
+fn overlapped_flash_crowd_keeps_blocking_fates_and_finishes_sooner() {
+    const INTERVALS: usize = 40;
+    const INTERVAL_MS: f64 = 100.0;
+    const BASE: usize = 16;
+    const SPIKE_AT: usize = 4;
+    const SPIKE: usize = 400;
+    let reqs = requests(INTERVALS * BASE + SPIKE);
+    let mut rest = &reqs[..];
+    let schedule: Vec<&[ServerRequest]> = (0..INTERVALS)
+        .map(|i| {
+            let n = BASE + if i == SPIKE_AT { SPIKE } else { 0 };
+            let (batch, tail) = rest.split_at(n);
+            rest = tail;
+            batch
+        })
+        .collect();
+
+    // Retries take tickets too, so first-attempt tickets differ between
+    // the layouts: key fates by request id.
+    let run = |blocking: bool| {
+        let mut c = client(20_060_402, 4, usize::MAX, true).with_mean_service_ms(40.0);
+        let mut ids: BTreeMap<Ticket, RequestId> = BTreeMap::new();
+        let mut done = Vec::new();
+        for (i, batch) in schedule.iter().enumerate() {
+            done.extend(c.poll(i as f64 * INTERVAL_MS));
+            for r in *batch {
+                ids.insert(c.submit(*r), r.id);
+            }
+            if blocking {
+                done.extend(c.drain());
+            }
+        }
+        done.extend(c.drain());
+        assert_eq!(c.stats().shed, 0, "unbounded queues must not shed");
+        let fates: BTreeMap<RequestId, Disposition> = done
+            .iter()
+            .map(|(t, o)| (ids[t], Disposition::of(o)))
+            .collect();
+        (c.clock_ms(), fates)
+    };
+    let (blocking_ms, blocking_fates) = run(true);
+    let (overlapped_ms, overlapped_fates) = run(false);
+    assert_eq!(blocking_fates.len(), reqs.len());
+    assert_eq!(
+        blocking_fates, overlapped_fates,
+        "submission layout changed a keyed fate"
+    );
+    assert!(
+        blocking_ms >= 1.5 * overlapped_ms,
+        "overlap must finish >= 1.5x sooner: {blocking_ms:.0} ms blocking vs {overlapped_ms:.0} ms"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

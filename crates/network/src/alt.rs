@@ -7,7 +7,7 @@
 //! `d(u, t) >= |d(L, t) - d(L, u)|` as an admissible, consistent heuristic
 //! that is much tighter on road networks. This is an extension over the
 //! paper (which uses plain Dijkstra) and is benchmarked against Dijkstra
-//! and Euclidean A\* in `network_knn` and the perf gate's metric leg.
+//! and Euclidean A\* in the `network_knn` bench.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -136,7 +136,7 @@ impl Ord for HeapItem {
 /// [`counting_dijkstra`] / [`counting_astar`] / [`counting_alt`]): how
 /// many nodes were settled (popped with their final distance) and how
 /// many edges were scanned from settled nodes. Both shrink as the
-/// heuristic tightens, which is what the perf gate's metric leg records.
+/// heuristic tightens.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Nodes settled (popped from the queue with their final distance).

@@ -1092,7 +1092,7 @@ mod tests {
 
     #[test]
     fn ch_relaxes_far_fewer_edges_than_astar() {
-        let net = generate_network(&GeneratorConfig::city(4000.0, 42));
+        let net = generate_network(&GeneratorConfig::city(8000.0, 42));
         let idx = ChIndex::build(&net);
         let n = net.node_count() as u32;
         let mut ch_total = SearchStats::default();
@@ -1108,10 +1108,9 @@ mod tests {
             }
         }
         // The ratio grows with network size (labels are near-constant,
-        // A* is not); the perf gate asserts >= 10x on its large grid,
-        // this mid-size smoke keeps a conservative floor.
+        // A* is not): x16 on this 8 km city, x4 at 3 km.
         assert!(
-            ch_total.relaxed * 5 < astar_total.relaxed,
+            ch_total.relaxed * 10 < astar_total.relaxed,
             "hub labels should scan far fewer entries than A* relaxes edges ({} vs {})",
             ch_total.relaxed,
             astar_total.relaxed

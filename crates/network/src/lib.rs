@@ -32,9 +32,6 @@
 //!   [`AltDistance`] (landmark lower bounds), [`ChDistance`] (the
 //!   hierarchy oracle) and [`TimeDependentCost`] (congestion-weighted
 //!   per-class speed limits), all over reusable scratch.
-//! * [`shared`] — [`SharedNetworkModel`]: the same distances answered
-//!   from batch-shared resumable Dijkstra frontiers
-//!   (`senn_core::shared_expansion`), one settle sweep per query group.
 //! * [`generator`] — the seeded synthetic network generator.
 
 pub mod alt;
@@ -46,7 +43,6 @@ pub mod io;
 pub mod knn;
 pub mod locator;
 pub mod poi;
-pub mod shared;
 pub mod shortest_path;
 
 pub use alt::{
@@ -64,7 +60,6 @@ pub use io::{network_to_string, parse_network, ParseError};
 pub use knn::{ier_knn, ier_knn_with, ine_knn, ine_knn_with, NetworkNeighbor};
 pub use locator::NodeLocator;
 pub use poi::NetworkPois;
-pub use shared::{SharedEdgeCost, SharedNetworkModel};
 pub use shortest_path::{
     astar_distance, astar_distance_with, astar_path, astar_path_with, dijkstra_distance,
     dijkstra_distance_with, dijkstra_map, dijkstra_map_into, shortest_path_nodes,

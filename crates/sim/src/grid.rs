@@ -10,12 +10,11 @@
 //! every lookup. That split is what makes move-only maintenance cheap —
 //! [`HostGrid::apply_move`] edits at most two cell lists when a host
 //! crosses a cell boundary and touches nothing at all otherwise, so a
-//! movement pass costs O(boundary crossings) instead of the O(hosts)
-//! rebuild the per-batch path pays. [`HostGrid::rebuild`] is kept as the
-//! fallback (and the property-tested equivalence baseline: an
-//! incrementally maintained grid is element-for-element identical to a
-//! fresh build, because every cell list is kept sorted ascending by host
-//! id — exactly the order a fresh index-order insertion produces).
+//! movement pass costs O(boundary crossings), not O(hosts). A maintained
+//! grid is element-for-element identical to a fresh [`HostGrid::build`]
+//! over the same positions (property-tested below), because every cell
+//! list is kept sorted ascending by host id — exactly the order a fresh
+//! index-order insertion produces.
 //!
 //! The grid is read-only while a query batch executes, which is what lets
 //! the simulator fan queries out across threads. [`HostGrid::within_into`]
@@ -30,8 +29,8 @@ pub struct HostGrid {
     bounds: Rect,
     cell: f64,
     /// `1.0 / cell`, precomputed: cell assignment multiplies instead of
-    /// dividing, and every path (build, rebuild, `apply_move`, lookups)
-    /// uses the same [`HostGrid::cell_of`], so assignments stay mutually
+    /// dividing, and every path (build, `apply_move`, lookups) uses the
+    /// same [`HostGrid::cell_of`], so assignments stay mutually
     /// consistent.
     inv_cell: f64,
     cols: usize,
@@ -39,11 +38,6 @@ pub struct HostGrid {
     /// Host ids per cell, each list sorted ascending — the invariant that
     /// makes incremental maintenance bit-identical to a fresh build.
     cells: Vec<Vec<u32>>,
-    /// Indices of cells that ever held a host since the last rebuild
-    /// (cleared on rebuild); `occupied_flag` mirrors membership so
-    /// incremental inserts never push duplicates.
-    occupied: Vec<u32>,
-    occupied_flag: Vec<bool>,
     /// Current flat cell index of every tracked host.
     host_cells: Vec<u32>,
 }
@@ -52,59 +46,27 @@ impl HostGrid {
     /// Builds the grid for the given host positions. `cell` should be the
     /// transmission range.
     pub fn build(bounds: Rect, cell: f64, positions: &[Point]) -> Self {
-        let mut grid = HostGrid {
-            bounds,
-            cell: 1.0,
-            inv_cell: 1.0,
-            cols: 0,
-            rows: 0,
-            cells: Vec::new(),
-            occupied: Vec::new(),
-            occupied_flag: Vec::new(),
-            host_cells: Vec::new(),
-        };
-        grid.rebuild(bounds, cell, positions);
-        grid
-    }
-
-    /// Rebuilds the grid in place for a new host-position snapshot,
-    /// reusing the existing cell vectors (and their capacity) whenever the
-    /// geometry allows — the fallback path of
-    /// [`GridMaintenance::Rebuild`](crate::GridMaintenance).
-    pub fn rebuild(&mut self, bounds: Rect, cell: f64, positions: &[Point]) {
         assert!(cell > 0.0, "cell size must be positive");
         assert!(!bounds.is_empty(), "area must be non-empty");
         let cols = (bounds.width() / cell).floor() as usize + 1;
         let rows = (bounds.height() / cell).floor() as usize + 1;
-        if cols * rows == self.cols * self.rows {
-            // Same cell count (the common steady-state case): clear only
-            // the cells previous batches touched.
-            for &c in &self.occupied {
-                self.cells[c as usize].clear();
-                self.occupied_flag[c as usize] = false;
-            }
-        } else {
-            self.cells.clear();
-            self.cells.resize(cols * rows, Vec::new());
-            self.occupied_flag.clear();
-            self.occupied_flag.resize(cols * rows, false);
-        }
-        self.bounds = bounds;
-        self.cell = cell;
-        self.inv_cell = 1.0 / cell;
-        self.cols = cols;
-        self.rows = rows;
-        self.occupied.clear();
-        self.host_cells.clear();
+        let inv_cell = 1.0 / cell;
+        let mut cells = vec![Vec::new(); cols * rows];
+        let mut host_cells = Vec::with_capacity(positions.len());
         for (i, p) in positions.iter().enumerate() {
-            let (cx, cy) = Self::cell_of(bounds, self.inv_cell, cols, rows, *p);
+            let (cx, cy) = Self::cell_of(bounds, inv_cell, cols, rows, *p);
             let idx = cy * cols + cx;
-            if self.cells[idx].is_empty() && !self.occupied_flag[idx] {
-                self.occupied.push(idx as u32);
-                self.occupied_flag[idx] = true;
-            }
-            self.cells[idx].push(i as u32);
-            self.host_cells.push(idx as u32);
+            cells[idx].push(i as u32);
+            host_cells.push(idx as u32);
+        }
+        HostGrid {
+            bounds,
+            cell,
+            inv_cell,
+            cols,
+            rows,
+            cells,
+            host_cells,
         }
     }
 
@@ -142,13 +104,6 @@ impl HostGrid {
 
     /// Inserts `host` into cell list `idx`, keeping the list ascending.
     fn insert_into_cell(&mut self, host: u32, idx: u32) {
-        // A non-empty cell is already on the occupied list (set when its
-        // first host arrived and never unset until rebuild), so the flag
-        // column is only consulted when a cell transitions from empty.
-        if self.cells[idx as usize].is_empty() && !self.occupied_flag[idx as usize] {
-            self.occupied.push(idx);
-            self.occupied_flag[idx as usize] = true;
-        }
         let list = &mut self.cells[idx as usize];
         let at = list
             .binary_search(&host)
@@ -176,32 +131,6 @@ impl HostGrid {
         true
     }
 
-    /// Incremental maintenance: starts tracking a new host at `pos`,
-    /// assigning it the next id (`self.len()` before the call).
-    pub fn insert(&mut self, pos: Point) -> u32 {
-        let host = self.host_cells.len() as u32;
-        let idx = self.flat_cell(pos);
-        self.insert_into_cell(host, idx);
-        self.host_cells.push(idx);
-        host
-    }
-
-    /// Incremental maintenance: stops tracking `host`, re-identifying the
-    /// last tracked host as `host` — exactly the id semantics of
-    /// `Vec::swap_remove` on the caller's parallel position column.
-    pub fn remove_swap(&mut self, host: u32) {
-        let last = (self.host_cells.len() - 1) as u32;
-        let idx = self.host_cells[host as usize];
-        self.remove_from_cell(host, idx);
-        if host != last {
-            let last_idx = self.host_cells[last as usize];
-            self.remove_from_cell(last, last_idx);
-            self.insert_into_cell(host, last_idx);
-            self.host_cells[host as usize] = last_idx;
-        }
-        self.host_cells.pop();
-    }
-
     /// Hosts (by index) within `radius` of `p`, excluding `exclude`.
     /// `positions` is the position column the grid is maintained against.
     pub fn within(&self, positions: &[Point], p: Point, radius: f64, exclude: u32) -> Vec<u32> {
@@ -215,8 +144,7 @@ impl HostGrid {
     ///
     /// Hits are pushed in ascending cell order then ascending host id
     /// within a cell, which is a pure function of the inputs — parallel
-    /// callers see the same peer ordering the sequential path sees, and
-    /// the incremental and rebuild maintenance modes agree exactly.
+    /// callers see the same peer ordering the sequential path sees.
     pub fn within_into(
         &self,
         positions: &[Point],
@@ -405,46 +333,6 @@ mod tests {
         }
     }
 
-    /// Rebuilding in place must be indistinguishable from building fresh,
-    /// across geometry changes and shrinking host sets.
-    #[test]
-    fn rebuild_in_place_matches_fresh_build() {
-        let bounds = Rect::new(Point::ORIGIN, Point::new(500.0, 500.0));
-        let mut s = 17u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut grid = HostGrid::build(bounds, 50.0, &[]);
-        for round in 0..10 {
-            let n = 50 + round * 37;
-            let positions: Vec<Point> = (0..n)
-                .map(|_| Point::new(next() * 500.0, next() * 500.0))
-                .collect();
-            // Alternate the cell size so both the fast path (same cell
-            // count) and the resize path are exercised.
-            let cell = if round % 2 == 0 { 50.0 } else { 80.0 };
-            grid.rebuild(bounds, cell, &positions);
-            let fresh = HostGrid::build(bounds, cell, &positions);
-            for probe in 0..5 {
-                let q = positions[probe * (n / 7).max(1) % n];
-                let mut a = grid.within(&positions, q, 120.0, probe as u32);
-                let mut b = fresh.within(&positions, q, 120.0, probe as u32);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "round {round}");
-            }
-        }
-        // Shrink to empty and back: no stale hosts may survive.
-        grid.rebuild(bounds, 50.0, &[]);
-        assert!(grid
-            .within(&[], Point::new(250.0, 250.0), 1000.0, u32::MAX)
-            .is_empty());
-        assert!(grid.is_empty());
-    }
-
     /// `within_into` reuses the buffer and clears stale contents.
     #[test]
     fn within_into_reuses_buffer() {
@@ -508,14 +396,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Any interleaving of moves, inserts and removals leaves the
-        /// maintained grid's `within_into` results identical — hits *and*
-        /// order — to a fresh `HostGrid::build` over the same positions.
+        /// Any sequence of moves leaves the maintained grid's
+        /// `within_into` results identical — hits *and* order — to a fresh
+        /// `HostGrid::build` over the same positions.
         /// Generated positions cluster near cell boundaries (multiples of
         /// the cell size ± small jitter) so boundary crossings dominate.
         #[test]
         fn incremental_maintenance_equals_fresh_build(
-            seedlets in prop::collection::vec((0usize..3, 0.0..1.0f64, 0.0..1.0f64), 1..60),
+            moves in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64), 1..60),
             start in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..20),
         ) {
             let bounds = Rect::new(Point::ORIGIN, Point::new(100.0, 100.0));
@@ -529,31 +417,12 @@ mod tests {
             let mut positions: Vec<Point> =
                 start.iter().map(|&(x, y)| Point::new(snap(x), snap(y))).collect();
             let mut grid = HostGrid::build(bounds, cell, &positions);
-            for (op, u, v) in seedlets {
-                match op {
-                    // Move a host (boundary-biased target).
-                    0 => {
-                        let i = (u * positions.len() as f64) as usize % positions.len();
-                        let new = Point::new(snap(v * 100.0), snap(u * 100.0));
-                        positions[i] = new;
-                        grid.apply_move(i as u32, new);
-                    }
-                    // Insert a new host.
-                    1 => {
-                        let new = Point::new(snap(u * 100.0), snap(v * 100.0));
-                        let id = grid.insert(new);
-                        prop_assert_eq!(id as usize, positions.len());
-                        positions.push(new);
-                    }
-                    // Remove a host (swap-remove id semantics).
-                    _ => {
-                        if positions.len() > 1 {
-                            let i = (u * positions.len() as f64) as usize % positions.len();
-                            grid.remove_swap(i as u32);
-                            positions.swap_remove(i);
-                        }
-                    }
-                }
+            for (u, v) in moves {
+                // Boundary-biased target.
+                let i = (u * positions.len() as f64) as usize % positions.len();
+                let new = Point::new(snap(v * 100.0), snap(u * 100.0));
+                positions[i] = new;
+                grid.apply_move(i as u32, new);
                 assert_equivalent(&grid, &positions, bounds, cell);
             }
         }

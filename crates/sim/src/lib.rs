@@ -20,7 +20,6 @@
 //! );
 //! ```
 
-pub mod alloc_probe;
 mod cache_step;
 mod comms;
 pub mod experiments;
@@ -39,8 +38,8 @@ pub use grid::HostGrid;
 pub use metrics::{KStats, LatencyModel, Metrics};
 pub use params::{ParamSet, SimParams};
 pub use simulator::{
-    BatchStats, CachePolicy, GridMaintenance, KChoice, MovementMode, NetworkModelKind, SimConfig,
-    SimConfigBuilder, SimConfigError, Simulator,
+    BatchStats, CachePolicy, KChoice, MovementMode, NetworkModelKind, SimConfig, SimConfigBuilder,
+    SimConfigError, Simulator,
 };
 
 // Service-seam knobs a simulation config can carry, re-exported so callers

@@ -126,12 +126,6 @@ pub struct Metrics {
     /// Exact model distance evaluations the oracle's bounds skipped —
     /// the pruning payoff (0 under the vacuous `NeverPrune` oracle).
     pub model_evals_saved: u64,
-    /// Exact-distance settlements the batch-shared expansion frontiers
-    /// skipped versus fresh per-probe searches — the *only* counter
-    /// allowed to differ between [`crate::SimConfig::shared_expansion`]
-    /// on and off (0 with sharing off; rides in on
-    /// [`QueryTrace::shared_settles_saved`]).
-    pub shared_settles_saved: u64,
     /// Reverse-kNN queries answered by [`crate::Simulator::run_rknn`]
     /// (0 unless the driver is called).
     pub rknn_queries: u64,
@@ -188,7 +182,6 @@ impl Metrics {
         }
         self.lb_evals += trace.lb_evals;
         self.model_evals_saved += trace.model_evals_saved;
-        self.shared_settles_saved += trace.shared_settles_saved;
     }
 
     /// Folds one reverse-kNN batch's accounting into the counters (the
@@ -310,7 +303,6 @@ impl Metrics {
         self.server_failed += other.server_failed;
         self.lb_evals += other.lb_evals;
         self.model_evals_saved += other.model_evals_saved;
-        self.shared_settles_saved += other.shared_settles_saved;
         self.rknn_queries += other.rknn_queries;
         self.rknn_pairs += other.rknn_pairs;
         self.rknn_cache_pruned += other.rknn_cache_pruned;
@@ -461,7 +453,6 @@ mod tests {
             server_failed: 23 + off,
             lb_evals: 24 + off,
             model_evals_saved: 25 + off,
-            shared_settles_saved: 28 + off,
             rknn_queries: 29 + off,
             rknn_pairs: 36 + off,
             rknn_cache_pruned: 37 + off,
@@ -507,7 +498,6 @@ mod tests {
         assert_eq!(a.server_failed, 23 + 1023);
         assert_eq!(a.lb_evals, 24 + 1024);
         assert_eq!(a.model_evals_saved, 25 + 1025);
-        assert_eq!(a.shared_settles_saved, 28 + 1028);
         assert_eq!(a.rknn_queries, 29 + 1029);
         assert_eq!(a.rknn_pairs, 36 + 1036);
         assert_eq!(a.rknn_cache_pruned, 37 + 1037);
@@ -572,7 +562,6 @@ mod tests {
             t.server_failed = i % 7 == 0;
             t.lb_evals = (2 * i) as u64;
             t.model_evals_saved = (i / 2) as u64;
-            t.shared_settles_saved = (3 * i + 1) as u64;
             traces.push(t);
         }
         let mut whole = Metrics::new();
@@ -593,7 +582,6 @@ mod tests {
         assert!(whole.expansion_cap_hits > 0);
         assert!(whole.server_retries > 0);
         assert!(whole.lb_evals > 0 && whole.model_evals_saved > 0);
-        assert!(whole.shared_settles_saved > 0);
     }
 
     #[test]

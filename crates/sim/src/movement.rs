@@ -52,23 +52,21 @@ pub(crate) fn build_mobility(
 impl Simulator {
     /// Moves every mobile host forward by `dt` seconds, streaming over the
     /// store's columns and keeping the peer-discovery grid current as a
-    /// side effect (incremental mode): each host that crossed a cell
-    /// boundary costs two sorted cell-list edits, everything else costs
-    /// nothing. Parked hosts are skipped entirely — their `step` is a
-    /// no-op that draws no RNG, so the trajectory of every mover is
-    /// bit-identical to the visit-everyone loop.
+    /// side effect: each host that crossed a cell boundary costs two
+    /// sorted cell-list edits, everything else costs nothing. Parked hosts
+    /// are skipped entirely — their `step` is a no-op that draws no RNG,
+    /// so the trajectory of every mover is bit-identical to the
+    /// visit-everyone loop.
     pub(crate) fn advance_movement(&mut self, dt: f64) {
         let started = std::time::Instant::now();
         let Simulator {
             store,
             grid,
             network,
-            config,
             batch_stats,
             ..
         } = self;
         let net = network.as_ref();
-        let maintain = config.grid_maintenance == crate::simulator::GridMaintenance::Incremental;
         let (positions, mobility, rngs, movers) = store.movement_columns();
         let mut cell_moves = 0u64;
         for &i in movers {
@@ -76,7 +74,7 @@ impl Simulator {
             mobility[i].step(net, dt, &mut rngs[i]);
             let p = mobility[i].position();
             positions[i] = p;
-            if maintain && grid.apply_move(i as u32, p) {
+            if grid.apply_move(i as u32, p) {
                 cell_moves += 1;
             }
         }
@@ -113,7 +111,42 @@ pub(crate) fn poisson(lambda: f64, rng: &mut SmallRng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::HostGrid;
+    use crate::params::{ParamSet, SimParams};
+    use crate::simulator::SimConfig;
     use rand::SeedableRng;
+    use senn_geom::Rect;
+
+    /// After a whole run the grid the movement pass maintained answers
+    /// every peer lookup exactly — ids and order — like a fresh build
+    /// over the final position column.
+    #[test]
+    fn maintained_grid_equals_fresh_build_after_a_run() {
+        let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
+        params.t_execution_hours = 0.05;
+        let road = SimConfig::new(params, 7);
+        let mut free = SimConfig::new(params, 42);
+        free.mode = MovementMode::FreeMovement;
+        free.poi_churn_per_hour = 16.0;
+        free.cache_ttl_secs = Some(60.0);
+        for cfg in [road, free] {
+            let mut sim = Simulator::new(cfg);
+            sim.run();
+            assert!(sim.batch_stats.grid_cell_moves > 0, "{:?}", cfg.mode);
+            let positions = sim.store.positions();
+            let range = cfg.params.tx_range_m;
+            let side = cfg.params.area_side_m();
+            let area = Rect::new(Point::ORIGIN, Point::new(side, side));
+            let fresh = HostGrid::build(area, range.max(1.0), positions);
+            let (mut kept, mut built) = (Vec::new(), Vec::new());
+            for (h, &p) in positions.iter().enumerate() {
+                sim.grid
+                    .within_into(positions, p, range, h as u32, &mut kept);
+                fresh.within_into(positions, p, range, h as u32, &mut built);
+                assert_eq!(kept, built, "{:?} host {h}", cfg.mode);
+            }
+        }
+    }
 
     #[test]
     fn poisson_sanity() {

@@ -29,7 +29,6 @@
 
 use senn_cache::{CacheEntry, CachedNn};
 use senn_core::service::ServerRequest;
-use senn_core::shared_expansion::SharedStats;
 use senn_core::transport::{submit_budgeted, RetryBudget};
 use senn_core::{
     DistanceModel, EuclideanBound, LowerBoundOracle, QueryTrace, Resolution, SearchBounds,
@@ -37,8 +36,7 @@ use senn_core::{
 };
 use senn_geom::Point;
 use senn_network::{
-    AltBound, AltDistance, ChBound, ChDistance, NetworkDistance, SharedEdgeCost,
-    SharedNetworkModel, TimeDependentCost,
+    AltBound, AltDistance, ChBound, ChDistance, NetworkDistance, TimeDependentCost,
 };
 
 use crate::comms::WorkerScratch;
@@ -134,10 +132,6 @@ enum ActiveModel<'a> {
     Alt(AltDistance<'a>),
     Time(TimeDependentCost<'a>),
     Ch(ChDistance<'a>),
-    /// Batch-shared frontiers (`SimConfig::shared_expansion`): the same
-    /// distances as the per-kind models, answered from one resumable
-    /// Dijkstra sweep per snap-node group.
-    Shared(SharedNetworkModel<'a>),
 }
 
 impl ActiveModel<'_> {
@@ -149,26 +143,6 @@ impl ActiveModel<'_> {
             ActiveModel::Alt(m) => m.rebase(query),
             ActiveModel::Time(m) => m.rebase(query),
             ActiveModel::Ch(m) => m.rebase(query),
-            ActiveModel::Shared(m) => m.rebase(query),
-        }
-    }
-
-    /// Settlements the shared frontiers have avoided so far (monotone);
-    /// `0` for the per-query models. Sampled around `begin`/`offer` calls
-    /// to attribute the saving to the query that triggered it.
-    fn shared_saved(&self) -> u64 {
-        match self {
-            ActiveModel::Shared(m) => m.stats().saved(),
-            _ => 0,
-        }
-    }
-
-    /// The shared pool's cumulative accounting; `None` for the per-query
-    /// models.
-    fn shared_stats(&self) -> Option<SharedStats> {
-        match self {
-            ActiveModel::Shared(m) => Some(m.stats()),
-            _ => None,
         }
     }
 }
@@ -180,7 +154,6 @@ impl DistanceModel for ActiveModel<'_> {
             ActiveModel::Alt(m) => m.distance(query, p),
             ActiveModel::Time(m) => m.distance(query, p),
             ActiveModel::Ch(m) => m.distance(query, p),
-            ActiveModel::Shared(m) => m.distance(query, p),
         }
     }
 }
@@ -219,37 +192,19 @@ impl LowerBoundOracle for ActiveOracle<'_> {
     }
 }
 
-/// One query's in-flight expansion during the lockstep-batched expand
-/// pass: its index into the batch plus the shared state machine.
+/// One query's in-flight expansion during the lockstep expand pass: its
+/// index into the batch plus its state machine.
 struct ActiveExpansion {
     idx: usize,
     exp: SnnnExpansion,
 }
 
-/// What one expand pass cost: the round/submission counts the interval
-/// batching divides, plus the shared-frontier settle accounting when
-/// `SimConfig::shared_expansion` is on (all zero otherwise).
+/// What one expand pass cost: expansion rounds run, and service
+/// submissions (one per interval-round that needed the server).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ExpandStats {
     pub(crate) rounds: u64,
     pub(crate) submissions: u64,
-    /// Shared frontiers created (distinct snap-node groups).
-    pub(crate) shared_groups: u64,
-    /// Settlements the per-query searches would have performed.
-    pub(crate) shared_solo_settles: u64,
-    /// Settlements the shared frontiers actually performed.
-    pub(crate) shared_settles: u64,
-}
-
-impl ExpandStats {
-    /// Folds the shared pool's end-of-batch accounting in.
-    fn absorb_shared(&mut self, model: &ActiveModel<'_>) {
-        if let Some(s) = model.shared_stats() {
-            self.shared_groups += s.groups;
-            self.shared_solo_settles += s.solo_settles;
-            self.shared_settles += s.settles;
-        }
-    }
 }
 
 impl Simulator {
@@ -412,22 +367,16 @@ impl Simulator {
     /// the **main thread in query-index order**; every residual goes
     /// through the configured service, and the keyed `FaultyService`
     /// draws make each request's fate a pure function of its id and
-    /// attempt ordinal — independent of worker-thread count, shard count,
-    /// and how the rounds are coalesced into batches.
+    /// attempt ordinal — independent of worker-thread count and shard
+    /// count.
     ///
-    /// Two submission layouts share the exact expansion logic:
+    /// All still-active queries advance in lockstep, one expansion round
+    /// per iteration; each round's unresolved residuals are coalesced into
+    /// **one** `ServerRequest` batch per interval-round (plan order
+    /// preserved; request `id` = query index).
     ///
-    /// * **interval-batched** (default, `SimConfig::expansion_batching`):
-    ///   all still-active queries advance in lockstep; each round's
-    ///   unresolved residuals are coalesced into **one** `ServerRequest`
-    ///   batch per interval-round (plan order preserved).
-    /// * **per-query**: each query runs all its rounds to completion with
-    ///   one submission per round — the PR-4 access pattern, kept as the
-    ///   equivalence baseline (`tests/batched_expansion.rs` proves the
-    ///   two layouts produce bit-identical Metrics).
-    ///
-    /// Candidate verification is bound-driven in both layouts: an
-    /// [`ActiveOracle`] (ALT landmark bounds when the index exists, the
+    /// Candidate verification is bound-driven: an [`ActiveOracle`] (the
+    /// exact CH bound or ALT landmark bounds when the index exists, the
     /// free-flow Euclidean bound otherwise) is consulted before every
     /// exact model evaluation, and evaluations the bound already rules
     /// out are skipped — counted by [`QueryTrace::lb_evals`] /
@@ -442,11 +391,6 @@ impl Simulator {
     /// counters, and the [`QueryTrace::cap_hit`] flag when the round
     /// budget (or a failed round residual) ended the expansion
     /// unconfirmed.
-    ///
-    /// Returns `(pendings, stats)` where [`ExpandStats::submissions`]
-    /// counts the expand pass's service submissions — the number the
-    /// interval batching divides — and the `shared_*` fields carry the
-    /// frontier pool's settle accounting under shared expansion.
     pub(crate) fn expand_network_batch(
         &self,
         plans: &[QueryPlan],
@@ -460,60 +404,34 @@ impl Simulator {
             .network
             .as_ref()
             .expect("validated at build time: network mode keeps the road network");
-        let model = if self.config.shared_expansion {
-            // One batch-scoped frontier pool answers every kind's metric:
-            // plain lengths reproduce the A*/ALT/CH distances bit for bit
-            // (all exact searches over the same metric), the weighted
-            // cost reproduces the time-dependent model's. The paired
-            // oracle below still follows `kind`, so the candidate stream
-            // and the pruning counters stay identical to the per-query
-            // path.
-            let cost = match kind {
-                NetworkModelKind::TimeDependent { start_hour } => {
-                    SharedEdgeCost::TimeOfDay(start_hour + self.time / 3600.0)
-                }
-                _ => SharedEdgeCost::Length,
-            };
-            match SharedNetworkModel::new(net, &self.locator, cost, Point::ORIGIN) {
-                Some(m) => ActiveModel::Shared(m),
-                None => return (pendings, none), // empty graph: nothing to rank with
+        // Every model constructor returns `None` only on an empty graph,
+        // where there is nothing to rank with.
+        let model = match kind {
+            NetworkModelKind::AStar => {
+                NetworkDistance::new(net, &self.locator, Point::ORIGIN).map(ActiveModel::AStar)
             }
-        } else {
-            match kind {
-                NetworkModelKind::AStar => {
-                    match NetworkDistance::new(net, &self.locator, Point::ORIGIN) {
-                        Some(m) => ActiveModel::AStar(m),
-                        None => return (pendings, none), // empty graph: nothing to rank with
-                    }
-                }
-                NetworkModelKind::Alt { .. } => {
-                    let index = self
-                        .alt_index
-                        .as_ref()
-                        .expect("ALT index is built with the world");
-                    match AltDistance::new(net, &self.locator, index, Point::ORIGIN) {
-                        Some(m) => ActiveModel::Alt(m),
-                        None => return (pendings, none),
-                    }
-                }
-                NetworkModelKind::TimeDependent { start_hour } => {
-                    let hour = start_hour + self.time / 3600.0;
-                    match TimeDependentCost::new(net, &self.locator, Point::ORIGIN, hour) {
-                        Some(m) => ActiveModel::Time(m),
-                        None => return (pendings, none),
-                    }
-                }
-                NetworkModelKind::Ch => {
-                    let index = self
-                        .ch_index
-                        .as_ref()
-                        .expect("CH index is built with the world");
-                    match ChDistance::new(net, &self.locator, index, Point::ORIGIN) {
-                        Some(m) => ActiveModel::Ch(m),
-                        None => return (pendings, none),
-                    }
-                }
+            NetworkModelKind::Alt { .. } => {
+                let index = self
+                    .alt_index
+                    .as_ref()
+                    .expect("ALT index is built with the world");
+                AltDistance::new(net, &self.locator, index, Point::ORIGIN).map(ActiveModel::Alt)
             }
+            NetworkModelKind::TimeDependent { start_hour } => {
+                let hour = start_hour + self.time / 3600.0;
+                TimeDependentCost::new(net, &self.locator, Point::ORIGIN, hour)
+                    .map(ActiveModel::Time)
+            }
+            NetworkModelKind::Ch => {
+                let index = self
+                    .ch_index
+                    .as_ref()
+                    .expect("CH index is built with the world");
+                ChDistance::new(net, &self.locator, index, Point::ORIGIN).map(ActiveModel::Ch)
+            }
+        };
+        let Some(model) = model else {
+            return (pendings, none);
         };
         let oracle = match (kind, self.alt_index.as_ref(), self.ch_index.as_ref()) {
             (NetworkModelKind::Alt { .. }, Some(index), _) => ActiveOracle::Alt(
@@ -526,11 +444,7 @@ impl Simulator {
             )),
             _ => ActiveOracle::Euclid(EuclideanBound),
         };
-        if self.config.expansion_batching {
-            self.expand_lockstep(plans, pendings, model, oracle)
-        } else {
-            self.expand_per_query(plans, pendings, model, oracle)
-        }
+        self.expand_lockstep(plans, pendings, model, oracle)
     }
 
     /// True when the query's resolved Euclidean round qualifies for SNNN
@@ -549,84 +463,10 @@ impl Simulator {
         pending.outcome.trace.model_evals_saved = exp.model_evals_saved();
     }
 
-    /// The per-query submission layout: each eligible query runs all its
-    /// expansion rounds before the next query starts, one service
-    /// submission per round that needs the server.
-    fn expand_per_query(
-        &self,
-        plans: &[QueryPlan],
-        mut pendings: Vec<PendingQuery>,
-        mut model: ActiveModel<'_>,
-        mut oracle: ActiveOracle<'_>,
-    ) -> (Vec<PendingQuery>, ExpandStats) {
-        let mut scratch = WorkerScratch::new();
-        let mut stats = ExpandStats::default();
-        for (i, (plan, pending)) in plans.iter().zip(pendings.iter_mut()).enumerate() {
-            if !Self::expansion_eligible(pending) {
-                continue;
-            }
-            let q = self.store.position(plan.querier);
-            if !model.rebase(q) || !oracle.rebase(q) {
-                continue;
-            }
-            // Everything this query asks the model — the initial ranking
-            // in `begin` and every candidate offer below — lands between
-            // these two samples, so the delta is the query's share of the
-            // pool's saved settlements.
-            let saved_before = model.shared_saved();
-            let mut exp = SnnnExpansion::begin(q, plan.k, &pending.outcome.results, &mut model);
-            while exp.needs_round() && exp.rounds() < self.config.snnn_max_expansion {
-                stats.rounds += 1;
-                let kk = exp.next_k();
-                self.gather_peers(plan, &mut scratch.comms);
-                let round = self.engine.query_peers_only_with(
-                    q,
-                    kk,
-                    &scratch.comms.peers,
-                    &mut scratch.ctx,
-                );
-                let round = if round.resolution() == Resolution::Unresolved {
-                    let req = self.engine.residual_request(i as u64, q, kk, &round);
-                    stats.submissions += 1;
-                    let result = submit_budgeted(
-                        self.service.residual_service(),
-                        std::slice::from_ref(&req),
-                        &self.config.retry,
-                        &mut RetryBudget::unlimited(),
-                    )
-                    .pop()
-                    .expect("one request, one outcome");
-                    pending.outcome.trace.record_service_outcome(&result);
-                    if result.failed {
-                        // The round could not be served: keep the best
-                        // ranking seen, flagged unconfirmed below.
-                        pending.outcome.trace.absorb(&round.trace);
-                        exp.abort();
-                        break;
-                    }
-                    self.engine.complete_residual(kk, round, result.response)
-                } else {
-                    round
-                };
-                pending.outcome.trace.absorb(&round.trace);
-                if round.results.iter().any(|e| !e.certain) {
-                    exp.abort();
-                    break;
-                }
-                exp.offer_pruned(&round.results, &mut model, &mut oracle);
-            }
-            pending.outcome.trace.shared_settles_saved += model.shared_saved() - saved_before;
-            Self::finish_expansion(pending, &exp);
-        }
-        stats.absorb_shared(&model);
-        (pendings, stats)
-    }
-
-    /// The interval-batched layout: every eligible query advances one
-    /// expansion round per iteration, and all of the iteration's
-    /// unresolved residuals travel in **one** `ServerRequest` batch (plan
-    /// order preserved; request `id` = query index, exactly as in the
-    /// per-query layout, so the keyed fault schedule is identical).
+    /// The lockstep pass of [`Simulator::expand_network_batch`]: every
+    /// eligible query advances one expansion round per iteration, and all
+    /// of the iteration's unresolved residuals travel in **one**
+    /// `ServerRequest` batch.
     fn expand_lockstep(
         &self,
         plans: &[QueryPlan],
@@ -640,12 +480,7 @@ impl Simulator {
         // Start every eligible query's expansion (plan order). Queries
         // whose expansion is already settled at begin time — the world
         // holds fewer than `k` POIs, or a zero round budget — finalize
-        // immediately, exactly like the per-query layout. The shared-
-        // saved deltas sampled around each `begin`/`offer` attribute the
-        // pool's savings to the query that triggered them; the *totals*
-        // are layout-invariant (frontiers settle in global distance
-        // order no matter which query advances them), so Metrics match
-        // the per-query layout bit for bit.
+        // immediately.
         let mut active: Vec<ActiveExpansion> = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
             if !Self::expansion_eligible(&pendings[i]) {
@@ -655,9 +490,7 @@ impl Simulator {
             if !model.rebase(q) || !oracle.rebase(q) {
                 continue;
             }
-            let saved_before = model.shared_saved();
             let exp = SnnnExpansion::begin(q, plan.k, &pendings[i].outcome.results, &mut model);
-            pendings[i].outcome.trace.shared_settles_saved += model.shared_saved() - saved_before;
             if exp.needs_round() && self.config.snnn_max_expansion > 0 {
                 active.push(ActiveExpansion { idx: i, exp });
             } else {
@@ -739,9 +572,7 @@ impl Simulator {
                 // re-anchor for this query (it succeeded at begin time).
                 model.rebase(q);
                 oracle.rebase(q);
-                let saved_before = model.shared_saved();
                 a.exp.offer_pruned(&round.results, &mut model, &mut oracle);
-                pending.outcome.trace.shared_settles_saved += model.shared_saved() - saved_before;
                 if a.exp.needs_round() && a.exp.rounds() < self.config.snnn_max_expansion {
                     still_active.push(a);
                 } else {
@@ -750,7 +581,6 @@ impl Simulator {
             }
             active = still_active;
         }
-        stats.absorb_shared(&model);
         (pendings, stats)
     }
 

@@ -52,7 +52,6 @@ use senn_server::{FaultConfig, FaultyService, ServiceMetrics, ShardedService};
 pub use crate::cache_step::CachePolicy;
 pub use crate::movement::MovementMode;
 
-use crate::alloc_probe;
 use crate::grid::HostGrid;
 use crate::metrics::Metrics;
 use crate::movement::{build_mobility, poisson};
@@ -93,28 +92,6 @@ pub enum NetworkModelKind {
     /// hierarchy is preprocessed once per world, seeded by the master
     /// seed.
     Ch,
-}
-
-/// How the peer-discovery [`HostGrid`] is kept in sync with host
-/// movement. Both modes index exactly the same positions, and because the
-/// incremental path keeps every cell list sorted ascending by host id —
-/// the order a fresh index-order build produces — `within_into` returns
-/// identical hits in identical order either way: recorded
-/// [`Metrics`] are bit-identical (asserted in
-/// `tests/grid_maintenance.rs` and in the perf gate at 1M hosts).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GridMaintenance {
-    /// Move-only edits during the movement pass: a host that crosses a
-    /// cell boundary is removed from its old cell list and inserted into
-    /// the new one; hosts that stay in their cell cost nothing. The
-    /// default — per-interval grid work is O(boundary crossings) instead
-    /// of O(hosts).
-    #[default]
-    Incremental,
-    /// The pre-refactor behavior: rebuild the grid from the position
-    /// column once per query batch. Kept as the equivalence baseline and
-    /// as a fallback.
-    Rebuild,
 }
 
 /// A [`SimConfig`] that cannot run: the combination of knobs is rejected
@@ -271,19 +248,18 @@ pub struct SimConfig {
     /// shard count, or how submissions are coalesced into batches.
     pub fault: Option<FaultConfig>,
     /// Client-side retry/backoff/degradation policy for residual batches
-    /// (inert when the service never fails). In overlapped-transport mode
-    /// ([`SimConfig::transport`]) the policy embedded in the
-    /// [`TransportPolicy`] governs instead.
+    /// submitted through `submit_budgeted` (inert when the service never
+    /// fails). In overlapped-transport mode ([`SimConfig::transport`]) the
+    /// policy embedded in the [`TransportPolicy`] governs instead.
     pub retry: RetryPolicy,
     /// Event-driven service transport: `None` (the default) submits each
-    /// interval's residual batch synchronously (`submit_with_retry`
-    /// blocks the interval until every ladder resolves, exactly the
-    /// pre-transport behavior — metrics are bit-identical to earlier
-    /// releases). `Some(policy)` routes residuals through
-    /// `senn_core::transport::AsyncClient`: requests are *enqueued* with a
-    /// globally unique id at the interval that issued them and their
-    /// completions are *polled* at later interval boundaries, so residual
-    /// round-trips overlap subsequent intervals instead of blocking.
+    /// interval's residual batch synchronously (`submit_budgeted` blocks
+    /// the interval until every ladder resolves). `Some(policy)` routes
+    /// residuals through `senn_core::transport::AsyncClient`: requests are
+    /// *enqueued* with a globally unique id at the interval that issued
+    /// them and their completions are *polled* at later interval
+    /// boundaries, so residual round-trips overlap subsequent intervals
+    /// instead of blocking.
     /// Request ids — and therefore the keyed fault schedule and the
     /// transport's own service-time draws — are a pure function of plan
     /// order, so recorded [`Metrics`] stay bit-identical across
@@ -300,33 +276,6 @@ pub struct SimConfig {
     /// Safety cap on Euclidean expansion rounds per SNNN query; truncated
     /// expansions are counted in [`Metrics::expansion_cap_hits`].
     pub snnn_max_expansion: usize,
-    /// Submission layout of the SNNN expand pass: `true` (the default)
-    /// coalesces every eligible query's same-round residuals into one
-    /// `ServerRequest` batch per interval-round; `false` submits one
-    /// request per query-round (the PR-4 access pattern). Metrics are
-    /// bit-identical either way — the keyed fault schedule sees the same
-    /// per-id attempt stream — only the submission count changes
-    /// (`BatchStats::snnn_submissions`; proven in
-    /// `tests/batched_expansion.rs`).
-    pub expansion_batching: bool,
-    /// Candidate re-ranking strategy of the SNNN expand pass: `false`
-    /// (the default) runs one private network search per (query,
-    /// candidate) via the configured model's scratch; `true` answers
-    /// every exact distance of the batch from shared resumable Dijkstra
-    /// frontiers ([`senn_core::shared_expansion`]) keyed by snap node, so
-    /// co-anchored queries and repeat candidates settle each node at most
-    /// once per group. Results and [`Metrics`] are bit-identical either
-    /// way except for [`Metrics::shared_settles_saved`], which counts the
-    /// settlements the sharing skipped (proven in
-    /// `tests/shared_expansion.rs`). Inert without a
-    /// [`Self::distance_model`].
-    pub shared_expansion: bool,
-    /// How the peer-discovery grid tracks host movement:
-    /// [`GridMaintenance::Incremental`] (the default) applies move-only
-    /// edits during the movement pass, [`GridMaintenance::Rebuild`]
-    /// reconstructs the grid once per query batch. Metrics are
-    /// bit-identical either way; only maintenance cost changes.
-    pub grid_maintenance: GridMaintenance,
 }
 
 impl SimConfig {
@@ -354,9 +303,6 @@ impl SimConfig {
             transport: None,
             distance_model: None,
             snnn_max_expansion: 256,
-            expansion_batching: true,
-            shared_expansion: false,
-            grid_maintenance: GridMaintenance::Incremental,
         }
     }
 
@@ -574,32 +520,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Submission layout of the SNNN expand pass: `true` (default)
-    /// batches every same-round residual per interval, `false` submits
-    /// one request per query-round. Metrics are identical either way.
-    pub fn expansion_batching(mut self, batched: bool) -> Self {
-        self.config.expansion_batching = batched;
-        self
-    }
-
-    /// Candidate re-ranking strategy of the SNNN expand pass: `true`
-    /// answers exact distances from batch-shared Dijkstra frontiers
-    /// (one settle sweep per snap-node group), `false` (default) runs a
-    /// private search per (query, candidate). Results are identical
-    /// either way modulo `Metrics::shared_settles_saved`.
-    pub fn shared_expansion(mut self, shared: bool) -> Self {
-        self.config.shared_expansion = shared;
-        self
-    }
-
-    /// How the peer-discovery grid tracks host movement (incremental
-    /// move-only edits vs rebuild-per-batch). Metrics are identical
-    /// either way.
-    pub fn grid_maintenance(mut self, maintenance: GridMaintenance) -> Self {
-        self.config.grid_maintenance = maintenance;
-        self
-    }
-
     /// Finishes the build, rejecting invalid knob combinations (e.g. a
     /// network distance model without a road network) with a typed error
     /// instead of a runtime panic.
@@ -661,8 +581,8 @@ impl SpatialService for ServiceBackend {
 /// interval's residual requests travel to the backend and when their
 /// answers come back.
 pub(crate) enum ServiceHandle {
-    /// The pre-transport path: `submit_with_retry` blocks the interval
-    /// until every request's retry ladder resolves.
+    /// `submit_budgeted` blocks the interval until every request's retry
+    /// ladder resolves.
     Blocking(Box<FaultyService<ServiceBackend>>),
     /// The event-driven path ([`SimConfig::transport`]): requests are
     /// enqueued into `senn_core::transport::AsyncClient` and completions
@@ -696,7 +616,6 @@ impl ServiceHandle {
 /// The simulator state.
 pub struct Simulator {
     pub(crate) config: SimConfig,
-    pub(crate) area: Rect,
     pub(crate) network: Option<RoadNetwork>,
     /// Point-to-node snapper over `network` (SNNN models anchor queries
     /// and POIs through it).
@@ -724,8 +643,8 @@ pub struct Simulator {
     pub(crate) time: f64,
     pub(crate) warmed_up: bool,
     /// Peer-discovery grid over the store's position column — maintained
-    /// incrementally during the movement pass (or rebuilt per batch under
-    /// [`GridMaintenance::Rebuild`]); read-only while a batch executes.
+    /// incrementally during the movement pass; read-only while a batch
+    /// executes.
     pub(crate) grid: HostGrid,
     pub(crate) batch_stats: BatchStats,
 }
@@ -755,36 +674,16 @@ pub struct BatchStats {
     /// SNNN expansion rounds executed across all batches (0 unless a
     /// [`NetworkModelKind`] is configured).
     pub snnn_rounds: u64,
-    /// Service submissions (`submit_with_retry` calls) the SNNN expand
-    /// pass performed across all batches: with interval batching one per
-    /// round that needed the server, without it one per query-round —
-    /// the denominator of the batching win tracked by `perf_gate`.
+    /// Service submissions (`submit_budgeted` calls) the SNNN expand pass
+    /// performed across all batches: one per interval-round in which at
+    /// least one query needed the server.
     pub snnn_submissions: u64,
-    /// Shared-expansion mode only: frontier groups (distinct snap nodes)
-    /// the expand pass opened across all batches (0 with
-    /// [`SimConfig::shared_expansion`] off).
-    pub shared_groups: u64,
-    /// Shared-expansion mode only: settlements a fresh per-probe search
-    /// would have performed — the solo-cost numerator of the sharing
-    /// win tracked by `perf_gate` (0 with sharing off).
-    pub shared_solo_settles: u64,
-    /// Shared-expansion mode only: settlements the shared frontiers
-    /// actually performed — the denominator of the sharing win; the
-    /// difference is `Metrics::shared_settles_saved` summed over the run
-    /// (0 with sharing off).
-    pub shared_settles: u64,
     /// Wall time of the movement pass (host stepping + incremental grid
     /// maintenance) across the whole run, seconds.
     pub move_secs: f64,
-    /// Grid cell-boundary crossings applied by incremental maintenance
-    /// (0 under [`GridMaintenance::Rebuild`]) — the per-interval grid
-    /// work the incremental path actually pays.
+    /// Grid cell-boundary crossings the movement pass applied — the
+    /// per-interval grid work actually paid.
     pub grid_cell_moves: u64,
-    /// Heap allocations observed across the run's intervals (movement +
-    /// churn + query batch), via the [`crate::alloc_probe`] hook. `0`
-    /// when no probe is installed. Observation only — smaller is better;
-    /// the perf gate tracks it as the per-interval allocation budget.
-    pub allocations: u64,
     /// Overlapped mode only: peak queued residuals across uplink lanes
     /// observed at any transport event (0 in blocking mode).
     pub queue_depth_peak: u64,
@@ -957,7 +856,6 @@ impl Simulator {
         };
         Simulator {
             config,
-            area,
             network: Some(network),
             locator,
             alt_index,
@@ -1022,8 +920,8 @@ impl Simulator {
         self.time
     }
 
-    /// Wall-clock statistics of the batch execute phase (for benchmarks
-    /// and the perf gate; unrelated to simulated time).
+    /// Wall-clock statistics of the batch execute phase (for benchmarks;
+    /// unrelated to simulated time).
     pub fn batch_stats(&self) -> &BatchStats {
         &self.batch_stats
     }
@@ -1038,9 +936,6 @@ impl Simulator {
             let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
             let interval = -u.ln() * self.config.mean_interval_secs;
             let interval = interval.min(total - self.time).max(1e-6);
-            // Allocation accounting per interval (observation only; 0
-            // when no probe is installed — see `crate::alloc_probe`).
-            let allocs_before = alloc_probe::sample();
             self.advance_movement(interval);
             self.apply_poi_churn(interval);
             self.time += interval;
@@ -1049,7 +944,6 @@ impl Simulator {
                 self.warmed_up = true;
             }
             self.run_query_batch(interval);
-            self.batch_stats.allocations += alloc_probe::sample().saturating_sub(allocs_before);
         }
         // Overlapped mode: residuals still in flight at the horizon are
         // drained (their completions measured and folded) so every issued
@@ -1090,7 +984,7 @@ impl Simulator {
                         }
                     }
                 }
-                cached_dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+                cached_dists.sort_by(f64::total_cmp);
                 RknnHost {
                     host_id: h as u64,
                     position,
@@ -1180,18 +1074,7 @@ impl Simulator {
         // Phase 1 — plan (crate::query_step).
         let plans = self.plan_batch(n);
 
-        // Phase 2 — snapshot: under incremental maintenance the grid is
-        // already current (the movement pass applied every cell move);
-        // the rebuild fallback reconstructs it from the position column.
-        if self.config.grid_maintenance == GridMaintenance::Rebuild {
-            self.grid.rebuild(
-                self.area,
-                self.config.params.tx_range_m.max(1.0),
-                self.store.positions(),
-            );
-        }
-
-        // Phase 3 — execute against the frozen snapshot (crate::query_step),
+        // Phase 2 — execute against the frozen snapshot (crate::query_step),
         // in three passes: the parallel peer stages, then ONE interval
         // batch of every residual through the service seam (retry and
         // degradation included), then the parallel measurement pass.
@@ -1201,21 +1084,18 @@ impl Simulator {
         let pendings = self.execute_batch(&plans);
         let pendings = self.submit_residual_batch(&plans, pendings);
         // Network-mode only: SNNN expansion rounds on the main thread, in
-        // query-index order — interval-batched by default, with bound-
-        // driven candidate pruning (round residuals go through the
-        // configured service; the keyed fault schedule is invariant to
-        // threads, shards and batch layout).
+        // query-index order — interval-batched, with bound-driven
+        // candidate pruning (round residuals go through the configured
+        // service; the keyed fault schedule is invariant to threads and
+        // shards).
         let (pendings, expand) = self.expand_network_batch(&plans, pendings);
         let measures = self.measure_batch(&plans, &pendings);
         self.batch_stats.snnn_rounds += expand.rounds;
         self.batch_stats.snnn_submissions += expand.submissions;
-        self.batch_stats.shared_groups += expand.shared_groups;
-        self.batch_stats.shared_solo_settles += expand.shared_solo_settles;
-        self.batch_stats.shared_settles += expand.shared_settles;
         self.batch_stats
             .record(started.elapsed().as_secs_f64(), n as u64);
 
-        // Phase 4 — merge in query order (crate::cache_step): exactly the
+        // Phase 3 — merge in query order (crate::cache_step): exactly the
         // fold a sequential left-to-right execution would perform.
         for ((plan, pending), measured) in plans.iter().zip(pendings).zip(measures) {
             self.apply_outcome(

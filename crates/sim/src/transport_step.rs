@@ -3,7 +3,7 @@
 //! the interval that issued them, and their completions are *polled* (out
 //! of order, matched by ticket) at later interval boundaries — so the
 //! service round-trip overlaps subsequent intervals instead of blocking
-//! the batch the way `submit_with_retry` does.
+//! the batch the way `submit_budgeted` does.
 //!
 //! Determinism contract: request ids are a global sequence assigned in
 //! plan order (unique across the whole run), the transport's lane count is
@@ -32,7 +32,7 @@ use senn_core::SennEngine;
 use senn_server::FaultyService;
 
 use crate::query_step::{PendingQuery, QueryOutcome, QueryPlan};
-use crate::simulator::{GridMaintenance, ServiceBackend, ServiceHandle, Simulator};
+use crate::simulator::{ServiceBackend, ServiceHandle, Simulator};
 
 /// Uplink lanes of the sim's transport. A fixed constant, deliberately
 /// decoupled from `server_shards`: lane assignment hashes the request id,
@@ -111,13 +111,6 @@ impl Simulator {
     pub(crate) fn run_query_batch_overlapped(&mut self, n: usize) {
         let now_ms = self.time * 1000.0;
         let plans = self.plan_batch(n);
-        if n > 0 && self.config.grid_maintenance == GridMaintenance::Rebuild {
-            self.grid.rebuild(
-                self.area,
-                self.config.params.tx_range_m.max(1.0),
-                self.store.positions(),
-            );
-        }
         let started = std::time::Instant::now();
         let pendings = if n == 0 {
             Vec::new()

@@ -278,12 +278,14 @@ fn golden_snnn_attribution_is_pinned() {
     // so any change to planning order, expansion logic or the service
     // seam shows up as a diff here rather than as silent drift. (A* vs
     // ALT equality above extends the pin to the ALT model.)
-    let (m, rounds) = run_counting_rounds(
+    let mut sim = Simulator::new(
         base(42)
             .to_builder()
             .distance_model(NetworkModelKind::AStar)
             .build(),
     );
+    let m = sim.run();
+    let stats = sim.batch_stats();
     let golden = [
         ("queries", m.queries),
         ("single_peer", m.single_peer),
@@ -291,7 +293,10 @@ fn golden_snnn_attribution_is_pinned() {
         ("server", m.server),
         ("einn_accesses", m.einn_accesses),
         ("inn_accesses", m.inn_accesses),
-        ("snnn_rounds", rounds),
+        ("snnn_rounds", stats.snnn_rounds),
+        // One service submission per interval-round that needed the
+        // server, not one per query-round.
+        ("snnn_submissions", stats.snnn_submissions),
     ];
     assert_eq!(
         golden,
@@ -303,6 +308,7 @@ fn golden_snnn_attribution_is_pinned() {
             ("einn_accesses", 193),
             ("inn_accesses", 194),
             ("snnn_rounds", 200),
+            ("snnn_submissions", 80),
         ]
     );
 }

@@ -3,8 +3,6 @@
 //! ```text
 //! cargo run -p xtask -- api            # regenerate api.txt
 //! cargo run -p xtask -- api --check    # fail if api.txt is stale
-//! cargo run -p xtask -- perf-budget --baseline BENCH_PR5.json \
-//!     --current perf-smoke.json [--max-ratio 2.5]
 //! ```
 //!
 //! The `api` task extracts every `pub` item declaration from the library
@@ -12,35 +10,7 @@
 //! form, so any change to the public surface shows up as an explicit diff
 //! in review — an API redesign has to update the snapshot in the same PR,
 //! and accidental drift fails the build.
-//!
-//! The `perf-budget` task compares the per-stage timing breakdowns of two
-//! perf-gate JSON files. It compares each stage's *share* of its leg's
-//! total time rather than absolute milliseconds, so a committed full-run
-//! baseline remains comparable to a quick CI smoke run on different
-//! hardware: if a stage that took 10% of the sequential leg suddenly
-//! takes 30%, something regressed in that stage no matter how fast the
-//! machine is. Stages below a 2% baseline share are ignored as noise.
-//!
-//! Since schema v5 the gate also emits the bound-driven `expansion`
-//! gauges (`saved_fraction` of exact model evaluations pruned,
-//! `collapse_ratio` of interval-batched service submissions), since
-//! v6 the `metric.ch` gauge (`astar_vs_ch_relaxed_ratio` — how many
-//! times fewer edge relaxations the contraction-hierarchy oracle does
-//! per query than A\*), and since v7 the host-substrate `scale` gauges
-//! (`grid_maintenance_speedup` of incremental grid maintenance over
-//! rebuild-per-interval, and `bytes_per_host`, the counting-allocator
-//! memory footprint of the host substrate), and since v8 the
-//! flash-crowd transport gauges (`overlap_speedup` — how many times
-//! more virtual interval throughput overlapped submission sustains than
-//! blocking per-interval drains — and `shed_fraction`, the spike
-//! fraction refused by one-deep admission queues). Bigger-is-better
-//! gauges fail when the current run drops below the baseline divided by
-//! `max_ratio` — the counterpart of a stage share growing by
-//! `max_ratio`; the smaller-is-better gauges (`bytes_per_host`,
-//! `shed_fraction`) fail when the current value exceeds the baseline's
-//! times `max_ratio`.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -229,794 +199,13 @@ fn task_api(check: bool) {
     eprintln!("api: wrote {}", snapshot_path.display());
 }
 
-/// Extracts the string value of `"key": "..."` from a JSON line.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let rest = &line[line.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extracts the numeric value of `"key": 1.234` from a JSON line.
-fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &line[line.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Per-leg stage timings (`leg -> stage -> total_ms`) of a perf-gate
-/// JSON file. The perf gate writes one `{ "stage": ..., "total_ms": ... }`
-/// line per stage inside each leg's `"stages"` array; the nearest
-/// enclosing object key names the leg (`sequential`, `astar`, ...).
-fn parse_stage_timings(text: &str) -> BTreeMap<String, BTreeMap<String, f64>> {
-    let mut out: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
-    let mut last_key = String::new();
-    let mut current_leg: Option<String> = None;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if let Some(key) = line
-            .strip_suffix('{')
-            .and_then(|l| l.trim_end().strip_suffix(':'))
-            .and_then(|l| l.trim_end().strip_suffix('"'))
-            .and_then(|l| l.strip_prefix('"'))
-        {
-            last_key = key.to_string();
-            continue;
-        }
-        if line.contains("\"stages\":") {
-            current_leg = Some(last_key.clone());
-            continue;
-        }
-        if line.starts_with(']') {
-            current_leg = None;
-            continue;
-        }
-        if let (Some(leg), Some(stage), Some(ms)) = (
-            current_leg.as_ref(),
-            json_str_field(line, "stage"),
-            json_num_field(line, "total_ms"),
-        ) {
-            out.entry(leg.clone()).or_default().insert(stage, ms);
-        }
-    }
-    out
-}
-
-/// The bigger-is-better expansion gauges of a perf-gate JSON file
-/// (schema v5+): `expansion.pruning.saved_fraction` and
-/// `expansion.batching.collapse_ratio`, keyed by their enclosing block.
-/// Empty for pre-v5 files — the caller treats that as "nothing to
-/// compare", not an error, so old baselines keep working.
-fn parse_expansion_gauges(text: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let mut in_expansion = false;
-    let mut last_key = String::new();
-    for raw in text.lines() {
-        let line = raw.trim();
-        if let Some(key) = line
-            .strip_suffix('{')
-            .and_then(|l| l.trim_end().strip_suffix(':'))
-            .and_then(|l| l.trim_end().strip_suffix('"'))
-            .and_then(|l| l.strip_prefix('"'))
-        {
-            if key == "expansion" {
-                in_expansion = true;
-            } else if in_expansion && (key == "pruning" || key == "batching") {
-                last_key = key.to_string();
-            } else if in_expansion {
-                // A sibling top-level block ends the expansion section.
-                in_expansion = false;
-            }
-            continue;
-        }
-        if !in_expansion {
-            continue;
-        }
-        for gauge in ["saved_fraction", "collapse_ratio"] {
-            if let Some(v) = json_num_field(line, gauge) {
-                out.insert(format!("{last_key}/{gauge}"), v);
-            }
-        }
-    }
-    out
-}
-
-/// The host-substrate gauges of a perf-gate JSON file (schema v7+), as
-/// (bigger-is-better, smaller-is-better) maps:
-/// `scale.grid_maintenance_speedup` (how many times faster incremental
-/// grid maintenance absorbs an interval of drift than a rebuild) is
-/// bigger-is-better; `scale.bytes_per_host` (the counting-allocator
-/// memory footprint of the host substrate) is smaller-is-better — the
-/// first gauge of that polarity the budget tracks. The gate emits both
-/// before the nested `scale.sim` object, whose opening brace ends this
-/// parser's scan of the block. Empty for pre-v7 files, so older
-/// baselines keep working.
-fn parse_scale_gauges(text: &str) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
-    let mut bigger = BTreeMap::new();
-    let mut smaller = BTreeMap::new();
-    let mut in_scale = false;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if let Some(key) = line
-            .strip_suffix('{')
-            .and_then(|l| l.trim_end().strip_suffix(':'))
-            .and_then(|l| l.trim_end().strip_suffix('"'))
-            .and_then(|l| l.strip_prefix('"'))
-        {
-            in_scale = key == "scale";
-            continue;
-        }
-        if !in_scale {
-            continue;
-        }
-        if let Some(v) = json_num_field(line, "grid_maintenance_speedup") {
-            bigger.insert("scale/grid_maintenance_speedup".to_string(), v);
-        }
-        if let Some(v) = json_num_field(line, "bytes_per_host") {
-            smaller.insert("scale/bytes_per_host".to_string(), v);
-        }
-    }
-    (bigger, smaller)
-}
-
-/// The flash-crowd transport gauges of a perf-gate JSON file (schema
-/// v8+), as (bigger-is-better, smaller-is-better) maps:
-/// `flashcrowd.overlap_speedup` (how many times more virtual interval
-/// throughput the overlapped transport sustains than blocking
-/// per-interval drains) and `flashcrowd.adaptive_sqrr_gain` (schema v9+,
-/// how much the AIMD window controller lowers the server query request
-/// rate versus the static window at the same admission queue) are
-/// bigger-is-better; `flashcrowd.shed_fraction` (the fraction of the
-/// spike refused at the admission edge by the tightest one-deep queues)
-/// is smaller-is-better. The gate emits the gauges first inside the
-/// block, before the nested `shed_sweep`/`sim` arrays whose rows repeat
-/// the `shed_fraction` field name (and the `adaptive` object) — so only
-/// the *first* occurrence of each gauge is taken. Empty for pre-v8
-/// files, so older baselines keep working; `adaptive_sqrr_gain` is
-/// simply absent from v8 baselines.
-fn parse_flashcrowd_gauges(text: &str) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
-    let mut bigger = BTreeMap::new();
-    let mut smaller = BTreeMap::new();
-    let mut in_flashcrowd = false;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if let Some(key) = line
-            .strip_suffix('{')
-            .and_then(|l| l.trim_end().strip_suffix(':'))
-            .and_then(|l| l.trim_end().strip_suffix('"'))
-            .and_then(|l| l.strip_prefix('"'))
-        {
-            in_flashcrowd = key == "flashcrowd";
-            continue;
-        }
-        if !in_flashcrowd {
-            continue;
-        }
-        if let Some(v) = json_num_field(line, "overlap_speedup") {
-            bigger
-                .entry("flashcrowd/overlap_speedup".to_string())
-                .or_insert(v);
-        }
-        if let Some(v) = json_num_field(line, "adaptive_sqrr_gain") {
-            bigger
-                .entry("flashcrowd/adaptive_sqrr_gain".to_string())
-                .or_insert(v);
-        }
-        if let Some(v) = json_num_field(line, "shed_fraction") {
-            smaller
-                .entry("flashcrowd/shed_fraction".to_string())
-                .or_insert(v);
-        }
-    }
-    (bigger, smaller)
-}
-
-/// The bigger-is-better shared-frontier gauge of a perf-gate JSON file
-/// (schema v10+): `shared.settles_saved_ratio`, how many times fewer
-/// nodes the batch-shared Dijkstra frontiers settle at hotspot density
-/// than the fresh per-candidate searches they replace. The gate emits
-/// the gauge first inside the `shared` block, before the raw frontier
-/// totals (`solo_settles`, `settles`, `settles_saved`) that derive it —
-/// those stay informational. Empty for pre-v10 files, so older
-/// baselines keep working.
-fn parse_shared_gauges(text: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let mut in_shared = false;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if let Some(key) = line
-            .strip_suffix('{')
-            .and_then(|l| l.trim_end().strip_suffix(':'))
-            .and_then(|l| l.trim_end().strip_suffix('"'))
-            .and_then(|l| l.strip_prefix('"'))
-        {
-            in_shared = key == "shared";
-            continue;
-        }
-        if !in_shared {
-            continue;
-        }
-        if let Some(v) = json_num_field(line, "settles_saved_ratio") {
-            out.insert("shared/settles_saved_ratio".to_string(), v);
-        }
-    }
-    out
-}
-
-/// The bigger-is-better search-effort gauge of a perf-gate JSON file
-/// (schema v6+): `metric.astar_vs_ch_relaxed_ratio`, the per-query edge
-/// relaxation advantage of the contraction-hierarchy oracle over A\*.
-/// Only the CH ratio is tracked — `alt_vs_astar_relaxed_ratio` in the
-/// same block is smaller-is-better and stays informational. Empty for
-/// pre-v6 files, so older baselines keep working.
-fn parse_metric_gauges(text: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let mut in_metric = false;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if let Some(key) = line
-            .strip_suffix('{')
-            .and_then(|l| l.trim_end().strip_suffix(':'))
-            .and_then(|l| l.trim_end().strip_suffix('"'))
-            .and_then(|l| l.strip_prefix('"'))
-        {
-            in_metric = key == "metric";
-            continue;
-        }
-        if !in_metric {
-            continue;
-        }
-        if let Some(v) = json_num_field(line, "astar_vs_ch_relaxed_ratio") {
-            out.insert("metric/astar_vs_ch_relaxed_ratio".to_string(), v);
-        }
-    }
-    out
-}
-
-/// Fails (exit 1) when any stage's share of its leg grew by more than
-/// `max_ratio` between the baseline and the current perf-gate output,
-/// or any bigger-is-better expansion, metric or shared-frontier gauge
-/// shrank by more than `max_ratio` against the baseline.
-fn task_perf_budget(baseline: &str, current: &str, max_ratio: f64) {
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("perf-budget: cannot read {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let base_text = read(baseline);
-    let cur_text = read(current);
-    let base = parse_stage_timings(&base_text);
-    let cur = parse_stage_timings(&cur_text);
-    if base.is_empty() || cur.is_empty() {
-        eprintln!(
-            "perf-budget: no stage timings found (baseline legs: {}, current legs: {})",
-            base.len(),
-            cur.len()
-        );
-        std::process::exit(2);
-    }
-
-    const NOISE_FLOOR: f64 = 0.02; // ignore stages under 2% of their leg
-    let mut violations = Vec::new();
-    let mut compared = 0usize;
-    for (leg, base_stages) in &base {
-        let Some(cur_stages) = cur.get(leg) else {
-            continue; // leg absent from the current run (e.g. older schema)
-        };
-        let base_total: f64 = base_stages.values().sum();
-        let cur_total: f64 = cur_stages.values().sum();
-        if base_total <= 0.0 || cur_total <= 0.0 {
-            continue;
-        }
-        for (stage, base_ms) in base_stages {
-            let Some(cur_ms) = cur_stages.get(stage) else {
-                continue;
-            };
-            let base_share = base_ms / base_total;
-            let cur_share = cur_ms / cur_total;
-            if base_share < NOISE_FLOOR {
-                continue;
-            }
-            compared += 1;
-            let ratio = cur_share / base_share;
-            let verdict = if ratio > max_ratio { "FAIL" } else { "ok" };
-            eprintln!(
-                "perf-budget: {leg}/{stage}: share {:.1}% -> {:.1}% (x{ratio:.2}) {verdict}",
-                base_share * 100.0,
-                cur_share * 100.0,
-            );
-            if ratio > max_ratio {
-                violations.push(format!(
-                    "{leg}/{stage} grew from {:.1}% to {:.1}% of its leg (x{ratio:.2} > x{max_ratio})",
-                    base_share * 100.0,
-                    cur_share * 100.0,
-                ));
-            }
-        }
-    }
-    // Expansion (schema v5+), metric (v6+) and shared-frontier (v10+)
-    // gauges: bigger is better,
-    // so the budget is the mirror image of the stage-share check — the
-    // current gauge must not fall below the baseline's divided by
-    // `max_ratio`.
-    let mut base_gauges = parse_expansion_gauges(&base_text);
-    base_gauges.extend(parse_metric_gauges(&base_text));
-    base_gauges.extend(parse_shared_gauges(&base_text));
-    let mut cur_gauges = parse_expansion_gauges(&cur_text);
-    cur_gauges.extend(parse_metric_gauges(&cur_text));
-    cur_gauges.extend(parse_shared_gauges(&cur_text));
-    let (base_scale_big, mut base_smaller) = parse_scale_gauges(&base_text);
-    let (cur_scale_big, mut cur_smaller) = parse_scale_gauges(&cur_text);
-    base_gauges.extend(base_scale_big);
-    cur_gauges.extend(cur_scale_big);
-    let (base_fc_big, base_fc_small) = parse_flashcrowd_gauges(&base_text);
-    let (cur_fc_big, cur_fc_small) = parse_flashcrowd_gauges(&cur_text);
-    base_gauges.extend(base_fc_big);
-    cur_gauges.extend(cur_fc_big);
-    base_smaller.extend(base_fc_small);
-    cur_smaller.extend(cur_fc_small);
-    for (gauge, base_v) in &base_gauges {
-        let Some(cur_v) = cur_gauges.get(gauge) else {
-            continue; // gauge absent from the current run (older schema)
-        };
-        if *base_v <= 0.0 {
-            continue;
-        }
-        compared += 1;
-        let floor = base_v / max_ratio;
-        let verdict = if *cur_v < floor { "FAIL" } else { "ok" };
-        eprintln!("perf-budget: {gauge}: {base_v:.3} -> {cur_v:.3} (floor {floor:.3}) {verdict}");
-        if *cur_v < floor {
-            violations.push(format!(
-                "{gauge} fell from {base_v:.3} to {cur_v:.3} (< {floor:.3} = baseline / x{max_ratio})"
-            ));
-        }
-    }
-    // Smaller-is-better gauges (the substrate memory footprint since
-    // schema v7, the flash-crowd shed fraction since v8): the mirror
-    // image again — the current gauge must not exceed the baseline's
-    // times `max_ratio`.
-    for (gauge, base_v) in &base_smaller {
-        let Some(cur_v) = cur_smaller.get(gauge) else {
-            continue; // gauge absent from the current run (older schema)
-        };
-        if *base_v <= 0.0 {
-            continue;
-        }
-        compared += 1;
-        let ceiling = base_v * max_ratio;
-        let verdict = if *cur_v > ceiling { "FAIL" } else { "ok" };
-        eprintln!(
-            "perf-budget: {gauge}: {base_v:.3} -> {cur_v:.3} (ceiling {ceiling:.3}) {verdict}"
-        );
-        if *cur_v > ceiling {
-            violations.push(format!(
-                "{gauge} grew from {base_v:.3} to {cur_v:.3} (> {ceiling:.3} = baseline * x{max_ratio})"
-            ));
-        }
-    }
-    if compared == 0 {
-        eprintln!("perf-budget: no comparable stages between {baseline} and {current}");
-        std::process::exit(2);
-    }
-    if violations.is_empty() {
-        eprintln!(
-            "perf-budget: {compared} stage shares / gauges within x{max_ratio} of {baseline}"
-        );
-        return;
-    }
-    eprintln!("perf-budget: per-stage budget exceeded:");
-    for v in &violations {
-        eprintln!("  {v}");
-    }
-    std::process::exit(1);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
     match args.first().map(String::as_str) {
         Some("api") => task_api(args.iter().any(|a| a == "--check")),
-        Some("perf-budget") => {
-            let baseline = flag_value("--baseline").unwrap_or_else(|| {
-                eprintln!("perf-budget: --baseline PATH is required");
-                std::process::exit(2);
-            });
-            let current = flag_value("--current").unwrap_or_else(|| {
-                eprintln!("perf-budget: --current PATH is required");
-                std::process::exit(2);
-            });
-            let max_ratio: f64 = flag_value("--max-ratio")
-                .map(|v| v.parse().expect("--max-ratio needs a number"))
-                .unwrap_or(2.5);
-            task_perf_budget(&baseline, &current, max_ratio);
-        }
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- api [--check]\n       \
-                 cargo run -p xtask -- perf-budget --baseline PATH --current PATH [--max-ratio R]"
-            );
+            eprintln!("usage: cargo run -p xtask -- api [--check]");
             std::process::exit(2);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const SAMPLE: &str = r#"{
-  "schema": "senn-perf-gate-v4",
-  "sim": {
-    "sequential": {
-      "queries": 10,
-      "stages": [
-        { "stage": "peer_probe", "calls": 5, "total_ms": 1.500, "ns_per_call": 10.0 },
-        { "stage": "server_residual", "calls": 5, "total_ms": 8.500, "ns_per_call": 10.0 }
-      ]
-    }
-  },
-  "snnn": {
-    "astar": {
-      "stages": [
-        { "stage": "peer_probe", "calls": 2, "total_ms": 0.250, "ns_per_call": 3.0 }
-      ]
-    }
-  },
-  "service": {
-    "legs": [
-      { "backend": "rtree_1shard", "batched_requests_per_sec": 100.000 }
-    ]
-  }
-}
-"#;
-
-    #[test]
-    fn stage_timings_are_keyed_by_enclosing_leg() {
-        let parsed = parse_stage_timings(SAMPLE);
-        assert_eq!(parsed.len(), 2, "sim + snnn legs, service ignored");
-        let seq = &parsed["sequential"];
-        assert_eq!(seq["peer_probe"], 1.5);
-        assert_eq!(seq["server_residual"], 8.5);
-        assert_eq!(parsed["astar"]["peer_probe"], 0.25);
-    }
-
-    const SAMPLE_V5: &str = r#"{
-  "schema": "senn-perf-gate-v5",
-  "snnn": {
-    "astar": {
-      "stages": [
-        { "stage": "peer_probe", "calls": 2, "total_ms": 0.250, "ns_per_call": 3.0 }
-      ]
-    }
-  },
-  "expansion": {
-    "pruning": {
-      "exact_evals_unpruned": 1100,
-      "exact_evals_pruned": 565,
-      "saved_fraction": 0.486,
-      "results_identical": true
-    },
-    "batching": {
-      "submissions_per_query": 215,
-      "submissions_batched": 95,
-      "collapse_ratio": 2.263,
-      "metrics_identical": true
-    }
-  },
-  "metric": {
-    "nodes": 4000,
-    "alt_vs_astar_relaxed_ratio": 0.282
-  }
-}
-"#;
-
-    #[test]
-    fn expansion_gauges_are_keyed_by_block() {
-        let gauges = parse_expansion_gauges(SAMPLE_V5);
-        assert_eq!(
-            gauges.len(),
-            2,
-            "exactly the two tracked gauges: {gauges:?}"
-        );
-        assert_eq!(gauges["pruning/saved_fraction"], 0.486);
-        assert_eq!(gauges["batching/collapse_ratio"], 2.263);
-    }
-
-    #[test]
-    fn expansion_gauges_absent_from_pre_v5_schema() {
-        // The v4 sample has no expansion block; the parser must return
-        // nothing rather than misattribute some other ratio field.
-        assert!(parse_expansion_gauges(SAMPLE).is_empty());
-    }
-
-    #[test]
-    fn expansion_gauges_ignore_lookalike_fields_outside_the_block() {
-        // `alt_vs_astar_relaxed_ratio` in the metric block (after the
-        // expansion section closed) must not be picked up.
-        let gauges = parse_expansion_gauges(SAMPLE_V5);
-        assert!(gauges.keys().all(|k| !k.contains("relaxed")));
-    }
-
-    const SAMPLE_V6: &str = r#"{
-  "schema": "senn-perf-gate-v6",
-  "expansion": {
-    "pruning": {
-      "saved_fraction": 0.416,
-      "results_identical": true
-    },
-    "batching": {
-      "collapse_ratio": 2.571,
-      "metrics_identical": true
-    }
-  },
-  "metric": {
-    "nodes": 27307,
-    "alt_vs_astar_relaxed_ratio": 0.442,
-    "astar_vs_ch_relaxed_ratio": 15.933,
-    "ch_preprocess_secs": 0.590,
-    "ch_shortcuts": 10000,
-    "algorithms": [
-      { "name": "astar", "settled": 100, "relaxed": 200 },
-      { "name": "ch", "settled": 5, "relaxed": 12 }
-    ]
-  },
-  "service": {
-    "legs": [
-      { "backend": "rtree_1shard", "batched_requests_per_sec": 100.000 }
-    ]
-  }
-}
-"#;
-
-    #[test]
-    fn metric_gauge_tracks_only_the_ch_ratio() {
-        let gauges = parse_metric_gauges(SAMPLE_V6);
-        assert_eq!(gauges.len(), 1, "exactly the CH gauge: {gauges:?}");
-        assert_eq!(gauges["metric/astar_vs_ch_relaxed_ratio"], 15.933);
-        // The smaller-is-better ALT ratio and the preprocessing cost in
-        // the same block stay informational.
-        assert!(gauges.keys().all(|k| !k.contains("alt_vs_astar")));
-    }
-
-    #[test]
-    fn metric_gauge_absent_from_pre_v6_schema() {
-        // The v5 sample's metric block has only the ALT ratio; the
-        // parser must return nothing rather than misattribute it.
-        assert!(parse_metric_gauges(SAMPLE_V5).is_empty());
-        assert!(parse_metric_gauges(SAMPLE).is_empty());
-    }
-
-    #[test]
-    fn v6_expansion_gauges_still_parse() {
-        let gauges = parse_expansion_gauges(SAMPLE_V6);
-        assert_eq!(gauges["pruning/saved_fraction"], 0.416);
-        assert_eq!(gauges["batching/collapse_ratio"], 2.571);
-        assert!(gauges.keys().all(|k| !k.contains("relaxed")));
-    }
-
-    const SAMPLE_V7: &str = r#"{
-  "schema": "senn-perf-gate-v7",
-  "scale": {
-    "hosts": 1000000,
-    "grid_maintain_secs": 0.149,
-    "grid_rebuild_secs": 0.347,
-    "grid_maintenance_speedup": 2.321,
-    "grid_cell_moves": 210640,
-    "bytes_per_host": 220.312,
-    "peak_alloc_bytes": 260000000,
-    "sim": {
-      "wall_secs": 1.750,
-      "queries_per_sec": 48318.912,
-      "metrics_identical": true
-    }
-  },
-  "metric": {
-    "astar_vs_ch_relaxed_ratio": 6.193
-  }
-}
-"#;
-
-    #[test]
-    fn scale_gauges_split_by_polarity() {
-        let (bigger, smaller) = parse_scale_gauges(SAMPLE_V7);
-        assert_eq!(bigger.len(), 1, "exactly the speedup gauge: {bigger:?}");
-        assert_eq!(bigger["scale/grid_maintenance_speedup"], 2.321);
-        assert_eq!(smaller.len(), 1, "exactly the memory gauge: {smaller:?}");
-        assert_eq!(smaller["scale/bytes_per_host"], 220.312);
-    }
-
-    #[test]
-    fn scale_gauges_stop_at_the_nested_sim_block() {
-        // Nothing inside `scale.sim` (or the following `metric` block)
-        // may be misattributed as a scale gauge.
-        let (bigger, smaller) = parse_scale_gauges(SAMPLE_V7);
-        assert!(bigger.keys().all(|k| k.starts_with("scale/")));
-        assert!(smaller.keys().all(|k| k.starts_with("scale/")));
-        assert!(!bigger.contains_key("scale/astar_vs_ch_relaxed_ratio"));
-    }
-
-    #[test]
-    fn scale_gauges_absent_from_pre_v7_schema() {
-        for sample in [SAMPLE, SAMPLE_V5, SAMPLE_V6] {
-            let (bigger, smaller) = parse_scale_gauges(sample);
-            assert!(bigger.is_empty() && smaller.is_empty());
-        }
-    }
-
-    #[test]
-    fn v7_metric_gauge_still_parses() {
-        let gauges = parse_metric_gauges(SAMPLE_V7);
-        assert_eq!(gauges["metric/astar_vs_ch_relaxed_ratio"], 6.193);
-    }
-
-    const SAMPLE_V8: &str = r#"{
-  "schema": "senn-perf-gate-v8",
-  "flashcrowd": {
-    "overlap_speedup": 2.371,
-    "shed_fraction": 0.483,
-    "blocking_makespan_ms": 11616.0,
-    "overlapped_makespan_ms": 4907.0,
-    "requests": 1040,
-    "fates_identical": true,
-    "shed_sweep": [
-      { "queue_cap": 256, "shed_fraction": 0.000, "queue_depth_peak": 398, "p50_latency_ms": 64.0, "p99_latency_ms": 4096.0 },
-      { "queue_cap": 1, "shed_fraction": 0.981, "queue_depth_peak": 4, "p50_latency_ms": 64.0, "p99_latency_ms": 256.0 }
-    ],
-    "sim": [
-      { "queue_cap": 64, "window": 2, "sqrr": 0.296, "failed_request_rate": 0.000, "server_shed": 0, "queue_depth_peak": 57 },
-      { "queue_cap": 1, "window": 1, "sqrr": 0.769, "failed_request_rate": 0.892, "server_shed": 531, "queue_depth_peak": 4 }
-    ]
-  },
-  "scale": {
-    "grid_maintenance_speedup": 2.321,
-    "bytes_per_host": 220.312
-  }
-}
-"#;
-
-    const SAMPLE_V9: &str = r#"{
-  "schema": "senn-perf-gate-v9",
-  "flashcrowd": {
-    "overlap_speedup": 2.371,
-    "shed_fraction": 0.483,
-    "adaptive_sqrr_gain": 1.031,
-    "blocking_makespan_ms": 11616.0,
-    "requests": 1040,
-    "shed_sweep": [
-      { "queue_cap": 1, "shed_fraction": 0.981, "queue_depth_peak": 4, "p50_latency_ms": 64.0, "p99_latency_ms": 256.0 }
-    ],
-    "sim": [
-      { "queue_cap": 4, "window": 2, "sqrr": 0.580, "failed_request_rate": 0.735, "server_shed": 330, "queue_depth_peak": 16 }
-    ],
-    "adaptive": {
-      "static": { "sqrr": 0.580, "failed_request_rate": 0.735, "server_shed": 330, "retries_denied": 0, "window_min": 2, "window_max": 2, "window_final": 8, "window_grows": 0, "window_shrinks": 0 },
-      "adaptive": { "sqrr": 0.563, "failed_request_rate": 0.704, "server_shed": 292, "retries_denied": 0, "window_min": 1, "window_max": 32, "window_final": 35, "window_grows": 137, "window_shrinks": 8 }
-    }
-  },
-  "scale": {
-    "grid_maintenance_speedup": 2.321,
-    "bytes_per_host": 220.312
-  }
-}
-"#;
-
-    const SAMPLE_V10: &str = r#"{
-  "schema": "senn-perf-gate-v10",
-  "shared": {
-    "settles_saved_ratio": 4.214,
-    "queries": 237,
-    "groups": 109,
-    "solo_settles": 53938,
-    "settles": 12800,
-    "settles_saved": 41138,
-    "metrics_identical": true
-  },
-  "rknn": {
-    "queries": 16,
-    "pairs": 7408,
-    "cache_pruned": 311,
-    "oracle_identical": true
-  },
-  "scale": {
-    "grid_maintenance_speedup": 2.321,
-    "bytes_per_host": 220.312
-  }
-}
-"#;
-
-    #[test]
-    fn shared_gauge_parses_from_v10_and_is_absent_before() {
-        let gauges = parse_shared_gauges(SAMPLE_V10);
-        assert_eq!(gauges.len(), 1, "exactly the ratio gauge: {gauges:?}");
-        assert_eq!(gauges["shared/settles_saved_ratio"], 4.214);
-        for sample in [
-            SAMPLE, SAMPLE_V5, SAMPLE_V6, SAMPLE_V7, SAMPLE_V8, SAMPLE_V9,
-        ] {
-            assert!(
-                parse_shared_gauges(sample).is_empty(),
-                "pre-v10 baselines have no shared block"
-            );
-        }
-    }
-
-    #[test]
-    fn shared_block_does_not_leak_into_sibling_parsers() {
-        // The raw frontier totals behind the gauge stay informational,
-        // and the `rknn` sibling block opening ends the shared scan.
-        let gauges = parse_shared_gauges(SAMPLE_V10);
-        assert!(!gauges.contains_key("shared/solo_settles"));
-        let (bigger, smaller) = parse_scale_gauges(SAMPLE_V10);
-        assert_eq!(bigger["scale/grid_maintenance_speedup"], 2.321);
-        assert_eq!(smaller["scale/bytes_per_host"], 220.312);
-    }
-
-    #[test]
-    fn flashcrowd_gauges_split_by_polarity() {
-        let (bigger, smaller) = parse_flashcrowd_gauges(SAMPLE_V8);
-        assert_eq!(bigger.len(), 1, "exactly the overlap gauge: {bigger:?}");
-        assert_eq!(bigger["flashcrowd/overlap_speedup"], 2.371);
-        assert_eq!(smaller.len(), 1, "exactly the shed gauge: {smaller:?}");
-        assert_eq!(smaller["flashcrowd/shed_fraction"], 0.483);
-    }
-
-    #[test]
-    fn v9_adaptive_gauge_parses_and_v8_baselines_lack_it() {
-        let (bigger, smaller) = parse_flashcrowd_gauges(SAMPLE_V9);
-        assert_eq!(bigger.len(), 2, "overlap + adaptive gauges: {bigger:?}");
-        assert_eq!(bigger["flashcrowd/overlap_speedup"], 2.371);
-        assert_eq!(bigger["flashcrowd/adaptive_sqrr_gain"], 1.031);
-        // The nested `adaptive` object repeats `sqrr` fields but never
-        // the gauge name, and the block gauge wins first-occurrence.
-        assert_eq!(smaller["flashcrowd/shed_fraction"], 0.483);
-        // A v8 baseline simply lacks the new gauge — the budget check
-        // skips gauges missing from the baseline, keeping it valid.
-        let (v8_bigger, _) = parse_flashcrowd_gauges(SAMPLE_V8);
-        assert!(!v8_bigger.contains_key("flashcrowd/adaptive_sqrr_gain"));
-    }
-
-    #[test]
-    fn flashcrowd_gauges_take_the_first_occurrence_only() {
-        // The nested `shed_sweep` and `sim` rows repeat the
-        // `shed_fraction` field name; the block-level gauge emitted
-        // first must win, never a sweep row's value.
-        let (_, smaller) = parse_flashcrowd_gauges(SAMPLE_V8);
-        assert_eq!(smaller["flashcrowd/shed_fraction"], 0.483);
-    }
-
-    #[test]
-    fn flashcrowd_gauges_absent_from_pre_v8_schema() {
-        for sample in [SAMPLE, SAMPLE_V5, SAMPLE_V6, SAMPLE_V7] {
-            let (bigger, smaller) = parse_flashcrowd_gauges(sample);
-            assert!(bigger.is_empty() && smaller.is_empty());
-        }
-    }
-
-    #[test]
-    fn v8_scale_gauges_still_parse() {
-        let (bigger, smaller) = parse_scale_gauges(SAMPLE_V8);
-        assert_eq!(bigger["scale/grid_maintenance_speedup"], 2.321);
-        assert_eq!(smaller["scale/bytes_per_host"], 220.312);
-    }
-
-    #[test]
-    fn field_extractors_handle_gate_formatting() {
-        let line =
-            r#"        { "stage": "plan", "calls": 3, "total_ms": 12.345, "ns_per_call": 1.0 },"#;
-        assert_eq!(json_str_field(line, "stage").as_deref(), Some("plan"));
-        assert_eq!(json_num_field(line, "total_ms"), Some(12.345));
-        assert_eq!(json_num_field(line, "calls"), Some(3.0));
-        assert_eq!(json_num_field(line, "missing"), None);
     }
 }
