@@ -51,10 +51,10 @@ fn network_knn(c: &mut Criterion) {
         let engine = SennEngine::default();
         let mut i = 0;
         b.iter(|| {
-            let (q, qn) = queries[i % queries.len()];
+            let (q, _) = queries[i % queries.len()];
             i += 1;
             let peer = honest_peer(q, &poi_positions, 20);
-            let mut model = NetworkDistance::anchored(&w.net, &w.locator, qn);
+            let mut model = NetworkDistance::new(&w.net, &w.locator, q).expect("non-empty network");
             let out = snnn_query(
                 &engine,
                 q,

@@ -205,11 +205,6 @@ impl ResultHeap {
         let c = self.certain_count();
         (c > 0).then(|| self.entries[c - 1].dist)
     }
-
-    /// Consumes the heap and returns its entries (certains first).
-    pub fn into_entries(self) -> Vec<HeapEntry> {
-        self.entries
-    }
 }
 
 #[cfg(test)]

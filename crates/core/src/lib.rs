@@ -33,12 +33,10 @@
 //! `senn-server` crate provides a sharded, fault-injectable backend.
 
 pub mod bounds;
-pub mod continuous;
 pub mod distance;
 pub mod heap;
 pub mod multiple;
 pub mod pipeline;
-pub mod range;
 pub mod rknn;
 pub mod senn;
 pub mod server;
@@ -49,11 +47,9 @@ pub mod trace;
 pub mod transport;
 pub mod verify;
 
-pub use continuous::{validity_radius, ContinuousKnn, ContinuousStats};
 pub use distance::{DistanceModel, Euclidean, EuclideanBound, LowerBoundOracle, NeverPrune};
 pub use heap::{HeapEntry, HeapState, ResultHeap};
 pub use pipeline::{QueryContext, VerifyScratch};
-pub use range::{RangeOutcome, RangeServer};
 pub use rknn::{
     rknn_batch, rknn_bruteforce, RknnBatch, RknnHost, RknnOutcome, RknnQuery, RknnStats,
 };
@@ -63,8 +59,7 @@ pub use senn_rtree::SearchBounds;
 pub use server::{RTreeServer, ServerResponse};
 pub use service::{ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService};
 pub use snnn::{
-    snnn_query, snnn_query_pruned, snnn_query_pruned_with, snnn_query_with, SnnnConfig,
-    SnnnExpansion, SnnnNeighbor, SnnnOutcome,
+    snnn_query, snnn_query_pruned_with, SnnnConfig, SnnnExpansion, SnnnNeighbor, SnnnOutcome,
 };
 pub use trace::{QueryTrace, Resolution, Stage, STAGE_COUNT, STAGE_NAMES};
 pub use transport::{
@@ -102,8 +97,7 @@ pub mod prelude {
         ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService,
     };
     pub use crate::snnn::{
-        snnn_query, snnn_query_pruned, snnn_query_pruned_with, snnn_query_with, SnnnConfig,
-        SnnnNeighbor, SnnnOutcome,
+        snnn_query, snnn_query_pruned_with, SnnnConfig, SnnnNeighbor, SnnnOutcome,
     };
     pub use crate::trace::{QueryTrace, Resolution};
     pub use crate::transport::{

@@ -39,7 +39,7 @@ use crate::multiple::{
     collect_candidates, collect_circles, verify_candidates, CertainRegion, RegionMethod,
 };
 use crate::server::ServerResponse;
-use crate::service::{ReplyStatus, ServerRequest, SpatialService};
+use crate::service::ServerRequest;
 use crate::single::knn_single;
 use crate::trace::QueryTrace;
 use crate::transport::RequestId;
@@ -117,8 +117,7 @@ pub fn peer_probe<B: Borrow<CacheEntry>>(ctx: &mut QueryContext, query: Point, p
     ctx.order.sort_by(|&a, &b| {
         query
             .dist_sq(peers[a as usize].borrow().query_location)
-            .partial_cmp(&query.dist_sq(peers[b as usize].borrow().query_location))
-            .unwrap()
+            .total_cmp(&query.dist_sq(peers[b as usize].borrow().query_location))
     });
 }
 
@@ -185,8 +184,9 @@ pub struct ServerResidual {
     pub node_accesses: u64,
 }
 
-/// Builds the wire request of **Stage 3 — ServerResidual** from the heap
-/// state after the peer stages, without contacting any service.
+/// Builds the wire request of **Stage 3 — ServerResidual** from the
+/// certain prefix the peer stages verified, without contacting any
+/// service.
 ///
 /// With a lower bound `lb` the server will skip POIs strictly inside the
 /// verified circle — exactly the certain entries below `lb` — so the
@@ -198,21 +198,9 @@ pub struct ServerResidual {
 ///
 /// Splitting the build from [`merge_residual`] is what lets batch drivers
 /// collect one interval's residual requests and submit them as a single
-/// [`SpatialService::submit`] batch.
+/// [`SpatialService::submit`](crate::service::SpatialService::submit)
+/// batch.
 pub fn residual_request(
-    ctx: &QueryContext,
-    id: impl Into<RequestId>,
-    query: Point,
-    k: usize,
-    bounds: SearchBounds,
-    server_fetch: usize,
-) -> ServerRequest {
-    residual_request_with(ctx.heap.certain(), id, query, k, bounds, server_fetch)
-}
-
-/// [`residual_request`] against an explicit certain prefix, for drivers
-/// that completed the peer stages earlier and no longer hold the context.
-pub fn residual_request_with(
     certain: &[HeapEntry],
     id: impl Into<RequestId>,
     query: Point,
@@ -246,24 +234,14 @@ pub fn residual_request_with(
     }
 }
 
-/// Merges a service response with the peer-verified certain prefix held in
-/// `ctx` — the completion half of **Stage 3 — ServerResidual**.
+/// Merges a service response with the peer-verified certain prefix — the
+/// completion half of **Stage 3 — ServerResidual**.
 ///
 /// Re-reported boundary POIs (and, after a degraded unpruned retry, the
 /// whole verified prefix) are deduplicated by POI id; the merge sorts
 /// ascending by distance and splits everything beyond `k` into
 /// `extra_certain` for the cache-refill policy.
-pub fn merge_residual(ctx: &QueryContext, k: usize, response: ServerResponse) -> ServerResidual {
-    merge_residual_with(ctx.heap.certain(), k, response)
-}
-
-/// [`merge_residual`] against an explicit certain prefix, for drivers that
-/// completed the peer stages earlier and no longer hold the context.
-pub fn merge_residual_with(
-    certain: &[HeapEntry],
-    k: usize,
-    response: ServerResponse,
-) -> ServerResidual {
+pub fn merge_residual(certain: &[HeapEntry], k: usize, response: ServerResponse) -> ServerResidual {
     let mut merged: Vec<HeapEntry> = certain.to_vec();
     for (poi, dist) in response.pois {
         if merged.iter().any(|e| e.poi.poi_id == poi.poi_id) {
@@ -275,7 +253,7 @@ pub fn merge_residual_with(
             certain: true,
         });
     }
-    merged.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap());
+    merged.sort_by(|a, b| a.dist.total_cmp(&b.dist));
     let extra_certain = if merged.len() > k {
         merged.split_off(k)
     } else {
@@ -286,30 +264,6 @@ pub fn merge_residual_with(
         extra_certain,
         node_accesses: response.node_accesses,
     }
-}
-
-/// **Stage 3 — ServerResidual**, one-shot form: builds the request
-/// ([`residual_request`]), submits it as a batch of one through the
-/// service, and merges the response ([`merge_residual`]).
-pub fn server_residual(
-    ctx: &mut QueryContext,
-    query: Point,
-    k: usize,
-    bounds: SearchBounds,
-    server_fetch: usize,
-    service: &dyn SpatialService,
-) -> ServerResidual {
-    let request = residual_request(ctx, 0u64, query, k, bounds, server_fetch);
-    // A batch of one through the service seam; a non-Ok reply (fault
-    // wrappers without a retry layer) degrades to the empty response and
-    // the merge keeps whatever the peers verified.
-    let response = service
-        .submit(std::slice::from_ref(&request))
-        .pop()
-        .filter(|r| r.status == ReplyStatus::Ok)
-        .map(|r| r.response)
-        .unwrap_or_default();
-    merge_residual(ctx, k, response)
 }
 
 #[cfg(test)]
@@ -341,6 +295,43 @@ mod tests {
         ];
         peer_probe(&mut ctx, Point::ORIGIN, &peers);
         assert_eq!(ctx.order, vec![2, 3, 0]);
+    }
+
+    #[test]
+    fn peer_probe_survives_a_nan_cached_location() {
+        // A malformed peer must not panic the sort; it orders last
+        // (`total_cmp` puts NaN above every finite distance).
+        let mut ctx = QueryContext::new();
+        ctx.begin(2);
+        let peers = vec![
+            entry(Point::new(f64::NAN, 0.0), &[(1, 1.0, 1.0)]),
+            entry(Point::new(4.0, 0.0), &[(2, 4.0, 1.0)]),
+            entry(Point::new(2.0, 0.0), &[(3, 2.0, 1.0)]),
+        ];
+        peer_probe(&mut ctx, Point::ORIGIN, &peers);
+        assert_eq!(ctx.order, vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn merge_residual_survives_a_nan_response_distance() {
+        let poi = |id| CachedNn {
+            poi_id: id,
+            position: Point::ORIGIN,
+        };
+        let certain = [HeapEntry {
+            poi: poi(1),
+            dist: 1.0,
+            certain: true,
+        }];
+        let response = ServerResponse {
+            pois: vec![(poi(2), f64::NAN), (poi(3), 0.5)],
+            node_accesses: 4,
+        };
+        let merged = merge_residual(&certain, 2, response);
+        let ids = |v: &[HeapEntry]| v.iter().map(|e| e.poi.poi_id).collect::<Vec<_>>();
+        assert_eq!(ids(&merged.results), vec![3, 1]);
+        assert_eq!(ids(&merged.extra_certain), vec![2], "NaN sorts last");
+        assert_eq!(merged.node_accesses, 4);
     }
 
     #[test]

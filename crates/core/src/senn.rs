@@ -21,11 +21,11 @@ use crate::bounds::bounds_from_heap;
 use crate::heap::{HeapEntry, HeapState};
 use crate::multiple::{collect_candidates, collect_circles, CertainRegion, RegionMethod};
 use crate::pipeline::{
-    merge_residual_with, multi_verify, peer_probe, residual_request_with, server_residual,
-    single_verify, QueryContext, VerifyScratch,
+    merge_residual, multi_verify, peer_probe, residual_request, single_verify, QueryContext,
+    VerifyScratch,
 };
 use crate::server::ServerResponse;
-use crate::service::{ServerRequest, SpatialService};
+use crate::service::{ReplyStatus, ServerRequest, SpatialService};
 use crate::trace::{QueryTrace, Stage};
 
 pub use crate::trace::Resolution;
@@ -196,7 +196,12 @@ impl SennEngine {
     }
 
     /// [`Self::query`] against a caller-owned [`QueryContext`] (the
-    /// allocation-reusing batch entry point).
+    /// allocation-reusing batch entry point): the peer stages, then — when
+    /// they leave the query [`Resolution::Unresolved`] — the server stage
+    /// as a batch of one through the service seam, i.e. exactly the
+    /// [`Self::residual_request`] → `submit` → [`Self::complete_residual`]
+    /// path batch drivers run, with the round-trip inside the
+    /// [`Stage::ServerResidual`] timing.
     pub fn query_with<B: Borrow<CacheEntry>>(
         &self,
         query: Point,
@@ -205,36 +210,22 @@ impl SennEngine {
         server: &dyn SpatialService,
         ctx: &mut QueryContext,
     ) -> SennOutcome {
-        let resolution = self.run_peer_stages(query, k, peers, ctx);
-        let bounds = bounds_from_heap(&ctx.heap);
-        if let Some(resolution) = resolution {
-            let results = ctx.heap.entries().to_vec();
-            let extra_certain = self.extend_certains(query, peers, &results, &mut ctx.verify);
-            ctx.trace.resolutions.push(resolution);
-            return SennOutcome {
-                results,
-                extra_certain,
-                bounds,
-                heap_state: None,
-                trace: std::mem::take(&mut ctx.trace),
-            };
+        let outcome = self.query_peers_only_with(query, k, peers, ctx);
+        if outcome.resolution() != Resolution::Unresolved {
+            return outcome;
         }
-        let heap_state = ctx.heap.state();
-
         let started = Instant::now();
-        let residual = server_residual(ctx, query, k, bounds, self.config.server_fetch, server);
-        ctx.trace
-            .record_stage(Stage::ServerResidual, started.elapsed().as_nanos() as u64);
-        ctx.trace.resolutions.push(Resolution::Server);
-        ctx.trace.server_accesses += residual.node_accesses;
-        ctx.trace.server_contacted = true;
-        SennOutcome {
-            results: residual.results,
-            extra_certain: residual.extra_certain,
-            bounds,
-            heap_state: Some(heap_state),
-            trace: std::mem::take(&mut ctx.trace),
-        }
+        let request = self.residual_request(0u64, query, k, &outcome);
+        // A non-Ok reply (fault wrappers without a retry layer) degrades
+        // to the empty response and the merge keeps whatever the peers
+        // verified.
+        let response = server
+            .submit(std::slice::from_ref(&request))
+            .pop()
+            .filter(|r| r.status == ReplyStatus::Ok)
+            .map(|r| r.response)
+            .unwrap_or_default();
+        Self::merge_response(k, outcome, response, started)
     }
 
     /// Builds the [`ServerRequest`] that would complete an
@@ -251,7 +242,7 @@ impl SennEngine {
         k: usize,
         outcome: &SennOutcome,
     ) -> ServerRequest {
-        residual_request_with(
+        residual_request(
             outcome.certain(),
             id,
             query,
@@ -269,17 +260,28 @@ impl SennEngine {
     pub fn complete_residual(
         &self,
         k: usize,
+        outcome: SennOutcome,
+        response: ServerResponse,
+    ) -> SennOutcome {
+        Self::merge_response(k, outcome, response, Instant::now())
+    }
+
+    /// The one server-stage completion: merges `response` into the
+    /// unresolved peers-only `outcome` and books the stage as running
+    /// since `started`.
+    fn merge_response(
+        k: usize,
         mut outcome: SennOutcome,
         response: ServerResponse,
+        started: Instant,
     ) -> SennOutcome {
         debug_assert_eq!(
             outcome.trace.resolutions.last(),
             Some(&Resolution::Unresolved),
-            "complete_residual expects an unresolved peers-only outcome"
+            "the server stage completes an unresolved peers-only outcome"
         );
         let node_accesses = response.node_accesses;
-        let started = Instant::now();
-        let residual = merge_residual_with(outcome.certain(), k, response);
+        let residual = merge_residual(outcome.certain(), k, response);
         outcome.results = residual.results;
         outcome.extra_certain = residual.extra_certain;
         if outcome.trace.resolutions.last() == Some(&Resolution::Unresolved) {

@@ -72,17 +72,18 @@ impl SnnnOutcome {
 }
 
 /// The ranking/termination state machine of one SNNN expansion,
-/// factored out of [`snnn_query_with`] so batch drivers (the simulator's
-/// network mode) that serve each Euclidean round through their own
-/// channel — deferred residual batches, retry policies — share the exact
-/// expansion logic with the library driver instead of re-implementing it.
+/// factored out of [`snnn_query_pruned_with`] so batch drivers (the
+/// simulator's network mode) that serve each Euclidean round through
+/// their own channel — deferred residual batches, retry policies — share
+/// the exact expansion logic with the library driver instead of
+/// re-implementing it.
 ///
 /// Protocol: [`SnnnExpansion::begin`] with the initial `k`-NN round, then
 /// while [`SnnnExpansion::needs_round`] run a SENN round asking
-/// [`SnnnExpansion::next_k`] Euclidean NNs and [`SnnnExpansion::offer`]
-/// its results. The driver decides the round budget; when it stops while
-/// [`SnnnExpansion::cap_hit`] is true, the answer is unconfirmed and the
-/// outcome's trace must say so.
+/// [`SnnnExpansion::next_k`] Euclidean NNs and
+/// [`SnnnExpansion::offer_pruned`] its results. The driver decides the
+/// round budget; when it stops while [`SnnnExpansion::cap_hit`] is true,
+/// the answer is unconfirmed and the outcome's trace must say so.
 #[derive(Clone, Debug)]
 pub struct SnnnExpansion {
     query: Point,
@@ -126,7 +127,7 @@ impl SnnnExpansion {
                 euclid_dist: e.dist,
             })
             .collect();
-        results.sort_by(|a, b| a.network_dist.partial_cmp(&b.network_dist).unwrap());
+        results.sort_by(|a, b| a.network_dist.total_cmp(&b.network_dist));
         let exhausted = results.len() < k;
         SnnnExpansion {
             query,
@@ -180,24 +181,15 @@ impl SnnnExpansion {
     /// world ran out of POIs) and the expansion finishes, or the new
     /// candidate is ranked into the result set.
     ///
-    /// Equivalent to [`SnnnExpansion::offer_pruned`] under the vacuous
-    /// [`NeverPrune`] oracle: every candidate is evaluated exactly.
-    pub fn offer<M: DistanceModel>(
-        &mut self,
-        round_results: &[crate::heap::HeapEntry],
-        model: &mut M,
-    ) {
-        self.offer_pruned(round_results, model, &mut NeverPrune);
-    }
-
-    /// [`SnnnExpansion::offer`] with bound-driven pruning: before paying
-    /// for an exact model evaluation the candidate's lower bound is
-    /// consulted, and when `lb >= s_bound` (the current k-th network
-    /// distance) the evaluation is skipped — the exact distance `nd`
-    /// satisfies `nd >= lb >= s_bound`, so the replacement test
-    /// `nd < s_bound` could never pass. Skipping therefore changes no
-    /// result, no round count and no termination decision: pruned and
-    /// unpruned expansion are observationally identical except for the
+    /// Pruning is bound-driven: before paying for an exact model
+    /// evaluation the candidate's lower bound is consulted, and when
+    /// `lb >= s_bound` (the current k-th network distance) the evaluation
+    /// is skipped — the exact distance `nd` satisfies
+    /// `nd >= lb >= s_bound`, so the replacement test `nd < s_bound` could
+    /// never pass. Skipping therefore changes no result, no round count
+    /// and no termination decision: pruned and unpruned expansion (the
+    /// vacuous [`NeverPrune`] oracle, under which every candidate is
+    /// evaluated exactly) are observationally identical except for the
     /// [`SnnnExpansion::lb_evals`] / [`SnnnExpansion::model_evals_saved`]
     /// counters (proven in `tests/expansion_pruning.rs`).
     pub fn offer_pruned<M: DistanceModel, O: LowerBoundOracle>(
@@ -248,7 +240,7 @@ impl SnnnExpansion {
                 euclid_dist: next.dist,
             };
             self.results
-                .sort_by(|a, b| a.network_dist.partial_cmp(&b.network_dist).unwrap());
+                .sort_by(|a, b| a.network_dist.total_cmp(&b.network_dist));
         }
     }
 
@@ -282,7 +274,9 @@ impl SnnnExpansion {
     }
 }
 
-/// Runs Algorithm 2 with a fresh [`QueryContext`].
+/// Runs Algorithm 2 with a fresh [`QueryContext`] and no lower-bound
+/// oracle: every candidate is evaluated exactly. The no-frills form of
+/// [`snnn_query_pruned_with`].
 pub fn snnn_query<B: Borrow<CacheEntry>, M: DistanceModel>(
     engine: &SennEngine,
     query: Point,
@@ -291,36 +285,6 @@ pub fn snnn_query<B: Borrow<CacheEntry>, M: DistanceModel>(
     server: &dyn SpatialService,
     model: &mut M,
     config: SnnnConfig,
-) -> SnnnOutcome {
-    snnn_query_with(
-        engine,
-        query,
-        k,
-        peers,
-        server,
-        model,
-        config,
-        &mut QueryContext::new(),
-    )
-}
-
-/// Runs Algorithm 2 against a caller-owned [`QueryContext`] (the
-/// allocation-reusing batch entry point).
-///
-/// `model` supplies the target metric; it must respect the Euclidean
-/// lower-bound property (see [`DistanceModel`]). Every candidate is
-/// evaluated exactly; use [`snnn_query_pruned_with`] to skip evaluations
-/// an admissible lower bound already rules out.
-#[allow(clippy::too_many_arguments)]
-pub fn snnn_query_with<B: Borrow<CacheEntry>, M: DistanceModel>(
-    engine: &SennEngine,
-    query: Point,
-    k: usize,
-    peers: &[B],
-    server: &dyn SpatialService,
-    model: &mut M,
-    config: SnnnConfig,
-    ctx: &mut QueryContext,
 ) -> SnnnOutcome {
     snnn_query_pruned_with(
         engine,
@@ -331,40 +295,18 @@ pub fn snnn_query_with<B: Borrow<CacheEntry>, M: DistanceModel>(
         model,
         &mut NeverPrune,
         config,
-        ctx,
-    )
-}
-
-/// Runs Algorithm 2 with bound-driven pruning and a fresh
-/// [`QueryContext`]: `oracle` must lower-bound `model` (see
-/// [`LowerBoundOracle`]); candidates whose bound already exceeds the
-/// current k-th network distance are never evaluated exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn snnn_query_pruned<B: Borrow<CacheEntry>, M: DistanceModel, O: LowerBoundOracle>(
-    engine: &SennEngine,
-    query: Point,
-    k: usize,
-    peers: &[B],
-    server: &dyn SpatialService,
-    model: &mut M,
-    oracle: &mut O,
-    config: SnnnConfig,
-) -> SnnnOutcome {
-    snnn_query_pruned_with(
-        engine,
-        query,
-        k,
-        peers,
-        server,
-        model,
-        oracle,
-        config,
         &mut QueryContext::new(),
     )
 }
 
-/// [`snnn_query_pruned`] against a caller-owned [`QueryContext`]. The
-/// outcome's trace carries the pruning counters
+/// Runs Algorithm 2 with bound-driven pruning against a caller-owned
+/// [`QueryContext`] (the allocation-reusing batch entry point).
+///
+/// `model` supplies the target metric; it must respect the Euclidean
+/// lower-bound property (see [`DistanceModel`]). `oracle` must lower-bound
+/// `model` (see [`LowerBoundOracle`]); candidates whose bound already
+/// exceeds the current k-th network distance are never evaluated exactly.
+/// The outcome's trace carries the pruning counters
 /// ([`QueryTrace::lb_evals`] / [`QueryTrace::model_evals_saved`]).
 #[allow(clippy::too_many_arguments)]
 pub fn snnn_query_pruned_with<B: Borrow<CacheEntry>, M: DistanceModel, O: LowerBoundOracle>(
@@ -548,6 +490,43 @@ mod tests {
         assert_eq!(out.results.len(), 2);
         assert_eq!(out.results[0].poi.poi_id, 1);
         assert_eq!(out.results[1].poi.poi_id, 2);
+    }
+
+    #[test]
+    fn nan_model_distances_do_not_panic() {
+        // A model that answers NaN for one POI must not panic either sort
+        // of the expansion: NaN ranks after every finite distance, and as
+        // the k-th distance it wins no comparison, so the expansion runs
+        // the world dry without replacing it.
+        let pois = [
+            Point::new(1.0, 0.0),
+            Point::new(2.0, 0.0),
+            Point::new(3.0, 0.0),
+            Point::new(4.0, 0.0),
+        ];
+        let server = RTreeServer::new(pois.iter().enumerate().map(|(i, p)| (i as u64, *p)));
+        struct Broken;
+        impl DistanceModel for Broken {
+            fn distance(&mut self, q: Point, p: Point) -> Option<f64> {
+                Some(if p.x == 1.0 {
+                    f64::NAN
+                } else {
+                    q.dist(p) * 1.5
+                })
+            }
+        }
+        let out = snnn_query::<CacheEntry, _>(
+            &SennEngine::default(),
+            Point::ORIGIN,
+            2,
+            &[],
+            &server,
+            &mut Broken,
+            SnnnConfig::default(),
+        );
+        let ids: Vec<u64> = out.results.iter().map(|r| r.poi.poi_id).collect();
+        assert_eq!(ids, vec![1, 0]);
+        assert!(out.results[1].network_dist.is_nan());
     }
 
     #[test]

@@ -517,17 +517,6 @@ impl<S: SpatialService> Transport<S> {
         self.clock_ms
     }
 
-    /// Requests admitted but not yet delivered (queued + in flight +
-    /// staged shed replies).
-    pub fn outstanding(&self) -> usize {
-        self.ready.len()
-            + self
-                .lanes
-                .iter()
-                .map(|l| l.queue.len() + l.probes.len() + l.in_flight.len())
-                .sum::<usize>()
-    }
-
     /// Current AIMD windows, one per lane (each equals `policy.window`
     /// when adaptive control is off).
     pub fn lane_windows(&self) -> Vec<usize> {
@@ -842,12 +831,6 @@ impl<S: SpatialService> AsyncClient<S> {
         self.transport.stats()
     }
 
-    /// The retry token bucket (always-granting when adaptive control is
-    /// off).
-    pub fn retry_budget(&self) -> &RetryBudget {
-        &self.budget
-    }
-
     /// Retries refused by the budget so far (lifetime).
     pub fn retries_denied(&self) -> u64 {
         self.budget.denied()
@@ -861,11 +844,6 @@ impl<S: SpatialService> AsyncClient<S> {
     /// The current virtual time, milliseconds.
     pub fn clock_ms(&self) -> f64 {
         self.transport.clock_ms()
-    }
-
-    /// Submissions whose ladders have not resolved yet.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
     }
 
     /// Submits one request; its final [`RequestOutcome`] arrives from a

@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 use senn_core::distance::{DistanceModel, EuclideanBound, LowerBoundOracle};
 use senn_core::{
-    snnn_query, snnn_query_pruned, PeerCacheEntry, RTreeServer, SennEngine, SnnnConfig,
-    SnnnExpansion, SnnnOutcome,
+    snnn_query, snnn_query_pruned_with, PeerCacheEntry, QueryContext, RTreeServer, SennEngine,
+    SnnnConfig, SnnnExpansion, SnnnOutcome,
 };
 use senn_geom::Point;
 use senn_network::{
@@ -181,7 +181,7 @@ fn run_pruned(case: &Case, use_alt_oracle: bool) -> SnnnOutcome {
     } else {
         Oracle::Euclid(EuclideanBound)
     };
-    snnn_query_pruned::<PeerCacheEntry, _, _>(
+    snnn_query_pruned_with::<PeerCacheEntry, _, _>(
         &engine,
         case.q,
         case.k,
@@ -190,6 +190,7 @@ fn run_pruned(case: &Case, use_alt_oracle: bool) -> SnnnOutcome {
         &mut model,
         &mut oracle,
         SnnnConfig::default(),
+        &mut QueryContext::new(),
     )
 }
 

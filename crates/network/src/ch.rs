@@ -933,15 +933,6 @@ pub fn counting_ch(index: &ChIndex, from: NodeId, to: NodeId) -> (Option<f64>, S
     (d, stats)
 }
 
-/// Bidirectional-search CH query with effort counters: `settled` counts
-/// pops with a final distance on either side, `relaxed` counts
-/// upward-edge scans from settled nodes.
-pub fn counting_ch_search(index: &ChIndex, from: NodeId, to: NodeId) -> (Option<f64>, SearchStats) {
-    let mut stats = SearchStats::default();
-    let d = index.search_query(from, to, &mut ChScratch::new(), &mut stats);
-    (d, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,23 +1,22 @@
 //! The road-network implementations of `senn-core`'s distance-model seam.
 //!
-//! All three models share one convention — anchor the query point to its
-//! nearest modeling-graph node, run a label-setting search over a
-//! reusable [`DijkstraScratch`], and add the straight-line legs to/from
-//! the snap nodes (the same convention the IER/INE kNN baselines use):
+//! All six share one convention, written once in [`Anchored`]: anchor the
+//! query point to its nearest modeling-graph node, ask a node-to-node
+//! [`RoadCore`] for the part between snap nodes, and add the straight-line
+//! legs to/from them (the same convention the IER/INE kNN baselines use).
+//! The public names are aliases that pick the core:
 //!
-//! * [`NetworkDistance`] — A\* with the Euclidean heuristic (the PR-2
-//!   baseline model).
+//! * [`NetworkDistance`] — A\* with the Euclidean heuristic over a
+//!   reusable [`DijkstraScratch`] (the PR-2 baseline model).
 //! * [`AltDistance`] — A\* with the precomputed landmark lower bounds of
 //!   an [`AltIndex`]; identical distances, fewer settled nodes.
-//! * [`ChDistance`] — the contraction-hierarchy oracle of a prebuilt
-//!   [`ChIndex`]: the same exact distances again, answered by two tiny
-//!   upward searches instead of a full graph search.
+//!   [`AltBound`] reads the same landmark table without searching.
+//! * [`ChDistance`] / [`ChBound`] — the contraction-hierarchy oracle of a
+//!   prebuilt [`ChIndex`]: the same exact distances again, answered by two
+//!   tiny upward searches instead of a full graph search.
 //! * [`TimeDependentCost`] — congestion-weighted cost over per-class
-//!   speed limits and a time-of-day multiplier. Each edge costs
-//!   `length × (v_ref / v_class) × congestion(class, hour)` where `v_ref`
-//!   is the primary-road speed limit and every factor is ≥ 1 — i.e. the
-//!   free-flow-normalized travel time expressed in meters, so congestion
-//!   only *lengthens* edges.
+//!   speed limits and a time-of-day multiplier, every factor ≥ 1, so
+//!   congestion only *lengthens* edges.
 //!
 //! Plugged into `senn_core::snnn_query`, these models turn the generic
 //! IER driver into Algorithm 2 proper; the Euclidean lower-bound property
@@ -34,38 +33,45 @@ use crate::graph::{NodeId, RoadClass, RoadNetwork};
 use crate::locator::NodeLocator;
 use crate::shortest_path::{astar_distance_with, DijkstraScratch};
 
-/// A [`DistanceModel`] over a road network: A\* from the anchored query
-/// node, with owned search scratch reused across calls (and across
-/// queries, via [`NetworkDistance::rebase`]).
-pub struct NetworkDistance<'a> {
+/// The node-to-node part of a road model: everything a model or bound
+/// knows beyond the snap-leg convention [`Anchored`] owns.
+pub trait RoadCore {
+    /// The core's value between two nodes of `net`, or `None` when no
+    /// path exists.
+    fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64>;
+}
+
+/// A [`RoadCore`] whose value is the exact distance of its metric, so
+/// [`Anchored`] around it is a [`DistanceModel`].
+pub trait ExactCore: RoadCore {}
+
+/// A [`RoadCore`] whose value never exceeds the shortest path *length*
+/// between the nodes, so [`Anchored`] around it is a [`LowerBoundOracle`]
+/// for every model of this module (weighted edges cost at least their
+/// length).
+pub trait LengthBoundCore: RoadCore {}
+
+/// A road model or bound anchored at a query point: the network, the
+/// snap locator, the node the query snapped to, and the [`RoadCore`]
+/// that answers between snap nodes (owning whatever search scratch it
+/// reuses across calls and, via [`Anchored::rebase`], across queries).
+pub struct Anchored<'a, C> {
     net: &'a RoadNetwork,
     locator: &'a NodeLocator,
     query_node: NodeId,
-    scratch: DijkstraScratch,
+    core: C,
 }
 
-impl<'a> NetworkDistance<'a> {
-    /// Anchors the model at the network node nearest to `query`. Returns
-    /// `None` when the network has no nodes.
-    pub fn new(net: &'a RoadNetwork, locator: &'a NodeLocator, query: Point) -> Option<Self> {
-        let query_node = locator.nearest(query)?;
-        Some(NetworkDistance {
+impl<'a, C> Anchored<'a, C> {
+    /// Anchors `core` at the network node nearest to `query`; `None` when
+    /// the network has no nodes. Every alias's `new` goes through here.
+    fn at(net: &'a RoadNetwork, locator: &'a NodeLocator, query: Point, core: C) -> Option<Self> {
+        Some(Anchored {
             net,
             locator,
-            query_node,
-            scratch: DijkstraScratch::new(),
+            query_node: locator.nearest(query)?,
+            core,
         })
-    }
-
-    /// Anchors the model at an explicit query node (callers that already
-    /// snapped the query point).
-    pub fn anchored(net: &'a RoadNetwork, locator: &'a NodeLocator, query_node: NodeId) -> Self {
-        NetworkDistance {
-            net,
-            locator,
-            query_node,
-            scratch: DijkstraScratch::new(),
-        }
     }
 
     /// The node the query point is anchored to.
@@ -73,7 +79,7 @@ impl<'a> NetworkDistance<'a> {
         self.query_node
     }
 
-    /// Re-anchors the model for a new query point, keeping the search
+    /// Re-anchors for a new query point, keeping the core and its search
     /// scratch — the reuse hook for batch drivers issuing many SNNN
     /// queries. Returns false (leaving the anchor unchanged) when the
     /// locator finds no node.
@@ -88,28 +94,96 @@ impl<'a> NetworkDistance<'a> {
     }
 }
 
-impl DistanceModel for NetworkDistance<'_> {
-    /// `|query → snap(query)| + A*(snap(query), snap(p)) + |snap(p) → p|`,
-    /// or `None` when `p` cannot be snapped or no path exists.
-    fn distance(&mut self, query: Point, p: Point) -> Option<f64> {
-        let pn = self.locator.nearest(p)?;
-        let core = astar_distance_with(self.net, self.query_node, pn, &mut self.scratch)?;
+impl<C: RoadCore> Anchored<'_, C> {
+    /// `|query → snap(query)| + core(snap(query), pn) + |pn → p|` for a
+    /// candidate `p` already snapped to `pn`.
+    fn snapped(&mut self, query: Point, p: Point, pn: NodeId) -> Option<f64> {
+        let core = self.core.core(self.net, self.query_node, pn)?;
         Some(query.dist(self.net.position(self.query_node)) + core + self.net.position(pn).dist(p))
     }
 }
 
-/// A [`DistanceModel`] over a road network using the ALT heuristic of a
-/// prebuilt [`AltIndex`]: identical distances to [`NetworkDistance`]
-/// (both are exact label-setting searches), typically with far fewer
-/// settled nodes on grid-like networks where the Euclidean heuristic is
-/// weak.
-pub struct AltDistance<'a> {
-    net: &'a RoadNetwork,
-    locator: &'a NodeLocator,
-    index: &'a AltIndex,
-    query_node: NodeId,
+impl<C: ExactCore> DistanceModel for Anchored<'_, C> {
+    /// The snap-leg sum around the exact core, or `None` when `p` cannot
+    /// be snapped or no path exists.
+    fn distance(&mut self, query: Point, p: Point) -> Option<f64> {
+        let pn = self.locator.nearest(p)?;
+        self.snapped(query, p, pn)
+    }
+}
+
+/// The bound is the larger of two admissible estimates: the free-flow
+/// Euclidean distance `|q → p|` (the [`DistanceModel`] contract's
+/// `ED <= ND`) and the snap-leg sum around the bounding core.
+///
+/// Degenerate placements stay sound without any clamping: when the query
+/// point coincides with a candidate (or sits exactly on a snap node of
+/// its own candidate segment) both estimates collapse to the exact snap
+/// legs — a core bounds `(n, n)` by 0, never negative — so the bound is
+/// `0` when the exact distance is `0` and never exceeds it
+/// (regression-tested by the degenerate-placement proptest in
+/// `tests/metric_equivalence.rs`). When `p` cannot be snapped the oracle
+/// falls back to the Euclidean estimate alone; when the core finds no
+/// path it returns `f64::INFINITY` — sound, because the exact models
+/// return `None` for the same pair, so the candidate could never pass a
+/// replacement test anyway.
+impl<C: LengthBoundCore> LowerBoundOracle for Anchored<'_, C> {
+    fn lower_bound(&mut self, query: Point, p: Point) -> f64 {
+        let euclid = query.dist(p);
+        let Some(pn) = self.locator.nearest(p) else {
+            return euclid;
+        };
+        let Some(snapped) = self.snapped(query, p, pn) else {
+            return f64::INFINITY;
+        };
+        debug_assert!(snapped >= 0.0, "core bounds are never negative");
+        euclid.max(snapped)
+    }
+}
+
+/// A\* with the Euclidean heuristic over an owned, reused scratch.
+#[derive(Default)]
+pub struct AStar {
     scratch: DijkstraScratch,
 }
+
+impl RoadCore for AStar {
+    fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
+        astar_distance_with(net, from, to, &mut self.scratch)
+    }
+}
+impl ExactCore for AStar {}
+
+/// A [`DistanceModel`] over a road network: A\* from the anchored query
+/// node.
+pub type NetworkDistance<'a> = Anchored<'a, AStar>;
+
+impl<'a> NetworkDistance<'a> {
+    /// Anchors the model at the network node nearest to `query`. Returns
+    /// `None` when the network has no nodes.
+    pub fn new(net: &'a RoadNetwork, locator: &'a NodeLocator, query: Point) -> Option<Self> {
+        Self::at(net, locator, query, AStar::default())
+    }
+}
+
+/// A\* with the ALT heuristic of a prebuilt [`AltIndex`].
+pub struct AltSearch<'a> {
+    index: &'a AltIndex,
+    scratch: DijkstraScratch,
+}
+
+impl RoadCore for AltSearch<'_> {
+    fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
+        alt_distance_with(net, self.index, from, to, &mut self.scratch)
+    }
+}
+impl ExactCore for AltSearch<'_> {}
+
+/// A [`DistanceModel`] using the ALT heuristic: identical distances to
+/// [`NetworkDistance`] (both are exact label-setting searches), typically
+/// with far fewer settled nodes on grid-like networks where the
+/// Euclidean heuristic is weak.
+pub type AltDistance<'a> = Anchored<'a, AltSearch<'a>>;
 
 impl<'a> AltDistance<'a> {
     /// Anchors the model at the network node nearest to `query`. Returns
@@ -120,88 +194,27 @@ impl<'a> AltDistance<'a> {
         index: &'a AltIndex,
         query: Point,
     ) -> Option<Self> {
-        let query_node = locator.nearest(query)?;
-        Some(AltDistance {
-            net,
-            locator,
-            index,
-            query_node,
-            scratch: DijkstraScratch::new(),
-        })
-    }
-
-    /// Anchors the model at an explicit query node.
-    pub fn anchored(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        index: &'a AltIndex,
-        query_node: NodeId,
-    ) -> Self {
-        AltDistance {
-            net,
-            locator,
-            index,
-            query_node,
-            scratch: DijkstraScratch::new(),
-        }
-    }
-
-    /// The node the query point is anchored to.
-    pub fn query_node(&self) -> NodeId {
-        self.query_node
-    }
-
-    /// Re-anchors the model for a new query point, keeping the search
-    /// scratch and the landmark index. Returns false (leaving the anchor
-    /// unchanged) when the locator finds no node.
-    pub fn rebase(&mut self, query: Point) -> bool {
-        match self.locator.nearest(query) {
-            Some(n) => {
-                self.query_node = n;
-                true
-            }
-            None => false,
-        }
+        let scratch = DijkstraScratch::new();
+        Self::at(net, locator, query, AltSearch { index, scratch })
     }
 }
 
-impl DistanceModel for AltDistance<'_> {
-    /// Same convention as [`NetworkDistance`], with the ALT core search.
-    fn distance(&mut self, query: Point, p: Point) -> Option<f64> {
-        let pn = self.locator.nearest(p)?;
-        let core = alt_distance_with(self.net, self.index, self.query_node, pn, &mut self.scratch)?;
-        Some(query.dist(self.net.position(self.query_node)) + core + self.net.position(pn).dist(p))
+/// The landmark triangle bound of an [`AltIndex`] — a search-free lower
+/// bound on the length core shared by [`NetworkDistance`] and
+/// [`AltDistance`].
+pub struct Landmarks<'a>(&'a AltIndex);
+
+impl RoadCore for Landmarks<'_> {
+    fn core(&mut self, _net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
+        Some(self.0.lower_bound(from, to))
     }
 }
+impl LengthBoundCore for Landmarks<'_> {}
 
 /// A [`LowerBoundOracle`] from the landmark table of an [`AltIndex`]: a
-/// search-free lower bound on all three road models' distances, used by
+/// search-free lower bound on every road model's distance, used by
 /// SNNN's pruned expansion to skip exact evaluations.
-///
-/// The bound is the larger of two admissible estimates:
-///
-/// * the free-flow Euclidean distance `|q → p|` (the [`DistanceModel`]
-///   contract's `ED <= ND`), and
-/// * the snap-leg decomposition `|q → snap(q)| + alt_lb(snap(q), snap(p))
-///   + |snap(p) → p|`, where `alt_lb` is the landmark triangle bound —
-///   a lower bound on the length core shared by [`NetworkDistance`] and
-///   [`AltDistance`], and (since every weighted edge costs at least its
-///   length) on [`TimeDependentCost`]'s core too.
-///
-/// Degenerate placements stay sound without any clamping: when the query
-/// point coincides with a candidate (or sits exactly on a snap node of
-/// its own candidate segment) both estimates collapse to the exact snap
-/// legs — `alt_lb(n, n) = 0`, never negative — so the bound is `0` when
-/// the exact distance is `0` and never exceeds it (regression-tested by
-/// the degenerate-placement proptest in `tests/metric_equivalence.rs`).
-/// When `p` cannot be snapped the oracle falls back to the Euclidean
-/// estimate alone.
-pub struct AltBound<'a> {
-    net: &'a RoadNetwork,
-    locator: &'a NodeLocator,
-    index: &'a AltIndex,
-    query_node: NodeId,
-}
+pub type AltBound<'a> = Anchored<'a, Landmarks<'a>>;
 
 impl<'a> AltBound<'a> {
     /// Anchors the oracle at the network node nearest to `query`. Returns
@@ -212,228 +225,51 @@ impl<'a> AltBound<'a> {
         index: &'a AltIndex,
         query: Point,
     ) -> Option<Self> {
-        let query_node = locator.nearest(query)?;
-        Some(AltBound {
-            net,
-            locator,
-            index,
-            query_node,
-        })
-    }
-
-    /// Anchors the oracle at an explicit query node (callers that already
-    /// snapped the query point — keeps the oracle's anchor in lockstep
-    /// with the paired model's).
-    pub fn anchored(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        index: &'a AltIndex,
-        query_node: NodeId,
-    ) -> Self {
-        AltBound {
-            net,
-            locator,
-            index,
-            query_node,
-        }
-    }
-
-    /// The node the query point is anchored to.
-    pub fn query_node(&self) -> NodeId {
-        self.query_node
-    }
-
-    /// Re-anchors the oracle for a new query point. Returns false
-    /// (leaving the anchor unchanged) when the locator finds no node.
-    pub fn rebase(&mut self, query: Point) -> bool {
-        match self.locator.nearest(query) {
-            Some(n) => {
-                self.query_node = n;
-                true
-            }
-            None => false,
-        }
+        Self::at(net, locator, query, Landmarks(index))
     }
 }
 
-impl LowerBoundOracle for AltBound<'_> {
-    fn lower_bound(&mut self, query: Point, p: Point) -> f64 {
-        let euclid = query.dist(p);
-        let Some(pn) = self.locator.nearest(p) else {
-            return euclid;
-        };
-        let snapped = query.dist(self.net.position(self.query_node))
-            + self.index.lower_bound(self.query_node, pn)
-            + self.net.position(pn).dist(p);
-        debug_assert!(snapped >= 0.0, "landmark bounds are never negative");
-        euclid.max(snapped)
-    }
-}
-
-/// A [`DistanceModel`] over a road network backed by a prebuilt
-/// contraction hierarchy ([`ChIndex`]): the same snap-leg convention and
-/// the same exact distances as [`NetworkDistance`] / [`AltDistance`]
-/// (the CH query unpacks shortcuts and folds the original edge sequence
-/// left-to-right, so unique shortest paths reproduce A\*'s result
-/// bit-for-bit), answered in near-constant time.
-pub struct ChDistance<'a> {
-    net: &'a RoadNetwork,
-    locator: &'a NodeLocator,
+/// The distance query of a prebuilt contraction hierarchy ([`ChIndex`])
+/// over an owned, reused [`ChScratch`].
+pub struct ChQuery<'a> {
     index: &'a ChIndex,
-    query_node: NodeId,
     scratch: ChScratch,
 }
+
+impl RoadCore for ChQuery<'_> {
+    fn core(&mut self, _net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
+        self.index.distance_with(from, to, &mut self.scratch)
+    }
+}
+impl ExactCore for ChQuery<'_> {}
+impl LengthBoundCore for ChQuery<'_> {}
+
+/// A [`DistanceModel`] backed by a contraction hierarchy: the same exact
+/// distances as [`NetworkDistance`] / [`AltDistance`] (the CH query
+/// unpacks shortcuts and folds the original edge sequence left-to-right,
+/// so unique shortest paths reproduce A\*'s result bit-for-bit), answered
+/// in near-constant time.
+pub type ChDistance<'a> = Anchored<'a, ChQuery<'a>>;
+
+/// A [`LowerBoundOracle`] from a contraction hierarchy — the same type as
+/// [`ChDistance`]: the CH core is *exact* for the length metric, so its
+/// bound is the tightest admissible one the seam can express. It equals
+/// [`ChDistance`]'s value bit-for-bit and lower-bounds
+/// [`NetworkDistance`] / [`AltDistance`] / [`TimeDependentCost`]; every
+/// candidate ALT's landmark bound can prune, this bound prunes too.
+pub type ChBound<'a> = ChDistance<'a>;
 
 impl<'a> ChDistance<'a> {
-    /// Anchors the model at the network node nearest to `query`. Returns
-    /// `None` when the network has no nodes.
+    /// Anchors the model (or oracle) at the network node nearest to
+    /// `query`. Returns `None` when the network has no nodes.
     pub fn new(
         net: &'a RoadNetwork,
         locator: &'a NodeLocator,
         index: &'a ChIndex,
         query: Point,
     ) -> Option<Self> {
-        let query_node = locator.nearest(query)?;
-        Some(Self::anchored(net, locator, index, query_node))
-    }
-
-    /// Anchors the model at an explicit query node.
-    pub fn anchored(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        index: &'a ChIndex,
-        query_node: NodeId,
-    ) -> Self {
-        ChDistance {
-            net,
-            locator,
-            index,
-            query_node,
-            scratch: ChScratch::new(),
-        }
-    }
-
-    /// The node the query point is anchored to.
-    pub fn query_node(&self) -> NodeId {
-        self.query_node
-    }
-
-    /// Re-anchors the model for a new query point, keeping the search
-    /// scratch and the hierarchy. Returns false (leaving the anchor
-    /// unchanged) when the locator finds no node.
-    pub fn rebase(&mut self, query: Point) -> bool {
-        match self.locator.nearest(query) {
-            Some(n) => {
-                self.query_node = n;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl DistanceModel for ChDistance<'_> {
-    /// Same convention as [`NetworkDistance`], with the CH core query.
-    fn distance(&mut self, query: Point, p: Point) -> Option<f64> {
-        let pn = self.locator.nearest(p)?;
-        let core = self
-            .index
-            .distance_with(self.query_node, pn, &mut self.scratch)?;
-        Some(query.dist(self.net.position(self.query_node)) + core + self.net.position(pn).dist(p))
-    }
-}
-
-/// A [`LowerBoundOracle`] from a contraction hierarchy: the CH core
-/// distance is *exact* for the length metric, so the bound
-/// `max(|q → p|, |q → snap(q)| + ch(snap(q), snap(p)) + |snap(p) → p|)`
-/// is the tightest admissible bound the seam can express — it equals
-/// [`ChDistance`]'s value bit-for-bit (same snap legs, same core fold)
-/// and lower-bounds [`NetworkDistance`] / [`AltDistance`] /
-/// [`TimeDependentCost`] (weighted edges cost at least their length).
-/// Every candidate ALT's landmark bound can prune, this bound prunes
-/// too.
-///
-/// Degenerate placements need no clamping, exactly as with [`AltBound`]:
-/// a query sitting on its own snap node bounds the zero self-distance by
-/// exactly 0 (`ch(n, n) = 0`, all snap legs zero). When `p` cannot be
-/// snapped the oracle falls back to the Euclidean estimate; when the
-/// core is unreachable it returns `f64::INFINITY` — sound, because the
-/// exact models return `None` for the same pair, so the candidate could
-/// never pass a replacement test anyway.
-pub struct ChBound<'a> {
-    net: &'a RoadNetwork,
-    locator: &'a NodeLocator,
-    index: &'a ChIndex,
-    query_node: NodeId,
-    scratch: ChScratch,
-}
-
-impl<'a> ChBound<'a> {
-    /// Anchors the oracle at the network node nearest to `query`. Returns
-    /// `None` when the network has no nodes.
-    pub fn new(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        index: &'a ChIndex,
-        query: Point,
-    ) -> Option<Self> {
-        let query_node = locator.nearest(query)?;
-        Some(Self::anchored(net, locator, index, query_node))
-    }
-
-    /// Anchors the oracle at an explicit query node (keeps the anchor in
-    /// lockstep with the paired model's).
-    pub fn anchored(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        index: &'a ChIndex,
-        query_node: NodeId,
-    ) -> Self {
-        ChBound {
-            net,
-            locator,
-            index,
-            query_node,
-            scratch: ChScratch::new(),
-        }
-    }
-
-    /// The node the query point is anchored to.
-    pub fn query_node(&self) -> NodeId {
-        self.query_node
-    }
-
-    /// Re-anchors the oracle for a new query point. Returns false
-    /// (leaving the anchor unchanged) when the locator finds no node.
-    pub fn rebase(&mut self, query: Point) -> bool {
-        match self.locator.nearest(query) {
-            Some(n) => {
-                self.query_node = n;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl LowerBoundOracle for ChBound<'_> {
-    fn lower_bound(&mut self, query: Point, p: Point) -> f64 {
-        let euclid = query.dist(p);
-        let Some(pn) = self.locator.nearest(p) else {
-            return euclid;
-        };
-        let Some(core) = self
-            .index
-            .distance_with(self.query_node, pn, &mut self.scratch)
-        else {
-            // Unreachable core: the exact models return None too, so an
-            // infinite bound is sound and skips the doomed evaluation.
-            return f64::INFINITY;
-        };
-        let snapped =
-            query.dist(self.net.position(self.query_node)) + core + self.net.position(pn).dist(p);
-        debug_assert!(snapped >= 0.0, "CH distances are never negative");
-        euclid.max(snapped)
+        let scratch = ChScratch::new();
+        Self::at(net, locator, query, ChQuery { index, scratch })
     }
 }
 
@@ -467,92 +303,21 @@ pub fn time_cost_multiplier(class: RoadClass, hour_of_day: f64) -> f64 {
     (v_ref / class.speed_limit_mph()) * congestion_factor(class, hour_of_day)
 }
 
-/// A time-dependent [`DistanceModel`]: congestion-weighted travel cost
-/// over per-class speed limits, normalized so the unit stays meters (the
-/// free-flow travel time at the primary-road reference speed).
-///
-/// Each edge costs `length × time_cost_multiplier(class, hour)`; both
-/// factors are ≥ 1, so every path costs at least its geometric length and
-/// the Euclidean lower-bound contract holds — which also makes the
-/// Euclidean heuristic admissible for the internal A\* search. The snap
-/// legs to/from the network are walked off-road at the reference speed
-/// (plain Euclidean length), exactly like [`NetworkDistance`].
-pub struct TimeDependentCost<'a> {
-    net: &'a RoadNetwork,
-    locator: &'a NodeLocator,
-    query_node: NodeId,
+/// A\* over congestion-weighted edges at a time of day: each edge costs
+/// `length × time_cost_multiplier(class, hour)`.
+pub struct TimeWeighted {
     hour: f64,
     scratch: DijkstraScratch,
 }
 
-impl<'a> TimeDependentCost<'a> {
-    /// Anchors the model at the network node nearest to `query`, with the
-    /// clock at `hour_of_day` (wrapped into `[0, 24)`). Returns `None`
-    /// when the network has no nodes.
-    pub fn new(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        query: Point,
-        hour_of_day: f64,
-    ) -> Option<Self> {
-        let query_node = locator.nearest(query)?;
-        Some(Self::anchored(net, locator, query_node, hour_of_day))
-    }
-
-    /// Anchors the model at an explicit query node.
-    pub fn anchored(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        query_node: NodeId,
-        hour_of_day: f64,
-    ) -> Self {
-        TimeDependentCost {
-            net,
-            locator,
-            query_node,
-            hour: hour_of_day.rem_euclid(24.0),
-            scratch: DijkstraScratch::new(),
-        }
-    }
-
-    /// The node the query point is anchored to.
-    pub fn query_node(&self) -> NodeId {
-        self.query_node
-    }
-
-    /// The current time of day, hours in `[0, 24)`.
-    pub fn hour(&self) -> f64 {
-        self.hour
-    }
-
-    /// Moves the clock (wrapped into `[0, 24)`).
-    pub fn set_hour(&mut self, hour_of_day: f64) {
-        self.hour = hour_of_day.rem_euclid(24.0);
-    }
-
-    /// Re-anchors the model for a new query point, keeping the scratch.
-    /// Returns false (leaving the anchor unchanged) when the locator
-    /// finds no node.
-    pub fn rebase(&mut self, query: Point) -> bool {
-        match self.locator.nearest(query) {
-            Some(n) => {
-                self.query_node = n;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Minimum congestion-weighted cost between two nodes at the model's
-    /// current hour (A\* with the Euclidean heuristic — admissible since
-    /// every weighted edge costs at least its length).
-    fn core_cost(&mut self, from: NodeId, to: NodeId) -> Option<f64> {
-        let net = self.net;
-        let n = net.node_count();
+impl RoadCore for TimeWeighted {
+    /// Minimum congestion-weighted cost between two nodes at the core's
+    /// hour (A\* with the Euclidean heuristic — admissible since every
+    /// weighted edge costs at least its length).
+    fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
         let goal = net.position(to);
-        let hour = self.hour;
         let scratch = &mut self.scratch;
-        scratch.begin(n);
+        scratch.begin(net.node_count());
         scratch.set_dist(from, 0.0, NodeId::MAX);
         scratch.push(net.position(from).dist(goal), 0.0, from);
         while let Some(item) = scratch.pop() {
@@ -564,7 +329,7 @@ impl<'a> TimeDependentCost<'a> {
                 return Some(d);
             }
             for e in net.neighbors(node) {
-                let nd = d + e.length * time_cost_multiplier(e.class, hour);
+                let nd = d + e.length * time_cost_multiplier(e.class, self.hour);
                 if nd < scratch.dist(e.to) {
                     scratch.set_dist(e.to, nd, node);
                     scratch.push(nd + net.position(e.to).dist(goal), nd, e.to);
@@ -574,15 +339,42 @@ impl<'a> TimeDependentCost<'a> {
         None
     }
 }
+impl ExactCore for TimeWeighted {}
 
-impl DistanceModel for TimeDependentCost<'_> {
-    /// `|query → snap(query)| + weighted_cost(snap(query), snap(p)) +
-    /// |snap(p) → p|`, or `None` when `p` cannot be snapped or no path
-    /// exists.
-    fn distance(&mut self, query: Point, p: Point) -> Option<f64> {
-        let pn = self.locator.nearest(p)?;
-        let core = self.core_cost(self.query_node, pn)?;
-        Some(query.dist(self.net.position(self.query_node)) + core + self.net.position(pn).dist(p))
+/// A time-dependent [`DistanceModel`]: congestion-weighted travel cost
+/// over per-class speed limits, normalized so the unit stays meters (the
+/// free-flow travel time at the primary-road reference speed). Each edge
+/// costs `length × (v_ref / v_class) × congestion(class, hour)` where
+/// `v_ref` is the primary-road speed limit.
+///
+/// Both per-edge factors are ≥ 1, so every path costs at least its
+/// geometric length and the Euclidean lower-bound contract holds — which
+/// also makes the Euclidean heuristic admissible for the internal A\*
+/// search. The snap legs to/from the network are walked off-road at the
+/// reference speed (plain Euclidean length), exactly like
+/// [`NetworkDistance`].
+pub type TimeDependentCost<'a> = Anchored<'a, TimeWeighted>;
+
+impl<'a> TimeDependentCost<'a> {
+    /// Anchors the model at the network node nearest to `query`, with the
+    /// clock at `hour_of_day` (wrapped into `[0, 24)`). Returns `None`
+    /// when the network has no nodes.
+    pub fn new(
+        net: &'a RoadNetwork,
+        locator: &'a NodeLocator,
+        query: Point,
+        hour_of_day: f64,
+    ) -> Option<Self> {
+        let core = TimeWeighted {
+            hour: hour_of_day.rem_euclid(24.0),
+            scratch: DijkstraScratch::new(),
+        };
+        Self::at(net, locator, query, core)
+    }
+
+    /// Moves the clock (wrapped into `[0, 24)`).
+    pub fn set_hour(&mut self, hour_of_day: f64) {
+        self.core.hour = hour_of_day.rem_euclid(24.0);
     }
 }
 

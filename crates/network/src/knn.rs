@@ -17,9 +17,7 @@ use senn_rtree::RStarTree;
 
 use crate::graph::{NodeId, RoadNetwork};
 use crate::poi::NetworkPois;
-use crate::shortest_path::{
-    astar_distance, astar_distance_with, with_thread_scratch, DijkstraScratch, HeapItem,
-};
+use crate::shortest_path::{astar_distance_with, with_thread_scratch, DijkstraScratch, HeapItem};
 
 /// A network kNN result.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -30,19 +28,6 @@ pub struct NetworkNeighbor {
     pub network_dist: f64,
     /// Euclidean distance from the query point.
     pub euclid_dist: f64,
-}
-
-/// Network distance from a query point to a POI: straight leg to the
-/// query's snap node, shortest path, straight leg from the POI's snap node.
-pub fn network_distance_to_poi(
-    net: &RoadNetwork,
-    query: Point,
-    query_node: NodeId,
-    pois: &NetworkPois,
-    poi: u32,
-) -> Option<f64> {
-    let core = astar_distance(net, query_node, pois.snap_node(poi))?;
-    Some(query.dist(net.position(query_node)) + core + pois.snap_leg(poi))
 }
 
 /// IER: incremental Euclidean restriction over an R\*-tree of POI

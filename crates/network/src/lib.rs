@@ -39,7 +39,6 @@ pub mod ch;
 pub mod distance;
 pub mod generator;
 pub mod graph;
-pub mod io;
 pub mod knn;
 pub mod locator;
 pub mod poi;
@@ -49,14 +48,13 @@ pub use alt::{
     alt_distance, alt_distance_with, counting_alt, counting_astar, counting_dijkstra, AltIndex,
     SearchStats,
 };
-pub use ch::{counting_ch, counting_ch_search, ChIndex, ChScratch};
+pub use ch::{counting_ch, ChIndex, ChScratch};
 pub use distance::{
-    congestion_factor, time_cost_multiplier, AltBound, AltDistance, ChBound, ChDistance,
-    NetworkDistance, TimeDependentCost,
+    congestion_factor, time_cost_multiplier, AltBound, AltDistance, Anchored, ChBound, ChDistance,
+    ExactCore, NetworkDistance, TimeDependentCost,
 };
 pub use generator::{generate_network, GeneratorConfig};
 pub use graph::{NodeId, RoadClass, RoadNetwork};
-pub use io::{network_to_string, parse_network, ParseError};
 pub use knn::{ier_knn, ier_knn_with, ine_knn, ine_knn_with, NetworkNeighbor};
 pub use locator::NodeLocator;
 pub use poi::NetworkPois;

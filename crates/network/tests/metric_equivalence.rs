@@ -14,6 +14,8 @@
 //!   the same unique shortest path);
 //! * the [`ChBound`] oracle is admissible for all exact models and
 //!   bounds the zero self-distance by exactly 0 on its own snap node;
+//! * all six model/bound aliases answer the same bits after `rebase(q)`
+//!   as a fresh `new(.., q)` (re-anchoring is shared code in `Anchored`);
 //! * CH preprocessing is deterministic per seed: identical contraction
 //!   orders, shortcut sets, signatures and query traces;
 //! * ALT landmark lower bounds are admissible and never negative;
@@ -400,6 +402,62 @@ proptest! {
             prop_assert_eq!(bound.lower_bound(q, q), 0.0);
             prop_assert_eq!(ch.distance(q, q), Some(0.0));
         }
+    }
+
+    /// Re-anchoring is one shared function for all six aliases: a model or
+    /// bound built somewhere else and `rebase`d to `q` must answer
+    /// bit-for-bit what a fresh `new(.., q)` answers (the reused search
+    /// scratch leaks nothing across anchors).
+    #[test]
+    fn rebase_equals_fresh_anchor_for_all_six_aliases(
+        w in 2usize..6,
+        h in 2usize..6,
+        seed in any::<u64>(),
+        landmarks in 1usize..6,
+        hour in 0.0..24.0f64,
+        coords in prop::collection::vec(0.0..1200.0f64, 6),
+    ) {
+        let net = grid_network(w, h, seed);
+        let locator = NodeLocator::new(&net);
+        let alt = AltIndex::build_seeded(&net, landmarks, seed);
+        let ch = ChIndex::build_seeded(&net, seed);
+        let (far, q, p) = (
+            Point::new(coords[0], coords[1]),
+            Point::new(coords[2], coords[3]),
+            Point::new(coords[4], coords[5]),
+        );
+        // Each pair: one instance anchored at `far`, warmed by a search,
+        // then rebased to `q`; one anchored at `q` from the start.
+        macro_rules! check_model {
+            ($new:expr) => {{
+                let (mut moved, mut fresh) = ($new(far).unwrap(), $new(q).unwrap());
+                moved.distance(far, p);
+                prop_assert!(moved.rebase(q));
+                prop_assert_eq!(moved.query_node(), fresh.query_node());
+                prop_assert_eq!(
+                    moved.distance(q, p).map(f64::to_bits),
+                    fresh.distance(q, p).map(f64::to_bits)
+                );
+            }};
+        }
+        macro_rules! check_bound {
+            ($new:expr) => {{
+                let (mut moved, mut fresh) = ($new(far).unwrap(), $new(q).unwrap());
+                moved.lower_bound(far, p);
+                prop_assert!(moved.rebase(q));
+                prop_assert_eq!(moved.query_node(), fresh.query_node());
+                prop_assert_eq!(
+                    moved.lower_bound(q, p).to_bits(),
+                    fresh.lower_bound(q, p).to_bits()
+                );
+            }};
+        }
+        check_model!(|at| NetworkDistance::new(&net, &locator, at));
+        check_model!(|at| AltDistance::new(&net, &locator, &alt, at));
+        check_model!(|at| ChDistance::new(&net, &locator, &ch, at));
+        check_model!(|at| TimeDependentCost::new(&net, &locator, at, hour));
+        check_bound!(|at| AltBound::new(&net, &locator, &alt, at));
+        check_bound!(|at| ChBound::new(&net, &locator, &ch, at));
     }
 
     /// CH preprocessing is a pure function of (network, seed): identical

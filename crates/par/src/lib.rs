@@ -42,32 +42,17 @@ pub fn worker_count() -> usize {
     })
 }
 
-/// Maps `items` through `f` in parallel, giving every worker a scratch
-/// value from `init`, and returns the results in input order.
-///
-/// With one worker (or a batch of at most one item) this degenerates to a
-/// plain sequential loop with zero threading overhead, which also makes
-/// it safe to call on single-core machines.
+/// Maps `items` through `f` on exactly `threads.min(items.len())` workers
+/// (a grain of one item), giving every worker a scratch value from
+/// `init`, and returns the results in input order. Callers that must
+/// compare parallel and sequential executions in one process
+/// (determinism tests, benchmarks) pass the count directly rather than
+/// racing on an environment variable.
 ///
 /// ```
-/// let squares = senn_par::par_map_with(&[1, 2, 3, 4], || (), |(), i, x| (i, x * x));
+/// let squares = senn_par::par_map_with_threads(&[1, 2, 3, 4], 2, || (), |(), i, x| (i, x * x));
 /// assert_eq!(squares, vec![(0, 1), (1, 4), (2, 9), (3, 16)]);
 /// ```
-pub fn par_map_with<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    par_map_with_threads(items, worker_count(), init, f)
-}
-
-/// [`par_map_with`] with an explicit worker count instead of
-/// [`worker_count`] — callers that must compare parallel and sequential
-/// executions in one process (determinism tests, benchmarks) pass the
-/// count directly rather than racing on an environment variable. Runs
-/// exactly `threads.min(items.len())` workers (a grain of one item).
 pub fn par_map_with_threads<T, R, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -78,7 +63,7 @@ where
     par_map_grained(items, threads, 1, init, f)
 }
 
-/// The fan-out every other entry point goes through: `threads` is the
+/// The fan-out [`par_map_with_threads`] goes through: `threads` is the
 /// caller's budget, `grain` the number of items that repay one more
 /// worker, and `min(threads, ceil(items / grain))` workers run. The
 /// calling thread is worker 0, so `n` workers cost `n - 1` spawns, and a
@@ -158,16 +143,6 @@ where
         .collect()
 }
 
-/// [`par_map_with`] without per-worker scratch.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_with(items, || (), |(), i, item| f(i, item))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,13 +153,18 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, |i, &x| {
-            // Skew the per-item cost to exercise dynamic scheduling.
-            if i % 97 == 0 {
-                std::thread::yield_now();
-            }
-            x * 2
-        });
+        let out = par_map_with_threads(
+            &items,
+            4,
+            || (),
+            |(), i, &x| {
+                // Skew the per-item cost to exercise dynamic scheduling.
+                if i % 97 == 0 {
+                    std::thread::yield_now();
+                }
+                x * 2
+            },
+        );
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -192,7 +172,9 @@ mod tests {
     fn matches_sequential_fold_exactly() {
         let items: Vec<f64> = (0..512).map(|i| (i as f64).sin()).collect();
         let seq: f64 = items.iter().map(|x| x * 1.000001).sum();
-        let par: f64 = par_map(&items, |_, x| x * 1.000001).iter().sum();
+        let par: f64 = par_map_with_threads(&items, 4, || (), |(), _, x| x * 1.000001)
+            .iter()
+            .sum();
         // Bit-identical, not approximately equal: ordering is preserved.
         assert_eq!(seq.to_bits(), par.to_bits());
     }
@@ -200,8 +182,9 @@ mod tests {
     #[test]
     fn scratch_is_per_worker() {
         let items: Vec<usize> = (0..300).collect();
-        let out = par_map_with(
+        let out = par_map_with_threads(
             &items,
+            4,
             || Vec::<usize>::with_capacity(8),
             |scratch, i, &x| {
                 scratch.clear();
@@ -216,8 +199,11 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        assert!(par_map::<u8, u8, _>(&[], |_, &x| x).is_empty());
-        assert_eq!(par_map(&[9u8], |_, &x| x + 1), vec![10]);
+        assert!(par_map_with_threads::<u8, u8, _, _, _>(&[], 4, || (), |(), _, &x| x).is_empty());
+        assert_eq!(
+            par_map_with_threads(&[9u8], 4, || (), |(), _, &x| x + 1),
+            vec![10]
+        );
     }
 
     /// The order and fold tests above, over every grain and length.

@@ -26,12 +26,10 @@
 //! value the paper uses for both index and leaf nodes.
 
 pub mod bulk;
-pub mod join;
 pub mod nn;
 pub mod stats;
 pub mod tree;
 
-pub use join::distance_join;
 pub use nn::{Neighbor, NnIter, SearchBounds};
 pub use stats::TreeStats;
 pub use tree::{RStarTree, TreeConfig};

@@ -151,39 +151,6 @@ impl<T> RStarTree<T> {
         self.items[id].as_ref().expect("live item")
     }
 
-    // Crate-internal structural accessors (used by the join traversal).
-
-    pub(crate) fn root_id(&self) -> usize {
-        self.root
-    }
-
-    pub(crate) fn node_level(&self, nid: usize) -> usize {
-        self.nodes[nid].level
-    }
-
-    pub(crate) fn node_bounds(&self, nid: usize) -> Rect {
-        self.nodes[nid].mbr()
-    }
-
-    /// `(child node id, child MBR)` pairs of an internal node.
-    pub(crate) fn node_entries(&self, nid: usize) -> impl Iterator<Item = (usize, Rect)> + '_ {
-        debug_assert!(self.nodes[nid].level > 0);
-        self.nodes[nid].entries.iter().map(|e| (e.id, e.mbr))
-    }
-
-    /// `(item id, point)` pairs of a leaf node.
-    pub(crate) fn leaf_points(&self, nid: usize) -> impl Iterator<Item = (usize, Point)> + '_ {
-        debug_assert_eq!(self.nodes[nid].level, 0);
-        self.nodes[nid]
-            .entries
-            .iter()
-            .map(|e| (e.id, self.item(e.id).0))
-    }
-
-    pub(crate) fn payload(&self, item_id: usize) -> &T {
-        &self.item(item_id).1
-    }
-
     // ------------------------------------------------------------------
     // Insertion
     // ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use senn_geom::Point;
-use senn_rtree::{distance_join, RStarTree, SearchBounds, TreeConfig};
+use senn_rtree::{RStarTree, SearchBounds, TreeConfig};
 
 fn pt() -> impl Strategy<Value = Point> {
     (0.0..500.0f64, 0.0..500.0f64).prop_map(|(x, y)| Point::new(x, y))
@@ -28,23 +28,6 @@ proptest! {
         for (p, _) in &hits {
             prop_assert!(q.dist(*p) <= r + 1e-9);
         }
-    }
-
-    /// Distance join equals the nested-loop join.
-    #[test]
-    fn join_equals_nested_loop(
-        left in prop::collection::vec(pt(), 1..80),
-        right in prop::collection::vec(pt(), 1..80),
-        eps in 0.0..200.0f64,
-    ) {
-        let tl = RStarTree::bulk_load(left.iter().enumerate().map(|(i, p)| (*p, i)).collect());
-        let tr = RStarTree::bulk_load(right.iter().enumerate().map(|(i, p)| (*p, i)).collect());
-        let (pairs, _) = distance_join(&tl, &tr, eps);
-        let want: usize = left
-            .iter()
-            .map(|a| right.iter().filter(|b| a.dist(**b) <= eps).count())
-            .sum();
-        prop_assert_eq!(pairs.len(), want);
     }
 
     /// EINN with arbitrary (valid) bounds returns exactly the POIs in the

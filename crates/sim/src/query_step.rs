@@ -28,15 +28,16 @@
 //! [`Metrics`](crate::metrics::Metrics).
 
 use senn_cache::{CacheEntry, CachedNn};
-use senn_core::service::ServerRequest;
+use senn_core::service::{RequestOutcome, ServerRequest};
 use senn_core::transport::{submit_budgeted, RetryBudget};
 use senn_core::{
-    DistanceModel, EuclideanBound, LowerBoundOracle, QueryTrace, Resolution, SearchBounds,
+    EuclideanBound, LowerBoundOracle, QueryTrace, Resolution, SearchBounds, SennEngine,
     SennOutcome, SnnnExpansion,
 };
 use senn_geom::Point;
 use senn_network::{
-    AltBound, AltDistance, ChBound, ChDistance, NetworkDistance, TimeDependentCost,
+    AltBound, AltDistance, Anchored, ChBound, ChDistance, ExactCore, NetworkDistance,
+    TimeDependentCost,
 };
 
 use crate::comms::WorkerScratch;
@@ -44,7 +45,6 @@ use crate::simulator::{KChoice, NetworkModelKind, Simulator};
 
 /// Queries of one interval that repay one more worker thread: a query
 /// costs 5–40 µs in either parallel pass and a scoped spawn 40–80 µs.
-#[cfg(feature = "parallel")]
 const BATCH_GRAIN: usize = 16;
 
 /// One planned query of a batch. Every random draw happens up front in
@@ -124,40 +124,6 @@ impl QueryOutcome {
     }
 }
 
-/// The configured network metric, instantiated once per batch over the
-/// world's road network (models own their search scratch, so reusing one
-/// across the batch keeps the expand pass allocation-free after warm-up).
-enum ActiveModel<'a> {
-    AStar(NetworkDistance<'a>),
-    Alt(AltDistance<'a>),
-    Time(TimeDependentCost<'a>),
-    Ch(ChDistance<'a>),
-}
-
-impl ActiveModel<'_> {
-    /// Re-anchors the model at a new query point; false when the locator
-    /// finds no node (the anchor is left unchanged).
-    fn rebase(&mut self, query: Point) -> bool {
-        match self {
-            ActiveModel::AStar(m) => m.rebase(query),
-            ActiveModel::Alt(m) => m.rebase(query),
-            ActiveModel::Time(m) => m.rebase(query),
-            ActiveModel::Ch(m) => m.rebase(query),
-        }
-    }
-}
-
-impl DistanceModel for ActiveModel<'_> {
-    fn distance(&mut self, query: Point, p: Point) -> Option<f64> {
-        match self {
-            ActiveModel::AStar(m) => m.distance(query, p),
-            ActiveModel::Alt(m) => m.distance(query, p),
-            ActiveModel::Time(m) => m.distance(query, p),
-            ActiveModel::Ch(m) => m.distance(query, p),
-        }
-    }
-}
-
 /// The lower-bound oracle paired with the configured model: the exact
 /// CH bound when the hierarchy exists, landmark bounds when the ALT
 /// index exists, the free-flow Euclidean bound otherwise (admissible for
@@ -172,7 +138,7 @@ enum ActiveOracle<'a> {
 
 impl ActiveOracle<'_> {
     /// Re-anchors the oracle at a new query point, mirroring the model's
-    /// [`ActiveModel::rebase`] (the Euclidean bound needs no anchor).
+    /// `rebase` (the Euclidean bound needs no anchor).
     fn rebase(&mut self, query: Point) -> bool {
         match self {
             ActiveOracle::Euclid(_) => true,
@@ -207,6 +173,28 @@ pub(crate) struct ExpandStats {
     pub(crate) submissions: u64,
 }
 
+/// The one completion of a residual round-trip, shared by the blocking
+/// interval batch, the SNNN expand pass and the overlapped transport:
+/// attributes the retry layer's disposition to the query's trace and, when
+/// any attempt was answered, merges the response via
+/// `SennEngine::complete_residual` (degraded unpruned answers included —
+/// the certain prefix is deduplicated by POI id). A residual whose every
+/// attempt failed stays [`Resolution::Unresolved`] with
+/// `trace.server_failed` set: the host keeps whatever the peers verified.
+pub(crate) fn settle_residual(
+    engine: &SennEngine,
+    k: usize,
+    mut peers_only: SennOutcome,
+    result: RequestOutcome,
+) -> SennOutcome {
+    peers_only.trace.record_service_outcome(&result);
+    if result.failed {
+        peers_only
+    } else {
+        engine.complete_residual(k, peers_only, result.response)
+    }
+}
+
 impl Simulator {
     /// Phase 1 — plan: the only place the batch touches RNG streams.
     /// Draw order matches the sequential engine: querier from the
@@ -235,8 +223,8 @@ impl Simulator {
         plans
     }
 
-    /// The batch engine's thread budget.
-    #[cfg(feature = "parallel")]
+    /// The batch engine's thread budget (`Some(1)` is the sequential
+    /// mode: one worker is a plain loop on the caller).
     fn threads(&self) -> usize {
         self.config.threads.unwrap_or_else(senn_par::worker_count)
     }
@@ -245,7 +233,6 @@ impl Simulator {
     /// snapshot, fanning out across worker threads. Each worker owns one
     /// [`WorkerScratch`] — and therefore one reused `QueryContext` — for
     /// its whole share of the batch.
-    #[cfg(feature = "parallel")]
     pub(crate) fn execute_batch(&self, plans: &[QueryPlan]) -> Vec<PendingQuery> {
         senn_par::par_map_grained(
             plans,
@@ -254,16 +241,6 @@ impl Simulator {
             WorkerScratch::new,
             |scratch, _, plan| self.execute_query(plan, scratch),
         )
-    }
-
-    /// Sequential fallback when the `parallel` feature is disabled.
-    #[cfg(not(feature = "parallel"))]
-    pub(crate) fn execute_batch(&self, plans: &[QueryPlan]) -> Vec<PendingQuery> {
-        let mut scratch = WorkerScratch::new();
-        plans
-            .iter()
-            .map(|plan| self.execute_query(plan, &mut scratch))
-            .collect()
     }
 
     /// Executes one planned SENN query up to the server seam: peer
@@ -303,11 +280,8 @@ impl Simulator {
     /// Phase 3b — submit: collects the interval's unresolved queries into
     /// **one** [`ServerRequest`] batch (request `id` = query index),
     /// submits it through the configured service with the configured retry
-    /// policy, attributes each request's disposition to its query's trace,
-    /// and completes every answered query via
-    /// `SennEngine::complete_residual`. Queries whose every attempt failed
-    /// stay [`Resolution::Unresolved`] — the host keeps whatever the peers
-    /// verified locally.
+    /// policy, and settles each reply into its query
+    /// ([`settle_residual`]).
     pub(crate) fn submit_residual_batch(
         &self,
         plans: &[QueryPlan],
@@ -345,16 +319,8 @@ impl Simulator {
             .enumerate()
             .map(|(i, (mut pending, result))| {
                 if let Some(result) = result {
-                    pending.outcome.trace.record_service_outcome(&result);
-                    if !result.failed {
-                        // `complete_residual` also merges degraded
-                        // (unpruned) answers correctly: the certain prefix
-                        // is deduplicated by POI id.
-                        let peers_only = pending.outcome;
-                        pending.outcome =
-                            self.engine
-                                .complete_residual(plans[i].k, peers_only, result.response);
-                    }
+                    pending.outcome =
+                        settle_residual(&self.engine, plans[i].k, pending.outcome, result);
                 }
                 pending
             })
@@ -396,55 +362,47 @@ impl Simulator {
         plans: &[QueryPlan],
         pendings: Vec<PendingQuery>,
     ) -> (Vec<PendingQuery>, ExpandStats) {
-        let none = ExpandStats::default();
         let Some(kind) = self.config.distance_model else {
-            return (pendings, none);
+            return (pendings, ExpandStats::default());
         };
         let net = self
             .network
             .as_ref()
             .expect("validated at build time: network mode keeps the road network");
-        // Every model constructor returns `None` only on an empty graph,
-        // where there is nothing to rank with.
-        let model = match kind {
+        let (locator, origin) = (&self.locator, Point::ORIGIN);
+        let euclid = Some(ActiveOracle::Euclid(EuclideanBound));
+        // Every model and oracle constructor returns `None` only on an
+        // empty graph, where there is nothing to rank with.
+        match kind {
             NetworkModelKind::AStar => {
-                NetworkDistance::new(net, &self.locator, Point::ORIGIN).map(ActiveModel::AStar)
+                let model = NetworkDistance::new(net, locator, origin);
+                self.expand_lockstep(plans, pendings, model, euclid)
             }
             NetworkModelKind::Alt { .. } => {
                 let index = self
                     .alt_index
                     .as_ref()
                     .expect("ALT index is built with the world");
-                AltDistance::new(net, &self.locator, index, Point::ORIGIN).map(ActiveModel::Alt)
+                let model = AltDistance::new(net, locator, index, origin);
+                let oracle = AltBound::new(net, locator, index, origin).map(ActiveOracle::Alt);
+                self.expand_lockstep(plans, pendings, model, oracle)
             }
             NetworkModelKind::TimeDependent { start_hour } => {
                 let hour = start_hour + self.time / 3600.0;
-                TimeDependentCost::new(net, &self.locator, Point::ORIGIN, hour)
-                    .map(ActiveModel::Time)
+                let model = TimeDependentCost::new(net, locator, origin, hour);
+                self.expand_lockstep(plans, pendings, model, euclid)
             }
             NetworkModelKind::Ch => {
                 let index = self
                     .ch_index
                     .as_ref()
                     .expect("CH index is built with the world");
-                ChDistance::new(net, &self.locator, index, Point::ORIGIN).map(ActiveModel::Ch)
+                let model = ChDistance::new(net, locator, index, origin);
+                let oracle = ChBound::new(net, locator, index, origin)
+                    .map(|o| ActiveOracle::Ch(Box::new(o)));
+                self.expand_lockstep(plans, pendings, model, oracle)
             }
-        };
-        let Some(model) = model else {
-            return (pendings, none);
-        };
-        let oracle = match (kind, self.alt_index.as_ref(), self.ch_index.as_ref()) {
-            (NetworkModelKind::Alt { .. }, Some(index), _) => ActiveOracle::Alt(
-                AltBound::new(net, &self.locator, index, Point::ORIGIN)
-                    .expect("model construction proved the locator non-empty"),
-            ),
-            (NetworkModelKind::Ch, _, Some(index)) => ActiveOracle::Ch(Box::new(
-                ChBound::new(net, &self.locator, index, Point::ORIGIN)
-                    .expect("model construction proved the locator non-empty"),
-            )),
-            _ => ActiveOracle::Euclid(EuclideanBound),
-        };
-        self.expand_lockstep(plans, pendings, model, oracle)
+        }
     }
 
     /// True when the query's resolved Euclidean round qualifies for SNNN
@@ -466,16 +424,22 @@ impl Simulator {
     /// The lockstep pass of [`Simulator::expand_network_batch`]: every
     /// eligible query advances one expansion round per iteration, and all
     /// of the iteration's unresolved residuals travel in **one**
-    /// `ServerRequest` batch.
-    fn expand_lockstep(
+    /// `ServerRequest` batch. Generic over the model's core — one model
+    /// and one oracle serve the whole batch (they own their search
+    /// scratch, so the pass is allocation-free after warm-up), re-anchored
+    /// per query.
+    fn expand_lockstep<C: ExactCore>(
         &self,
         plans: &[QueryPlan],
         mut pendings: Vec<PendingQuery>,
-        mut model: ActiveModel<'_>,
-        mut oracle: ActiveOracle<'_>,
+        model: Option<Anchored<'_, C>>,
+        oracle: Option<ActiveOracle<'_>>,
     ) -> (Vec<PendingQuery>, ExpandStats) {
-        let mut scratch = WorkerScratch::new();
         let mut stats = ExpandStats::default();
+        let (Some(mut model), Some(mut oracle)) = (model, oracle) else {
+            return (pendings, stats);
+        };
+        let mut scratch = WorkerScratch::new();
 
         // Start every eligible query's expansion (plan order). Queries
         // whose expansion is already settled at begin time — the world
@@ -504,7 +468,6 @@ impl Simulator {
             let mut round_outcomes: Vec<Option<SennOutcome>> = Vec::with_capacity(active.len());
             let mut requests: Vec<ServerRequest> = Vec::new();
             let mut request_slots: Vec<usize> = Vec::new();
-            let mut failed: Vec<bool> = vec![false; active.len()];
             for a in active.iter() {
                 let plan = &plans[a.idx];
                 let q = self.store.position(plan.querier);
@@ -534,22 +497,12 @@ impl Simulator {
                     &mut RetryBudget::unlimited(),
                 );
                 for (&slot, result) in request_slots.iter().zip(results) {
-                    let a = &active[slot];
-                    pendings[a.idx]
-                        .outcome
-                        .trace
-                        .record_service_outcome(&result);
-                    if result.failed {
-                        failed[slot] = true;
-                    } else {
-                        let kk = a.exp.next_k();
-                        let peers_only = round_outcomes[slot].take().expect("staged above");
-                        round_outcomes[slot] = Some(self.engine.complete_residual(
-                            kk,
-                            peers_only,
-                            result.response,
-                        ));
-                    }
+                    // The disposition lands in the round's own trace,
+                    // which the offer pass absorbs into the query's.
+                    let kk = active[slot].exp.next_k();
+                    let peers_only = round_outcomes[slot].take().expect("staged above");
+                    round_outcomes[slot] =
+                        Some(settle_residual(&self.engine, kk, peers_only, result));
                 }
             }
 
@@ -560,7 +513,7 @@ impl Simulator {
                 let pending = &mut pendings[a.idx];
                 let round = round_outcomes[slot].take().expect("staged above");
                 pending.outcome.trace.absorb(&round.trace);
-                if failed[slot] || round.results.iter().any(|e| !e.certain) {
+                if round.trace.server_failed || round.results.iter().any(|e| !e.certain) {
                     // The round could not be served (or came back
                     // uncertain): keep the best ranking seen, unconfirmed.
                     a.exp.abort();
@@ -587,7 +540,6 @@ impl Simulator {
     /// Phase 3c — measure: grading and PAR shadow searches for every
     /// finalized query, fanned out across worker threads (the shadow
     /// R\*-tree searches dominate this pass). Pure reads of `&self`.
-    #[cfg(feature = "parallel")]
     pub(crate) fn measure_batch(
         &self,
         plans: &[QueryPlan],
@@ -600,20 +552,6 @@ impl Simulator {
             || (),
             |(), i, pending| self.measure_query(&plans[i], pending),
         )
-    }
-
-    /// Sequential fallback when the `parallel` feature is disabled.
-    #[cfg(not(feature = "parallel"))]
-    pub(crate) fn measure_batch(
-        &self,
-        plans: &[QueryPlan],
-        pendings: &[PendingQuery],
-    ) -> Vec<Measured> {
-        pendings
-            .iter()
-            .enumerate()
-            .map(|(i, pending)| self.measure_query(&plans[i], pending))
-            .collect()
     }
 
     /// The measurement-only observations of one finished query. Every

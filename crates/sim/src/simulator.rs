@@ -56,6 +56,7 @@ use crate::grid::HostGrid;
 use crate::metrics::Metrics;
 use crate::movement::{build_mobility, poisson};
 use crate::params::{ParamSet, SimParams};
+use crate::query_step::{PendingQuery, QueryOutcome, QueryPlan};
 use crate::store::HostStore;
 
 /// The target metric of network-mode (SNNN) queries — which
@@ -725,15 +726,6 @@ impl BatchStats {
             self.peak_batch_queries = queries;
         }
     }
-
-    /// Mean executed queries per second of execute-phase wall time.
-    pub fn queries_per_sec(&self) -> f64 {
-        if self.exec_secs > 0.0 {
-            self.queries as f64 / self.exec_secs
-        } else {
-            0.0
-        }
-    }
 }
 
 impl Simulator {
@@ -1054,9 +1046,9 @@ impl Simulator {
     ///
     /// Plan → execute → merge (see the module docs): all randomness is
     /// drawn up front in batch order, execution reads a frozen snapshot
-    /// (fanned out across threads with the `parallel` feature), and the
-    /// outcomes are folded into metrics and caches in query-index order —
-    /// so the parallel and sequential engines produce identical metrics.
+    /// (fanned out across `SimConfig::threads` workers), and the outcomes
+    /// are folded into metrics and caches in query-index order — so every
+    /// thread count produces identical metrics.
     fn run_query_batch(&mut self, interval_secs: f64) {
         let lambda = self.config.params.lambda_query_per_min * interval_secs / 60.0;
         let n = poisson(lambda, &mut self.rng).min(self.store.len() as u64) as usize;
@@ -1089,19 +1081,32 @@ impl Simulator {
         // service; the keyed fault schedule is invariant to threads and
         // shards).
         let (pendings, expand) = self.expand_network_batch(&plans, pendings);
-        let measures = self.measure_batch(&plans, &pendings);
         self.batch_stats.snnn_rounds += expand.rounds;
         self.batch_stats.snnn_submissions += expand.submissions;
-        self.batch_stats
-            .record(started.elapsed().as_secs_f64(), n as u64);
+        self.measure_and_fold(&plans, pendings, started, n as u64);
+    }
 
-        // Phase 3 — merge in query order (crate::cache_step): exactly the
-        // fold a sequential left-to-right execution would perform.
+    /// The tail every batch ends in, blocking or overlapped: the parallel
+    /// measurement pass over the finished queries, the batch's wall time
+    /// booked against the `planned` queries it issued (none for a cohort
+    /// of late completions only), then Phase 3 — merge in the given order
+    /// (crate::cache_step): exactly the fold a sequential left-to-right
+    /// execution would perform.
+    pub(crate) fn measure_and_fold(
+        &mut self,
+        plans: &[QueryPlan],
+        pendings: Vec<PendingQuery>,
+        started: std::time::Instant,
+        planned: u64,
+    ) {
+        let measures = self.measure_batch(plans, &pendings);
+        if planned > 0 {
+            self.batch_stats
+                .record(started.elapsed().as_secs_f64(), planned);
+        }
+        self.absorb_transport_stats();
         for ((plan, pending), measured) in plans.iter().zip(pendings).zip(measures) {
-            self.apply_outcome(
-                plan,
-                crate::query_step::QueryOutcome::assemble(pending, measured),
-            );
+            self.apply_outcome(plan, QueryOutcome::assemble(pending, measured));
         }
     }
 }

@@ -31,7 +31,7 @@ use senn_core::transport::{AsyncClient, Ticket, TransportPolicy};
 use senn_core::SennEngine;
 use senn_server::FaultyService;
 
-use crate::query_step::{PendingQuery, QueryOutcome, QueryPlan};
+use crate::query_step::{settle_residual, PendingQuery, QueryPlan};
 use crate::simulator::{ServiceBackend, ServiceHandle, Simulator};
 
 /// Uplink lanes of the sim's transport. A fixed constant, deliberately
@@ -78,27 +78,25 @@ impl OverlapState {
             next_seq: 0,
         }
     }
-}
 
-/// Attributes one transport completion to its deferred query: the ladder
-/// disposition lands in the trace, and an answered residual is merged via
-/// `complete_residual` exactly as on the blocking path.
-fn finish_residual(
-    engine: &SennEngine,
-    d: DeferredQuery,
-    outcome: RequestOutcome,
-) -> (u64, QueryPlan, PendingQuery) {
-    let DeferredQuery {
-        seq,
-        plan,
-        mut pending,
-    } = d;
-    pending.outcome.trace.record_service_outcome(&outcome);
-    if !outcome.failed {
-        let peers_only = pending.outcome;
-        pending.outcome = engine.complete_residual(plan.k, peers_only, outcome.response);
+    /// Settles a poll's completions against their deferred queries
+    /// ([`settle_residual`], exactly as on the blocking path) and appends
+    /// them to the interval's cohort.
+    fn harvest(
+        &mut self,
+        engine: &SennEngine,
+        completions: Vec<(Ticket, RequestOutcome)>,
+        cohort: &mut Vec<(u64, QueryPlan, PendingQuery)>,
+    ) {
+        for (ticket, outcome) in completions {
+            let mut d = self
+                .deferred
+                .remove(&ticket)
+                .expect("every completion matches a deferred query");
+            d.pending.outcome = settle_residual(engine, d.plan.k, d.pending.outcome, outcome);
+            cohort.push((d.seq, d.plan, d.pending));
+        }
     }
-    (seq, plan, pending)
 }
 
 impl Simulator {
@@ -125,13 +123,8 @@ impl Simulator {
         // (this advances the transport's virtual clock to `now_ms`), then
         // enqueue this interval's residuals at the new clock.
         let mut cohort: Vec<(u64, QueryPlan, PendingQuery)> = Vec::new();
-        for (ticket, outcome) in state.client.poll(now_ms) {
-            let d = state
-                .deferred
-                .remove(&ticket)
-                .expect("every completion matches a deferred query");
-            cohort.push(finish_residual(&self.engine, d, outcome));
-        }
+        let matured = state.client.poll(now_ms);
+        state.harvest(&self.engine, matured, &mut cohort);
         for (plan, pending) in plans.iter().zip(pendings) {
             let seq = state.next_seq;
             state.next_seq += 1;
@@ -157,13 +150,8 @@ impl Simulator {
         // shed replies of the requests just enqueued: shedding is
         // immediate, so a shed ladder's outcome belongs to the interval
         // that issued the query.
-        for (ticket, outcome) in state.client.poll(now_ms) {
-            let d = state
-                .deferred
-                .remove(&ticket)
-                .expect("every completion matches a deferred query");
-            cohort.push(finish_residual(&self.engine, d, outcome));
-        }
+        let shed = state.client.poll(now_ms);
+        state.harvest(&self.engine, shed, &mut cohort);
         self.finish_overlapped_cohort(cohort, started, n as u64);
     }
 
@@ -175,13 +163,8 @@ impl Simulator {
             return;
         };
         let mut cohort: Vec<(u64, QueryPlan, PendingQuery)> = Vec::new();
-        for (ticket, outcome) in state.client.drain() {
-            let d = state
-                .deferred
-                .remove(&ticket)
-                .expect("every completion matches a deferred query");
-            cohort.push(finish_residual(&self.engine, d, outcome));
-        }
+        let late = state.client.drain();
+        state.harvest(&self.engine, late, &mut cohort);
         debug_assert!(
             state.deferred.is_empty(),
             "drained transport left deferred queries behind"
@@ -190,11 +173,11 @@ impl Simulator {
         self.finish_overlapped_cohort(cohort, started, 0);
     }
 
-    /// Measures and merges one interval's completion cohort — current
-    /// locally-resolved queries plus matured residuals — in global
-    /// sequence order, which is plan order across the whole run; the fold
-    /// is therefore a pure function of the plan, never of completion
-    /// timing granularity.
+    /// Hands one interval's completion cohort — current locally-resolved
+    /// queries plus matured residuals — to [`Simulator::measure_and_fold`]
+    /// in global sequence order, which is plan order across the whole run;
+    /// the fold is therefore a pure function of the plan, never of
+    /// completion timing granularity.
     fn finish_overlapped_cohort(
         &mut self,
         mut cohort: Vec<(u64, QueryPlan, PendingQuery)>,
@@ -204,15 +187,7 @@ impl Simulator {
         cohort.sort_by_key(|&(seq, _, _)| seq);
         let plans: Vec<QueryPlan> = cohort.iter().map(|&(_, plan, _)| plan).collect();
         let pendings: Vec<PendingQuery> = cohort.into_iter().map(|(_, _, p)| p).collect();
-        let measures = self.measure_batch(&plans, &pendings);
-        if planned > 0 {
-            self.batch_stats
-                .record(started.elapsed().as_secs_f64(), planned);
-        }
-        self.absorb_transport_stats();
-        for ((plan, pending), measured) in plans.iter().zip(pendings).zip(measures) {
-            self.apply_outcome(plan, QueryOutcome::assemble(pending, measured));
-        }
+        self.measure_and_fold(&plans, pendings, started, planned);
     }
 
     /// Snapshots the transport's cumulative observability counters into

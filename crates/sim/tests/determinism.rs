@@ -1,11 +1,10 @@
 //! The parallel batch engine must be a pure optimization: for any seed,
 //! movement mode and cache policy, fanning a batch across worker threads
-//! must produce **bit-identical** metrics to the sequential path.
+//! must produce **bit-identical** metrics to `threads = 1`, where every
+//! fan-out is a plain loop on the caller (the sequential mode).
 //!
-//! This is the contract that makes the `parallel` feature safe to leave on
-//! by default — experiments stay reproducible from the seed alone, no
-//! matter the core count of the machine that ran them.
-#![cfg(feature = "parallel")]
+//! This is the contract that keeps experiments reproducible from the seed
+//! alone, no matter the core count of the machine that ran them.
 
 use senn_sim::{CachePolicy, Metrics, MovementMode, ParamSet, SimConfig, SimParams, Simulator};
 

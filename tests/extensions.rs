@@ -1,112 +1,9 @@
-//! Integration tests for the future-work extensions: sharing-based range
-//! queries, R-tree distance joins, ALT routing and network serialization —
-//! each spanning at least two crates.
+//! Integration test for the ALT routing extension: the landmark search
+//! against plain A\* on a generated city (network generator + ALT index).
 
-use mobishare_senn::core::{PeerCacheEntry, RTreeServer, Resolution, SennEngine};
-use mobishare_senn::geom::Point;
 use mobishare_senn::network::{
-    alt_distance, astar_distance, generate_network, network_to_string, parse_network, AltIndex,
-    GeneratorConfig, NodeLocator,
+    alt_distance, astar_distance, generate_network, AltIndex, GeneratorConfig,
 };
-use mobishare_senn::rtree::{distance_join, RStarTree};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-fn pois(n: usize, side: f64, seed: u64) -> Vec<Point> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
-        .collect()
-}
-
-fn honest_peer(loc: Point, world: &[Point], cache_k: usize) -> PeerCacheEntry {
-    let mut by_d: Vec<(f64, usize)> = world
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (loc.dist(*p), i))
-        .collect();
-    by_d.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    PeerCacheEntry::from_sorted(
-        loc,
-        by_d.iter()
-            .take(cache_k)
-            .map(|&(_, i)| (i as u64, world[i]))
-            .collect(),
-    )
-}
-
-#[test]
-fn range_query_exactness_across_resolutions() {
-    let world = pois(150, 500.0, 77);
-    let server = RTreeServer::new(world.iter().enumerate().map(|(i, p)| (i as u64, *p)));
-    let engine = SennEngine::default();
-    let mut rng = SmallRng::seed_from_u64(5);
-    let mut resolutions = std::collections::HashMap::new();
-    for _ in 0..150 {
-        let q = Point::new(rng.gen_range(50.0..450.0), rng.gen_range(50.0..450.0));
-        let r = rng.gen_range(0.0..120.0);
-        let peers: Vec<PeerCacheEntry> = (0..rng.gen_range(0..4))
-            .map(|_| {
-                let loc = Point::new(
-                    q.x + rng.gen_range(-60.0..60.0),
-                    q.y + rng.gen_range(-60.0..60.0),
-                );
-                honest_peer(loc, &world, rng.gen_range(5..30))
-            })
-            .collect();
-        let out = engine.range_query(q, r, &peers, &server);
-        *resolutions
-            .entry(format!("{:?}", out.resolution))
-            .or_insert(0u32) += 1;
-        let mut want: Vec<u64> = world
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| q.dist(**p) <= r)
-            .map(|(i, _)| i as u64)
-            .collect();
-        want.sort_unstable();
-        let mut got: Vec<u64> = out.results.iter().map(|(n, _)| n.poi_id).collect();
-        got.sort_unstable();
-        assert_eq!(got, want, "range answer wrong under {:?}", out.resolution);
-    }
-    // The sweep must exercise both the peer path and the server path.
-    assert!(resolutions.len() >= 2, "only {resolutions:?} seen");
-}
-
-#[test]
-fn range_and_knn_results_are_consistent() {
-    let world = pois(200, 800.0, 31);
-    let server = RTreeServer::new(world.iter().enumerate().map(|(i, p)| (i as u64, *p)));
-    let engine = SennEngine::default();
-    let q = Point::new(400.0, 400.0);
-    // The k-th NN's distance as a range radius returns exactly k POIs
-    // (absent ties).
-    let knn = engine.query::<PeerCacheEntry>(q, 7, &[], &server);
-    let radius = knn.results.last().unwrap().dist;
-    let range = engine.range_query(q, radius, &[], &server);
-    assert_eq!(range.results.len(), 7);
-    for (nn, (rp, _)) in knn.results.iter().zip(&range.results) {
-        assert_eq!(nn.poi.poi_id, rp.poi_id);
-    }
-    assert_eq!(range.resolution, Resolution::Server);
-}
-
-#[test]
-fn distance_join_between_hosts_and_pois() {
-    // "Which cars are within 100 m of a gas station?" — a cross-crate join
-    // between the host grid and the POI tree.
-    let stations = pois(40, 2000.0, 3);
-    let cars = pois(300, 2000.0, 4);
-    let ts = RStarTree::bulk_load(stations.iter().enumerate().map(|(i, p)| (*p, i)).collect());
-    let tc = RStarTree::bulk_load(cars.iter().enumerate().map(|(i, p)| (*p, i)).collect());
-    let (pairs, accesses) = distance_join(&tc, &ts, 100.0);
-    let brute: usize = cars
-        .iter()
-        .map(|c| stations.iter().filter(|s| c.dist(**s) <= 100.0).count())
-        .sum();
-    assert_eq!(pairs.len(), brute);
-    assert!(accesses > 0);
-}
 
 #[test]
 fn alt_agrees_with_astar_on_generated_city() {
@@ -123,21 +20,4 @@ fn alt_agrees_with_astar_on_generated_city() {
             (g, w) => assert_eq!(g.is_some(), w.is_some()),
         }
     }
-}
-
-#[test]
-fn serialized_network_supports_the_full_stack() {
-    // Round-trip a generated network through the text format and run a
-    // SNNN-style network distance on the parsed copy.
-    let net = generate_network(&GeneratorConfig::city(1200.0, 8));
-    let text = network_to_string(&net);
-    let parsed = parse_network(&text).unwrap();
-    assert!(parsed.is_connected());
-    let locator = NodeLocator::new(&parsed);
-    let a = Point::new(100.0, 100.0);
-    let b = Point::new(1100.0, 900.0);
-    let na = locator.nearest(a).unwrap();
-    let nb = locator.nearest(b).unwrap();
-    let d = astar_distance(&parsed, na, nb).unwrap();
-    assert!(d >= parsed.position(na).dist(parsed.position(nb)) - 1e-9);
 }

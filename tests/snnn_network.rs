@@ -77,7 +77,7 @@ fn snnn_agrees_with_ier_ine_and_brute_force() {
         let want = brute(&w, q, k);
         let ier = ier_knn(&w.net, &w.pois, &w.tree, q, qn, k);
         let ine = ine_knn(&w.net, &w.pois, q, qn, k);
-        let mut model = NetworkDistance::anchored(&w.net, &w.locator, qn);
+        let mut model = NetworkDistance::new(&w.net, &w.locator, q).unwrap();
         let snnn = snnn_query::<mobishare_senn::core::PeerCacheEntry, _>(
             &engine,
             q,
@@ -112,7 +112,6 @@ fn snnn_with_warm_peer_avoids_server_for_euclidean_phase() {
     let w = world(5, 60, 2500.0);
     let engine = SennEngine::default();
     let q = Point::new(1250.0, 1250.0);
-    let qn = w.locator.nearest(q).unwrap();
     // A collocated peer cached every POI's Euclidean ranking (idealized).
     let mut by_d: Vec<(f64, usize)> = w
         .positions
@@ -128,7 +127,7 @@ fn snnn_with_warm_peer_avoids_server_for_euclidean_phase() {
             .map(|&(_, i)| (i as u64, w.positions[i]))
             .collect(),
     );
-    let mut model = NetworkDistance::anchored(&w.net, &w.locator, qn);
+    let mut model = NetworkDistance::new(&w.net, &w.locator, q).unwrap();
     let out = snnn_query(
         &engine,
         q,
