@@ -134,6 +134,20 @@ impl ResultHeap {
         }
     }
 
+    /// Appends an entry that sorts last: the verification walk reads its
+    /// candidate table certains first, each group ascending by distance and
+    /// one row per POI, so its view of `H` needs no search.
+    pub(crate) fn push(&mut self, poi: CachedNn, dist: f64, certain: bool) {
+        debug_assert!(self.entries.len() < self.k, "push past k");
+        debug_assert!(
+            self.entries.last().is_none_or(|l| {
+                l.certain >= certain && (l.certain != certain || l.dist.total_cmp(&dist).is_le())
+            }),
+            "push out of order"
+        );
+        self.entries.push(HeapEntry { poi, dist, certain });
+    }
+
     /// Inserts a certain NN. Duplicates upgrade an existing uncertain entry
     /// in place; when full, the worst uncertain entry is evicted first and
     /// only then (heap fully certain) the farthest certain entry.
@@ -196,7 +210,7 @@ impl ResultHeap {
         self.entries
             .iter()
             .map(|e| e.dist)
-            .max_by(|a, b| a.partial_cmp(b).unwrap())
+            .max_by(|a, b| a.total_cmp(b))
     }
 
     /// The distance `D_ct` of the last certain entry, if any — the branch
@@ -324,6 +338,19 @@ mod tests {
         h.insert_uncertain(nn(3), 4.0);
         assert_eq!(h.worst_distance(), Some(4.0));
         assert_eq!(h.last_certain_distance(), Some(2.0));
+    }
+
+    #[test]
+    fn worst_distance_survives_a_nan_entry() {
+        // A NaN distance (a peer cache with a NaN POI coordinate) used to
+        // panic the `partial_cmp(..).unwrap()` pick; `total_cmp` ranks it
+        // above every finite distance instead.
+        let mut h = ResultHeap::new(3);
+        h.insert_uncertain(nn(1), 1.0);
+        h.insert_uncertain(nn(2), f64::NAN);
+        h.insert_certain(nn(3), 0.5);
+        assert!(h.worst_distance().is_some_and(f64::is_nan));
+        assert_eq!(h.last_certain_distance(), Some(0.5));
     }
 
     #[test]

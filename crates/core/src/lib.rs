@@ -17,7 +17,7 @@
 //! | [`single`] | `kNN_single` — single-peer verification (§3.2.1) |
 //! | [`multiple`] | `kNN_multiple` — multi-peer certain region `R_c` (§3.2.2, Lemma 3.8) |
 //! | [`bounds`] | branch-expanding upper/lower bounds (§3.3) |
-//! | [`pipeline`] | the staged kernel: PeerProbe → SingleVerify → MultiVerify → ServerResidual |
+//! | [`pipeline`] | the staged kernel (PeerProbe → SingleVerify → MultiVerify → ServerResidual) and its resumable verification walk |
 //! | [`distance`] | the [`DistanceModel`] target-metric seam (Euclidean here, network in `senn-network`) |
 //! | [`trace`] | the unified [`QueryTrace`] outcome (attribution + accounting + stage timings) |
 //! | [`senn`] | Algorithm 1 — the SENN driver over the staged kernel |
@@ -49,7 +49,7 @@ pub mod verify;
 
 pub use distance::{DistanceModel, Euclidean, EuclideanBound, LowerBoundOracle, NeverPrune};
 pub use heap::{HeapEntry, HeapState, ResultHeap};
-pub use pipeline::{QueryContext, VerifyScratch};
+pub use pipeline::QueryContext;
 pub use rknn::{
     rknn_batch, rknn_bruteforce, RknnBatch, RknnHost, RknnOutcome, RknnQuery, RknnStats,
 };

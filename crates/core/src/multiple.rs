@@ -12,11 +12,13 @@
 //! in ascending distance and stops at the first failure.
 
 use std::borrow::Borrow;
+use std::collections::HashMap;
 
 use senn_cache::{CacheEntry, CachedNn};
 use senn_geom::{Circle, DiskRegion, Point, PolygonRegion};
 
 use crate::heap::ResultHeap;
+use crate::verify::{classify_entry, Certainty};
 
 /// How the certain region `R_c` is represented.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,6 +42,7 @@ impl Default for RegionMethod {
 }
 
 /// The merged certain region of a set of peers.
+#[derive(Debug)]
 pub enum CertainRegion {
     /// The paper's polygonized representation.
     Polygonized(PolygonRegion),
@@ -103,43 +106,71 @@ pub fn collect_circles<'a>(peers: impl Iterator<Item = &'a CacheEntry>, circles:
     );
 }
 
-/// Collects every cached POI of every peer as a `(distance, poi)`
-/// candidate into a reusable buffer, deduplicated by POI id (first
-/// occurrence wins — positions of the same POI agree across honest
-/// caches), then sorts ascending by distance to the querier.
-///
-/// `seen` is *not* cleared here: callers may pre-seed it with POI ids to
-/// exclude (e.g. already-ranked results).
-pub fn collect_candidates<'a>(
+/// One row of the candidate table: a cached POI some peer reported, with
+/// everything about it that does not depend on the query's `k`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Candidate {
+    /// Euclidean distance from the query point.
+    pub(crate) dist: f64,
+    /// The POI (first occurrence — positions of the same POI agree across
+    /// honest caches).
+    pub(crate) poi: CachedNn,
+    /// Position, in the order the peers were given, of the first peer
+    /// whose own cache certifies the POI (Lemma 3.2);
+    /// [`Candidate::UNCERTIFIED`] when none does.
+    pub(crate) certified_by: u32,
+}
+
+impl Candidate {
+    /// `certified_by` of a candidate no single peer certifies.
+    pub(crate) const UNCERTIFIED: u32 = u32::MAX;
+}
+
+/// Collects every cached POI of every peer into the reusable candidate
+/// table, one row per POI id, classified against each peer that reports
+/// it (Lemma 3.2), then sorts ascending by distance to the querier (ties
+/// keep first-seen order; NaN distances sort last). `index` is scratch.
+pub(crate) fn collect_candidates<'a>(
     query: Point,
     peers: impl Iterator<Item = &'a CacheEntry>,
-    candidates: &mut Vec<(f64, CachedNn)>,
-    seen: &mut std::collections::HashSet<u64>,
+    candidates: &mut Vec<Candidate>,
+    index: &mut HashMap<u64, u32>,
 ) {
     candidates.clear();
-    for peer in peers {
-        for nn in &peer.neighbors {
-            if seen.insert(nn.poi_id) {
-                candidates.push((query.dist(nn.position), *nn));
+    index.clear();
+    for (pos, peer) in peers.enumerate() {
+        for (i, dist, certainty) in classify_entry(query, peer) {
+            let poi = peer.neighbors[i];
+            let row = *index.entry(poi.poi_id).or_insert_with(|| {
+                candidates.push(Candidate {
+                    dist,
+                    poi,
+                    certified_by: Candidate::UNCERTIFIED,
+                });
+                candidates.len() as u32 - 1
+            });
+            if certainty == Certainty::Certain {
+                let by = &mut candidates[row as usize].certified_by;
+                *by = (*by).min(pos as u32);
             }
         }
     }
-    candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    candidates.sort_by(|a, b| a.dist.total_cmp(&b.dist));
 }
 
 /// The Lemma 3.8 verification walk: candidates (pre-sorted ascending by
 /// distance) are certified against `R_c` until the first failure —
 /// coverage is monotone in the radius, so once one candidate fails, all
 /// farther candidates fail too. Returns the number of new certain entries.
-pub fn verify_candidates(
+fn verify_candidates(
     query: Point,
     region: &CertainRegion,
-    candidates: &[(f64, CachedNn)],
+    candidates: &[Candidate],
     heap: &mut ResultHeap,
 ) -> usize {
     let mut new_certain = 0;
     let mut verifying = true;
-    for &(dist, poi) in candidates {
+    for &Candidate { dist, poi, .. } in candidates {
         if verifying && region.covers_candidate(query, dist) {
             let before = heap.certain_count();
             heap.insert_certain(poi, dist);
@@ -162,9 +193,8 @@ pub fn verify_candidates(
 /// verifies each against `R_c` until the first failure (coverage is
 /// monotone in the radius). Returns the number of new certain entries.
 ///
-/// Convenience wrapper over [`collect_circles`] + [`collect_candidates`] +
-/// [`verify_candidates`] with fresh buffers; the staged pipeline
-/// (`crate::pipeline`) calls the pieces with reusable scratch instead.
+/// The textbook procedure, with fresh buffers, that the verification walk
+/// (`crate::pipeline`) is tested against.
 pub fn knn_multiple<B: Borrow<CacheEntry>>(
     query: Point,
     peers: &[B],
@@ -178,13 +208,12 @@ pub fn knn_multiple<B: Borrow<CacheEntry>>(
     if region.is_empty() {
         return 0;
     }
-    let mut candidates: Vec<(f64, CachedNn)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut candidates = Vec::new();
     collect_candidates(
         query,
         peers.iter().map(|p| p.borrow()),
         &mut candidates,
-        &mut seen,
+        &mut HashMap::new(),
     );
     verify_candidates(query, &region, &candidates, heap)
 }
@@ -298,6 +327,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn candidates_with_a_nan_coordinate_sort_last() {
+        // A cached POI with a NaN coordinate has a NaN distance; the sort
+        // used to abort on it (`partial_cmp(..).unwrap()`). Built as a
+        // struct literal: `CacheEntry::new` sorts too.
+        let nn = |id, x| CachedNn {
+            poi_id: id,
+            position: Point::new(x, 0.0),
+        };
+        let peer = CacheEntry {
+            query_location: Point::ORIGIN,
+            neighbors: vec![nn(1, f64::NAN), nn(2, 3.0), nn(3, 1.0)],
+            timestamp: 0.0,
+        };
+        let mut candidates = Vec::new();
+        collect_candidates(
+            Point::ORIGIN,
+            std::iter::once(&peer),
+            &mut candidates,
+            &mut HashMap::new(),
+        );
+        let ids: Vec<u64> = candidates.iter().map(|c| c.poi.poi_id).collect();
+        assert_eq!(ids, vec![3, 2, 1]);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The staged query pipeline and its reusable [`QueryContext`].
+//! The staged query pipeline and the resumable verification walk that
+//! carries it: [`QueryContext`].
 //!
 //! Algorithm 1 decomposes into four explicit stages, run in order by the
 //! [`crate::SennEngine`] driver:
@@ -9,67 +10,90 @@
 //!   Heur. 3.3)     Lemma 3.2)       Lemma 3.8)      bounds)
 //! ```
 //!
-//! Each stage is an ordinary function over a [`QueryContext`], so it can
-//! be exercised (and timed) in isolation. The context owns *all* per-query
-//! scratch — the result heap `H`, the sorted peer-order buffer, and the
-//! region/candidate buffers of the multi-peer stage — so batch drivers
-//! (`senn-par` workers, the simulator) allocate one context per thread and
-//! reuse it across every query instead of allocating per query.
+//! ## The walk
+//!
+//! Almost nothing the peer stages compute depends on the query's `k`: the
+//! probe order, every cached POI's distance and which peer certifies it
+//! (Lemma 3.2), the merged certain region and which candidates it covers
+//! (Lemma 3.8) are facts about one (query point, peer set) pair. The
+//! context therefore keeps them as one **candidate table** — one row per
+//! POI, ascending by distance — built once by [`single_verify`], plus the
+//! lazily built region, a per-row coverage memo and the cache-extension
+//! cursor. The result heap `H` at a given `k` is a *view* of that table,
+//! and reading the walk at another `k` (`SennEngine::read_walk`) repeats
+//! no distance computation, region build or coverage test: a query (and
+//! every round of an SNNN expansion) verifies each candidate once.
+//!
+//! Resumption is exact because both lemmas are monotone in the candidate's
+//! distance and neither mentions `k`; `k` only decides how far down the
+//! table the answer reaches.
 //!
 //! ## Ownership rules
 //!
 //! * A context may be reused across queries, engines, `k`s and peer sets:
-//!   [`QueryContext::begin`] re-arms every buffer, and nothing observable
-//!   leaks from one query into the next (property-tested).
+//!   [`QueryContext::begin`] starts a new walk, and nothing observable
+//!   leaks from one walk into the next (property-tested).
 //! * Stage functions borrow the context mutably and communicate only
-//!   through it (heap, order) and their return values — no hidden state.
-//! * The context never borrows peer data: peers are addressed through
-//!   `u32` indices into the caller's slice, which keeps the context
-//!   `'static` and storable in worker structs.
+//!   through it and their return values — no hidden state.
+//! * The context never borrows peer data: once [`single_verify`] has built
+//!   the table the walk is self-contained, which keeps the context
+//!   `'static`, storable in worker structs, and resumable after the peer
+//!   slice is gone.
 
 use std::borrow::Borrow;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
-use senn_cache::{CacheEntry, CachedNn};
+use senn_cache::CacheEntry;
 use senn_geom::{Circle, Point};
 use senn_rtree::SearchBounds;
 
 use crate::heap::{HeapEntry, ResultHeap};
 use crate::multiple::{
-    collect_candidates, collect_circles, verify_candidates, CertainRegion, RegionMethod,
+    collect_candidates, collect_circles, Candidate, CertainRegion, RegionMethod,
 };
 use crate::server::ServerResponse;
 use crate::service::ServerRequest;
-use crate::single::knn_single;
 use crate::trace::QueryTrace;
 use crate::transport::RequestId;
 
-/// Reusable scratch of the multi-peer verification stage (and the cache
-/// extension walk): candidate list, dedup set and certain-area circles.
-#[derive(Debug, Default)]
-pub struct VerifyScratch {
-    /// `(distance, poi)` candidates, ascending by distance after
-    /// collection.
-    pub candidates: Vec<(f64, CachedNn)>,
-    /// POI-id dedup set for candidate collection.
-    pub seen: HashSet<u64>,
-    /// Certain-area circles feeding the region build.
-    pub circles: Vec<Circle>,
-}
-
-/// All per-query scratch of the staged pipeline. Create once per worker,
-/// reuse for every query (see the module docs for the ownership rules).
+/// One verification walk — all state of a query's peer stages — in
+/// reusable buffers. Create once per worker (or per in-flight expansion),
+/// reuse for every query (see the module docs).
 #[derive(Debug)]
 pub struct QueryContext {
-    /// The result heap `H` (Table 1), re-armed by [`Self::begin`].
+    /// The result heap `H` (Table 1): the walk's view at the `k` it was
+    /// last read at.
     pub heap: ResultHeap,
     /// Indices of the non-empty peers, sorted by cached-query-location
     /// distance (Heuristic 3.3) after [`peer_probe`].
     pub order: Vec<u32>,
-    /// Buffers of the multi-peer stage and the cache-extension walk.
-    pub verify: VerifyScratch,
-    /// The trace of the query in flight, taken by the driver on finish.
+    /// The trace of the read in flight, taken by the driver on finish.
     pub trace: QueryTrace,
+    query: Point,
+    /// The candidate table, ascending by distance; `certified_by` indexes
+    /// `order`.
+    table: Vec<Candidate>,
+    /// Scratch of the table build.
+    index: HashMap<u64, u32>,
+    /// `certified_by` of every certified row, ascending: entry `k - 1` is
+    /// the last peer single-peer verification visits before it holds `k`
+    /// certain NNs.
+    ranks: Vec<u32>,
+    /// Certain-area circles of the probed peers, in probe order.
+    circles: Vec<Circle>,
+    /// `R_c`, built on the first coverage test.
+    region: Option<CertainRegion>,
+    /// Lemma 3.8 per table row, filled in as rows are tested.
+    covered: Vec<Option<bool>>,
+    /// Rows `..extension` are certain for caching (some peer's Lemma 3.2
+    /// or `R_c`); `extension_closed` once the next row failed both.
+    extension: usize,
+    extension_closed: bool,
+    /// First circle that may still pass Lemma 3.2 for the extension's next
+    /// row (the test is monotone in the row's distance).
+    next_circle: usize,
+    #[cfg(test)]
+    pub(crate) coverage_tests: usize,
 }
 
 impl Default for QueryContext {
@@ -84,16 +108,185 @@ impl QueryContext {
         QueryContext {
             heap: ResultHeap::new(1),
             order: Vec::new(),
-            verify: VerifyScratch::default(),
             trace: QueryTrace::new(),
+            query: Point::ORIGIN,
+            table: Vec::new(),
+            index: HashMap::new(),
+            ranks: Vec::new(),
+            circles: Vec::new(),
+            region: None,
+            covered: Vec::new(),
+            extension: 0,
+            extension_closed: false,
+            next_circle: 0,
+            #[cfg(test)]
+            coverage_tests: 0,
         }
     }
 
-    /// Re-arms every buffer for a new query with the given `k`.
+    /// Starts a new walk, viewed at `k`: re-arms every buffer.
     pub fn begin(&mut self, k: usize) {
+        self.restart();
         self.heap.reset(k);
+    }
+
+    /// Starts a new walk (its `k` comes with the first read).
+    pub(crate) fn restart(&mut self) {
         self.order.clear();
         self.trace.reset();
+        self.table.clear();
+        self.ranks.clear();
+        self.circles.clear();
+        self.region = None;
+        self.covered.clear();
+        self.extension = 0;
+        self.extension_closed = false;
+        self.next_circle = 0;
+        #[cfg(test)]
+        {
+            self.coverage_tests = 0;
+        }
+    }
+
+    /// The query point of the walk in progress.
+    pub fn query(&self) -> Point {
+        self.query
+    }
+
+    /// Builds the candidate table from the probed peers — the whole of
+    /// single-peer verification that does not depend on `k`.
+    pub(crate) fn classify<B: Borrow<CacheEntry>>(&mut self, query: Point, peers: &[B]) {
+        self.query = query;
+        let probed = || self.order.iter().map(|&i| peers[i as usize].borrow());
+        collect_circles(probed(), &mut self.circles);
+        collect_candidates(query, probed(), &mut self.table, &mut self.index);
+        self.ranks.clear();
+        self.ranks.extend(
+            self.table
+                .iter()
+                .map(|c| c.certified_by)
+                .filter(|&by| by != Candidate::UNCERTIFIED),
+        );
+        self.ranks.sort_unstable();
+        self.covered.clear();
+        self.covered.resize(self.table.len(), None);
+    }
+
+    /// Reads `H` after single-peer verification at `k`: what visiting the
+    /// peers in probe order, stopping at the first one that brings `k`
+    /// certain NNs, leaves in it. Returns true when the query is fully
+    /// answered.
+    pub(crate) fn read_single(&mut self, k: usize) -> bool {
+        self.heap.reset(k);
+        if let Some(&last) = self.ranks.get(k - 1) {
+            let visited = self.table.iter().filter(|c| c.certified_by <= last);
+            for c in visited.take(k) {
+                self.heap.push(c.poi, c.dist, true);
+            }
+            return true;
+        }
+        // Every probed peer was visited: all certified rows, then the
+        // nearest of the rest as uncertain fill.
+        let certified = |c: &&Candidate| c.certified_by != Candidate::UNCERTIFIED;
+        for c in self.table.iter().filter(certified) {
+            self.heap.push(c.poi, c.dist, true);
+        }
+        let room = k - self.ranks.len();
+        for c in self.table.iter().filter(|c| !certified(c)).take(room) {
+            self.heap.push(c.poi, c.dist, false);
+        }
+        false
+    }
+
+    /// Continues the read into multi-peer verification: rows are certified
+    /// against `R_c` ascending by distance until `H` holds `k` certain NNs
+    /// (true) or the first uncovered row (false).
+    pub(crate) fn read_multi(&mut self, method: RegionMethod) -> bool {
+        for row in 0..self.table.len() {
+            if !self.covers(row, method) {
+                break;
+            }
+            let c = self.table[row];
+            self.heap.insert_certain(c.poi, c.dist);
+            if self.heap.is_certain_complete() {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Lemma 3.8 for table row `row`, tested at most once per walk; the
+    /// first test builds `R_c`.
+    fn covers(&mut self, row: usize, method: RegionMethod) -> bool {
+        if let Some(known) = self.covered[row] {
+            return known;
+        }
+        let region = self
+            .region
+            .get_or_insert_with(|| CertainRegion::from_circles(&self.circles, method));
+        #[cfg(test)]
+        {
+            self.coverage_tests += 1;
+        }
+        let covered =
+            !region.is_empty() && region.covers_candidate(self.query, self.table[row].dist);
+        self.covered[row] = Some(covered);
+        covered
+    }
+
+    /// The certain NNs beyond `results` worth caching, at most `limit` of
+    /// them, ascending by distance: the paper's client caches "as many NN
+    /// as its cache capacity allows", and the certain set is a
+    /// downward-closed prefix of the true ranking, so the cursor walks the
+    /// table until the first row that neither a single peer (Lemma 3.2,
+    /// tried first: it is one comparison) nor `R_c` (Lemma 3.8) certifies.
+    /// How far the cursor got is kept, so a later read resumes it.
+    pub(crate) fn extend(
+        &mut self,
+        results: &[HeapEntry],
+        limit: usize,
+        method: RegionMethod,
+    ) -> Vec<HeapEntry> {
+        let mut out = Vec::new();
+        let mut row = 0;
+        while out.len() < limit {
+            if row == self.extension && !self.advance_extension(method) {
+                break;
+            }
+            let c = self.table[row];
+            if !results.iter().any(|e| e.poi.poi_id == c.poi.poi_id) {
+                out.push(HeapEntry {
+                    poi: c.poi,
+                    dist: c.dist,
+                    certain: true,
+                });
+            }
+            row += 1;
+        }
+        out
+    }
+
+    /// Certifies the extension cursor's next row, if it can be.
+    fn advance_extension(&mut self, method: RegionMethod) -> bool {
+        let Some(c) = self.table.get(self.extension).copied() else {
+            return false;
+        };
+        if self.extension_closed {
+            return false;
+        }
+        // A circle that failed a nearer row fails this one too.
+        while let Some(peer) = self.circles.get(self.next_circle) {
+            if c.dist + self.query.dist(peer.center) <= peer.radius {
+                break;
+            }
+            self.next_circle += 1;
+        }
+        if self.next_circle < self.circles.len() || self.covers(self.extension, method) {
+            self.extension += 1;
+        } else {
+            self.extension_closed = true;
+        }
+        !self.extension_closed
     }
 }
 
@@ -121,55 +314,35 @@ pub fn peer_probe<B: Borrow<CacheEntry>>(ctx: &mut QueryContext, query: Point, p
     });
 }
 
-/// **Stage 1 — SingleVerify**: runs `kNN_single` (Lemma 3.2) over the
-/// probed peers in order, folding certain and uncertain candidates into
-/// `H` and stopping early once `k` certain NNs are verified. Returns true
+/// **Stage 1 — SingleVerify**: classifies every cached POI of the probed
+/// peers with Lemma 3.2 into the walk's candidate table, then reads `H` at
+/// the context's `k`: certain and uncertain candidates folded in peer
+/// order, stopping early once `k` certain NNs are verified. Returns true
 /// when the query is fully answered.
 pub fn single_verify<B: Borrow<CacheEntry>>(
     ctx: &mut QueryContext,
     query: Point,
     peers: &[B],
 ) -> bool {
-    for &i in &ctx.order {
-        knn_single(query, peers[i as usize].borrow(), &mut ctx.heap);
-        if ctx.heap.is_certain_complete() {
-            return true;
-        }
-    }
-    ctx.heap.is_certain_complete()
+    ctx.classify(query, peers);
+    ctx.read_single(ctx.heap.k())
 }
 
-/// **Stage 2 — MultiVerify**: merges the certain areas of all probed peers
-/// into the certain region `R_c` and verifies the deduplicated candidates
-/// against it (Lemma 3.8), walking ascending by distance until the first
-/// failure. Returns true when the query is fully answered.
+/// **Stage 2 — MultiVerify** (after [`single_verify`] fell short): merges
+/// the certain areas of all probed peers into the certain region `R_c` and
+/// verifies the table's candidates against it (Lemma 3.8), walking
+/// ascending by distance until the first failure. Coverage already tested
+/// by this walk — at another `k`, or by the cache extension — is reused.
+/// Returns true when the query is fully answered. The walk holds what it
+/// needs of `query` and `peers` since [`single_verify`].
 pub fn multi_verify<B: Borrow<CacheEntry>>(
     ctx: &mut QueryContext,
     query: Point,
     peers: &[B],
     method: RegionMethod,
 ) -> bool {
-    if ctx.order.is_empty() {
-        return false;
-    }
-    let scratch = &mut ctx.verify;
-    collect_circles(
-        ctx.order.iter().map(|&i| peers[i as usize].borrow()),
-        &mut scratch.circles,
-    );
-    let region = CertainRegion::from_circles(&scratch.circles, method);
-    if region.is_empty() {
-        return false;
-    }
-    scratch.seen.clear();
-    collect_candidates(
-        query,
-        ctx.order.iter().map(|&i| peers[i as usize].borrow()),
-        &mut scratch.candidates,
-        &mut scratch.seen,
-    );
-    verify_candidates(query, &region, &scratch.candidates, &mut ctx.heap);
-    ctx.heap.is_certain_complete()
+    let _ = (query, peers);
+    ctx.read_multi(method)
 }
 
 /// What **Stage 3 — ServerResidual** produced.
@@ -240,9 +413,14 @@ pub fn residual_request(
 /// Re-reported boundary POIs (and, after a degraded unpruned retry, the
 /// whole verified prefix) are deduplicated by POI id; the merge sorts
 /// ascending by distance and splits everything beyond `k` into
-/// `extra_certain` for the cache-refill policy.
-pub fn merge_residual(certain: &[HeapEntry], k: usize, response: ServerResponse) -> ServerResidual {
-    let mut merged: Vec<HeapEntry> = certain.to_vec();
+/// `extra_certain` for the cache-refill policy. `certain` is consumed: the
+/// answer grows in the peers-only outcome's own allocation.
+pub fn merge_residual(
+    certain: Vec<HeapEntry>,
+    k: usize,
+    response: ServerResponse,
+) -> ServerResidual {
+    let mut merged = certain;
     for (poi, dist) in response.pois {
         if merged.iter().any(|e| e.poi.poi_id == poi.poi_id) {
             continue;
@@ -318,7 +496,7 @@ mod tests {
             poi_id: id,
             position: Point::ORIGIN,
         };
-        let certain = [HeapEntry {
+        let certain = vec![HeapEntry {
             poi: poi(1),
             dist: 1.0,
             certain: true,
@@ -327,7 +505,7 @@ mod tests {
             pois: vec![(poi(2), f64::NAN), (poi(3), 0.5)],
             node_accesses: 4,
         };
-        let merged = merge_residual(&certain, 2, response);
+        let merged = merge_residual(certain, 2, response);
         let ids = |v: &[HeapEntry]| v.iter().map(|e| e.poi.poi_id).collect::<Vec<_>>();
         assert_eq!(ids(&merged.results), vec![3, 1]);
         assert_eq!(ids(&merged.extra_certain), vec![2], "NaN sorts last");

@@ -23,8 +23,7 @@ pub fn sort_peers_by_query_location<B: Borrow<CacheEntry>>(query: Point, peers: 
     peers.sort_by(|a, b| {
         query
             .dist_sq(a.borrow().query_location)
-            .partial_cmp(&query.dist_sq(b.borrow().query_location))
-            .unwrap()
+            .total_cmp(&query.dist_sq(b.borrow().query_location))
     });
 }
 
@@ -93,6 +92,21 @@ mod tests {
         sort_peers_by_query_location(q, &mut peers);
         let order: Vec<f64> = peers.iter().map(|p| p.query_location.x).collect();
         assert_eq!(order, vec![1.0, 5.0, 10.0]);
+    }
+
+    #[test]
+    fn heuristic_sort_orders_a_nan_cached_location_last() {
+        // A malformed peer must not panic the sort (it did with
+        // `partial_cmp(..).unwrap()`); `total_cmp` ranks NaN above every
+        // finite distance.
+        let mut peers = vec![
+            entry(Point::new(f64::NAN, 0.0), &[(1, 1.0, 1.0)]),
+            entry(Point::new(4.0, 0.0), &[(2, 4.0, 1.0)]),
+            entry(Point::new(2.0, 0.0), &[(3, 2.0, 1.0)]),
+        ];
+        sort_peers_by_query_location(Point::ORIGIN, &mut peers);
+        let ids: Vec<u64> = peers.iter().map(|p| p.neighbors[0].poi_id).collect();
+        assert_eq!(ids, vec![3, 2, 1]);
     }
 
     #[test]

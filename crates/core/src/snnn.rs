@@ -11,9 +11,11 @@
 //! The expansion loop is a generic driver over any [`DistanceModel`]:
 //! `senn_network::NetworkDistance` wraps A\*/Dijkstra for the road-network
 //! metric, while the degenerate [`crate::distance::Euclidean`] model makes
-//! the driver collapse to plain SENN. Every SENN round runs through the
-//! same staged pipeline ([`crate::pipeline`]) as Algorithm 1, and all
-//! rounds fold into one [`QueryTrace`].
+//! the driver collapse to plain SENN. The peer side of every round is a
+//! read of **one** verification walk ([`crate::pipeline`]): the peers are
+//! probed and their cached POIs classified once per query, the round
+//! asking `k + i` NNs only verifies the candidates no earlier round
+//! reached, and all rounds fold into one [`QueryTrace`].
 
 use std::borrow::Borrow;
 
@@ -80,7 +82,8 @@ impl SnnnOutcome {
 ///
 /// Protocol: [`SnnnExpansion::begin`] with the initial `k`-NN round, then
 /// while [`SnnnExpansion::needs_round`] run a SENN round asking
-/// [`SnnnExpansion::next_k`] Euclidean NNs and
+/// [`SnnnExpansion::next_k`] Euclidean NNs (a further
+/// `SennEngine::read_walk` of the query's one walk) and
 /// [`SnnnExpansion::offer_pruned`] its results. The driver decides the
 /// round budget; when it stops while [`SnnnExpansion::cap_hit`] is true,
 /// the answer is unconfirmed and the outcome's trace must say so.
@@ -336,10 +339,11 @@ pub fn snnn_query_pruned_with<B: Borrow<CacheEntry>, M: DistanceModel, O: LowerB
     }
 
     // Step 2: incremental Euclidean expansion until the next Euclidean NN
-    // falls beyond the target-distance search bound. Unless the state
-    // machine confirms that bound, the cap truncated the search.
+    // falls beyond the target-distance search bound — each round a further
+    // read of the walk step 1 left in `ctx`. Unless the state machine
+    // confirms that bound, the cap truncated the search.
     while expansion.needs_round() && expansion.rounds() < config.max_expansion {
-        let expanded = engine.query_with(query, expansion.next_k(), peers, server, ctx);
+        let expanded = engine.resume_with(expansion.next_k(), server, ctx);
         trace.absorb(&expanded.trace);
         expansion.offer_pruned(&expanded.results, model, oracle);
     }
@@ -424,6 +428,119 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Algorithm 2 as it ran before rounds shared a walk: every round a
+    /// whole fresh `SennEngine::query_with` at a larger `k`. Kept as the
+    /// oracle of [`snnn_query_pruned_with`].
+    #[allow(clippy::too_many_arguments)]
+    fn fresh_per_round_reference<M: DistanceModel, O: LowerBoundOracle>(
+        engine: &SennEngine,
+        query: Point,
+        k: usize,
+        peers: &[CacheEntry],
+        server: &dyn SpatialService,
+        model: &mut M,
+        oracle: &mut O,
+        config: SnnnConfig,
+    ) -> SnnnOutcome {
+        let mut trace = QueryTrace::new();
+        let initial = engine.query(query, k, peers, server);
+        trace.absorb(&initial.trace);
+        let mut expansion = SnnnExpansion::begin(query, k, &initial.results, model);
+        while expansion.needs_round() && expansion.rounds() < config.max_expansion {
+            let round = engine.query(query, expansion.next_k(), peers, server);
+            trace.absorb(&round.trace);
+            expansion.offer_pruned(&round.results, model, oracle);
+        }
+        trace.cap_hit = expansion.cap_hit();
+        trace.lb_evals = expansion.lb_evals();
+        trace.model_evals_saved = expansion.model_evals_saved();
+        SnnnOutcome {
+            results: expansion.into_results(),
+            trace,
+        }
+    }
+
+    #[test]
+    fn shared_walk_equals_fresh_rounds() {
+        // Peers of every quality around the query, so rounds end single-
+        // peer, multi-peer and at the server, under both a tight and the
+        // default round budget and with over-fetching on and off.
+        let mut rng = Rng(0x5a1ed | 1);
+        let mut peer_rounds = 0;
+        for trial in 0..120 {
+            let n = 15 + (rng.next() * 80.0) as usize;
+            let pois: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.next() * 100.0, rng.next() * 100.0))
+                .collect();
+            let server = RTreeServer::new(pois.iter().enumerate().map(|(i, p)| (i as u64, *p)));
+            let q = Point::new(20.0 + rng.next() * 60.0, 20.0 + rng.next() * 60.0);
+            let k = 1 + (rng.next() * 5.0) as usize;
+            let peers: Vec<CacheEntry> = (0..(rng.next() * 6.0) as usize)
+                .map(|_| {
+                    let loc = Point::new(
+                        q.x + (rng.next() - 0.5) * 12.0,
+                        q.y + (rng.next() - 0.5) * 12.0,
+                    );
+                    let mut by_d: Vec<(f64, usize)> = pois
+                        .iter()
+                        .enumerate()
+                        .map(|(i, p)| (loc.dist(*p), i))
+                        .collect();
+                    by_d.sort_by(|a, b| a.0.total_cmp(&b.0));
+                    by_d.truncate((rng.next() * 25.0) as usize);
+                    CacheEntry::from_sorted(
+                        loc,
+                        by_d.iter().map(|&(_, i)| (i as u64, pois[i])).collect(),
+                    )
+                })
+                .collect();
+            let engine = SennEngine::new(SennConfig {
+                server_fetch: (trial % 3) * 6,
+                ..Default::default()
+            });
+            let config = SnnnConfig {
+                max_expansion: if trial % 4 == 0 { 2 } else { 256 },
+            };
+            let got = snnn_query_pruned_with(
+                &engine,
+                q,
+                k,
+                &peers,
+                &server,
+                &mut Manhattan,
+                &mut crate::distance::EuclideanBound,
+                config,
+                &mut QueryContext::new(),
+            );
+            let want = fresh_per_round_reference(
+                &engine,
+                q,
+                k,
+                &peers,
+                &server,
+                &mut Manhattan,
+                &mut crate::distance::EuclideanBound,
+                config,
+            );
+            assert_eq!(got.results, want.results, "trial {trial}");
+            // Everything but the stage clocks: a resumed round re-runs no
+            // peer stage, so it books none.
+            let mut booked = want.trace.clone();
+            booked.stage_nanos = got.trace.stage_nanos;
+            booked.stage_calls = got.trace.stage_calls;
+            assert_eq!(got.trace, booked, "trial {trial}");
+            assert!(got.trace.stage_calls[0] == 1 && want.trace.stage_calls[0] >= 1);
+            peer_rounds += got.trace.resolutions[1..]
+                .iter()
+                .filter(|r| **r != Resolution::Server)
+                .count();
+        }
+        assert!(
+            peer_rounds > 50,
+            "the worlds must resume peer-resolved rounds"
+        );
     }
 
     #[test]

@@ -35,24 +35,22 @@ pub enum Certainty {
 }
 
 /// Classifies every neighbor of a peer's cache entry against `query`,
-/// returning `(index, distance to query, certainty)` per cached NN.
-pub fn classify_entry(query: Point, entry: &CacheEntry) -> Vec<(usize, f64, Certainty)> {
+/// yielding `(index, distance to query, certainty)` per cached NN.
+pub fn classify_entry(
+    query: Point,
+    entry: &CacheEntry,
+) -> impl Iterator<Item = (usize, f64, Certainty)> + '_ {
     let delta = query.dist(entry.query_location);
     let radius = entry.farthest_distance();
-    entry
-        .neighbors
-        .iter()
-        .enumerate()
-        .map(|(i, nn)| {
-            let d = query.dist(nn.position);
-            let c = if d + delta <= radius {
-                Certainty::Certain
-            } else {
-                Certainty::Uncertain
-            };
-            (i, d, c)
-        })
-        .collect()
+    entry.neighbors.iter().enumerate().map(move |(i, nn)| {
+        let d = query.dist(nn.position);
+        let c = if d + delta <= radius {
+            Certainty::Certain
+        } else {
+            Certainty::Uncertain
+        };
+        (i, d, c)
+    })
 }
 
 /// The *certain-area radius* a peer contributes to the multi-peer region
@@ -114,7 +112,7 @@ mod tests {
             Point::ORIGIN,
             &[(1, 1.0, 0.0), (2, 0.0, 2.0), (3, 3.0, 0.0)],
         );
-        let classes = classify_entry(Point::ORIGIN, &e);
+        let classes: Vec<_> = classify_entry(Point::ORIGIN, &e).collect();
         assert!(classes.iter().all(|&(_, _, c)| c == Certainty::Certain));
         // Distances are to the querier, ascending because entry is sorted.
         assert_eq!(classes[0].1, 1.0);
@@ -124,14 +122,14 @@ mod tests {
     #[test]
     fn far_querier_gets_nothing() {
         let e = entry(Point::ORIGIN, &[(1, 1.0, 0.0), (2, 0.0, 2.0)]);
-        let classes = classify_entry(Point::new(100.0, 0.0), &e);
-        assert!(classes.iter().all(|&(_, _, c)| c == Certainty::Uncertain));
+        let mut classes = classify_entry(Point::new(100.0, 0.0), &e);
+        assert!(classes.all(|(_, _, c)| c == Certainty::Uncertain));
     }
 
     #[test]
     fn empty_entry_classifies_empty() {
         let e = entry(Point::ORIGIN, &[]);
-        assert!(classify_entry(Point::new(1.0, 1.0), &e).is_empty());
+        assert_eq!(classify_entry(Point::new(1.0, 1.0), &e).count(), 0);
         assert_eq!(certain_area_radius(&e), 0.0);
     }
 

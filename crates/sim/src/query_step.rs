@@ -3,7 +3,9 @@
 //! world snapshot via the staged SENN kernel, the **interval-batched**
 //! residual round-trip through the configured [`SpatialService`], and the
 //! measurement-only server calls (grading, EINN/INN shadow) that ride
-//! along.
+//! along. In network mode an expand pass follows the submit pass: every
+//! SNNN expansion begins one verification walk (peers gathered once) and
+//! each of its rounds reads that walk at a larger `k`.
 //!
 //! One query batch flows through three passes:
 //!
@@ -31,8 +33,8 @@ use senn_cache::{CacheEntry, CachedNn};
 use senn_core::service::{RequestOutcome, ServerRequest};
 use senn_core::transport::{submit_budgeted, RetryBudget};
 use senn_core::{
-    EuclideanBound, LowerBoundOracle, QueryTrace, Resolution, SearchBounds, SennEngine,
-    SennOutcome, SnnnExpansion,
+    EuclideanBound, LowerBoundOracle, QueryContext, QueryTrace, Resolution, SearchBounds,
+    SennEngine, SennOutcome, SnnnExpansion,
 };
 use senn_geom::Point;
 use senn_network::{
@@ -40,12 +42,18 @@ use senn_network::{
     TimeDependentCost,
 };
 
-use crate::comms::WorkerScratch;
+use crate::comms::{QueryScratch, WorkerScratch};
 use crate::simulator::{KChoice, NetworkModelKind, Simulator};
 
 /// Queries of one interval that repay one more worker thread: a query
 /// costs 5–40 µs in either parallel pass and a scoped spawn 40–80 µs.
 const BATCH_GRAIN: usize = 16;
+
+/// Retired walks the expand pass keeps for reuse. A running expansion
+/// needs one and each parked one holds its own, so a cold-cache interval
+/// can have dozens live at once; keeping them all would pin that burst for
+/// the rest of the run.
+const WALK_POOL: usize = 8;
 
 /// One planned query of a batch. Every random draw happens up front in
 /// batch order, so executing a plan is a pure function of the frozen world
@@ -158,11 +166,33 @@ impl LowerBoundOracle for ActiveOracle<'_> {
     }
 }
 
-/// One query's in-flight expansion during the lockstep expand pass: its
-/// index into the batch plus its state machine.
+/// One query's in-flight expansion during the expand pass: its index into
+/// the batch, its state machine, and the verification walk every one of
+/// its rounds reads (begun once, when the expansion starts).
 struct ActiveExpansion {
     idx: usize,
     exp: SnnnExpansion,
+    walk: QueryContext,
+}
+
+/// What the expand pass reuses from query to query and from interval to
+/// interval, so that its steady state allocates only what a server-bound
+/// round carries away.
+#[derive(Default)]
+pub(crate) struct ExpandScratch {
+    peer_ids: Vec<u32>,
+    /// Walks of retired expansions, buffers kept for the next one. Only
+    /// an expansion waiting for the server holds a walk while another
+    /// runs, so the pool stays a handful deep however many queries an
+    /// interval expands.
+    walks: Vec<QueryContext>,
+    /// Expansions waiting for the server, each with the unresolved round
+    /// it stopped at; the lockstep round it waits in is `exp.rounds()`.
+    parked: Vec<(ActiveExpansion, SennOutcome)>,
+    /// Buffer for the parked expansions of the lockstep round being
+    /// submitted.
+    batch: Vec<(ActiveExpansion, SennOutcome)>,
+    requests: Vec<ServerRequest>,
 }
 
 /// What one expand pass cost: expansion rounds run, and service
@@ -336,10 +366,11 @@ impl Simulator {
     /// attempt ordinal — independent of worker-thread count and shard
     /// count.
     ///
-    /// All still-active queries advance in lockstep, one expansion round
-    /// per iteration; each round's unresolved residuals are coalesced into
+    /// Every expanding query reads one verification walk, round after
+    /// round; the `i`-th rounds that need the server are coalesced into
     /// **one** `ServerRequest` batch per interval-round (plan order
-    /// preserved; request `id` = query index).
+    /// preserved; request `id` = query index) — see
+    /// [`Simulator::expand_lockstep`].
     ///
     /// Candidate verification is bound-driven: an [`ActiveOracle`] (the
     /// exact CH bound or ALT landmark bounds when the index exists, the
@@ -361,6 +392,7 @@ impl Simulator {
         &self,
         plans: &[QueryPlan],
         pendings: Vec<PendingQuery>,
+        scratch: &mut ExpandScratch,
     ) -> (Vec<PendingQuery>, ExpandStats) {
         let Some(kind) = self.config.distance_model else {
             return (pendings, ExpandStats::default());
@@ -376,7 +408,7 @@ impl Simulator {
         match kind {
             NetworkModelKind::AStar => {
                 let model = NetworkDistance::new(net, locator, origin);
-                self.expand_lockstep(plans, pendings, model, euclid)
+                self.expand_lockstep(plans, pendings, scratch, model, euclid)
             }
             NetworkModelKind::Alt { .. } => {
                 let index = self
@@ -385,12 +417,12 @@ impl Simulator {
                     .expect("ALT index is built with the world");
                 let model = AltDistance::new(net, locator, index, origin);
                 let oracle = AltBound::new(net, locator, index, origin).map(ActiveOracle::Alt);
-                self.expand_lockstep(plans, pendings, model, oracle)
+                self.expand_lockstep(plans, pendings, scratch, model, oracle)
             }
             NetworkModelKind::TimeDependent { start_hour } => {
                 let hour = start_hour + self.time / 3600.0;
                 let model = TimeDependentCost::new(net, locator, origin, hour);
-                self.expand_lockstep(plans, pendings, model, euclid)
+                self.expand_lockstep(plans, pendings, scratch, model, euclid)
             }
             NetworkModelKind::Ch => {
                 let index = self
@@ -400,7 +432,7 @@ impl Simulator {
                 let model = ChDistance::new(net, locator, index, origin);
                 let oracle = ChBound::new(net, locator, index, origin)
                     .map(|o| ActiveOracle::Ch(Box::new(o)));
-                self.expand_lockstep(plans, pendings, model, oracle)
+                self.expand_lockstep(plans, pendings, scratch, model, oracle)
             }
         }
     }
@@ -421,17 +453,27 @@ impl Simulator {
         pending.outcome.trace.model_evals_saved = exp.model_evals_saved();
     }
 
-    /// The lockstep pass of [`Simulator::expand_network_batch`]: every
-    /// eligible query advances one expansion round per iteration, and all
-    /// of the iteration's unresolved residuals travel in **one**
-    /// `ServerRequest` batch. Generic over the model's core — one model
-    /// and one oracle serve the whole batch (they own their search
-    /// scratch, so the pass is allocation-free after warm-up), re-anchored
-    /// per query.
+    /// The expansion pass of [`Simulator::expand_network_batch`]. Generic
+    /// over the model's core — one model and one oracle serve the whole
+    /// batch (they own their search scratch), re-anchored per query.
+    ///
+    /// Each expanding query gathers its peers and begins its verification
+    /// walk **once**; a round is a read of that walk at the next `k`
+    /// (`SennEngine::read_walk`), so no round re-probes, re-classifies or
+    /// re-tests what an earlier round verified. A query runs its rounds
+    /// back to back for as long as the peers resolve them and *parks* at
+    /// the first round that needs the server. The server still sees
+    /// lockstep rounds: all queries parked at their `i`-th round travel in
+    /// **one** `ServerRequest` batch (plan order, request `id` = query
+    /// index), lowest `i` first — exactly the batches a pass advancing
+    /// every query one round per iteration submits, since a round's
+    /// outcome depends on nothing but its own query's walk and replies.
+    /// Only parked queries hold state while another runs.
     fn expand_lockstep<C: ExactCore>(
         &self,
         plans: &[QueryPlan],
         mut pendings: Vec<PendingQuery>,
+        scratch: &mut ExpandScratch,
         model: Option<Anchored<'_, C>>,
         oracle: Option<ActiveOracle<'_>>,
     ) -> (Vec<PendingQuery>, ExpandStats) {
@@ -439,13 +481,15 @@ impl Simulator {
         let (Some(mut model), Some(mut oracle)) = (model, oracle) else {
             return (pendings, stats);
         };
-        let mut scratch = WorkerScratch::new();
+        let mut comms = QueryScratch {
+            peer_ids: std::mem::take(&mut scratch.peer_ids),
+            peers: Vec::new(),
+        };
 
-        // Start every eligible query's expansion (plan order). Queries
-        // whose expansion is already settled at begin time — the world
-        // holds fewer than `k` POIs, or a zero round budget — finalize
-        // immediately.
-        let mut active: Vec<ActiveExpansion> = Vec::new();
+        // Run every eligible query's expansion (plan order) up to its
+        // first server-bound round. Queries whose expansion is already
+        // settled at begin time — the world holds fewer than `k` POIs, or
+        // a zero round budget — finalize immediately.
         for (i, plan) in plans.iter().enumerate() {
             if !Self::expansion_eligible(&pendings[i]) {
                 continue;
@@ -456,85 +500,123 @@ impl Simulator {
             }
             let exp = SnnnExpansion::begin(q, plan.k, &pendings[i].outcome.results, &mut model);
             if exp.needs_round() && self.config.snnn_max_expansion > 0 {
-                active.push(ActiveExpansion { idx: i, exp });
+                self.gather_peers(plan, &mut comms);
+                let mut walk = scratch.walks.pop().unwrap_or_default();
+                self.engine.begin_walk(q, &comms.peers, &mut walk);
+                let active = ActiveExpansion { idx: i, exp, walk };
+                self.read_rounds(
+                    active,
+                    &mut pendings[i],
+                    &mut model,
+                    &mut oracle,
+                    &mut stats,
+                    scratch,
+                );
             } else {
                 Self::finish_expansion(&mut pendings[i], &exp);
             }
         }
+        scratch.peer_ids = comms.peer_ids;
 
-        while !active.is_empty() {
-            // Probe pass: run every still-active query's peer round and
-            // stage the unresolved residuals for one coalesced batch.
-            let mut round_outcomes: Vec<Option<SennOutcome>> = Vec::with_capacity(active.len());
-            let mut requests: Vec<ServerRequest> = Vec::new();
-            let mut request_slots: Vec<usize> = Vec::new();
-            for a in active.iter() {
-                let plan = &plans[a.idx];
-                let q = self.store.position(plan.querier);
-                stats.rounds += 1;
-                let kk = a.exp.next_k();
-                self.gather_peers(plan, &mut scratch.comms);
-                let round = self.engine.query_peers_only_with(
-                    q,
-                    kk,
-                    &scratch.comms.peers,
-                    &mut scratch.ctx,
-                );
-                if round.resolution() == Resolution::Unresolved {
-                    requests.push(self.engine.residual_request(a.idx as u64, q, kk, &round));
-                    request_slots.push(round_outcomes.len());
-                }
-                round_outcomes.push(Some(round));
-            }
-
-            // Submit pass: one service batch for the whole round.
-            if !requests.is_empty() {
-                stats.submissions += 1;
-                let results = submit_budgeted(
-                    self.service.residual_service(),
-                    &requests,
-                    &self.config.retry,
-                    &mut RetryBudget::unlimited(),
-                );
-                for (&slot, result) in request_slots.iter().zip(results) {
-                    // The disposition lands in the round's own trace,
-                    // which the offer pass absorbs into the query's.
-                    let kk = active[slot].exp.next_k();
-                    let peers_only = round_outcomes[slot].take().expect("staged above");
-                    round_outcomes[slot] =
-                        Some(settle_residual(&self.engine, kk, peers_only, result));
-                }
-            }
-
-            // Offer pass (plan order): fold each round into its query's
-            // trace and expansion state, then retire finished expansions.
-            let mut still_active = Vec::with_capacity(active.len());
-            for (slot, mut a) in active.into_iter().enumerate() {
+        // Serve the parked queries one lockstep round at a time: one
+        // service batch per round anyone waits in, then each served query
+        // runs on until it finishes or parks in a later round.
+        while !scratch.parked.is_empty() {
+            scratch
+                .parked
+                .sort_unstable_by_key(|(a, _)| (a.exp.rounds(), a.idx));
+            let round = scratch.parked[0].0.exp.rounds();
+            let waiting = scratch
+                .parked
+                .iter()
+                .take_while(|(a, _)| a.exp.rounds() == round)
+                .count();
+            let mut batch = std::mem::take(&mut scratch.batch);
+            batch.extend(scratch.parked.drain(..waiting));
+            scratch.requests.clear();
+            scratch.requests.extend(batch.iter().map(|(a, peers_only)| {
+                let (q, kk) = (a.walk.query(), a.exp.next_k());
+                self.engine
+                    .residual_request(a.idx as u64, q, kk, peers_only)
+            }));
+            stats.submissions += 1;
+            let results = submit_budgeted(
+                self.service.residual_service(),
+                &scratch.requests,
+                &self.config.retry,
+                &mut RetryBudget::unlimited(),
+            );
+            for ((mut a, peers_only), result) in batch.drain(..).zip(results) {
+                let served = settle_residual(&self.engine, a.exp.next_k(), peers_only, result);
                 let pending = &mut pendings[a.idx];
-                let round = round_outcomes[slot].take().expect("staged above");
-                pending.outcome.trace.absorb(&round.trace);
-                if round.trace.server_failed || round.results.iter().any(|e| !e.certain) {
-                    // The round could not be served (or came back
-                    // uncertain): keep the best ranking seen, unconfirmed.
-                    a.exp.abort();
-                    Self::finish_expansion(pending, &a.exp);
-                    continue;
-                }
-                let q = self.store.position(plans[a.idx].querier);
+                pending.outcome.trace.absorb(&served.trace);
                 // Anchors moved while other queries ran their rounds;
                 // re-anchor for this query (it succeeded at begin time).
+                let q = a.walk.query();
                 model.rebase(q);
                 oracle.rebase(q);
-                a.exp.offer_pruned(&round.results, &mut model, &mut oracle);
-                if a.exp.needs_round() && a.exp.rounds() < self.config.snnn_max_expansion {
-                    still_active.push(a);
-                } else {
-                    Self::finish_expansion(pending, &a.exp);
-                }
+                Self::offer_round(
+                    &mut a.exp,
+                    &served.results,
+                    served.trace.server_failed,
+                    &mut model,
+                    &mut oracle,
+                );
+                self.read_rounds(a, pending, &mut model, &mut oracle, &mut stats, scratch);
             }
-            active = still_active;
+            scratch.batch = batch;
         }
         (pendings, stats)
+    }
+
+    /// Offers one finished round to its expansion. A round that could not
+    /// be served (or came back uncertain) ends it: the best ranking seen
+    /// stays, unconfirmed.
+    fn offer_round<C: ExactCore>(
+        exp: &mut SnnnExpansion,
+        results: &[senn_core::HeapEntry],
+        failed: bool,
+        model: &mut Anchored<'_, C>,
+        oracle: &mut ActiveOracle<'_>,
+    ) {
+        if failed || results.iter().any(|e| !e.certain) {
+            exp.abort();
+        } else {
+            exp.offer_pruned(results, model, oracle);
+        }
+    }
+
+    /// Runs `active`'s rounds (model and oracle anchored at its query) for
+    /// as long as its walk resolves them: a peer-resolved round is folded
+    /// into the query's trace and offered from the walk in place. Parks
+    /// the expansion at the first round that needs the server; otherwise
+    /// finalizes it and returns its walk to the pool.
+    fn read_rounds<C: ExactCore>(
+        &self,
+        mut active: ActiveExpansion,
+        pending: &mut PendingQuery,
+        model: &mut Anchored<'_, C>,
+        oracle: &mut ActiveOracle<'_>,
+        stats: &mut ExpandStats,
+        scratch: &mut ExpandScratch,
+    ) {
+        while active.exp.needs_round() && active.exp.rounds() < self.config.snnn_max_expansion {
+            stats.rounds += 1;
+            let kk = active.exp.next_k();
+            if self.engine.read_walk(kk, &mut active.walk) == Resolution::Unresolved {
+                let round = self.engine.take_outcome(&mut active.walk);
+                scratch.parked.push((active, round));
+                return;
+            }
+            pending.outcome.trace.absorb(&active.walk.trace);
+            active.walk.trace.reset();
+            let results = active.walk.heap.entries();
+            Self::offer_round(&mut active.exp, results, false, model, oracle);
+        }
+        Self::finish_expansion(pending, &active.exp);
+        if scratch.walks.len() < WALK_POOL {
+            scratch.walks.push(active.walk);
+        }
     }
 
     /// Phase 3c — measure: grading and PAR shadow searches for every

@@ -56,7 +56,7 @@ use crate::grid::HostGrid;
 use crate::metrics::Metrics;
 use crate::movement::{build_mobility, poisson};
 use crate::params::{ParamSet, SimParams};
-use crate::query_step::{PendingQuery, QueryOutcome, QueryPlan};
+use crate::query_step::{ExpandScratch, PendingQuery, QueryOutcome, QueryPlan};
 use crate::store::HostStore;
 
 /// The target metric of network-mode (SNNN) queries — which
@@ -648,6 +648,9 @@ pub struct Simulator {
     /// executes.
     pub(crate) grid: HostGrid,
     pub(crate) batch_stats: BatchStats,
+    /// The SNNN expand pass's pooled walks and round buffers (one set per
+    /// simulator, sized by an interval's expanding queries).
+    pub(crate) expand_scratch: ExpandScratch,
 }
 
 /// Wall-clock statistics of the batch-execution phase, accumulated over a
@@ -863,6 +866,7 @@ impl Simulator {
             warmed_up: false,
             grid,
             batch_stats: BatchStats::default(),
+            expand_scratch: ExpandScratch::default(),
         }
     }
 
@@ -1080,7 +1084,9 @@ impl Simulator {
         // candidate pruning (round residuals go through the configured
         // service; the keyed fault schedule is invariant to threads and
         // shards).
-        let (pendings, expand) = self.expand_network_batch(&plans, pendings);
+        let mut scratch = std::mem::take(&mut self.expand_scratch);
+        let (pendings, expand) = self.expand_network_batch(&plans, pendings, &mut scratch);
+        self.expand_scratch = scratch;
         self.batch_stats.snnn_rounds += expand.rounds;
         self.batch_stats.snnn_submissions += expand.submissions;
         self.measure_and_fold(&plans, pendings, started, n as u64);

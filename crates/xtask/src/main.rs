@@ -121,8 +121,9 @@ fn extract_file(path: &Path) -> Vec<String> {
     for raw in text.lines() {
         let line = raw.trim();
         // Unit-test modules sit at the end of each file by repo
-        // convention; everything below them is not public surface.
-        if line == "#[cfg(test)]" {
+        // convention; everything below them is not public surface. (Not
+        // the `#[cfg(test)]` above them: a test-only field carries one too.)
+        if line.starts_with("mod tests") {
             break;
         }
         if let Some(partial) = acc.as_mut() {
