@@ -43,13 +43,13 @@ pub struct CacheEntry {
 
 impl CacheEntry {
     /// Builds an entry, sorting the neighbors by distance to the query
-    /// location (the invariant every consumer relies on).
+    /// location (the invariant every consumer relies on). A neighbor with
+    /// a NaN coordinate has a NaN distance and sorts last (`total_cmp`).
     pub fn new(query_location: Point, mut neighbors: Vec<CachedNn>) -> Self {
         neighbors.sort_by(|a, b| {
             query_location
                 .dist_sq(a.position)
-                .partial_cmp(&query_location.dist_sq(b.position))
-                .unwrap()
+                .total_cmp(&query_location.dist_sq(b.position))
         });
         CacheEntry {
             query_location,
@@ -274,6 +274,18 @@ mod tests {
             poi_id: id,
             position: Point::new(x, y),
         }
+    }
+
+    #[test]
+    fn entry_with_a_nan_coordinate_sorts_it_last() {
+        // One NaN coordinate in a peer's cache used to abort the run at
+        // cache-store time (`partial_cmp(..).unwrap()`).
+        let e = CacheEntry::new(
+            Point::ORIGIN,
+            vec![nn(1, f64::NAN, 0.0), nn(2, 3.0, 0.0), nn(3, 1.0, 0.0)],
+        );
+        let ids: Vec<u64> = e.neighbors.iter().map(|n| n.poi_id).collect();
+        assert_eq!(ids, vec![3, 2, 1]);
     }
 
     #[test]

@@ -332,17 +332,11 @@ mod tests {
     #[test]
     fn candidates_with_a_nan_coordinate_sort_last() {
         // A cached POI with a NaN coordinate has a NaN distance; the sort
-        // used to abort on it (`partial_cmp(..).unwrap()`). Built as a
-        // struct literal: `CacheEntry::new` sorts too.
-        let nn = |id, x| CachedNn {
-            poi_id: id,
-            position: Point::new(x, 0.0),
-        };
-        let peer = CacheEntry {
-            query_location: Point::ORIGIN,
-            neighbors: vec![nn(1, f64::NAN), nn(2, 3.0), nn(3, 1.0)],
-            timestamp: 0.0,
-        };
+        // used to abort on it (`partial_cmp(..).unwrap()`).
+        let peer = entry(
+            Point::ORIGIN,
+            &[(1, f64::NAN, 0.0), (2, 3.0, 0.0), (3, 1.0, 0.0)],
+        );
         let mut candidates = Vec::new();
         collect_candidates(
             Point::ORIGIN,

@@ -206,7 +206,7 @@ pub fn rknn_bruteforce(
                     .iter()
                     .map(|&(id, p)| (host.position.dist(p), id))
                     .collect();
-                ranked.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+                ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 if ranked.iter().take(q.k).any(|&(_, id)| id == q.poi_id) {
                     members.push(host.host_id);
                 }
@@ -294,7 +294,7 @@ mod tests {
         // Host at the origin corner with a cache proving two POIs nearby.
         let mut h = host(42, 1.0, 1.0);
         let mut dists: Vec<f64> = pois.iter().map(|&(_, p)| h.position.dist(p)).collect();
-        dists.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        dists.sort_by(f64::total_cmp);
         h.cached_dists = dists[..2].to_vec();
         let hosts = vec![h];
         let queries: Vec<RknnQuery> = pois
@@ -374,5 +374,23 @@ mod tests {
         assert!(batch.outcomes[0].members.is_empty());
         assert_eq!(batch.stats.pairs, 0);
         assert_eq!(batch.stats.verified_hosts, 0);
+    }
+
+    #[test]
+    fn bruteforce_survives_a_host_at_a_nan_position() {
+        // Every distance from such a host is NaN; the oracle's sort used
+        // to abort on it (`partial_cmp(..).expect("finite distances")`).
+        // NaNs tie under `total_cmp`, so that host ranks by POI id; the
+        // finite host beside it is graded as ever.
+        let pois = world();
+        let hosts = vec![host(1, f64::NAN, 0.0), host(2, 1.0, 1.0)];
+        let queries = vec![RknnQuery {
+            id: 0,
+            poi_id: 0,
+            position: pois[0].1,
+            k: 1,
+        }];
+        let truth = rknn_bruteforce(&queries, &hosts, &pois);
+        assert_eq!(truth[0].members, vec![1, 2]);
     }
 }

@@ -58,19 +58,16 @@ impl WaypointConfig {
 pub struct RandomWaypoint {
     config: WaypointConfig,
     position: Point,
-    destination: Point,
-    pause_left: f64,
+    leg: WaypointLeg,
 }
 
 impl RandomWaypoint {
     /// Creates a mover at `start` with a random first destination.
     pub fn new(start: Point, config: WaypointConfig, rng: &mut SmallRng) -> Self {
-        let destination = pick_destination(&config, start, rng);
         RandomWaypoint {
             config,
             position: start,
-            destination,
-            pause_left: 0.0,
+            leg: WaypointLeg::new(&config, start, rng),
         }
     }
 
@@ -81,36 +78,70 @@ impl RandomWaypoint {
 
     /// Current destination waypoint.
     pub fn destination(&self) -> Point {
-        self.destination
+        self.leg.destination
     }
 
     /// Advances the mover by `dt_secs`.
     pub fn step(&mut self, dt_secs: f64, rng: &mut SmallRng) {
-        let mut budget = dt_secs;
-        while budget > 1e-12 {
-            if self.pause_left > 0.0 {
-                let used = self.pause_left.min(budget);
-                self.pause_left -= used;
-                budget -= used;
-                continue;
-            }
-            let to_dest = self.destination - self.position;
-            let dist = to_dest.norm();
-            let reach = self.config.speed_mps * budget;
-            if reach >= dist {
-                // Arrive, then pause and pick the next destination.
-                self.position = self.destination;
-                budget -= if self.config.speed_mps > 0.0 {
-                    dist / self.config.speed_mps
-                } else {
-                    budget
-                };
-                self.pause_left = rng.gen_range(0.0..=self.config.max_pause_secs.max(0.0));
-                self.destination = pick_destination(&self.config, self.position, rng);
+        let (config, leg) = (&self.config, &mut self.leg);
+        step_leg(config, &mut self.position, leg, dt_secs, rng);
+    }
+}
+
+/// What a random-waypoint mover carries besides its position (24 bytes):
+/// a column of these, a position column and one shared [`WaypointConfig`]
+/// is the dense layout; [`RandomWaypoint`] bundles the same per object.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct WaypointLeg {
+    /// The waypoint being approached.
+    pub destination: Point,
+    /// Seconds of pause left before travel resumes.
+    pub pause_left: f64,
+}
+
+impl WaypointLeg {
+    /// The first leg of a mover at `start`: a random destination, no pause.
+    pub fn new(config: &WaypointConfig, start: Point, rng: &mut SmallRng) -> Self {
+        WaypointLeg {
+            destination: pick_destination(config, start, rng),
+            pause_left: 0.0,
+        }
+    }
+}
+
+/// The random waypoint step over borrowed state: advances `position` along
+/// `leg` by `dt_secs`, pausing and drawing the next destination on arrival.
+pub fn step_leg(
+    config: &WaypointConfig,
+    position: &mut Point,
+    leg: &mut WaypointLeg,
+    dt_secs: f64,
+    rng: &mut SmallRng,
+) {
+    let mut budget = dt_secs;
+    while budget > 1e-12 {
+        if leg.pause_left > 0.0 {
+            let used = leg.pause_left.min(budget);
+            leg.pause_left -= used;
+            budget -= used;
+            continue;
+        }
+        let to_dest = leg.destination - *position;
+        let dist = to_dest.norm();
+        let reach = config.speed_mps * budget;
+        if reach >= dist {
+            // Arrive, then pause and pick the next destination.
+            *position = leg.destination;
+            budget -= if config.speed_mps > 0.0 {
+                dist / config.speed_mps
             } else {
-                self.position = self.position + to_dest * (reach / dist);
-                budget = 0.0;
-            }
+                budget
+            };
+            leg.pause_left = rng.gen_range(0.0..=config.max_pause_secs.max(0.0));
+            leg.destination = pick_destination(config, *position, rng);
+        } else {
+            *position = *position + to_dest * (reach / dist);
+            budget = 0.0;
         }
     }
 }
@@ -234,6 +265,37 @@ mod tests {
                 "drifted beyond the trip radius"
             );
         }
+    }
+
+    /// One kernel, two layouts: a `RandomWaypoint` and a bare
+    /// `(Point, WaypointLeg)` agree bit for bit on everything a step can
+    /// change.
+    #[test]
+    fn wrapper_and_kernel_walk_the_same_path() {
+        let mut cfg = WaypointConfig::new(area(), 40.0);
+        cfg.max_pause_secs = 5.0;
+        cfg.trip_radius = Some(200.0);
+        let start = Point::new(500.0, 500.0);
+        let mut rng_a = SmallRng::seed_from_u64(23);
+        let mut rng_b = rng_a.clone();
+        let mut wrapped = RandomWaypoint::new(start, cfg, &mut rng_a);
+        let mut position = start;
+        let mut leg = WaypointLeg::new(&cfg, start, &mut rng_b);
+        let dts = [1.0, 0.0, 0.25, 1e-13, 7.5, 0.001, 2.0];
+        let mut arrivals = 0;
+        for i in 0..5000 {
+            let dt = dts[i % dts.len()];
+            let before = leg.destination;
+            wrapped.step(dt, &mut rng_a);
+            step_leg(&cfg, &mut position, &mut leg, dt, &mut rng_b);
+            arrivals += usize::from(leg.destination != before);
+            let bits = |p: Point| (p.x.to_bits(), p.y.to_bits());
+            assert_eq!(bits(wrapped.position()), bits(position), "step {i}");
+            assert_eq!(bits(wrapped.destination()), bits(leg.destination));
+            assert_eq!(wrapped.leg.pause_left.to_bits(), leg.pause_left.to_bits());
+            assert_eq!(format!("{rng_a:?}"), format!("{rng_b:?}"), "step {i}");
+        }
+        assert!(arrivals > 100, "{arrivals}");
     }
 
     #[test]

@@ -1,17 +1,21 @@
 //! Host movement (the mobile-host module's mobility half, Section 4.1):
-//! the world's movement mode, per-host mobility construction, and the
-//! per-interval advance step that carries every host forward in simulated
-//! time. The Poisson draw shared by batch sizing and POI churn lives here
-//! too, since both model event arrivals over the same intervals.
+//! the world's movement mode, and the per-interval sweep that carries
+//! every mover forward in simulated time. The Poisson draw shared by batch
+//! sizing and POI churn lives here too, since both model event arrivals
+//! over the same intervals.
+//!
+//! The sweep walks the store's mover column (`store.rs`) in mover order,
+//! one loop per movement mode picked once per sweep: the model's one step
+//! kernel, then `apply_move`. Paused movers take the same path; skipping
+//! them measured nothing (EXPERIMENTS.md "PR 21").
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use senn_geom::Point;
-use senn_mobility::{HostMobility, RandomWaypoint, RoadMover, RoadMoverConfig, WaypointConfig};
-use senn_network::{NodeLocator, RoadNetwork};
+use senn_mobility::step_leg;
 
 use crate::simulator::Simulator;
+use crate::store::MoverColumn;
 
 /// Movement mode of the mobile hosts (Section 4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,41 +26,12 @@ pub enum MovementMode {
     FreeMovement,
 }
 
-/// Builds one host's mobility state: parked hosts stay at their start
-/// position; movers follow the configured mode.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_mobility(
-    mode: MovementMode,
-    start: Point,
-    moves: bool,
-    network: &RoadNetwork,
-    locator: &NodeLocator,
-    mover_cfg: RoadMoverConfig,
-    waypoint_cfg: WaypointConfig,
-    rng: &mut SmallRng,
-) -> HostMobility {
-    if !moves {
-        return HostMobility::Parked(start);
-    }
-    match mode {
-        MovementMode::FreeMovement => {
-            HostMobility::Free(RandomWaypoint::new(start, waypoint_cfg, rng))
-        }
-        MovementMode::RoadNetwork => {
-            let node = locator.nearest(start).expect("network non-empty");
-            HostMobility::Road(RoadMover::new(network, node, mover_cfg))
-        }
-    }
-}
-
 impl Simulator {
-    /// Moves every mobile host forward by `dt` seconds, streaming over the
-    /// store's columns and keeping the peer-discovery grid current as a
-    /// side effect: each host that crossed a cell boundary costs two
-    /// sorted cell-list edits, everything else costs nothing. Parked hosts
-    /// are skipped entirely — their `step` is a no-op that draws no RNG,
-    /// so the trajectory of every mover is bit-identical to the
-    /// visit-everyone loop.
+    /// Moves every mobile host forward by `dt` seconds (see module docs),
+    /// keeping the peer-discovery grid current as a side effect: each host
+    /// that crossed a cell boundary costs two sorted cell-list edits,
+    /// everything else costs nothing. Parked hosts are not visited: they
+    /// have no mobility state and would draw no RNG.
     pub(crate) fn advance_movement(&mut self, dt: f64) {
         let started = std::time::Instant::now();
         let Simulator {
@@ -66,16 +41,24 @@ impl Simulator {
             batch_stats,
             ..
         } = self;
-        let net = network.as_ref();
         let (positions, mobility, rngs, movers) = store.movement_columns();
         let mut cell_moves = 0u64;
-        for &i in movers {
-            let i = i as usize;
-            mobility[i].step(net, dt, &mut rngs[i]);
-            let p = mobility[i].position();
-            positions[i] = p;
-            if grid.apply_move(i as u32, p) {
-                cell_moves += 1;
+        match mobility {
+            MoverColumn::Free { config, legs } => {
+                for (leg, &host) in legs.iter_mut().zip(movers) {
+                    let i = host as usize;
+                    step_leg(config, &mut positions[i], leg, dt, &mut rngs[i]);
+                    cell_moves += u64::from(grid.apply_move(host, positions[i]));
+                }
+            }
+            MoverColumn::Road(road) => {
+                let net = network.as_ref().expect("road movers need the road network");
+                for (mover, &host) in road.iter_mut().zip(movers) {
+                    let i = host as usize;
+                    mover.step(net, dt, &mut rngs[i]);
+                    positions[i] = mover.position();
+                    cell_moves += u64::from(grid.apply_move(host, positions[i]));
+                }
             }
         }
         batch_stats.grid_cell_moves += cell_moves;
@@ -115,7 +98,7 @@ mod tests {
     use crate::params::{ParamSet, SimParams};
     use crate::simulator::SimConfig;
     use rand::SeedableRng;
-    use senn_geom::Rect;
+    use senn_geom::{Point, Rect};
 
     /// After a whole run the grid the movement pass maintained answers
     /// every peer lookup exactly — ids and order — like a fresh build
@@ -145,6 +128,44 @@ mod tests {
                 fresh.within_into(positions, p, range, h as u32, &mut built);
                 assert_eq!(kept, built, "{:?} host {h}", cfg.mode);
             }
+        }
+    }
+
+    /// Trajectories are pinned, not inferred: an order-sensitive FNV-1a of
+    /// the final position column's bits, and the crossing count, for the
+    /// two runs of the test above — computed at the commit *before* the
+    /// dense mover columns and the inline grid cells.
+    /// Any change to movement that is not bit-identical moves these.
+    #[test]
+    fn trajectory_fingerprints_are_pinned() {
+        let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
+        params.t_execution_hours = 0.05;
+        let road = SimConfig::new(params, 7);
+        let mut free = SimConfig::new(params, 42);
+        free.mode = MovementMode::FreeMovement;
+        free.poi_churn_per_hour = 16.0;
+        free.cache_ttl_secs = Some(60.0);
+        let pinned = [
+            (road, 0x6611_270d_78ec_521e_u64, 2245),
+            (free, 0x426a_0c0c_e55e_f1d1_u64, 1484),
+        ];
+        for (cfg, fingerprint, cell_moves) in pinned {
+            let mut sim = Simulator::new(cfg);
+            sim.run();
+            let hash = sim
+                .store
+                .positions()
+                .iter()
+                .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, bits| {
+                    (h ^ bits).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(hash, fingerprint, "{:?} positions", cfg.mode);
+            assert_eq!(
+                sim.batch_stats.grid_cell_moves, cell_moves,
+                "{:?}",
+                cfg.mode
+            );
         }
     }
 

@@ -45,7 +45,7 @@ use senn_core::service::{ServerReply, ServerRequest, SpatialService};
 use senn_core::transport::{AdaptivePolicy, RetryBudget, RetryPolicy, TransportPolicy};
 use senn_core::{RTreeServer, SennConfig, SennEngine, STAGE_COUNT};
 use senn_geom::{Point, Rect};
-use senn_mobility::{RoadMoverConfig, WaypointConfig};
+use senn_mobility::{RoadMover, RoadMoverConfig, WaypointConfig};
 use senn_network::{generate_network, GeneratorConfig, NodeLocator, RoadNetwork};
 use senn_server::{FaultConfig, FaultyService, ServiceMetrics, ShardedService};
 
@@ -54,7 +54,7 @@ pub use crate::movement::MovementMode;
 
 use crate::grid::HostGrid;
 use crate::metrics::Metrics;
-use crate::movement::{build_mobility, poisson};
+use crate::movement::poisson;
 use crate::params::{ParamSet, SimParams};
 use crate::query_step::{ExpandScratch, PendingQuery, QueryOutcome, QueryPlan};
 use crate::store::HostStore;
@@ -806,22 +806,24 @@ impl Simulator {
         let mut waypoint_cfg = WaypointConfig::new(area, params.velocity_mps());
         waypoint_cfg.max_pause_secs = mover_cfg.max_pause_secs;
         waypoint_cfg.trip_radius = Some(mover_cfg.trip_radius);
-        let mut store = HostStore::new(config.cache_policy, params.c_size, params.mh_number);
+        let free = config.mode == MovementMode::FreeMovement;
+        let mut store = HostStore::new(
+            config.cache_policy,
+            params.c_size,
+            params.mh_number,
+            free.then_some(waypoint_cfg),
+        );
         for i in 0..params.mh_number {
             let mut host_rng = SmallRng::seed_from_u64(config.seed ^ (0xc0ffee + i as u64 * 7919));
             let start = Point::new(host_rng.gen_range(0.0..side), host_rng.gen_range(0.0..side));
-            let moves = host_rng.gen_bool(params.m_percentage);
-            let mobility = build_mobility(
-                config.mode,
-                start,
-                moves,
-                &network,
-                &locator,
-                mover_cfg,
-                waypoint_cfg,
-                &mut host_rng,
-            );
-            store.push(mobility, host_rng);
+            if !host_rng.gen_bool(params.m_percentage) {
+                store.push_parked(start, host_rng);
+            } else if free {
+                store.push_free_mover(start, host_rng);
+            } else {
+                let node = locator.nearest(start).expect("network non-empty");
+                store.push_road_mover(RoadMover::new(&network, node, mover_cfg), host_rng);
+            }
         }
 
         let engine = SennEngine::new(SennConfig {
