@@ -1,6 +1,8 @@
 //! Certain-region coverage test: the paper's polygonization (for vertex
 //! counts 8–32, the ablation DESIGN.md calls out) vs the exact disk-union
-//! arrangement vs the single-disk fast path.
+//! arrangement vs the single-disk fast path — on 64 unrelated candidates
+//! per region (`region_coverage`) and on what one verification walk asks
+//! of its region (`walk`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use senn_bench::BenchRng;
@@ -37,7 +39,7 @@ fn coverage(c: &mut Criterion) {
                 &(),
                 |b, _| {
                     b.iter(|| {
-                        let region = PolygonRegion::from_circles(&sources, vertices);
+                        let mut region = PolygonRegion::from_circles(&sources, vertices);
                         let mut covered = 0;
                         for cand in &candidates {
                             if region.covers_circle(cand) {
@@ -83,7 +85,7 @@ fn coverage(c: &mut Criterion) {
     let exact = DiskRegion::from_circles(&sources);
     let exact_n = candidates.iter().filter(|c| exact.covers_circle(c)).count();
     for vertices in [8usize, 16, 24, 32] {
-        let poly = PolygonRegion::from_circles(&sources, vertices);
+        let mut poly = PolygonRegion::from_circles(&sources, vertices);
         let n = candidates.iter().filter(|c| poly.covers_circle(c)).count();
         println!("[region_coverage] {vertices}-gon certifies {n}/{exact_n} of what exact does");
     }
@@ -94,9 +96,38 @@ fn coverage(c: &mut Criterion) {
     println!("[region_coverage] single-disk test certifies {single}/{exact_n}");
 }
 
+/// What the simulator runs: one region of six overlapping peer disks,
+/// built once per walk, then three candidates of ascending radius around
+/// one centre near the disks' centres (the last one pokes out).
+fn walk(c: &mut Criterion) {
+    let mut rng = BenchRng::new(0x3a11);
+    let sources: Vec<Circle> = (0..6)
+        .map(|_| {
+            Circle::new(
+                Point::new(4.0 + rng.next_f64() * 2.0, 4.0 + rng.next_f64() * 2.0),
+                2.0 + rng.next_f64(),
+            )
+        })
+        .collect();
+    let query = Point::new(5.0, 5.0);
+    let candidates = [1.2, 1.7, 2.4].map(|radius| Circle::new(query, radius));
+    let mut group = c.benchmark_group("walk");
+    group.bench_function("polygon_24v_6_disks_3_candidates", |b| {
+        b.iter(|| {
+            let mut region = PolygonRegion::from_circles(&sources, 24);
+            let covered = candidates
+                .iter()
+                .filter(|c| region.covers_circle(c))
+                .count();
+            black_box(covered)
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = coverage
+    targets = coverage, walk
 }
 criterion_main!(benches);

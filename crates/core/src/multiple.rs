@@ -13,6 +13,7 @@
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use senn_cache::{CacheEntry, CachedNn};
 use senn_geom::{Circle, DiskRegion, Point, PolygonRegion};
@@ -72,7 +73,7 @@ impl CertainRegion {
 
     /// Lemma 3.8's test: is the circle centered at the query through the
     /// candidate fully covered by the region?
-    pub fn covers_candidate(&self, query: Point, dist: f64) -> bool {
+    pub fn covers_candidate(&mut self, query: Point, dist: f64) -> bool {
         let c = Circle::new(query, dist);
         match self {
             CertainRegion::Polygonized(r) => r.covers_circle(&c),
@@ -126,6 +127,33 @@ impl Candidate {
     pub(crate) const UNCERTIFIED: u32 = u32::MAX;
 }
 
+/// The scratch index of [`collect_candidates`], POI id → table row. It is
+/// looked up once per cached POI occurrence and never iterated, and the
+/// ids are the simulator's own, so one multiply (Fibonacci hashing: the
+/// table takes its bucket from the low bits and its tag from the high
+/// ones) stands in for SipHash.
+pub(crate) type PoiIndex = HashMap<u64, u32, BuildHasherDefault<PoiIdHasher>>;
+
+/// The hasher of [`PoiIndex`].
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PoiIdHasher(u64);
+
+impl Hasher for PoiIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 /// Collects every cached POI of every peer into the reusable candidate
 /// table, one row per POI id, classified against each peer that reports
 /// it (Lemma 3.2), then sorts ascending by distance to the querier (ties
@@ -134,7 +162,7 @@ pub(crate) fn collect_candidates<'a>(
     query: Point,
     peers: impl Iterator<Item = &'a CacheEntry>,
     candidates: &mut Vec<Candidate>,
-    index: &mut HashMap<u64, u32>,
+    index: &mut PoiIndex,
 ) {
     candidates.clear();
     index.clear();
@@ -164,7 +192,7 @@ pub(crate) fn collect_candidates<'a>(
 /// farther candidates fail too. Returns the number of new certain entries.
 fn verify_candidates(
     query: Point,
-    region: &CertainRegion,
+    region: &mut CertainRegion,
     candidates: &[Candidate],
     heap: &mut ResultHeap,
 ) -> usize {
@@ -204,7 +232,7 @@ pub fn knn_multiple<B: Borrow<CacheEntry>>(
     if peers.is_empty() {
         return 0;
     }
-    let region = CertainRegion::build(peers, method);
+    let mut region = CertainRegion::build(peers, method);
     if region.is_empty() {
         return 0;
     }
@@ -213,9 +241,9 @@ pub fn knn_multiple<B: Borrow<CacheEntry>>(
         query,
         peers.iter().map(|p| p.borrow()),
         &mut candidates,
-        &mut HashMap::new(),
+        &mut PoiIndex::default(),
     );
-    verify_candidates(query, &region, &candidates, heap)
+    verify_candidates(query, &mut region, &candidates, heap)
 }
 
 #[cfg(test)]
@@ -342,7 +370,7 @@ mod tests {
             Point::ORIGIN,
             std::iter::once(&peer),
             &mut candidates,
-            &mut HashMap::new(),
+            &mut PoiIndex::default(),
         );
         let ids: Vec<u64> = candidates.iter().map(|c| c.poi.poi_id).collect();
         assert_eq!(ids, vec![3, 2, 1]);

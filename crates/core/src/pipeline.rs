@@ -41,7 +41,6 @@
 //!   slice is gone.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 
 use senn_cache::CacheEntry;
 use senn_geom::{Circle, Point};
@@ -49,7 +48,7 @@ use senn_rtree::SearchBounds;
 
 use crate::heap::{HeapEntry, ResultHeap};
 use crate::multiple::{
-    collect_candidates, collect_circles, Candidate, CertainRegion, RegionMethod,
+    collect_candidates, collect_circles, Candidate, CertainRegion, PoiIndex, RegionMethod,
 };
 use crate::server::ServerResponse;
 use crate::service::ServerRequest;
@@ -74,7 +73,7 @@ pub struct QueryContext {
     /// `order`.
     table: Vec<Candidate>,
     /// Scratch of the table build.
-    index: HashMap<u64, u32>,
+    index: PoiIndex,
     /// `certified_by` of every certified row, ascending: entry `k - 1` is
     /// the last peer single-peer verification visits before it holds `k`
     /// certain NNs.
@@ -111,7 +110,7 @@ impl QueryContext {
             trace: QueryTrace::new(),
             query: Point::ORIGIN,
             table: Vec::new(),
-            index: HashMap::new(),
+            index: PoiIndex::default(),
             ranks: Vec::new(),
             circles: Vec::new(),
             region: None,

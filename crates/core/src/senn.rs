@@ -493,13 +493,13 @@ mod tests {
         let mut extra = Vec::new();
         let limit = config.server_fetch.saturating_sub(results.len());
         if resolution != Resolution::Unresolved && results.iter().all(|e| e.certain) {
-            let region = CertainRegion::build(peers, config.region_method);
+            let mut region = CertainRegion::build(peers, config.region_method);
             let mut candidates = Vec::new();
             collect_candidates(
                 query,
                 peers.iter(),
                 &mut candidates,
-                &mut std::collections::HashMap::new(),
+                &mut crate::multiple::PoiIndex::default(),
             );
             candidates.retain(|c| results.iter().all(|e| e.poi.poi_id != c.poi.poi_id));
             for c in candidates.iter().take_while(|c| {

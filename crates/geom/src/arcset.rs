@@ -111,7 +111,7 @@ impl ArcSet {
 fn merge(set: IntervalSet, a: f64, b: f64) -> IntervalSet {
     let mut spans: Vec<(f64, f64)> = set.spans().to_vec();
     spans.push((a, b));
-    spans.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap());
+    spans.sort_by(|x, y| x.0.total_cmp(&y.0));
     let mut full = IntervalSet::single(0.0, TAU);
     // Subtract the complement of the merged spans.
     let mut cursor = 0.0_f64;
@@ -144,6 +144,14 @@ mod tests {
         assert!((normalize_angle(TAU + 1.0) - 1.0).abs() < 1e-12);
         assert!((normalize_angle(-1.0) - (TAU - 1.0)).abs() < 1e-12);
         assert_eq!(normalize_angle(TAU), 0.0);
+    }
+
+    #[test]
+    fn merge_survives_a_nan_endpoint() {
+        // The sort used to abort on it (`partial_cmp(..).unwrap()`); NaN
+        // now sorts last and the finite span is kept.
+        let merged = merge(IntervalSet::single(1.0, 2.0), f64::NAN, 0.5);
+        assert_eq!(merged.spans(), &[(1.0, 2.0)]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! One-dimensional interval sets on a line parameter.
 //!
-//! The implicit-union coverage test ([`crate::region::PolygonRegion`])
-//! walks every polygon edge, starts from the parameter interval of the edge
-//! that lies inside the candidate circle, and *subtracts* the sub-intervals
-//! covered by the other polygons. Whatever survives is exposed boundary of
-//! the union — a witness that the circle is not covered.
+//! The union boundary of [`crate::region::PolygonRegion`] is computed per
+//! polygon edge: start from the edge's whole parameter interval and
+//! *subtract* the sub-intervals covered by the other polygons. Whatever
+//! survives is exposed boundary of the union — inside a candidate circle,
+//! a witness that the circle is not covered.
 
 /// A set of disjoint, sorted, closed intervals `[lo, hi]` on the real line.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -22,10 +22,17 @@ impl IntervalSet {
     /// The single interval `[lo, hi]`; empty if `lo > hi`.
     pub fn single(lo: f64, hi: f64) -> Self {
         let mut s = IntervalSet::new();
-        if lo <= hi {
-            s.spans.push((lo, hi));
-        }
+        s.reset(lo, hi);
         s
+    }
+
+    /// Makes the set the single interval `[lo, hi]` (empty if `lo > hi`),
+    /// keeping its allocation.
+    pub(crate) fn reset(&mut self, lo: f64, hi: f64) {
+        self.spans.clear();
+        if lo <= hi {
+            self.spans.push((lo, hi));
+        }
     }
 
     /// True when no interval remains.
@@ -43,15 +50,54 @@ impl IntervalSet {
         &self.spans
     }
 
-    /// Removes `[lo, hi]` from the set. No-op if `lo > hi`.
+    /// Removes `[lo, hi]` from the set, in place. No-op if `lo > hi`.
+    ///
+    /// Surviving endpoints are copied, never computed — what lets
+    /// [`crate::region::PolygonRegion`] keep an edge's exposed spans and
+    /// read them through any later cut (its module docs).
     pub fn subtract(&mut self, lo: f64, hi: f64) {
+        if lo > hi {
+            return;
+        }
+        // `kept <= read` throughout: only a span split in two (both ends
+        // survive) writes more than it reads, and then a slot is inserted.
+        let (mut read, mut kept) = (0, 0);
+        while read < self.spans.len() {
+            let (a, b) = self.spans[read];
+            read += 1;
+            if b < lo || a > hi {
+                self.spans[kept] = (a, b); // untouched
+                kept += 1;
+                continue;
+            }
+            if a < lo {
+                self.spans[kept] = (a, lo);
+                kept += 1;
+            }
+            if b > hi {
+                if kept == read {
+                    self.spans.insert(kept, (hi, b));
+                    read += 1;
+                } else {
+                    self.spans[kept] = (hi, b);
+                }
+                kept += 1;
+            }
+        }
+        self.spans.truncate(kept);
+    }
+
+    /// [`IntervalSet::subtract`] into a fresh vector: the reference the
+    /// in-place edit is tested against.
+    #[cfg(test)]
+    pub(crate) fn subtract_by_rebuild(&mut self, lo: f64, hi: f64) {
         if lo > hi || self.spans.is_empty() {
             return;
         }
         let mut out = Vec::with_capacity(self.spans.len() + 1);
         for &(a, b) in &self.spans {
             if b < lo || a > hi {
-                out.push((a, b)); // untouched
+                out.push((a, b));
                 continue;
             }
             if a < lo {
@@ -73,7 +119,7 @@ impl IntervalSet {
     pub fn longest_span_midpoint(&self) -> Option<f64> {
         self.spans
             .iter()
-            .max_by(|a, b| (a.1 - a.0).partial_cmp(&(b.1 - b.0)).unwrap())
+            .max_by(|a, b| (a.1 - a.0).total_cmp(&(b.1 - b.0)))
             .map(|(lo, hi)| (lo + hi) * 0.5)
     }
 }
@@ -131,6 +177,44 @@ mod tests {
         assert_eq!(s.spans().len(), 10);
         assert!(s.has_span_longer_than(0.04));
         assert!(!s.has_span_longer_than(0.06));
+    }
+
+    #[test]
+    fn in_place_subtract_equals_rebuild() {
+        // Cuts drawn from a small lattice, so endpoints touch, coincide
+        // and degenerate (`lo == hi`) all the time.
+        let mut rng = proptest::TestRng::for_test("in_place_subtract");
+        for _ in 0..2000 {
+            let mut in_place = IntervalSet::single(0.0, 1.0);
+            let mut rebuilt = in_place.clone();
+            for _ in 0..rng.below(12) {
+                let lo = rng.below(17) as f64 / 16.0;
+                let hi = match rng.below(4) {
+                    0 => lo,
+                    1 => rng.below(17) as f64 / 16.0, // may be inverted: a no-op
+                    _ => lo + rng.unit_f64() * 0.3,
+                };
+                in_place.subtract(lo, hi);
+                rebuilt.subtract_by_rebuild(lo, hi);
+                let bits = |s: &IntervalSet| -> Vec<(u64, u64)> {
+                    s.spans()
+                        .iter()
+                        .map(|&(a, b)| (a.to_bits(), b.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&in_place), bits(&rebuilt), "after [{lo}, {hi}]");
+            }
+        }
+    }
+
+    #[test]
+    fn longest_span_midpoint_survives_a_nan_length() {
+        // `inf - inf` is NaN; the comparison used to abort on it
+        // (`partial_cmp(..).unwrap()`).
+        let s = IntervalSet {
+            spans: vec![(0.0, 1.0), (f64::INFINITY, f64::INFINITY)],
+        };
+        assert!(s.longest_span_midpoint().is_some());
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! * [`PolygonRegion`] — the merged certain region `R_c`. The paper merges
 //!   polygons with the MapOverlay algorithm; we answer the only query the
 //!   verification needs (`does the region cover this circle?`) against the
-//!   *implicit* union, which computes exactly the overlay boundary pieces
-//!   the test consumes. See `DESIGN.md` §2 for the substitution argument.
+//!   union's boundary, kept per polygon edge and filled in where a test
+//!   first needs it: exactly the overlay pieces the tests consume. See
+//!   `DESIGN.md` §2 for the substitution argument.
 //! * [`DiskRegion`] — an *exact* circle-union coverage test over the arc
 //!   arrangement; an extension used as an ablation baseline for the
 //!   polygonization approach.

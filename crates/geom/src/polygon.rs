@@ -55,11 +55,9 @@ impl ConvexPolygon {
             return Err(PolygonError::TooFewVertices);
         }
         let n = vertices.len();
+        let at = |i: usize| vertices[if i < n { i } else { i - n }];
         for i in 0..n {
-            let a = vertices[i];
-            let b = vertices[(i + 1) % n];
-            let c = vertices[(i + 2) % n];
-            if orient(a, b, c) <= 0.0 {
+            if orient(at(i), at(i + 1), at(i + 2)) <= 0.0 {
                 return Err(PolygonError::NotConvexCcw);
             }
         }
@@ -84,23 +82,51 @@ impl ConvexPolygon {
         ConvexPolygon { vertices }
     }
 
+    /// `inscribed_in(circle, n, 0.0)` for every circle, vertex for vertex
+    /// bit-equal (`0.0 + x` is `x`, and the products and sums are the
+    /// same), paying the `n` sines and cosines once for all of them.
+    pub(crate) fn inscribed_in_each(circles: &[Circle], n: usize) -> Vec<Self> {
+        assert!(
+            n >= 3 || circles.is_empty(),
+            "a polygon needs at least 3 vertices"
+        );
+        let step = std::f64::consts::TAU / n as f64;
+        let directions: Vec<(f64, f64)> = (0..n)
+            .map(|i| i as f64 * step)
+            .map(|theta| (theta.cos(), theta.sin()))
+            .collect();
+        let vertex = |c: &Circle, (cos, sin): (f64, f64)| {
+            Point::new(c.center.x + c.radius * cos, c.center.y + c.radius * sin)
+        };
+        let inscribed = |c| ConvexPolygon {
+            vertices: directions.iter().map(|&d| vertex(c, d)).collect(),
+        };
+        circles.iter().map(inscribed).collect()
+    }
+
     /// The polygon's vertices, counter-clockwise.
     pub fn vertices(&self) -> &[Point] {
         &self.vertices
     }
 
+    /// End points `(v[i], v[i + 1])` of the directed boundary edges, in
+    /// vertex order, the last edge closing the chain back to `v[0]`.
+    fn edge_ends(&self) -> impl Iterator<Item = (Point, Point)> + '_ {
+        let v = &self.vertices;
+        let ends = v.iter().skip(1).chain(v.first());
+        v.iter().zip(ends).map(|(&a, &b)| (a, b))
+    }
+
     /// Iterator over the directed boundary edges.
     pub fn edges(&self) -> impl Iterator<Item = Segment> + '_ {
-        let n = self.vertices.len();
-        (0..n).map(move |i| Segment::new(self.vertices[i], self.vertices[(i + 1) % n]))
+        self.edge_ends().map(|(a, b)| Segment::new(a, b))
     }
 
     /// Signed area (positive for CCW polygons).
     pub fn area(&self) -> f64 {
-        let n = self.vertices.len();
         let mut s = 0.0;
-        for i in 0..n {
-            s += self.vertices[i].cross(self.vertices[(i + 1) % n]);
+        for (a, b) in self.edge_ends() {
+            s += a.cross(b);
         }
         s * 0.5
     }
@@ -113,10 +139,7 @@ impl ConvexPolygon {
     /// True when `p` lies inside or on the polygon (within `eps` of the
     /// boundary counts as inside).
     pub fn contains_point(&self, p: Point, eps: f64) -> bool {
-        let n = self.vertices.len();
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
+        for (a, b) in self.edge_ends() {
             // Normalize the tolerance by the edge length so that `eps` is a
             // distance, not a raw cross-product value.
             let len = a.dist(b).max(f64::MIN_POSITIVE);
@@ -135,10 +158,7 @@ impl ConvexPolygon {
         let mut t0 = 0.0_f64;
         let mut t1 = 1.0_f64;
         let d = seg.b - seg.a;
-        let n = self.vertices.len();
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
+        for (a, b) in self.edge_ends() {
             let edge = b - a;
             // inside(t) ⇔ cross(edge, p(t) - a) >= 0
             let num = edge.cross(seg.a - a);
@@ -250,6 +270,28 @@ mod tests {
             a24 / c.area() > 0.985,
             "24-gon should capture >98.5% of disk area"
         );
+    }
+
+    #[test]
+    fn shared_direction_table_is_bit_equal_to_inscribed_in() {
+        let mut rng = proptest::TestRng::for_test("shared_direction_table");
+        for n in [3usize, 24, 96] {
+            let mut draw = |scale: f64| (rng.unit_f64() - 0.5) * scale;
+            let circles: Vec<Circle> = (0..200)
+                .map(|_| Circle::new(Point::new(draw(1e5), draw(1e5)), draw(1e4).abs()))
+                .collect();
+            let bits = |poly: &ConvexPolygon| -> Vec<(u64, u64)> {
+                let v = poly.vertices().iter();
+                v.map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+            };
+            let shared = ConvexPolygon::inscribed_in_each(&circles, n);
+            for (circle, poly) in circles.iter().zip(&shared) {
+                assert_eq!(
+                    bits(poly),
+                    bits(&ConvexPolygon::inscribed_in(circle, n, 0.0))
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! * [`PolygonRegion`] — the paper's polygonization approach. Disks become
 //!   inscribed regular polygons (a conservative under-approximation) and
-//!   coverage is answered against the implicit union: a disk `D` is covered
-//!   by a union `U` of convex polygons iff `center(D) ∈ U` and no point of
-//!   `∂U` lies in the open disk `int(D)`. `∂U` is exactly the sub-segments
-//!   of polygon edges not covered by any *other* polygon, which we compute
+//!   coverage is answered against their union: a disk `D` is covered by a
+//!   union `U` of convex polygons iff `center(D) ∈ U` and no point of `∂U`
+//!   lies in the open disk `int(D)`. `∂U` is exactly the sub-segments of
+//!   polygon edges not covered by any *other* polygon, which we compute
 //!   with 1-D interval subtraction per edge — the same boundary pieces a
 //!   MapOverlay pass would produce, without maintaining a DCEL.
 //! * [`DiskRegion`] — an exact test on the original disks via the arc
@@ -23,6 +23,27 @@
 //! candidate disk really is covered (`PolygonRegion` additionally
 //! under-approximates each disk, so it can answer `false` for circles the
 //! true region covers — the paper's approximation has the same property).
+//!
+//! ## The overlay is kept, edge by edge
+//!
+//! The paper overlays once and then tests every candidate against the
+//! one merged region. So does [`PolygonRegion`], lazily: the first time a
+//! candidate disk cuts an edge `e`, the edge's exposed spans `X_e = [0, 1]
+//! − ∪ T_j` (`T_j` the clip of `e` to every other polygon) are computed
+//! and kept; a candidate that cuts `e` along `[c0, c1]` then only asks
+//! whether a piece of `X_e ∩ [c0, c1]` is longer than the tolerance. A
+//! walk's candidates share the centre and grow outwards, so most edges a
+//! test cuts were filled by the test before it.
+//!
+//! Keeping `X_e` changes no answer, whatever the candidates and whatever
+//! order they come in. Subtracting `T_j` from a span only *copies*
+//! endpoints (a survivor of `(a, b)` is `(a, lo)` or `(hi, b)`) and
+//! decides what survives by comparing them, so the positive-length pieces
+//! of `[c0, c1] − ∪ T_j` and of `([0, 1] − ∪ T_j) ∩ [c0, c1]` are pairs of
+//! the same floats — induct over `j`: clipping a span to `[c0, c1]` and
+//! subtracting `T_j` commute up to zero-length spans, which no later step
+//! can grow. `X_e` depends on nothing but the region, so an edge filled by
+//! one candidate reads the same to the next.
 
 use crate::arcset::ArcSet;
 use crate::circle::Circle;
@@ -42,7 +63,7 @@ const DEDUP_EPS: f64 = 1e-12;
 /// use senn_geom::{Circle, Point, PolygonRegion};
 ///
 /// // Two overlapping peer disks; a candidate circle needing both.
-/// let region = PolygonRegion::from_circles(
+/// let mut region = PolygonRegion::from_circles(
 ///     &[
 ///         Circle::new(Point::new(0.0, 0.0), 1.0),
 ///         Circle::new(Point::new(1.0, 0.0), 1.0),
@@ -56,25 +77,71 @@ const DEDUP_EPS: f64 = 1e-12;
 pub struct PolygonRegion {
     polygons: Vec<ConvexPolygon>,
     bounds: Vec<Rect>,
+    boundary: UnionBoundary,
+}
+
+/// The union boundary as far as coverage tests have asked for it (module
+/// docs): per polygon edge, the exposed spans of its parameter interval.
+#[derive(Clone, Debug, Default)]
+struct UnionBoundary {
+    /// Per edge, polygon by polygon: its range of `spans`, or
+    /// [`UnionBoundary::UNFILLED`]. Sized by the first coverage test.
+    edges: Vec<(u32, u32)>,
+    spans: Vec<(f64, f64)>,
+    scratch: IntervalSet,
+}
+
+impl UnionBoundary {
+    const UNFILLED: (u32, u32) = (u32::MAX, u32::MAX);
+
+    /// The exposed spans of edge `seg` of polygon `owner` (slot `edge` of
+    /// `edges`): `[0, 1]` minus the clip of `seg` to every other polygon.
+    fn exposed(
+        &mut self,
+        polygons: &[ConvexPolygon],
+        owner: usize,
+        edge: usize,
+        seg: &crate::segment::Segment,
+    ) -> &[(f64, f64)] {
+        if self.edges[edge] == Self::UNFILLED {
+            self.scratch.reset(0.0, 1.0);
+            for (j, other) in polygons.iter().enumerate() {
+                if j == owner {
+                    continue;
+                }
+                if let Some((t0, t1)) = other.clip_segment(seg) {
+                    self.scratch.subtract(t0, t1);
+                    if self.scratch.is_empty() {
+                        break;
+                    }
+                }
+            }
+            let start = self.spans.len() as u32;
+            self.spans.extend_from_slice(self.scratch.spans());
+            self.edges[edge] = (start, self.spans.len() as u32);
+        }
+        let (start, end) = self.edges[edge];
+        &self.spans[start as usize..end as usize]
+    }
 }
 
 impl PolygonRegion {
     /// Builds the region by polygonizing `circles` with inscribed regular
     /// `vertices`-gons. Duplicate and zero-radius circles are dropped.
     pub fn from_circles(circles: &[Circle], vertices: usize) -> Self {
-        let deduped = dedup_circles(circles);
-        let polygons: Vec<ConvexPolygon> = deduped
-            .iter()
-            .filter(|c| c.radius > 0.0)
-            .map(|c| ConvexPolygon::inscribed_in(c, vertices, 0.0))
-            .collect();
-        Self::from_polygons(polygons)
+        let mut disks = dedup_circles(circles);
+        disks.retain(|c| c.radius > 0.0);
+        Self::from_polygons(ConvexPolygon::inscribed_in_each(&disks, vertices))
     }
 
     /// Builds the region from pre-built convex polygons.
     pub fn from_polygons(polygons: Vec<ConvexPolygon>) -> Self {
         let bounds = polygons.iter().map(|p| p.bounding_rect()).collect();
-        PolygonRegion { polygons, bounds }
+        PolygonRegion {
+            polygons,
+            bounds,
+            boundary: UnionBoundary::default(),
+        }
     }
 
     /// Number of polygons forming the region.
@@ -163,20 +230,33 @@ impl PolygonRegion {
     }
 
     /// True when the closed disk bounded by `circle` is fully covered by the
-    /// union (Lemma 3.8's test, on the polygonized region).
-    pub fn covers_circle(&self, circle: &Circle) -> bool {
+    /// union (Lemma 3.8's test, on the polygonized region). Fills in the
+    /// kept union boundary along the edges the disk cuts (module docs).
+    pub fn covers_circle(&mut self, circle: &Circle) -> bool {
         if !self.covers_point(circle.center) {
             return false;
         }
         if circle.radius <= 0.0 {
             return true;
         }
+        let PolygonRegion {
+            polygons,
+            bounds,
+            boundary,
+        } = self;
+        if boundary.edges.is_empty() {
+            let edges = polygons.iter().map(|p| p.vertices().len()).sum();
+            boundary.edges.resize(edges, UnionBoundary::UNFILLED);
+        }
         let target_bb = circle.bounding_rect();
-        for (i, poly) in self.polygons.iter().enumerate() {
-            if !self.bounds[i].intersects(target_bb) {
+        let mut first_edge = 0;
+        for (i, poly) in polygons.iter().enumerate() {
+            let edges = first_edge..;
+            first_edge += poly.vertices().len();
+            if !bounds[i].intersects(target_bb) {
                 continue;
             }
-            for seg in poly.edges() {
+            for (seg, edge) in poly.edges().zip(edges) {
                 // Part of this edge inside the open candidate disk.
                 let Some((c0, c1)) = seg.clip_to_open_disk(circle.center, circle.radius) else {
                     continue;
@@ -185,21 +265,11 @@ impl PolygonRegion {
                 if seg_len <= EPS {
                     continue;
                 }
-                let mut exposed = IntervalSet::single(c0, c1);
-                for (j, other) in self.polygons.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
-                    if let Some((t0, t1)) = other.clip_segment(&seg) {
-                        exposed.subtract(t0, t1);
-                        if exposed.is_empty() {
-                            break;
-                        }
-                    }
-                }
-                // A surviving piece longer than EPS (as a distance) is union
+                // An exposed piece longer than EPS (as a distance) is union
                 // boundary strictly inside the disk: not covered.
-                if exposed.has_span_longer_than(EPS / seg_len) {
+                let eps = EPS / seg_len;
+                let exposed = boundary.exposed(polygons, i, edge, &seg);
+                if exposed.iter().any(|&(a, b)| b.min(c1) - a.max(c0) > eps) {
                     return false;
                 }
             }
@@ -469,7 +539,7 @@ mod tests {
     fn polygon_region_is_conservative_subset_of_disk_region() {
         // Whatever the polygon region accepts, the exact region must accept.
         let circles = [c(0.0, 0.0, 1.0), c(1.2, 0.3, 0.8), c(-0.4, 0.9, 0.7)];
-        let poly = PolygonRegion::from_circles(&circles, 24);
+        let mut poly = PolygonRegion::from_circles(&circles, 24);
         let exact = DiskRegion::from_circles(&circles);
         let candidates = [
             c(0.0, 0.0, 0.5),
@@ -491,16 +561,16 @@ mod tests {
 
     #[test]
     fn polygon_two_overlapping_cover_bridge_circle() {
-        let region = PolygonRegion::from_circles(&[c(0.0, 0.0, 1.0), c(1.0, 0.0, 1.0)], 32);
+        let mut region = PolygonRegion::from_circles(&[c(0.0, 0.0, 1.0), c(1.0, 0.0, 1.0)], 32);
         assert!(region.covers_circle(&c(0.5, 0.0, 0.6)));
-        let single = PolygonRegion::from_circles(&[c(0.0, 0.0, 1.0)], 32);
+        let mut single = PolygonRegion::from_circles(&[c(0.0, 0.0, 1.0)], 32);
         assert!(!single.covers_circle(&c(0.5, 0.0, 0.6)));
         assert!(!region.covers_circle(&c(0.5, 0.0, 0.95)));
     }
 
     #[test]
     fn polygon_region_rejects_uncovered_center() {
-        let region = PolygonRegion::from_circles(&[c(0.0, 0.0, 1.0)], 16);
+        let mut region = PolygonRegion::from_circles(&[c(0.0, 0.0, 1.0)], 16);
         assert!(!region.covers_circle(&c(3.0, 0.0, 0.1)));
     }
 
@@ -510,8 +580,8 @@ mod tests {
         // the fine one accepts it, and the exact test accepts it.
         let circles = [c(0.0, 0.0, 1.0)];
         let cand = c(0.0, 0.0, 0.97);
-        let coarse = PolygonRegion::from_circles(&circles, 6);
-        let fine = PolygonRegion::from_circles(&circles, 96);
+        let mut coarse = PolygonRegion::from_circles(&circles, 6);
+        let mut fine = PolygonRegion::from_circles(&circles, 96);
         let exact = DiskRegion::from_circles(&circles);
         assert!(exact.covers_circle(&cand));
         assert!(
@@ -523,14 +593,14 @@ mod tests {
 
     #[test]
     fn polygon_duplicates_do_not_fake_coverage() {
-        let region = PolygonRegion::from_circles(&[c(0.0, 0.0, 1.0), c(0.0, 0.0, 1.0)], 24);
+        let mut region = PolygonRegion::from_circles(&[c(0.0, 0.0, 1.0), c(0.0, 0.0, 1.0)], 24);
         assert_eq!(region.len(), 1);
         assert!(!region.covers_circle(&c(0.0, 0.0, 1.5)));
     }
 
     #[test]
     fn polygon_empty_region() {
-        let region = PolygonRegion::from_circles(&[c(0.0, 0.0, 0.0)], 24);
+        let mut region = PolygonRegion::from_circles(&[c(0.0, 0.0, 0.0)], 24);
         assert!(region.is_empty());
         assert!(!region.covers_circle(&c(0.0, 0.0, 0.0)));
     }
@@ -617,6 +687,117 @@ mod tests {
         );
     }
 
+    // ---------- the kept union boundary ----------
+
+    /// [`PolygonRegion::covers_circle`] deriving every exposed piece from
+    /// nothing: the reference the kept boundary is tested against.
+    fn covers_circle_stateless(region: &PolygonRegion, circle: &Circle) -> bool {
+        if !region.covers_point(circle.center) {
+            return false;
+        }
+        if circle.radius <= 0.0 {
+            return true;
+        }
+        let target_bb = circle.bounding_rect();
+        for (i, poly) in region.polygons.iter().enumerate() {
+            if !region.bounds[i].intersects(target_bb) {
+                continue;
+            }
+            for seg in poly.edges() {
+                let Some((c0, c1)) = seg.clip_to_open_disk(circle.center, circle.radius) else {
+                    continue;
+                };
+                let seg_len = seg.len();
+                if seg_len <= EPS {
+                    continue;
+                }
+                let mut exposed = IntervalSet::single(c0, c1);
+                for (j, other) in region.polygons.iter().enumerate() {
+                    if j == i {
+                        continue;
+                    }
+                    if let Some((t0, t1)) = other.clip_segment(&seg) {
+                        exposed.subtract_by_rebuild(t0, t1);
+                        if exposed.is_empty() {
+                            break;
+                        }
+                    }
+                }
+                if exposed.has_span_longer_than(EPS / seg_len) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Source disks built to collide: each is drawn fresh or derived from
+    /// the one before it as a duplicate, a nested disk, a tangent disk, a
+    /// zero-radius disk or a disk sharing its centre.
+    fn colliding_disks(draws: &[(f64, f64, f64, u8)]) -> Vec<Circle> {
+        let mut disks: Vec<Circle> = Vec::new();
+        for &(x, y, r, kind) in draws {
+            let prev = disks.last().copied().unwrap_or(c(x, y, r));
+            disks.push(match kind {
+                0 => prev,
+                1 => c(prev.center.x + 0.1 * r, prev.center.y, prev.radius * 0.5),
+                2 => c(prev.center.x + prev.radius + r, prev.center.y, r),
+                3 => c(x, y, 0.0),
+                4 => c(prev.center.x, prev.center.y, r),
+                _ => c(x, y, r),
+            });
+        }
+        disks
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        /// Whatever was asked before, in whatever order, the kept boundary
+        /// answers what deriving every exposed piece from nothing answers.
+        #[test]
+        fn memoised_coverage_equals_stateless(
+            draws in proptest::prop::collection::vec(
+                (0.0..6.0f64, 0.0..6.0f64, 1.0..4.0f64, 0u8..9),
+                1..=8usize,
+            ),
+            vertices in proptest::prop_oneof![
+                proptest::Just(3usize),
+                proptest::Just(8usize),
+                proptest::Just(24usize),
+            ],
+            walks in proptest::prop::collection::vec(
+                (0usize..8, -1.0..1.0f64, -1.0..1.0f64, 0.05..1.5f64, 0.05..1.0f64),
+                6..=9usize,
+            ),
+        ) {
+            let disks = colliding_disks(&draws);
+            // Centres in and around the disks; per centre, radii ascending,
+            // then descending, then repeated.
+            let mut candidates = Vec::new();
+            for &(near, dx, dy, r, grow) in &walks {
+                let near = disks[near % disks.len()];
+                let (x, y) = (near.center.x + dx * near.radius, near.center.y + dy * near.radius);
+                let radii = [r, r + grow, r + 2.0 * grow];
+                let asked = radii.iter().chain(radii.iter().rev()).chain(&radii[1..2]);
+                candidates.extend(asked.map(|&radius| c(x, y, radius)));
+            }
+            let reference = PolygonRegion::from_circles(&disks, vertices);
+            let expected: Vec<bool> =
+                candidates.iter().map(|cand| covers_circle_stateless(&reference, cand)).collect();
+
+            let mut forward = reference.clone();
+            let got: Vec<bool> = candidates.iter().map(|cand| forward.covers_circle(cand)).collect();
+            proptest::prop_assert_eq!(&got, &expected);
+
+            let mut backward = reference.clone();
+            let mut got: Vec<bool> =
+                candidates.iter().rev().map(|cand| backward.covers_circle(cand)).collect();
+            got.reverse();
+            proptest::prop_assert_eq!(&got, &expected);
+        }
+    }
+
     // ---------- randomized agreement check ----------
 
     #[test]
@@ -635,7 +816,7 @@ mod tests {
             let circles: Vec<Circle> = (0..4)
                 .map(|_| c(next() * 4.0 - 2.0, next() * 4.0 - 2.0, 0.3 + next()))
                 .collect();
-            let region = PolygonRegion::from_circles(&circles, 24);
+            let mut region = PolygonRegion::from_circles(&circles, 24);
             let exact = DiskRegion::from_circles(&circles);
             let cand = c(next() * 4.0 - 2.0, next() * 4.0 - 2.0, 0.2 + next());
             let accepted = region.covers_circle(&cand);

@@ -100,7 +100,7 @@ proptest! {
     ) {
         let disks: Vec<Circle> =
             circles.iter().map(|&(c, r)| Circle::new(c, r)).collect();
-        let poly = PolygonRegion::from_circles(&disks, 24);
+        let mut poly = PolygonRegion::from_circles(&disks, 24);
         let exact = DiskRegion::from_circles(&disks);
         let cand = Circle::new(cand_center, cand_r);
         if poly.covers_circle(&cand) {
