@@ -1,6 +1,6 @@
-//! Certain-region coverage test: the paper's polygonization (for vertex
-//! counts 8–32, the ablation DESIGN.md calls out) vs the exact disk-union
-//! arrangement vs the single-disk fast path — on 64 unrelated candidates
+//! Certain-region coverage test: the exact disk-union arrangement queries
+//! run on vs the paper's polygonization (for vertex counts 8–32, the
+//! ablation DESIGN.md calls out) vs the single-disk fast path — on 64 unrelated candidates
 //! per region (`region_coverage`) and on what one verification walk asks
 //! of its region (`walk`).
 
@@ -53,7 +53,7 @@ fn coverage(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("exact_arcs", disks), &(), |b, _| {
             b.iter(|| {
-                let region = DiskRegion::from_circles(&sources);
+                let mut region = DiskRegion::from_circles(&sources);
                 let mut covered = 0;
                 for cand in &candidates {
                     if region.covers_circle(cand) {
@@ -82,7 +82,7 @@ fn coverage(c: &mut Criterion) {
     // Report the acceptance-rate side of the ablation: how many candidates
     // each representation certifies (quality, not speed).
     let (sources, candidates) = scenario(8, 99);
-    let exact = DiskRegion::from_circles(&sources);
+    let mut exact = DiskRegion::from_circles(&sources);
     let exact_n = candidates.iter().filter(|c| exact.covers_circle(c)).count();
     for vertices in [8usize, 16, 24, 32] {
         let mut poly = PolygonRegion::from_circles(&sources, vertices);
@@ -112,6 +112,16 @@ fn walk(c: &mut Criterion) {
     let query = Point::new(5.0, 5.0);
     let candidates = [1.2, 1.7, 2.4].map(|radius| Circle::new(query, radius));
     let mut group = c.benchmark_group("walk");
+    group.bench_function("exact_6_disks_3_candidates", |b| {
+        b.iter(|| {
+            let mut region = DiskRegion::from_circles(&sources);
+            let covered = candidates
+                .iter()
+                .filter(|c| region.covers_circle(c))
+                .count();
+            black_box(covered)
+        })
+    });
     group.bench_function("polygon_24v_6_disks_3_candidates", |b| {
         b.iter(|| {
             let mut region = PolygonRegion::from_circles(&sources, 24);

@@ -5,11 +5,12 @@
 //! certain iff the circle around the querier through `n_i` is fully
 //! covered by `R_c`.
 //!
-//! The region can be represented two ways (see `senn-geom`):
-//! the paper's polygonization (inscribed polygons, conservative) or the
-//! exact disk-union arrangement (extension / ablation oracle). Both are
-//! monotone in the candidate's distance, so verification walks candidates
-//! in ascending distance and stops at the first failure.
+//! The region can be represented two ways (see `senn-geom`): the exact
+//! disk-union arrangement — the circles the lemma is stated on, and the
+//! default — or the paper's polygonization (inscribed polygons, a
+//! conservative subset, kept as the paper-fidelity arm of the ablation).
+//! Both are monotone in the candidate's distance, so verification walks
+//! candidates in ascending distance and stops at the first failure.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -22,24 +23,20 @@ use crate::heap::ResultHeap;
 use crate::verify::{classify_entry, Certainty};
 
 /// How the certain region `R_c` is represented.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RegionMethod {
     /// Inscribed-polygon approximation with the given vertex count — the
-    /// paper's polygonization + MapOverlay approach.
+    /// paper's polygonization + MapOverlay approach. It certifies a subset
+    /// of what [`RegionMethod::Exact`] does, at three times the cost.
     Polygonized {
-        /// Vertex count of each inscribed polygon.
+        /// Vertex count of each inscribed polygon (the paper's arm uses
+        /// [`senn_geom::polygon::DEFAULT_POLYGONIZATION_VERTICES`]).
         vertices: usize,
     },
-    /// Exact circle-arc arrangement (extension).
+    /// Exact circle-arc arrangement: Lemma 3.8 on the peers' circles
+    /// themselves. The default.
+    #[default]
     Exact,
-}
-
-impl Default for RegionMethod {
-    fn default() -> Self {
-        RegionMethod::Polygonized {
-            vertices: senn_geom::polygon::DEFAULT_POLYGONIZATION_VERTICES,
-        }
-    }
 }
 
 /// The merged certain region of a set of peers.
@@ -47,7 +44,7 @@ impl Default for RegionMethod {
 pub enum CertainRegion {
     /// The paper's polygonized representation.
     Polygonized(PolygonRegion),
-    /// The exact disk-union representation (extension).
+    /// The exact disk-union representation.
     Exact(DiskRegion),
 }
 
@@ -378,22 +375,22 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let mut heap = ResultHeap::new(2);
-        assert_eq!(
-            knn_multiple::<CacheEntry>(Point::ORIGIN, &[], RegionMethod::default(), &mut heap),
-            0
-        );
-        let empty_peer = entry(Point::ORIGIN, &[]);
-        assert_eq!(
-            knn_multiple(
-                Point::ORIGIN,
-                &[empty_peer],
-                RegionMethod::default(),
-                &mut heap
-            ),
-            0
-        );
-        assert!(heap.is_empty());
+        for method in [
+            RegionMethod::Exact,
+            RegionMethod::Polygonized { vertices: 24 },
+        ] {
+            let mut heap = ResultHeap::new(2);
+            assert_eq!(
+                knn_multiple::<CacheEntry>(Point::ORIGIN, &[], method, &mut heap),
+                0
+            );
+            let empty_peer = entry(Point::ORIGIN, &[]);
+            assert_eq!(
+                knn_multiple(Point::ORIGIN, &[empty_peer], method, &mut heap),
+                0
+            );
+            assert!(heap.is_empty());
+        }
     }
 
     #[test]

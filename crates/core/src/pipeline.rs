@@ -526,17 +526,17 @@ mod tests {
 
     #[test]
     fn multi_verify_requires_probed_peers() {
-        let mut ctx = QueryContext::new();
-        ctx.begin(1);
-        let peers: Vec<CacheEntry> = Vec::new();
-        peer_probe(&mut ctx, Point::ORIGIN, &peers);
-        assert!(!multi_verify(
-            &mut ctx,
-            Point::ORIGIN,
-            &peers,
-            RegionMethod::default()
-        ));
-        assert!(ctx.heap.is_empty());
+        for method in [
+            RegionMethod::Exact,
+            RegionMethod::Polygonized { vertices: 24 },
+        ] {
+            let mut ctx = QueryContext::new();
+            ctx.begin(1);
+            let peers: Vec<CacheEntry> = Vec::new();
+            peer_probe(&mut ctx, Point::ORIGIN, &peers);
+            assert!(!multi_verify(&mut ctx, Point::ORIGIN, &peers, method));
+            assert!(ctx.heap.is_empty());
+        }
     }
 
     #[test]

@@ -577,7 +577,7 @@ mod tests {
             let k = 1 + (rng.next() * 6.0) as usize;
             let engine = SennEngine::new(SennConfig {
                 region_method: if trial % 2 == 0 {
-                    RegionMethod::default()
+                    RegionMethod::Polygonized { vertices: 24 }
                 } else {
                     RegionMethod::Exact
                 },

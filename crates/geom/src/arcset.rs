@@ -3,11 +3,14 @@
 //! Used by the exact disk-union coverage test ([`crate::region::DiskRegion`]):
 //! for every disk boundary we track which angular sections are covered by
 //! the other disks, working on normalized angles in `[0, 2π)` and splitting
-//! wrapping arcs into at most two linear intervals.
+//! wrapping arcs into at most two linear intervals. Only *measuring* an arc
+//! joins the two again ([`longer_than`]): the piece that starts at 0 and
+//! the piece that ends at 2π are one arc through angle 0.
 
 use crate::interval::IntervalSet;
 
 const TAU: f64 = std::f64::consts::TAU;
+const PI: f64 = std::f64::consts::PI;
 
 /// A set of angular intervals on `[0, 2π)`.
 #[derive(Clone, Debug, Default)]
@@ -24,6 +27,46 @@ pub fn normalize_angle(theta: f64) -> f64 {
     } else {
         t
     }
+}
+
+/// `[lo, hi]` with `lo` in `[0, 2π)`: the arc `center ± half_width` before
+/// it is split at 2π.
+fn unwrapped(center: f64, half_width: f64) -> (f64, f64) {
+    let lo = normalize_angle(center - half_width);
+    (lo, lo + 2.0 * half_width)
+}
+
+/// The linear pieces on `[0, 2π]` of the arc `center ± half_width`
+/// (`half_width > 0`; `π` or more is the whole circle), ascending — the
+/// spans [`ArcSet::from_arc`] holds, without the set.
+pub(crate) fn arc_pieces(center: f64, half_width: f64) -> [Option<(f64, f64)>; 2] {
+    if half_width >= PI {
+        return [Some((0.0, TAU)), None];
+    }
+    let (lo, hi) = unwrapped(center, half_width);
+    if hi > TAU {
+        [Some((0.0, hi - TAU)), Some((lo, TAU))]
+    } else {
+        [Some((lo, hi)), None]
+    }
+}
+
+/// True when some arc among `pieces` (disjoint, on `[0, 2π]`) is wider than
+/// `eps` radians. An arc through angle 0 arrives as two pieces, one from 0
+/// and one up to 2π, and is measured whole. Pieces of no positive length
+/// (an empty intersection handed in as `hi < lo`) count for nothing.
+pub(crate) fn longer_than(pieces: impl Iterator<Item = (f64, f64)>, eps: f64) -> bool {
+    let mut through_zero = 0.0;
+    for (lo, hi) in pieces {
+        let len = hi - lo;
+        if len > eps {
+            return true;
+        }
+        if len > 0.0 && (lo == 0.0 || hi == TAU) {
+            through_zero += len;
+        }
+    }
+    through_zero > eps
 }
 
 impl ArcSet {
@@ -47,11 +90,10 @@ impl ArcSet {
         if half_width <= 0.0 {
             return ArcSet::new();
         }
-        if half_width >= std::f64::consts::PI {
+        if half_width >= PI {
             return ArcSet::full();
         }
-        let lo = normalize_angle(center - half_width);
-        let hi = lo + 2.0 * half_width;
+        let (lo, hi) = unwrapped(center, half_width);
         let mut set = IntervalSet::single(lo, hi.min(TAU));
         if hi > TAU {
             // Wraps past 2π: add the leading piece.
@@ -69,16 +111,19 @@ impl ArcSet {
         if half_width <= 0.0 {
             return;
         }
-        if half_width >= std::f64::consts::PI {
-            self.set = IntervalSet::new();
-            return;
+        for (lo, hi) in arc_pieces(center, half_width).into_iter().flatten() {
+            self.set.subtract(lo, hi);
         }
-        let lo = normalize_angle(center - half_width);
-        let hi = lo + 2.0 * half_width;
-        self.set.subtract(lo, hi.min(TAU));
-        if hi > TAU {
-            self.set.subtract(0.0, hi - TAU);
-        }
+    }
+
+    /// Makes the set the full circle, keeping its allocation.
+    pub(crate) fn reset_full(&mut self) {
+        self.set.reset(0.0, TAU);
+    }
+
+    /// The remaining arcs as linear pieces of `[0, 2π]`, ascending.
+    pub(crate) fn spans(&self) -> &[(f64, f64)] {
+        self.set.spans()
     }
 
     /// True when nothing remains.
@@ -91,13 +136,10 @@ impl ArcSet {
         self.set.total_len()
     }
 
-    /// True when some remaining arc is wider than `eps` radians.
-    ///
-    /// Note: an arc that wraps across 0 is stored as two pieces, so the
-    /// check is conservative by at most a factor of two — acceptable for
-    /// the refutation tests this type serves.
+    /// True when some remaining arc is wider than `eps` radians; an arc
+    /// across angle 0, stored as two pieces, is measured whole.
     pub fn has_span_longer_than(&self, eps: f64) -> bool {
-        self.set.has_span_longer_than(eps)
+        longer_than(self.spans().iter().copied(), eps)
     }
 
     /// An angle inside the widest remaining arc, if any.
@@ -136,7 +178,6 @@ fn merge(set: IntervalSet, a: f64, b: f64) -> IntervalSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::PI;
 
     #[test]
     fn normalize() {
@@ -195,6 +236,44 @@ mod tests {
         assert!((a.total_len() - 0.5).abs() < 1e-12);
         let w = a.witness().unwrap();
         assert!(w > 1.5 && w < 2.0);
+    }
+
+    #[test]
+    fn an_arc_across_angle_zero_is_measured_whole() {
+        // What two half-disks leave of a circle: 0.12 rad centred on 0,
+        // stored as [0, 0.06] and [2π − 0.06, 2π].
+        let mut a = ArcSet::full();
+        a.subtract_arc(PI, PI - 0.06);
+        assert_eq!(a.spans().len(), 2);
+        assert!((a.total_len() - 0.12).abs() < 1e-12);
+        // Each stored piece alone is shorter than 0.1; the arc is not.
+        assert!(a.has_span_longer_than(0.1));
+        assert!(!a.has_span_longer_than(0.13));
+        // The same arc centred anywhere else reads the same.
+        let mut b = ArcSet::full();
+        b.subtract_arc(PI + 1.0, PI - 0.06);
+        assert!(b.has_span_longer_than(0.1));
+        assert!(!b.has_span_longer_than(0.13));
+        // Only the pieces at 0 and at 2π join: [0, 0.03], [3, 3.04] and
+        // [2π − 0.03, 2π] hold an arc of 0.06 and one of 0.04.
+        let mut c = ArcSet::full();
+        c.subtract_arc(1.515, 1.485);
+        c.subtract_arc((3.04 + TAU - 0.03) / 2.0, (TAU - 0.03 - 3.04) / 2.0);
+        assert_eq!(c.spans().len(), 3, "{:?}", c.spans());
+        assert!(c.has_span_longer_than(0.05));
+        assert!(!c.has_span_longer_than(0.07));
+    }
+
+    #[test]
+    fn arc_pieces_are_the_spans_of_from_arc() {
+        for &(center, half) in &[(1.0, 0.5), (0.0, 0.5), (6.2, 1.0), (3.0, PI), (0.3, 0.3)] {
+            let pieces: Vec<(f64, f64)> = arc_pieces(center, half).into_iter().flatten().collect();
+            assert_eq!(
+                pieces,
+                ArcSet::from_arc(center, half).spans(),
+                "{center} ± {half}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! polygon edge: start from the edge's whole parameter interval and
 //! *subtract* the sub-intervals covered by the other polygons. Whatever
 //! survives is exposed boundary of the union — inside a candidate circle,
-//! a witness that the circle is not covered.
+//! a witness that the circle is not covered. [`crate::region::DiskRegion`]
+//! does the same per disk on `[0, 2π]`, through [`crate::arcset::ArcSet`].
 
 /// A set of disjoint, sorted, closed intervals `[lo, hi]` on the real line.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -29,10 +30,15 @@ impl IntervalSet {
     /// Makes the set the single interval `[lo, hi]` (empty if `lo > hi`),
     /// keeping its allocation.
     pub(crate) fn reset(&mut self, lo: f64, hi: f64) {
-        self.spans.clear();
+        self.clear();
         if lo <= hi {
             self.spans.push((lo, hi));
         }
+    }
+
+    /// Empties the set, keeping its allocation.
+    pub(crate) fn clear(&mut self) {
+        self.spans.clear();
     }
 
     /// True when no interval remains.
@@ -52,9 +58,9 @@ impl IntervalSet {
 
     /// Removes `[lo, hi]` from the set, in place. No-op if `lo > hi`.
     ///
-    /// Surviving endpoints are copied, never computed — what lets
-    /// [`crate::region::PolygonRegion`] keep an edge's exposed spans and
-    /// read them through any later cut (its module docs).
+    /// Surviving endpoints are copied, never computed — what lets the
+    /// regions of [`crate::region`] keep an edge's or a disk's exposed
+    /// spans and read them through any later cut (its module docs).
     pub fn subtract(&mut self, lo: f64, hi: f64) {
         if lo > hi {
             return;

@@ -13,7 +13,8 @@ use crate::point::{orient, Point};
 use crate::rect::Rect;
 use crate::segment::Segment;
 
-/// Default vertex count used when polygonizing certain-area circles.
+/// Vertex count of the paper-fidelity polygonization of certain-area
+/// circles (queries run on the circles themselves unless told otherwise).
 ///
 /// 24 vertices keep the inscribed-polygon area within 1.2 % of the disk; the
 /// `region_coverage` bench sweeps this parameter as an ablation.

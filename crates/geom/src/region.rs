@@ -16,8 +16,8 @@
 //!   with 1-D interval subtraction per edge — the same boundary pieces a
 //!   MapOverlay pass would produce, without maintaining a DCEL.
 //! * [`DiskRegion`] — an exact test on the original disks via the arc
-//!   arrangement (extension; used as an ablation baseline and as an oracle
-//!   in property tests).
+//!   arrangement: the circles the lemma is stated on, and the region
+//!   queries run against.
 //!
 //! Soundness direction: both tests only return `true` when the closed
 //! candidate disk really is covered (`PolygonRegion` additionally
@@ -44,8 +44,24 @@
 //! subtracting `T_j` commute up to zero-length spans, which no later step
 //! can grow. `X_e` depends on nothing but the region, so an edge filled by
 //! one candidate reads the same to the next.
+//!
+//! ## So is the arrangement, disk by disk
+//!
+//! [`DiskRegion`] keeps the same thing on circles: the first time a
+//! candidate's open disk reaches `∂D_i`, the arcs of `∂D_i` no other disk
+//! covers, `X_i = [0, 2π] − ∪ A_j`, are computed and kept, and a candidate
+//! whose disk holds the window `W` of `∂D_i` asks whether an arc of
+//! `X_i ∩ W` is wider than the tolerance. An arc is at most two linear
+//! pieces of `[0, 2π]` (it is split where it passes 2π), so `W − ∪ A_j` is
+//! the same interval subtraction as above on each piece of `W`, one `A_j`
+//! piece at a time, and the endpoint-copy argument carries over piece by
+//! piece: `W − ∪ A_j` and `X_i ∩ W` have the same positive-length pieces,
+//! as pairs of the same floats. Both are then measured by the one rule of
+//! [`crate::arcset`] — the piece from 0 and the piece up to 2π are one arc
+//! — and a piece starts at 0 (ends at 2π) in the one exactly when it does
+//! in the other, those endpoints being copies too.
 
-use crate::arcset::ArcSet;
+use crate::arcset::{arc_pieces, longer_than, ArcSet};
 use crate::circle::Circle;
 use crate::interval::IntervalSet;
 use crate::point::Point;
@@ -77,60 +93,76 @@ const DEDUP_EPS: f64 = 1e-12;
 pub struct PolygonRegion {
     polygons: Vec<ConvexPolygon>,
     bounds: Vec<Rect>,
-    boundary: UnionBoundary,
-}
-
-/// The union boundary as far as coverage tests have asked for it (module
-/// docs): per polygon edge, the exposed spans of its parameter interval.
-#[derive(Clone, Debug, Default)]
-struct UnionBoundary {
-    /// Per edge, polygon by polygon: its range of `spans`, or
-    /// [`UnionBoundary::UNFILLED`]. Sized by the first coverage test.
-    edges: Vec<(u32, u32)>,
-    spans: Vec<(f64, f64)>,
+    /// The union boundary as far as coverage tests have asked for it
+    /// (module docs): per polygon edge, polygon by polygon, the exposed
+    /// spans of its parameter interval. Sized by the first coverage test.
+    boundary: KeptSpans,
     scratch: IntervalSet,
 }
 
-impl UnionBoundary {
+/// Span lists kept per slot — a polygon edge, a disk — each computed the
+/// first time a coverage test reaches its slot (module docs).
+#[derive(Clone, Debug, Default)]
+struct KeptSpans {
+    /// Per slot: its range of `spans`, or [`KeptSpans::UNFILLED`].
+    slots: Vec<(u32, u32)>,
+    spans: Vec<(f64, f64)>,
+}
+
+impl KeptSpans {
     const UNFILLED: (u32, u32) = (u32::MAX, u32::MAX);
 
-    /// The exposed spans of edge `seg` of polygon `owner` (slot `edge` of
-    /// `edges`): `[0, 1]` minus the clip of `seg` to every other polygon.
-    fn exposed(
-        &mut self,
-        polygons: &[ConvexPolygon],
-        owner: usize,
-        edge: usize,
-        seg: &crate::segment::Segment,
-    ) -> &[(f64, f64)] {
-        if self.edges[edge] == Self::UNFILLED {
-            self.scratch.reset(0.0, 1.0);
-            for (j, other) in polygons.iter().enumerate() {
-                if j == owner {
-                    continue;
-                }
-                if let Some((t0, t1)) = other.clip_segment(seg) {
-                    self.scratch.subtract(t0, t1);
-                    if self.scratch.is_empty() {
-                        break;
-                    }
-                }
-            }
-            let start = self.spans.len() as u32;
-            self.spans.extend_from_slice(self.scratch.spans());
-            self.edges[edge] = (start, self.spans.len() as u32);
+    fn with_slots(slots: usize) -> Self {
+        KeptSpans {
+            slots: vec![Self::UNFILLED; slots],
+            spans: Vec::new(),
         }
-        let (start, end) = self.edges[edge];
+    }
+
+    /// The spans kept for `slot`: what `fill` computes, the first time.
+    fn get_or_fill<'a>(
+        &'a mut self,
+        slot: usize,
+        fill: impl FnOnce() -> &'a [(f64, f64)],
+    ) -> &'a [(f64, f64)] {
+        if self.slots[slot] == Self::UNFILLED {
+            let start = self.spans.len() as u32;
+            self.spans.extend_from_slice(fill());
+            self.slots[slot] = (start, self.spans.len() as u32);
+        }
+        let (start, end) = self.slots[slot];
         &self.spans[start as usize..end as usize]
+    }
+}
+
+/// The exposed spans of edge `seg` of polygon `owner`: `[0, 1]` minus the
+/// clip of `seg` to every other polygon, left in `exposed`.
+fn exposed_spans(
+    polygons: &[ConvexPolygon],
+    owner: usize,
+    seg: &crate::segment::Segment,
+    exposed: &mut IntervalSet,
+) {
+    exposed.reset(0.0, 1.0);
+    for (j, other) in polygons.iter().enumerate() {
+        if j == owner {
+            continue;
+        }
+        if let Some((t0, t1)) = other.clip_segment(seg) {
+            exposed.subtract(t0, t1);
+            if exposed.is_empty() {
+                break;
+            }
+        }
     }
 }
 
 impl PolygonRegion {
     /// Builds the region by polygonizing `circles` with inscribed regular
-    /// `vertices`-gons. Duplicate and zero-radius circles are dropped.
+    /// `vertices`-gons. Duplicate circles and circles that bound nothing
+    /// (zero or non-finite radius, non-finite centre) are dropped.
     pub fn from_circles(circles: &[Circle], vertices: usize) -> Self {
-        let mut disks = dedup_circles(circles);
-        disks.retain(|c| c.radius > 0.0);
+        let disks = source_disks(circles);
         Self::from_polygons(ConvexPolygon::inscribed_in_each(&disks, vertices))
     }
 
@@ -140,7 +172,8 @@ impl PolygonRegion {
         PolygonRegion {
             polygons,
             bounds,
-            boundary: UnionBoundary::default(),
+            boundary: KeptSpans::default(),
+            scratch: IntervalSet::new(),
         }
     }
 
@@ -243,10 +276,10 @@ impl PolygonRegion {
             polygons,
             bounds,
             boundary,
+            scratch,
         } = self;
-        if boundary.edges.is_empty() {
-            let edges = polygons.iter().map(|p| p.vertices().len()).sum();
-            boundary.edges.resize(edges, UnionBoundary::UNFILLED);
+        if boundary.slots.is_empty() {
+            *boundary = KeptSpans::with_slots(polygons.iter().map(|p| p.vertices().len()).sum());
         }
         let target_bb = circle.bounding_rect();
         let mut first_edge = 0;
@@ -268,7 +301,10 @@ impl PolygonRegion {
                 // An exposed piece longer than EPS (as a distance) is union
                 // boundary strictly inside the disk: not covered.
                 let eps = EPS / seg_len;
-                let exposed = boundary.exposed(polygons, i, edge, &seg);
+                let exposed = boundary.get_or_fill(edge, || {
+                    exposed_spans(polygons, i, &seg, scratch);
+                    scratch.spans()
+                });
                 if exposed.iter().any(|&(a, b)| b.min(c1) - a.max(c0) > eps) {
                     return false;
                 }
@@ -282,18 +318,23 @@ impl PolygonRegion {
 #[derive(Clone, Debug)]
 pub struct DiskRegion {
     disks: Vec<Circle>,
+    /// The arrangement as far as coverage tests have asked for it (module
+    /// docs): per disk, the arcs of its boundary no other disk covers.
+    exposed: KeptSpans,
+    scratch: ArcSet,
 }
 
 impl DiskRegion {
-    /// Builds the region. Duplicate and zero-radius disks are dropped
-    /// (duplicates would otherwise mutually erase each other's boundary in
-    /// the arrangement walk).
+    /// Builds the region. Duplicate disks are dropped (they would mutually
+    /// erase each other's boundary in the arrangement walk), and so are
+    /// disks that bound nothing: zero or non-finite radius, non-finite
+    /// centre.
     pub fn from_circles(circles: &[Circle]) -> Self {
+        let disks = source_disks(circles);
         DiskRegion {
-            disks: dedup_circles(circles)
-                .into_iter()
-                .filter(|c| c.radius > 0.0)
-                .collect(),
+            exposed: KeptSpans::with_slots(disks.len()),
+            disks,
+            scratch: ArcSet::new(),
         }
     }
 
@@ -318,36 +359,41 @@ impl DiskRegion {
     }
 
     /// Exact test: is the closed disk bounded by `circle` covered by the
-    /// union of the region's disks?
+    /// union of the region's disks? (Lemma 3.8's test, on the circles it
+    /// is stated on.)
     ///
     /// A closed disk `D` is covered by the closed union `U` iff
     /// `center(D) ∈ U` and `∂U ∩ int(D) = ∅`. Every point of `∂U` lies on
-    /// some disk boundary and is covered by no other disk, so per disk we
-    /// subtract, from the arc of its boundary inside `int(D)`, the angular
-    /// intervals covered by every other disk; any surviving arc refutes
-    /// coverage.
-    pub fn covers_circle(&self, circle: &Circle) -> bool {
+    /// some disk boundary and is covered by no other disk, so per disk the
+    /// arc of its boundary inside `int(D)` is met with the arcs no other
+    /// disk covers; any piece wider than the tolerance refutes coverage.
+    /// Fills in the kept arrangement along the disks `D` reaches (module
+    /// docs).
+    pub fn covers_circle(&mut self, circle: &Circle) -> bool {
         if !self.covers_point(circle.center) {
             return false;
         }
         if circle.radius <= 0.0 {
             return true;
         }
-        for (i, di) in self.disks.iter().enumerate() {
-            let Some(mut arc) = boundary_inside_open_disk(di, circle) else {
+        let DiskRegion {
+            disks,
+            exposed,
+            scratch,
+        } = self;
+        for (i, di) in disks.iter().enumerate() {
+            let Some((toward, half)) = boundary_inside_open_disk(di, circle) else {
                 continue;
             };
-            let ang_eps = EPS / di.radius;
-            for (j, dj) in self.disks.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                subtract_coverage(&mut arc, di, dj);
-                if arc.is_empty() {
-                    break;
-                }
-            }
-            if arc.has_span_longer_than(ang_eps) {
+            let exposed = exposed.get_or_fill(i, || {
+                exposed_arcs(disks, i, scratch);
+                scratch.spans()
+            });
+            let inside = arc_pieces(toward, half)
+                .into_iter()
+                .flatten()
+                .flat_map(|(w0, w1)| exposed.iter().map(move |&(a, b)| (a.max(w0), b.min(w1))));
+            if longer_than(inside, EPS / di.radius) {
                 return false;
             }
         }
@@ -355,16 +401,31 @@ impl DiskRegion {
     }
 }
 
+/// The arcs of `∂disks[owner]` that no other disk covers, left in `arcs`.
+fn exposed_arcs(disks: &[Circle], owner: usize, arcs: &mut ArcSet) {
+    arcs.reset_full();
+    for (j, dj) in disks.iter().enumerate() {
+        if j == owner {
+            continue;
+        }
+        subtract_coverage(arcs, &disks[owner], dj);
+        if arcs.is_empty() {
+            break;
+        }
+    }
+}
+
 /// Angular section of `∂disk` lying strictly inside the open disk bounded by
-/// `target`, or `None` when there is none (tangency counts as none).
-fn boundary_inside_open_disk(disk: &Circle, target: &Circle) -> Option<ArcSet> {
+/// `target`, as the direction of its midpoint and its half-width (`π`: all
+/// of `∂disk`), or `None` when there is none (tangency counts as none).
+fn boundary_inside_open_disk(disk: &Circle, target: &Circle) -> Option<(f64, f64)> {
     let d = disk.center.dist(target.center);
     let (r, rt) = (disk.radius, target.radius);
     if d >= rt + r {
         return None; // fully outside (or externally tangent)
     }
     if d + r < rt {
-        return Some(ArcSet::full()); // ∂disk entirely inside int(target)
+        return Some((0.0, std::f64::consts::PI)); // ∂disk entirely inside int(target)
     }
     if d <= f64::EPSILON {
         // Concentric and not strictly inside: boundary touches/exceeds.
@@ -377,8 +438,7 @@ fn boundary_inside_open_disk(disk: &Circle, target: &Circle) -> Option<ArcSet> {
         return None;
     }
     let half = cos_a.clamp(-1.0, 1.0).acos();
-    let toward = (target.center - disk.center).angle();
-    Some(ArcSet::from_arc(toward, half))
+    Some(((target.center - disk.center).angle(), half))
 }
 
 /// Subtracts from `arc` (angles on `∂di`) the section covered by the closed
@@ -431,11 +491,16 @@ fn collinear_overlaps(seg: &crate::segment::Segment, poly: &ConvexPolygon) -> Ve
     out
 }
 
-/// Drops circles equal (within [`DEDUP_EPS`], relative to magnitude) to an
-/// earlier circle in the slice.
-fn dedup_circles(circles: &[Circle]) -> Vec<Circle> {
+/// The disks a region is built from: `circles` without those that bound
+/// nothing (zero, NaN or infinite radius, non-finite centre) and without
+/// those equal (within [`DEDUP_EPS`], relative to magnitude) to an earlier
+/// one.
+fn source_disks(circles: &[Circle]) -> Vec<Circle> {
     let mut out: Vec<Circle> = Vec::with_capacity(circles.len());
     'outer: for &c in circles {
+        if !(c.radius > 0.0 && c.radius.is_finite() && c.center.is_finite()) {
+            continue;
+        }
         for &prev in &out {
             let scale = (prev.radius + c.radius).max(1.0);
             if prev.center.dist(c.center) <= DEDUP_EPS * scale
@@ -461,7 +526,7 @@ mod tests {
 
     #[test]
     fn disk_single_contains_smaller() {
-        let region = DiskRegion::from_circles(&[c(0.0, 0.0, 2.0)]);
+        let mut region = DiskRegion::from_circles(&[c(0.0, 0.0, 2.0)]);
         assert!(region.covers_circle(&c(0.5, 0.0, 1.0)));
         assert!(!region.covers_circle(&c(0.5, 0.0, 1.6)));
         // Internally tangent counts as covered (closed containment).
@@ -470,7 +535,7 @@ mod tests {
 
     #[test]
     fn disk_empty_region_covers_nothing() {
-        let region = DiskRegion::from_circles(&[]);
+        let mut region = DiskRegion::from_circles(&[]);
         assert!(!region.covers_circle(&c(0.0, 0.0, 0.0)));
         assert!(!region.covers_point(Point::ORIGIN));
     }
@@ -480,10 +545,10 @@ mod tests {
         // Two unit disks overlapping; a circle straddling the lens. The
         // union boundary nearest to (0.5, 0) is the lens vertex at distance
         // sqrt(3)/2 ≈ 0.866, so radius 0.6 needs *both* disks.
-        let region = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0), c(1.0, 0.0, 1.0)]);
+        let mut region = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0), c(1.0, 0.0, 1.0)]);
         assert!(region.covers_circle(&c(0.5, 0.0, 0.6)));
         // Neither single disk covers it (0.5 + 0.6 > 1):
-        let single = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0)]);
+        let mut single = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0)]);
         assert!(!single.covers_circle(&c(0.5, 0.0, 0.6)));
         // Too large: pokes out above/below the lens region.
         assert!(!region.covers_circle(&c(0.5, 0.0, 0.95)));
@@ -494,7 +559,7 @@ mod tests {
         // Four unit disks around the origin leaving a tiny central hole.
         let r = 1.0;
         let off = 1.05; // centers at distance 1.05 → hole at origin
-        let region = DiskRegion::from_circles(&[
+        let mut region = DiskRegion::from_circles(&[
             c(off, 0.0, r),
             c(-off, 0.0, r),
             c(0.0, off, r),
@@ -514,23 +579,104 @@ mod tests {
             let th = std::f64::consts::TAU * i as f64 / 6.0;
             disks.push(c(th.cos(), th.sin(), 1.0));
         }
-        let region = DiskRegion::from_circles(&disks);
+        let mut region = DiskRegion::from_circles(&disks);
         assert!(region.covers_circle(&c(0.0, 0.0, 0.5)));
         assert!(!region.covers_circle(&c(0.0, 0.0, 1.9)));
     }
 
     #[test]
     fn disk_duplicates_do_not_fake_coverage() {
-        let region = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0), c(0.0, 0.0, 1.0)]);
+        let mut region = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0), c(0.0, 0.0, 1.0)]);
         assert_eq!(region.len(), 1);
         assert!(!region.covers_circle(&c(0.0, 0.0, 1.5)));
     }
 
     #[test]
     fn disk_zero_radius_candidate() {
-        let region = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0)]);
+        let mut region = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0)]);
         assert!(region.covers_circle(&c(0.5, 0.0, 0.0)));
         assert!(!region.covers_circle(&c(5.0, 0.0, 0.0)));
+    }
+
+    /// `∂A` (radius `r`) exposed only along `1.5 · EPS` of length centred
+    /// on angle `at`: two disks centred a quarter turn either side of `at`
+    /// cover it up to `0.75 · EPS` short of there, a third covers the far
+    /// side.
+    fn almost_covered_circle(r: f64, at: f64) -> Vec<Circle> {
+        let a = c(0.0, 0.0, r);
+        let gap = 0.75 * EPS / r;
+        let side = |turn: f64| {
+            let center = a.point_at(at + turn);
+            Circle::new(center, center.dist(a.point_at(at + turn.signum() * gap)))
+        };
+        let quarter = std::f64::consts::FRAC_PI_2;
+        let far = Circle::new(a.point_at(at + std::f64::consts::PI), r);
+        vec![a, side(quarter), side(-quarter), far]
+    }
+
+    #[test]
+    fn disk_exposed_arc_across_angle_zero_is_measured_whole() {
+        let r = 1e-3;
+        // A candidate a hair wider than A takes in all of ∂A and, of the
+        // other boundaries, only pieces a tenth of the tolerance long.
+        let candidate = c(0.0, 0.0, r + 1e-10);
+        for at in [0.0, 1.0] {
+            let disks = almost_covered_circle(r, at);
+            let mut exposed = ArcSet::new();
+            exposed_arcs(&disks, 0, &mut exposed);
+            let len = exposed.total_len() * r;
+            assert!(len > 1.4 * EPS && len < 1.6 * EPS, "exposed {len}");
+            // Centred on angle 0 the arc is held as two pieces, each
+            // under the tolerance on its own.
+            let pieces = exposed.spans();
+            assert_eq!(pieces.len(), if at == 0.0 { 2 } else { 1 }, "{pieces:?}");
+            assert_eq!(pieces.iter().all(|(lo, hi)| (hi - lo) * r < EPS), at == 0.0);
+            let mut region = DiskRegion::from_circles(&disks);
+            assert!(!region.covers_circle(&candidate), "gap at {at} accepted");
+        }
+    }
+
+    #[test]
+    fn non_finite_circles_certify_nothing() {
+        let bad = [
+            Circle {
+                center: Point::new(f64::NAN, 0.0),
+                radius: 1.0,
+            },
+            Circle {
+                center: Point::new(0.0, f64::INFINITY),
+                radius: 1.0,
+            },
+            Circle {
+                center: Point::ORIGIN,
+                radius: f64::NAN,
+            },
+            Circle {
+                center: Point::ORIGIN,
+                radius: f64::INFINITY,
+            },
+            Circle::new(Point::ORIGIN, f64::NAN),
+            Circle::new(Point::ORIGIN, f64::NEG_INFINITY),
+        ];
+        let candidates = [c(0.0, 0.0, 0.0), c(0.0, 0.0, 0.5), c(0.2, 0.1, 3.0)];
+        for &circle in &bad {
+            let mut alone = DiskRegion::from_circles(&[circle]);
+            assert!(alone.is_empty(), "{circle:?} kept");
+            let mut polygons = PolygonRegion::from_circles(&[circle], 24);
+            assert!(polygons.is_empty(), "{circle:?} kept");
+            // Beside an honest disk it neither adds coverage nor erases
+            // the honest disk's boundary.
+            let mut beside = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0), circle]);
+            let mut honest = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0)]);
+            for cand in &candidates {
+                assert!(!alone.covers_circle(cand), "{circle:?} certified {cand:?}");
+                assert!(
+                    !polygons.covers_circle(cand),
+                    "{circle:?} certified {cand:?}"
+                );
+                assert_eq!(beside.covers_circle(cand), honest.covers_circle(cand));
+            }
+        }
     }
 
     // ---------- PolygonRegion (paper's polygonization) ----------
@@ -540,7 +686,7 @@ mod tests {
         // Whatever the polygon region accepts, the exact region must accept.
         let circles = [c(0.0, 0.0, 1.0), c(1.2, 0.3, 0.8), c(-0.4, 0.9, 0.7)];
         let mut poly = PolygonRegion::from_circles(&circles, 24);
-        let exact = DiskRegion::from_circles(&circles);
+        let mut exact = DiskRegion::from_circles(&circles);
         let candidates = [
             c(0.0, 0.0, 0.5),
             c(0.5, 0.2, 0.6),
@@ -582,7 +728,7 @@ mod tests {
         let cand = c(0.0, 0.0, 0.97);
         let mut coarse = PolygonRegion::from_circles(&circles, 6);
         let mut fine = PolygonRegion::from_circles(&circles, 96);
-        let exact = DiskRegion::from_circles(&circles);
+        let mut exact = DiskRegion::from_circles(&circles);
         assert!(exact.covers_circle(&cand));
         assert!(
             !coarse.covers_circle(&cand),
@@ -817,7 +963,7 @@ mod tests {
                 .map(|_| c(next() * 4.0 - 2.0, next() * 4.0 - 2.0, 0.3 + next()))
                 .collect();
             let mut region = PolygonRegion::from_circles(&circles, 24);
-            let exact = DiskRegion::from_circles(&circles);
+            let mut exact = DiskRegion::from_circles(&circles);
             let cand = c(next() * 4.0 - 2.0, next() * 4.0 - 2.0, 0.2 + next());
             let accepted = region.covers_circle(&cand);
             let accepted_exact = exact.covers_circle(&cand);

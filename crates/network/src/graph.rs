@@ -146,7 +146,7 @@ impl RoadNetwork {
         self.positions
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| p.dist_sq(**a).partial_cmp(&p.dist_sq(**b)).unwrap())
+            .min_by(|(_, a), (_, b)| p.dist_sq(**a).total_cmp(&p.dist_sq(**b)))
             .map(|(i, _)| i as NodeId)
     }
 
@@ -195,6 +195,16 @@ mod tests {
         assert_eq!(net.edge_count(), 3);
         assert_eq!(net.position(1), Point::new(3.0, 0.0));
         assert_eq!(net.neighbors(0).len(), 2);
+    }
+
+    #[test]
+    fn nearest_node_linear_survives_a_nan_point() {
+        // Every distance from it is NaN; the comparison used to abort on
+        // that (`partial_cmp(..).unwrap()`). Node positions are checked
+        // finite on entry, so the point is the only way NaN gets here.
+        let net = triangle();
+        assert!(net.nearest_node_linear(Point::new(f64::NAN, 1.0)).is_some());
+        assert_eq!(net.nearest_node_linear(Point::new(2.9, 0.1)), Some(1));
     }
 
     #[test]

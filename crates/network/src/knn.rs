@@ -97,7 +97,7 @@ pub fn ier_knn_with(
             network_dist: nd,
             euclid_dist: nb.dist,
         });
-        best.sort_by(|a, b| a.network_dist.partial_cmp(&b.network_dist).unwrap());
+        best.sort_by(|a, b| a.network_dist.total_cmp(&b.network_dist));
         best.truncate(k);
     }
     best
@@ -151,7 +151,7 @@ pub fn ine_knn_with(
                 euclid_dist: query.dist(pois.position(poi)),
             });
         }
-        best.sort_by(|a, b| a.network_dist.partial_cmp(&b.network_dist).unwrap());
+        best.sort_by(|a, b| a.network_dist.total_cmp(&b.network_dist));
         best.truncate(k);
         for e in net.neighbors(node) {
             let nd = d + e.length;
@@ -268,6 +268,19 @@ mod tests {
         for r in &res {
             assert!(r.euclid_dist <= r.network_dist + 1e-9);
         }
+    }
+
+    #[test]
+    fn a_nan_query_point_does_not_abort_the_sorts() {
+        // Its snap leg, hence every network distance, is NaN; both sorts
+        // used to abort on that (`partial_cmp(..).unwrap()`).
+        let w = world(2, 5);
+        let qn = w.locator.nearest(Point::new(1000.0, 1000.0)).unwrap();
+        let q = Point::new(f64::NAN, 1000.0);
+        let ier = ier_knn(&w.net, &w.pois, &w.tree, q, qn, 3);
+        let ine = ine_knn(&w.net, &w.pois, q, qn, 3);
+        assert!(ier.len() <= 3 && ine.len() == 3);
+        assert!(ier.iter().chain(&ine).all(|n| n.network_dist.is_nan()));
     }
 
     #[test]

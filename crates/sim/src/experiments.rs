@@ -137,14 +137,23 @@ fn mix_point(x: f64, metrics: &Metrics) -> MixPoint {
     }
 }
 
-fn run_config_reps(mut cfg: SimConfig, reps: usize) -> Metrics {
+fn run_config_reps(cfg: SimConfig, reps: usize) -> Metrics {
+    run_config_reps_timed(cfg, reps).0
+}
+
+/// [`run_config_reps`], with the wall seconds the execute phase took over
+/// all repetitions.
+fn run_config_reps_timed(mut cfg: SimConfig, reps: usize) -> (Metrics, f64) {
     let mut total = Metrics::new();
+    let mut exec_secs = 0.0;
     let base = cfg.seed;
     for r in 0..reps.max(1) {
         cfg.seed = base.wrapping_add(r as u64 * 7919);
-        total.merge(&Simulator::new(cfg).run());
+        let mut sim = Simulator::new(cfg);
+        total.merge(&sim.run());
+        exec_secs += sim.batch_stats().exec_secs;
     }
-    total
+    (total, exec_secs)
 }
 
 /// Shared sweep driver: mutate the config per x value, run, collect.
@@ -272,25 +281,30 @@ pub struct AblationRow {
     pub multi_pct: f64,
     /// Percent solved by the server.
     pub server_pct: f64,
+    /// Wall time of the execute phase, seconds (summed over repetitions;
+    /// this machine's, not a simulated quantity).
+    pub exec_secs: f64,
 }
 
 /// Ablation of the design choices DESIGN.md calls out, on the 2×2-mile
-/// Los Angeles world: certain-region representation (polygon vertex count
-/// vs exact arcs) and host cache policy (most-recent vs LRU).
+/// Los Angeles world: certain-region representation (the exact disk union
+/// queries run on vs the paper's polygonization, at two vertex counts) and
+/// host cache policy (most-recent vs LRU). The region arms resolve almost
+/// the same queries; what separates them is `exec_secs`.
 pub fn ablation(opts: &ExpOptions) -> Vec<AblationRow> {
     type Tweak = Box<dyn Fn(&mut SimConfig)>;
     let variants: Vec<(&str, Tweak)> = vec![
         (
-            "baseline (24-gon, most-recent)",
+            "baseline (exact region, most-recent)",
             Box::new(|_: &mut SimConfig| {}),
         ),
         (
-            "region: 8-gon polygonization",
-            Box::new(|cfg| cfg.region_method = RegionMethod::Polygonized { vertices: 8 }),
+            "region: 24-gon polygonization (paper)",
+            Box::new(|cfg| cfg.region_method = RegionMethod::Polygonized { vertices: 24 }),
         ),
         (
-            "region: exact arc arrangement",
-            Box::new(|cfg| cfg.region_method = RegionMethod::Exact),
+            "region: 8-gon",
+            Box::new(|cfg| cfg.region_method = RegionMethod::Polygonized { vertices: 8 }),
         ),
         (
             "cache: LRU multi-entry",
@@ -303,12 +317,13 @@ pub fn ablation(opts: &ExpOptions) -> Vec<AblationRow> {
             let mut cfg = SimConfig::new(base_params(opts, ParamSet::LosAngeles, false), opts.seed);
             cfg.compare_inn = false;
             tweak(&mut cfg);
-            let m = run_config_reps(cfg, opts.reps);
+            let (m, exec_secs) = run_config_reps_timed(cfg, opts.reps);
             AblationRow {
                 variant: name.to_string(),
                 single_pct: m.single_peer_rate() * 100.0,
                 multi_pct: m.multi_peer_rate() * 100.0,
                 server_pct: m.sqrr() * 100.0,
+                exec_secs,
             }
         })
         .collect()

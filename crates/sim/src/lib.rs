@@ -38,8 +38,8 @@ pub use grid::HostGrid;
 pub use metrics::{KStats, LatencyModel, Metrics};
 pub use params::{ParamSet, SimParams};
 pub use simulator::{
-    BatchStats, CachePolicy, KChoice, MovementMode, NetworkModelKind, SimConfig, SimConfigBuilder,
-    SimConfigError, Simulator,
+    Answer, BatchStats, CachePolicy, KChoice, MovementMode, NetworkModelKind, SimConfig,
+    SimConfigBuilder, SimConfigError, Simulator,
 };
 
 // Service-seam knobs a simulation config can carry, re-exported so callers

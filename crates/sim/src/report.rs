@@ -84,13 +84,13 @@ pub fn ablation_table(rows: &[AblationRow]) -> String {
     let mut out = String::new();
     out.push_str("## Design-choice ablation (LA 2x2 mi)\n\n");
     out.push_str(&format!(
-        "{:>34} | {:>9} | {:>9} | {:>9}\n",
-        "variant", "single %", "multi %", "server %"
+        "{:>38} | {:>9} | {:>9} | {:>9} | {:>9}\n",
+        "variant", "single %", "multi %", "server %", "exec s"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>34} | {:>9.1} | {:>9.1} | {:>9.1}\n",
-            r.variant, r.single_pct, r.multi_pct, r.server_pct
+            "{:>38} | {:>9.1} | {:>9.1} | {:>9.1} | {:>9.3}\n",
+            r.variant, r.single_pct, r.multi_pct, r.server_pct, r.exec_secs
         ));
     }
     out

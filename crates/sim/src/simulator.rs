@@ -43,7 +43,7 @@ use senn_core::multiple::RegionMethod;
 use senn_core::rknn::{rknn_batch, RknnBatch, RknnHost, RknnQuery};
 use senn_core::service::{ServerReply, ServerRequest, SpatialService};
 use senn_core::transport::{AdaptivePolicy, RetryBudget, RetryPolicy, TransportPolicy};
-use senn_core::{RTreeServer, SennConfig, SennEngine, STAGE_COUNT};
+use senn_core::{HeapEntry, RTreeServer, Resolution, SennConfig, SennEngine, STAGE_COUNT};
 use senn_geom::{Point, Rect};
 use senn_mobility::{RoadMover, RoadMoverConfig, WaypointConfig};
 use senn_network::{generate_network, GeneratorConfig, NodeLocator, RoadNetwork};
@@ -281,7 +281,7 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Defaults for a parameter set: road-network mode, 20 % warm-up, 10 s
-    /// mean batch interval, polygonized regions, random `k`, INN shadow
+    /// mean batch interval, exact disk-union regions, random `k`, INN shadow
     /// on, single-shard fault-free service.
     pub fn new(params: SimParams, seed: u64) -> Self {
         SimConfig {
@@ -648,9 +648,25 @@ pub struct Simulator {
     /// executes.
     pub(crate) grid: HostGrid,
     pub(crate) batch_stats: BatchStats,
+    /// The queries the last fold finished ([`Simulator::last_answers`]).
+    pub(crate) answers: Vec<Answer>,
     /// The SNNN expand pass's pooled walks and round buffers (one set per
     /// simulator, sized by an interval's expanding queries).
     pub(crate) expand_scratch: ExpandScratch,
+}
+
+/// One finished query, as [`Simulator::last_answers`] hands it out: what
+/// was asked, how it was resolved and what the querier was told.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Answer {
+    /// Where the querier stood.
+    pub query: Point,
+    /// How many nearest POIs it asked for.
+    pub k: usize,
+    /// Who answered.
+    pub resolution: Resolution,
+    /// The answer, ascending by distance.
+    pub results: Vec<HeapEntry>,
 }
 
 /// Wall-clock statistics of the batch-execution phase, accumulated over a
@@ -868,6 +884,7 @@ impl Simulator {
             warmed_up: false,
             grid,
             batch_stats: BatchStats::default(),
+            answers: Vec::new(),
             expand_scratch: ExpandScratch::default(),
         }
     }
@@ -927,27 +944,45 @@ impl Simulator {
     /// Runs the configured `T_execution` (including warm-up) and returns
     /// the steady-state metrics.
     pub fn run(&mut self) -> Metrics {
-        let total = self.config.params.duration_secs();
-        let warmup_end = total * self.config.warmup_frac;
-        while self.time < total {
-            // Next query batch after an exponential interval.
-            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let interval = -u.ln() * self.config.mean_interval_secs;
-            let interval = interval.min(total - self.time).max(1e-6);
-            self.advance_movement(interval);
-            self.apply_poi_churn(interval);
-            self.time += interval;
-            if !self.warmed_up && self.time >= warmup_end {
-                self.metrics.reset();
-                self.warmed_up = true;
-            }
-            self.run_query_batch(interval);
-        }
+        while self.step() {}
         // Overlapped mode: residuals still in flight at the horizon are
         // drained (their completions measured and folded) so every issued
         // query is attributed exactly once. No-op in blocking mode.
         self.drain_transport();
         self.metrics.clone()
+    }
+
+    /// Advances the simulation by one query interval: movement, POI churn,
+    /// then the interval's query batch, whose answers
+    /// [`Simulator::last_answers`] holds until the next one. Returns false,
+    /// having done nothing, once `T_execution` is reached;
+    /// [`Simulator::run`] is this in a loop (and ends by draining the
+    /// overlapped transport, which stepping alone does not).
+    pub fn step(&mut self) -> bool {
+        let total = self.config.params.duration_secs();
+        if self.time >= total {
+            return false;
+        }
+        // Next query batch after an exponential interval.
+        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let interval = -u.ln() * self.config.mean_interval_secs;
+        let interval = interval.min(total - self.time).max(1e-6);
+        self.advance_movement(interval);
+        self.apply_poi_churn(interval);
+        self.time += interval;
+        if !self.warmed_up && self.time >= total * self.config.warmup_frac {
+            self.metrics.reset();
+            self.warmed_up = true;
+        }
+        self.run_query_batch(interval);
+        true
+    }
+
+    /// The queries the last interval finished, in fold order (under the
+    /// overlapped transport: the ones resolved locally plus the residuals
+    /// that matured). Empty when it issued none.
+    pub fn last_answers(&self) -> &[Answer] {
+        &self.answers
     }
 
     /// Current POI positions, indexed by POI id — the ground-truth mirror
@@ -1113,7 +1148,14 @@ impl Simulator {
                 .record(started.elapsed().as_secs_f64(), planned);
         }
         self.absorb_transport_stats();
-        for ((plan, pending), measured) in plans.iter().zip(pendings).zip(measures) {
+        self.answers.clear();
+        for ((plan, mut pending), measured) in plans.iter().zip(pendings).zip(measures) {
+            self.answers.push(Answer {
+                query: self.store.position(plan.querier),
+                k: plan.k,
+                resolution: pending.outcome.resolution(),
+                results: std::mem::take(&mut pending.outcome.results),
+            });
             self.apply_outcome(plan, QueryOutcome::assemble(pending, measured));
         }
     }

@@ -3,7 +3,8 @@
 use mobishare_senn::core::multiple::{knn_multiple, RegionMethod};
 use mobishare_senn::core::verify::is_certain;
 use mobishare_senn::core::{PeerCacheEntry, ResultHeap};
-use mobishare_senn::geom::{Circle, DiskRegion, Point, PolygonRegion, Rect};
+use mobishare_senn::geom::arcset::ArcSet;
+use mobishare_senn::geom::{Circle, DiskRegion, Point, PolygonRegion, Rect, EPS};
 use mobishare_senn::rtree::RStarTree;
 use proptest::prelude::*;
 
@@ -13,6 +14,84 @@ fn pt() -> impl Strategy<Value = Point> {
 
 fn pois(max: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(pt(), 1..max)
+}
+
+/// `DiskRegion::covers_circle` as it was before the region kept its
+/// arrangement (a copy of that body and its two helpers, on the public
+/// `ArcSet`): every disk the candidate cuts re-derives, from nothing, the
+/// arc each other disk covers. `disks` are a region's own, so duplicates
+/// and empty disks are already gone.
+fn covers_circle_stateless(disks: &[Circle], circle: &Circle) -> bool {
+    /// Angular section of `∂disk` strictly inside the open disk `target`.
+    fn boundary_inside_open_disk(disk: &Circle, target: &Circle) -> Option<ArcSet> {
+        let d = disk.center.dist(target.center);
+        let (r, rt) = (disk.radius, target.radius);
+        if d >= rt + r {
+            return None;
+        }
+        if d + r < rt {
+            return Some(ArcSet::full());
+        }
+        if d <= f64::EPSILON {
+            return None;
+        }
+        let cos_a = (d * d + r * r - rt * rt) / (2.0 * d * r);
+        if cos_a >= 1.0 {
+            return None;
+        }
+        let half = cos_a.clamp(-1.0, 1.0).acos();
+        let toward = (target.center - disk.center).angle();
+        Some(ArcSet::from_arc(toward, half))
+    }
+
+    /// Subtracts from `arc` (angles on `∂di`) what the closed disk `dj`
+    /// covers.
+    fn subtract_coverage(arc: &mut ArcSet, di: &Circle, dj: &Circle) {
+        let d = di.center.dist(dj.center);
+        let (ri, rj) = (di.radius, dj.radius);
+        if d >= ri + rj {
+            return;
+        }
+        if d + ri <= rj {
+            arc.subtract_arc(0.0, std::f64::consts::PI + 1.0);
+            return;
+        }
+        if d + rj <= ri || d <= f64::EPSILON {
+            return;
+        }
+        let cos_b = (d * d + ri * ri - rj * rj) / (2.0 * d * ri);
+        if cos_b >= 1.0 {
+            return;
+        }
+        let half = cos_b.clamp(-1.0, 1.0).acos();
+        let toward = (dj.center - di.center).angle();
+        arc.subtract_arc(toward, half);
+    }
+
+    if !disks.iter().any(|d| d.contains_point(circle.center)) {
+        return false;
+    }
+    if circle.radius <= 0.0 {
+        return true;
+    }
+    for (i, di) in disks.iter().enumerate() {
+        let Some(mut arc) = boundary_inside_open_disk(di, circle) else {
+            continue;
+        };
+        for (j, dj) in disks.iter().enumerate() {
+            if i == j {
+                continue;
+            }
+            subtract_coverage(&mut arc, di, dj);
+            if arc.is_empty() {
+                break;
+            }
+        }
+        if arc.has_span_longer_than(EPS / di.radius) {
+            return false;
+        }
+    }
+    true
 }
 
 proptest! {
@@ -101,7 +180,7 @@ proptest! {
         let disks: Vec<Circle> =
             circles.iter().map(|&(c, r)| Circle::new(c, r)).collect();
         let mut poly = PolygonRegion::from_circles(&disks, 24);
-        let exact = DiskRegion::from_circles(&disks);
+        let mut exact = DiskRegion::from_circles(&disks);
         let cand = Circle::new(cand_center, cand_r);
         if poly.covers_circle(&cand) {
             prop_assert!(exact.covers_circle(&cand));
@@ -117,7 +196,7 @@ proptest! {
     ) {
         let disks: Vec<Circle> =
             circles.iter().map(|&(c, r)| Circle::new(c, r)).collect();
-        let region = DiskRegion::from_circles(&disks);
+        let mut region = DiskRegion::from_circles(&disks);
         let cand = Circle::new(cand_center, cand_r);
         let covered = region.covers_circle(&cand);
         if covered {
@@ -136,6 +215,90 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The arrangement the exact region keeps answers what deriving every
+    /// covered arc from nothing answers, whatever was asked before and in
+    /// whatever order. Disks crowd one neighbourhood, so boundaries are
+    /// partly covered, and are built to collide (each drawn fresh or from
+    /// the one before it: a duplicate, nested, externally tangent, empty,
+    /// concentric). Per centre the candidates sit where the answer turns:
+    /// the two radii a bisection of the stateless test ends on, then a
+    /// source disk's own circle and a circle through its centre
+    /// (tangency), then anything.
+    #[test]
+    fn kept_arrangement_equals_stateless(
+        draws in prop::collection::vec(
+            (0.0..150.0f64, 0.0..150.0f64, 40.0..120.0f64, 0u8..9),
+            2..=8usize,
+        ),
+        asks in prop::collection::vec(
+            (0usize..8, -1.2..1.2f64, -1.2..1.2f64, 0.05..1.5f64, 0.0..1.0f64),
+            3..=6usize,
+        ),
+    ) {
+        let c = |x: f64, y: f64, r: f64| Circle::new(Point::new(x, y), r);
+        let mut disks: Vec<Circle> = Vec::new();
+        for &(x, y, r, kind) in &draws {
+            let prev = disks.last().copied().unwrap_or(c(x, y, r));
+            disks.push(match kind {
+                0 => prev,
+                1 => c(prev.center.x + 0.1 * r, prev.center.y, prev.radius * 0.5),
+                2 => c(prev.center.x + prev.radius + r, prev.center.y, r),
+                3 => c(x, y, 0.0),
+                4 => Circle::new(prev.center, r),
+                _ => c(x, y, r),
+            });
+        }
+        let reference = DiskRegion::from_circles(&disks);
+        let stateless = |cand: &Circle| covers_circle_stateless(reference.disks(), cand);
+
+        // (order key, candidate)
+        let mut candidates: Vec<(f64, Circle)> = Vec::new();
+        for (n, &(near, dx, dy, scale, key)) in asks.iter().enumerate() {
+            let near = disks[near % disks.len()];
+            let center = Point::new(
+                near.center.x + dx * near.radius,
+                near.center.y + dy * near.radius,
+            );
+            let mut radii = vec![scale * near.radius, center.dist(near.center)];
+            // Coverage is monotone in the radius: close in on where it ends.
+            let (mut lo, mut hi) = (0.0, 400.0);
+            if stateless(&Circle::new(center, lo)) && !stateless(&Circle::new(center, hi)) {
+                for _ in 0..60 {
+                    let mid = 0.5 * (lo + hi);
+                    if stateless(&Circle::new(center, mid)) {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                radii.extend([lo, hi]);
+            }
+            for (m, radius) in radii.into_iter().enumerate() {
+                // Keys scatter each centre's radii among the others'.
+                let order = (key * (1 + n + 7 * m) as f64 * 0.618).fract();
+                candidates.push((order, Circle::new(center, radius)));
+            }
+            candidates.push((key, near));
+        }
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let candidates: Vec<Circle> = candidates.into_iter().map(|(_, cand)| cand).collect();
+        let expected: Vec<bool> = candidates.iter().map(stateless).collect();
+
+        let mut forward = reference.clone();
+        let got: Vec<bool> = candidates.iter().map(|cand| forward.covers_circle(cand)).collect();
+        prop_assert_eq!(&got, &expected);
+
+        // Backwards, each asked twice: the arrangement fills in another order.
+        let mut backward = reference.clone();
+        let mut got: Vec<bool> = candidates
+            .iter()
+            .rev()
+            .map(|cand| backward.covers_circle(cand) & backward.covers_circle(cand))
+            .collect();
+        got.reverse();
+        prop_assert_eq!(&got, &expected);
     }
 
     /// Heap invariants under arbitrary insertion sequences: certains
