@@ -35,7 +35,7 @@ impl<T> RStarTree<T> {
         // immediately, while never dropping below min_entries.
         let max = config.max_entries;
         let fill = (max * 7).div_ceil(10).max(config.min_entries);
-        let mut pairs = items;
+        let pairs = items;
         let n = pairs.len();
         if n <= fill {
             for (p, v) in pairs {
@@ -43,10 +43,8 @@ impl<T> RStarTree<T> {
             }
             return tree;
         }
-        pairs.sort_by(|a, b| a.0.x.partial_cmp(&b.0.x).unwrap());
         let leaf_count = n.div_ceil(fill);
         let slab_count = (leaf_count as f64).sqrt().ceil() as usize;
-        let slab_size = n.div_ceil(slab_count);
 
         // Insert items in the STR order; because the order is spatially
         // clustered, R* insertion degenerates to cheap appends and the tree
@@ -54,19 +52,26 @@ impl<T> RStarTree<T> {
         // nodes directly; reusing the insert path keeps one code path
         // correct under later updates while preserving the O(n log n)
         // behaviour in practice.)
-        let mut ordered: Vec<(Point, T)> = Vec::with_capacity(n);
-        let mut rest = pairs;
-        while !rest.is_empty() {
-            let take = slab_size.min(rest.len());
-            let mut slab: Vec<(Point, T)> = rest.drain(..take).collect();
-            slab.sort_by(|a, b| a.0.y.partial_cmp(&b.0.y).unwrap());
-            ordered.append(&mut slab);
-        }
-        for (p, v) in ordered {
+        for (p, v) in str_order(pairs, n.div_ceil(slab_count)) {
             tree.insert(p, v);
         }
         tree
     }
+}
+
+/// The STR insertion order: by x, then cut into slabs of `slab_size` and
+/// each slab by y. Total orders, so no coordinate can make it panic.
+fn str_order<T>(mut pairs: Vec<(Point, T)>, slab_size: usize) -> Vec<(Point, T)> {
+    pairs.sort_by(|a, b| a.0.x.total_cmp(&b.0.x));
+    let mut ordered: Vec<(Point, T)> = Vec::with_capacity(pairs.len());
+    let mut rest = pairs;
+    while !rest.is_empty() {
+        let take = slab_size.min(rest.len());
+        let mut slab: Vec<(Point, T)> = rest.drain(..take).collect();
+        slab.sort_by(|a, b| a.0.y.total_cmp(&b.0.y));
+        ordered.append(&mut slab);
+    }
+    ordered
 }
 
 impl<T> RStarTree<T> {
@@ -225,6 +230,29 @@ mod tests {
         for (g, w) in nn.iter().zip(&d) {
             assert!((g.dist - w).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn str_order_survives_a_nan_x() {
+        let pairs = vec![
+            (Point::new(2.0, 0.0), 0),
+            (Point::new(f64::NAN, 1.0), 1),
+            (Point::new(1.0, 2.0), 2),
+        ];
+        let order: Vec<i32> = str_order(pairs, 1).into_iter().map(|(_, v)| v).collect();
+        assert_eq!(order, [2, 0, 1], "a NaN x sorts last");
+    }
+
+    #[test]
+    fn str_order_survives_a_nan_y() {
+        let pairs = vec![
+            (Point::new(0.0, f64::NAN), 0),
+            (Point::new(1.0, 5.0), 1),
+            (Point::new(2.0, 4.0), 2),
+            (Point::new(3.0, 0.0), 3),
+        ];
+        let order: Vec<i32> = str_order(pairs, 2).into_iter().map(|(_, v)| v).collect();
+        assert_eq!(order, [1, 0, 3, 2], "a NaN y sorts last in its slab");
     }
 
     #[test]

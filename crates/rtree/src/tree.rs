@@ -283,7 +283,7 @@ impl<T> RStarTree<T> {
         node.entries.sort_by(|a, b| {
             let da = a.mbr.center().dist_sq(center);
             let db = b.mbr.center().dist_sq(center);
-            db.partial_cmp(&da).unwrap() // farthest first
+            db.total_cmp(&da) // farthest first
         });
         let removed: Vec<Entry> = node.entries.drain(..self.config.reinsert_count).collect();
         let level = node.level;
@@ -660,7 +660,7 @@ fn sort_entries(entries: &mut [Entry], axis: u8, by_upper: bool) {
             (1, false) => (a.mbr.min.y, b.mbr.min.y),
             _ => (a.mbr.max.y, b.mbr.max.y),
         };
-        ka.partial_cmp(&kb).unwrap()
+        ka.total_cmp(&kb)
     });
 }
 
@@ -804,6 +804,30 @@ mod tests {
     fn non_finite_point_rejected() {
         let mut tree = RStarTree::new();
         tree.insert(Point::new(f64::NAN, 0.0), 0);
+    }
+
+    #[test]
+    fn forced_reinsert_survives_overflowing_centers() {
+        // Finite points past f64::MAX / 2: every MBR center overflows to
+        // infinity, so the reinsert distances are ∞ − ∞ = NaN.
+        let mut tree = RStarTree::with_config(TreeConfig::with_branching(4));
+        for i in 0..64u32 {
+            let x = f64::MAX * (0.6 + 0.005 * i as f64);
+            tree.insert(Point::new(x, x), i);
+        }
+        assert_eq!(tree.len(), 64);
+    }
+
+    #[test]
+    fn split_sort_survives_a_nan_key() {
+        let point = |x: f64, id| Entry {
+            mbr: Rect::from_point(Point::new(x, 0.0)),
+            id,
+        };
+        let mut entries = vec![point(2.0, 0), point(f64::NAN, 1), point(1.0, 2)];
+        sort_entries(&mut entries, 0, false);
+        let ids: Vec<usize> = entries.iter().map(|e| e.id).collect();
+        assert_eq!(ids, [2, 0, 1], "a NaN key sorts last");
     }
 
     #[test]
