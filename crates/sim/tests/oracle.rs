@@ -1,19 +1,30 @@
-//! The correctness oracle: every answer the peers give is the true kNN.
+//! The correctness oracle: every answer the peers or the server give is the
+//! true kNN.
 //!
 //! Lemmas 3.2 and 3.8 promise that a peer-resolved answer (`SinglePeer`,
-//! `MultiPeer`) equals what the server would have said. This steps short
-//! simulations interval by interval and grades each such answer against a
-//! linear scan over `poi_positions()` — no R\*-tree, no cache, no code
-//! shared with the pipeline. It is the gate for changes that are *not*
-//! bit-identical (another certain region, another cache extension): those
-//! may certify more, never something wrong. A wrong certification anywhere
-//! surfaces here, also when it first only lands in a cache: the cached
-//! entry then certifies a wrong answer for a later querier.
+//! `MultiPeer`) equals what the server would have said, and a `Server`
+//! answer — a degraded unpruned one included — is exact by construction.
+//! This steps short simulations interval by interval and grades each such
+//! answer against a linear scan over `poi_positions()` — no R\*-tree, no
+//! cache, no code shared with the pipeline. It is the gate for changes that
+//! are *not* bit-identical (another certain region, another cache
+//! extension, another route to the server): those may certify more, never
+//! something wrong. A wrong certification anywhere surfaces here, also when
+//! it first only lands in a cache: the cached entry then certifies a wrong
+//! answer for a later querier. An answer is graded at the point it was
+//! issued from, so a reply that lands intervals later under an overlapped
+//! transport is held to the place it was computed for.
+//!
+//! Every run also balances its books: the answers handed out by the steps
+//! and by the final drain are exactly the queries issued.
 
 use senn_core::multiple::RegionMethod;
 use senn_core::Resolution;
 use senn_geom::Point;
-use senn_sim::{Answer, KChoice, MovementMode, ParamSet, SimConfig, SimParams, Simulator};
+use senn_sim::{
+    Answer, KChoice, MovementMode, NetworkModelKind, ParamSet, SimConfig, SimParams, Simulator,
+    TransportPolicy,
+};
 
 /// Distances from `query` to its `k` nearest POIs, ascending.
 fn linear_scan_knn(pois: &[Point], query: Point, k: usize) -> Vec<f64> {
@@ -35,34 +46,83 @@ fn is_true_knn(pois: &[Point], answer: &Answer) -> bool {
         })
 }
 
-/// Steps `cfg` to its horizon; returns (peer-resolved answers graded, of
-/// which multi-peer, wrong ones as text).
-fn grade_run(cfg: SimConfig, label: &str) -> (u64, u64, Vec<String>) {
-    let mut sim = Simulator::new(cfg);
-    let (mut graded, mut multi, mut wrong) = (0, 0, Vec::new());
-    while sim.step() {
+/// What a set of runs graded.
+#[derive(Default)]
+struct Tally {
+    configs: u64,
+    graded: u64,
+    multi: u64,
+    server: u64,
+    wrong: Vec<String>,
+}
+
+impl Tally {
+    fn grade(&mut self, sim: &Simulator, label: &str) {
         for answer in sim.last_answers() {
-            if !matches!(
-                answer.resolution,
-                Resolution::SinglePeer | Resolution::MultiPeer
-            ) {
-                continue;
+            match answer.resolution {
+                Resolution::SinglePeer => {}
+                Resolution::MultiPeer => self.multi += 1,
+                Resolution::Server => self.server += 1,
+                _ => continue,
             }
-            graded += 1;
-            multi += (answer.resolution == Resolution::MultiPeer) as u64;
+            self.graded += 1;
             if !is_true_knn(sim.poi_positions(), answer) {
-                wrong.push(format!("{label} t={:.1}s: {answer:?}", sim.time()));
+                let t = sim.time();
+                self.wrong.push(format!("{label} t={t:.1}s: {answer:?}"));
             }
         }
     }
-    let m = sim.run();
-    assert!(m.queries > 0, "{label}: empty run proves nothing");
-    assert_eq!(
-        m.queries,
-        m.single_peer + m.multi_peer + m.server + m.accepted_uncertain,
-        "{label}: every query is attributed exactly once"
-    );
-    (graded, multi, wrong)
+
+    /// Steps `cfg` to its horizon, grading every answer the steps and the
+    /// final drain hand out.
+    fn run(&mut self, cfg: SimConfig, label: &str) {
+        let mut sim = Simulator::new(cfg);
+        let mut answered = 0;
+        while sim.step() {
+            answered += sim.last_answers().len() as u64;
+            self.grade(&sim, label);
+        }
+        let m = sim.run();
+        answered += sim.last_answers().len() as u64;
+        self.grade(&sim, label);
+        self.configs += 1;
+        assert!(m.queries > 0, "{label}: empty run proves nothing");
+        assert_eq!(
+            m.queries,
+            m.single_peer + m.multi_peer + m.server + m.accepted_uncertain,
+            "{label}: every query is attributed exactly once"
+        );
+        assert_eq!(
+            answered,
+            sim.batch_stats().queries,
+            "{label}: every issued query is answered exactly once"
+        );
+    }
+
+    fn assert_all_true(&self) {
+        println!(
+            "graded {} answers ({} multi-peer, {} server) over {} configs",
+            self.graded, self.multi, self.server, self.configs
+        );
+        assert!(
+            self.wrong.is_empty(),
+            "{} of {} answers are not the true kNN:\n{}",
+            self.wrong.len(),
+            self.graded,
+            self.wrong.join("\n")
+        );
+    }
+}
+
+/// A 1/50-scale county world, a quarter of an hour long, graded on
+/// exact answers only.
+fn world(set: ParamSet, seed: u64) -> SimConfig {
+    let mut params = SimParams::thirty_by_thirty(set).scaled_down(50.0);
+    params.t_execution_hours = 0.25;
+    let mut cfg = SimConfig::new(params, seed);
+    cfg.accept_uncertain = false;
+    cfg.compare_inn = false;
+    cfg
 }
 
 #[test]
@@ -76,47 +136,65 @@ fn peer_resolved_answers_equal_the_linear_scan_knn() {
         KChoice::MeanLambda,
         KChoice::Uniform(3, 9),
     ];
-    let (mut configs, mut graded, mut multi) = (0u64, 0, 0);
-    let mut wrong = Vec::new();
+    let mut tally = Tally::default();
     for mode in [MovementMode::RoadNetwork, MovementMode::FreeMovement] {
         for method in methods {
             for k_choice in k_choices {
                 for threads in [1, 2] {
                     // Dense peers, so most answers come from them and the
                     // multi-peer stage and the cache extension both run.
-                    let mut params =
-                        SimParams::thirty_by_thirty(ParamSet::LosAngeles).scaled_down(50.0);
-                    params.t_execution_hours = 0.25;
-                    let mut cfg = SimConfig::new(params, 0x0eac1e + configs);
+                    let configs = tally.configs;
+                    let mut cfg = world(ParamSet::LosAngeles, 0x0eac1e + configs);
                     cfg.mode = mode;
                     cfg.region_method = method;
                     cfg.k_choice = k_choice;
                     cfg.threads = Some(threads);
-                    cfg.accept_uncertain = false;
-                    cfg.compare_inn = false;
                     let label = format!(
                         "config {configs} ({mode:?}, {method:?}, {k_choice:?}, threads {threads})"
                     );
-                    let (g, m, w) = grade_run(cfg, &label);
-                    configs += 1;
-                    graded += g;
-                    multi += m;
-                    wrong.extend(w);
+                    tally.run(cfg, &label);
                 }
             }
         }
     }
-    assert!(configs >= 24);
+    assert!(tally.configs >= 24);
     // The worlds reach what they are meant to grade.
     assert!(
-        graded > 1000 && multi > 10,
-        "graded {graded}, multi {multi}"
+        tally.graded > 1000 && tally.multi > 10 && tally.server > 100,
+        "graded {}, multi {}, server {}",
+        tally.graded,
+        tally.multi,
+        tally.server
     );
-    println!("graded {graded} peer-resolved answers ({multi} multi-peer) over {configs} configs");
+    tally.assert_all_true();
+}
+
+#[test]
+fn overlapped_transport_answers_equal_the_linear_scan_knn() {
+    // The uplink workload's policy: replies land one interval or more
+    // after their query, while the querier moves on. Under a road metric
+    // the SNNN expansion rides the same transport; the graded answer is
+    // its Euclidean round.
+    let transport = TransportPolicy {
+        queue_cap: 1 << 20,
+        shed: false,
+        ..TransportPolicy::default()
+    };
+    let mut tally = Tally::default();
+    for set in [ParamSet::LosAngeles, ParamSet::Riverside] {
+        for model in [None, Some(NetworkModelKind::AStar)] {
+            let configs = tally.configs;
+            let mut cfg = world(set, 0x7a5e + configs);
+            cfg.transport = Some(transport);
+            cfg.distance_model = model;
+            tally.run(cfg, &format!("config {configs} ({set:?}, {model:?})"));
+        }
+    }
     assert!(
-        wrong.is_empty(),
-        "{} of {graded} peer-resolved answers are not the true kNN:\n{}",
-        wrong.len(),
-        wrong.join("\n")
+        tally.graded > 500 && tally.server > 100,
+        "graded {}, server {}",
+        tally.graded,
+        tally.server
     );
+    tally.assert_all_true();
 }
