@@ -27,12 +27,16 @@ fn main() {
     let mut csv_dir: Option<String> = None;
     let mut opts = ExpOptions::default();
     let mut i = 0;
+    let take = |i: &mut usize| -> String {
+        *i += 1;
+        let flag = &args[*i - 1];
+        args.get(*i)
+            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+            .clone()
+    };
     while i < args.len() {
         match args[i].as_str() {
-            "--figure" | "-f" => {
-                i += 1;
-                figure = Some(args.get(i).expect("--figure needs a value").clone());
-            }
+            "--figure" | "-f" => figure = Some(take(&mut i)),
             "--all" | "-a" => all = true,
             "--quick" => {
                 let q = ExpOptions::quick();
@@ -41,34 +45,10 @@ fn main() {
                 opts.scale_30mi = q.scale_30mi;
             }
             "--full" => opts.scale_30mi = 1.0,
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(args.get(i).expect("--csv needs a directory").clone());
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args
-                    .get(i)
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed u64");
-            }
-            "--reps" => {
-                i += 1;
-                opts.reps = args
-                    .get(i)
-                    .expect("--reps needs a value")
-                    .parse()
-                    .expect("reps usize");
-            }
-            "--scale" => {
-                i += 1;
-                opts.scale_30mi = args
-                    .get(i)
-                    .expect("--scale needs a value")
-                    .parse()
-                    .expect("scale f64");
-            }
+            "--csv" => csv_dir = Some(take(&mut i)),
+            "--seed" => opts.seed = parse(&take(&mut i)),
+            "--reps" => opts.reps = parse(&take(&mut i)),
+            "--scale" => opts.scale_30mi = parse(&take(&mut i)),
             "--help" | "-h" => {
                 print_help();
                 return;
@@ -227,4 +207,14 @@ fn print_help() {
         "usage: experiments (--figure <9..17|free|ablation|uncertain> | --all) \
          [--quick] [--full] [--scale <div>] [--seed <n>] [--reps <n>] [--csv <dir>]"
     );
+}
+
+fn parse<T: std::str::FromStr>(s: &str) -> T {
+    s.parse()
+        .unwrap_or_else(|_| die(&format!("bad numeric value: {s}")))
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }

@@ -4,7 +4,7 @@
 //! for every disk boundary we track which angular sections are covered by
 //! the other disks, working on normalized angles in `[0, 2π)` and splitting
 //! wrapping arcs into at most two linear intervals. Only *measuring* an arc
-//! joins the two again ([`longer_than`]): the piece that starts at 0 and
+//! joins the two again (`longer_than`): the piece that starts at 0 and
 //! the piece that ends at 2π are one arc through angle 0.
 
 use crate::interval::IntervalSet;
