@@ -1,9 +1,8 @@
 //! Road-network-constrained movement (the paper's road network mode).
 
-use rand::rngs::SmallRng;
 use rand::Rng;
 use senn_geom::Point;
-use senn_network::{astar_path, NodeId, RoadNetwork};
+use senn_network::{astar_path_into, with_thread_scratch, NodeId, RoadNetwork};
 
 /// Parameters of the road mover.
 #[derive(Clone, Copy, Debug)]
@@ -91,7 +90,7 @@ impl RoadMover {
     }
 
     /// Advances the mover by `dt_secs`.
-    pub fn step(&mut self, net: &RoadNetwork, dt_secs: f64, rng: &mut SmallRng) {
+    pub fn step<R: Rng>(&mut self, net: &RoadNetwork, dt_secs: f64, rng: &mut R) {
         let mut budget = dt_secs;
         let mut replans = 0;
         while budget > 1e-12 {
@@ -151,8 +150,9 @@ impl RoadMover {
     }
 
     /// Picks a random reachable destination junction and computes the
-    /// route. Returns false when no usable trip was found.
-    fn plan_trip(&mut self, net: &RoadNetwork, rng: &mut SmallRng) -> bool {
+    /// route into the mover's own `route` buffer. Returns false when no
+    /// usable trip was found.
+    fn plan_trip<R: Rng>(&mut self, net: &RoadNetwork, rng: &mut R) -> bool {
         let n = net.node_count();
         if n < 2 {
             self.pause_left = 1.0;
@@ -175,17 +175,16 @@ impl RoadMover {
             self.pause_left = 1.0;
             return false;
         };
-        match astar_path(net, self.at_node, dest) {
-            Some((path, _)) if path.len() >= 2 => {
-                self.route = path;
-                self.leg = 1;
-                self.leg_progress = 0.0;
-                true
-            }
-            _ => {
-                self.pause_left = 1.0;
-                false
-            }
+        let found =
+            with_thread_scratch(|s| astar_path_into(net, self.at_node, dest, s, &mut self.route));
+        if found.is_some() && self.route.len() >= 2 {
+            self.leg = 1;
+            self.leg_progress = 0.0;
+            true
+        } else {
+            self.route.clear();
+            self.pause_left = 1.0;
+            false
         }
     }
 }
@@ -193,6 +192,7 @@ impl RoadMover {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use senn_network::{generate_network, GeneratorConfig};
 

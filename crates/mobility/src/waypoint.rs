@@ -101,7 +101,7 @@ pub struct WaypointLeg {
 
 impl WaypointLeg {
     /// The first leg of a mover at `start`: a random destination, no pause.
-    pub fn new(config: &WaypointConfig, start: Point, rng: &mut SmallRng) -> Self {
+    pub fn new<R: Rng>(config: &WaypointConfig, start: Point, rng: &mut R) -> Self {
         WaypointLeg {
             destination: pick_destination(config, start, rng),
             pause_left: 0.0,
@@ -111,12 +111,12 @@ impl WaypointLeg {
 
 /// The random waypoint step over borrowed state: advances `position` along
 /// `leg` by `dt_secs`, pausing and drawing the next destination on arrival.
-pub fn step_leg(
+pub fn step_leg<R: Rng>(
     config: &WaypointConfig,
     position: &mut Point,
     leg: &mut WaypointLeg,
     dt_secs: f64,
-    rng: &mut SmallRng,
+    rng: &mut R,
 ) {
     let mut budget = dt_secs;
     while budget > 1e-12 {
@@ -146,7 +146,7 @@ pub fn step_leg(
     }
 }
 
-fn random_point(area: Rect, rng: &mut SmallRng) -> Point {
+fn random_point<R: Rng>(area: Rect, rng: &mut R) -> Point {
     Point::new(
         rng.gen_range(area.min.x..=area.max.x),
         rng.gen_range(area.min.y..=area.max.y),
@@ -157,7 +157,7 @@ fn random_point(area: Rect, rng: &mut SmallRng) -> Point {
 /// the disk around the current position, clamped into the area — clamping
 /// each coordinate only shrinks the displacement, so the radius bound
 /// always holds.
-fn pick_destination(config: &WaypointConfig, from: Point, rng: &mut SmallRng) -> Point {
+fn pick_destination<R: Rng>(config: &WaypointConfig, from: Point, rng: &mut R) -> Point {
     match config.trip_radius {
         None => random_point(config.area, rng),
         Some(radius) => {

@@ -113,6 +113,13 @@ impl XorShift {
 /// assert!(net.node_count() > 100);
 /// ```
 pub fn generate_network(config: &GeneratorConfig) -> RoadNetwork {
+    let (nodes, edges) = layout(config);
+    RoadNetwork::from_edges(nodes, &edges)
+}
+
+/// The generated network as node positions and an edge list, in the
+/// order [`generate_network`] adds them.
+fn layout(config: &GeneratorConfig) -> (Vec<Point>, Vec<(NodeId, NodeId, RoadClass)>) {
     assert!(
         config.cols >= 2 && config.rows >= 2,
         "need at least a 2x2 grid"
@@ -124,7 +131,6 @@ pub fn generate_network(config: &GeneratorConfig) -> RoadNetwork {
     assert!(config.secondary_every >= 1 && config.primary_every >= 1 && config.ramp_every >= 1);
 
     let mut rng = XorShift::new(config.seed);
-    let mut net = RoadNetwork::new();
     let (cols, rows) = (config.cols, config.rows);
     let dx = config.width / (cols - 1) as f64;
     let dy = config.height / (rows - 1) as f64;
@@ -179,6 +185,11 @@ pub fn generate_network(config: &GeneratorConfig) -> RoadNetwork {
     };
     let mut h_node = vec![NodeId::MAX; cols * rows]; // node used by the horizontal chain
     let mut v_node = vec![NodeId::MAX; cols * rows]; // node used by the vertical chain
+    let mut nodes = Vec::with_capacity(cols * rows);
+    let mut add_node = |p: Point| {
+        nodes.push(p);
+        (nodes.len() - 1) as NodeId
+    };
     #[allow(clippy::needless_range_loop)] // i/j index four arrays in lockstep
     for j in 0..rows {
         for i in 0..cols {
@@ -186,37 +197,81 @@ pub fn generate_network(config: &GeneratorConfig) -> RoadNetwork {
             let h_primary = row_class[j] == RoadClass::Primary;
             let v_primary = col_class[i] == RoadClass::Primary;
             let split = (h_primary ^ v_primary) && !is_ramp(i, j);
-            let shared = net.add_node(pos[idx]);
+            let shared = add_node(pos[idx]);
             h_node[idx] = shared;
-            v_node[idx] = if split {
-                net.add_node(pos[idx])
-            } else {
-                shared
-            };
+            v_node[idx] = if split { add_node(pos[idx]) } else { shared };
         }
     }
 
     // Horizontal edges along each row, vertical edges along each column.
+    let mut edges = Vec::with_capacity(2 * cols * rows);
     for j in 0..rows {
         for i in 0..cols.saturating_sub(1) {
             let a = h_node[j * cols + i];
             let b = h_node[j * cols + i + 1];
-            net.add_edge(a, b, row_class[j]);
+            edges.push((a, b, row_class[j]));
         }
     }
     for i in 0..cols {
         for j in 0..rows.saturating_sub(1) {
             let a = v_node[j * cols + i];
             let b = v_node[(j + 1) * cols + i];
-            net.add_edge(a, b, col_class[i]);
+            edges.push((a, b, col_class[i]));
         }
     }
-    net
+    (nodes, edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An order-sensitive FNV-1a over everything a search can see: the
+    /// node count, every position's bits, and every neighbour list in
+    /// order (target, length bits, class).
+    fn structure_hash(net: &RoadNetwork) -> u64 {
+        let mut words = vec![net.node_count() as u64];
+        for n in 0..net.node_count() as NodeId {
+            let p = net.position(n);
+            words.extend([p.x.to_bits(), p.y.to_bits()]);
+            words.push(net.neighbors(n).len() as u64);
+            for e in net.neighbors(n) {
+                words.extend([u64::from(e.to), e.length.to_bits(), e.class as u64]);
+            }
+        }
+        words.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `county_road`'s network (15 mi side, seed 20060402), pinned because
+    /// every route and trajectory depends on it: any change to node
+    /// numbering, positions or per-node edge order moves this.
+    #[test]
+    fn generated_structure_is_pinned() {
+        let net = generate_network(&GeneratorConfig::city(24_140.0, 20060402 ^ 0x9e37));
+        assert_eq!((net.node_count(), net.edge_count()), (25_138, 45_904));
+        assert_eq!(structure_hash(&net), 0x5010_0fa6_3908_2895);
+    }
+
+    /// A bulk build and an `add_edge`-by-`add_edge` build of the same
+    /// layout agree half-edge for half-edge.
+    #[test]
+    fn bulk_build_equals_incremental_build() {
+        let (nodes, edges) = layout(&GeneratorConfig::city(2000.0, 77));
+        let bulk = RoadNetwork::from_edges(nodes.clone(), &edges);
+        let mut one_by_one = RoadNetwork::new();
+        for &p in &nodes {
+            one_by_one.add_node(p);
+        }
+        for &(a, b, class) in &edges {
+            one_by_one.add_edge(a, b, class);
+        }
+        assert_eq!(bulk.edge_count(), one_by_one.edge_count());
+        for n in 0..nodes.len() as NodeId {
+            assert_eq!(bulk.neighbors(n), one_by_one.neighbors(n), "node {n}");
+        }
+    }
 
     #[test]
     fn deterministic_in_seed() {

@@ -39,8 +39,8 @@ impl RoadClass {
 /// Meters per statute mile; used to convert the paper's mph parameters.
 pub const METERS_PER_MILE: f64 = 1609.344;
 
-/// A half-edge in the adjacency list.
-#[derive(Clone, Copy, Debug)]
+/// A half-edge: one direction of a road segment, stored with its origin.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HalfEdge {
     /// Destination node.
     pub to: NodeId,
@@ -55,11 +55,34 @@ pub struct HalfEdge {
 /// Edge lengths are at least the Euclidean distance between their
 /// endpoints, which gives the *Euclidean lower-bound property* the IER
 /// algorithm relies on: `ED(a, b) <= ND(a, b)` for all nodes `a`, `b`.
-#[derive(Clone, Debug, Default)]
+///
+/// ## Layout
+///
+/// Compressed sparse rows: node `n`'s half-edges are
+/// `edges[first[n]..first[n + 1]]`, in the order its edges were added, so
+/// every search sees the same neighbour order whichever way the network
+/// was built. [`generate_network`](crate::generate_network) fills the
+/// arrays in one pass (a stable counting sort of its edge list).
+/// [`add_node`](Self::add_node) is O(1); [`add_edge`](Self::add_edge)
+/// splices two half-edges into the middle of the array, O(V + E) per
+/// call, which suits the small hand-built graphs of tests and fixtures.
+#[derive(Clone, Debug)]
 pub struct RoadNetwork {
     positions: Vec<Point>,
-    adjacency: Vec<Vec<HalfEdge>>,
-    edge_count: usize,
+    /// `first[n]..first[n + 1]` indexes node `n`'s half-edges; one entry
+    /// more than there are nodes.
+    first: Vec<u32>,
+    edges: Vec<HalfEdge>,
+}
+
+impl Default for RoadNetwork {
+    fn default() -> Self {
+        RoadNetwork {
+            positions: Vec::new(),
+            first: vec![0],
+            edges: Vec::new(),
+        }
+    }
 }
 
 impl RoadNetwork {
@@ -68,12 +91,50 @@ impl RoadNetwork {
         Self::default()
     }
 
+    /// Builds the network in one pass from node positions and an edge list
+    /// `(a, b, class)`, each edge as long as the straight line between its
+    /// endpoints. Equal, half-edge for half-edge, to [`add_edge`] over the
+    /// same list in order.
+    ///
+    /// [`add_edge`]: Self::add_edge
+    pub(crate) fn from_edges(positions: Vec<Point>, list: &[(NodeId, NodeId, RoadClass)]) -> Self {
+        let mut first = vec![0u32; positions.len() + 1];
+        for &(a, b, _) in list {
+            assert!(a != b, "self loops are not road segments");
+            first[a as usize + 1] += 1;
+            first[b as usize + 1] += 1;
+        }
+        for n in 1..first.len() {
+            first[n] += first[n - 1];
+        }
+        let placeholder = HalfEdge {
+            to: NodeId::MAX,
+            length: 0.0,
+            class: RoadClass::Local,
+        };
+        let mut edges = vec![placeholder; 2 * list.len()];
+        let mut cursor = first[..positions.len()].to_vec();
+        for &(a, b, class) in list {
+            let length = positions[a as usize].dist(positions[b as usize]);
+            for (from, to) in [(a, b), (b, a)] {
+                let slot = &mut cursor[from as usize];
+                edges[*slot as usize] = HalfEdge { to, length, class };
+                *slot += 1;
+            }
+        }
+        RoadNetwork {
+            positions,
+            first,
+            edges,
+        }
+    }
+
     /// Adds a node at `position`, returning its id.
     pub fn add_node(&mut self, position: Point) -> NodeId {
         assert!(position.is_finite(), "node positions must be finite");
         let id = self.positions.len() as NodeId;
         self.positions.push(position);
-        self.adjacency.push(Vec::new());
+        self.first.push(self.edges.len() as u32);
         id
     }
 
@@ -95,17 +156,32 @@ impl RoadNetwork {
             length >= euclid - 1e-9,
             "edge length {length} below Euclidean distance {euclid}"
         );
-        self.adjacency[a as usize].push(HalfEdge {
-            to: b,
-            length,
-            class,
-        });
-        self.adjacency[b as usize].push(HalfEdge {
-            to: a,
-            length,
-            class,
-        });
-        self.edge_count += 1;
+        self.push_half_edge(
+            a,
+            HalfEdge {
+                to: b,
+                length,
+                class,
+            },
+        );
+        self.push_half_edge(
+            b,
+            HalfEdge {
+                to: a,
+                length,
+                class,
+            },
+        );
+    }
+
+    /// Appends `edge` to the end of `from`'s half-edges, shifting every
+    /// later node's range by one.
+    fn push_half_edge(&mut self, from: NodeId, edge: HalfEdge) {
+        let end = from as usize + 1;
+        self.edges.insert(self.first[end] as usize, edge);
+        for offset in &mut self.first[end..] {
+            *offset += 1;
+        }
     }
 
     /// Number of nodes.
@@ -115,7 +191,7 @@ impl RoadNetwork {
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.edges.len() / 2
     }
 
     /// Position of a node.
@@ -132,7 +208,8 @@ impl RoadNetwork {
     /// Outgoing half-edges of a node.
     #[inline]
     pub fn neighbors(&self, id: NodeId) -> &[HalfEdge] {
-        &self.adjacency[id as usize]
+        let n = id as usize;
+        &self.edges[self.first[n] as usize..self.first[n + 1] as usize]
     }
 
     /// Bounding rectangle of all nodes.
@@ -176,6 +253,7 @@ impl RoadNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn triangle() -> RoadNetwork {
         let mut net = RoadNetwork::new();
@@ -245,6 +323,63 @@ mod tests {
         net.add_node(Point::new(100.0, 100.0)); // isolated node
         assert!(!net.is_connected());
         assert!(RoadNetwork::new().is_connected());
+    }
+
+    /// `add_edge` over `edges` in order, onto `nodes`.
+    fn one_by_one(nodes: &[Point], edges: &[(NodeId, NodeId, RoadClass)]) -> RoadNetwork {
+        let mut net = RoadNetwork::new();
+        for &p in nodes {
+            net.add_node(p);
+        }
+        for &(a, b, class) in edges {
+            net.add_edge(a, b, class);
+        }
+        net
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random multigraphs, a bulk build of a prefix of the edge list
+        /// followed by `add_node` / `add_edge` for the rest equals an
+        /// edge-by-edge build of the whole list, half-edge for half-edge.
+        #[test]
+        fn bulk_build_then_add_edge_equals_edge_by_edge(
+            points in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 2..24),
+            extra in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 0..4),
+            pairs in prop::collection::vec((0..32u32, 0..32u32, 0..3usize), 0..80),
+            split in 0.0..1.0f64,
+        ) {
+            const CLASSES: [RoadClass; 3] = [RoadClass::Primary, RoadClass::Secondary, RoadClass::Local];
+            let to_point = |&(x, y): &(f64, f64)| Point::new(x, y);
+            let bulk_nodes: Vec<Point> = points.iter().map(to_point).collect();
+            let mut nodes = bulk_nodes.clone();
+            nodes.extend(extra.iter().map(to_point));
+            let n = nodes.len() as u32;
+            let cut = (split * pairs.len() as f64) as usize;
+            // The bulk prefix may only use the bulk-built nodes.
+            let edge = |(a, b, c): (u32, u32, usize), m: u32| (a % m, b % m, CLASSES[c]);
+            let mut edges: Vec<_> = pairs[..cut]
+                .iter()
+                .map(|&p| edge(p, bulk_nodes.len() as u32))
+                .filter(|&(a, b, _)| a != b)
+                .collect();
+            let bulk_edges = edges.len();
+            edges.extend(pairs[cut..].iter().map(|&p| edge(p, n)).filter(|&(a, b, _)| a != b));
+            let mut spliced = RoadNetwork::from_edges(bulk_nodes, &edges[..bulk_edges]);
+            for &p in &nodes[spliced.node_count()..] {
+                spliced.add_node(p);
+            }
+            for &(a, b, class) in &edges[bulk_edges..] {
+                spliced.add_edge(a, b, class);
+            }
+            let reference = one_by_one(&nodes, &edges);
+            prop_assert_eq!(spliced.edge_count(), reference.edge_count());
+            for v in 0..n {
+                prop_assert_eq!(spliced.position(v), reference.position(v));
+                prop_assert_eq!(spliced.neighbors(v), reference.neighbors(v), "node {}", v);
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use knn::{ier_knn, ier_knn_with, ine_knn, ine_knn_with, NetworkNeighbor};
 pub use locator::NodeLocator;
 pub use poi::NetworkPois;
 pub use shortest_path::{
-    astar_distance, astar_distance_with, astar_path, astar_path_with, dijkstra_distance,
-    dijkstra_distance_with, dijkstra_map, dijkstra_map_into, shortest_path_nodes,
-    with_thread_scratch, DijkstraScratch,
+    astar_distance, astar_distance_with, astar_path, astar_path_into, astar_path_with,
+    dijkstra_distance, dijkstra_distance_with, dijkstra_map, dijkstra_map_into,
+    shortest_path_nodes, with_thread_scratch, DijkstraScratch,
 };

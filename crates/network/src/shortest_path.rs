@@ -232,7 +232,9 @@ pub fn shortest_path_nodes(
 ) -> Option<(Vec<NodeId>, f64)> {
     with_thread_scratch(|s| {
         let total = search(net, from, Some(to), None, s)?;
-        Some((recover_path(from, to, s), total))
+        let mut path = Vec::new();
+        recover_path(from, to, s, &mut path);
+        Some((path, total))
     })
 }
 
@@ -250,21 +252,38 @@ pub fn astar_path_with(
     to: NodeId,
     scratch: &mut DijkstraScratch,
 ) -> Option<(Vec<NodeId>, f64)> {
-    let goal = net.position(to);
-    let total = search(net, from, Some(to), Some(goal), scratch)?;
-    Some((recover_path(from, to, scratch), total))
+    let mut path = Vec::new();
+    let total = astar_path_into(net, from, to, scratch, &mut path)?;
+    Some((path, total))
 }
 
-/// Walks the predecessor chain left by the last search in `scratch`.
-fn recover_path(from: NodeId, to: NodeId, scratch: &DijkstraScratch) -> Vec<NodeId> {
-    let mut path = vec![to];
+/// [`astar_path_with`] writing the node sequence into `path` (cleared
+/// first; left empty when unreachable) and returning its length, so a
+/// caller that plans route after route reuses one buffer.
+pub fn astar_path_into(
+    net: &RoadNetwork,
+    from: NodeId,
+    to: NodeId,
+    scratch: &mut DijkstraScratch,
+    path: &mut Vec<NodeId>,
+) -> Option<f64> {
+    path.clear();
+    let goal = net.position(to);
+    let total = search(net, from, Some(to), Some(goal), scratch)?;
+    recover_path(from, to, scratch, path);
+    Some(total)
+}
+
+/// Walks the predecessor chain left by the last search in `scratch`,
+/// appending `from ..= to` to the empty `path`.
+fn recover_path(from: NodeId, to: NodeId, scratch: &DijkstraScratch, path: &mut Vec<NodeId>) {
+    path.push(to);
     let mut cur = to;
     while cur != from {
         cur = scratch.prev(cur);
         path.push(cur);
     }
     path.reverse();
-    path
 }
 
 /// Core label-setting search. With `heuristic_goal` set it is A\*,

@@ -41,13 +41,13 @@ impl Simulator {
             batch_stats,
             ..
         } = self;
-        let (positions, mobility, rngs, movers) = store.movement_columns();
+        let (positions, mobility, streams, movers) = store.movement_columns();
         let mut cell_moves = 0u64;
         match mobility {
             MoverColumn::Free { config, legs } => {
                 for (leg, &host) in legs.iter_mut().zip(movers) {
                     let i = host as usize;
-                    step_leg(config, &mut positions[i], leg, dt, &mut rngs[i]);
+                    step_leg(config, &mut positions[i], leg, dt, &mut streams.host(host));
                     cell_moves += u64::from(grid.apply_move(host, positions[i]));
                 }
             }
@@ -55,7 +55,7 @@ impl Simulator {
                 let net = network.as_ref().expect("road movers need the road network");
                 for (mover, &host) in road.iter_mut().zip(movers) {
                     let i = host as usize;
-                    mover.step(net, dt, &mut rngs[i]);
+                    mover.step(net, dt, &mut streams.host(host));
                     positions[i] = mover.position();
                     cell_moves += u64::from(grid.apply_move(host, positions[i]));
                 }

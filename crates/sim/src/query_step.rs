@@ -265,13 +265,12 @@ impl Simulator {
             let querier = self.rng.gen_range(0..self.store.len());
             let k = match self.config.k_choice {
                 KChoice::Fixed(k) => k,
-                KChoice::Uniform(lo, hi) => self
-                    .store
-                    .rng_mut(querier as u32)
-                    .gen_range(lo..=hi.max(lo)),
+                KChoice::Uniform(lo, hi) => {
+                    self.store.rng(querier as u32).gen_range(lo..=hi.max(lo))
+                }
                 KChoice::MeanLambda => {
                     let max_k = (2 * self.config.params.lambda_knn).saturating_sub(1).max(1);
-                    self.store.rng_mut(querier as u32).gen_range(1..=max_k)
+                    self.store.rng(querier as u32).gen_range(1..=max_k)
                 }
             };
             plans.push(QueryPlan {

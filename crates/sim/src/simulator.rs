@@ -57,7 +57,7 @@ use crate::metrics::Metrics;
 use crate::movement::poisson;
 use crate::params::{ParamSet, SimParams};
 use crate::query_step::ExpandScratch;
-use crate::store::HostStore;
+use crate::store::{HostStore, Spawn};
 use crate::transport_step::Uplink;
 
 /// The target metric of network-mode (SNNN) queries — which
@@ -588,7 +588,7 @@ pub struct Simulator {
     /// and SNNN round goes through.
     pub(crate) uplink: Uplink,
     pub(crate) engine: SennEngine,
-    /// Struct-of-arrays host substrate: position/mobility/rng columns, the
+    /// Struct-of-arrays host substrate: position/mobility/stream columns, the
     /// movers visit list, and the sparse cache side table.
     pub(crate) store: HostStore,
     pub(crate) rng: SmallRng,
@@ -772,18 +772,21 @@ impl Simulator {
             params.c_size,
             params.mh_number,
             free.then_some(waypoint_cfg),
+            config.seed,
         );
-        for i in 0..params.mh_number {
-            let mut host_rng = SmallRng::seed_from_u64(config.seed ^ (0xc0ffee + i as u64 * 7919));
-            let start = Point::new(host_rng.gen_range(0.0..side), host_rng.gen_range(0.0..side));
-            if !host_rng.gen_bool(params.m_percentage) {
-                store.push_parked(start, host_rng);
-            } else if free {
-                store.push_free_mover(start, host_rng);
-            } else {
-                let node = locator.nearest(start).expect("network non-empty");
-                store.push_road_mover(RoadMover::new(&network, node, mover_cfg), host_rng);
-            }
+        for _ in 0..params.mh_number {
+            store.push_host(|host_rng| {
+                let start =
+                    Point::new(host_rng.gen_range(0.0..side), host_rng.gen_range(0.0..side));
+                if !host_rng.gen_bool(params.m_percentage) {
+                    Spawn::Parked(start)
+                } else if free {
+                    Spawn::Free(start)
+                } else {
+                    let node = locator.nearest(start).expect("network non-empty");
+                    Spawn::Road(RoadMover::new(&network, node, mover_cfg))
+                }
+            });
         }
 
         let engine = SennEngine::new(SennConfig {

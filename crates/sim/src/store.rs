@@ -11,7 +11,8 @@
 //!   snapshot the peer-discovery grid indexes and every query reads — and
 //!   it *is* a free mover's position: the step kernel advances it in
 //!   place, nothing is copied back;
-//! * the **RNG column** (by host id): each host's deterministic stream;
+//! * the **stream column** (by host id): one `u32` word per host standing
+//!   for its deterministic RNG stream (see below);
 //! * the **movers list** fixes the hosts that can move at world-build
 //!   time, ascending by id, making the movement pass O(movers);
 //! * the **mover column** ([`MoverColumn`]) is dense by *mover ordinal*:
@@ -25,10 +26,33 @@
 //! Column order is host-id order everywhere, and the side table is only
 //! ever accessed by key (never iterated), so the layout cannot perturb any
 //! deterministic ordering the batch engine relies on.
+//!
+//! ## Streams
+//!
+//! Host `i` draws from `SmallRng::seed_from_u64(host_key(seed, i))`. In
+//! the vendored `rand` every draw — `next_u32`, `next_u64`, `gen_range`
+//! on floats and integers (rejection-free), `gen_bool` — takes exactly one
+//! xoshiro step, so a stream is fully determined by its key and the number
+//! of draws it has made. The stream word exploits that:
+//!
+//! * below [`SPILL_AT`] it *is* that draw count. A [`HostRng`] handle
+//!   rebuilds the generator on its first draw (the cold `replay`: seed,
+//!   then fast-forward), serves the rest of the call from it, and counts;
+//! * at or past it the word is `SPILLED | slot`, and the generator lives
+//!   in slot `slot` of a slab, where it is read in place. A handle whose
+//!   stream crossed `SPILL_AT` moves its generator there on drop.
+//!
+//! Where a stream lives thus depends only on its draw count, like the
+//! grid's inline/spill rule, and every draw is bit-identical to a plain
+//! per-host `SmallRng`. Replay is bounded: a stream is replayed only while
+//! counted, so it costs fewer than `SPILL_AT` steps per call and nothing
+//! after it spills. A parked host, which draws only while the world is
+//! built, costs its position and one word.
 
 use std::collections::HashMap;
 
 use rand::rngs::SmallRng;
+use rand::{RngCore, SeedableRng};
 
 use senn_cache::{CacheEntry, LruCache, MostRecentCache};
 use senn_geom::Point;
@@ -48,13 +72,120 @@ pub(crate) enum MoverColumn {
     Road(Vec<RoadMover>),
 }
 
+/// Draw count at which a stream moves from its word into the slab.
+pub(crate) const SPILL_AT: u32 = 32;
+
+/// Tag bit of a stream word that indexes the slab.
+const SPILLED: u32 = 1 << 31;
+
+/// The key of host `id`'s stream under the master seed.
+pub(crate) fn host_key(seed: u64, id: u32) -> u64 {
+    seed ^ (0xc0ffee + u64::from(id) * 7919)
+}
+
+/// Every host's RNG stream: one word per host, plus the slab of streams
+/// that spilled (see module docs).
+pub(crate) struct Streams {
+    seed: u64,
+    words: Vec<u32>,
+    live: Vec<SmallRng>,
+}
+
+impl Streams {
+    /// Host `host`'s stream, for one call's worth of draws.
+    pub(crate) fn host(&mut self, host: u32) -> HostRng<'_> {
+        HostRng {
+            key: host_key(self.seed, host),
+            word: &mut self.words[host as usize],
+            live: &mut self.live,
+            replayed: None,
+        }
+    }
+}
+
+/// A handle on one host's stream; draws exactly what a `SmallRng` seeded
+/// with the host's key would, in order, across any sequence of handles.
+pub(crate) struct HostRng<'a> {
+    key: u64,
+    word: &'a mut u32,
+    live: &'a mut Vec<SmallRng>,
+    /// A counted stream's generator, rebuilt on this handle's first draw.
+    replayed: Option<SmallRng>,
+}
+
+impl HostRng<'_> {
+    #[inline]
+    fn generator(&mut self) -> &mut SmallRng {
+        let word = *self.word;
+        if word & SPILLED != 0 {
+            return &mut self.live[(word & !SPILLED) as usize];
+        }
+        *self.word = word + 1;
+        let key = self.key;
+        self.replayed.get_or_insert_with(|| replay(key, word))
+    }
+}
+
+impl RngCore for HostRng<'_> {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        self.generator().next_u32()
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.generator().next_u64()
+    }
+}
+
+impl Drop for HostRng<'_> {
+    fn drop(&mut self) {
+        if let Some(rng) = self.replayed.take() {
+            if *self.word >= SPILL_AT {
+                *self.word = SPILLED | self.live.len() as u32;
+                self.live.push(rng);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Steps `replay` has fast-forwarded on this thread.
+    static REPLAYED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The generator of stream `key` after `steps` draws.
+#[cold]
+#[inline(never)]
+fn replay(key: u64, steps: u32) -> SmallRng {
+    let mut rng = SmallRng::seed_from_u64(key);
+    for _ in 0..steps {
+        rng.next_u64();
+    }
+    #[cfg(test)]
+    REPLAYED.with(|n| n.set(n.get() + u64::from(steps)));
+    rng
+}
+
+/// What a new host is, as [`HostStore::push_host`]'s caller decides it
+/// from the host's first draws.
+pub(crate) enum Spawn {
+    /// Never moves.
+    Parked(Point),
+    /// A random-waypoint mover starting here.
+    Free(Point),
+    /// A road mover, at its own position.
+    Road(RoadMover),
+}
+
 /// Struct-of-arrays storage for the host population (see module docs).
 pub(crate) struct HostStore {
     /// Current position of every host (authoritative; the grid indexes
     /// into this column).
     positions: Vec<Point>,
-    /// Per-host deterministic RNG stream.
-    rngs: Vec<SmallRng>,
+    /// Per-host deterministic RNG streams.
+    streams: Streams,
     /// Ids of the hosts that move, ascending — the only hosts the movement
     /// pass visits.
     movers: Vec<u32>,
@@ -71,17 +202,23 @@ pub(crate) struct HostStore {
 impl HostStore {
     /// An empty store that will build host caches with the given policy
     /// and per-host NN capacity (`C_Size`). `waypoint` is the world's
-    /// free-movement config; `None` makes a road-movement store. Every
-    /// column is reserved for `host_hint` entries (DESIGN §5h).
+    /// free-movement config; `None` makes a road-movement store. Host
+    /// streams are keyed by `seed` ([`host_key`]). Every column is reserved
+    /// for `host_hint` entries (DESIGN §5h).
     pub(crate) fn new(
         policy: CachePolicy,
         cache_capacity: usize,
         host_hint: usize,
         waypoint: Option<WaypointConfig>,
+        seed: u64,
     ) -> Self {
         HostStore {
             positions: Vec::with_capacity(host_hint),
-            rngs: Vec::with_capacity(host_hint),
+            streams: Streams {
+                seed,
+                words: Vec::with_capacity(host_hint),
+                live: Vec::new(),
+            },
             movers: Vec::with_capacity(host_hint),
             mobility: match waypoint {
                 Some(config) => MoverColumn::Free {
@@ -96,34 +233,31 @@ impl HostStore {
         }
     }
 
-    /// Appends one parked host (id = current `len`) and returns its id.
-    pub(crate) fn push_parked(&mut self, position: Point, rng: SmallRng) -> u32 {
+    /// Appends one host (id = current `len`) and returns its id: `spawn`
+    /// draws what it needs from the new host's stream and says what the
+    /// host is. A free mover then draws its first destination from the
+    /// same stream.
+    pub(crate) fn push_host(&mut self, spawn: impl FnOnce(&mut HostRng<'_>) -> Spawn) -> u32 {
         let id = self.positions.len() as u32;
+        self.streams.words.push(0);
+        let mut rng = self.streams.host(id);
+        let position = match (spawn(&mut rng), &mut self.mobility) {
+            (Spawn::Parked(position), _) => position,
+            (Spawn::Free(start), MoverColumn::Free { config, legs }) => {
+                legs.push(WaypointLeg::new(config, start, &mut rng));
+                self.movers.push(id);
+                start
+            }
+            (Spawn::Road(mover), MoverColumn::Road(road)) => {
+                let position = mover.position();
+                road.push(mover);
+                self.movers.push(id);
+                position
+            }
+            _ => panic!("a mover of the other movement mode pushed into this store"),
+        };
         self.positions.push(position);
-        self.rngs.push(rng);
         id
-    }
-
-    /// Appends one free mover at `start`, its first destination drawn
-    /// from `rng`.
-    pub(crate) fn push_free_mover(&mut self, start: Point, mut rng: SmallRng) {
-        let MoverColumn::Free { config, legs } = &mut self.mobility else {
-            panic!("free mover pushed into a road-movement store");
-        };
-        legs.push(WaypointLeg::new(config, start, &mut rng));
-        let id = self.push_parked(start, rng);
-        self.movers.push(id);
-    }
-
-    /// Appends one road mover, at the mover's own position.
-    pub(crate) fn push_road_mover(&mut self, mover: RoadMover, rng: SmallRng) {
-        let MoverColumn::Road(road) = &mut self.mobility else {
-            panic!("road mover pushed into a free-movement store");
-        };
-        let position = mover.position();
-        road.push(mover);
-        let id = self.push_parked(position, rng);
-        self.movers.push(id);
     }
 
     /// Number of hosts.
@@ -142,20 +276,20 @@ impl HostStore {
     }
 
     /// One host's RNG stream.
-    pub(crate) fn rng_mut(&mut self, host: u32) -> &mut SmallRng {
-        &mut self.rngs[host as usize]
+    pub(crate) fn rng(&mut self, host: u32) -> HostRng<'_> {
+        self.streams.host(host)
     }
 
     /// The columns the movement pass streams over: positions (written),
-    /// mobility + rngs (stepped), movers (the visit list). Split borrows
-    /// so the caller can hold all four at once.
+    /// mobility + streams (stepped), movers (the visit list). Split
+    /// borrows so the caller can hold all four at once.
     pub(crate) fn movement_columns(
         &mut self,
-    ) -> (&mut [Point], &mut MoverColumn, &mut [SmallRng], &[u32]) {
+    ) -> (&mut [Point], &mut MoverColumn, &mut Streams, &[u32]) {
         (
             &mut self.positions,
             &mut self.mobility,
-            &mut self.rngs,
+            &mut self.streams,
             &self.movers,
         )
     }
@@ -181,51 +315,74 @@ impl HostStore {
 }
 
 #[cfg(test)]
+impl HostStore {
+    /// Bytes of the per-host columns (those indexed by host id).
+    fn per_host_column_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.positions[..]) + std::mem::size_of_val(&self.streams.words[..])
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::Rng;
     use senn_cache::CachedNn;
     use senn_geom::Rect;
 
+    const SEED: u64 = 20060402;
+
     #[test]
     fn columns_stay_parallel_and_movers_are_sparse() {
-        let mut store = HostStore::new(CachePolicy::MostRecent, 4, 3, None);
-        let rng = SmallRng::seed_from_u64(1);
-        store.push_parked(Point::new(1.0, 2.0), rng.clone());
-        store.push_parked(Point::new(3.0, 4.0), rng);
+        let mut store = HostStore::new(CachePolicy::MostRecent, 4, 3, None, SEED);
+        store.push_host(|_| Spawn::Parked(Point::new(1.0, 2.0)));
+        store.push_host(|_| Spawn::Parked(Point::new(3.0, 4.0)));
         assert_eq!(store.len(), 2);
         assert_eq!(store.position(1), Point::new(3.0, 4.0));
         assert_eq!(store.positions().len(), 2);
-        let (_, mobility, _, movers) = store.movement_columns();
+        let (_, mobility, streams, movers) = store.movement_columns();
+        assert_eq!(
+            streams.words,
+            [0, 0],
+            "one stream word per host, none drawn"
+        );
+        assert!(streams.live.is_empty());
         assert!(movers.is_empty(), "parked hosts never enter the visit list");
         assert!(matches!(mobility, MoverColumn::Road(road) if road.is_empty()));
     }
 
     /// Leg `j` belongs to host `movers[j]`, whatever parked hosts sit in
-    /// between, and parked hosts add nothing to the mover column.
+    /// between, and parked hosts add nothing to the mover column. Each
+    /// leg is drawn from its host's own stream, after the spawn's draw.
     #[test]
     fn mover_column_is_dense_by_mover_ordinal() {
         let area = Rect::new(Point::ORIGIN, Point::new(100.0, 100.0));
         let config = WaypointConfig::new(area, 5.0);
-        let mut store = HostStore::new(CachePolicy::MostRecent, 4, 0, Some(config));
+        let mut store = HostStore::new(CachePolicy::MostRecent, 4, 0, Some(config), SEED);
         let mut expected = Vec::new();
         for id in 0..40u32 {
-            let rng = SmallRng::seed_from_u64(u64::from(id));
+            let mut plain = SmallRng::seed_from_u64(host_key(SEED, id));
+            let drawn = plain.next_u64();
             let start = Point::new(f64::from(id), 1.0);
+            let pushed = store.push_host(|rng| {
+                assert_eq!(rng.next_u64(), drawn, "host {id}'s first draw");
+                if id % 3 == 1 {
+                    Spawn::Free(start)
+                } else {
+                    Spawn::Parked(start)
+                }
+            });
+            assert_eq!(pushed, id);
             if id % 3 == 1 {
-                let leg = WaypointLeg::new(&config, start, &mut rng.clone());
-                expected.push((id, leg));
-                store.push_free_mover(start, rng);
-            } else {
-                store.push_parked(start, rng);
+                expected.push((id, WaypointLeg::new(&config, start, &mut plain)));
             }
         }
         assert_eq!(store.len(), 40);
-        let (positions, mobility, rngs, movers) = store.movement_columns();
+        let (positions, mobility, streams, movers) = store.movement_columns();
         let MoverColumn::Free { legs, .. } = mobility else {
             panic!("a waypoint config makes a free-movement store");
         };
-        assert_eq!((positions.len(), rngs.len()), (40, 40));
+        assert_eq!((positions.len(), streams.words.len()), (40, 40));
         assert_eq!(
             legs.len(),
             expected.len(),
@@ -240,8 +397,8 @@ mod tests {
 
     #[test]
     fn cache_side_table_is_lazy_and_behaves_like_an_empty_cache() {
-        let mut store = HostStore::new(CachePolicy::MostRecent, 2, 1, None);
-        store.push_parked(Point::ORIGIN, SmallRng::seed_from_u64(2));
+        let mut store = HostStore::new(CachePolicy::MostRecent, 2, 1, None, 2);
+        store.push_host(|_| Spawn::Parked(Point::ORIGIN));
         assert!(store.cache(0).is_none(), "no store yet: no cache entry");
         let entry = CacheEntry::new(
             Point::ORIGIN,
@@ -253,5 +410,118 @@ mod tests {
         store.cache_store(0, entry);
         let cached = store.cache(0).expect("created on first store");
         assert_eq!(cached.iter().count(), 1);
+    }
+
+    /// A parked host costs its position and its stream word, however many
+    /// draws its spawn made (fewer than `SPILL_AT`).
+    #[test]
+    fn a_parked_host_costs_a_point_and_a_word() {
+        let mut store = HostStore::new(CachePolicy::MostRecent, 4, 100, None, SEED);
+        for id in 0..100u32 {
+            store.push_host(|rng| {
+                for _ in 0..id % SPILL_AT {
+                    rng.next_u64();
+                }
+                Spawn::Parked(Point::ORIGIN)
+            });
+        }
+        let per_host = std::mem::size_of::<Point>() + std::mem::size_of::<u32>();
+        assert_eq!(per_host, 20);
+        assert_eq!(store.per_host_column_bytes(), 100 * per_host);
+        assert!(store.streams.live.is_empty(), "nothing spilled");
+    }
+
+    /// However a host's draws are split into calls, replay fast-forwards
+    /// fewer than `SPILL_AT` steps per call and none once the stream has
+    /// spilled: one draw per call replays 0 + 1 + … + (SPILL_AT - 1) steps
+    /// in total, whether the host draws a hundred times or ten thousand.
+    #[test]
+    fn replay_is_bounded_by_the_spill() {
+        let mut streams = Streams {
+            seed: SEED,
+            words: vec![0],
+            live: Vec::new(),
+        };
+        let mut plain = SmallRng::seed_from_u64(host_key(SEED, 0));
+        let before = REPLAYED.with(|n| n.get());
+        for draw in 0..10_000u32 {
+            let replayed = REPLAYED.with(|n| n.get());
+            assert_eq!(streams.host(0).next_u64(), plain.next_u64(), "draw {draw}");
+            let step = REPLAYED.with(|n| n.get()) - replayed;
+            assert!(step < u64::from(SPILL_AT), "draw {draw} replayed {step}");
+        }
+        let total = REPLAYED.with(|n| n.get()) - before;
+        let bound = u64::from(SPILL_AT) * u64::from(SPILL_AT - 1) / 2;
+        assert_eq!(total, bound);
+        assert_eq!(streams.words[0], SPILLED, "spilled into slot 0");
+        assert_eq!(streams.live.len(), 1);
+
+        // Ten thousand draws in one call replay nothing: the stream is
+        // rebuilt from its key at count 0 and spills when the call ends.
+        streams.words.push(0);
+        let mut plain = SmallRng::seed_from_u64(host_key(SEED, 1));
+        let before = REPLAYED.with(|n| n.get());
+        let mut rng = streams.host(1);
+        for draw in 0..10_000u32 {
+            assert_eq!(rng.next_u64(), plain.next_u64(), "draw {draw}");
+        }
+        drop(rng);
+        assert_eq!(REPLAYED.with(|n| n.get()) - before, 0);
+        assert_eq!(streams.words[1], SPILLED | 1, "spilled into slot 1");
+    }
+
+    /// One draw of kind `kind % 5`, as bits.
+    fn draw(rng: &mut impl Rng, kind: usize) -> u64 {
+        match kind % 5 {
+            0 => rng.next_u64(),
+            1 => u64::from(rng.next_u32()),
+            2 => rng.gen_range(-3.5..1e6f64).to_bits(),
+            3 => rng.gen_range(0..1_000_003usize) as u64,
+            _ => u64::from(rng.gen_bool(0.3)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random call schedules over three hosts — each call 0–40 draws of
+        /// mixed kinds, 0–300 draws in all, across the spill boundary —
+        /// draw exactly the plain per-host `SmallRng` streams, and each
+        /// stream lives where its draw count says.
+        #[test]
+        fn streams_equal_plain_generators_across_the_spill(
+            calls in prop::collection::vec(
+                (0..3u32, prop::collection::vec(0..5usize, 0..41)),
+                0..16,
+            ),
+        ) {
+            let mut streams = Streams {
+                seed: SEED,
+                words: vec![0; 3],
+                live: Vec::new(),
+            };
+            let mut plain: [SmallRng; 3] =
+                std::array::from_fn(|h| SmallRng::seed_from_u64(host_key(SEED, h as u32)));
+            let mut counts = [0u32; 3];
+            let mut budget = 300usize;
+            for (host, kinds) in &calls {
+                let kinds = &kinds[..kinds.len().min(budget)];
+                budget -= kinds.len();
+                let mut rng = streams.host(*host);
+                for &kind in kinds {
+                    let got = draw(&mut rng, kind);
+                    prop_assert_eq!(got, draw(&mut plain[*host as usize], kind));
+                }
+                drop(rng);
+                counts[*host as usize] += kinds.len() as u32;
+            }
+            for (host, &count) in counts.iter().enumerate() {
+                let word = streams.words[host];
+                prop_assert_eq!(word & SPILLED != 0, count >= SPILL_AT, "host {}", host);
+                if count < SPILL_AT {
+                    prop_assert_eq!(word, count);
+                }
+            }
+        }
     }
 }
