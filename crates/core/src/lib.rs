@@ -63,8 +63,8 @@ pub use snnn::{
 };
 pub use trace::{QueryTrace, Resolution, Stage, STAGE_COUNT, STAGE_NAMES};
 pub use transport::{
-    submit_budgeted, submit_with_retry, AdaptivePolicy, AsyncClient, AsyncService, Priority,
-    RequestId, RetryBudget, RetryPolicy, Ticket, Transport, TransportPolicy, TransportStats,
+    submit_with_retry, AdaptivePolicy, AsyncClient, RequestId, RetryBudget, RetryPolicy, Ticket,
+    Transport, TransportPolicy, TransportStats,
 };
 
 /// One-stop imports for typical users of the crate: the engines, the
@@ -101,8 +101,8 @@ pub mod prelude {
     };
     pub use crate::trace::{QueryTrace, Resolution};
     pub use crate::transport::{
-        AdaptivePolicy, AsyncClient, AsyncService, Priority, RequestId, RetryBudget, RetryPolicy,
-        Ticket, Transport, TransportPolicy, TransportStats,
+        AdaptivePolicy, AsyncClient, RequestId, RetryBudget, RetryPolicy, Ticket, Transport,
+        TransportPolicy, TransportStats,
     };
     pub use senn_cache::{CacheEntry as PeerCacheEntry, CachedNn};
     pub use senn_rtree::SearchBounds;

@@ -23,7 +23,7 @@
 
 use crate::service::{ServerRequest, SpatialService};
 use crate::trace::QueryTrace;
-use crate::transport::{submit_budgeted, RetryBudget, RetryPolicy};
+use crate::transport::{submit_with_retry, RetryPolicy};
 use senn_geom::Point;
 
 /// One reverse-kNN query: a POI asking which hosts rank it top-k.
@@ -105,11 +105,11 @@ fn cache_prunes(host: &RknnHost, d: f64, k: usize) -> bool {
 }
 
 /// Answers a batch of reverse-kNN queries against `service`, spending at
-/// most one kNN verification request per host through `submit_budgeted`.
+/// most one kNN verification request per host through
+/// [`submit_with_retry`].
 pub fn rknn_batch(
     service: &dyn SpatialService,
     policy: &RetryPolicy,
-    budget: &mut RetryBudget,
     queries: &[RknnQuery],
     hosts: &[RknnHost],
 ) -> RknnBatch {
@@ -158,7 +158,7 @@ pub fn rknn_batch(
     let mut replies: Vec<Option<Vec<u64>>> = vec![None; hosts.len()];
     for (req, out) in requests
         .iter()
-        .zip(submit_budgeted(service, &requests, policy, budget))
+        .zip(submit_with_retry(service, &requests, policy))
     {
         batch.trace.record_service_outcome(&out);
         let h = req.id.raw() as usize;
@@ -224,7 +224,7 @@ pub fn rknn_bruteforce(
 mod tests {
     use super::*;
     use crate::server::RTreeServer;
-    use crate::transport::{RetryBudget, RetryPolicy};
+    use crate::transport::RetryPolicy;
 
     fn world() -> Vec<(u64, Point)> {
         // A 3×3 jittered grid of POIs, ids 0..9.
@@ -271,13 +271,7 @@ mod tests {
                 k: 2,
             })
             .collect();
-        let batch = rknn_batch(
-            &server,
-            &RetryPolicy::default(),
-            &mut RetryBudget::unlimited(),
-            &queries,
-            &hosts,
-        );
+        let batch = rknn_batch(&server, &RetryPolicy::default(), &queries, &hosts);
         let oracle = rknn_bruteforce(&queries, &hosts, &pois);
         assert_eq!(batch.outcomes, oracle);
         // Every host appears in exactly k=2 member lists in total.
@@ -306,13 +300,7 @@ mod tests {
                 k: 2,
             })
             .collect();
-        let batch = rknn_batch(
-            &server,
-            &RetryPolicy::default(),
-            &mut RetryBudget::unlimited(),
-            &queries,
-            &hosts,
-        );
+        let batch = rknn_batch(&server, &RetryPolicy::default(), &queries, &hosts);
         let oracle = rknn_bruteforce(&queries, &hosts, &pois);
         assert_eq!(batch.outcomes, oracle, "pruning must stay invisible");
         // 9 pairs, and the radius kills every POI beyond the 2nd NN.
@@ -342,13 +330,7 @@ mod tests {
                 k: 3,
             },
         ];
-        let batch = rknn_batch(
-            &server,
-            &RetryPolicy::default(),
-            &mut RetryBudget::unlimited(),
-            &queries,
-            &hosts,
-        );
+        let batch = rknn_batch(&server, &RetryPolicy::default(), &queries, &hosts);
         assert_eq!(batch.stats.verified_hosts, 1);
         assert_eq!(batch.outcomes, rknn_bruteforce(&queries, &hosts, &pois));
     }
@@ -364,13 +346,7 @@ mod tests {
             position: pois[0].1,
             k: 0,
         }];
-        let batch = rknn_batch(
-            &server,
-            &RetryPolicy::default(),
-            &mut RetryBudget::unlimited(),
-            &queries,
-            &hosts,
-        );
+        let batch = rknn_batch(&server, &RetryPolicy::default(), &queries, &hosts);
         assert!(batch.outcomes[0].members.is_empty());
         assert_eq!(batch.stats.pairs, 0);
         assert_eq!(batch.stats.verified_hosts, 0);

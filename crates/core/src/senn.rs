@@ -327,9 +327,8 @@ impl SennEngine {
     /// Builds the [`ServerRequest`] that would complete an
     /// [`Resolution::Unresolved`] outcome of [`Self::query_peers_only`] —
     /// the deferred half of the server stage. Batch drivers collect one
-    /// request per unresolved query, submit them together through
-    /// [`crate::service::SpatialService::submit`] (typically via
-    /// [`crate::transport::submit_with_retry`]), and finish each query with
+    /// request per unresolved query, submit them through the retry client
+    /// ([`crate::transport::AsyncClient`]), and finish each query with
     /// [`Self::complete_residual`].
     pub fn residual_request(
         &self,

@@ -21,9 +21,8 @@
 //! [`SpatialService::submit`] answers a whole batch; replies come back in
 //! request order, each echoing its request's [`RequestId`]. There is no
 //! single-query convenience on the trait — a lone query is a batch of one,
-//! and callers that need retry or overlap semantics use the client layers
-//! in [`crate::transport`] ([`crate::transport::submit_with_retry`]
-//! blocking, [`crate::transport::AsyncClient`] event-driven).
+//! and callers that need retry or overlap semantics use the retry client
+//! in [`crate::transport`] ([`crate::transport::AsyncClient`]).
 //!
 //! ## Robustness
 //!
@@ -154,8 +153,7 @@ impl<S: SpatialService + ?Sized> SpatialService for &S {
     }
 }
 
-/// What the client layer (blocking retry or async ladder) delivered for
-/// one request.
+/// What the retry ladder delivered for one request.
 #[derive(Clone, Debug, Default)]
 pub struct RequestOutcome {
     /// The answer (empty when `failed`).
@@ -171,7 +169,8 @@ pub struct RequestOutcome {
     pub shed: u32,
     /// Retries refused by the token-bucket
     /// [`RetryBudget`](crate::transport::RetryBudget) — terminal, so this
-    /// is 0 or 1 per outcome (always 0 with the unlimited budget).
+    /// is 0 or 1 per outcome (always 0 under
+    /// [`AdaptivePolicy::clamped`](crate::transport::AdaptivePolicy::clamped)).
     pub retries_denied: u32,
     /// True when the answer came from the degraded (unpruned) fallback.
     pub degraded: bool,

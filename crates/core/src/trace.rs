@@ -92,15 +92,15 @@ pub struct QueryTrace {
     /// Residual-request attempts the service (or network) dropped.
     pub server_drops: u32,
     /// Residual requests the transport's admission control refused
-    /// (`ReplyStatus::Shed`) — terminal refusals under overload, `0` on
-    /// the blocking path or an uncongested transport.
+    /// (`ReplyStatus::Shed`) — terminal refusals under overload, `0`
+    /// under the settled policy or an uncongested transport.
     pub server_shed: u32,
     /// Residual retries the token-bucket budget refused
-    /// (`RequestOutcome::retries_denied`) — terminal, `0` whenever the
-    /// budget is unlimited (adaptive transport control off).
+    /// (`RequestOutcome::retries_denied`) — terminal, `0` under
+    /// `AdaptivePolicy::clamped`, whose bucket never runs dry.
     pub server_retries_denied: u32,
     /// True when at least one residual answer came from the degraded
-    /// (unpruned) fallback of `submit_with_retry`.
+    /// (unpruned) last rung of the retry ladder.
     pub server_degraded: bool,
     /// True when a residual request exhausted every attempt and the query
     /// fell back to whatever the peers verified locally.

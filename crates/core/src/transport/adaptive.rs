@@ -1,15 +1,12 @@
-//! Adaptive transport control: AIMD in-flight windows, priority classes
-//! and shed-aware retry budgets for the event-driven [`Transport`].
+//! The transport's feedback controllers: the AIMD in-flight window of
+//! every lane and the shed-aware retry budget of the client.
 //!
-//! The static [`TransportPolicy`] fixes the per-lane in-flight window and
-//! runs an unconditional retry ladder. Under a flash crowd that is the
-//! wrong shape twice over: a window sized for the steady state either
-//! starves the uplink when the channel is healthy or floods it when the
-//! server sheds, and retries burn uplink slots exactly when the admission
-//! edge is refusing work. Setting [`TransportPolicy::adaptive`] replaces
-//! both fixed choices with feedback controllers — classic AIMD for the
-//! windows, a token bucket for the retries — driven **only by the virtual
-//! clock and the keyed event schedule**, so every trajectory remains a
+//! A fixed window is the wrong shape under a flash crowd: sized for the
+//! steady state, it either starves the uplink when the channel is
+//! healthy or floods it when the server sheds, and an unconditional
+//! retry ladder burns uplink slots exactly when the admission edge is
+//! refusing work. [`AdaptivePolicy`] drives both from **the virtual clock
+//! and the keyed event schedule only**, so every trajectory remains a
 //! pure function of `(seed, request ids, enqueue order)`:
 //!
 //! * **AIMD windows.** Each lane starts at
@@ -23,48 +20,21 @@
 //!   inside the `(completion time, ticket)`-ordered event loop, the whole
 //!   trajectory is invariant to poll granularity, worker-thread count and
 //!   backend shard layout.
-//! * **Priority classes.** Admission takes a [`Priority`]: `Residual`
-//!   batches (the paper's server-bound remainder traffic, which feeds the
-//!   peer caches) dispatch strictly ahead of `Probe` traffic (cold-start
-//!   warming, speculative prefetch). Starvation is bounded by aging: a
-//!   probe that has waited [`AdaptivePolicy::probe_aging_ms`] on the
-//!   virtual clock is promoted ahead of younger residuals. The dequeue
-//!   rule is deterministic, so `TransportStats::priority_inversions`
-//!   (a probe dispatched ahead of a waiting residual *without* aging
-//!   justification) must stay zero — tests assert it.
-//! * **Retry budgets.** A [`RetryBudget`] token bucket replaces the
-//!   unconditional ladder: every re-submission (pruned retry or degraded
-//!   attempt) debits one token; an empty bucket denies the retry and the
-//!   ladder resolves `failed` with
+//! * **Retry budgets.** A [`RetryBudget`] token bucket pays for the
+//!   ladder: every re-submission (pruned retry or degraded attempt)
+//!   debits one token; an empty bucket denies the retry and the ladder
+//!   resolves `failed` with
 //!   [`RequestOutcome::retries_denied`](crate::service::RequestOutcome)
 //!   counted exactly once. The bucket refills per whole virtual interval,
 //!   and observed `Shed` replies cancel refill tokens one-for-one — the
 //!   budget *tightens under shed pressure*, backing the client off
 //!   exactly when the admission edge signals overload.
 //!
-//! [`Transport`]: crate::transport::Transport
-//! [`TransportPolicy`]: crate::transport::TransportPolicy
-//! [`TransportPolicy::adaptive`]: crate::transport::TransportPolicy
+//! [`AdaptivePolicy::clamped`] pins the band to one window and fills the
+//! bucket beyond reach: a fixed window and a ladder that is never denied.
 
-/// Priority class of one admitted request. `Residual` is the default
-/// everywhere a class is not stated explicitly, so static callers see no
-/// behavioral change.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Priority {
-    /// Residual server-bound batch traffic — the latency-critical class
-    /// (its answers populate the peer caches the paper's sharing wins
-    /// come from). Dispatches strictly first.
-    #[default]
-    Residual,
-    /// Cold-start probes / speculative warming — dispatches only when no
-    /// residual is waiting, or after aging past
-    /// [`AdaptivePolicy::probe_aging_ms`].
-    Probe,
-}
-
-/// Knobs of the adaptive controller. Attach via
-/// [`TransportPolicy::adaptive`](crate::transport::TransportPolicy);
-/// `None` keeps the exact static behavior.
+/// Knobs of the window controller and the retry budget — the `control`
+/// of a [`TransportPolicy`](crate::transport::TransportPolicy).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdaptivePolicy {
     /// Lower clamp of every lane's in-flight window (≥ 1).
@@ -82,9 +52,6 @@ pub struct AdaptivePolicy {
     /// Multiplicative-decrease denominator (≥ 1, and > `shrink_num` for a
     /// genuine decrease).
     pub shrink_den: u32,
-    /// Virtual age at which a waiting [`Priority::Probe`] is promoted
-    /// ahead of residual traffic (starvation bound).
-    pub probe_aging_ms: f64,
     /// Initial retry-budget tokens.
     pub retry_tokens: u64,
     /// Retry-budget capacity (the bucket never holds more).
@@ -105,7 +72,6 @@ impl Default for AdaptivePolicy {
             latency_target_ms: 250.0,
             shrink_num: 1,
             shrink_den: 2,
-            probe_aging_ms: 400.0,
             retry_tokens: 16,
             retry_cap: 32,
             retry_refill: 8,
@@ -115,10 +81,9 @@ impl Default for AdaptivePolicy {
 }
 
 impl AdaptivePolicy {
-    /// A degenerate controller pinned to a fixed window with an unlimited
-    /// retry budget: `min = start = max = window`, no refill needed. With
-    /// this policy the adaptive path must be bit-identical to the static
-    /// policy with the same `window` — the identity the golden tests pin.
+    /// A controller pinned to a fixed window with a budget that never runs
+    /// dry: `min = start = max = window`, and `u64::MAX` tokens, no refill
+    /// needed.
     pub fn clamped(window: usize) -> Self {
         AdaptivePolicy {
             window_min: window,
@@ -174,28 +139,9 @@ pub struct RetryBudget {
     shed_pressure: u64,
     /// Retries refused because the bucket was empty.
     denied: u64,
-    unlimited: bool,
 }
 
 impl RetryBudget {
-    /// A bucket that always grants — the static ladder's behavior. Used
-    /// whenever [`TransportPolicy::adaptive`] is `None`, so the budgeted
-    /// code path is bit-identical to the historical one.
-    ///
-    /// [`TransportPolicy::adaptive`]: crate::transport::TransportPolicy
-    pub fn unlimited() -> Self {
-        RetryBudget {
-            tokens: u64::MAX,
-            cap: u64::MAX,
-            refill: 0,
-            interval_ms: f64::INFINITY,
-            anchor_ms: 0.0,
-            shed_pressure: 0,
-            denied: 0,
-            unlimited: true,
-        }
-    }
-
     /// The bucket described by `policy`, anchored at virtual time zero.
     pub fn from_policy(policy: &AdaptivePolicy) -> Self {
         RetryBudget {
@@ -206,7 +152,6 @@ impl RetryBudget {
             anchor_ms: 0.0,
             shed_pressure: 0,
             denied: 0,
-            unlimited: false,
         }
     }
 
@@ -225,7 +170,7 @@ impl RetryBudget {
     /// pressure; later (pressure-free) intervals grant in one saturating
     /// step, so the walk is O(1) regardless of the gap.
     pub fn advance_to(&mut self, now_ms: f64) {
-        if self.unlimited || self.interval_ms <= 0.0 || !self.interval_ms.is_finite() {
+        if self.interval_ms <= 0.0 || !self.interval_ms.is_finite() {
             return;
         }
         if !now_ms.is_finite() || now_ms < self.anchor_ms + self.interval_ms {
@@ -252,18 +197,12 @@ impl RetryBudget {
     /// Records one observed `Shed` reply: the next refill grants one
     /// token fewer (floored at zero).
     pub fn note_shed(&mut self) {
-        if !self.unlimited {
-            self.shed_pressure = self.shed_pressure.saturating_add(1);
-        }
+        self.shed_pressure = self.shed_pressure.saturating_add(1);
     }
 
     /// Takes one token for a re-submission. Returns `false` — and counts
-    /// the denial — when the bucket is empty. The unlimited bucket always
-    /// grants without decrementing.
+    /// the denial — when the bucket is empty.
     pub fn try_debit(&mut self) -> bool {
-        if self.unlimited {
-            return true;
-        }
         if self.tokens > 0 {
             self.tokens -= 1;
             true
@@ -312,19 +251,6 @@ mod tests {
             assert!(b.try_debit());
         }
         assert_eq!(b.denied(), 0);
-    }
-
-    #[test]
-    fn unlimited_budget_never_decrements() {
-        let mut b = RetryBudget::unlimited();
-        for _ in 0..1000 {
-            assert!(b.try_debit());
-        }
-        assert_eq!(b.tokens(), u64::MAX);
-        assert_eq!(b.denied(), 0);
-        b.note_shed();
-        b.advance_to(1e12);
-        assert_eq!(b.tokens(), u64::MAX);
     }
 
     #[test]

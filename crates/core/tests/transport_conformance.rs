@@ -1,11 +1,11 @@
-//! Transport conformance: the executable spec every [`AsyncService`]
-//! implementation must satisfy, plus the adaptive controller's liveness
-//! and budget laws.
+//! Transport conformance: the executable spec of [`Transport`], the
+//! controller's liveness and budget laws, and the retry client's
+//! conservation law.
 //!
-//! [`check_async_service_contract`] is a reusable harness: given a
-//! factory for a fresh service, a request stream and a poll schedule, it
-//! asserts the contract any implementation — the static [`Transport`],
-//! the adaptive one, a fault-wrapped one — must keep:
+//! [`check_transport_contract`] is a reusable harness: given a factory
+//! for a fresh transport, a request stream and a poll schedule, it
+//! asserts the contract every policy — a fixed window, an AIMD band, a
+//! fault-wrapped backend — must keep:
 //!
 //! 1. **Tickets are 1:1.** Every enqueue's ticket resolves exactly once,
 //!    and each reply echoes its request's id.
@@ -18,23 +18,24 @@
 //!    reply bits (status, latency, answer ids) from the sliced run match
 //!    the one-big-drain reference bit for bit.
 //!
-//! On top of the contract, proptests pin the adaptive controller's laws:
-//! AIMD windows never leave `[window_min, window_max]` and converge to
+//! On top of the contract, proptests pin the controller's laws: AIMD
+//! windows never leave `[window_min, window_max]` and converge to
 //! `window_max` on a shed-free run (liveness); the token-bucket retry
 //! budget never goes negative and every denial is counted exactly once
 //! on its outcome (and therefore in the downstream metrics); window
-//! trajectories are bit-identical across backend shard layouts; and the
-//! unconditional convenience ladder is bit-identical to the budgeted one
-//! under an unlimited budget.
+//! trajectories are bit-identical across backend shard layouts. Every
+//! submission resolves exactly once into exactly one terminal class
+//! (conservation), and `submit_with_retry` reproduces the blocking
+//! ladder it replaced bit for bit.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use senn_core::service::{ReplyStatus, ServerReply, ServerRequest, SpatialService};
+use senn_core::service::{ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService};
 use senn_core::transport::{
-    submit_budgeted, submit_with_retry, AdaptivePolicy, AsyncClient, AsyncService, RequestId,
-    RetryBudget, RetryPolicy, Ticket, Transport, TransportPolicy,
+    submit_with_retry, AdaptivePolicy, AsyncClient, RequestId, RetryBudget, RetryPolicy, Ticket,
+    Transport, TransportPolicy,
 };
 use senn_core::{QueryTrace, RTreeServer, SearchBounds};
 use senn_geom::Point;
@@ -172,8 +173,8 @@ impl ReplyBits {
 /// clauses). `make` must build a *fresh, identically seeded* service each
 /// call; returns the reference per-ticket dispositions for cross-
 /// implementation comparisons.
-fn check_async_service_contract<S: AsyncService>(
-    mut make: impl FnMut() -> S,
+fn check_transport_contract<S: SpatialService>(
+    mut make: impl FnMut() -> Transport<S>,
     requests: &[ServerRequest],
     cuts: &[f64],
 ) -> BTreeMap<Ticket, ReplyBits> {
@@ -240,11 +241,81 @@ fn check_async_service_contract<S: AsyncService>(
 fn static_policy(window: usize, queue_cap: usize) -> TransportPolicy {
     TransportPolicy {
         retry: RetryPolicy::NONE,
-        window,
         queue_cap,
         shed: true,
-        adaptive: None,
+        control: AdaptivePolicy::clamped(window),
     }
+}
+
+/// The blocking retry ladder `submit_with_retry` used to run, kept as
+/// the reference it must reproduce: every open request goes out in
+/// rounds — all first attempts as one batch, then each retry round after
+/// its virtual backoff, then one degraded unpruned round — until it is
+/// answered, shed, or out of rounds.
+fn blocking_ladder(
+    service: &dyn SpatialService,
+    requests: &[ServerRequest],
+    policy: &RetryPolicy,
+) -> Vec<RequestOutcome> {
+    let mut outcomes: Vec<RequestOutcome> =
+        requests.iter().map(|_| RequestOutcome::default()).collect();
+    let mut open: Vec<usize> = (0..requests.len()).collect();
+    let mut backoff = policy.backoff_base_ms;
+    let pruned = policy.max_attempts.max(1);
+    for round in 0..pruned + u32::from(policy.degrade_unpruned) {
+        if open.is_empty() {
+            break;
+        }
+        let degraded = round == pruned;
+        if round > 0 {
+            for &i in &open {
+                outcomes[i].retries += 1;
+                outcomes[i].waited_ms += backoff;
+            }
+            if !degraded {
+                backoff *= policy.backoff_factor;
+            }
+        }
+        let batch: Vec<ServerRequest> = open
+            .iter()
+            .map(|&i| {
+                if degraded {
+                    requests[i].unpruned()
+                } else {
+                    requests[i]
+                }
+            })
+            .collect();
+        let replies = service.submit(&batch);
+        let mut still_open = Vec::new();
+        for (&i, reply) in open.iter().zip(&replies) {
+            let out = &mut outcomes[i];
+            out.waited_ms += reply.latency_ms;
+            match reply.status {
+                ReplyStatus::Ok => {
+                    out.response = reply.response.clone();
+                    out.degraded = degraded;
+                }
+                ReplyStatus::TimedOut => {
+                    out.timeouts += 1;
+                    still_open.push(i);
+                }
+                ReplyStatus::Dropped => {
+                    out.drops += 1;
+                    still_open.push(i);
+                }
+                ReplyStatus::Shed => {
+                    out.shed += 1;
+                    out.failed = true;
+                }
+            }
+        }
+        open = still_open;
+    }
+    for i in open {
+        outcomes[i].failed = true;
+    }
+    outcomes
 }
 
 fn adaptive_band(start: usize, max: usize) -> AdaptivePolicy {
@@ -270,7 +341,7 @@ proptest! {
         cuts in prop::collection::vec(0.0f64..300.0, 0..4),
         flaky in any::<bool>(),
     ) {
-        check_async_service_contract(
+        check_transport_contract(
             || Transport::new(ShardedFlaky::new(1, seed, flaky), 3, seed, static_policy(window, queue_cap)),
             &requests(n),
             &cuts,
@@ -291,10 +362,10 @@ proptest! {
         flaky in any::<bool>(),
     ) {
         let policy = TransportPolicy {
-            adaptive: Some(adaptive_band(start, max)),
+            control: adaptive_band(start, max),
             ..static_policy(start, queue_cap)
         };
-        check_async_service_contract(
+        check_transport_contract(
             || Transport::new(ShardedFlaky::new(1, seed, flaky), 3, seed, policy),
             &requests(n),
             &cuts,
@@ -315,12 +386,12 @@ proptest! {
         flaky in any::<bool>(),
     ) {
         let policy = TransportPolicy {
-            adaptive: Some(adaptive_band(start, max)),
+            control: adaptive_band(start, max),
             ..static_policy(start, 6)
         };
         let mut reference: Option<_> = None;
         for shards in [1usize, 2, 3] {
-            let dispositions = check_async_service_contract(
+            let dispositions = check_transport_contract(
                 || Transport::new(ShardedFlaky::new(shards, seed, flaky), 3, seed, policy),
                 &requests(n),
                 &cuts,
@@ -332,7 +403,6 @@ proptest! {
             }
             t.drain();
             let s = t.stats();
-            prop_assert_eq!(s.priority_inversions, 0);
             let snapshot = (
                 dispositions,
                 t.lane_windows(),
@@ -369,7 +439,7 @@ proptest! {
         };
         // Safety under arbitrary weather (sheds, timeouts, drops).
         let policy = TransportPolicy {
-            adaptive: Some(adaptive),
+            control: adaptive,
             ..static_policy(1, queue_cap)
         };
         let mut t = Transport::new(ShardedFlaky::new(1, seed, flaky), 2, seed, policy);
@@ -386,10 +456,10 @@ proptest! {
         // Liveness: no faults, no admission pressure, an infinite
         // latency target ⇒ every completion grows, converging to max.
         let healthy = TransportPolicy {
-            adaptive: Some(AdaptivePolicy {
+            control: AdaptivePolicy {
                 latency_target_ms: f64::INFINITY,
                 ..adaptive
-            }),
+            },
             ..static_policy(1, 4096)
         };
         let mut t = Transport::new(ShardedFlaky::new(1, seed, false), 2, seed, healthy);
@@ -471,15 +541,14 @@ proptest! {
         }
         let policy = TransportPolicy {
             retry: RetryPolicy::default(),
-            window: 4,
             queue_cap: 4096,
             shed: true,
-            adaptive: Some(AdaptivePolicy {
+            control: AdaptivePolicy {
                 retry_tokens: tokens,
                 retry_cap: tokens.max(1),
                 retry_refill: 0,
                 ..AdaptivePolicy::default()
-            }),
+            },
         };
         let mut client = AsyncClient::new(AlwaysTimesOut, 2, seed, policy);
         for r in &requests(n) {
@@ -504,10 +573,70 @@ proptest! {
         );
     }
 
-    /// The unconditional entry point is the budgeted ladder with an
-    /// unlimited bucket: bit-identical outcomes and traces. (The prelude
-    /// shim of the same name is gone — `senn_core::transport` keeps the
-    /// canonical convenience wrapper.)
+    /// Every submission resolves exactly once, into exactly one terminal
+    /// class — answered, answered degraded, shed, denied by the budget,
+    /// or out of attempts — whatever the backend's weather, the queue
+    /// depth, the budget and the poll schedule. The classes sum to the
+    /// submissions, and the denials to the client's own count.
+    #[test]
+    fn every_submission_resolves_once_into_one_class(
+        seed in any::<u64>(),
+        n in 1usize..32,
+        flaky in any::<bool>(),
+        queue_cap in 1usize..5,
+        tokens in 0u64..7,
+        max_attempts in 1u32..4,
+        degrade_unpruned in any::<bool>(),
+        cuts in prop::collection::vec(0.0f64..300.0, 0..5),
+    ) {
+        let policy = TransportPolicy {
+            retry: RetryPolicy {
+                max_attempts,
+                degrade_unpruned,
+                ..RetryPolicy::default()
+            },
+            queue_cap,
+            shed: true,
+            control: AdaptivePolicy {
+                retry_tokens: tokens,
+                retry_cap: tokens.max(1),
+                ..adaptive_band(1, 4)
+            },
+        };
+        let mut client = AsyncClient::new(ShardedFlaky::new(1, seed, flaky), 2, seed, policy);
+        let submitted: BTreeSet<Ticket> = requests(n).into_iter().map(|r| client.submit(r)).collect();
+        let mut cuts = cuts;
+        cuts.sort_by(f64::total_cmp);
+        let mut resolved = Vec::new();
+        for t in cuts {
+            resolved.extend(client.poll(t));
+        }
+        resolved.extend(client.drain());
+
+        let mut seen = BTreeSet::new();
+        // ok, degraded, shed, denied, exhausted
+        let mut classes = [0u64; 5];
+        for (ticket, o) in &resolved {
+            prop_assert!(seen.insert(*ticket), "a submission resolves at most once");
+            let class = match (o.failed, o.degraded, o.shed, o.retries_denied) {
+                (false, false, 0, 0) => 0,
+                (false, true, 0, 0) => 1,
+                (true, false, 1, 0) => 2,
+                (true, false, 0, 1) => 3,
+                (true, false, 0, 0) => 4,
+                other => panic!("outcome in no single class: {other:?}"),
+            };
+            prop_assert_eq!(o.failed, o.response.pois.is_empty());
+            classes[class] += 1;
+        }
+        prop_assert_eq!(&seen, &submitted, "every submission resolves");
+        prop_assert_eq!(classes.iter().sum::<u64>(), n as u64);
+        prop_assert_eq!(classes[3], client.retries_denied());
+    }
+
+    /// `submit_with_retry` — the settled client, drained — reproduces the
+    /// blocking ladder it replaced: bit-identical outcomes and traces,
+    /// virtual waits included.
     #[test]
     fn unconditional_ladder_equals_budgeted_with_unlimited_bucket(
         seed in any::<u64>(),
@@ -516,46 +645,36 @@ proptest! {
     ) {
         let reqs = requests(n);
         let policy = RetryPolicy::default();
-        let via_transport =
-            submit_with_retry(&ShardedFlaky::new(1, seed, flaky), &reqs, &policy);
-        let mut budget = RetryBudget::unlimited();
-        let budgeted = submit_budgeted(
-            &ShardedFlaky::new(1, seed, flaky),
-            &reqs,
-            &policy,
-            &mut budget,
-        );
-        prop_assert_eq!(budget.denied(), 0);
-        for paths in [&via_transport] {
-            let mut trace_a = QueryTrace::new();
-            let mut trace_b = QueryTrace::new();
-            for (a, b) in paths.iter().zip(&budgeted) {
-                prop_assert_eq!(a.retries, b.retries);
-                prop_assert_eq!(a.timeouts, b.timeouts);
-                prop_assert_eq!(a.drops, b.drops);
-                prop_assert_eq!(a.shed, b.shed);
-                prop_assert_eq!(a.retries_denied, 0u32);
-                prop_assert_eq!(b.retries_denied, 0u32);
-                prop_assert_eq!(a.degraded, b.degraded);
-                prop_assert_eq!(a.failed, b.failed);
-                prop_assert_eq!(a.waited_ms.to_bits(), b.waited_ms.to_bits());
-                let a_pois: Vec<(u64, u64)> = a
-                    .response
-                    .pois
-                    .iter()
-                    .map(|(p, d)| (p.poi_id, d.to_bits()))
-                    .collect();
-                let b_pois: Vec<(u64, u64)> = b
-                    .response
-                    .pois
-                    .iter()
-                    .map(|(p, d)| (p.poi_id, d.to_bits()))
-                    .collect();
-                prop_assert_eq!(a_pois, b_pois);
-                trace_a.record_service_outcome(a);
-                trace_b.record_service_outcome(b);
-            }
-            prop_assert_eq!(&trace_a, &trace_b, "bit-identical trace metrics");
+        let settled = submit_with_retry(&ShardedFlaky::new(1, seed, flaky), &reqs, &policy);
+        let blocking = blocking_ladder(&ShardedFlaky::new(1, seed, flaky), &reqs, &policy);
+        prop_assert_eq!(settled.len(), blocking.len());
+        let mut trace_a = QueryTrace::new();
+        let mut trace_b = QueryTrace::new();
+        for (a, b) in settled.iter().zip(&blocking) {
+            prop_assert_eq!(a.retries, b.retries);
+            prop_assert_eq!(a.timeouts, b.timeouts);
+            prop_assert_eq!(a.drops, b.drops);
+            prop_assert_eq!(a.shed, b.shed);
+            prop_assert_eq!(a.retries_denied, 0u32);
+            prop_assert_eq!(a.degraded, b.degraded);
+            prop_assert_eq!(a.failed, b.failed);
+            prop_assert_eq!(a.waited_ms.to_bits(), b.waited_ms.to_bits());
+            let a_pois: Vec<(u64, u64)> = a
+                .response
+                .pois
+                .iter()
+                .map(|(p, d)| (p.poi_id, d.to_bits()))
+                .collect();
+            let b_pois: Vec<(u64, u64)> = b
+                .response
+                .pois
+                .iter()
+                .map(|(p, d)| (p.poi_id, d.to_bits()))
+                .collect();
+            prop_assert_eq!(a_pois, b_pois);
+            trace_a.record_service_outcome(a);
+            trace_b.record_service_outcome(b);
         }
+        prop_assert_eq!(&trace_a, &trace_b, "bit-identical trace metrics");
     }
 }

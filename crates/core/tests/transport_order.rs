@@ -20,7 +20,9 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use senn_core::service::{ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService};
-use senn_core::transport::{AsyncClient, RequestId, RetryPolicy, Ticket, TransportPolicy};
+use senn_core::transport::{
+    AdaptivePolicy, AsyncClient, RequestId, RetryPolicy, Ticket, TransportPolicy,
+};
 use senn_core::{RTreeServer, SearchBounds};
 use senn_geom::Point;
 
@@ -123,10 +125,9 @@ fn client(seed: u64, window: usize, queue_cap: usize, flaky: bool) -> AsyncClien
         seed,
         TransportPolicy {
             retry: RetryPolicy::default(),
-            window,
             queue_cap,
             shed: true,
-            adaptive: None,
+            control: AdaptivePolicy::clamped(window),
         },
     )
 }

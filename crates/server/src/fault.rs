@@ -17,7 +17,7 @@
 //! service bare (regression-tested in `senn-sim`).
 //!
 //! Latencies are *virtual*: they are reported on the reply (and folded
-//! into retry accounting by `senn_core::transport::submit_with_retry`), never
+//! into retry accounting by `senn_core::transport::AsyncClient`), never
 //! slept. Timed-out requests still execute on the inner service — the
 //! server did the work, the client just stopped waiting — so per-shard
 //! counters keep ticking, while dropped requests never reach it.

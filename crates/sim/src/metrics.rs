@@ -109,9 +109,9 @@ pub struct Metrics {
     /// (`ReplyStatus::Shed`) — terminal for the retry ladder, so at most
     /// one per query. Always 0 without an overlapped transport.
     pub server_shed: u64,
-    /// Residual retries refused by the adaptive transport's token-bucket
-    /// budget — terminal per request, always 0 when adaptive control is
-    /// off (the budget is unlimited).
+    /// Residual retries refused by the transport's token-bucket budget —
+    /// terminal per request, always 0 under the settled policy or an
+    /// `AdaptivePolicy::clamped` control, whose bucket never runs dry.
     pub server_retries_denied: u64,
     /// Queries whose residual answer came from the degraded (unpruned)
     /// fallback after every pruned attempt failed.

@@ -42,7 +42,7 @@ use rand::{Rng, SeedableRng};
 use senn_core::multiple::RegionMethod;
 use senn_core::rknn::{rknn_batch, RknnBatch, RknnHost, RknnQuery};
 use senn_core::service::{ServerReply, ServerRequest, SpatialService};
-use senn_core::transport::{AdaptivePolicy, RetryBudget, RetryPolicy, TransportPolicy};
+use senn_core::transport::{RetryPolicy, TransportPolicy};
 use senn_core::{HeapEntry, RTreeServer, Resolution, SennConfig, SennEngine, STAGE_COUNT};
 use senn_geom::{Point, Rect};
 use senn_mobility::{RoadMover, RoadMoverConfig, WaypointConfig};
@@ -113,20 +113,18 @@ pub enum SimConfigError {
     NetworkModelWithUncertainAnswers,
     /// `Alt { landmarks: 0 }` — the ALT index needs at least one landmark.
     AltWithoutLandmarks,
-    /// An overlapped transport was configured with a zero in-flight
-    /// window — the uplink could never dispatch a request.
-    ZeroInFlightWindow,
     /// An overlapped transport was configured with a zero-capacity queue —
     /// every request past the in-flight window would be shed on arrival.
     ZeroQueueCapacity,
-    /// Adaptive transport control was configured with an empty or inverted
-    /// AIMD window band (`window_min` of zero, `window_min > window_max`,
-    /// or `window_start` outside the band).
-    InvalidAdaptiveWindow,
-    /// Adaptive transport control was configured with a multiplicative
+    /// An overlapped transport was configured with an empty or inverted
+    /// window band (`window_min` of zero — the uplink could never
+    /// dispatch — `window_min > window_max`, or `window_start` outside
+    /// the band).
+    InvalidWindow,
+    /// An overlapped transport was configured with a multiplicative
     /// decrease that does not decrease (`shrink_den` of zero or
     /// `shrink_num ≥ shrink_den`).
-    InvalidAdaptiveShrink,
+    InvalidShrink,
 }
 
 impl std::fmt::Display for SimConfigError {
@@ -145,25 +143,22 @@ impl std::fmt::Display for SimConfigError {
             SimConfigError::AltWithoutLandmarks => {
                 write!(f, "the ALT model needs at least one landmark")
             }
-            SimConfigError::ZeroInFlightWindow => write!(
-                f,
-                "the overlapped transport needs an in-flight window of at \
-                 least one request (TransportPolicy::window)"
-            ),
             SimConfigError::ZeroQueueCapacity => write!(
                 f,
                 "the overlapped transport needs a queue capacity of at \
                  least one request (TransportPolicy::queue_cap)"
             ),
-            SimConfigError::InvalidAdaptiveWindow => write!(
+            SimConfigError::InvalidWindow => write!(
                 f,
-                "adaptive transport control needs a non-empty AIMD window \
-                 band: 1 <= window_min <= window_start <= window_max"
+                "the overlapped transport needs a non-empty window band: \
+                 1 <= window_min <= window_start <= window_max \
+                 (TransportPolicy::control)"
             ),
-            SimConfigError::InvalidAdaptiveShrink => write!(
+            SimConfigError::InvalidShrink => write!(
                 f,
-                "adaptive transport control needs a genuine multiplicative \
-                 decrease: shrink_num < shrink_den, shrink_den >= 1"
+                "the overlapped transport needs a genuine multiplicative \
+                 decrease: shrink_num < shrink_den, shrink_den >= 1 \
+                 (TransportPolicy::control)"
             ),
         }
     }
@@ -239,17 +234,17 @@ pub struct SimConfig {
     /// the exact same retry counts regardless of worker-thread count,
     /// shard count, or how submissions are coalesced into batches.
     pub fault: Option<FaultConfig>,
-    /// Client-side retry/backoff/degradation policy of the settled service
-    /// client (inert when the service never fails). With
-    /// [`SimConfig::transport`] set, the policy embedded in the
-    /// [`TransportPolicy`] governs instead.
+    /// Retry ladder of the settled client (inert when the service never
+    /// fails). With [`SimConfig::transport`] set, the ladder embedded in
+    /// the [`TransportPolicy`] governs instead.
     pub retry: RetryPolicy,
     /// How the one service client (`senn_core::transport::AsyncClient`)
     /// treats residuals — a query's own and its SNNN expansion rounds.
-    /// `None` (the default) is the settled policy: [`SimConfig::retry`],
-    /// an unbounded window, no shedding and zero service time, drained
-    /// before the interval folds, so every query is answered in the
-    /// interval that issued it. `Some(policy)` overlaps: requests are
+    /// `None` (the default) is the settled client
+    /// (`AsyncClient::settled` around [`SimConfig::retry`]): a window no
+    /// interval fills, no shedding and zero service time, drained before
+    /// the interval folds, so every query is answered in the interval
+    /// that issued it. `Some(policy)` overlaps: requests are
     /// *enqueued* at the interval that issued them and their completions
     /// *polled* at later interval boundaries, so round-trips overlap
     /// subsequent intervals instead of blocking, and an SNNN expansion
@@ -315,24 +310,15 @@ impl SimConfig {
             }
         }
         if let Some(policy) = self.transport {
-            if policy.window == 0 {
-                return Err(SimConfigError::ZeroInFlightWindow);
+            let c = policy.control;
+            if c.window_min == 0 || !(c.window_min..=c.window_max).contains(&c.window_start) {
+                return Err(SimConfigError::InvalidWindow);
             }
             if policy.queue_cap == 0 {
                 return Err(SimConfigError::ZeroQueueCapacity);
             }
-            if let Some(a) = policy.adaptive {
-                let start = a.window_start;
-                if a.window_min == 0
-                    || a.window_min > a.window_max
-                    || start < a.window_min
-                    || start > a.window_max
-                {
-                    return Err(SimConfigError::InvalidAdaptiveWindow);
-                }
-                if a.shrink_den == 0 || a.shrink_num >= a.shrink_den {
-                    return Err(SimConfigError::InvalidAdaptiveShrink);
-                }
+            if c.shrink_den == 0 || c.shrink_num >= c.shrink_den {
+                return Err(SimConfigError::InvalidShrink);
             }
         }
         Ok(())
@@ -481,18 +467,6 @@ impl SimConfigBuilder {
     /// event-driven `senn_core::transport` layer and their completions
     /// polled at later interval boundaries (see [`SimConfig::transport`]).
     pub fn transport(mut self, policy: TransportPolicy) -> Self {
-        self.config.transport = Some(policy);
-        self
-    }
-
-    /// Adaptive transport control (AIMD windows, probe aging, shed-aware
-    /// retry budget) on the overlapped transport. Attaches `adaptive` to
-    /// the already-configured [`TransportPolicy`], or to
-    /// `TransportPolicy::default()` when [`Self::transport`] was not
-    /// called first.
-    pub fn transport_adaptive(mut self, adaptive: AdaptivePolicy) -> Self {
-        let mut policy = self.config.transport.unwrap_or_default();
-        policy.adaptive = Some(adaptive);
         self.config.transport = Some(policy);
         self
     }
@@ -672,15 +646,15 @@ pub struct BatchStats {
     /// p99 end-to-end virtual latency, ms.
     pub latency_p99_ms: f64,
     /// Smallest per-lane in-flight window observed over the run (the
-    /// static window when adaptive control is off).
+    /// fixed window under `AdaptivePolicy::clamped`).
     pub window_min: u64,
     /// Largest per-lane in-flight window observed over the run.
     pub window_max: u64,
     /// Final sum of per-lane windows — the transport's total in-flight
     /// budget at run end.
     pub window_final: u64,
-    /// Residual retries refused by the adaptive token-bucket budget across
-    /// the whole run, warm-up included (0 with the unlimited budget).
+    /// Residual retries refused by the token-bucket budget across the
+    /// whole run, warm-up included (0 under `AdaptivePolicy::clamped`).
     pub retries_denied: u64,
 }
 
@@ -988,7 +962,6 @@ impl Simulator {
         let batch = rknn_batch(
             self.uplink.client.service(),
             &self.config.retry,
-            &mut RetryBudget::unlimited(),
             queries,
             &hosts,
         );
@@ -1035,6 +1008,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::params::{ParamSet, SimParams};
+    use senn_core::transport::AdaptivePolicy;
 
     fn tiny_config(seed: u64) -> SimConfig {
         let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
@@ -1183,20 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_transport_window_is_rejected() {
-        let err = SimConfig::builder()
-            .transport(TransportPolicy {
-                window: 0,
-                ..TransportPolicy::default()
-            })
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err, SimConfigError::ZeroInFlightWindow);
-        // The message names the knob to fix.
-        assert!(err.to_string().contains("window"));
-    }
-
-    #[test]
     fn zero_transport_queue_capacity_is_rejected() {
         let err = SimConfig::builder()
             .transport(TransportPolicy {
@@ -1209,48 +1169,54 @@ mod tests {
         assert!(err.to_string().contains("queue"));
     }
 
+    fn with_control(control: AdaptivePolicy) -> Result<SimConfig, SimConfigError> {
+        SimConfig::builder()
+            .transport(TransportPolicy {
+                control,
+                ..TransportPolicy::default()
+            })
+            .try_build()
+    }
+
     #[test]
     fn degenerate_adaptive_window_band_is_rejected() {
-        let err = SimConfig::builder()
-            .transport_adaptive(AdaptivePolicy {
-                window_min: 8,
-                window_start: 8,
-                window_max: 4,
-                ..AdaptivePolicy::default()
-            })
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err, SimConfigError::InvalidAdaptiveWindow);
+        let err = with_control(AdaptivePolicy {
+            window_min: 8,
+            window_start: 8,
+            window_max: 4,
+            ..AdaptivePolicy::default()
+        })
+        .unwrap_err();
+        assert_eq!(err, SimConfigError::InvalidWindow);
+        // The message names the knob to fix.
         assert!(err.to_string().contains("window"));
-        // A zero floor is equally rejected — the AIMD clamp needs ≥ 1.
-        let err = SimConfig::builder()
-            .transport_adaptive(AdaptivePolicy {
+        // A zero floor is equally rejected — the AIMD clamp needs ≥ 1 —
+        // and so is a fixed window of zero, which could never dispatch.
+        for control in [
+            AdaptivePolicy {
                 window_min: 0,
                 ..AdaptivePolicy::default()
-            })
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err, SimConfigError::InvalidAdaptiveWindow);
+            },
+            AdaptivePolicy::clamped(0),
+        ] {
+            let err = with_control(control).unwrap_err();
+            assert_eq!(err, SimConfigError::InvalidWindow);
+        }
     }
 
     #[test]
     fn non_contracting_adaptive_shrink_is_rejected() {
-        let err = SimConfig::builder()
-            .transport_adaptive(AdaptivePolicy {
-                shrink_num: 2,
-                shrink_den: 2,
-                ..AdaptivePolicy::default()
-            })
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err, SimConfigError::InvalidAdaptiveShrink);
+        let err = with_control(AdaptivePolicy {
+            shrink_num: 2,
+            shrink_den: 2,
+            ..AdaptivePolicy::default()
+        })
+        .unwrap_err();
+        assert_eq!(err, SimConfigError::InvalidShrink);
         assert!(err.to_string().contains("shrink"));
         // The defaults themselves must build.
-        let cfg = SimConfig::builder()
-            .transport_adaptive(AdaptivePolicy::default())
-            .try_build()
-            .unwrap();
-        assert!(cfg.transport.unwrap().adaptive.is_some());
+        let cfg = with_control(AdaptivePolicy::default()).unwrap();
+        assert_eq!(cfg.transport.unwrap().control, AdaptivePolicy::default());
     }
 
     #[test]
@@ -1323,7 +1289,10 @@ mod tests {
     fn adaptive_transport_attributes_every_query_and_reports_windows() {
         let cfg = tiny_config(17)
             .to_builder()
-            .transport_adaptive(AdaptivePolicy::default())
+            .transport(TransportPolicy {
+                control: AdaptivePolicy::default(),
+                ..TransportPolicy::default()
+            })
             .build();
         let mut sim = Simulator::new(cfg);
         let m = sim.run();
@@ -1335,9 +1304,6 @@ mod tests {
         );
         let stats = sim.transport_stats().expect("overlapped mode");
         assert_eq!(stats.completed, stats.enqueued);
-        // Strict-priority dispatch never inverts: the counter is a
-        // defensive witness and must stay zero.
-        assert_eq!(stats.priority_inversions, 0);
         // Window telemetry flows into BatchStats and respects the band.
         let a = AdaptivePolicy::default();
         let bs = sim.batch_stats();

@@ -5,10 +5,11 @@
 //! number, and its completion is *harvested* by ticket. The client runs
 //! under one of two policies:
 //!
-//! * **settled** ([`SimConfig::transport`] is `None`): an in-flight window
-//!   no interval can fill, no shedding, zero service time and
-//!   [`SimConfig::retry`]. The interval drains the client before it folds,
-//!   so every query is answered in the interval that issued it.
+//! * **settled** ([`SimConfig::transport`] is `None`):
+//!   `AsyncClient::settled` around [`SimConfig::retry`] — a window no
+//!   interval can fill, no shedding and zero service time. The interval
+//!   drains the client before it folds, so every query is answered in the
+//!   interval that issued it.
 //! * **overlapped** (`Some(policy)`): the interval polls the client at its
 //!   own virtual time, so round-trips overlap later intervals instead of
 //!   blocking the batch.
@@ -62,11 +63,6 @@ const TRANSPORT_LANES: usize = 4;
 /// consumer of the master seed.
 const TRANSPORT_SEED_SALT: u64 = 0x5ea1_edca_b1e5_70ff;
 
-/// The settled policy's window and queue bound, more than any interval
-/// issues. `u32::MAX` rather than `usize::MAX`, so that the transport's
-/// `window × lanes` telemetry cannot overflow.
-const SETTLED_WINDOW: usize = u32::MAX as usize;
-
 /// The client in front of the fault-wrapped backend, the tasks awaiting
 /// its completions, and the run-wide request-id sequence.
 pub(crate) struct Uplink {
@@ -81,28 +77,22 @@ pub(crate) struct Uplink {
 }
 
 impl Uplink {
-    /// The client under `transport`, or under the settled policy built
-    /// around `retry` when there is none.
+    /// The client under `transport`, or the settled client around
+    /// `retry` when there is none.
     pub(crate) fn new(
         service: FaultyService<ServiceBackend>,
         seed: u64,
         transport: Option<TransportPolicy>,
         retry: RetryPolicy,
     ) -> Self {
-        let settled = TransportPolicy {
-            retry,
-            window: SETTLED_WINDOW,
-            queue_cap: SETTLED_WINDOW,
-            shed: false,
-            adaptive: None,
+        let client = match transport {
+            Some(policy) => {
+                AsyncClient::new(service, TRANSPORT_LANES, seed ^ TRANSPORT_SEED_SALT, policy)
+            }
+            None => AsyncClient::settled(service, retry),
         };
-        let policy = transport.unwrap_or(settled);
-        let client = AsyncClient::new(service, TRANSPORT_LANES, seed ^ TRANSPORT_SEED_SALT, policy);
         Uplink {
-            client: match transport {
-                Some(_) => client,
-                None => client.with_mean_service_ms(0.0),
-            },
+            client,
             in_flight: HashMap::new(),
             next_seq: 0,
         }

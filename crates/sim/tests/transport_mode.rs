@@ -70,8 +70,8 @@ fn tiny_queues_shed_under_burst_arrivals_and_stay_attributed() {
     let cfg = SimConfig::new(params, 7)
         .to_builder()
         .transport(TransportPolicy {
-            window: 1,
             queue_cap: 1,
+            control: AdaptivePolicy::clamped(1),
             ..TransportPolicy::default()
         })
         .build();
@@ -128,7 +128,10 @@ fn adaptive_goldens_are_pinned_for_three_seeds() {
                 .to_builder()
                 .server_shards(shards)
                 .fault(FaultConfig::lossy(5))
-                .transport_adaptive(AdaptivePolicy::default());
+                .transport(TransportPolicy {
+                    control: AdaptivePolicy::default(),
+                    ..TransportPolicy::default()
+                });
             if let Some(threads) = threads {
                 b = b.threads(threads);
             }
@@ -152,7 +155,6 @@ fn adaptive_goldens_are_pinned_for_three_seeds() {
             ];
             let layout = format!("seed {seed} shards {shards} threads {threads:?}");
             assert_eq!(got, want, "adaptive golden moved at {layout}");
-            assert_eq!(s.priority_inversions, 0, "{layout}");
             if let Some(service) = sim.service_metrics() {
                 let b = sim.batch_stats();
                 let transport = [
@@ -179,37 +181,55 @@ fn adaptive_goldens_are_pinned_for_three_seeds() {
     }
 }
 
-/// `AdaptivePolicy::clamped(w)` pins the window band to a point and
-/// grants an unlimited retry budget — the controller becomes inert, and
-/// the whole run must be bit-identical to the plain static policy:
-/// every `Metrics` field and the transport/batch observability alike.
+/// The default policy — a fixed window of 32 per lane — pinned at seed
+/// 99 under the lossy fault config: the attribution split, the ladder
+/// counters and the transport's window and peak fields. The values are
+/// those of the static window that `AdaptivePolicy::clamped(32)`
+/// replaced, so the controller stays inert at a fixed window and its
+/// budget never denies.
 #[test]
-fn clamped_adaptive_reproduces_the_static_run_bit_for_bit() {
-    let static_policy = TransportPolicy::default();
-    let runs: Vec<(Metrics, senn_core::transport::TransportStats, u64)> =
-        [None, Some(AdaptivePolicy::clamped(static_policy.window))]
-            .into_iter()
-            .map(|adaptive| {
-                let cfg = SimConfig::new(tiny_params(), 99)
-                    .to_builder()
-                    .fault(FaultConfig::lossy(5))
-                    .transport(TransportPolicy {
-                        adaptive,
-                        ..static_policy
-                    })
-                    .build();
-                let mut sim = Simulator::new(cfg);
-                let m = sim.run();
-                let s = sim.transport_stats().expect("overlapped mode").clone();
-                let denied = sim.batch_stats().retries_denied;
-                (m, s, denied)
-            })
-            .collect();
-    assert!(runs[0].0.queries > 0);
-    assert_eq!(runs[0].0, runs[1].0, "Metrics diverged");
-    assert_eq!(runs[0].1, runs[1].1, "TransportStats diverged");
-    assert_eq!(runs[0].2, 0, "static mode never denies a retry");
-    assert_eq!(runs[1].2, 0, "clamped adaptive never denies a retry");
+fn default_policy_run_is_pinned() {
+    let cfg = SimConfig::new(tiny_params(), 99)
+        .to_builder()
+        .fault(FaultConfig::lossy(5))
+        .transport(TransportPolicy::default())
+        .build();
+    let mut sim = Simulator::new(cfg);
+    let m = sim.run();
+    let s = sim.transport_stats().expect("overlapped mode");
+    // queries, single, multi, server, uncertain
+    let split = [
+        m.queries,
+        m.single_peer,
+        m.multi_peer,
+        m.server,
+        m.accepted_uncertain,
+    ];
+    assert_eq!(split, [59, 12, 0, 47, 0]);
+    // retries, timeouts, drops, shed, denied, degraded, failed, and the
+    // run-wide denials of `BatchStats`
+    let ladder = [
+        m.server_retries,
+        m.server_timeouts,
+        m.server_drops,
+        m.server_shed,
+        m.server_retries_denied,
+        m.server_degraded,
+        m.server_failed,
+        sim.batch_stats().retries_denied,
+    ];
+    assert_eq!(ladder, [1, 0, 1, 0, 0, 0, 0, 0]);
+    // window min / max / final, grows, shrinks, queue and in-flight peaks
+    let transport = [
+        s.window_min,
+        s.window_max,
+        s.window_final,
+        s.window_grows,
+        s.window_shrinks,
+        s.queue_depth_peak,
+        s.in_flight_peak,
+    ];
+    assert_eq!(transport, [32, 32, 128, 0, 0, 1, 19]);
 }
 
 /// The adaptive controller keeps the layout-invariance contract under
@@ -230,9 +250,9 @@ fn adaptive_windows_are_bit_identical_across_threads_and_shards() {
                 .server_shards(shards)
                 .transport(TransportPolicy {
                     queue_cap: 2,
+                    control: AdaptivePolicy::default(),
                     ..TransportPolicy::default()
                 })
-                .transport_adaptive(AdaptivePolicy::default())
                 .build();
             let mut sim = Simulator::new(cfg);
             let m = sim.run();
@@ -241,7 +261,6 @@ fn adaptive_windows_are_bit_identical_across_threads_and_shards() {
             // the window, healthy completions grow it back to the cap.
             assert!(m.server_shed > 0, "burst must shed through 2-deep queues");
             assert!(s.window_shrinks > 0 && s.window_grows > 0);
-            assert_eq!(s.priority_inversions, 0);
             match &reference {
                 None => reference = Some((m, s)),
                 Some((rm, rs)) => {
@@ -259,10 +278,9 @@ fn adaptive_windows_are_bit_identical_across_threads_and_shards() {
     }
 }
 
-/// The blocking path is untouched by the transport work: a `None`
-/// transport reproduces the exact metrics of the pre-transport engine
-/// (which the seed-determinism and golden tests elsewhere pin down), and
-/// its transport observability stays empty.
+/// The settled client (`transport: None`) reports no transport activity:
+/// its metrics are pinned by the seed-determinism and golden tests
+/// elsewhere, and its transport observability stays empty.
 #[test]
 fn blocking_mode_reports_no_transport_activity() {
     let cfg = SimConfig::new(tiny_params(), 11).to_builder().build();
