@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::{honest_peer, network_world, BenchRng};
 use senn_core::{snnn_query, RTreeServer, SennEngine, SnnnConfig};
 use senn_network::{
-    alt_distance, astar_distance, dijkstra_distance, ier_knn, ine_knn, AltIndex, NetworkDistance,
+    astar_distance, counting_alt, dijkstra_distance, ier_knn, ine_knn, AltIndex, NetworkDistance,
 };
 
 fn network_knn(c: &mut Criterion) {
@@ -94,7 +94,7 @@ fn network_knn(c: &mut Criterion) {
             let (_, a) = queries[i % queries.len()];
             let (_, z) = queries[(i + 7) % queries.len()];
             i += 1;
-            black_box(alt_distance(&w.net, &alt, a, z))
+            black_box(counting_alt(&w.net, &alt, a, z))
         })
     });
     group.finish();

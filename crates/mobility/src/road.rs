@@ -2,7 +2,7 @@
 
 use rand::Rng;
 use senn_geom::Point;
-use senn_network::{astar_path_into, with_thread_scratch, NodeId, RoadNetwork};
+use senn_network::{astar_path_into, NodeId, RoadNetwork};
 
 /// Parameters of the road mover.
 #[derive(Clone, Copy, Debug)]
@@ -175,8 +175,7 @@ impl RoadMover {
             self.pause_left = 1.0;
             return false;
         };
-        let found =
-            with_thread_scratch(|s| astar_path_into(net, self.at_node, dest, s, &mut self.route));
+        let found = astar_path_into(net, self.at_node, dest, &mut self.route);
         if found.is_some() && self.route.len() >= 2 {
             self.leg = 1;
             self.leg_progress = 0.0;

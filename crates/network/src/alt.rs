@@ -8,14 +8,14 @@
 //! that is much tighter on road networks. This is an extension over the
 //! paper (which uses plain Dijkstra) and is benchmarked against Dijkstra
 //! and Euclidean A\* in the `network_knn` bench.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use senn_geom::Point;
+//!
+//! The search itself is the crate's one label-setting kernel
+//! ([`crate::shortest_path`]) with the landmark bound as its heuristic:
+//! [`counting_alt`] reports its effort, and
+//! [`crate::distance::AltDistance`] is the SNNN distance model over it.
 
 use crate::graph::{NodeId, RoadNetwork};
-use crate::shortest_path::{dijkstra_map, DijkstraScratch};
+use crate::shortest_path::{dijkstra_map, length, to_target, SearchStats};
 
 /// Preprocessed landmark distances for ALT queries.
 #[derive(Clone, Debug)]
@@ -59,7 +59,7 @@ impl AltIndex {
         for _ in 0..count.min(n) {
             chosen[next as usize] = true;
             landmarks.push(next);
-            let d = dijkstra_map(net, next, None);
+            let d = dijkstra_map(net, next);
             for v in 0..n {
                 if d[v] < min_dist[v] {
                     min_dist[v] = d[v];
@@ -111,169 +111,22 @@ impl AltIndex {
     }
 }
 
-#[derive(PartialEq)]
-struct HeapItem {
-    priority: f64,
-    dist: f64,
-    node: NodeId,
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .priority
-            .partial_cmp(&self.priority)
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-/// Search-effort counters of one label-setting run (see
-/// [`counting_dijkstra`] / [`counting_astar`] / [`counting_alt`]): how
-/// many nodes were settled (popped with their final distance) and how
-/// many edges were scanned from settled nodes. Both shrink as the
-/// heuristic tightens.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Nodes settled (popped from the queue with their final distance).
-    pub settled: u64,
-    /// Edges scanned (relaxation attempts) from settled nodes.
-    pub relaxed: u64,
-}
-
-impl SearchStats {
-    /// Accumulates another run's counters (for multi-query totals).
-    pub fn add(&mut self, other: SearchStats) {
-        self.settled += other.settled;
-        self.relaxed += other.relaxed;
-    }
-}
-
-/// Label-setting search with an arbitrary admissible heuristic, counting
-/// settled nodes and edge relaxations. The distance result is identical
-/// for every admissible, consistent heuristic — only the counters change.
-fn counting_search(
-    net: &RoadNetwork,
-    from: NodeId,
-    to: NodeId,
-    h: impl Fn(NodeId) -> f64,
-) -> (Option<f64>, SearchStats) {
-    let n = net.node_count();
-    let mut stats = SearchStats::default();
-    if from as usize >= n || to as usize >= n {
-        return (None, stats);
-    }
-    let mut dist = vec![f64::INFINITY; n];
-    let mut heap = BinaryHeap::new();
-    dist[from as usize] = 0.0;
-    heap.push(HeapItem {
-        priority: h(from),
-        dist: 0.0,
-        node: from,
-    });
-    while let Some(HeapItem { dist: d, node, .. }) = heap.pop() {
-        if d > dist[node as usize] {
-            continue;
-        }
-        stats.settled += 1;
-        if node == to {
-            return (Some(d), stats);
-        }
-        for e in net.neighbors(node) {
-            stats.relaxed += 1;
-            let nd = d + e.length;
-            if nd < dist[e.to as usize] {
-                dist[e.to as usize] = nd;
-                heap.push(HeapItem {
-                    priority: nd + h(e.to),
-                    dist: nd,
-                    node: e.to,
-                });
-            }
-        }
-    }
-    (None, stats)
-}
-
-/// Plain Dijkstra with effort counters (the heuristic-quality baseline).
-pub fn counting_dijkstra(
-    net: &RoadNetwork,
-    from: NodeId,
-    to: NodeId,
-) -> (Option<f64>, SearchStats) {
-    counting_search(net, from, to, |_| 0.0)
-}
-
-/// Euclidean-heuristic A\* with effort counters.
-pub fn counting_astar(net: &RoadNetwork, from: NodeId, to: NodeId) -> (Option<f64>, SearchStats) {
-    let goal: Point = net.position(to);
-    counting_search(net, from, to, |v| net.position(v).dist(goal))
-}
-
-/// ALT-heuristic A\* with effort counters.
+/// ALT-heuristic A\* with effort counters: the distance of
+/// [`crate::dijkstra_distance`], usually with far fewer settled nodes.
 pub fn counting_alt(
     net: &RoadNetwork,
     index: &AltIndex,
     from: NodeId,
     to: NodeId,
 ) -> (Option<f64>, SearchStats) {
-    counting_search(net, from, to, |v| index.lower_bound(v, to))
-}
-
-/// Network distance via A\* with the ALT heuristic; `None` when
-/// unreachable. Also returns the number of settled nodes (for the
-/// heuristic-quality comparison in the benches).
-pub fn alt_distance(
-    net: &RoadNetwork,
-    index: &AltIndex,
-    from: NodeId,
-    to: NodeId,
-) -> (Option<f64>, usize) {
-    let (d, stats) = counting_alt(net, index, from, to);
-    (d, stats.settled as usize)
-}
-
-/// [`alt_distance`] against a caller-managed [`DijkstraScratch`] — the
-/// allocation-free entry point the [`crate::distance::AltDistance`] model
-/// uses on the SNNN hot path.
-pub fn alt_distance_with(
-    net: &RoadNetwork,
-    index: &AltIndex,
-    from: NodeId,
-    to: NodeId,
-    scratch: &mut DijkstraScratch,
-) -> Option<f64> {
-    scratch.begin(net.node_count());
-    scratch.set_dist(from, 0.0, NodeId::MAX);
-    scratch.push(index.lower_bound(from, to), 0.0, from);
-    while let Some(item) = scratch.pop() {
-        let (d, node) = (item.dist, item.node);
-        if d > scratch.dist(node) {
-            continue;
-        }
-        if node == to {
-            return Some(d);
-        }
-        for e in net.neighbors(node) {
-            let nd = d + e.length;
-            if nd < scratch.dist(e.to) {
-                scratch.set_dist(e.to, nd, node);
-                scratch.push(nd + index.lower_bound(e.to, to), nd, e.to);
-            }
-        }
-    }
-    None
+    to_target(net, from, to, length, || |v| index.lower_bound(v, to), None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate_network, GeneratorConfig};
-    use crate::shortest_path::dijkstra_distance;
+    use crate::shortest_path::{astar_distance, counting_dijkstra, dijkstra_distance};
 
     fn net() -> RoadNetwork {
         generate_network(&GeneratorConfig::city(2500.0, 42))
@@ -340,7 +193,7 @@ mod tests {
             let from = (i * 37) % n;
             let to = (i * 101 + 13) % n;
             let want = dijkstra_distance(&net, from, to);
-            let (got, _) = alt_distance(&net, &idx, from, to);
+            let (got, _) = counting_alt(&net, &idx, from, to);
             match (got, want) {
                 (Some(g), Some(w)) => assert!((g - w).abs() < 1e-6, "{from}->{to}"),
                 (a, b) => assert_eq!(a.is_some(), b.is_some()),
@@ -349,18 +202,19 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variant_matches_allocating_variant() {
+    fn alt_and_astar_answers_are_bit_identical() {
+        // One kernel under two heuristics: on unique shortest paths both
+        // fold the same edge lengths left to right.
         let net = net();
         let idx = AltIndex::build(&net, 4);
         let n = net.node_count() as u32;
-        let mut scratch = DijkstraScratch::new();
         for i in 0..30u32 {
             let from = (i * 41) % n;
             let to = (i * 89 + 5) % n;
-            let (want, _) = alt_distance(&net, &idx, from, to);
+            let (got, _) = counting_alt(&net, &idx, from, to);
             assert_eq!(
-                alt_distance_with(&net, &idx, from, to, &mut scratch),
-                want,
+                got.map(f64::to_bits),
+                astar_distance(&net, from, to).map(f64::to_bits),
                 "{from}->{to}"
             );
         }
@@ -420,7 +274,7 @@ mod tests {
         let a = one.add_node(senn_geom::Point::new(1.0, 1.0));
         let idx = AltIndex::build(&one, 2);
         assert_eq!(idx.landmarks().len(), 1, "a single node clamps to itself");
-        let (d, _) = alt_distance(&one, &idx, a, a);
+        let (d, _) = counting_alt(&one, &idx, a, a);
         assert_eq!(d, Some(0.0));
     }
 }

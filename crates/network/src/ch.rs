@@ -55,8 +55,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::alt::SearchStats;
 use crate::graph::{NodeId, RoadNetwork};
+use crate::shortest_path::SearchStats;
 
 /// Witness searches stop after settling this many nodes; truncation adds
 /// a (possibly unnecessary) shortcut, which is always sound.
@@ -890,8 +890,8 @@ impl SideScratch {
 /// backward distance/parent arrays validated by a shared generation
 /// stamp, the two priority queues, and the unpacking buffers. One scratch
 /// serves any number of consecutive queries (arrays grow monotonically to
-/// the largest hierarchy seen), mirroring
-/// [`crate::shortest_path::DijkstraScratch`]. Hub-label queries only use
+/// the largest hierarchy seen), like the scratch of the label-setting
+/// kernel in [`crate::shortest_path`]. Hub-label queries only use
 /// the unpacking buffers, so a scratch shared between both query styles
 /// stays cheap.
 #[derive(Default)]
@@ -922,8 +922,8 @@ impl ChScratch {
 }
 
 /// Hub-label CH query with effort counters — the oracle-side analogue of
-/// [`crate::alt::counting_dijkstra`] / [`crate::alt::counting_astar`] /
-/// [`crate::alt::counting_alt`], so per-query work is directly
+/// [`crate::counting_dijkstra`] / [`crate::counting_astar`] /
+/// [`crate::counting_alt`], so per-query work is directly
 /// comparable across the four strategies. `relaxed` counts label entries
 /// scanned by the merge (each strictly cheaper than one graph edge
 /// relaxation); `settled` counts common hubs evaluated.
@@ -936,10 +936,9 @@ pub fn counting_ch(index: &ChIndex, from: NodeId, to: NodeId) -> (Option<f64>, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alt::counting_astar;
     use crate::generator::{generate_network, GeneratorConfig};
     use crate::graph::RoadClass;
-    use crate::shortest_path::dijkstra_distance;
+    use crate::shortest_path::{counting_astar, dijkstra_distance};
     use senn_geom::Point;
 
     fn net() -> RoadNetwork {

@@ -6,8 +6,8 @@
 //! legs to/from them (the same convention the IER/INE kNN baselines use).
 //! The public names are aliases that pick the core:
 //!
-//! * [`NetworkDistance`] — A\* with the Euclidean heuristic over a
-//!   reusable [`DijkstraScratch`] (the PR-2 baseline model).
+//! * [`NetworkDistance`] — A\* with the Euclidean heuristic (the
+//!   baseline model).
 //! * [`AltDistance`] — A\* with the precomputed landmark lower bounds of
 //!   an [`AltIndex`]; identical distances, fewer settled nodes.
 //!   [`AltBound`] reads the same landmark table without searching.
@@ -27,11 +27,11 @@
 use senn_core::{DistanceModel, LowerBoundOracle};
 use senn_geom::Point;
 
-use crate::alt::{alt_distance_with, AltIndex};
+use crate::alt::{counting_alt, AltIndex};
 use crate::ch::{ChIndex, ChScratch};
-use crate::graph::{NodeId, RoadClass, RoadNetwork};
+use crate::graph::{HalfEdge, NodeId, RoadClass, RoadNetwork};
 use crate::locator::NodeLocator;
-use crate::shortest_path::{astar_distance_with, DijkstraScratch};
+use crate::shortest_path::{astar_distance, euclid, to_target};
 
 /// The node-to-node part of a road model: everything a model or bound
 /// knows beyond the snap-leg convention [`Anchored`] owns.
@@ -53,8 +53,9 @@ pub trait LengthBoundCore: RoadCore {}
 
 /// A road model or bound anchored at a query point: the network, the
 /// snap locator, the node the query snapped to, and the [`RoadCore`]
-/// that answers between snap nodes (owning whatever search scratch it
-/// reuses across calls and, via [`Anchored::rebase`], across queries).
+/// that answers between snap nodes. The label-setting cores search on the
+/// thread's scratch; the CH core owns its query scratch, which
+/// [`Anchored::rebase`] keeps across queries.
 pub struct Anchored<'a, C> {
     net: &'a RoadNetwork,
     locator: &'a NodeLocator,
@@ -79,10 +80,9 @@ impl<'a, C> Anchored<'a, C> {
         self.query_node
     }
 
-    /// Re-anchors for a new query point, keeping the core and its search
-    /// scratch — the reuse hook for batch drivers issuing many SNNN
-    /// queries. Returns false (leaving the anchor unchanged) when the
-    /// locator finds no node.
+    /// Re-anchors for a new query point, keeping the core — the reuse
+    /// hook for batch drivers issuing many SNNN queries. Returns false
+    /// (leaving the anchor unchanged) when the locator finds no node.
     pub fn rebase(&mut self, query: Point) -> bool {
         match self.locator.nearest(query) {
             Some(n) => {
@@ -141,15 +141,13 @@ impl<C: LengthBoundCore> LowerBoundOracle for Anchored<'_, C> {
     }
 }
 
-/// A\* with the Euclidean heuristic over an owned, reused scratch.
+/// A\* with the Euclidean heuristic.
 #[derive(Default)]
-pub struct AStar {
-    scratch: DijkstraScratch,
-}
+pub struct AStar;
 
 impl RoadCore for AStar {
     fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-        astar_distance_with(net, from, to, &mut self.scratch)
+        astar_distance(net, from, to)
     }
 }
 impl ExactCore for AStar {}
@@ -162,19 +160,16 @@ impl<'a> NetworkDistance<'a> {
     /// Anchors the model at the network node nearest to `query`. Returns
     /// `None` when the network has no nodes.
     pub fn new(net: &'a RoadNetwork, locator: &'a NodeLocator, query: Point) -> Option<Self> {
-        Self::at(net, locator, query, AStar::default())
+        Self::at(net, locator, query, AStar)
     }
 }
 
 /// A\* with the ALT heuristic of a prebuilt [`AltIndex`].
-pub struct AltSearch<'a> {
-    index: &'a AltIndex,
-    scratch: DijkstraScratch,
-}
+pub struct AltSearch<'a>(&'a AltIndex);
 
 impl RoadCore for AltSearch<'_> {
     fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-        alt_distance_with(net, self.index, from, to, &mut self.scratch)
+        counting_alt(net, self.0, from, to).0
     }
 }
 impl ExactCore for AltSearch<'_> {}
@@ -194,8 +189,7 @@ impl<'a> AltDistance<'a> {
         index: &'a AltIndex,
         query: Point,
     ) -> Option<Self> {
-        let scratch = DijkstraScratch::new();
-        Self::at(net, locator, query, AltSearch { index, scratch })
+        Self::at(net, locator, query, AltSearch(index))
     }
 }
 
@@ -307,7 +301,6 @@ pub fn time_cost_multiplier(class: RoadClass, hour_of_day: f64) -> f64 {
 /// `length × time_cost_multiplier(class, hour)`.
 pub struct TimeWeighted {
     hour: f64,
-    scratch: DijkstraScratch,
 }
 
 impl RoadCore for TimeWeighted {
@@ -315,28 +308,9 @@ impl RoadCore for TimeWeighted {
     /// hour (A\* with the Euclidean heuristic — admissible since every
     /// weighted edge costs at least its length).
     fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-        let goal = net.position(to);
-        let scratch = &mut self.scratch;
-        scratch.begin(net.node_count());
-        scratch.set_dist(from, 0.0, NodeId::MAX);
-        scratch.push(net.position(from).dist(goal), 0.0, from);
-        while let Some(item) = scratch.pop() {
-            let (d, node) = (item.dist, item.node);
-            if d > scratch.dist(node) {
-                continue;
-            }
-            if node == to {
-                return Some(d);
-            }
-            for e in net.neighbors(node) {
-                let nd = d + e.length * time_cost_multiplier(e.class, self.hour);
-                if nd < scratch.dist(e.to) {
-                    scratch.set_dist(e.to, nd, node);
-                    scratch.push(nd + net.position(e.to).dist(goal), nd, e.to);
-                }
-            }
-        }
-        None
+        let hour = self.hour;
+        let cost = |e: &HalfEdge| e.length * time_cost_multiplier(e.class, hour);
+        to_target(net, from, to, cost, || euclid(net, to), None).0
     }
 }
 impl ExactCore for TimeWeighted {}
@@ -367,7 +341,6 @@ impl<'a> TimeDependentCost<'a> {
     ) -> Option<Self> {
         let core = TimeWeighted {
             hour: hour_of_day.rem_euclid(24.0),
-            scratch: DijkstraScratch::new(),
         };
         Self::at(net, locator, query, core)
     }

@@ -17,7 +17,7 @@ use senn_rtree::RStarTree;
 
 use crate::graph::{NodeId, RoadNetwork};
 use crate::poi::NetworkPois;
-use crate::shortest_path::{astar_distance_with, with_thread_scratch, DijkstraScratch, HeapItem};
+use crate::shortest_path::{astar_distance, length, with_thread_scratch, zero};
 
 /// A network kNN result.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -60,20 +60,6 @@ pub fn ier_knn(
     query_node: NodeId,
     k: usize,
 ) -> Vec<NetworkNeighbor> {
-    with_thread_scratch(|s| ier_knn_with(net, pois, tree, query, query_node, k, s))
-}
-
-/// [`ier_knn`] against a caller-managed search scratch (the A\* per
-/// candidate POI reuses its arrays instead of reallocating).
-pub fn ier_knn_with(
-    net: &RoadNetwork,
-    pois: &NetworkPois,
-    tree: &RStarTree<u32>,
-    query: Point,
-    query_node: NodeId,
-    k: usize,
-    scratch: &mut DijkstraScratch,
-) -> Vec<NetworkNeighbor> {
     if k == 0 || pois.is_empty() {
         return Vec::new();
     }
@@ -88,7 +74,7 @@ pub fn ier_knn_with(
             }
         }
         let poi = *nb.value;
-        let Some(core) = astar_distance_with(net, query_node, pois.snap_node(poi), scratch) else {
+        let Some(core) = astar_distance(net, query_node, pois.snap_node(poi)) else {
             continue; // unreachable over the network
         };
         let nd = query.dist(net.position(query_node)) + core + pois.snap_leg(poi);
@@ -105,7 +91,8 @@ pub fn ier_knn_with(
 
 /// INE: a single network expansion from the query's snap node, reporting
 /// POIs as their snap nodes settle. Returns the `k` network-nearest POIs
-/// in ascending network distance.
+/// in ascending network distance (none when `query_node` lies outside
+/// `net`).
 pub fn ine_knn(
     net: &RoadNetwork,
     pois: &NetworkPois,
@@ -113,54 +100,34 @@ pub fn ine_knn(
     query_node: NodeId,
     k: usize,
 ) -> Vec<NetworkNeighbor> {
-    with_thread_scratch(|s| ine_knn_with(net, pois, query, query_node, k, s))
-}
-
-/// [`ine_knn`] against a caller-managed search scratch (no per-call
-/// distance-array or heap allocation).
-pub fn ine_knn_with(
-    net: &RoadNetwork,
-    pois: &NetworkPois,
-    query: Point,
-    query_node: NodeId,
-    k: usize,
-    scratch: &mut DijkstraScratch,
-) -> Vec<NetworkNeighbor> {
-    if k == 0 || pois.is_empty() {
-        return Vec::new();
-    }
-    let leg = query.dist(net.position(query_node));
-    scratch.begin(net.node_count());
-    scratch.set_dist(query_node, 0.0, NodeId::MAX);
-    scratch.push(0.0, 0.0, query_node);
     let mut best: Vec<NetworkNeighbor> = Vec::new();
-    while let Some(HeapItem { dist: d, node, .. }) = scratch.pop() {
-        if d > scratch.dist(node) {
-            continue;
-        }
-        // Terminate when the frontier can no longer improve the k-th
-        // candidate: any POI found later sits at >= leg + d.
-        if best.len() >= k && leg + d > best[k - 1].network_dist {
-            break;
-        }
-        for &poi in pois.at_node(node) {
-            let nd = leg + d + pois.snap_leg(poi);
-            best.push(NetworkNeighbor {
-                poi,
-                network_dist: nd,
-                euclid_dist: query.dist(pois.position(poi)),
-            });
-        }
-        best.sort_by(|a, b| a.network_dist.total_cmp(&b.network_dist));
-        best.truncate(k);
-        for e in net.neighbors(node) {
-            let nd = d + e.length;
-            if nd < scratch.dist(e.to) {
-                scratch.set_dist(e.to, nd, node);
-                scratch.push(nd, nd, e.to);
-            }
-        }
+    let Some(origin) = net.positions().get(query_node as usize) else {
+        return best;
+    };
+    if k == 0 || pois.is_empty() {
+        return best;
     }
+    let leg = query.dist(*origin);
+    with_thread_scratch(|s| {
+        s.search(net, query_node, length, zero, |node, d| {
+            // Terminate when the frontier can no longer improve the k-th
+            // candidate: any POI found later sits at >= leg + d.
+            if best.len() >= k && leg + d > best[k - 1].network_dist {
+                return true;
+            }
+            for &poi in pois.at_node(node) {
+                let nd = leg + d + pois.snap_leg(poi);
+                best.push(NetworkNeighbor {
+                    poi,
+                    network_dist: nd,
+                    euclid_dist: query.dist(pois.position(poi)),
+                });
+            }
+            best.sort_by(|a, b| a.network_dist.total_cmp(&b.network_dist));
+            best.truncate(k);
+            false
+        })
+    });
     best
 }
 
@@ -208,7 +175,7 @@ mod tests {
     }
 
     fn brute_network_knn(w: &World, query: Point, query_node: NodeId, k: usize) -> Vec<(f64, u32)> {
-        let map = dijkstra_map(&w.net, query_node, None);
+        let map = dijkstra_map(&w.net, query_node);
         let leg = query.dist(w.net.position(query_node));
         let mut all: Vec<(f64, u32)> = (0..w.pois.len() as u32)
             .filter_map(|i| {

@@ -20,7 +20,8 @@
 //!   undirected edges with length and [`RoadClass`].
 //! * [`shortest_path`] — Dijkstra and A\* (the Euclidean heuristic is
 //!   admissible because every edge is at least as long as the straight
-//!   line between its endpoints), plus one-to-many distance maps.
+//!   line between its endpoints), plus one-to-many distance maps, over
+//!   the one label-setting kernel every search of the crate but CH runs.
 //! * [`poi`] + [`knn`] — POIs snapped onto the network and the **IER** /
 //!   **INE** network-kNN baselines used by SNNN.
 //! * [`ch`] — a contraction-hierarchy distance oracle: seeded
@@ -31,7 +32,7 @@
 //!   `DistanceModel` seam: [`NetworkDistance`] (Euclidean-heuristic A\*),
 //!   [`AltDistance`] (landmark lower bounds), [`ChDistance`] (the
 //!   hierarchy oracle) and [`TimeDependentCost`] (congestion-weighted
-//!   per-class speed limits), all over reusable scratch.
+//!   per-class speed limits).
 //! * [`generator`] — the seeded synthetic network generator.
 
 pub mod alt;
@@ -44,10 +45,7 @@ pub mod locator;
 pub mod poi;
 pub mod shortest_path;
 
-pub use alt::{
-    alt_distance, alt_distance_with, counting_alt, counting_astar, counting_dijkstra, AltIndex,
-    SearchStats,
-};
+pub use alt::{counting_alt, AltIndex};
 pub use ch::{counting_ch, ChIndex, ChScratch};
 pub use distance::{
     congestion_factor, time_cost_multiplier, AltBound, AltDistance, Anchored, ChBound, ChDistance,
@@ -55,11 +53,10 @@ pub use distance::{
 };
 pub use generator::{generate_network, GeneratorConfig};
 pub use graph::{NodeId, RoadClass, RoadNetwork};
-pub use knn::{ier_knn, ier_knn_with, ine_knn, ine_knn_with, NetworkNeighbor};
+pub use knn::{ier_knn, ine_knn, NetworkNeighbor};
 pub use locator::NodeLocator;
 pub use poi::NetworkPois;
 pub use shortest_path::{
-    astar_distance, astar_distance_with, astar_path, astar_path_into, astar_path_with,
-    dijkstra_distance, dijkstra_distance_with, dijkstra_map, dijkstra_map_into,
-    shortest_path_nodes, with_thread_scratch, DijkstraScratch,
+    astar_distance, astar_path, astar_path_into, counting_astar, counting_dijkstra,
+    dijkstra_distance, dijkstra_map, SearchStats,
 };

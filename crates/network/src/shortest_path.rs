@@ -7,17 +7,24 @@
 //! admissible because every edge is at least as long as the straight line
 //! between its endpoints.
 //!
-//! ## Allocation-free hot path
+//! ## One kernel
 //!
-//! Route planning runs once per host trip and network kNN runs A\* once
-//! per candidate POI, so the naive formulation — a fresh `dist` vector and
-//! a fresh binary heap per call — dominates the simulator's allocation
-//! profile. All searches here instead run against a [`DijkstraScratch`]:
-//! distance/predecessor arrays validated by a *generation stamp* (bumping
-//! one counter invalidates the whole array in O(1), no `memset`) plus a
-//! reusable heap. The classic-signature entry points keep working and
-//! borrow a thread-local scratch; batch engines that manage worker state
-//! explicitly use the `*_with` variants.
+//! Every label-setting search of this crate runs one loop: Dijkstra and
+//! A\* here, ALT ([`crate::alt`]), the congestion-weighted A\* of
+//! [`crate::distance::TimeDependentCost`], INE ([`crate::knn`]) and the
+//! effort probes ([`counting_dijkstra`] and its siblings). Only the
+//! contraction hierarchy ([`crate::ch`]) searches on its own. The kernel
+//! is generic over three things: the edge cost, the heuristic that orders
+//! the queue, and a visitor that sees each settled node and may stop the
+//! search. It counts [`SearchStats`] as it goes.
+//!
+//! The kernel runs on the calling thread's scratch: distance and
+//! predecessor arrays validated by a *generation stamp* (bumping one
+//! counter invalidates the whole array in O(1), no `memset`) plus a
+//! reused heap. Route planning runs once per host trip and network kNN
+//! once per candidate POI, so no search allocates. Each question has one
+//! public entry, and a node id outside the network is an absent endpoint:
+//! the answer is `None`, not a panic.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -25,13 +32,15 @@ use std::collections::BinaryHeap;
 
 use senn_geom::Point;
 
-use crate::graph::{NodeId, RoadNetwork};
+use crate::graph::{HalfEdge, NodeId, RoadNetwork};
 
+/// A queue entry: `priority` (the label plus the heuristic) orders the
+/// heap, and `dist` is the label the node was pushed with.
 #[derive(PartialEq)]
-pub(crate) struct HeapItem {
-    pub(crate) priority: f64,
-    pub(crate) dist: f64,
-    pub(crate) node: NodeId,
+struct HeapItem {
+    priority: f64,
+    dist: f64,
+    node: NodeId,
 }
 
 impl Eq for HeapItem {}
@@ -49,16 +58,34 @@ impl Ord for HeapItem {
     }
 }
 
-/// Reusable search state: generation-stamped distance and predecessor
-/// arrays plus the priority queue.
+/// Search-effort counters of one label-setting run: how many nodes were
+/// settled (popped with their final distance) and how many edges were
+/// scanned from settled nodes. Both shrink as the heuristic tightens.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Nodes settled (popped from the queue with their final distance).
+    pub settled: u64,
+    /// Edges scanned (relaxation attempts) from settled nodes.
+    pub relaxed: u64,
+}
+
+impl SearchStats {
+    /// Accumulates another run's counters (for multi-query totals).
+    pub fn add(&mut self, other: SearchStats) {
+        self.settled += other.settled;
+        self.relaxed += other.relaxed;
+    }
+}
+
+/// The kernel's reusable state: generation-stamped distance and
+/// predecessor arrays plus the priority queue.
 ///
-/// `begin` bumps the generation counter, which logically resets the
-/// arrays without touching their bytes; entries whose stamp does not
-/// match the current generation read as "unvisited". One scratch serves
-/// any number of consecutive searches over networks of any size (arrays
-/// grow monotonically to the largest node count seen).
+/// Entries whose stamp does not match the current generation read as
+/// "unvisited", so starting a search resets the arrays without touching
+/// their bytes. One scratch serves any number of consecutive searches over
+/// networks of any size (arrays grow to the largest node count seen).
 #[derive(Default)]
-pub struct DijkstraScratch {
+pub(crate) struct DijkstraScratch {
     dist: Vec<f64>,
     prev: Vec<NodeId>,
     stamp: Vec<u32>,
@@ -67,13 +94,8 @@ pub struct DijkstraScratch {
 }
 
 impl DijkstraScratch {
-    /// An empty scratch; arrays are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Prepares the scratch for a search over `n` nodes.
-    pub(crate) fn begin(&mut self, n: usize) {
+    /// Logically resets the scratch for a search over `n` nodes.
+    fn begin(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.prev.resize(n, NodeId::MAX);
@@ -89,7 +111,7 @@ impl DijkstraScratch {
     }
 
     #[inline]
-    pub(crate) fn dist(&self, node: NodeId) -> f64 {
+    fn dist(&self, node: NodeId) -> f64 {
         let i = node as usize;
         if self.stamp[i] == self.generation {
             self.dist[i]
@@ -98,225 +120,193 @@ impl DijkstraScratch {
         }
     }
 
+    /// The label-setting kernel: settles nodes of `net` outward from
+    /// `from` in order of label plus `h`, where an edge adds `cost(e)` to
+    /// the label. `settle(node, label)` sees each settled node before its
+    /// edges are relaxed, and stops the search by returning true. A
+    /// `from` outside `net` settles nothing.
     #[inline]
-    pub(crate) fn set_dist(&mut self, node: NodeId, d: f64, prev: NodeId) {
+    pub(crate) fn search(
+        &mut self,
+        net: &RoadNetwork,
+        from: NodeId,
+        cost: impl Fn(&HalfEdge) -> f64,
+        h: impl Fn(NodeId) -> f64,
+        mut settle: impl FnMut(NodeId, f64) -> bool,
+    ) -> SearchStats {
+        let mut stats = SearchStats::default();
+        let n = net.node_count();
+        self.begin(n);
+        if from as usize >= n {
+            return stats;
+        }
+        self.set(from, 0.0, NodeId::MAX);
+        self.heap.push(HeapItem {
+            priority: h(from),
+            dist: 0.0,
+            node: from,
+        });
+        while let Some(HeapItem { dist: d, node, .. }) = self.heap.pop() {
+            if d > self.dist(node) {
+                continue;
+            }
+            stats.settled += 1;
+            if settle(node, d) {
+                break;
+            }
+            for e in net.neighbors(node) {
+                stats.relaxed += 1;
+                let nd = d + cost(e);
+                if nd < self.dist(e.to) {
+                    self.set(e.to, nd, node);
+                    self.heap.push(HeapItem {
+                        priority: nd + h(e.to),
+                        dist: nd,
+                        node: e.to,
+                    });
+                }
+            }
+        }
+        stats
+    }
+
+    #[inline]
+    fn set(&mut self, node: NodeId, d: f64, prev: NodeId) {
         let i = node as usize;
         self.dist[i] = d;
         self.prev[i] = prev;
         self.stamp[i] = self.generation;
     }
 
-    #[inline]
-    fn prev(&self, node: NodeId) -> NodeId {
-        let i = node as usize;
-        if self.stamp[i] == self.generation {
-            self.prev[i]
-        } else {
-            NodeId::MAX
+    /// Walks the predecessor chain of the last search back from a settled
+    /// `to`, appending `from ..= to` to the empty `path`.
+    fn recover_path(&self, from: NodeId, to: NodeId, path: &mut Vec<NodeId>) {
+        path.push(to);
+        let mut cur = to;
+        while cur != from {
+            cur = self.prev[cur as usize];
+            path.push(cur);
         }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, priority: f64, dist: f64, node: NodeId) {
-        self.heap.push(HeapItem {
-            priority,
-            dist,
-            node,
-        });
-    }
-
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<HeapItem> {
-        self.heap.pop()
+        path.reverse();
     }
 }
 
 thread_local! {
-    static SCRATCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new());
+    static SCRATCH: RefCell<DijkstraScratch> = RefCell::default();
 }
 
-/// Runs `f` with the calling thread's shared search scratch.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut DijkstraScratch) -> R) -> R {
+/// Runs `f` with the calling thread's search scratch.
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut DijkstraScratch) -> R) -> R {
     SCRATCH.with(|s| match s.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
-        // Re-entrant use (a caller invoking a classic-signature search
-        // while holding the scratch): fall back to a fresh scratch.
-        Err(_) => f(&mut DijkstraScratch::new()),
+        // Re-entrant use (a visitor starting a search of its own): fall
+        // back to a fresh scratch.
+        Err(_) => f(&mut DijkstraScratch::default()),
+    })
+}
+
+/// The length metric's edge cost.
+pub(crate) fn length(e: &HalfEdge) -> f64 {
+    e.length
+}
+
+/// Dijkstra's heuristic.
+pub(crate) fn zero(_: NodeId) -> f64 {
+    0.0
+}
+
+/// The A\* heuristic: the straight line from a node to `to`.
+pub(crate) fn euclid(net: &RoadNetwork, to: NodeId) -> impl Fn(NodeId) -> f64 + '_ {
+    let goal = net.position(to);
+    move |v| net.position(v).dist(goal)
+}
+
+/// Runs the kernel from `from` until `to` settles, returning the distance
+/// (`None` when `to` is unreachable or either endpoint lies outside
+/// `net`) and the effort. `guide` builds the heuristic once `to` is known
+/// to be a node. With `path` given, a reached route `from ..= to` is
+/// appended to it.
+pub(crate) fn to_target<H: Fn(NodeId) -> f64>(
+    net: &RoadNetwork,
+    from: NodeId,
+    to: NodeId,
+    cost: impl Fn(&HalfEdge) -> f64,
+    guide: impl FnOnce() -> H,
+    path: Option<&mut Vec<NodeId>>,
+) -> (Option<f64>, SearchStats) {
+    if to as usize >= net.node_count() {
+        return (None, SearchStats::default());
+    }
+    with_thread_scratch(|s| {
+        let mut reached = None;
+        let stats = s.search(net, from, cost, guide(), |node, d| {
+            if node == to {
+                reached = Some(d);
+            }
+            node == to
+        });
+        if let (Some(_), Some(path)) = (reached, path) {
+            s.recover_path(from, to, path);
+        }
+        (reached, stats)
     })
 }
 
 /// Network distance between two nodes via Dijkstra with early exit;
-/// `None` when `to` is unreachable.
+/// `None` when `to` is unreachable or either node lies outside `net`.
 pub fn dijkstra_distance(net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-    with_thread_scratch(|s| dijkstra_distance_with(net, from, to, s))
-}
-
-/// [`dijkstra_distance`] against a caller-managed scratch.
-pub fn dijkstra_distance_with(
-    net: &RoadNetwork,
-    from: NodeId,
-    to: NodeId,
-    scratch: &mut DijkstraScratch,
-) -> Option<f64> {
-    search(net, from, Some(to), None, scratch)
+    counting_dijkstra(net, from, to).0
 }
 
 /// Network distance via A\* with the Euclidean heuristic. Identical result
 /// to [`dijkstra_distance`], usually with fewer node settlements.
 pub fn astar_distance(net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-    with_thread_scratch(|s| astar_distance_with(net, from, to, s))
-}
-
-/// [`astar_distance`] against a caller-managed scratch.
-pub fn astar_distance_with(
-    net: &RoadNetwork,
-    from: NodeId,
-    to: NodeId,
-    scratch: &mut DijkstraScratch,
-) -> Option<f64> {
-    let goal = net.position(to);
-    search(net, from, Some(to), Some(goal), scratch)
+    counting_astar(net, from, to).0
 }
 
 /// One-to-many Dijkstra: network distance from `from` to every node,
-/// `f64::INFINITY` for unreachable nodes. `max_dist` truncates the
-/// expansion (distances beyond it stay infinite).
-pub fn dijkstra_map(net: &RoadNetwork, from: NodeId, max_dist: Option<f64>) -> Vec<f64> {
-    let mut out = Vec::new();
-    dijkstra_map_into(net, from, max_dist, &mut out);
-    out
-}
-
-/// [`dijkstra_map`] writing into a caller-provided vector (cleared
-/// first), so repeated calls reuse both the output and the search state.
-pub fn dijkstra_map_into(
-    net: &RoadNetwork,
-    from: NodeId,
-    max_dist: Option<f64>,
-    out: &mut Vec<f64>,
-) {
-    with_thread_scratch(|scratch| {
-        let n = net.node_count();
-        scratch.begin(n);
-        scratch.set_dist(from, 0.0, NodeId::MAX);
-        scratch.push(0.0, 0.0, from);
-        while let Some(HeapItem { dist: d, node, .. }) = scratch.pop() {
-            if d > scratch.dist(node) {
-                continue;
-            }
-            if let Some(limit) = max_dist {
-                if d > limit {
-                    continue;
-                }
-            }
-            for e in net.neighbors(node) {
-                let nd = d + e.length;
-                if nd < scratch.dist(e.to) {
-                    scratch.set_dist(e.to, nd, node);
-                    scratch.push(nd, nd, e.to);
-                }
-            }
-        }
-        out.clear();
-        out.reserve(n);
-        out.extend((0..n).map(|i| scratch.dist(i as NodeId)));
-    });
-}
-
-/// Shortest path between two nodes as a node sequence (inclusive of both
-/// endpoints), plus its length; `None` when unreachable.
-pub fn shortest_path_nodes(
-    net: &RoadNetwork,
-    from: NodeId,
-    to: NodeId,
-) -> Option<(Vec<NodeId>, f64)> {
+/// `f64::INFINITY` for unreachable nodes (all of them when `from` lies
+/// outside `net`).
+pub fn dijkstra_map(net: &RoadNetwork, from: NodeId) -> Vec<f64> {
     with_thread_scratch(|s| {
-        let total = search(net, from, Some(to), None, s)?;
-        let mut path = Vec::new();
-        recover_path(from, to, s, &mut path);
-        Some((path, total))
+        s.search(net, from, length, zero, |_, _| false);
+        (0..net.node_count() as NodeId).map(|v| s.dist(v)).collect()
     })
 }
 
-/// Shortest path via A\* (Euclidean heuristic) as a node sequence plus its
-/// length; `None` when unreachable. Equivalent to
-/// [`shortest_path_nodes`] but typically settles fewer nodes.
+/// Shortest path via A\* (Euclidean heuristic) as a node sequence
+/// (inclusive of both endpoints) plus its length; `None` when unreachable.
 pub fn astar_path(net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<(Vec<NodeId>, f64)> {
-    with_thread_scratch(|s| astar_path_with(net, from, to, s))
-}
-
-/// [`astar_path`] against a caller-managed scratch.
-pub fn astar_path_with(
-    net: &RoadNetwork,
-    from: NodeId,
-    to: NodeId,
-    scratch: &mut DijkstraScratch,
-) -> Option<(Vec<NodeId>, f64)> {
     let mut path = Vec::new();
-    let total = astar_path_into(net, from, to, scratch, &mut path)?;
+    let total = astar_path_into(net, from, to, &mut path)?;
     Some((path, total))
 }
 
-/// [`astar_path_with`] writing the node sequence into `path` (cleared
-/// first; left empty when unreachable) and returning its length, so a
-/// caller that plans route after route reuses one buffer.
+/// [`astar_path`] writing the node sequence into `path` (cleared first;
+/// left empty when unreachable) and returning its length, so a caller
+/// that plans route after route reuses one buffer.
 pub fn astar_path_into(
     net: &RoadNetwork,
     from: NodeId,
     to: NodeId,
-    scratch: &mut DijkstraScratch,
     path: &mut Vec<NodeId>,
 ) -> Option<f64> {
     path.clear();
-    let goal = net.position(to);
-    let total = search(net, from, Some(to), Some(goal), scratch)?;
-    recover_path(from, to, scratch, path);
-    Some(total)
+    to_target(net, from, to, length, || euclid(net, to), Some(path)).0
 }
 
-/// Walks the predecessor chain left by the last search in `scratch`,
-/// appending `from ..= to` to the empty `path`.
-fn recover_path(from: NodeId, to: NodeId, scratch: &DijkstraScratch, path: &mut Vec<NodeId>) {
-    path.push(to);
-    let mut cur = to;
-    while cur != from {
-        cur = scratch.prev(cur);
-        path.push(cur);
-    }
-    path.reverse();
-}
-
-/// Core label-setting search. With `heuristic_goal` set it is A\*,
-/// otherwise Dijkstra. Returns the distance to `target` when reached;
-/// predecessors stay in `scratch` for [`recover_path`].
-fn search(
+/// Plain Dijkstra with effort counters (the heuristic-quality baseline).
+pub fn counting_dijkstra(
     net: &RoadNetwork,
     from: NodeId,
-    target: Option<NodeId>,
-    heuristic_goal: Option<Point>,
-    scratch: &mut DijkstraScratch,
-) -> Option<f64> {
-    scratch.begin(net.node_count());
-    let h = |node: NodeId| -> f64 { heuristic_goal.map_or(0.0, |g| net.position(node).dist(g)) };
-    scratch.set_dist(from, 0.0, NodeId::MAX);
-    scratch.push(h(from), 0.0, from);
-    while let Some(HeapItem { dist: d, node, .. }) = scratch.pop() {
-        if d > scratch.dist(node) {
-            continue;
-        }
-        if Some(node) == target {
-            return Some(d);
-        }
-        for e in net.neighbors(node) {
-            let nd = d + e.length;
-            if nd < scratch.dist(e.to) {
-                scratch.set_dist(e.to, nd, node);
-                scratch.push(nd + h(e.to), nd, e.to);
-            }
-        }
-    }
-    let t = target?;
-    scratch.dist(t).is_finite().then(|| scratch.dist(t))
+    to: NodeId,
+) -> (Option<f64>, SearchStats) {
+    to_target(net, from, to, length, || zero, None)
+}
+
+/// Euclidean-heuristic A\* with effort counters.
+pub fn counting_astar(net: &RoadNetwork, from: NodeId, to: NodeId) -> (Option<f64>, SearchStats) {
+    to_target(net, from, to, length, || euclid(net, to), None)
 }
 
 impl RoadNetwork {
@@ -337,7 +327,7 @@ mod tests {
     use super::*;
     use crate::graph::RoadClass;
 
-    /// 4x4 grid with unit spacing, plus one diagonal shortcut.
+    /// 4x4 grid with unit spacing.
     fn grid() -> RoadNetwork {
         let mut net = RoadNetwork::new();
         let mut ids = vec![];
@@ -389,13 +379,18 @@ mod tests {
         let island = net.add_node(Point::new(100.0, 100.0));
         assert_eq!(dijkstra_distance(&net, 0, island), None);
         assert_eq!(astar_distance(&net, 0, island), None);
-        assert!(shortest_path_nodes(&net, 0, island).is_none());
+        let mut path = vec![7];
+        assert_eq!(astar_path_into(&net, 0, island, &mut path), None);
+        assert!(
+            path.is_empty(),
+            "an unreachable route leaves the buffer empty"
+        );
     }
 
     #[test]
     fn path_recovery() {
         let net = grid();
-        let (path, len) = shortest_path_nodes(&net, 0, 15).unwrap();
+        let (path, len) = astar_path(&net, 0, 15).unwrap();
         assert_eq!(len, 6.0);
         assert_eq!(path.first(), Some(&0));
         assert_eq!(path.last(), Some(&15));
@@ -407,21 +402,21 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_map_full_and_truncated() {
+    fn dijkstra_map_covers_every_node() {
         let net = grid();
-        let full = dijkstra_map(&net, 0, None);
+        let full = dijkstra_map(&net, 0);
+        assert_eq!(full.len(), 16);
         assert_eq!(full[15], 6.0);
         assert_eq!(full[0], 0.0);
-        let trunc = dijkstra_map(&net, 0, Some(2.0));
-        assert_eq!(trunc[1], 1.0);
-        assert!(trunc[15].is_infinite());
+        // A source outside the network reaches nothing.
+        assert!(dijkstra_map(&net, 16).iter().all(|d| d.is_infinite()));
     }
 
     #[test]
     fn euclidean_lower_bound_property() {
         let net = grid();
         for from in 0..16u32 {
-            let map = dijkstra_map(&net, from, None);
+            let map = dijkstra_map(&net, from);
             for to in 0..16u32 {
                 let ed = net.position(from).dist(net.position(to));
                 assert!(
@@ -446,22 +441,14 @@ mod tests {
     #[test]
     fn scratch_reuse_across_searches_and_networks() {
         let net = grid();
-        let mut scratch = DijkstraScratch::new();
-        // Interleave A* and Dijkstra on the same scratch; stale state from
-        // one search must never leak into the next.
+        // Interleave full maps, Dijkstra and A* on the thread's scratch;
+        // stale state from one search must never leak into the next.
         for from in 0..16u32 {
+            let map = dijkstra_map(&net, from);
             for to in 0..16u32 {
-                let fresh = dijkstra_distance_with(&net, from, to, &mut DijkstraScratch::new());
-                assert_eq!(
-                    dijkstra_distance_with(&net, from, to, &mut scratch),
-                    fresh,
-                    "dijkstra {from}->{to}"
-                );
-                assert_eq!(
-                    astar_distance_with(&net, from, to, &mut scratch),
-                    fresh,
-                    "astar {from}->{to}"
-                );
+                let want = Some(map[to as usize]);
+                assert_eq!(dijkstra_distance(&net, from, to), want, "{from}->{to}");
+                assert_eq!(astar_distance(&net, from, to), want, "{from}->{to}");
             }
         }
         // A smaller network after a bigger one: arrays stay oversized but
@@ -470,9 +457,10 @@ mod tests {
         let a = tiny.add_node(Point::new(0.0, 0.0));
         let b = tiny.add_node(Point::new(3.0, 4.0));
         tiny.add_edge(a, b, RoadClass::Local);
-        assert_eq!(dijkstra_distance_with(&tiny, a, b, &mut scratch), Some(5.0));
+        assert_eq!(dijkstra_distance(&tiny, a, b), Some(5.0));
+        assert_eq!(dijkstra_map(&tiny, a), vec![0.0, 5.0]);
         // And paths recovered from the shared scratch stay valid.
-        let (path, len) = astar_path_with(&net, 0, 15, &mut scratch).unwrap();
+        let (path, len) = astar_path(&net, 0, 15).unwrap();
         assert_eq!(len, 6.0);
         assert_eq!(path.len(), 7);
     }
@@ -485,7 +473,33 @@ mod tests {
             ..DijkstraScratch::default()
         };
         for _ in 0..6 {
-            assert_eq!(dijkstra_distance_with(&net, 0, 15, &mut scratch), Some(6.0));
+            let stats = scratch.search(&net, 0, length, zero, |node, _| node == 15);
+            assert_eq!(scratch.dist(15), 6.0);
+            assert_eq!(stats.settled, 16, "the far corner settles last");
         }
+    }
+
+    #[test]
+    fn the_kernel_counts_what_it_settles_and_scans() {
+        let net = grid();
+        // A full expansion settles every node once and scans every
+        // half-edge once: 24 undirected edges.
+        let stats = with_thread_scratch(|s| s.search(&net, 0, length, zero, |_, _| false));
+        assert_eq!(
+            stats,
+            SearchStats {
+                settled: 16,
+                relaxed: 48
+            }
+        );
+        // A visitor that stops at once settles the source and scans nothing.
+        let stats = with_thread_scratch(|s| s.search(&net, 0, length, zero, |_, _| true));
+        assert_eq!(
+            stats,
+            SearchStats {
+                settled: 1,
+                relaxed: 0
+            }
+        );
     }
 }

@@ -29,16 +29,19 @@
 //!   and never beats its own free-flow night cost;
 //! * the library SNNN driver returns the same result set under the A\*
 //!   and ALT models;
-//! * landmark selection is deterministic per seed.
+//! * landmark selection is deterministic per seed;
+//! * the searches' exact effort and answer bits on a generated city are
+//!   pinned, and an out-of-range node is an absent endpoint, not a panic.
 
 use proptest::prelude::*;
 use senn_core::distance::{DistanceModel, LowerBoundOracle};
 use senn_core::{snnn_query, RTreeServer, SennEngine, SnnnConfig};
 use senn_geom::Point;
 use senn_network::{
-    counting_alt, counting_astar, counting_ch, counting_dijkstra, AltBound, AltDistance, AltIndex,
-    ChBound, ChDistance, ChIndex, ChScratch, NetworkDistance, NodeLocator, RoadClass, RoadNetwork,
-    TimeDependentCost,
+    astar_distance, astar_path, counting_alt, counting_astar, counting_ch, counting_dijkstra,
+    dijkstra_distance, generate_network, ine_knn, AltBound, AltDistance, AltIndex, ChBound,
+    ChDistance, ChIndex, ChScratch, GeneratorConfig, NetworkDistance, NetworkPois, NodeId,
+    NodeLocator, RoadClass, RoadNetwork, TimeDependentCost,
 };
 
 /// Deterministic generator state for grid jitter (proptest drives the
@@ -554,4 +557,106 @@ fn ch_oracle_beats_astar_on_large_grid() {
         total_ch * 3 < total_ast,
         "CH scanned {total_ch} label entries vs A* {total_ast} relaxations"
     );
+}
+
+/// One FNV-1a step over a 64-bit word.
+fn fnv(hash: &mut u64, word: u64) {
+    *hash = (*hash ^ word).wrapping_mul(0x0100_0000_01b3);
+}
+
+/// Pins the exact work and answer bits of the label-setting searches on a
+/// generated city:
+/// - the summed `(settled, relaxed)` of Dijkstra, A\* and ALT over 64
+///   fixed pairs;
+/// - an FNV fold of those distances and of the A\* routes;
+/// - the bits of `TimeDependentCost` at four hours;
+/// - the bits of `ine_knn` at two queries.
+///
+/// Any change to the queue's pop order, the relaxation arithmetic or a
+/// heuristic moves these numbers. The ratio floors above would not notice.
+/// The expected values were computed by compiling this test into the tree
+/// from before the searches shared one kernel, when each search still ran
+/// its own loop.
+#[test]
+fn search_effort_and_answer_bits_are_pinned() {
+    let net = generate_network(&GeneratorConfig::city(3000.0, 7));
+    let locator = NodeLocator::new(&net);
+    let index = AltIndex::build_seeded(&net, 6, 11);
+    let mut effort = [(0u64, 0u64); 3];
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    for (a, b) in node_pairs(&net, 0x31, 64) {
+        let runs = [
+            counting_dijkstra(&net, a, b),
+            counting_astar(&net, a, b),
+            counting_alt(&net, &index, a, b),
+        ];
+        for (sum, (d, stats)) in effort.iter_mut().zip(runs) {
+            sum.0 += stats.settled;
+            sum.1 += stats.relaxed;
+            fnv(&mut fold, d.map_or(u64::MAX, f64::to_bits));
+        }
+        for node in astar_path(&net, a, b).map_or(vec![], |(route, _)| route) {
+            fnv(&mut fold, node.into());
+        }
+    }
+    let q = Point::new(700.0, 2100.0);
+    let p = Point::new(2600.0, 300.0);
+    let mut td = TimeDependentCost::new(&net, &locator, q, 0.0).unwrap();
+    let td_bits = [3.0, 8.0, 12.0, 17.5].map(|hour| {
+        td.set_hour(hour);
+        td.distance(q, p).unwrap().to_bits()
+    });
+    let pois = NetworkPois::snap(
+        &net,
+        (0..40u32)
+            .map(|i| Point::new(f64::from(i * 613 % 3000), f64::from(i * 1709 % 3000)))
+            .collect(),
+    );
+    let ine: Vec<(u32, u64)> = [Point::new(1400.0, 1600.0), Point::new(250.0, 2800.0)]
+        .into_iter()
+        .flat_map(|q| ine_knn(&net, &pois, q, locator.nearest(q).unwrap(), 4))
+        .map(|n| (n.poi, n.network_dist.to_bits()))
+        .collect();
+    assert_eq!(effort, [(15356, 55445), (3658, 13602), (1655, 6054)]);
+    assert_eq!(fold, 11891478617877047852);
+    assert_eq!(
+        td_bits,
+        [
+            4662510053469101646,
+            4664675518363619612,
+            4663173658343246850,
+            4664675518363619612
+        ]
+    );
+    assert_eq!(
+        ine,
+        [
+            (22, 4643856334874944324),
+            (36, 4644931748959993339),
+            (17, 4647932647882818014),
+            (27, 4649323282277378519),
+            (35, 4644071552696603275),
+            (21, 4650099329086531396),
+            (5, 4650240655972539734),
+            (10, 4652310368856228701)
+        ]
+    );
+}
+
+/// A node id one past the end of the network is an absent endpoint: every
+/// search answers `None` (or no neighbours) instead of indexing out of
+/// bounds.
+#[test]
+fn out_of_range_endpoints_are_none() {
+    let net = generate_network(&GeneratorConfig::city(1500.0, 3));
+    let n = net.node_count() as NodeId;
+    let index = AltIndex::build(&net, 2);
+    let pois = NetworkPois::snap(&net, vec![Point::new(100.0, 100.0)]);
+    for (a, b) in [(0, n), (n, 0), (n, n)] {
+        assert_eq!(dijkstra_distance(&net, a, b), None);
+        assert_eq!(astar_distance(&net, a, b), None);
+        assert!(astar_path(&net, a, b).is_none());
+        assert_eq!(counting_alt(&net, &index, a, b).0, None);
+    }
+    assert!(ine_knn(&net, &pois, Point::new(0.0, 0.0), n, 1).is_empty());
 }

@@ -20,10 +20,11 @@
 //! into retry accounting by `senn_core::transport::AsyncClient`), never
 //! slept. Timed-out requests still execute on the inner service — the
 //! server did the work, the client just stopped waiting — so per-shard
-//! counters keep ticking, while dropped requests never reach it.
+//! counters keep ticking, while dropped requests never reach it. A reply
+//! the inner service omits is a drop too, after the planned latency.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use senn_core::service::{ReplyStatus, ServerReply, ServerRequest, SpatialService};
 use senn_core::transport::RequestId;
@@ -156,7 +157,9 @@ impl<S: SpatialService> SpatialService for FaultyService<S> {
         // so batch composition and ordering never influence any fate —
         // only how often each id has been submitted does.
         let plan: Vec<(ReplyStatus, f64)> = {
-            let mut attempts = self.attempts.lock().unwrap();
+            // Each counter update is one increment, so a poisoned lock
+            // holds no torn state: recover the guard instead of panicking.
+            let mut attempts = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
             batch
                 .iter()
                 .map(|req| {
@@ -204,32 +207,36 @@ impl<S: SpatialService> SpatialService for FaultyService<S> {
         batch
             .iter()
             .zip(&plan)
-            .map(|(r, &(status, latency_ms))| match status {
-                ReplyStatus::Dropped => ServerReply {
-                    id: r.id,
-                    status,
-                    response: Default::default(),
-                    latency_ms,
-                },
-                _ => {
-                    let reply = inner_replies
-                        .next()
-                        .expect("inner service must reply to every request");
-                    debug_assert_eq!(reply.id, r.id);
-                    ServerReply {
+            .map(|(r, &(status, latency_ms))| {
+                // A request the plan dropped never reached the backend; one
+                // the backend omitted a reply for was lost there. Either way
+                // the client hears a drop after the planned latency.
+                let reply = match status {
+                    ReplyStatus::Dropped => None,
+                    _ => inner_replies.next(),
+                };
+                let Some(reply) = reply else {
+                    return ServerReply {
                         id: r.id,
-                        status: if reply.status == ReplyStatus::Ok {
-                            status
-                        } else {
-                            reply.status
-                        },
-                        response: if status == ReplyStatus::Ok {
-                            reply.response
-                        } else {
-                            Default::default()
-                        },
-                        latency_ms: latency_ms + reply.latency_ms,
-                    }
+                        status: ReplyStatus::Dropped,
+                        response: Default::default(),
+                        latency_ms,
+                    };
+                };
+                debug_assert_eq!(reply.id, r.id);
+                ServerReply {
+                    id: r.id,
+                    status: if reply.status == ReplyStatus::Ok {
+                        status
+                    } else {
+                        reply.status
+                    },
+                    response: if status == ReplyStatus::Ok {
+                        reply.response
+                    } else {
+                        Default::default()
+                    },
+                    latency_ms: latency_ms + reply.latency_ms,
                 }
             })
             .collect()
@@ -417,6 +424,58 @@ mod tests {
         assert!(
             fates.windows(2).any(|w| w[0] != w[1]),
             "attempt ordinal must vary the fate (seed chosen to show it)"
+        );
+    }
+
+    /// A backend that loses the last reply of every batch.
+    struct LosesLastReply(RTreeServer);
+
+    impl SpatialService for LosesLastReply {
+        fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
+            let mut replies = self.0.submit(batch);
+            replies.pop();
+            replies
+        }
+
+        fn poi_count(&self) -> usize {
+            self.0.poi_count()
+        }
+    }
+
+    #[test]
+    fn an_omitted_inner_reply_is_a_drop_at_the_planned_latency() {
+        let cfg = FaultConfig {
+            seed: 5,
+            drop_prob: 0.0,
+            mean_latency_ms: 10.0,
+            timeout_ms: f64::INFINITY,
+        };
+        let reqs = batch(8);
+        let whole = FaultyService::new(server(), cfg).submit(&reqs);
+        let short = FaultyService::new(LosesLastReply(server()), cfg).submit(&reqs);
+        let fate = |r: &ServerReply| {
+            (
+                r.id,
+                r.status,
+                r.latency_ms.to_bits(),
+                r.response.pois.clone(),
+            )
+        };
+        assert_eq!(short.len(), reqs.len());
+        assert_eq!(
+            short[..7].iter().map(fate).collect::<Vec<_>>(),
+            whole[..7].iter().map(fate).collect::<Vec<_>>(),
+            "the replies the backend gave pass through untouched"
+        );
+        assert_eq!(whole[7].status, ReplyStatus::Ok);
+        assert_eq!(
+            fate(&short[7]),
+            (
+                reqs[7].id,
+                ReplyStatus::Dropped,
+                whole[7].latency_ms.to_bits(),
+                vec![]
+            )
         );
     }
 

@@ -2,7 +2,7 @@
 //! against plain A\* on a generated city (network generator + ALT index).
 
 use mobishare_senn::network::{
-    alt_distance, astar_distance, generate_network, AltIndex, GeneratorConfig,
+    astar_distance, counting_alt, generate_network, AltIndex, GeneratorConfig,
 };
 
 #[test]
@@ -14,7 +14,7 @@ fn alt_agrees_with_astar_on_generated_city() {
         let a = (i * 131) % n;
         let b = (i * 37 + 11) % n;
         let want = astar_distance(&net, a, b);
-        let (got, _) = alt_distance(&net, &idx, a, b);
+        let (got, _) = counting_alt(&net, &idx, a, b);
         match (got, want) {
             (Some(g), Some(w)) => assert!((g - w).abs() < 1e-6),
             (g, w) => assert_eq!(g.is_some(), w.is_some()),

@@ -51,7 +51,7 @@ fn world(seed: u64, poi_count: usize, side: f64) -> World {
 /// the library uses (legs to/from snap nodes included).
 fn brute(w: &World, q: Point, k: usize) -> Vec<f64> {
     let qn = w.locator.nearest(q).unwrap();
-    let map = dijkstra_map(&w.net, qn, None);
+    let map = dijkstra_map(&w.net, qn);
     let leg = q.dist(w.net.position(qn));
     let mut d: Vec<f64> = (0..w.pois.len() as u32)
         .filter_map(|i| {
