@@ -1,6 +1,8 @@
 //! End-to-end simulator throughput on the scaled Los Angeles world, plus
 //! the peer-discovery ablation: incrementally maintained grid (what
-//! the simulator runs) vs a fresh build per interval vs naive linear scan.
+//! the simulator runs) vs a fresh build per interval vs naive linear scan,
+//! and grid upkeep at a million hosts: per-host `apply_move` vs
+//! stage-then-commit (what the movement pass runs).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::random_points;
@@ -83,6 +85,58 @@ fn sim_tick(c: &mut Criterion) {
                     .count();
             }
             black_box(total)
+        })
+    });
+
+    // Grid upkeep at `million_free`'s geometry: 1 M hosts on 200 m cells
+    // over a 138.5 km side (693² cells). Every host in every 20th slot
+    // sits one cell east in the second position set; each iteration
+    // sweeps all hosts to the other set, so ≈5 % of them cross a
+    // boundary per iteration, in either direction.
+    let side = 138_500.0;
+    let bounds = Rect::new(Point::ORIGIN, Point::new(side, side));
+    let sets = || {
+        let home = random_points(1_000_000, side, 17);
+        let east = home
+            .iter()
+            .enumerate()
+            .map(|(i, p)| match i % 20 {
+                0 => Point::new((p.x + 200.0).min(side), p.y),
+                _ => *p,
+            })
+            .collect::<Vec<_>>();
+        (home, east)
+    };
+    group.bench_function("grid_commit_apply_move", |b| {
+        let (home, east) = sets();
+        let mut grid = HostGrid::build(bounds, 200.0, &home);
+        let mut tick = 0usize;
+        b.iter(|| {
+            tick += 1;
+            let target = if tick % 2 == 1 { &east } else { &home };
+            let mut crossed = 0usize;
+            for (i, p) in target.iter().enumerate() {
+                crossed += usize::from(grid.apply_move(i as u32, *p));
+            }
+            black_box(crossed)
+        })
+    });
+    group.bench_function("grid_commit_staged", |b| {
+        let (home, east) = sets();
+        let mut grid = HostGrid::build(bounds, 200.0, &home);
+        let mut staged = Vec::new();
+        let mut tick = 0usize;
+        b.iter(|| {
+            tick += 1;
+            let target = if tick % 2 == 1 { &east } else { &home };
+            staged.clear();
+            for (i, p) in target.iter().enumerate() {
+                if let Some(crossed) = grid.crossing(i as u32, *p) {
+                    staged.push(crossed);
+                }
+            }
+            grid.commit(&staged);
+            black_box(staged.len())
         })
     });
     group.finish();

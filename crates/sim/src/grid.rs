@@ -10,7 +10,10 @@
 //! every lookup. That split is what makes move-only maintenance cheap —
 //! [`HostGrid::apply_move`] edits at most two cell lists when a host
 //! crosses a cell boundary and touches nothing at all otherwise, so a
-//! movement pass costs O(boundary crossings), not O(hosts). A maintained
+//! movement pass costs O(boundary crossings), not O(hosts). The movement
+//! pass splits it in two: the read-only [`HostGrid::crossing`] during the
+//! sweep, then one [`HostGrid::commit`] of the staged crossings, in the
+//! same order and with the same edits. A maintained
 //! grid is element-for-element identical to a fresh [`HostGrid::build`]
 //! over the same positions (property-tested below), because every cell
 //! list is kept sorted ascending by host id — exactly the order a fresh
@@ -48,6 +51,14 @@ const INLINE_IDS: usize = 7;
 struct Cell {
     len: u32,
     ids: [u32; INLINE_IDS],
+}
+
+/// A host's crossing into another cell, staged by [`HostGrid::crossing`]
+/// and applied by [`HostGrid::commit`]: 8 bytes, the host and its new cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellMove {
+    host: u32,
+    cell: u32,
 }
 
 /// An incrementally maintained uniform grid over host indices.
@@ -173,21 +184,53 @@ impl HostGrid {
     /// Incremental maintenance: records that `host` now sits at `new_pos`.
     /// Returns `true` when the host crossed a cell boundary (two sorted
     /// cell-list edits), `false` when it stayed in its cell (no work).
+    /// It is [`HostGrid::crossing`] followed by a one-move
+    /// [`HostGrid::commit`].
     ///
     /// After any sequence of `apply_move` calls the grid is
     /// element-for-element identical to a fresh [`HostGrid::build`] over
     /// the current positions (property-tested below), so `within_into`
     /// returns hits in exactly the same order either way.
     pub fn apply_move(&mut self, host: u32, new_pos: Point) -> bool {
-        let old = self.host_cells[host as usize];
-        let new = self.flat_cell(new_pos);
-        if old == new {
-            return false;
+        match self.crossing(host, new_pos) {
+            Some(crossed) => {
+                self.move_host(crossed);
+                true
+            }
+            None => false,
         }
+    }
+
+    /// The read-only half of [`HostGrid::apply_move`]: the cell edit that
+    /// would record `host` at `new_pos`, or `None` when it is still in its
+    /// recorded cell. Nothing changes until the move is committed.
+    pub fn crossing(&self, host: u32, new_pos: Point) -> Option<CellMove> {
+        let cell = self.flat_cell(new_pos);
+        (self.host_cells[host as usize] != cell).then_some(CellMove { host, cell })
+    }
+
+    /// Applies staged crossings in order, each exactly as
+    /// [`HostGrid::apply_move`] would. Staged for one pass over hosts
+    /// ascending by id, as the movement sweep stages them (each host at
+    /// most once, debug-asserted), the batch leaves the grid identical to
+    /// per-host `apply_move` calls made in the same order.
+    pub fn commit(&mut self, staged: &[CellMove]) {
+        debug_assert!(
+            staged.windows(2).all(|w| w[0].host < w[1].host),
+            "staged crossings must be strictly ascending by host"
+        );
+        for &crossed in staged {
+            self.move_host(crossed);
+        }
+    }
+
+    /// One committed crossing: two sorted cell-list edits and the host's
+    /// recorded cell.
+    fn move_host(&mut self, CellMove { host, cell }: CellMove) {
+        let old = self.host_cells[host as usize];
         self.remove_from_cell(host, old);
-        self.insert_into_cell(host, new);
-        self.host_cells[host as usize] = new;
-        true
+        self.insert_into_cell(host, cell);
+        self.host_cells[host as usize] = cell;
     }
 
     /// Hosts (by index) within `radius` of `p`, excluding `exclude`.
@@ -453,6 +496,17 @@ mod tests {
         }
     }
 
+    /// Pulls a coordinate within 2.5 of a cell boundary to within 0.25 of
+    /// it, so moves routinely land exactly on or just across one.
+    fn snap(v: f64, cell: f64) -> f64 {
+        let b = (v / cell).round() * cell;
+        if (v - b).abs() < 2.5 {
+            b + (v - b) * 0.1
+        } else {
+            v
+        }
+    }
+
     /// Drives one boundary-biased move sequence, checking the maintained
     /// grid against a fresh build after every move, and returns how many
     /// moves carried a list into or out of the spill table. `place` maps a
@@ -467,15 +521,7 @@ mod tests {
     ) -> usize {
         let bounds = Rect::new(Point::ORIGIN, Point::new(side, side));
         let cell = 10.0;
-        let snap = |v: f64| {
-            let b = (v / cell).round() * cell;
-            if (v - b).abs() < 2.5 {
-                b + (v - b) * 0.1
-            } else {
-                v
-            }
-        };
-        let at = |x: f64, y: f64| Point::new(snap(place(x)), snap(place(y)));
+        let at = |x: f64, y: f64| Point::new(snap(place(x), cell), snap(place(y), cell));
         let mut positions: Vec<Point> = start.iter().map(|&(x, y)| at(x, y)).collect();
         let mut grid = HostGrid::build(bounds, cell, &positions);
         let mut spill_changes = 0;
@@ -522,6 +568,134 @@ mod tests {
             let spill_changes = check_moves(&start, &moves, 19.0, |v| v.powf(2.6) * 19.0);
             prop_assert!(spill_changes >= 1, "no list crossed the inline capacity");
         }
+    }
+
+    /// The grid's whole index — every cell list (ids and order), every
+    /// host's recorded cell, and which cells are spilled — is equal.
+    fn assert_same_index(a: &HostGrid, b: &HostGrid) {
+        assert_eq!(a.cells.len(), b.cells.len());
+        for idx in 0..a.cells.len() {
+            assert_eq!(a.ids(idx), b.ids(idx), "cell {idx}");
+        }
+        assert_eq!(a.host_cells, b.host_cells);
+        let keys = |g: &HostGrid| g.spill.keys().copied().collect::<HashSet<u32>>();
+        assert_eq!(keys(a), keys(b));
+    }
+
+    /// One interval three ways: crossings staged over the whole pass then
+    /// committed as one batch, per-host `apply_move` in the same ascending
+    /// order, and a fresh build over the final positions. `steps` holds a
+    /// draw per host: whether it moves, then where to — a short hop from
+    /// where it is or a jump to `jump(i, u, v)`; every coordinate is
+    /// [`snap`]ped toward cell boundaries. Returns how many
+    /// single edits inside the batch moved a list into and out of the
+    /// spill.
+    fn check_batch(
+        side: f64,
+        start: impl Fn(usize) -> Point,
+        steps: &[(f64, f64, f64)],
+        jump: impl Fn(usize, f64, f64) -> Point,
+    ) -> (usize, usize) {
+        let bounds = Rect::new(Point::ORIGIN, Point::new(side, side));
+        let cell = 10.0;
+        let snapped = |p: Point| Point::new(snap(p.x, cell), snap(p.y, cell));
+        let mut positions: Vec<Point> = (0..steps.len()).map(|i| snapped(start(i))).collect();
+        let mut staged_grid = HostGrid::build(bounds, cell, &positions);
+        let mut sequential = staged_grid.clone();
+        // The step phase: every position moves before the grid is touched.
+        let mut staged = Vec::new();
+        for (i, &(moves, u, v)) in steps.iter().enumerate() {
+            let p = positions[i];
+            positions[i] = snapped(match moves {
+                m if m < 0.3 => continue,
+                // A hop of up to ±6 m per axis: stays, crosses one
+                // boundary, or leaves the bounds on either side.
+                m if m < 0.75 => Point::new(p.x + (u - 0.5) * 12.0, p.y + (v - 0.5) * 12.0),
+                _ => jump(i, u, v),
+            });
+            staged.extend(staged_grid.crossing(i as u32, positions[i]));
+        }
+        staged_grid.commit(&staged);
+        // The twin: one `apply_move` per host, counting spill transitions.
+        let keys = |g: &HostGrid| g.spill.keys().copied().collect::<HashSet<u32>>();
+        let (mut spill_ins, mut spill_outs) = (0, 0);
+        for (i, &p) in positions.iter().enumerate() {
+            let before = keys(&sequential);
+            sequential.apply_move(i as u32, p);
+            let after = keys(&sequential);
+            spill_ins += after.difference(&before).count();
+            spill_outs += before.difference(&after).count();
+        }
+        assert_same_index(&staged_grid, &sequential);
+        let fresh = HostGrid::build(bounds, cell, &positions);
+        assert_same_index(&staged_grid, &fresh);
+        assert_equivalent(&staged_grid, &positions, bounds, cell);
+        (spill_ins, spill_outs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Staged commit ≡ sequential `apply_move` ≡ fresh build, dense:
+        /// 30 or 31 hosts on 2×2 cells, host `i` starting at a random spot
+        /// in cell `i % 4`, so cell 0 starts spilled at 8 ids and cell 3
+        /// inline at 7. Host 0 always jumps into cell 3, and that one edit
+        /// takes cell 0 out of the spill and cell 3 into it; the other
+        /// moves of the batch keep the counts hovering at the inline
+        /// capacity. Hops past 0 or 19 m exercise the clamp on both sides.
+        #[test]
+        fn staged_commit_equals_sequential_moves_and_fresh_build(
+            corners in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64), 31),
+            steps in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64), 30..32),
+        ) {
+            let mut steps = steps;
+            steps[0].0 = 1.0;
+            let in_cell = |c: usize, (u, v): (f64, f64)| {
+                Point::new(10.0 * (c % 2) as f64 + u * 9.0, 10.0 * (c / 2) as f64 + v * 9.0)
+            };
+            let (ins, outs) = check_batch(
+                19.0,
+                |i| in_cell(i % 4, corners[i]),
+                &steps,
+                |i, u, v| match i {
+                    0 => in_cell(3, (u, v)),
+                    _ => Point::new(u * 19.0, v * 19.0),
+                },
+            );
+            prop_assert!(ins >= 1 && outs >= 1, "spill in {ins}, out {outs}");
+        }
+
+        /// The same on 11×11 cells with up to 19 hosts, where every list
+        /// stays inline.
+        #[test]
+        fn staged_commit_equals_sequential_moves_sparse(
+            start in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64), 19),
+            steps in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64), 1..20),
+        ) {
+            let anywhere = |u: f64, v: f64| Point::new(u * 100.0, v * 100.0);
+            check_batch(
+                100.0,
+                |i| anywhere(start[i].0, start[i].1),
+                &steps,
+                |_, u, v| anywhere(u, v),
+            );
+        }
+    }
+
+    /// Staging a host twice, or out of id order, is a caller bug the
+    /// commit refuses in debug builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn commit_refuses_unordered_batches() {
+        let bounds = Rect::new(Point::ORIGIN, Point::new(100.0, 100.0));
+        let mut grid = HostGrid::build(bounds, 10.0, &[Point::new(5.0, 5.0); 2]);
+        let far = Point::new(55.0, 55.0);
+        let staged: Vec<CellMove> = [1, 0]
+            .into_iter()
+            .filter_map(|h| grid.crossing(h, far))
+            .collect();
+        grid.commit(&staged);
     }
 
     /// Where a list lives is a function of its length alone: it spills at

@@ -4,10 +4,25 @@
 //! sizing and POI churn lives here too, since both model event arrivals
 //! over the same intervals.
 //!
-//! The sweep walks the store's mover column (`store.rs`) in mover order,
-//! one loop per movement mode picked once per sweep: the model's one step
-//! kernel, then `apply_move`. Paused movers take the same path; skipping
-//! them measured nothing (EXPERIMENTS.md "PR 21").
+//! The pass has two phases, so that the grid edits leave the sweep:
+//!
+//! * **step** — walk the store's mover column (`store.rs`) in mover
+//!   order, one loop per movement mode picked once per sweep: the model's
+//!   one step kernel, then the read-only
+//!   [`HostGrid::crossing`](crate::grid::HostGrid::crossing) check,
+//!   which stages the host's new cell if it left its recorded one;
+//! * **commit** — apply the interval's staged crossings in one
+//!   [`HostGrid::commit`](crate::grid::HostGrid::commit).
+//!
+//! A step reads only its mover's state, the road network and its host's
+//! stream, never the grid, and staging order is ascending host id, the
+//! order the sweep visits hosts in. So the commit makes the edits
+//! per-host `apply_move` calls inside the sweep would make, in the same
+//! order, and the grid after every interval is the same either way.
+//! Paused movers take the same path; skipping them measured nothing
+//! (EXPERIMENTS.md, "dense mover columns, inline grid cells").
+
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -33,36 +48,44 @@ impl Simulator {
     /// everything else costs nothing. Parked hosts are not visited: they
     /// have no mobility state and would draw no RNG.
     pub(crate) fn advance_movement(&mut self, dt: f64) {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let Simulator {
             store,
             grid,
             network,
             batch_stats,
+            crossings,
             ..
         } = self;
         let (positions, mobility, streams, movers) = store.movement_columns();
-        let mut cell_moves = 0u64;
+        crossings.clear();
         match mobility {
             MoverColumn::Free { config, legs } => {
                 for (leg, &host) in legs.iter_mut().zip(movers) {
                     let i = host as usize;
                     step_leg(config, &mut positions[i], leg, dt, &mut streams.host(host));
-                    cell_moves += u64::from(grid.apply_move(host, positions[i]));
+                    if let Some(crossed) = grid.crossing(host, positions[i]) {
+                        crossings.push(crossed);
+                    }
                 }
             }
             MoverColumn::Road(road) => {
-                let net = network.as_ref().expect("road movers need the road network");
                 for (mover, &host) in road.iter_mut().zip(movers) {
                     let i = host as usize;
-                    mover.step(net, dt, &mut streams.host(host));
+                    mover.step(network, dt, &mut streams.host(host));
                     positions[i] = mover.position();
-                    cell_moves += u64::from(grid.apply_move(host, positions[i]));
+                    if let Some(crossed) = grid.crossing(host, positions[i]) {
+                        crossings.push(crossed);
+                    }
                 }
             }
         }
-        batch_stats.grid_cell_moves += cell_moves;
-        batch_stats.move_secs += started.elapsed().as_secs_f64();
+        let stepped = Instant::now();
+        grid.commit(crossings);
+        let done = Instant::now();
+        batch_stats.grid_cell_moves += crossings.len() as u64;
+        batch_stats.grid_secs += (done - stepped).as_secs_f64();
+        batch_stats.move_secs += (done - started).as_secs_f64();
     }
 }
 
@@ -167,6 +190,26 @@ mod tests {
                 cfg.mode
             );
         }
+    }
+
+    /// The commit phase is timed inside the movement pass: on a run with
+    /// crossings its total is positive and never more than the pass's.
+    #[test]
+    fn grid_secs_is_part_of_move_secs() {
+        let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
+        params.t_execution_hours = 0.01;
+        let mut cfg = SimConfig::new(params, 42);
+        cfg.mode = MovementMode::FreeMovement;
+        let mut sim = Simulator::new(cfg);
+        sim.run();
+        let stats = sim.batch_stats;
+        assert!(stats.grid_cell_moves > 0);
+        assert!(
+            0.0 < stats.grid_secs && stats.grid_secs <= stats.move_secs,
+            "grid {} move {}",
+            stats.grid_secs,
+            stats.move_secs
+        );
     }
 
     #[test]

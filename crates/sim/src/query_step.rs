@@ -369,10 +369,7 @@ impl Simulator {
         let Some(kind) = self.config.distance_model else {
             return 0;
         };
-        let net = self
-            .network
-            .as_ref()
-            .expect("validated at build time: network mode keeps the road network");
+        let net = &self.network;
         let (locator, origin) = (&self.locator, Point::ORIGIN);
         let euclid = Some(ActiveOracle::Euclid(EuclideanBound));
         // Every model and oracle constructor returns `None` only on an

@@ -52,7 +52,7 @@ use senn_server::{FaultConfig, FaultyService, ServiceMetrics, ShardedService};
 pub use crate::cache_step::CachePolicy;
 pub use crate::movement::MovementMode;
 
-use crate::grid::HostGrid;
+use crate::grid::{CellMove, HostGrid};
 use crate::metrics::Metrics;
 use crate::movement::poisson;
 use crate::params::{ParamSet, SimParams};
@@ -543,7 +543,9 @@ impl SpatialService for ServiceBackend {
 /// The simulator state.
 pub struct Simulator {
     pub(crate) config: SimConfig,
-    pub(crate) network: Option<RoadNetwork>,
+    /// The world's road network: always built, because POIs snap to it
+    /// in either movement mode.
+    pub(crate) network: RoadNetwork,
     /// Point-to-node snapper over `network` (SNNN models anchor queries
     /// and POIs through it).
     pub(crate) locator: NodeLocator,
@@ -573,6 +575,9 @@ pub struct Simulator {
     /// incrementally during the movement pass; read-only while a batch
     /// executes.
     pub(crate) grid: HostGrid,
+    /// The movement pass's staged cell crossings, committed to `grid` at
+    /// the end of each pass; kept so its capacity is reused.
+    pub(crate) crossings: Vec<CellMove>,
     pub(crate) batch_stats: BatchStats,
     /// The queries the last fold finished ([`Simulator::last_answers`]).
     pub(crate) answers: Vec<Answer>,
@@ -628,6 +633,10 @@ pub struct BatchStats {
     /// Wall time of the movement pass (host stepping + incremental grid
     /// maintenance) across the whole run, seconds.
     pub move_secs: f64,
+    /// The part of `move_secs` spent committing the staged cell crossings
+    /// to the grid (grid upkeep), across the whole run, seconds. Timed
+    /// once per interval, so `grid_secs <= move_secs` always.
+    pub grid_secs: f64,
     /// Grid cell-boundary crossings the movement pass applied — the
     /// per-interval grid work actually paid.
     pub grid_cell_moves: u64,
@@ -790,7 +799,7 @@ impl Simulator {
         };
         Simulator {
             config,
-            network: Some(network),
+            network,
             locator,
             alt_index,
             ch_index,
@@ -804,6 +813,7 @@ impl Simulator {
             time: 0.0,
             warmed_up: false,
             grid,
+            crossings: Vec::new(),
             batch_stats: BatchStats::default(),
             answers: Vec::new(),
             expand_scratch: ExpandScratch::default(),
@@ -815,9 +825,11 @@ impl Simulator {
         &self.config
     }
 
-    /// The road network of the world.
+    /// The road network of the world. Every world has one (POIs snap to
+    /// it in either movement mode), so this is always `Some`; the
+    /// `Option` is kept for existing callers.
     pub fn network(&self) -> Option<&RoadNetwork> {
-        self.network.as_ref()
+        Some(&self.network)
     }
 
     /// The server module (the ground-truth single-tree backend).
