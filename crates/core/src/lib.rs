@@ -22,7 +22,6 @@
 //! | [`trace`] | the unified [`QueryTrace`] outcome (attribution + accounting + stage timings) |
 //! | [`senn`] | Algorithm 1 — the SENN driver over the staged kernel |
 //! | [`snnn`] | Algorithm 2 — the SNNN/IER driver, generic over [`DistanceModel`] (§3.4) |
-//! | [`rknn`] | reverse-kNN ("which hosts rank me top-k?") over the service seam |
 //! | [`service`] | the batched request/reply service API |
 //! | [`transport`] | the event-driven async transport (virtual clock, admission control) and the retry/degradation client |
 //! | [`server`] | the R\*-tree reference backend of the service seam (§4.4) |
@@ -37,7 +36,6 @@ pub mod distance;
 pub mod heap;
 pub mod multiple;
 pub mod pipeline;
-pub mod rknn;
 pub mod senn;
 pub mod server;
 pub mod service;
@@ -50,9 +48,6 @@ pub mod verify;
 pub use distance::{DistanceModel, Euclidean, EuclideanBound, LowerBoundOracle, NeverPrune};
 pub use heap::{HeapEntry, HeapState, ResultHeap};
 pub use pipeline::QueryContext;
-pub use rknn::{
-    rknn_batch, rknn_bruteforce, RknnBatch, RknnHost, RknnOutcome, RknnQuery, RknnStats,
-};
 pub use senn::{SennConfig, SennEngine, SennOutcome};
 pub use senn_cache::{CacheEntry as PeerCacheEntry, CachedNn};
 pub use senn_rtree::SearchBounds;
@@ -88,9 +83,6 @@ pub mod prelude {
     };
     pub use crate::heap::{HeapEntry, HeapState};
     pub use crate::pipeline::QueryContext;
-    pub use crate::rknn::{
-        rknn_batch, rknn_bruteforce, RknnBatch, RknnHost, RknnOutcome, RknnQuery, RknnStats,
-    };
     pub use crate::senn::{SennConfig, SennEngine, SennOutcome};
     pub use crate::server::{RTreeServer, ServerResponse};
     pub use crate::service::{

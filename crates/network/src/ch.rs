@@ -7,18 +7,15 @@
 //! full A\*/ALT label-setting search. A contraction hierarchy moves that
 //! cost to preprocessing: nodes are contracted one by one in an
 //! importance order, inserting *shortcut* edges that preserve all
-//! shortest-path distances among the remaining nodes, and queries become
-//! two tiny Dijkstra searches that only ever relax edges leading to
-//! more-important nodes. On top of the finished hierarchy a **hub
-//! label** is tabulated per node — its pruned upward search space as a
-//! rank-sorted `(hub, distance, first edge)` list — so the hot-path
-//! query is not a graph search at all: it is a two-pointer merge of two
+//! shortest-path distances among the remaining nodes, so every shortest
+//! path climbs the order and then descends it. On top of the finished
+//! hierarchy a **hub label** is tabulated per node — its pruned upward
+//! search space as a rank-sorted `(hub, distance, first edge)` list — so
+//! a query is not a graph search at all: it is a two-pointer merge of two
 //! short sorted arrays (the canonical hub-labeling query, the fastest
 //! known exact road-network oracle and the decisive ingredient of fast
-//! road-network kNN per Abeywickrama et al., PVLDB 2016). Both query
-//! styles are provided: [`ChIndex::search_distance_with`] runs the
-//! bidirectional upward search, [`ChIndex::distance_with`] merges hub
-//! labels.
+//! road-network kNN per Abeywickrama et al., PVLDB 2016). Every query
+//! ([`ChIndex::distance_with`], [`counting_ch`]) is that merge.
 //!
 //! ## Determinism contract
 //!
@@ -43,9 +40,9 @@
 //!
 //! ## Bit-identity contract
 //!
-//! Neither query style returns an accumulated label/search distance
-//! (whose floating-point rounding depends on how shortcuts happen to
-//! nest). Both unpack the winning meet path back into the original edge
+//! A query does not return the accumulated label distance (whose
+//! floating-point rounding depends on how shortcuts happen to nest). It
+//! unpacks the winning hub path back into the original edge
 //! sequence and fold the edge lengths left-to-right in path order — the
 //! exact computation Dijkstra's relaxation performs. Whenever the
 //! shortest path is unique (always, up to measure-zero ties, on the
@@ -106,9 +103,8 @@ struct LabelEntry {
 ///
 /// Build once with [`ChIndex::build_seeded`], then answer exact network
 /// distances with [`ChIndex::distance_with`] (hub-label merge,
-/// allocation-free against a caller-managed [`ChScratch`]), the
-/// search-based [`ChIndex::search_distance_with`], or the counting probe
-/// [`counting_ch`].
+/// allocation-free against a caller-managed [`ChScratch`]) or the
+/// counting probe [`counting_ch`].
 #[derive(Clone, Debug)]
 pub struct ChIndex {
     /// `rank[v]` = position of `v` in the contraction order.
@@ -600,21 +596,6 @@ impl ChIndex {
         self.label_query(from, to, scratch, &mut stats)
     }
 
-    /// Exact network distance via the bidirectional upward search (no
-    /// label table involved); `None` when unreachable. Exists alongside
-    /// [`ChIndex::distance_with`] as the search-based form of the same
-    /// oracle — both unpack the winning path, so on unique shortest
-    /// paths they agree bit-for-bit.
-    pub fn search_distance_with(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        scratch: &mut ChScratch,
-    ) -> Option<f64> {
-        let mut stats = SearchStats::default();
-        self.search_query(from, to, scratch, &mut stats)
-    }
-
     /// The hub-label query: a two-pointer merge of the rank-sorted
     /// labels of `from` and `to`; the cheapest common hub wins and its
     /// two monotone paths are walked edge-by-edge through the neighbor
@@ -705,112 +686,6 @@ impl ChIndex {
         }
     }
 
-    /// The bidirectional upward search: both sides run Dijkstra over the
-    /// upward edge lists only, the best meet node caps the expansion, and
-    /// the winning meet path is unpacked to the original edge sequence
-    /// whose lengths are folded left-to-right (the bit-identity
-    /// contract).
-    fn search_query(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        scratch: &mut ChScratch,
-        stats: &mut SearchStats,
-    ) -> Option<f64> {
-        let n = self.up.len();
-        if from as usize >= n || to as usize >= n {
-            return None;
-        }
-        if from == to {
-            return Some(0.0);
-        }
-        scratch.begin(n);
-        let gen = scratch.generation;
-        scratch.fwd.seed(from, gen);
-        scratch.bwd.seed(to, gen);
-        let mut best = f64::INFINITY;
-        let mut meet = NONE;
-        loop {
-            let tf = scratch.fwd.heap.peek().map(|i| i.dist);
-            let tb = scratch.bwd.heap.peek().map(|i| i.dist);
-            let forward = match (tf, tb) {
-                (None, None) => break,
-                (Some(a), None) => {
-                    if a >= best {
-                        break;
-                    }
-                    true
-                }
-                (None, Some(b)) => {
-                    if b >= best {
-                        break;
-                    }
-                    false
-                }
-                (Some(a), Some(b)) => {
-                    if a.min(b) >= best {
-                        break;
-                    }
-                    a <= b
-                }
-            };
-            let (this, other) = if forward {
-                (&mut scratch.fwd, &mut scratch.bwd)
-            } else {
-                (&mut scratch.bwd, &mut scratch.fwd)
-            };
-            let QItem { dist: d, node } = this.heap.pop().expect("peeked side is non-empty");
-            if d > this.dist(node, gen) {
-                continue;
-            }
-            stats.settled += 1;
-            let od = other.dist(node, gen);
-            if od.is_finite() && d + od < best {
-                best = d + od;
-                meet = node;
-            }
-            for ue in &self.up[node as usize] {
-                let nd = d + ue.weight;
-                // The list is weight-sorted: once `nd` cannot beat the
-                // best meet, no later edge can either — any meet reached
-                // through it would cost at least `nd` more than zero on
-                // the other side.
-                if nd >= best {
-                    break;
-                }
-                stats.relaxed += 1;
-                if nd < this.dist(ue.to, gen) {
-                    this.set(ue.to, nd, node, ue.edge, gen);
-                    this.heap.push(QItem {
-                        dist: nd,
-                        node: ue.to,
-                    });
-                }
-            }
-        }
-        if meet == NONE {
-            return None;
-        }
-        // Reconstruct the meet path as `(arena edge, entered-from node)`
-        // pairs in `from → to` order.
-        scratch.chain.clear();
-        let mut node = meet;
-        while node != from {
-            let i = node as usize;
-            let prev = scratch.fwd.parent_node[i];
-            scratch.chain.push((scratch.fwd.parent_edge[i], prev));
-            node = prev;
-        }
-        scratch.chain.reverse();
-        let mut node = meet;
-        while node != to {
-            let i = node as usize;
-            scratch.chain.push((scratch.bwd.parent_edge[i], node));
-            node = scratch.bwd.parent_node[i];
-        }
-        Some(self.fold_chain(scratch))
-    }
-
     /// Expands the chain buffer's shortcuts with an explicit stack and
     /// folds the original edge lengths strictly left-to-right — the same
     /// fold Dijkstra's relaxation performs along the path.
@@ -836,88 +711,19 @@ impl ChIndex {
     }
 }
 
-/// One direction's generation-stamped search state.
-#[derive(Default)]
-struct SideScratch {
-    dist: Vec<f64>,
-    parent_node: Vec<NodeId>,
-    parent_edge: Vec<u32>,
-    stamp: Vec<u32>,
-    heap: BinaryHeap<QItem>,
-}
-
-impl SideScratch {
-    fn grow(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, f64::INFINITY);
-            self.parent_node.resize(n, NONE);
-            self.parent_edge.resize(n, u32::MAX);
-            self.stamp.resize(n, 0);
-        }
-        self.heap.clear();
-    }
-
-    fn seed(&mut self, node: NodeId, gen: u32) {
-        let i = node as usize;
-        self.dist[i] = 0.0;
-        self.parent_node[i] = NONE;
-        self.parent_edge[i] = u32::MAX;
-        self.stamp[i] = gen;
-        self.heap.push(QItem { dist: 0.0, node });
-    }
-
-    #[inline]
-    fn dist(&self, node: NodeId, gen: u32) -> f64 {
-        let i = node as usize;
-        if self.stamp[i] == gen {
-            self.dist[i]
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, node: NodeId, d: f64, parent: NodeId, edge: u32, gen: u32) {
-        let i = node as usize;
-        self.dist[i] = d;
-        self.parent_node[i] = parent;
-        self.parent_edge[i] = edge;
-        self.stamp[i] = gen;
-    }
-}
-
-/// Reusable search/unpack state for [`ChIndex`] queries: forward and
-/// backward distance/parent arrays validated by a shared generation
-/// stamp, the two priority queues, and the unpacking buffers. One scratch
-/// serves any number of consecutive queries (arrays grow monotonically to
-/// the largest hierarchy seen), like the scratch of the label-setting
-/// kernel in [`crate::shortest_path`]. Hub-label queries only use
-/// the unpacking buffers, so a scratch shared between both query styles
-/// stays cheap.
+/// Reusable unpacking state for [`ChIndex`] queries: the buffers that
+/// expand a hub path back into original edges. One scratch serves any
+/// number of consecutive queries.
 #[derive(Default)]
 pub struct ChScratch {
-    fwd: SideScratch,
-    bwd: SideScratch,
-    generation: u32,
     chain: Vec<(u32, NodeId)>,
     work: Vec<(u32, NodeId)>,
 }
 
 impl ChScratch {
-    /// An empty scratch; arrays are sized on first use.
+    /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn begin(&mut self, n: usize) {
-        self.fwd.grow(n);
-        self.bwd.grow(n);
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.fwd.stamp.fill(0);
-            self.bwd.stamp.fill(0);
-            self.generation = 1;
-        }
     }
 }
 
@@ -956,17 +762,7 @@ mod tests {
             let to = (i * 101 + 13) % n;
             let want = dijkstra_distance(&net, from, to);
             let got = idx.distance_with(from, to, &mut scratch);
-            let searched = idx.search_distance_with(from, to, &mut scratch);
             match (got, want) {
-                (Some(g), Some(w)) => {
-                    assert!(
-                        (g - w).abs() <= 1e-9 * w.max(1.0),
-                        "{from}->{to}: {g} vs {w}"
-                    )
-                }
-                (a, b) => assert_eq!(a.is_some(), b.is_some(), "{from}->{to}"),
-            }
-            match (searched, want) {
                 (Some(g), Some(w)) => {
                     assert!(
                         (g - w).abs() <= 1e-9 * w.max(1.0),
@@ -983,7 +779,6 @@ mod tests {
         // A fully jittered grid has measure-zero shortest-path ties, so
         // CH must pick Dijkstra's path and fold the identical edge
         // sequence — equality down to the last bit, not a tolerance.
-        // Both query styles are held to it.
         let mut net = RoadNetwork::new();
         let (w, h) = (14usize, 11usize);
         let mut state = 0x1234_5678u64;
@@ -1019,16 +814,10 @@ mod tests {
             let to = (i * 131 + 7) % n;
             let want = dijkstra_distance(&net, from, to);
             let got = idx.distance_with(from, to, &mut scratch);
-            let searched = idx.search_distance_with(from, to, &mut scratch);
             assert_eq!(
                 got.map(f64::to_bits),
                 want.map(f64::to_bits),
-                "label {from}->{to}: {got:?} vs {want:?}"
-            );
-            assert_eq!(
-                searched.map(f64::to_bits),
-                want.map(f64::to_bits),
-                "search {from}->{to}: {searched:?} vs {want:?}"
+                "{from}->{to}: {got:?} vs {want:?}"
             );
         }
     }
@@ -1071,11 +860,6 @@ mod tests {
                 idx.distance_with(from, to, &mut scratch),
                 fresh,
                 "{from}->{to}"
-            );
-            assert_eq!(
-                idx.search_distance_with(from, to, &mut scratch),
-                fresh,
-                "search {from}->{to}"
             );
         }
     }
@@ -1127,14 +911,10 @@ mod tests {
         assert_eq!(idx.distance(0, island), None);
         assert_eq!(idx.distance(island, 0), None);
         assert_eq!(idx.distance(island, island), Some(0.0));
-        let mut s = ChScratch::new();
-        assert_eq!(idx.search_distance_with(0, island, &mut s), None);
-        assert_eq!(idx.search_distance_with(island, island, &mut s), Some(0.0));
         // Out-of-range ids are rejected, not a panic.
         let n = net.node_count() as u32;
         assert_eq!(idx.distance(0, n), None);
         assert_eq!(idx.distance(n, 0), None);
-        assert_eq!(idx.search_distance_with(0, n, &mut s), None);
     }
 
     #[test]
@@ -1174,6 +954,8 @@ mod tests {
 
     #[test]
     fn label_and_search_queries_agree_everywhere() {
+        // The hub-label merge against a Dijkstra search over a lattice
+        // of endpoint pairs.
         let net = net();
         let idx = ChIndex::build(&net);
         let n = net.node_count() as u32;
@@ -1181,7 +963,7 @@ mod tests {
         for from in (0..n).step_by(17) {
             for to in (0..n).step_by(23) {
                 let lab = idx.distance_with(from, to, &mut scratch);
-                let sea = idx.search_distance_with(from, to, &mut scratch);
+                let sea = dijkstra_distance(&net, from, to);
                 match (lab, sea) {
                     (Some(a), Some(b)) => {
                         assert!(

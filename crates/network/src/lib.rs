@@ -26,8 +26,8 @@
 //!   **INE** network-kNN baselines used by SNNN.
 //! * [`ch`] — a contraction-hierarchy distance oracle: seeded
 //!   deterministic preprocessing (edge-difference ordering, witness
-//!   searches, shortcuts) and bidirectional upward queries whose unpacked
-//!   distances are bit-identical to Dijkstra on unique shortest paths.
+//!   searches, shortcuts) and hub-label queries whose unpacked distances
+//!   are bit-identical to Dijkstra on unique shortest paths.
 //! * [`distance`] — the road-network implementations of `senn-core`'s
 //!   `DistanceModel` seam: [`NetworkDistance`] (Euclidean-heuristic A\*),
 //!   [`AltDistance`] (landmark lower bounds), [`ChDistance`] (the

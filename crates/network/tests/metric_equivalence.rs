@@ -9,9 +9,9 @@
 //!
 //! * Dijkstra ≡ A\* ≡ ALT to 1e-9 (A\* vs ALT bit-identical — they sum
 //!   the same shortest path left-to-right);
-//! * Dijkstra ≡ CH to 1e-9, with the hub-label and bidirectional-search
-//!   query styles bit-identical to A\* (the CH oracle unpacks and folds
-//!   the same unique shortest path);
+//! * Dijkstra ≡ CH to 1e-9, with the hub-label query bit-identical to
+//!   A\* (the CH oracle unpacks and folds the same unique shortest
+//!   path);
 //! * the [`ChBound`] oracle is admissible for all exact models and
 //!   bounds the zero self-distance by exactly 0 on its own snap node;
 //! * all six model/bound aliases answer the same bits after `rebase(q)`
@@ -40,8 +40,8 @@ use senn_geom::Point;
 use senn_network::{
     astar_distance, astar_path, counting_alt, counting_astar, counting_ch, counting_dijkstra,
     dijkstra_distance, generate_network, ine_knn, AltBound, AltDistance, AltIndex, ChBound,
-    ChDistance, ChIndex, ChScratch, GeneratorConfig, NetworkDistance, NetworkPois, NodeId,
-    NodeLocator, RoadClass, RoadNetwork, TimeDependentCost,
+    ChDistance, ChIndex, GeneratorConfig, NetworkDistance, NetworkPois, NodeId, NodeLocator,
+    RoadClass, RoadNetwork, TimeDependentCost,
 };
 
 /// Deterministic generator state for grid jitter (proptest drives the
@@ -333,9 +333,8 @@ proptest! {
     }
 
     /// Dijkstra ≡ CH on every sampled pair: within 1e-9 of Dijkstra, and
-    /// **bit-identical** to A\* for both query styles (hub-label merge
-    /// and bidirectional upward search) — the jittered grid keeps
-    /// shortest paths unique, so all of them fold the same edge sequence.
+    /// **bit-identical** to A\* — the jittered grid keeps shortest paths
+    /// unique, so both fold the same edge sequence.
     #[test]
     fn dijkstra_ch_agree(
         w in 2usize..7,
@@ -344,15 +343,11 @@ proptest! {
     ) {
         let net = grid_network(w, h, seed);
         let index = ChIndex::build_seeded(&net, seed);
-        let mut scratch = ChScratch::new();
         for (a, b) in node_pairs(&net, seed, 12) {
             let (dij, _) = counting_dijkstra(&net, a, b);
             let (ast, _) = counting_astar(&net, a, b);
             let (ch, _) = counting_ch(&index, a, b);
-            let searched = index.search_distance_with(a, b, &mut scratch);
             prop_assert_eq!(dij.is_some(), ch.is_some());
-            prop_assert_eq!(ch.map(f64::to_bits), searched.map(f64::to_bits),
-                "label vs search query styles diverged");
             if let (Some(d), Some(s), Some(c)) = (dij, ast, ch) {
                 prop_assert!((d - c).abs() < 1e-9, "dijkstra {d} vs ch {c}");
                 prop_assert!(s == c, "astar {s} vs ch {c} not bit-identical");

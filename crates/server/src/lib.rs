@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # senn-server
 //!
 //! Backends for the batched [`SpatialService`] seam of `senn-core`

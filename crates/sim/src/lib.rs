@@ -38,15 +38,12 @@ pub use grid::HostGrid;
 pub use metrics::{KStats, LatencyModel, Metrics};
 pub use params::{ParamSet, SimParams};
 pub use simulator::{
-    Answer, BatchStats, CachePolicy, KChoice, MovementMode, NetworkModelKind, SimConfig,
+    Answer, BatchStats, CachePolicy, KChoice, MovementMode, NetworkModelKind, RknnHost, SimConfig,
     SimConfigBuilder, SimConfigError, Simulator,
 };
 
 // Service-seam knobs a simulation config can carry, re-exported so callers
 // configuring faults, retries or the overlapped transport need only this
 // crate.
-pub use senn_core::rknn::{
-    rknn_bruteforce, RknnBatch, RknnHost, RknnOutcome, RknnQuery, RknnStats,
-};
 pub use senn_core::transport::{AdaptivePolicy, RetryPolicy, TransportPolicy, TransportStats};
 pub use senn_server::{FaultConfig, ServiceMetrics, ShardMetrics};

@@ -126,21 +126,6 @@ pub struct Metrics {
     /// Exact model distance evaluations the oracle's bounds skipped —
     /// the pruning payoff (0 under the vacuous `NeverPrune` oracle).
     pub model_evals_saved: u64,
-    /// Reverse-kNN queries answered by [`crate::Simulator::run_rknn`]
-    /// (0 unless the driver is called).
-    pub rknn_queries: u64,
-    /// Reverse-kNN (query, host) candidate pairs examined.
-    pub rknn_pairs: u64,
-    /// Reverse-kNN pairs pruned by the hosts' cached-kNN radii without a
-    /// server request.
-    pub rknn_cache_pruned: u64,
-    /// Hosts verified through the service seam by reverse-kNN batches
-    /// (at most one request per host per batch).
-    pub rknn_verified_hosts: u64,
-    /// Reverse-kNN verification requests that exhausted every attempt.
-    pub rknn_failed_hosts: u64,
-    /// Reverse-kNN memberships found across all queries.
-    pub rknn_members: u64,
 }
 
 impl Metrics {
@@ -182,18 +167,6 @@ impl Metrics {
         }
         self.lb_evals += trace.lb_evals;
         self.model_evals_saved += trace.model_evals_saved;
-    }
-
-    /// Folds one reverse-kNN batch's accounting into the counters (the
-    /// service dispositions of its verification requests are folded
-    /// separately via [`Metrics::record_trace`] by the driver).
-    pub fn record_rknn(&mut self, stats: &senn_core::RknnStats) {
-        self.rknn_queries += stats.queries;
-        self.rknn_pairs += stats.pairs;
-        self.rknn_cache_pruned += stats.cache_pruned;
-        self.rknn_verified_hosts += stats.verified_hosts;
-        self.rknn_failed_hosts += stats.failed_hosts;
-        self.rknn_members += stats.members;
     }
 
     /// SQRR: fraction of queries hitting the server, in `[0, 1]`.
@@ -303,12 +276,6 @@ impl Metrics {
         self.server_failed += other.server_failed;
         self.lb_evals += other.lb_evals;
         self.model_evals_saved += other.model_evals_saved;
-        self.rknn_queries += other.rknn_queries;
-        self.rknn_pairs += other.rknn_pairs;
-        self.rknn_cache_pruned += other.rknn_cache_pruned;
-        self.rknn_verified_hosts += other.rknn_verified_hosts;
-        self.rknn_failed_hosts += other.rknn_failed_hosts;
-        self.rknn_members += other.rknn_members;
         for (k, s) in &other.per_k {
             let e = self.per_k.entry(*k).or_default();
             e.queries += s.queries;
@@ -453,12 +420,6 @@ mod tests {
             server_failed: 23 + off,
             lb_evals: 24 + off,
             model_evals_saved: 25 + off,
-            rknn_queries: 29 + off,
-            rknn_pairs: 36 + off,
-            rknn_cache_pruned: 37 + off,
-            rknn_verified_hosts: 38 + off,
-            rknn_failed_hosts: 39 + off,
-            rknn_members: 40 + off,
             ..Metrics::default()
         };
         m.per_k.insert(
@@ -498,12 +459,6 @@ mod tests {
         assert_eq!(a.server_failed, 23 + 1023);
         assert_eq!(a.lb_evals, 24 + 1024);
         assert_eq!(a.model_evals_saved, 25 + 1025);
-        assert_eq!(a.rknn_queries, 29 + 1029);
-        assert_eq!(a.rknn_pairs, 36 + 1036);
-        assert_eq!(a.rknn_cache_pruned, 37 + 1037);
-        assert_eq!(a.rknn_verified_hosts, 38 + 1038);
-        assert_eq!(a.rknn_failed_hosts, 39 + 1039);
-        assert_eq!(a.rknn_members, 40 + 1040);
         assert_eq!(a.peer_answers_graded, 15 + 1015);
         assert_eq!(a.peer_answers_wrong, 16 + 1016);
         assert_eq!(a.uncertain_exact, 17 + 1017);
@@ -582,42 +537,5 @@ mod tests {
         assert!(whole.expansion_cap_hits > 0);
         assert!(whole.server_retries > 0);
         assert!(whole.lb_evals > 0 && whole.model_evals_saved > 0);
-    }
-
-    #[test]
-    fn record_rknn_folds_every_field_and_merge_matches() {
-        use senn_core::RknnStats;
-        let s1 = RknnStats {
-            queries: 3,
-            pairs: 12,
-            cache_pruned: 5,
-            verified_hosts: 4,
-            failed_hosts: 1,
-            members: 6,
-        };
-        let s2 = RknnStats {
-            queries: 2,
-            pairs: 8,
-            cache_pruned: 3,
-            verified_hosts: 2,
-            failed_hosts: 0,
-            members: 4,
-        };
-        let mut whole = Metrics::new();
-        whole.record_rknn(&s1);
-        whole.record_rknn(&s2);
-        assert_eq!(whole.rknn_queries, 5);
-        assert_eq!(whole.rknn_pairs, 20);
-        assert_eq!(whole.rknn_cache_pruned, 8);
-        assert_eq!(whole.rknn_verified_hosts, 6);
-        assert_eq!(whole.rknn_failed_hosts, 1);
-        assert_eq!(whole.rknn_members, 10);
-        // Split-and-merge equals recording into one block.
-        let mut a = Metrics::new();
-        a.record_rknn(&s1);
-        let mut b = Metrics::new();
-        b.record_rknn(&s2);
-        a.merge(&b);
-        assert_eq!(a, whole);
     }
 }

@@ -38,7 +38,7 @@ use senn_network::{
 };
 
 use crate::comms::{QueryScratch, WorkerScratch};
-use crate::simulator::{KChoice, NetworkModelKind, Simulator};
+use crate::simulator::{KChoice, RoadMetric, Simulator};
 
 /// Queries of one interval that repay one more worker thread: a query
 /// costs 5–40 µs in either parallel pass and a scoped spawn 40–80 µs.
@@ -338,7 +338,8 @@ impl Simulator {
 
     /// Phase 2 — expand (network mode only): advances every task whose
     /// Euclidean round is final through the SNNN incremental Euclidean
-    /// expansion (Algorithm 2) under the configured [`NetworkModelKind`],
+    /// expansion (Algorithm 2) under the configured
+    /// [`crate::NetworkModelKind`],
     /// on the main thread in task order. A task without a parked round
     /// begins its expansion; a task whose parked round came back resumes
     /// it. Either way it runs until it finishes or parks at the next round
@@ -366,7 +367,7 @@ impl Simulator {
         tasks: &mut [QueryTask],
         scratch: &mut ExpandScratch,
     ) -> u64 {
-        let Some(kind) = self.config.distance_model else {
+        let Some(metric) = &self.road_metric else {
             return 0;
         };
         let net = &self.network;
@@ -374,30 +375,22 @@ impl Simulator {
         let euclid = Some(ActiveOracle::Euclid(EuclideanBound));
         // Every model and oracle constructor returns `None` only on an
         // empty graph, where there is nothing to rank with.
-        match kind {
-            NetworkModelKind::AStar => {
+        match metric {
+            RoadMetric::AStar => {
                 let model = NetworkDistance::new(net, locator, origin);
                 self.expand_with(tasks, scratch, model, euclid)
             }
-            NetworkModelKind::Alt { .. } => {
-                let index = self
-                    .alt_index
-                    .as_ref()
-                    .expect("ALT index is built with the world");
+            RoadMetric::Alt(index) => {
                 let model = AltDistance::new(net, locator, index, origin);
                 let oracle = AltBound::new(net, locator, index, origin).map(ActiveOracle::Alt);
                 self.expand_with(tasks, scratch, model, oracle)
             }
-            NetworkModelKind::TimeDependent { start_hour } => {
+            RoadMetric::TimeDependent { start_hour } => {
                 let hour = start_hour + self.time / 3600.0;
                 let model = TimeDependentCost::new(net, locator, origin, hour);
                 self.expand_with(tasks, scratch, model, euclid)
             }
-            NetworkModelKind::Ch => {
-                let index = self
-                    .ch_index
-                    .as_ref()
-                    .expect("CH index is built with the world");
+            RoadMetric::Ch(index) => {
                 let model = ChDistance::new(net, locator, index, origin);
                 let oracle = ChBound::new(net, locator, index, origin)
                     .map(|o| ActiveOracle::Ch(Box::new(o)));

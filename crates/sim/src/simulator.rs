@@ -40,7 +40,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use senn_core::multiple::RegionMethod;
-use senn_core::rknn::{rknn_batch, RknnBatch, RknnHost, RknnQuery};
 use senn_core::service::{ServerReply, ServerRequest, SpatialService};
 use senn_core::transport::{RetryPolicy, TransportPolicy};
 use senn_core::{HeapEntry, RTreeServer, Resolution, SennConfig, SennEngine, STAGE_COUNT};
@@ -549,11 +548,9 @@ pub struct Simulator {
     /// Point-to-node snapper over `network` (SNNN models anchor queries
     /// and POIs through it).
     pub(crate) locator: NodeLocator,
-    /// Landmark index for [`NetworkModelKind::Alt`], built once per world.
-    pub(crate) alt_index: Option<senn_network::AltIndex>,
-    /// Contraction hierarchy for [`NetworkModelKind::Ch`], built once per
-    /// world.
-    pub(crate) ch_index: Option<senn_network::ChIndex>,
+    /// The configured road-network metric with its index; `None` on a
+    /// Euclidean-only run.
+    pub(crate) road_metric: Option<RoadMetric>,
     /// Current POI positions, indexed by POI id (ground truth mirror).
     pub(crate) poi_positions: Vec<Point>,
     /// The truth server: measurement-only calls (grading, the EINN/INN
@@ -598,6 +595,45 @@ pub struct Answer {
     pub resolution: Resolution,
     /// The answer, ascending by distance.
     pub results: Vec<HeapEntry>,
+}
+
+/// One host of the end-of-run snapshot [`Simulator::rknn_hosts`] hands
+/// out; its index in that list is its host id.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RknnHost {
+    /// Where the host stands.
+    pub position: Point,
+    /// Distances from `position` to the distinct POIs the host's cache
+    /// holds, ascending; empty without a cache or under POI churn.
+    pub cached_dists: Vec<f64>,
+}
+
+/// A [`NetworkModelKind`] with the index it runs on. The landmark index
+/// and the contraction hierarchy are part of the world: built once,
+/// seeded by the master seed so runs are reproducible, and shared by
+/// every batch of the run.
+pub(crate) enum RoadMetric {
+    AStar,
+    Alt(senn_network::AltIndex),
+    TimeDependent { start_hour: f64 },
+    Ch(senn_network::ChIndex),
+}
+
+impl RoadMetric {
+    fn build(kind: NetworkModelKind, network: &RoadNetwork, seed: u64) -> Self {
+        match kind {
+            NetworkModelKind::AStar => RoadMetric::AStar,
+            NetworkModelKind::Alt { landmarks } => RoadMetric::Alt(
+                senn_network::AltIndex::build_seeded(network, landmarks, seed),
+            ),
+            NetworkModelKind::TimeDependent { start_hour } => {
+                RoadMetric::TimeDependent { start_hour }
+            }
+            NetworkModelKind::Ch => {
+                RoadMetric::Ch(senn_network::ChIndex::build_seeded(network, seed))
+            }
+        }
+    }
 }
 
 /// Wall-clock statistics of the batch-execution phase, accumulated over a
@@ -781,28 +817,14 @@ impl Simulator {
         // The grid indexes the store's position column from the start, so
         // incremental maintenance has a valid baseline before any batch.
         let grid = HostGrid::build(area, config.params.tx_range_m.max(1.0), store.positions());
-        // The ALT landmark index is part of the world: built once, seeded
-        // by the master seed so runs are reproducible.
-        let alt_index = match config.distance_model {
-            Some(NetworkModelKind::Alt { landmarks }) => Some(
-                senn_network::AltIndex::build_seeded(&network, landmarks, config.seed),
-            ),
-            _ => None,
-        };
-        // Likewise the contraction hierarchy: deterministic preprocessing
-        // keyed by the master seed, shared by every batch of the run.
-        let ch_index = match config.distance_model {
-            Some(NetworkModelKind::Ch) => {
-                Some(senn_network::ChIndex::build_seeded(&network, config.seed))
-            }
-            _ => None,
-        };
+        let road_metric = config
+            .distance_model
+            .map(|kind| RoadMetric::build(kind, &network, config.seed));
         Simulator {
             config,
             network,
             locator,
-            alt_index,
-            ch_index,
+            road_metric,
             poi_positions,
             server,
             uplink,
@@ -917,19 +939,17 @@ impl Simulator {
         &self.answers
     }
 
-    /// Current POI positions, indexed by POI id — the ground-truth mirror
-    /// reverse-kNN oracles rank against.
+    /// Current POI positions, indexed by POI id: with
+    /// [`Simulator::rknn_hosts`], the end-of-run snapshot of the world.
     pub fn poi_positions(&self) -> &[Point] {
         &self.poi_positions
     }
 
-    /// The reverse-kNN candidate set the driver verifies: every host at
-    /// its current position, with the cached-kNN prune radii its NN cache
-    /// proves — distances from the host's *current* position to the
-    /// distinct POIs it has cached, sorted ascending. Cached radii are
-    /// only used on churn-free worlds (a relocated POI would invalidate
-    /// the cached positions the radii are computed from); under churn
-    /// every host gets an empty radius list, so every pair verifies.
+    /// One [`RknnHost`] per host, indexed by host id: where it stands and
+    /// the distances from there to the distinct POIs its NN cache holds,
+    /// sorted ascending. With [`Simulator::poi_positions`], the
+    /// end-of-run snapshot of the world. Cached positions go stale once a
+    /// POI relocates, so under POI churn every distance list is empty.
     pub fn rknn_hosts(&self) -> Vec<RknnHost> {
         let use_caches = self.config.poi_churn_per_hour <= 0.0;
         (0..self.store.len() as u32)
@@ -951,41 +971,11 @@ impl Simulator {
                 }
                 cached_dists.sort_by(f64::total_cmp);
                 RknnHost {
-                    host_id: h as u64,
                     position,
                     cached_dists,
                 }
             })
             .collect()
-    }
-
-    /// Answers a batch of reverse-kNN queries ("which hosts rank this POI
-    /// top-k?") against the configured service backend — the same
-    /// sharded/fault-wrapped seam residual queries go through — spending
-    /// at most one kNN verification request per host (pairs the hosts'
-    /// cached-kNN radii prove non-members are pruned for free). Folds the
-    /// batch's accounting into [`Metrics`]: the `rknn_*` counters plus
-    /// the service dispositions (retries/timeouts/drops) of the
-    /// verification requests. Membership is invariant to thread count and
-    /// shard layout like every other query type (proven in
-    /// `tests/rknn.rs`).
-    pub fn run_rknn(&mut self, queries: &[RknnQuery]) -> RknnBatch {
-        let hosts = self.rknn_hosts();
-        let batch = rknn_batch(
-            self.uplink.client.service(),
-            &self.config.retry,
-            queries,
-            &hosts,
-        );
-        self.metrics.record_rknn(&batch.stats);
-        // Service dispositions only — an RkNN batch is not a kNN query,
-        // so the attribution counters (queries/server/...) stay untouched.
-        self.metrics.server_retries += batch.trace.server_retries as u64;
-        self.metrics.server_timeouts += batch.trace.server_timeouts as u64;
-        self.metrics.server_drops += batch.trace.server_drops as u64;
-        self.metrics.server_shed += batch.trace.server_shed as u64;
-        self.metrics.server_retries_denied += batch.trace.server_retries_denied as u64;
-        batch
     }
 
     /// Relocates a Poisson-distributed number of POIs for the elapsed
@@ -1379,5 +1369,45 @@ mod tests {
         for (p, id) in hits {
             assert_eq!(with_ttl.poi_positions[*id as usize], p);
         }
+    }
+
+    #[test]
+    fn rknn_hosts_snapshots_every_host_and_its_cache() {
+        let mut sim = Simulator::new(tiny_config(3));
+        sim.run();
+        let hosts = sim.rknn_hosts();
+        assert_eq!(hosts.len(), sim.store.len());
+        let mut cached = 0;
+        for (h, host) in hosts.iter().enumerate() {
+            let h = h as u32;
+            assert_eq!(host.position, sim.store.position(h), "host {h}");
+            assert!(
+                host.cached_dists.windows(2).all(|w| w[0] <= w[1]),
+                "host {h}: distances not ascending"
+            );
+            let mut ids: Vec<u64> = sim
+                .store
+                .cache(h)
+                .into_iter()
+                .flat_map(|c| c.iter())
+                .flat_map(|e| e.neighbors.iter().map(|nn| nn.poi_id))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(host.cached_dists.len(), ids.len(), "host {h}");
+            cached += ids.len();
+        }
+        assert!(cached > 0, "a warmed run leaves POIs in the caches");
+
+        // Under POI churn the cached positions may be stale: every list
+        // is empty even though the caches are not.
+        let mut churned = tiny_config(3);
+        churned.poi_churn_per_hour = 16.0;
+        let mut sim = Simulator::new(churned);
+        sim.run();
+        assert!((0..sim.store.len() as u32).any(|h| sim.store.cache(h).is_some()));
+        let hosts = sim.rknn_hosts();
+        assert_eq!(hosts.len(), sim.store.len());
+        assert!(hosts.iter().all(|h| h.cached_dists.is_empty()));
     }
 }
