@@ -1,11 +1,12 @@
 //! Network kNN: IER vs INE vs SNNN (warm peer caches), plus the Dijkstra
-//! vs A\* distance-kernel ablation.
+//! vs A\* distance-kernel ablation and the contraction-hierarchy build.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::{honest_peer, network_world, BenchRng};
 use senn_core::{snnn_query, RTreeServer, SennEngine, SnnnConfig};
 use senn_network::{
-    astar_distance, counting_alt, dijkstra_distance, ier_knn, ine_knn, AltIndex, NetworkDistance,
+    astar_distance, counting_alt, dijkstra_distance, generate_network, ier_knn, ine_knn, AltIndex,
+    ChIndex, GeneratorConfig, NetworkDistance,
 };
 
 fn network_knn(c: &mut Criterion) {
@@ -100,9 +101,21 @@ fn network_knn(c: &mut Criterion) {
     group.finish();
 }
 
+/// One contraction-hierarchy build (contraction plus hub labels) of a
+/// downtown-sized city: the 6.8 km side of LA scaled down 50× (≈2 000
+/// junctions), the set-up a CH-metric simulation pays once.
+fn ch_build(c: &mut Criterion) {
+    let net = generate_network(&GeneratorConfig::city(6_828.0, 0x9e37));
+    let mut group = c.benchmark_group("network_knn");
+    group.bench_function("ch_build", |b| {
+        b.iter(|| black_box(ChIndex::build_seeded(&net, 1).label_entries()))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = network_knn
+    targets = network_knn, ch_build
 }
 criterion_main!(benches);

@@ -31,6 +31,7 @@ pub struct ServerResponse {
 
 /// A [`SpatialService`] backed by a single [`RStarTree`] whose payloads
 /// are POI identifiers — the trivial 1-shard implementation.
+#[derive(Clone)]
 pub struct RTreeServer {
     tree: RStarTree<u64>,
 }
@@ -175,6 +176,45 @@ mod tests {
             let solo = srv.knn_one(req.query, req.count, req.bounds);
             assert_eq!(reply.response.pois, solo.pois);
         }
+    }
+
+    /// A clone of a bulk-loaded server is indistinguishable from a fresh
+    /// build of the same POIs: the same ids, distance bits and node
+    /// accesses on every query, before and after both replay the same
+    /// relocations.
+    #[test]
+    fn clone_answers_like_a_fresh_build() {
+        let (built, pts) = server(400);
+        let mut fresh = RTreeServer::new(pts.iter().enumerate().map(|(i, p)| (i as u64, *p)));
+        let mut clone = built.clone();
+        let answers = |srv: &RTreeServer| {
+            (0..60)
+                .map(|i| {
+                    let q = Point::new((i * 37 % 100) as f64 + 0.5, (i * 61 % 100) as f64);
+                    let r = srv.knn_one(q, 1 + i % 7, SearchBounds::NONE);
+                    let pois: Vec<(u64, u64)> = r
+                        .pois
+                        .iter()
+                        .map(|(c, d)| (c.poi_id, d.to_bits()))
+                        .collect();
+                    (pois, r.node_accesses)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(answers(&clone), answers(&fresh));
+        for (i, p) in pts.iter().enumerate().step_by(3) {
+            let to = Point::new(100.0 - p.y, p.x);
+            assert!(fresh.relocate(i as u64, *p, to));
+            assert!(clone.relocate(i as u64, *p, to));
+        }
+        assert_eq!(answers(&clone), answers(&fresh));
+        // The original is untouched by its clone's relocations.
+        assert_eq!(
+            answers(&built),
+            answers(&RTreeServer::new(
+                pts.iter().enumerate().map(|(i, p)| (i as u64, *p))
+            ))
+        );
     }
 
     #[test]

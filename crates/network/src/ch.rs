@@ -29,21 +29,30 @@
 //! * witness searches are plain Dijkstra over the remaining graph with a
 //!   deterministic `(distance, node)` heap order and a fixed settle
 //!   limit (truncated witnesses conservatively *add* the shortcut, which
-//!   can only grow the index, never break correctness);
+//!   can only grow the index, never break correctness). The search from
+//!   neighbour `nb[i]` decides only the pairs `(i, j > i)`: it is capped
+//!   at `w(nb[i]) + max_{j>i} w(nb[j])` and returns as soon as every
+//!   target `nb[j], j > i` has settled. Neither rule changes a decision,
+//!   because the settle order is a prefix of the wider search's: a
+//!   settled label is final, and when the tighter cap stops the search
+//!   an unsettled target's label is at least the popped distance, which
+//!   exceeds the cap and so the candidate shortcut's length;
 //! * hub labels are derived from the finished hierarchy by a fixed-order
 //!   dynamic program over the weight-sorted upward lists — no further
 //!   randomness.
 //!
 //! Repeated builds from the same seed produce identical shortcut sets,
 //! orders, labels and query traces — pinned by [`ChIndex::signature`]
-//! and the determinism tests here and in `tests/metric_equivalence.rs`.
+//! and the determinism tests here and in `tests/metric_equivalence.rs`;
+//! `senn-sim`'s `tests/network_mode.rs` pins the signatures of three
+//! networks to fixed values.
 //!
 //! ## Bit-identity contract
 //!
 //! A query does not return the accumulated label distance (whose
 //! floating-point rounding depends on how shortcuts happen to nest). It
 //! unpacks the winning hub path back into the original edge
-//! sequence and fold the edge lengths left-to-right in path order — the
+//! sequence and folds the edge lengths left-to-right in path order — the
 //! exact computation Dijkstra's relaxation performs. Whenever the
 //! shortest path is unique (always, up to measure-zero ties, on the
 //! jittered networks used throughout this repo), the result is therefore
@@ -173,9 +182,10 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Mutable preprocessing state; dropped once the hierarchy is built.
 struct Builder {
     edges: Vec<ChEdge>,
-    /// Remaining-graph adjacency: `(neighbor, arena edge index)` per node;
+    /// Remaining-graph adjacency: `(neighbor, arena edge index, edge
+    /// weight)` per node, the weight always equal to the arena edge's;
     /// entries to contracted nodes are removed as contraction proceeds.
-    adj: Vec<Vec<(NodeId, u32)>>,
+    adj: Vec<Vec<(NodeId, u32, f64)>>,
     contracted: Vec<bool>,
     /// Contracted-neighbor counters (the "deleted neighbors" prio term).
     deleted: Vec<u32>,
@@ -187,6 +197,8 @@ struct Builder {
     // Witness-search scratch (generation-stamped, reused per contraction).
     wdist: Vec<f64>,
     wstamp: Vec<u32>,
+    /// `wtarget[v] == wgen` marks `v` as a target of the current search.
+    wtarget: Vec<u32>,
     wgen: u32,
     wheap: BinaryHeap<QItem>,
 }
@@ -195,7 +207,7 @@ impl Builder {
     fn new(net: &RoadNetwork) -> Self {
         let n = net.node_count();
         let mut edges: Vec<ChEdge> = Vec::with_capacity(net.edge_count());
-        let mut adj: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<(NodeId, u32, f64)>> = vec![Vec::new(); n];
         // Seed the arena with the original edges, collapsing parallel
         // edges to their minimum length (Dijkstra's relaxation keeps the
         // minimum too, so distances are unchanged).
@@ -204,7 +216,7 @@ impl Builder {
                 if u >= e.to {
                     continue;
                 }
-                if let Some(&(_, ei)) = adj[u as usize].iter().find(|&&(t, _)| t == e.to) {
+                if let Some(&(_, ei, _)) = adj[u as usize].iter().find(|&&(t, _, _)| t == e.to) {
                     if e.length < edges[ei as usize].weight {
                         edges[ei as usize].weight = e.length;
                     }
@@ -218,10 +230,15 @@ impl Builder {
                         child_a: u32::MAX,
                         child_b: u32::MAX,
                     });
-                    adj[u as usize].push((e.to, ei));
-                    adj[e.to as usize].push((u, ei));
+                    adj[u as usize].push((e.to, ei, e.length));
+                    adj[e.to as usize].push((u, ei, e.length));
                 }
             }
+        }
+        // Parallel edges may have lowered an arena weight after its
+        // adjacency entries were written.
+        for entry in adj.iter_mut().flatten() {
+            entry.2 = edges[entry.1 as usize].weight;
         }
         Builder {
             edges,
@@ -231,6 +248,7 @@ impl Builder {
             level: vec![0; n],
             wdist: vec![f64::INFINITY; n],
             wstamp: vec![0; n],
+            wtarget: vec![0; n],
             wgen: 0,
             wheap: BinaryHeap::new(),
         }
@@ -247,42 +265,67 @@ impl Builder {
     }
 
     /// Capped, settle-limited Dijkstra from `source` over the remaining
-    /// graph, never entering `avoid`. Distances land in the witness
-    /// scratch for [`Builder::wdist`] reads.
-    fn witness_from(&mut self, source: NodeId, avoid: NodeId, cap: f64) {
+    /// graph, never entering `avoid`, that returns once every node of
+    /// `targets` has settled. Distances land in the witness scratch for
+    /// [`Builder::wdist`] reads.
+    fn witness_from(
+        &mut self,
+        source: NodeId,
+        avoid: NodeId,
+        cap: f64,
+        targets: &[(NodeId, u32, f64)],
+    ) {
         self.wgen = self.wgen.wrapping_add(1);
         if self.wgen == 0 {
             self.wstamp.fill(0);
+            self.wtarget.fill(0);
             self.wgen = 1;
         }
-        self.wheap.clear();
-        let i = source as usize;
-        self.wdist[i] = 0.0;
-        self.wstamp[i] = self.wgen;
-        self.wheap.push(QItem {
+        let gen = self.wgen;
+        for &(t, _, _) in targets {
+            self.wtarget[t as usize] = gen;
+        }
+        let mut unsettled = targets.len();
+        let adj = &self.adj;
+        let (wdist, wstamp, heap) = (&mut self.wdist, &mut self.wstamp, &mut self.wheap);
+        heap.clear();
+        wdist[source as usize] = 0.0;
+        wstamp[source as usize] = gen;
+        heap.push(QItem {
             dist: 0.0,
             node: source,
         });
         let mut settled = 0usize;
-        while let Some(QItem { dist: d, node }) = self.wheap.pop() {
-            if d > self.wdist(node) {
+        while let Some(QItem { dist: d, node }) = heap.pop() {
+            let i = node as usize;
+            if d > wdist[i] {
                 continue;
             }
             settled += 1;
             if settled > WITNESS_SETTLE_LIMIT || d > cap {
                 return;
             }
-            for k in 0..self.adj[node as usize].len() {
-                let (to, ei) = self.adj[node as usize][k];
+            if self.wtarget[i] == gen {
+                unsettled -= 1;
+                if unsettled == 0 {
+                    return;
+                }
+            }
+            for &(to, _, w) in &adj[i] {
                 if to == avoid {
                     continue;
                 }
-                let nd = d + self.edges[ei as usize].weight;
-                if nd < self.wdist(to) {
-                    let j = to as usize;
-                    self.wdist[j] = nd;
-                    self.wstamp[j] = self.wgen;
-                    self.wheap.push(QItem { dist: nd, node: to });
+                let nd = d + w;
+                let j = to as usize;
+                let known = if wstamp[j] == gen {
+                    wdist[j]
+                } else {
+                    f64::INFINITY
+                };
+                if nd < known {
+                    wdist[j] = nd;
+                    wstamp[j] = gen;
+                    heap.push(QItem { dist: nd, node: to });
                 }
             }
         }
@@ -296,21 +339,17 @@ impl Builder {
     fn shortcut_pairs(&mut self, v: NodeId, pairs: &mut Vec<(u32, u32, f64)>) {
         pairs.clear();
         let nb = std::mem::take(&mut self.adj[v as usize]);
-        for (i, &(u, eu)) in nb.iter().enumerate() {
-            let wu = self.edges[eu as usize].weight;
-            let mut worst = 0.0f64;
-            for (j, &(_, ew)) in nb.iter().enumerate() {
-                if j != i {
-                    worst = worst.max(self.edges[ew as usize].weight);
-                }
+        for (i, &(u, _, wu)) in nb.iter().enumerate() {
+            let targets = &nb[i + 1..];
+            if targets.is_empty() {
+                break;
             }
-            if i + 1 < nb.len() {
-                self.witness_from(u, v, wu + worst);
-                for (j, &(w, ew)) in nb.iter().enumerate().skip(i + 1) {
-                    let sc = wu + self.edges[ew as usize].weight;
-                    if self.wdist(w) > sc {
-                        pairs.push((i as u32, j as u32, sc));
-                    }
+            let worst = targets.iter().fold(0.0f64, |m, &(_, _, w)| m.max(w));
+            self.witness_from(u, v, wu + worst, targets);
+            for (j, &(w, _, ww)) in targets.iter().enumerate() {
+                let sc = wu + ww;
+                if self.wdist(w) > sc {
+                    pairs.push((i as u32, (i + 1 + j) as u32, sc));
                 }
             }
         }
@@ -321,6 +360,12 @@ impl Builder {
     /// the lazy-update queue.
     fn priority_of(&mut self, v: NodeId, pairs: &mut Vec<(u32, u32, f64)>) -> i64 {
         self.shortcut_pairs(v, pairs);
+        #[cfg(test)]
+        assert_eq!(
+            *pairs,
+            tests::reference_shortcut_pairs(self, v),
+            "witness rule diverged at node {v}"
+        );
         let degree = self.adj[v as usize].len() as i64;
         2 * (pairs.len() as i64 - degree)
             + self.deleted[v as usize] as i64
@@ -385,20 +430,15 @@ impl ChIndex {
             // Record v's upward star before the graph loses it.
             index.up[v as usize] = b.adj[v as usize]
                 .iter()
-                .map(|&(to, ei)| UpEdge {
-                    to,
-                    weight: b.edges[ei as usize].weight,
-                    edge: ei,
-                })
+                .map(|&(to, edge, weight)| UpEdge { to, weight, edge })
                 .collect();
             // Insert the witness-checked shortcuts.
             for &(i, j, sc) in &pairs {
-                let (u, eu) = b.adj[v as usize][i as usize];
-                let (w, ew) = b.adj[v as usize][j as usize];
-                let existing = b.adj[u as usize].iter().position(|&(t, _)| t == w);
+                let (u, eu, _) = b.adj[v as usize][i as usize];
+                let (w, ew, _) = b.adj[v as usize][j as usize];
+                let existing = b.adj[u as usize].iter().position(|&(t, _, _)| t == w);
                 if let Some(pos) = existing {
-                    let ei = b.adj[u as usize][pos].1;
-                    if b.edges[ei as usize].weight <= sc {
+                    if b.adj[u as usize][pos].2 <= sc {
                         continue;
                     }
                     let ne = b.edges.len() as u32;
@@ -410,12 +450,12 @@ impl ChIndex {
                         child_a: eu,
                         child_b: ew,
                     });
-                    b.adj[u as usize][pos].1 = ne;
+                    b.adj[u as usize][pos] = (w, ne, sc);
                     let back = b.adj[w as usize]
                         .iter()
-                        .position(|&(t, _)| t == u)
+                        .position(|&(t, _, _)| t == u)
                         .expect("undirected adjacency out of sync");
-                    b.adj[w as usize][back].1 = ne;
+                    b.adj[w as usize][back] = (u, ne, sc);
                     index.shortcuts += 1;
                 } else {
                     let ne = b.edges.len() as u32;
@@ -427,17 +467,17 @@ impl ChIndex {
                         child_a: eu,
                         child_b: ew,
                     });
-                    b.adj[u as usize].push((w, ne));
-                    b.adj[w as usize].push((u, ne));
+                    b.adj[u as usize].push((w, ne, sc));
+                    b.adj[w as usize].push((u, ne, sc));
                     index.shortcuts += 1;
                 }
             }
             // Remove v from the remaining graph.
             for k in 0..b.adj[v as usize].len() {
-                let (u, _) = b.adj[v as usize][k];
+                let (u, _, _) = b.adj[v as usize][k];
                 b.deleted[u as usize] += 1;
                 b.level[u as usize] = b.level[u as usize].max(b.level[v as usize] + 1);
-                b.adj[u as usize].retain(|&(t, _)| t != v);
+                b.adj[u as usize].retain(|&(t, _, _)| t != v);
             }
             b.adj[v as usize].clear();
             b.contracted[v as usize] = true;
@@ -513,13 +553,21 @@ impl ChIndex {
                 }
                 last_hub = c.hub;
                 // Prune if some kept (strictly higher) hub already
-                // reaches this one at least as cheaply.
+                // reaches this one at least as cheaply: `kept` runs hub
+                // descending and the hub's label hub ascending, so one
+                // merge from the label's top finds every shared hub.
                 let hub_label = &self.labels[self.order[c.hub as usize] as usize];
+                let mut top = hub_label.len();
                 for k in &kept {
-                    if let Ok(pos) = hub_label.binary_search_by(|e| e.hub.cmp(&k.hub)) {
-                        if k.dist + hub_label[pos].dist <= c.dist {
-                            continue 'cands;
-                        }
+                    while top > 0 && hub_label[top - 1].hub > k.hub {
+                        top -= 1;
+                    }
+                    if top == 0 {
+                        break;
+                    }
+                    let h = &hub_label[top - 1];
+                    if h.hub == k.hub && k.dist + h.dist <= c.dist {
+                        continue 'cands;
                     }
                 }
                 kept.push(c);
@@ -751,6 +799,121 @@ mod tests {
         generate_network(&GeneratorConfig::city(2500.0, 42))
     }
 
+    /// The reference witness rule, the wide one: every search from
+    /// `nb[i]` is capped by the longest edge to any other neighbour, runs
+    /// until the cap or the settle limit, and reads weights from the
+    /// arena. [`Builder::priority_of`] asserts, on every
+    /// call in a test build, that the production rule yields these pairs;
+    /// this also checks that `v`'s adjacency weights match the arena.
+    pub(super) fn reference_shortcut_pairs(b: &mut Builder, v: NodeId) -> Vec<(u32, u32, f64)> {
+        let mut pairs = Vec::new();
+        let nb = b.adj[v as usize].clone();
+        for &(to, ei, w) in &nb {
+            assert_eq!(
+                w.to_bits(),
+                b.edges[ei as usize].weight.to_bits(),
+                "adjacency weight of {v}–{to} out of sync with the arena"
+            );
+        }
+        for (i, &(u, eu, _)) in nb.iter().enumerate() {
+            let wu = b.edges[eu as usize].weight;
+            let mut worst = 0.0f64;
+            for (j, &(_, ew, _)) in nb.iter().enumerate() {
+                if j != i {
+                    worst = worst.max(b.edges[ew as usize].weight);
+                }
+            }
+            if i + 1 < nb.len() {
+                reference_witness(b, u, v, wu + worst);
+                for (j, &(w, ew, _)) in nb.iter().enumerate().skip(i + 1) {
+                    let sc = wu + b.edges[ew as usize].weight;
+                    if b.wdist(w) > sc {
+                        pairs.push((i as u32, j as u32, sc));
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    /// The capped, settle-limited Dijkstra of the reference rule, with no
+    /// target stop; it shares the builder's witness scratch.
+    fn reference_witness(b: &mut Builder, source: NodeId, avoid: NodeId, cap: f64) {
+        b.wgen = b.wgen.wrapping_add(1);
+        if b.wgen == 0 {
+            b.wstamp.fill(0);
+            b.wtarget.fill(0);
+            b.wgen = 1;
+        }
+        b.wheap.clear();
+        b.wdist[source as usize] = 0.0;
+        b.wstamp[source as usize] = b.wgen;
+        b.wheap.push(QItem {
+            dist: 0.0,
+            node: source,
+        });
+        let mut settled = 0usize;
+        while let Some(QItem { dist: d, node }) = b.wheap.pop() {
+            if d > b.wdist(node) {
+                continue;
+            }
+            settled += 1;
+            if settled > WITNESS_SETTLE_LIMIT || d > cap {
+                return;
+            }
+            for k in 0..b.adj[node as usize].len() {
+                let (to, ei, _) = b.adj[node as usize][k];
+                if to == avoid {
+                    continue;
+                }
+                let nd = d + b.edges[ei as usize].weight;
+                if nd < b.wdist(to) {
+                    b.wdist[to as usize] = nd;
+                    b.wstamp[to as usize] = b.wgen;
+                    b.wheap.push(QItem { dist: nd, node: to });
+                }
+            }
+        }
+    }
+
+    /// A `w × h` grid whose nodes are jittered by a xorshift stream from
+    /// a nonzero `seed`: measure-zero shortest-path ties. A `detour`
+    /// above 1 first joins nodes 0 and 1 by an edge that many times their
+    /// distance, which the grid's own edge then undercuts.
+    fn jittered_grid(w: usize, h: usize, seed: u64, detour: f64) -> RoadNetwork {
+        let mut net = RoadNetwork::new();
+        let mut state = seed;
+        let mut unit = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut ids = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let px = x as f64 * 200.0 + (unit() - 0.5) * 70.0;
+                let py = y as f64 * 200.0 + (unit() - 0.5) * 70.0;
+                ids.push(net.add_node(Point::new(px, py)));
+            }
+        }
+        if detour > 1.0 {
+            let long = net.position(ids[0]).dist(net.position(ids[1])) * detour;
+            net.add_edge_with_length(ids[0], ids[1], RoadClass::Local, long);
+        }
+        for y in 0..h {
+            for x in 0..w {
+                if x + 1 < w {
+                    net.add_edge(ids[y * w + x], ids[y * w + x + 1], RoadClass::Local);
+                }
+                if y + 1 < h {
+                    net.add_edge(ids[y * w + x], ids[(y + 1) * w + x], RoadClass::Secondary);
+                }
+            }
+        }
+        net
+    }
+
     #[test]
     fn ch_matches_dijkstra() {
         let net = net();
@@ -779,33 +942,7 @@ mod tests {
         // A fully jittered grid has measure-zero shortest-path ties, so
         // CH must pick Dijkstra's path and fold the identical edge
         // sequence — equality down to the last bit, not a tolerance.
-        let mut net = RoadNetwork::new();
-        let (w, h) = (14usize, 11usize);
-        let mut state = 0x1234_5678u64;
-        let mut unit = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut ids = Vec::new();
-        for y in 0..h {
-            for x in 0..w {
-                let px = x as f64 * 200.0 + (unit() - 0.5) * 70.0;
-                let py = y as f64 * 200.0 + (unit() - 0.5) * 70.0;
-                ids.push(net.add_node(Point::new(px, py)));
-            }
-        }
-        for y in 0..h {
-            for x in 0..w {
-                if x + 1 < w {
-                    net.add_edge(ids[y * w + x], ids[y * w + x + 1], RoadClass::Local);
-                }
-                if y + 1 < h {
-                    net.add_edge(ids[y * w + x], ids[(y + 1) * w + x], RoadClass::Secondary);
-                }
-            }
-        }
+        let net = jittered_grid(14, 11, 0x1234_5678, 0.0);
         let idx = ChIndex::build_seeded(&net, 9);
         let n = net.node_count() as u32;
         let mut scratch = ChScratch::new();
@@ -931,6 +1068,45 @@ mod tests {
     }
 
     #[test]
+    fn a_shortcut_replaces_a_longer_existing_edge() {
+        // A triangle a–v–b whose direct a–b road is three times the walk
+        // through v. Leaves keep a and b important, so v goes first and
+        // its shortcut must take over the a–b entry on both sides.
+        let mut net = RoadNetwork::new();
+        let a = net.add_node(Point::new(0.0, 0.0));
+        let b = net.add_node(Point::new(100.0, 0.0));
+        let v = net.add_node(Point::new(50.0, 10.0));
+        net.add_edge(a, v, RoadClass::Local);
+        net.add_edge(v, b, RoadClass::Local);
+        net.add_edge_with_length(a, b, RoadClass::Local, 300.0);
+        for k in 0..3 {
+            for (hub, x) in [(a, 0.0), (b, 100.0)] {
+                let leaf = net.add_node(Point::new(x, -30.0 - 20.0 * k as f64));
+                net.add_edge(hub, leaf, RoadClass::Local);
+            }
+        }
+        let n = net.node_count() as u32;
+        for seed in 0..8 {
+            let idx = ChIndex::build_seeded(&net, seed);
+            assert!(
+                idx.edges
+                    .iter()
+                    .any(|e| e.mid == v && (e.a.min(e.b), e.a.max(e.b)) == (a, b)),
+                "seed {seed}: no a–b shortcut through v"
+            );
+            for from in 0..n {
+                for to in 0..n {
+                    assert_eq!(
+                        idx.distance(from, to).map(f64::to_bits),
+                        dijkstra_distance(&net, from, to).map(f64::to_bits),
+                        "seed {seed}: {from}->{to}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn order_is_a_permutation_and_up_edges_point_upward() {
         let net = net();
         let idx = ChIndex::build(&net);
@@ -972,6 +1148,36 @@ mod tests {
                         )
                     }
                     (a, b) => assert_eq!(a.is_some(), b.is_some(), "{from}->{to}"),
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every contraction step of a build over a jittered grid checks
+        /// the narrowed witness rule against the reference (the assert in
+        /// `priority_of`), with a parallel edge whose collapse lowers an
+        /// arena weight; the finished index answers bit-identically to
+        /// Dijkstra.
+        #[test]
+        fn witness_rule_matches_reference_on_jittered_grids(
+            w in 2usize..8,
+            h in 2usize..8,
+            seed in 1u64..u64::MAX,
+            build_seed in proptest::prelude::any::<u64>(),
+            detour in 1.01..1.5f64,
+        ) {
+            let net = jittered_grid(w, h, seed, detour);
+            let idx = ChIndex::build_seeded(&net, build_seed);
+            let n = net.node_count() as u32;
+            let mut scratch = ChScratch::new();
+            for from in 0..n {
+                for to in (from % 3..n).step_by(3) {
+                    let want = dijkstra_distance(&net, from, to);
+                    let got = idx.distance_with(from, to, &mut scratch);
+                    proptest::prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
                 }
             }
         }

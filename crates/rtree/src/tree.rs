@@ -48,7 +48,7 @@ pub(crate) struct Entry {
     pub id: usize,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct Node {
     /// 0 for leaves, increasing toward the root.
     pub level: usize,
@@ -76,7 +76,7 @@ impl Node {
 /// assert_eq!(nn.len(), 2);
 /// assert!(accesses > 0);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RStarTree<T> {
     pub(crate) nodes: Vec<Node>,
     free_nodes: Vec<usize>,

@@ -759,19 +759,21 @@ impl Simulator {
             config.server_shards >= 1,
             "the service needs at least one shard"
         );
+        let server = RTreeServer::new(pois.iter().copied());
         let backend = if config.server_shards > 1 {
-            let sharded = ShardedService::new(pois.clone(), config.server_shards);
+            let sharded = ShardedService::new(pois, config.server_shards);
             // `None` leaves the service its default, every available core.
             ServiceBackend::Sharded(match config.threads {
                 Some(threads) => sharded.with_threads(threads),
                 None => sharded,
             })
         } else {
-            ServiceBackend::Plain(RTreeServer::new(pois.clone()))
+            // A bulk load is a pure function of the POIs, so the backend
+            // starts as a copy of the truth server's tree.
+            ServiceBackend::Plain(server.clone())
         };
         let service = FaultyService::new(backend, config.fault.unwrap_or_default());
         let uplink = Uplink::new(service, config.seed, config.transport, config.retry);
-        let server = RTreeServer::new(pois);
 
         // Hosts: random start positions; `M_Percentage` of them move.
         // Urban trips are local: a couple of kilometers between stops keeps

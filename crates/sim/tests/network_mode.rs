@@ -17,6 +17,7 @@
 //!   submitted on the main thread in plan order);
 //! * a starved expansion budget is reported, not silently truncated.
 
+use senn_network::{generate_network, ChIndex, GeneratorConfig};
 use senn_sim::{FaultConfig, Metrics, NetworkModelKind, ParamSet, SimConfig, SimParams, Simulator};
 
 fn base(seed: u64) -> SimConfig {
@@ -313,4 +314,46 @@ fn golden_snnn_attribution_is_pinned() {
             ("snnn_submissions", 79),
         ]
     );
+}
+
+/// The contraction hierarchy of three networks pinned to fixed values:
+/// `signature()` folds the order, every arena edge and every label, so
+/// a build that makes any other decision moves it, whatever the speed
+/// of the witness searches or the label pruning. The third network is
+/// the `downtown_snnn` benchmark world (LA scaled down 50×, the
+/// simulator's network seed), built with that run's seed.
+#[test]
+fn ch_hierarchies_are_pinned() {
+    let side = SimParams::thirty_by_thirty(ParamSet::LosAngeles)
+        .scaled_down(50.0)
+        .area_side_m();
+    let seed = 20060402u64;
+    // (network, build seed, (signature, nodes, shortcuts, label entries))
+    let cases = [
+        (
+            GeneratorConfig::city(3000.0, 7),
+            7,
+            (0x3abc9b28ca636055u64, 428, 1081, 9376),
+        ),
+        (
+            GeneratorConfig::city(8000.0, 11),
+            11,
+            (0x8041521cf3523ef1, 2823, 10094, 147510),
+        ),
+        (
+            GeneratorConfig::city(side, seed ^ 0x9e37),
+            seed,
+            (0xe9cd7f1a43a40045, 2064, 7311, 95685),
+        ),
+    ];
+    for (cfg, build_seed, want) in cases {
+        let idx = ChIndex::build_seeded(&generate_network(&cfg), build_seed);
+        let got = (
+            idx.signature(),
+            idx.order().len(),
+            idx.shortcut_count(),
+            idx.label_entries(),
+        );
+        assert_eq!(got, want, "the hierarchy of a {} m city moved", cfg.width);
+    }
 }
