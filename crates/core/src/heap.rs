@@ -185,7 +185,10 @@ impl ResultHeap {
             if certains == self.k {
                 return; // fully certain: uncertain candidates are useless
             }
-            let worst = self.entries.last().expect("full heap has a last entry");
+            // A full heap holds k ≥ 1 entries, so it has a last one.
+            let Some(worst) = self.entries.last() else {
+                return;
+            };
             if dist >= worst.dist {
                 return;
             }

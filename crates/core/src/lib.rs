@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # senn-core
 //!
 //! The paper's primary contribution: **sharing-based nearest-neighbor
@@ -58,8 +59,8 @@ pub use snnn::{
 };
 pub use trace::{QueryTrace, Resolution, Stage, STAGE_COUNT, STAGE_NAMES};
 pub use transport::{
-    submit_with_retry, AdaptivePolicy, AsyncClient, RequestId, RetryBudget, RetryPolicy, Ticket,
-    Transport, TransportPolicy, TransportStats,
+    submit_with_retry, AsyncClient, RequestId, RetryPolicy, Ticket, Transport, TransportPolicy,
+    TransportStats,
 };
 
 /// One-stop imports for typical users of the crate: the engines, the
@@ -93,8 +94,7 @@ pub mod prelude {
     };
     pub use crate::trace::{QueryTrace, Resolution};
     pub use crate::transport::{
-        AdaptivePolicy, AsyncClient, RequestId, RetryBudget, RetryPolicy, Ticket, Transport,
-        TransportPolicy, TransportStats,
+        AsyncClient, RequestId, RetryPolicy, Ticket, Transport, TransportPolicy, TransportStats,
     };
     pub use senn_cache::{CacheEntry as PeerCacheEntry, CachedNn};
     pub use senn_rtree::SearchBounds;

@@ -167,11 +167,6 @@ pub struct RequestOutcome {
     /// Attempts refused by admission control ([`ReplyStatus::Shed`]) —
     /// terminal, so this is 0 or 1 per outcome.
     pub shed: u32,
-    /// Retries refused by the token-bucket
-    /// [`RetryBudget`](crate::transport::RetryBudget) — terminal, so this
-    /// is 0 or 1 per outcome (always 0 under
-    /// [`AdaptivePolicy::clamped`](crate::transport::AdaptivePolicy::clamped)).
-    pub retries_denied: u32,
     /// True when the answer came from the degraded (unpruned) fallback.
     pub degraded: bool,
     /// True when every attempt failed; `response` is empty and the caller

@@ -95,10 +95,6 @@ pub struct QueryTrace {
     /// (`ReplyStatus::Shed`) — terminal refusals under overload, `0`
     /// under the settled policy or an uncongested transport.
     pub server_shed: u32,
-    /// Residual retries the token-bucket budget refused
-    /// (`RequestOutcome::retries_denied`) — terminal, `0` under
-    /// `AdaptivePolicy::clamped`, whose bucket never runs dry.
-    pub server_retries_denied: u32,
     /// True when at least one residual answer came from the degraded
     /// (unpruned) last rung of the retry ladder.
     pub server_degraded: bool,
@@ -135,7 +131,6 @@ impl QueryTrace {
         self.server_timeouts = 0;
         self.server_drops = 0;
         self.server_shed = 0;
-        self.server_retries_denied = 0;
         self.server_degraded = false;
         self.server_failed = false;
         self.lb_evals = 0;
@@ -176,7 +171,6 @@ impl QueryTrace {
         self.server_timeouts += round.server_timeouts;
         self.server_drops += round.server_drops;
         self.server_shed += round.server_shed;
-        self.server_retries_denied += round.server_retries_denied;
         self.server_degraded |= round.server_degraded;
         self.server_failed |= round.server_failed;
         self.lb_evals += round.lb_evals;
@@ -194,7 +188,6 @@ impl QueryTrace {
         self.server_timeouts += outcome.timeouts;
         self.server_drops += outcome.drops;
         self.server_shed += outcome.shed;
-        self.server_retries_denied += outcome.retries_denied;
         self.server_degraded |= outcome.degraded;
         self.server_failed |= outcome.failed;
     }
@@ -265,7 +258,6 @@ mod tests {
         t.server_timeouts = 1;
         t.server_drops = 1;
         t.server_shed = 1;
-        t.server_retries_denied = 1;
         t.server_degraded = true;
         t.server_failed = true;
         t.lb_evals = 4;
@@ -297,22 +289,15 @@ mod tests {
             failed: true,
             ..Default::default()
         });
-        t.record_service_outcome(&RequestOutcome {
-            retries_denied: 1,
-            failed: true,
-            ..Default::default()
-        });
         assert_eq!(t.server_retries, 3);
         assert_eq!(t.server_timeouts, 2);
         assert_eq!(t.server_drops, 1);
         assert_eq!(t.server_shed, 1);
-        assert_eq!(t.server_retries_denied, 1);
         assert!(t.server_degraded && t.server_failed);
         // Absorption carries the attribution along.
         let mut total = QueryTrace::new();
         total.absorb(&t);
         assert_eq!(total.server_retries, 3);
-        assert_eq!(total.server_retries_denied, 1);
         assert!(total.server_degraded && total.server_failed);
     }
 }

@@ -4,16 +4,17 @@
 //! The skip rule in [`SnnnExpansion::offer_pruned`] drops an exact model
 //! evaluation whenever the candidate's lower bound already reaches the
 //! current k-th network distance. This suite proves, over generated
-//! jittered-grid road networks and all three exact road metrics (A\*,
-//! ALT, time-dependent), that the rule is *only* an optimization:
+//! jittered-grid road networks and all three exact road models (A\*,
+//! ALT, contraction hierarchy), that the rule is *only* an optimization:
 //!
 //! * the pruned driver returns the same `(network_dist, poi_id)`-sorted
 //!   top-k as the unpruned driver — distances bit-identical, ids in the
 //!   same order — with the same cap-hit verdict, under both the
-//!   free-flow Euclidean oracle and the ALT landmark oracle;
+//!   free-flow Euclidean oracle and the model's road oracle (the ALT
+//!   landmark bound, or the exact CH bound beside the CH model);
 //! * `lb_evals` is oracle-invariant (the candidate stream the oracle
 //!   sees never depends on which oracle answers), while the tighter
-//!   landmark oracle saves at least as many evaluations;
+//!   road oracle saves at least as many evaluations;
 //! * every *skipped* candidate's recorded lower bound genuinely exceeds
 //!   the final k-th network distance — no skip could have changed the
 //!   answer — and no skipped POI appears in the final result set.
@@ -26,8 +27,8 @@ use senn_core::{
 };
 use senn_geom::Point;
 use senn_network::{
-    AltBound, AltDistance, AltIndex, NetworkDistance, NodeLocator, RoadClass, RoadNetwork,
-    TimeDependentCost,
+    AltBound, AltDistance, AltIndex, ChBound, ChDistance, ChIndex, NetworkDistance, NodeLocator,
+    RoadClass, RoadNetwork,
 };
 
 /// Deterministic generator state for grid jitter (proptest drives the
@@ -93,19 +94,19 @@ fn poi_field(net: &RoadNetwork, seed: u64) -> Vec<(u64, Point)> {
         .collect()
 }
 
-/// Which exact road metric a case runs under (chosen by `prop_oneof!`).
-#[derive(Clone, Copy, Debug)]
+/// Which exact road model a case runs under (chosen by `prop_oneof!`).
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum ModelSel {
     AStar,
     Alt,
-    TimeDependent(f64),
+    Ch,
 }
 
 fn model_strategy() -> impl Strategy<Value = ModelSel> {
     prop_oneof![
         Just(ModelSel::AStar),
         Just(ModelSel::Alt),
-        (0.0..24.0f64).prop_map(ModelSel::TimeDependent),
+        Just(ModelSel::Ch),
     ]
 }
 
@@ -114,25 +115,7 @@ fn model_strategy() -> impl Strategy<Value = ModelSel> {
 enum Model<'a> {
     AStar(NetworkDistance<'a>),
     Alt(AltDistance<'a>),
-    Td(TimeDependentCost<'a>),
-}
-
-impl Model<'_> {
-    fn build<'a>(
-        sel: ModelSel,
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        index: &'a AltIndex,
-        q: Point,
-    ) -> Model<'a> {
-        match sel {
-            ModelSel::AStar => Model::AStar(NetworkDistance::new(net, locator, q).unwrap()),
-            ModelSel::Alt => Model::Alt(AltDistance::new(net, locator, index, q).unwrap()),
-            ModelSel::TimeDependent(hour) => {
-                Model::Td(TimeDependentCost::new(net, locator, q, hour).unwrap())
-            }
-        }
-    }
+    Ch(ChDistance<'a>),
 }
 
 impl DistanceModel for Model<'_> {
@@ -140,15 +123,16 @@ impl DistanceModel for Model<'_> {
         match self {
             Model::AStar(m) => m.distance(q, p),
             Model::Alt(m) => m.distance(q, p),
-            Model::Td(m) => m.distance(q, p),
+            Model::Ch(m) => m.distance(q, p),
         }
     }
 }
 
-/// Either lower-bound oracle under one dispatchable type.
+/// Any of the lower-bound oracles under one dispatchable type.
 enum Oracle<'a> {
     Euclid(EuclideanBound),
     Alt(AltBound<'a>),
+    Ch(ChBound<'a>),
 }
 
 impl LowerBoundOracle for Oracle<'_> {
@@ -156,6 +140,45 @@ impl LowerBoundOracle for Oracle<'_> {
         match self {
             Oracle::Euclid(o) => o.lower_bound(query, p),
             Oracle::Alt(o) => o.lower_bound(query, p),
+            Oracle::Ch(o) => o.lower_bound(query, p),
+        }
+    }
+}
+
+/// What a case's model and oracles read: the snap locator, the landmark
+/// table, and the contraction hierarchy when the case runs the CH model.
+struct Indexes {
+    locator: NodeLocator,
+    alt: AltIndex,
+    ch: Option<ChIndex>,
+}
+
+impl Indexes {
+    fn of(case: &Case) -> Self {
+        Indexes {
+            locator: NodeLocator::new(&case.net),
+            alt: AltIndex::build_seeded(&case.net, case.landmarks, case.seed),
+            ch: (case.sel == ModelSel::Ch).then(|| ChIndex::build_seeded(&case.net, case.seed)),
+        }
+    }
+
+    /// The case's exact model, anchored at its query point.
+    fn model<'a>(&'a self, case: &'a Case) -> Model<'a> {
+        let (net, locator, q) = (&case.net, &self.locator, case.q);
+        match (case.sel, &self.ch) {
+            (ModelSel::Ch, Some(ch)) => Model::Ch(ChDistance::new(net, locator, ch, q).unwrap()),
+            (ModelSel::Alt, _) => Model::Alt(AltDistance::new(net, locator, &self.alt, q).unwrap()),
+            _ => Model::AStar(NetworkDistance::new(net, locator, q).unwrap()),
+        }
+    }
+
+    /// The road oracle paired with the case's model: the exact CH bound
+    /// beside the CH model, the landmark bound otherwise.
+    fn road_oracle<'a>(&'a self, case: &'a Case) -> Oracle<'a> {
+        let (net, locator, q) = (&case.net, &self.locator, case.q);
+        match &self.ch {
+            Some(ch) => Oracle::Ch(ChBound::new(net, locator, ch, q).unwrap()),
+            None => Oracle::Alt(AltBound::new(net, locator, &self.alt, q).unwrap()),
         }
     }
 }
@@ -170,14 +193,13 @@ struct Case {
     seed: u64,
 }
 
-fn run_pruned(case: &Case, use_alt_oracle: bool) -> SnnnOutcome {
-    let locator = NodeLocator::new(&case.net);
-    let index = AltIndex::build_seeded(&case.net, case.landmarks, case.seed);
+fn run_pruned(case: &Case, use_road_oracle: bool) -> SnnnOutcome {
+    let indexes = Indexes::of(case);
     let server = RTreeServer::new(case.pois.clone());
     let engine = SennEngine::default();
-    let mut model = Model::build(case.sel, &case.net, &locator, &index, case.q);
-    let mut oracle = if use_alt_oracle {
-        Oracle::Alt(AltBound::new(&case.net, &locator, &index, case.q).unwrap())
+    let mut model = indexes.model(case);
+    let mut oracle = if use_road_oracle {
+        indexes.road_oracle(case)
     } else {
         Oracle::Euclid(EuclideanBound)
     };
@@ -195,11 +217,10 @@ fn run_pruned(case: &Case, use_alt_oracle: bool) -> SnnnOutcome {
 }
 
 fn run_unpruned(case: &Case) -> SnnnOutcome {
-    let locator = NodeLocator::new(&case.net);
-    let index = AltIndex::build_seeded(&case.net, case.landmarks, case.seed);
+    let indexes = Indexes::of(case);
     let server = RTreeServer::new(case.pois.clone());
     let engine = SennEngine::default();
-    let mut model = Model::build(case.sel, &case.net, &locator, &index, case.q);
+    let mut model = indexes.model(case);
     snnn_query::<PeerCacheEntry, _>(
         &engine,
         case.q,
@@ -237,7 +258,7 @@ proptest! {
     /// result set (ids in order, distances bit-identical), same cap-hit
     /// verdict — under either oracle. `lb_evals` never depends on the
     /// oracle; `model_evals_saved` is zero without pruning and at least
-    /// as large under the landmark oracle as under the free-flow one.
+    /// as large under the road oracle as under the free-flow one.
     #[test]
     fn pruned_expansion_matches_unpruned(
         w in 3usize..7,
@@ -251,8 +272,8 @@ proptest! {
         prop_assume!(case.pois.len() > k);
         let plain = run_unpruned(&case);
         let euclid = run_pruned(&case, false);
-        let landmark = run_pruned(&case, true);
-        for pruned in [&euclid, &landmark] {
+        let road = run_pruned(&case, true);
+        for pruned in [&euclid, &road] {
             prop_assert_eq!(plain.results.len(), pruned.results.len());
             for (a, b) in plain.results.iter().zip(&pruned.results) {
                 prop_assert_eq!(a.poi.poi_id, b.poi.poi_id);
@@ -269,9 +290,9 @@ proptest! {
         // The unpruned driver runs the vacuous NeverPrune oracle.
         prop_assert_eq!(plain.trace.model_evals_saved, 0);
         prop_assert!(
-            landmark.trace.model_evals_saved >= euclid.trace.model_evals_saved,
-            "landmark bounds ({}) pruned less than free-flow bounds ({})",
-            landmark.trace.model_evals_saved,
+            road.trace.model_evals_saved >= euclid.trace.model_evals_saved,
+            "road bounds ({}) pruned less than free-flow bounds ({})",
+            road.trace.model_evals_saved,
             euclid.trace.model_evals_saved
         );
     }
@@ -293,12 +314,11 @@ proptest! {
     ) {
         let case = make_case(w, h, seed, k, sel, landmarks);
         prop_assume!(case.pois.len() > k);
-        let locator = NodeLocator::new(&case.net);
-        let index = AltIndex::build_seeded(&case.net, case.landmarks, case.seed);
+        let indexes = Indexes::of(&case);
         let server = RTreeServer::new(case.pois.clone());
         let engine = SennEngine::default();
-        let mut model = Model::build(case.sel, &case.net, &locator, &index, case.q);
-        let mut oracle = Oracle::Alt(AltBound::new(&case.net, &locator, &index, case.q).unwrap());
+        let mut model = indexes.model(&case);
+        let mut oracle = indexes.road_oracle(&case);
 
         let initial = engine.query::<PeerCacheEntry>(case.q, case.k, &[], &server);
         let mut exp = SnnnExpansion::begin(case.q, case.k, &initial.results, &mut model);

@@ -1,11 +1,10 @@
-//! Transport conformance: the executable spec of [`Transport`], the
-//! controller's liveness and budget laws, and the retry client's
-//! conservation law.
+//! Transport conformance: the executable spec of [`Transport`] and the
+//! retry client's conservation law.
 //!
 //! [`check_transport_contract`] is a reusable harness: given a factory
 //! for a fresh transport, a request stream and a poll schedule, it
-//! asserts the contract every policy — a fixed window, an AIMD band, a
-//! fault-wrapped backend — must keep:
+//! asserts the contract every policy — any window and queue shape, over a
+//! healthy or a fault-wrapped backend — must keep:
 //!
 //! 1. **Tickets are 1:1.** Every enqueue's ticket resolves exactly once,
 //!    and each reply echoes its request's id.
@@ -18,15 +17,11 @@
 //!    reply bits (status, latency, answer ids) from the sliced run match
 //!    the one-big-drain reference bit for bit.
 //!
-//! On top of the contract, proptests pin the controller's laws: AIMD
-//! windows never leave `[window_min, window_max]` and converge to
-//! `window_max` on a shed-free run (liveness); the token-bucket retry
-//! budget never goes negative and every denial is counted exactly once
-//! on its outcome (and therefore in the downstream metrics); window
-//! trajectories are bit-identical across backend shard layouts. Every
-//! submission resolves exactly once into exactly one terminal class
-//! (conservation), and `submit_with_retry` reproduces the blocking
-//! ladder it replaced bit for bit.
+//! On top of the contract, proptests check that dispositions and the
+//! transport's counters are bit-identical across backend shard layouts,
+//! that every submission resolves exactly once into exactly one terminal
+//! class (conservation), and that `submit_with_retry` reproduces the
+//! blocking ladder it replaced bit for bit.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
@@ -34,8 +29,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use senn_core::service::{ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService};
 use senn_core::transport::{
-    submit_with_retry, AdaptivePolicy, AsyncClient, RequestId, RetryBudget, RetryPolicy, Ticket,
-    Transport, TransportPolicy,
+    submit_with_retry, AsyncClient, RequestId, RetryPolicy, Ticket, Transport, TransportPolicy,
 };
 use senn_core::{QueryTrace, RTreeServer, SearchBounds};
 use senn_geom::Point;
@@ -243,7 +237,7 @@ fn static_policy(window: usize, queue_cap: usize) -> TransportPolicy {
         retry: RetryPolicy::NONE,
         queue_cap,
         shed: true,
-        control: AdaptivePolicy::clamped(window),
+        window,
     }
 }
 
@@ -318,15 +312,6 @@ fn blocking_ladder(
     outcomes
 }
 
-fn adaptive_band(start: usize, max: usize) -> AdaptivePolicy {
-    AdaptivePolicy {
-        window_min: 1,
-        window_start: start,
-        window_max: max,
-        ..AdaptivePolicy::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -348,47 +333,19 @@ proptest! {
         );
     }
 
-    /// The adaptive transport honors the same contract: AIMD windows and
-    /// the two-class scheduler change *scheduling*, never the reply/
-    /// ticket discipline or its granularity invariance.
+    /// Dispositions *and* every transport counter are bit-identical
+    /// across 1/2/3 backend shards: lane assignment hashes the request id
+    /// and fate draws key on `(seed, id, attempt)`, so the backend's
+    /// layout cannot move a single event.
     #[test]
-    fn adaptive_transport_honors_the_contract(
+    fn dispositions_are_invariant_to_backend_shards(
         seed in any::<u64>(),
         n in 1usize..24,
-        start in 1usize..4,
-        max in 4usize..9,
-        queue_cap in 1usize..8,
+        window in 1usize..5,
         cuts in prop::collection::vec(0.0f64..300.0, 0..4),
         flaky in any::<bool>(),
     ) {
-        let policy = TransportPolicy {
-            control: adaptive_band(start, max),
-            ..static_policy(start, queue_cap)
-        };
-        check_transport_contract(
-            || Transport::new(ShardedFlaky::new(1, seed, flaky), 3, seed, policy),
-            &requests(n),
-            &cuts,
-        );
-    }
-
-    /// Dispositions *and* the whole AIMD window trajectory are
-    /// bit-identical across 1/2/3 backend shards: lane assignment hashes
-    /// the request id and fate draws key on `(seed, id, attempt)`, so the
-    /// backend's layout cannot move a single controller step.
-    #[test]
-    fn aimd_trajectory_is_invariant_to_backend_shards(
-        seed in any::<u64>(),
-        n in 1usize..24,
-        start in 1usize..4,
-        max in 4usize..9,
-        cuts in prop::collection::vec(0.0f64..300.0, 0..4),
-        flaky in any::<bool>(),
-    ) {
-        let policy = TransportPolicy {
-            control: adaptive_band(start, max),
-            ..static_policy(start, 6)
-        };
+        let policy = static_policy(window, 6);
         let mut reference: Option<_> = None;
         for shards in [1usize, 2, 3] {
             let dispositions = check_transport_contract(
@@ -396,22 +353,13 @@ proptest! {
                 &requests(n),
                 &cuts,
             );
-            // Re-run once more to capture the controller trajectory.
+            // Re-run once more to capture the counters.
             let mut t = Transport::new(ShardedFlaky::new(shards, seed, flaky), 3, seed, policy);
             for r in &requests(n) {
                 t.enqueue(*r);
             }
             t.drain();
-            let s = t.stats();
-            let snapshot = (
-                dispositions,
-                t.lane_windows(),
-                s.window_min,
-                s.window_max,
-                s.window_final,
-                s.window_grows,
-                s.window_shrinks,
-            );
+            let snapshot = (dispositions, t.stats().clone());
             match &reference {
                 None => reference = Some(snapshot),
                 Some(r) => prop_assert_eq!(&snapshot, r, "shards={}", shards),
@@ -419,172 +367,17 @@ proptest! {
         }
     }
 
-    /// Liveness and safety of AIMD: the window never leaves
-    /// `[window_min, window_max]`, and a shed-free healthy run converges
-    /// every lane to `window_max`.
-    #[test]
-    fn aimd_window_stays_in_band_and_converges_when_healthy(
-        seed in any::<u64>(),
-        window_min in 1usize..3,
-        start in 1usize..6,
-        max in 6usize..10,
-        flaky in any::<bool>(),
-        queue_cap in 1usize..6,
-    ) {
-        let adaptive = AdaptivePolicy {
-            window_min,
-            window_start: start,
-            window_max: max,
-            ..AdaptivePolicy::default()
-        };
-        // Safety under arbitrary weather (sheds, timeouts, drops).
-        let policy = TransportPolicy {
-            control: adaptive,
-            ..static_policy(1, queue_cap)
-        };
-        let mut t = Transport::new(ShardedFlaky::new(1, seed, flaky), 2, seed, policy);
-        for r in &requests(48) {
-            t.enqueue(*r);
-        }
-        t.drain();
-        prop_assert!(t.stats().window_min >= window_min as u64);
-        prop_assert!(t.stats().window_max <= max as u64);
-        for w in t.lane_windows() {
-            prop_assert!((window_min..=max).contains(&w));
-        }
-
-        // Liveness: no faults, no admission pressure, an infinite
-        // latency target ⇒ every completion grows, converging to max.
-        let healthy = TransportPolicy {
-            control: AdaptivePolicy {
-                latency_target_ms: f64::INFINITY,
-                ..adaptive
-            },
-            ..static_policy(1, 4096)
-        };
-        let mut t = Transport::new(ShardedFlaky::new(1, seed, false), 2, seed, healthy);
-        for r in &requests(64) {
-            t.enqueue(*r);
-        }
-        t.drain();
-        prop_assert_eq!(t.lane_windows(), vec![max, max]);
-        prop_assert_eq!(t.stats().window_shrinks, 0);
-    }
-
-    /// The token bucket never goes negative (tokens are unsigned and
-    /// capped) and `denied` increments exactly on empty-bucket debits.
-    #[test]
-    fn retry_budget_never_goes_negative(
-        tokens in 0u64..8,
-        cap in 1u64..16,
-        refill in 0u64..6,
-        ops in prop::collection::vec((0u8..3, 1u32..500), 1..64),
-    ) {
-        let mut b = RetryBudget::from_policy(&AdaptivePolicy {
-            retry_tokens: tokens,
-            retry_cap: cap,
-            retry_refill: refill,
-            retry_interval_ms: 100.0,
-            ..AdaptivePolicy::default()
-        });
-        let mut clock = 0.0f64;
-        let mut denied = 0u64;
-        for (op, arg) in ops {
-            match op {
-                0 => {
-                    let before = b.tokens();
-                    let granted = b.try_debit();
-                    if granted {
-                        prop_assert!(before > 0);
-                        prop_assert_eq!(b.tokens(), before - 1);
-                    } else {
-                        prop_assert_eq!(before, 0);
-                        denied += 1;
-                    }
-                }
-                1 => b.note_shed(),
-                _ => {
-                    clock += arg as f64;
-                    b.advance_to(clock);
-                }
-            }
-            prop_assert!(b.tokens() <= cap, "the bucket never exceeds its cap");
-            prop_assert_eq!(b.denied(), denied, "denials counted exactly once");
-        }
-    }
-
-    /// Every denied retry is counted exactly once on its outcome and
-    /// flows into the trace layer exactly once — never double-counted,
-    /// never lost.
-    #[test]
-    fn denied_retries_are_counted_exactly_once_in_the_trace(
-        seed in any::<u64>(),
-        n in 1usize..16,
-        tokens in 0u64..6,
-    ) {
-        struct AlwaysTimesOut;
-        impl SpatialService for AlwaysTimesOut {
-            fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
-                batch
-                    .iter()
-                    .map(|r| ServerReply {
-                        id: r.id,
-                        status: ReplyStatus::TimedOut,
-                        response: Default::default(),
-                        latency_ms: 2.0,
-                    })
-                    .collect()
-            }
-            fn poi_count(&self) -> usize {
-                0
-            }
-        }
-        let policy = TransportPolicy {
-            retry: RetryPolicy::default(),
-            queue_cap: 4096,
-            shed: true,
-            control: AdaptivePolicy {
-                retry_tokens: tokens,
-                retry_cap: tokens.max(1),
-                retry_refill: 0,
-                ..AdaptivePolicy::default()
-            },
-        };
-        let mut client = AsyncClient::new(AlwaysTimesOut, 2, seed, policy);
-        for r in &requests(n) {
-            client.submit(*r);
-        }
-        let resolved = client.drain();
-        prop_assert_eq!(resolved.len(), n);
-        let mut trace = QueryTrace::new();
-        for (_, outcome) in &resolved {
-            prop_assert!(outcome.retries_denied <= 1, "a denial is terminal");
-            prop_assert!(outcome.retries_denied == 0 || outcome.failed);
-            trace.record_service_outcome(outcome);
-        }
-        prop_assert_eq!(
-            trace.server_retries_denied as u64,
-            client.retries_denied(),
-            "the trace sees every denial exactly once"
-        );
-        prop_assert!(
-            trace.server_retries as u64 <= tokens,
-            "with no refill, granted retries never exceed the initial tokens"
-        );
-    }
-
     /// Every submission resolves exactly once, into exactly one terminal
-    /// class — answered, answered degraded, shed, denied by the budget,
-    /// or out of attempts — whatever the backend's weather, the queue
-    /// depth, the budget and the poll schedule. The classes sum to the
-    /// submissions, and the denials to the client's own count.
+    /// class — answered, answered degraded, shed, or out of attempts —
+    /// whatever the backend's weather, the window, the queue depth and
+    /// the poll schedule. The classes sum to the submissions.
     #[test]
     fn every_submission_resolves_once_into_one_class(
         seed in any::<u64>(),
         n in 1usize..32,
         flaky in any::<bool>(),
+        window in 1usize..5,
         queue_cap in 1usize..5,
-        tokens in 0u64..7,
         max_attempts in 1u32..4,
         degrade_unpruned in any::<bool>(),
         cuts in prop::collection::vec(0.0f64..300.0, 0..5),
@@ -597,11 +390,7 @@ proptest! {
             },
             queue_cap,
             shed: true,
-            control: AdaptivePolicy {
-                retry_tokens: tokens,
-                retry_cap: tokens.max(1),
-                ..adaptive_band(1, 4)
-            },
+            window,
         };
         let mut client = AsyncClient::new(ShardedFlaky::new(1, seed, flaky), 2, seed, policy);
         let submitted: BTreeSet<Ticket> = requests(n).into_iter().map(|r| client.submit(r)).collect();
@@ -614,16 +403,15 @@ proptest! {
         resolved.extend(client.drain());
 
         let mut seen = BTreeSet::new();
-        // ok, degraded, shed, denied, exhausted
-        let mut classes = [0u64; 5];
+        // ok, degraded, shed, exhausted
+        let mut classes = [0u64; 4];
         for (ticket, o) in &resolved {
             prop_assert!(seen.insert(*ticket), "a submission resolves at most once");
-            let class = match (o.failed, o.degraded, o.shed, o.retries_denied) {
-                (false, false, 0, 0) => 0,
-                (false, true, 0, 0) => 1,
-                (true, false, 1, 0) => 2,
-                (true, false, 0, 1) => 3,
-                (true, false, 0, 0) => 4,
+            let class = match (o.failed, o.degraded, o.shed) {
+                (false, false, 0) => 0,
+                (false, true, 0) => 1,
+                (true, false, 1) => 2,
+                (true, false, 0) => 3,
                 other => panic!("outcome in no single class: {other:?}"),
             };
             prop_assert_eq!(o.failed, o.response.pois.is_empty());
@@ -631,14 +419,13 @@ proptest! {
         }
         prop_assert_eq!(&seen, &submitted, "every submission resolves");
         prop_assert_eq!(classes.iter().sum::<u64>(), n as u64);
-        prop_assert_eq!(classes[3], client.retries_denied());
     }
 
     /// `submit_with_retry` — the settled client, drained — reproduces the
     /// blocking ladder it replaced: bit-identical outcomes and traces,
     /// virtual waits included.
     #[test]
-    fn unconditional_ladder_equals_budgeted_with_unlimited_bucket(
+    fn settled_client_equals_the_blocking_ladder(
         seed in any::<u64>(),
         n in 1usize..24,
         flaky in any::<bool>(),
@@ -655,7 +442,6 @@ proptest! {
             prop_assert_eq!(a.timeouts, b.timeouts);
             prop_assert_eq!(a.drops, b.drops);
             prop_assert_eq!(a.shed, b.shed);
-            prop_assert_eq!(a.retries_denied, 0u32);
             prop_assert_eq!(a.degraded, b.degraded);
             prop_assert_eq!(a.failed, b.failed);
             prop_assert_eq!(a.waited_ms.to_bits(), b.waited_ms.to_bits());

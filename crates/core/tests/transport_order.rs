@@ -20,9 +20,7 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use senn_core::service::{ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService};
-use senn_core::transport::{
-    AdaptivePolicy, AsyncClient, RequestId, RetryPolicy, Ticket, TransportPolicy,
-};
+use senn_core::transport::{AsyncClient, RequestId, RetryPolicy, Ticket, TransportPolicy};
 use senn_core::{RTreeServer, SearchBounds};
 use senn_geom::Point;
 
@@ -127,7 +125,7 @@ fn client(seed: u64, window: usize, queue_cap: usize, flaky: bool) -> AsyncClien
             retry: RetryPolicy::default(),
             queue_cap,
             shed: true,
-            control: AdaptivePolicy::clamped(window),
+            window,
         },
     )
 }

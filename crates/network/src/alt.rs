@@ -15,7 +15,7 @@
 //! [`crate::distance::AltDistance`] is the SNNN distance model over it.
 
 use crate::graph::{NodeId, RoadNetwork};
-use crate::shortest_path::{dijkstra_map, length, to_target, SearchStats};
+use crate::shortest_path::{dijkstra_map, to_target, SearchStats};
 
 /// Preprocessed landmark distances for ALT queries.
 #[derive(Clone, Debug)]
@@ -119,7 +119,7 @@ pub fn counting_alt(
     from: NodeId,
     to: NodeId,
 ) -> (Option<f64>, SearchStats) {
-    to_target(net, from, to, length, || |v| index.lower_bound(v, to), None)
+    to_target(net, from, to, || |v| index.lower_bound(v, to), None)
 }
 
 #[cfg(test)]

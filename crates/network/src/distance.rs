@@ -1,6 +1,7 @@
 //! The road-network implementations of `senn-core`'s distance-model seam.
 //!
-//! All six share one convention, written once in [`Anchored`]: anchor the
+//! Every model and bound here shares one convention, written once in
+//! [`Anchored`]: anchor the
 //! query point to its nearest modeling-graph node, ask a node-to-node
 //! [`RoadCore`] for the part between snap nodes, and add the straight-line
 //! legs to/from them (the same convention the IER/INE kNN baselines use).
@@ -14,24 +15,20 @@
 //! * [`ChDistance`] / [`ChBound`] — the contraction-hierarchy oracle of a
 //!   prebuilt [`ChIndex`]: the same exact distances again, answered by two
 //!   tiny upward searches instead of a full graph search.
-//! * [`TimeDependentCost`] — congestion-weighted cost over per-class
-//!   speed limits and a time-of-day multiplier, every factor ≥ 1, so
-//!   congestion only *lengthens* edges.
 //!
 //! Plugged into `senn_core::snnn_query`, these models turn the generic
 //! IER driver into Algorithm 2 proper; the Euclidean lower-bound property
 //! the driver relies on holds because every edge of the modeling graph is
-//! at least as long as the straight line between its endpoints — and for
-//! [`TimeDependentCost`] because its per-edge factor never drops below 1.
+//! at least as long as the straight line between its endpoints.
 
 use senn_core::{DistanceModel, LowerBoundOracle};
 use senn_geom::Point;
 
 use crate::alt::{counting_alt, AltIndex};
 use crate::ch::{ChIndex, ChScratch};
-use crate::graph::{HalfEdge, NodeId, RoadClass, RoadNetwork};
+use crate::graph::{NodeId, RoadNetwork};
 use crate::locator::NodeLocator;
-use crate::shortest_path::{astar_distance, euclid, to_target};
+use crate::shortest_path::astar_distance;
 
 /// The node-to-node part of a road model: everything a model or bound
 /// knows beyond the snap-leg convention [`Anchored`] owns.
@@ -47,8 +44,7 @@ pub trait ExactCore: RoadCore {}
 
 /// A [`RoadCore`] whose value never exceeds the shortest path *length*
 /// between the nodes, so [`Anchored`] around it is a [`LowerBoundOracle`]
-/// for every model of this module (weighted edges cost at least their
-/// length).
+/// for every model of this module.
 pub trait LengthBoundCore: RoadCore {}
 
 /// A road model or bound anchored at a query point: the network, the
@@ -249,8 +245,8 @@ pub type ChDistance<'a> = Anchored<'a, ChQuery<'a>>;
 /// [`ChDistance`]: the CH core is *exact* for the length metric, so its
 /// bound is the tightest admissible one the seam can express. It equals
 /// [`ChDistance`]'s value bit-for-bit and lower-bounds
-/// [`NetworkDistance`] / [`AltDistance`] / [`TimeDependentCost`]; every
-/// candidate ALT's landmark bound can prune, this bound prunes too.
+/// [`NetworkDistance`] / [`AltDistance`]; every candidate ALT's landmark
+/// bound can prune, this bound prunes too.
 pub type ChBound<'a> = ChDistance<'a>;
 
 impl<'a> ChDistance<'a> {
@@ -264,90 +260,6 @@ impl<'a> ChDistance<'a> {
     ) -> Option<Self> {
         let scratch = ChScratch::new();
         Self::at(net, locator, query, ChQuery { index, scratch })
-    }
-}
-
-/// Congestion multiplier for a road class at an hour of day in `[0, 24)`.
-///
-/// A deterministic commuter profile: morning (7–9h) and evening (16–19h)
-/// rush hours congest primary roads the most, the daytime shoulder keeps
-/// a mild slowdown, nights flow freely. Always ≥ 1 — congestion can only
-/// slow an edge down, which is what keeps [`TimeDependentCost`] a valid
-/// [`DistanceModel`] (the Euclidean lower bound survives).
-pub fn congestion_factor(class: RoadClass, hour_of_day: f64) -> f64 {
-    let h = hour_of_day.rem_euclid(24.0);
-    let rush = (7.0..9.0).contains(&h) || (16.0..19.0).contains(&h);
-    let day = (9.0..16.0).contains(&h) || (19.0..22.0).contains(&h);
-    match (class, rush, day) {
-        (RoadClass::Primary, true, _) => 1.6,
-        (RoadClass::Secondary, true, _) => 1.35,
-        (RoadClass::Local, true, _) => 1.15,
-        (RoadClass::Primary, _, true) => 1.2,
-        (RoadClass::Secondary, _, true) => 1.1,
-        (RoadClass::Local, _, true) => 1.05,
-        _ => 1.0,
-    }
-}
-
-/// Per-edge cost multiplier of the time-dependent model: the free-flow
-/// speed penalty of the class relative to the primary-road reference,
-/// times the hour's congestion. Always ≥ 1.
-pub fn time_cost_multiplier(class: RoadClass, hour_of_day: f64) -> f64 {
-    let v_ref = RoadClass::Primary.speed_limit_mph();
-    (v_ref / class.speed_limit_mph()) * congestion_factor(class, hour_of_day)
-}
-
-/// A\* over congestion-weighted edges at a time of day: each edge costs
-/// `length × time_cost_multiplier(class, hour)`.
-pub struct TimeWeighted {
-    hour: f64,
-}
-
-impl RoadCore for TimeWeighted {
-    /// Minimum congestion-weighted cost between two nodes at the core's
-    /// hour (A\* with the Euclidean heuristic — admissible since every
-    /// weighted edge costs at least its length).
-    fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-        let hour = self.hour;
-        let cost = |e: &HalfEdge| e.length * time_cost_multiplier(e.class, hour);
-        to_target(net, from, to, cost, || euclid(net, to), None).0
-    }
-}
-impl ExactCore for TimeWeighted {}
-
-/// A time-dependent [`DistanceModel`]: congestion-weighted travel cost
-/// over per-class speed limits, normalized so the unit stays meters (the
-/// free-flow travel time at the primary-road reference speed). Each edge
-/// costs `length × (v_ref / v_class) × congestion(class, hour)` where
-/// `v_ref` is the primary-road speed limit.
-///
-/// Both per-edge factors are ≥ 1, so every path costs at least its
-/// geometric length and the Euclidean lower-bound contract holds — which
-/// also makes the Euclidean heuristic admissible for the internal A\*
-/// search. The snap legs to/from the network are walked off-road at the
-/// reference speed (plain Euclidean length), exactly like
-/// [`NetworkDistance`].
-pub type TimeDependentCost<'a> = Anchored<'a, TimeWeighted>;
-
-impl<'a> TimeDependentCost<'a> {
-    /// Anchors the model at the network node nearest to `query`, with the
-    /// clock at `hour_of_day` (wrapped into `[0, 24)`). Returns `None`
-    /// when the network has no nodes.
-    pub fn new(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        query: Point,
-        hour_of_day: f64,
-    ) -> Option<Self> {
-        let core = TimeWeighted {
-            hour: hour_of_day.rem_euclid(24.0),
-        };
-        Self::at(net, locator, query, core)
-    }
-
-    /// Moves the clock (wrapped into `[0, 24)`).
-    pub fn set_hour(&mut self, hour_of_day: f64) {
-        self.core.hour = hour_of_day.rem_euclid(24.0);
     }
 }
 
@@ -409,60 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn congestion_only_slows_edges() {
-        for class in [RoadClass::Primary, RoadClass::Secondary, RoadClass::Local] {
-            for tenth in 0..240 {
-                let h = tenth as f64 / 10.0;
-                assert!(congestion_factor(class, h) >= 1.0);
-                assert!(time_cost_multiplier(class, h) >= 1.0 - 1e-12);
-            }
-        }
-        // Free flow on a primary road at night is the exact reference.
-        assert!((time_cost_multiplier(RoadClass::Primary, 3.0) - 1.0).abs() < 1e-12);
-        // Rush hour strictly dominates the night profile.
-        for class in [RoadClass::Primary, RoadClass::Secondary, RoadClass::Local] {
-            assert!(time_cost_multiplier(class, 8.0) > time_cost_multiplier(class, 3.0));
-        }
-    }
-
-    #[test]
-    fn time_dependent_cost_dominates_network_distance() {
-        let net = generate_network(&GeneratorConfig::city(1800.0, 12));
-        let locator = NodeLocator::new(&net);
-        let q = Point::new(900.0, 900.0);
-        let mut nd = NetworkDistance::new(&net, &locator, q).unwrap();
-        let mut td = TimeDependentCost::new(&net, &locator, q, 8.0).unwrap();
-        for i in 0..20 {
-            let p = Point::new(90.0 * i as f64, 1800.0 - 85.0 * i as f64);
-            if let (Some(net_d), Some(time_d)) = (nd.distance(q, p), td.distance(q, p)) {
-                // Weighted edges cost at least their length, so the
-                // time-dependent optimum can never undercut the metric
-                // optimum — and both dominate the Euclidean distance.
-                assert!(time_d >= net_d - 1e-9, "at {p:?}: {time_d} < {net_d}");
-                assert!(time_d >= q.dist(p) - 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn rush_hour_never_beats_free_flow() {
-        let net = generate_network(&GeneratorConfig::city(1500.0, 21));
-        let locator = NodeLocator::new(&net);
-        let q = Point::new(200.0, 1300.0);
-        let mut td = TimeDependentCost::new(&net, &locator, q, 3.0).unwrap();
-        for i in 0..15 {
-            let p = Point::new(100.0 * i as f64, 95.0 * i as f64);
-            let night = td.distance(q, p);
-            td.set_hour(8.5);
-            let rush = td.distance(q, p);
-            td.set_hour(3.0);
-            if let (Some(n), Some(r)) = (night, rush) {
-                assert!(r >= n - 1e-9, "rush {r} beat night {n} at {p:?}");
-            }
-        }
-    }
-
-    #[test]
     fn alt_bound_is_admissible_for_all_three_models() {
         let net = generate_network(&GeneratorConfig::city(2000.0, 8));
         let locator = NodeLocator::new(&net);
@@ -471,7 +329,8 @@ mod tests {
         let mut bound = AltBound::new(&net, &locator, &index, q).unwrap();
         let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
         let mut alt = AltDistance::new(&net, &locator, &index, q).unwrap();
-        let mut td = TimeDependentCost::new(&net, &locator, q, 8.0).unwrap();
+        let ch_index = ChIndex::build_seeded(&net, 8);
+        let mut ch = ChDistance::new(&net, &locator, &ch_index, q).unwrap();
         assert_eq!(bound.query_node(), astar.query_node());
         let mut tight = 0usize;
         for i in 0..25 {
@@ -479,7 +338,7 @@ mod tests {
             let lb = bound.lower_bound(q, p);
             assert!(lb >= 0.0);
             assert!(lb >= q.dist(p) - 1e-9, "never looser than Euclidean");
-            for exact in [astar.distance(q, p), alt.distance(q, p), td.distance(q, p)]
+            for exact in [astar.distance(q, p), alt.distance(q, p), ch.distance(q, p)]
                 .into_iter()
                 .flatten()
             {
@@ -526,7 +385,7 @@ mod tests {
         let mut ch_bound = ChBound::new(&net, &locator, &ch_index, q).unwrap();
         let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
         let mut ch = ChDistance::new(&net, &locator, &ch_index, q).unwrap();
-        let mut td = TimeDependentCost::new(&net, &locator, q, 8.0).unwrap();
+        let mut alt = AltDistance::new(&net, &locator, &alt_index, q).unwrap();
         for i in 0..25 {
             let p = Point::new(80.0 * i as f64, 70.0 * i as f64);
             let lb = ch_bound.lower_bound(q, p);
@@ -535,7 +394,7 @@ mod tests {
                 lb >= alt_bound.lower_bound(q, p) - 1e-9,
                 "the exact core can never be looser than a landmark bound"
             );
-            for exact in [astar.distance(q, p), ch.distance(q, p), td.distance(q, p)]
+            for exact in [astar.distance(q, p), ch.distance(q, p), alt.distance(q, p)]
                 .into_iter()
                 .flatten()
             {

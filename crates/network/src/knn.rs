@@ -17,7 +17,7 @@ use senn_rtree::RStarTree;
 
 use crate::graph::{NodeId, RoadNetwork};
 use crate::poi::NetworkPois;
-use crate::shortest_path::{astar_distance, length, with_thread_scratch, zero};
+use crate::shortest_path::{astar_distance, with_thread_scratch, zero};
 
 /// A network kNN result.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -109,7 +109,7 @@ pub fn ine_knn(
     }
     let leg = query.dist(*origin);
     with_thread_scratch(|s| {
-        s.search(net, query_node, length, zero, |node, d| {
+        s.search(net, query_node, zero, |node, d| {
             // Terminate when the frontier can no longer improve the k-th
             // candidate: any POI found later sits at >= leg + d.
             if best.len() >= k && leg + d > best[k - 1].network_dist {

@@ -30,9 +30,9 @@
 //!   are bit-identical to Dijkstra on unique shortest paths.
 //! * [`distance`] — the road-network implementations of `senn-core`'s
 //!   `DistanceModel` seam: [`NetworkDistance`] (Euclidean-heuristic A\*),
-//!   [`AltDistance`] (landmark lower bounds), [`ChDistance`] (the
-//!   hierarchy oracle) and [`TimeDependentCost`] (congestion-weighted
-//!   per-class speed limits).
+//!   [`AltDistance`] (landmark lower bounds) and [`ChDistance`] (the
+//!   hierarchy oracle), with the lower bounds [`AltBound`] and
+//!   [`ChBound`].
 //! * [`generator`] — the seeded synthetic network generator.
 
 pub mod alt;
@@ -48,8 +48,7 @@ pub mod shortest_path;
 pub use alt::{counting_alt, AltIndex};
 pub use ch::{counting_ch, ChIndex, ChScratch};
 pub use distance::{
-    congestion_factor, time_cost_multiplier, AltBound, AltDistance, Anchored, ChBound, ChDistance,
-    ExactCore, NetworkDistance, TimeDependentCost,
+    AltBound, AltDistance, Anchored, ChBound, ChDistance, ExactCore, NetworkDistance,
 };
 pub use generator::{generate_network, GeneratorConfig};
 pub use graph::{NodeId, RoadClass, RoadNetwork};

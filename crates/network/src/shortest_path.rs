@@ -10,13 +10,12 @@
 //! ## One kernel
 //!
 //! Every label-setting search of this crate runs one loop: Dijkstra and
-//! A\* here, ALT ([`crate::alt`]), the congestion-weighted A\* of
-//! [`crate::distance::TimeDependentCost`], INE ([`crate::knn`]) and the
-//! effort probes ([`counting_dijkstra`] and its siblings). Only the
-//! contraction hierarchy ([`crate::ch`]) searches on its own. The kernel
-//! is generic over three things: the edge cost, the heuristic that orders
-//! the queue, and a visitor that sees each settled node and may stop the
-//! search. It counts [`SearchStats`] as it goes.
+//! A\* here, ALT ([`crate::alt`]), INE ([`crate::knn`]) and the effort
+//! probes ([`counting_dijkstra`] and its siblings). Only the contraction
+//! hierarchy ([`crate::ch`]) searches on its own. Every search ranks by
+//! edge length; the kernel is generic over two things: the heuristic
+//! that orders the queue, and a visitor that sees each settled node and
+//! may stop the search. It counts [`SearchStats`] as it goes.
 //!
 //! The kernel runs on the calling thread's scratch: distance and
 //! predecessor arrays validated by a *generation stamp* (bumping one
@@ -32,7 +31,7 @@ use std::collections::BinaryHeap;
 
 use senn_geom::Point;
 
-use crate::graph::{HalfEdge, NodeId, RoadNetwork};
+use crate::graph::{NodeId, RoadNetwork};
 
 /// A queue entry: `priority` (the label plus the heuristic) orders the
 /// heap, and `dist` is the label the node was pushed with.
@@ -121,7 +120,7 @@ impl DijkstraScratch {
     }
 
     /// The label-setting kernel: settles nodes of `net` outward from
-    /// `from` in order of label plus `h`, where an edge adds `cost(e)` to
+    /// `from` in order of label plus `h`, where an edge adds its length to
     /// the label. `settle(node, label)` sees each settled node before its
     /// edges are relaxed, and stops the search by returning true. A
     /// `from` outside `net` settles nothing.
@@ -130,7 +129,6 @@ impl DijkstraScratch {
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
-        cost: impl Fn(&HalfEdge) -> f64,
         h: impl Fn(NodeId) -> f64,
         mut settle: impl FnMut(NodeId, f64) -> bool,
     ) -> SearchStats {
@@ -156,7 +154,7 @@ impl DijkstraScratch {
             }
             for e in net.neighbors(node) {
                 stats.relaxed += 1;
-                let nd = d + cost(e);
+                let nd = d + e.length;
                 if nd < self.dist(e.to) {
                     self.set(e.to, nd, node);
                     self.heap.push(HeapItem {
@@ -205,11 +203,6 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut DijkstraScratch) -> R) 
     })
 }
 
-/// The length metric's edge cost.
-pub(crate) fn length(e: &HalfEdge) -> f64 {
-    e.length
-}
-
 /// Dijkstra's heuristic.
 pub(crate) fn zero(_: NodeId) -> f64 {
     0.0
@@ -230,7 +223,6 @@ pub(crate) fn to_target<H: Fn(NodeId) -> f64>(
     net: &RoadNetwork,
     from: NodeId,
     to: NodeId,
-    cost: impl Fn(&HalfEdge) -> f64,
     guide: impl FnOnce() -> H,
     path: Option<&mut Vec<NodeId>>,
 ) -> (Option<f64>, SearchStats) {
@@ -239,7 +231,7 @@ pub(crate) fn to_target<H: Fn(NodeId) -> f64>(
     }
     with_thread_scratch(|s| {
         let mut reached = None;
-        let stats = s.search(net, from, cost, guide(), |node, d| {
+        let stats = s.search(net, from, guide(), |node, d| {
             if node == to {
                 reached = Some(d);
             }
@@ -269,7 +261,7 @@ pub fn astar_distance(net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64
 /// outside `net`).
 pub fn dijkstra_map(net: &RoadNetwork, from: NodeId) -> Vec<f64> {
     with_thread_scratch(|s| {
-        s.search(net, from, length, zero, |_, _| false);
+        s.search(net, from, zero, |_, _| false);
         (0..net.node_count() as NodeId).map(|v| s.dist(v)).collect()
     })
 }
@@ -292,7 +284,7 @@ pub fn astar_path_into(
     path: &mut Vec<NodeId>,
 ) -> Option<f64> {
     path.clear();
-    to_target(net, from, to, length, || euclid(net, to), Some(path)).0
+    to_target(net, from, to, || euclid(net, to), Some(path)).0
 }
 
 /// Plain Dijkstra with effort counters (the heuristic-quality baseline).
@@ -301,12 +293,12 @@ pub fn counting_dijkstra(
     from: NodeId,
     to: NodeId,
 ) -> (Option<f64>, SearchStats) {
-    to_target(net, from, to, length, || zero, None)
+    to_target(net, from, to, || zero, None)
 }
 
 /// Euclidean-heuristic A\* with effort counters.
 pub fn counting_astar(net: &RoadNetwork, from: NodeId, to: NodeId) -> (Option<f64>, SearchStats) {
-    to_target(net, from, to, length, || euclid(net, to), None)
+    to_target(net, from, to, || euclid(net, to), None)
 }
 
 impl RoadNetwork {
@@ -473,7 +465,7 @@ mod tests {
             ..DijkstraScratch::default()
         };
         for _ in 0..6 {
-            let stats = scratch.search(&net, 0, length, zero, |node, _| node == 15);
+            let stats = scratch.search(&net, 0, zero, |node, _| node == 15);
             assert_eq!(scratch.dist(15), 6.0);
             assert_eq!(stats.settled, 16, "the far corner settles last");
         }
@@ -484,7 +476,7 @@ mod tests {
         let net = grid();
         // A full expansion settles every node once and scans every
         // half-edge once: 24 undirected edges.
-        let stats = with_thread_scratch(|s| s.search(&net, 0, length, zero, |_, _| false));
+        let stats = with_thread_scratch(|s| s.search(&net, 0, zero, |_, _| false));
         assert_eq!(
             stats,
             SearchStats {
@@ -493,7 +485,7 @@ mod tests {
             }
         );
         // A visitor that stops at once settles the source and scans nothing.
-        let stats = with_thread_scratch(|s| s.search(&net, 0, length, zero, |_, _| true));
+        let stats = with_thread_scratch(|s| s.search(&net, 0, zero, |_, _| true));
         assert_eq!(
             stats,
             SearchStats {

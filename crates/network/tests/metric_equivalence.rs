@@ -14,7 +14,7 @@
 //!   path);
 //! * the [`ChBound`] oracle is admissible for all exact models and
 //!   bounds the zero self-distance by exactly 0 on its own snap node;
-//! * all six model/bound aliases answer the same bits after `rebase(q)`
+//! * every model/bound alias answers the same bits after `rebase(q)`
 //!   as a fresh `new(.., q)` (re-anchoring is shared code in `Anchored`);
 //! * CH preprocessing is deterministic per seed: identical contraction
 //!   orders, shortcut sets, signatures and query traces;
@@ -25,8 +25,6 @@
 //!   bounds the zero self-distance by exactly 0, never a negative clamp;
 //! * the network metric obeys the triangle inequality and dominates the
 //!   straight-line distance;
-//! * the time-dependent metric dominates the length metric at every hour
-//!   and never beats its own free-flow night cost;
 //! * the library SNNN driver returns the same result set under the A\*
 //!   and ALT models;
 //! * landmark selection is deterministic per seed;
@@ -41,7 +39,7 @@ use senn_network::{
     astar_distance, astar_path, counting_alt, counting_astar, counting_ch, counting_dijkstra,
     dijkstra_distance, generate_network, ine_knn, AltBound, AltDistance, AltIndex, ChBound,
     ChDistance, ChIndex, GeneratorConfig, NetworkDistance, NetworkPois, NodeId, NodeLocator,
-    RoadClass, RoadNetwork, TimeDependentCost,
+    RoadClass, RoadNetwork,
 };
 
 /// Deterministic generator state for grid jitter (proptest drives the
@@ -163,11 +161,11 @@ proptest! {
         h in 2usize..6,
         seed in any::<u64>(),
         landmarks in 1usize..6,
-        hour in 0.0..24.0f64,
     ) {
         let net = grid_network(w, h, seed);
         let locator = NodeLocator::new(&net);
         let index = AltIndex::build_seeded(&net, landmarks, seed);
+        let ch_index = ChIndex::build_seeded(&net, seed);
         for (a, b) in node_pairs(&net, seed, 8) {
             // Anchor the query exactly on node `a` — the oracle and all
             // three models snap it to `a` itself (zero snap leg).
@@ -175,7 +173,7 @@ proptest! {
             let mut bound = AltBound::new(&net, &locator, &index, q).unwrap();
             let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
             let mut alt = AltDistance::new(&net, &locator, &index, q).unwrap();
-            let mut td = TimeDependentCost::new(&net, &locator, q, hour).unwrap();
+            let mut ch = ChDistance::new(&net, &locator, &ch_index, q).unwrap();
             // Candidates: the query itself (self-distance 0), the exact
             // position of node `b`, and a point midway to `b`'s position
             // (snaps to whichever node is nearest — still degenerate
@@ -188,7 +186,7 @@ proptest! {
                 let lb = bound.lower_bound(q, p);
                 prop_assert!(lb >= 0.0, "negative bound {lb} for degenerate placement");
                 prop_assert!(lb >= q.dist(p) - 1e-9, "looser than Euclidean");
-                for exact in [astar.distance(q, p), alt.distance(q, p), td.distance(q, p)]
+                for exact in [astar.distance(q, p), alt.distance(q, p), ch.distance(q, p)]
                     .into_iter()
                     .flatten()
                 {
@@ -230,55 +228,6 @@ proptest! {
             // The graph embeds its geometry: network distance dominates
             // the straight line (every edge is at least its chord).
             prop_assert!(d(a, b) + 1e-9 >= net.position(a).dist(net.position(b)));
-        }
-    }
-
-    /// Model-level Euclidean lower bound and time-dependent domination:
-    /// `ED ≤ NetworkDistance ≤ TimeDependentCost` for arbitrary off-network
-    /// query/POI points at an arbitrary hour.
-    #[test]
-    fn time_dependent_dominates_length_metric(
-        w in 2usize..6,
-        h in 2usize..6,
-        seed in any::<u64>(),
-        qx in 0.0..1200.0f64,
-        qy in 0.0..1200.0f64,
-        px in 0.0..1200.0f64,
-        py in 0.0..1200.0f64,
-        hour in 0.0..24.0f64,
-    ) {
-        let net = grid_network(w, h, seed);
-        let locator = NodeLocator::new(&net);
-        let (q, p) = (Point::new(qx, qy), Point::new(px, py));
-        let mut nd = NetworkDistance::new(&net, &locator, q).unwrap();
-        let mut td = TimeDependentCost::new(&net, &locator, q, hour).unwrap();
-        let network = nd.distance(q, p).unwrap();
-        let timed = td.distance(q, p).unwrap();
-        prop_assert!(network + 1e-9 >= q.dist(p), "ED lower bound violated");
-        prop_assert!(timed + 1e-9 >= network, "congestion sped an edge up");
-    }
-
-    /// Metamorphic: no hour of day beats the free-flow night cost — the
-    /// congestion profile can only slow edges down.
-    #[test]
-    fn no_hour_beats_free_flow(
-        w in 2usize..6,
-        h in 2usize..6,
-        seed in any::<u64>(),
-        hour in 0.0..24.0f64,
-    ) {
-        let net = grid_network(w, h, seed);
-        let locator = NodeLocator::new(&net);
-        for (a, b) in node_pairs(&net, seed, 6) {
-            let (q, p) = (net.position(a), net.position(b));
-            let mut td = TimeDependentCost::new(&net, &locator, q, hour).unwrap();
-            let at_hour = td.distance(q, p).unwrap();
-            td.set_hour(3.0); // free flow on every class
-            let night = td.distance(q, p).unwrap();
-            prop_assert!(
-                at_hour + 1e-9 >= night,
-                "cost at {hour}h ({at_hour}) beats free flow ({night})"
-            );
         }
     }
 
@@ -366,17 +315,18 @@ proptest! {
         w in 2usize..6,
         h in 2usize..6,
         seed in any::<u64>(),
-        hour in 0.0..24.0f64,
+        landmarks in 1usize..6,
     ) {
         let net = grid_network(w, h, seed);
         let locator = NodeLocator::new(&net);
         let index = ChIndex::build_seeded(&net, seed);
+        let alt_index = AltIndex::build_seeded(&net, landmarks, seed);
         for (a, b) in node_pairs(&net, seed, 8) {
             let q = net.position(a);
             let mut bound = ChBound::new(&net, &locator, &index, q).unwrap();
             let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
             let mut ch = ChDistance::new(&net, &locator, &index, q).unwrap();
-            let mut td = TimeDependentCost::new(&net, &locator, q, hour).unwrap();
+            let mut alt = AltDistance::new(&net, &locator, &alt_index, q).unwrap();
             let mid = Point::new(
                 (q.x + net.position(b).x) / 2.0,
                 (q.y + net.position(b).y) / 2.0,
@@ -385,7 +335,7 @@ proptest! {
                 let lb = bound.lower_bound(q, p);
                 prop_assert!(lb >= 0.0, "negative bound {lb}");
                 prop_assert!(lb >= q.dist(p) - 1e-9, "looser than Euclidean");
-                for exact in [astar.distance(q, p), ch.distance(q, p), td.distance(q, p)]
+                for exact in [astar.distance(q, p), ch.distance(q, p), alt.distance(q, p)]
                     .into_iter()
                     .flatten()
                 {
@@ -402,17 +352,16 @@ proptest! {
         }
     }
 
-    /// Re-anchoring is one shared function for all six aliases: a model or
+    /// Re-anchoring is one shared function for every alias: a model or
     /// bound built somewhere else and `rebase`d to `q` must answer
     /// bit-for-bit what a fresh `new(.., q)` answers (the reused search
     /// scratch leaks nothing across anchors).
     #[test]
-    fn rebase_equals_fresh_anchor_for_all_six_aliases(
+    fn rebase_equals_fresh_anchor_for_every_alias(
         w in 2usize..6,
         h in 2usize..6,
         seed in any::<u64>(),
         landmarks in 1usize..6,
-        hour in 0.0..24.0f64,
         coords in prop::collection::vec(0.0..1200.0f64, 6),
     ) {
         let net = grid_network(w, h, seed);
@@ -453,7 +402,6 @@ proptest! {
         check_model!(|at| NetworkDistance::new(&net, &locator, at));
         check_model!(|at| AltDistance::new(&net, &locator, &alt, at));
         check_model!(|at| ChDistance::new(&net, &locator, &ch, at));
-        check_model!(|at| TimeDependentCost::new(&net, &locator, at, hour));
         check_bound!(|at| AltBound::new(&net, &locator, &alt, at));
         check_bound!(|at| ChBound::new(&net, &locator, &ch, at));
     }
@@ -564,7 +512,6 @@ fn fnv(hash: &mut u64, word: u64) {
 /// - the summed `(settled, relaxed)` of Dijkstra, A\* and ALT over 64
 ///   fixed pairs;
 /// - an FNV fold of those distances and of the A\* routes;
-/// - the bits of `TimeDependentCost` at four hours;
 /// - the bits of `ine_knn` at two queries.
 ///
 /// Any change to the queue's pop order, the relaxation arithmetic or a
@@ -594,13 +541,6 @@ fn search_effort_and_answer_bits_are_pinned() {
             fnv(&mut fold, node.into());
         }
     }
-    let q = Point::new(700.0, 2100.0);
-    let p = Point::new(2600.0, 300.0);
-    let mut td = TimeDependentCost::new(&net, &locator, q, 0.0).unwrap();
-    let td_bits = [3.0, 8.0, 12.0, 17.5].map(|hour| {
-        td.set_hour(hour);
-        td.distance(q, p).unwrap().to_bits()
-    });
     let pois = NetworkPois::snap(
         &net,
         (0..40u32)
@@ -614,15 +554,6 @@ fn search_effort_and_answer_bits_are_pinned() {
         .collect();
     assert_eq!(effort, [(15356, 55445), (3658, 13602), (1655, 6054)]);
     assert_eq!(fold, 11891478617877047852);
-    assert_eq!(
-        td_bits,
-        [
-            4662510053469101646,
-            4664675518363619612,
-            4663173658343246850,
-            4664675518363619612
-        ]
-    );
     assert_eq!(
         ine,
         [

@@ -45,5 +45,5 @@ pub use simulator::{
 // Service-seam knobs a simulation config can carry, re-exported so callers
 // configuring faults, retries or the overlapped transport need only this
 // crate.
-pub use senn_core::transport::{AdaptivePolicy, RetryPolicy, TransportPolicy, TransportStats};
+pub use senn_core::transport::{RetryPolicy, TransportPolicy, TransportStats};
 pub use senn_server::{FaultConfig, ServiceMetrics, ShardMetrics};

@@ -109,9 +109,9 @@ pub struct Metrics {
     /// (`ReplyStatus::Shed`) — terminal for the retry ladder, so at most
     /// one per query. Always 0 without an overlapped transport.
     pub server_shed: u64,
-    /// Residual retries refused by the transport's token-bucket budget —
-    /// terminal per request, always 0 under the settled policy or an
-    /// `AdaptivePolicy::clamped` control, whose bucket never runs dry.
+    /// Always 0: the transport no longer has a retry budget to refuse a
+    /// retry. Kept only because the repository benchmark's failed-request
+    /// count reads it; it goes with that count's next revision.
     pub server_retries_denied: u64,
     /// Queries whose residual answer came from the degraded (unpruned)
     /// fallback after every pruned attempt failed.
@@ -158,7 +158,6 @@ impl Metrics {
         self.server_timeouts += trace.server_timeouts as u64;
         self.server_drops += trace.server_drops as u64;
         self.server_shed += trace.server_shed as u64;
-        self.server_retries_denied += trace.server_retries_denied as u64;
         if trace.server_degraded {
             self.server_degraded += 1;
         }
@@ -512,7 +511,6 @@ mod tests {
             t.server_timeouts = i / 2;
             t.server_drops = i / 3;
             t.server_shed = i % 2;
-            t.server_retries_denied = i % 3;
             t.server_degraded = i % 5 == 0;
             t.server_failed = i % 7 == 0;
             t.lb_evals = (2 * i) as u64;

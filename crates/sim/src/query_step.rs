@@ -34,7 +34,6 @@ use senn_core::{
 use senn_geom::Point;
 use senn_network::{
     AltBound, AltDistance, Anchored, ChBound, ChDistance, ExactCore, NetworkDistance,
-    TimeDependentCost,
 };
 
 use crate::comms::{QueryScratch, WorkerScratch};
@@ -384,11 +383,6 @@ impl Simulator {
                 let model = AltDistance::new(net, locator, index, origin);
                 let oracle = AltBound::new(net, locator, index, origin).map(ActiveOracle::Alt);
                 self.expand_with(tasks, scratch, model, oracle)
-            }
-            RoadMetric::TimeDependent { start_hour } => {
-                let hour = start_hour + self.time / 3600.0;
-                let model = TimeDependentCost::new(net, locator, origin, hour);
-                self.expand_with(tasks, scratch, model, euclid)
             }
             RoadMetric::Ch(index) => {
                 let model = ChDistance::new(net, locator, index, origin);

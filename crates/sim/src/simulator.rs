@@ -59,12 +59,12 @@ use crate::query_step::ExpandScratch;
 use crate::store::{HostStore, Spawn};
 use crate::transport_step::Uplink;
 
-/// The target metric of network-mode (SNNN) queries — which
+/// The road model of network-mode (SNNN) queries — which
 /// `DistanceModel` implementation ranks candidates during the incremental
-/// Euclidean expansion (Algorithm 2). All of them are exact road metrics
-/// respecting the Euclidean lower bound, so the expansion stays sound;
-/// they differ in how the shortest-path evaluation is driven (and, for
-/// [`NetworkModelKind::TimeDependent`], in what the edge weights mean).
+/// Euclidean expansion (Algorithm 2). Every one of them computes the
+/// exact shortest-path length, which respects the Euclidean lower bound,
+/// so the expansion stays sound; they differ only in how the
+/// shortest-path evaluation is driven.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NetworkModelKind {
     /// Euclidean-heuristic A\* over edge lengths
@@ -77,13 +77,6 @@ pub enum NetworkModelKind {
     Alt {
         /// Landmarks to select (clamped to the node count; must be ≥ 1).
         landmarks: usize,
-    },
-    /// Travel-time metric: per-class speed limits with a time-of-day
-    /// congestion multiplier (`senn_network::TimeDependentCost`). The
-    /// query hour advances with simulated time from `start_hour`.
-    TimeDependent {
-        /// Hour of day `[0, 24)` at simulation start.
-        start_hour: f64,
     },
     /// Contraction-hierarchy distance oracle over the same edge lengths:
     /// distances are identical to [`NetworkModelKind::AStar`], but every
@@ -115,15 +108,9 @@ pub enum SimConfigError {
     /// An overlapped transport was configured with a zero-capacity queue —
     /// every request past the in-flight window would be shed on arrival.
     ZeroQueueCapacity,
-    /// An overlapped transport was configured with an empty or inverted
-    /// window band (`window_min` of zero — the uplink could never
-    /// dispatch — `window_min > window_max`, or `window_start` outside
-    /// the band).
+    /// An overlapped transport was configured with a window of zero —
+    /// the uplink could never dispatch.
     InvalidWindow,
-    /// An overlapped transport was configured with a multiplicative
-    /// decrease that does not decrease (`shrink_den` of zero or
-    /// `shrink_num ≥ shrink_den`).
-    InvalidShrink,
 }
 
 impl std::fmt::Display for SimConfigError {
@@ -149,15 +136,8 @@ impl std::fmt::Display for SimConfigError {
             ),
             SimConfigError::InvalidWindow => write!(
                 f,
-                "the overlapped transport needs a non-empty window band: \
-                 1 <= window_min <= window_start <= window_max \
-                 (TransportPolicy::control)"
-            ),
-            SimConfigError::InvalidShrink => write!(
-                f,
-                "the overlapped transport needs a genuine multiplicative \
-                 decrease: shrink_num < shrink_den, shrink_den >= 1 \
-                 (TransportPolicy::control)"
+                "the overlapped transport needs a window of at least one \
+                 request (TransportPolicy::window)"
             ),
         }
     }
@@ -309,15 +289,11 @@ impl SimConfig {
             }
         }
         if let Some(policy) = self.transport {
-            let c = policy.control;
-            if c.window_min == 0 || !(c.window_min..=c.window_max).contains(&c.window_start) {
+            if policy.window == 0 {
                 return Err(SimConfigError::InvalidWindow);
             }
             if policy.queue_cap == 0 {
                 return Err(SimConfigError::ZeroQueueCapacity);
-            }
-            if c.shrink_den == 0 || c.shrink_num >= c.shrink_den {
-                return Err(SimConfigError::InvalidShrink);
             }
         }
         Ok(())
@@ -615,7 +591,6 @@ pub struct RknnHost {
 pub(crate) enum RoadMetric {
     AStar,
     Alt(senn_network::AltIndex),
-    TimeDependent { start_hour: f64 },
     Ch(senn_network::ChIndex),
 }
 
@@ -626,9 +601,6 @@ impl RoadMetric {
             NetworkModelKind::Alt { landmarks } => RoadMetric::Alt(
                 senn_network::AltIndex::build_seeded(network, landmarks, seed),
             ),
-            NetworkModelKind::TimeDependent { start_hour } => {
-                RoadMetric::TimeDependent { start_hour }
-            }
             NetworkModelKind::Ch => {
                 RoadMetric::Ch(senn_network::ChIndex::build_seeded(network, seed))
             }
@@ -690,17 +662,6 @@ pub struct BatchStats {
     pub latency_p50_ms: f64,
     /// p99 end-to-end virtual latency, ms.
     pub latency_p99_ms: f64,
-    /// Smallest per-lane in-flight window observed over the run (the
-    /// fixed window under `AdaptivePolicy::clamped`).
-    pub window_min: u64,
-    /// Largest per-lane in-flight window observed over the run.
-    pub window_max: u64,
-    /// Final sum of per-lane windows — the transport's total in-flight
-    /// budget at run end.
-    pub window_final: u64,
-    /// Residual retries refused by the token-bucket budget across the
-    /// whole run, warm-up included (0 under `AdaptivePolicy::clamped`).
-    pub retries_denied: u64,
 }
 
 impl BatchStats {
@@ -1012,7 +973,6 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::params::{ParamSet, SimParams};
-    use senn_core::transport::AdaptivePolicy;
 
     fn tiny_config(seed: u64) -> SimConfig {
         let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
@@ -1173,54 +1133,18 @@ mod tests {
         assert!(err.to_string().contains("queue"));
     }
 
-    fn with_control(control: AdaptivePolicy) -> Result<SimConfig, SimConfigError> {
-        SimConfig::builder()
+    #[test]
+    fn zero_transport_window_is_rejected() {
+        let err = SimConfig::builder()
             .transport(TransportPolicy {
-                control,
+                window: 0,
                 ..TransportPolicy::default()
             })
             .try_build()
-    }
-
-    #[test]
-    fn degenerate_adaptive_window_band_is_rejected() {
-        let err = with_control(AdaptivePolicy {
-            window_min: 8,
-            window_start: 8,
-            window_max: 4,
-            ..AdaptivePolicy::default()
-        })
-        .unwrap_err();
+            .unwrap_err();
         assert_eq!(err, SimConfigError::InvalidWindow);
         // The message names the knob to fix.
         assert!(err.to_string().contains("window"));
-        // A zero floor is equally rejected — the AIMD clamp needs ≥ 1 —
-        // and so is a fixed window of zero, which could never dispatch.
-        for control in [
-            AdaptivePolicy {
-                window_min: 0,
-                ..AdaptivePolicy::default()
-            },
-            AdaptivePolicy::clamped(0),
-        ] {
-            let err = with_control(control).unwrap_err();
-            assert_eq!(err, SimConfigError::InvalidWindow);
-        }
-    }
-
-    #[test]
-    fn non_contracting_adaptive_shrink_is_rejected() {
-        let err = with_control(AdaptivePolicy {
-            shrink_num: 2,
-            shrink_den: 2,
-            ..AdaptivePolicy::default()
-        })
-        .unwrap_err();
-        assert_eq!(err, SimConfigError::InvalidShrink);
-        assert!(err.to_string().contains("shrink"));
-        // The defaults themselves must build.
-        let cfg = with_control(AdaptivePolicy::default()).unwrap();
-        assert_eq!(cfg.transport.unwrap().control, AdaptivePolicy::default());
     }
 
     #[test]
@@ -1290,39 +1214,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_transport_attributes_every_query_and_reports_windows() {
-        let cfg = tiny_config(17)
-            .to_builder()
-            .transport(TransportPolicy {
-                control: AdaptivePolicy::default(),
-                ..TransportPolicy::default()
-            })
-            .build();
-        let mut sim = Simulator::new(cfg);
-        let m = sim.run();
-        assert!(m.queries > 0, "no queries issued");
-        assert_eq!(
-            m.queries,
-            m.single_peer + m.multi_peer + m.server + m.accepted_uncertain,
-            "every query is attributed exactly once"
-        );
-        let stats = sim.transport_stats().expect("overlapped mode");
-        assert_eq!(stats.completed, stats.enqueued);
-        // Window telemetry flows into BatchStats and respects the band.
-        let a = AdaptivePolicy::default();
-        let bs = sim.batch_stats();
-        assert!(bs.window_min >= 1);
-        assert!(bs.window_min <= bs.window_max);
-        assert!(bs.window_final >= 1);
-        assert!(bs.window_max as usize <= a.window_max);
-    }
-
-    #[test]
     #[should_panic(expected = "invalid SimConfig")]
     fn build_panics_on_invalid_combination() {
         let _ = SimConfig::builder()
             .mode(MovementMode::FreeMovement)
-            .distance_model(NetworkModelKind::TimeDependent { start_hour: 8.0 })
+            .distance_model(NetworkModelKind::Ch)
             .build();
     }
 

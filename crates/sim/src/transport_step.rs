@@ -268,9 +268,5 @@ impl Simulator {
         b.shed_count = stats.shed;
         b.latency_p50_ms = stats.p50_latency_ms();
         b.latency_p99_ms = stats.p99_latency_ms();
-        b.window_min = stats.window_min;
-        b.window_max = stats.window_max;
-        b.window_final = stats.window_final;
-        b.retries_denied = self.uplink.client.retries_denied();
     }
 }

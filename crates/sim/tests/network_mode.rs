@@ -2,8 +2,8 @@
 //!
 //! The headline claims this suite proves:
 //!
-//! * the simulator runs Algorithm 2 end-to-end under all four road
-//!   metrics (A\*, ALT, the CH oracle, time-dependent) — peer probe,
+//! * the simulator runs Algorithm 2 end-to-end under all three road
+//!   models (A\*, ALT, the CH oracle) — peer probe,
 //!   verification, and batched residual rounds through the configured
 //!   service;
 //! * A\*, ALT and the contraction-hierarchy oracle are interchangeable:
@@ -37,10 +37,9 @@ fn run_counting_rounds(cfg: SimConfig) -> (Metrics, u64) {
     (m, sim.batch_stats().snnn_rounds)
 }
 
-const MODELS: [NetworkModelKind; 4] = [
+const MODELS: [NetworkModelKind; 3] = [
     NetworkModelKind::AStar,
     NetworkModelKind::Alt { landmarks: 4 },
-    NetworkModelKind::TimeDependent { start_hour: 8.0 },
     NetworkModelKind::Ch,
 ];
 
@@ -159,7 +158,7 @@ fn network_mode_metrics_are_thread_invariant() {
     let mk = |threads: usize| {
         base(7)
             .to_builder()
-            .distance_model(NetworkModelKind::TimeDependent { start_hour: 17.0 })
+            .distance_model(NetworkModelKind::AStar)
             .threads(threads)
             .build()
     };

@@ -7,9 +7,7 @@
 //! shard layout must not move a single bit.
 
 use senn_sim::metrics::Metrics;
-use senn_sim::{
-    AdaptivePolicy, FaultConfig, ParamSet, SimConfig, SimParams, Simulator, TransportPolicy,
-};
+use senn_sim::{FaultConfig, ParamSet, SimConfig, SimParams, Simulator, TransportPolicy};
 
 fn tiny_params() -> SimParams {
     let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
@@ -17,10 +15,58 @@ fn tiny_params() -> SimParams {
     params
 }
 
+/// The same world under a hotspot arrival spike: ~100 queries per
+/// interval.
+fn burst_params() -> SimParams {
+    let mut params = tiny_params();
+    params.lambda_query_per_min = 600.0;
+    params
+}
+
 fn run(cfg: SimConfig) -> Metrics {
     let mut sim = Simulator::new(cfg);
     sim.run()
 }
+
+/// The default policy with a fixed per-lane window of `window`.
+fn fixed(window: usize) -> TransportPolicy {
+    TransportPolicy {
+        window,
+        ..TransportPolicy::default()
+    }
+}
+
+/// One pinned row of a transport run: the attribution split (queries,
+/// single, multi, server, uncertain), the ladder's failed, degraded,
+/// shed and retry counts, then the transport's shed, completed, queue
+/// and in-flight peaks and the p50 / p99 latency bits.
+fn pinned_row(sim: &mut Simulator) -> [u64; 15] {
+    let m = sim.run();
+    let s = sim.transport_stats().expect("overlapped mode");
+    [
+        m.queries,
+        m.single_peer,
+        m.multi_peer,
+        m.server,
+        m.accepted_uncertain,
+        m.server_failed,
+        m.server_degraded,
+        m.server_shed,
+        m.server_retries,
+        s.shed,
+        s.completed,
+        s.queue_depth_peak,
+        s.in_flight_peak,
+        s.p50_latency_ms().to_bits(),
+        s.p99_latency_ms().to_bits(),
+    ]
+}
+
+/// Latency bucket edges, as the bits `pinned_row` records.
+const MS_4: u64 = 0x4010_0000_0000_0000;
+const MS_8: u64 = 0x4020_0000_0000_0000;
+const MS_32: u64 = 0x4040_0000_0000_0000;
+const MS_128: u64 = 0x4060_0000_0000_0000;
 
 /// Bit-identical metrics across 1/2 worker threads × 1/3 shards, with the
 /// default transport policy — fault-free and under the lossy fault
@@ -60,24 +106,21 @@ fn overlapped_metrics_are_bit_identical_across_threads_and_shards() {
 /// A starved transport (one-deep window and queue per lane) sheds part of
 /// every residual burst. Shed ladders are terminal: the query stays
 /// attributed (as server-bound/unresolved), the shed count flows into
-/// `Metrics::server_shed`, and the run still balances its books.
+/// `Metrics::server_shed`, and the run still balances its books. The
+/// whole row is pinned at the values the run had when the window was a
+/// clamped AIMD band.
 #[test]
 fn tiny_queues_shed_under_burst_arrivals_and_stay_attributed() {
-    // A hotspot arrival spike: ~100 queries per interval burst into
-    // one-deep lanes.
-    let mut params = tiny_params();
-    params.lambda_query_per_min = 600.0;
-    let cfg = SimConfig::new(params, 7)
+    let cfg = SimConfig::new(burst_params(), 7)
         .to_builder()
         .transport(TransportPolicy {
             queue_cap: 1,
-            control: AdaptivePolicy::clamped(1),
-            ..TransportPolicy::default()
+            ..fixed(1)
         })
         .build();
     let mut sim = Simulator::new(cfg);
-    let m = sim.run();
-    assert!(m.queries > 0);
+    let row = pinned_row(&mut sim);
+    let m = sim.metrics();
     assert!(
         m.server_shed > 0,
         "one-deep lanes must shed under burst arrivals"
@@ -94,17 +137,25 @@ fn tiny_queues_shed_under_burst_arrivals_and_stay_attributed() {
     let stats = sim.transport_stats().expect("overlapped mode");
     assert!(stats.shed >= m.server_shed);
     assert!(stats.queue_depth_peak <= 4, "queues are one-deep per lane");
+    let want = [
+        1561, 1148, 7, 406, 0, 327, 0, 327, 0, 521, 95, 4, 4, MS_8, MS_32,
+    ];
+    assert_eq!(row, want);
+    assert_eq!(sim.batch_stats().shed_count, 521);
 }
 
-/// Adaptive golden pins: three seeds under the lossy fault config, with
-/// the default AIMD band, pinned down to the attribution split, the
-/// ladder counters and the whole window trajectory summary. Any change
-/// to the controller's arithmetic, the lane dequeue order or the keyed
-/// draw discipline moves at least one of these numbers. The same pins
-/// hold over four shards at one and two threads — where every residual
-/// is a one-request `ShardedService::submit` under the simulator's thread
-/// budget — with `Metrics`, the transport fields of `BatchStats` and the
-/// per-shard accounting bit-identical between the two budgets.
+/// Fixed-window golden pins: three seeds under the lossy fault config
+/// with a window of 4 per lane, pinned down to the attribution split,
+/// the ladder counters and the transport's peaks and latency quantiles.
+/// The values are those the same runs had when the window was a clamped
+/// AIMD band, so timeouts once reached the (inert) shrink step and every
+/// retry once paid the (bottomless) budget. Any change to the lane
+/// dequeue order or the keyed draw discipline moves at least one of
+/// them. The same pins hold at one and two threads over one and four
+/// shards — where every residual is a one-request
+/// `ShardedService::submit` under the simulator's thread budget — with
+/// `Metrics` and the per-shard accounting bit-identical between the two
+/// thread budgets.
 ///
 /// Seeds 41 and 2006 were re-pinned once, when a deferred answer began
 /// to be cached at the point its query was issued from rather than where
@@ -113,67 +164,44 @@ fn tiny_queues_shed_under_burst_arrivals_and_stay_attributed() {
 /// later point had been certifying answers for a place they were not
 /// computed for.
 #[test]
-fn adaptive_goldens_are_pinned_for_three_seeds() {
-    // (seed, queries, single, multi, server, uncertain, shed, retries,
-    //  denied, window_min, window_max, window_final, grows, shrinks)
-    let goldens: [(u64, [u64; 13]); 3] = [
-        (3, [55, 15, 0, 40, 0, 0, 2, 0, 4, 18, 59, 43, 0]),
-        (41, [65, 12, 0, 53, 0, 0, 1, 0, 4, 22, 72, 56, 0]),
-        (2006, [68, 22, 1, 45, 0, 0, 3, 0, 4, 24, 79, 63, 0]),
+fn fixed_window_goldens_are_pinned_for_three_seeds() {
+    let goldens: [(u64, [u64; 15]); 3] = [
+        (
+            3,
+            [55, 15, 0, 40, 0, 0, 0, 0, 2, 0, 45, 3, 8, MS_32, MS_128],
+        ),
+        (
+            41,
+            [65, 12, 0, 53, 0, 0, 0, 0, 1, 0, 57, 3, 14, MS_32, MS_128],
+        ),
+        (
+            2006,
+            [68, 22, 1, 45, 0, 0, 0, 0, 3, 0, 66, 8, 11, MS_32, MS_128],
+        ),
     ];
     for (seed, want) in goldens {
         let mut sharded = Vec::new();
-        for (shards, threads) in [(1, None), (4, Some(1)), (4, Some(2))] {
-            let mut b = SimConfig::new(tiny_params(), seed)
-                .to_builder()
-                .server_shards(shards)
-                .fault(FaultConfig::lossy(5))
-                .transport(TransportPolicy {
-                    control: AdaptivePolicy::default(),
-                    ..TransportPolicy::default()
-                });
-            if let Some(threads) = threads {
-                b = b.threads(threads);
-            }
-            let mut sim = Simulator::new(b.build());
-            let m = sim.run();
-            let s = sim.transport_stats().expect("overlapped mode");
-            let got = [
-                m.queries,
-                m.single_peer,
-                m.multi_peer,
-                m.server,
-                m.accepted_uncertain,
-                m.server_shed,
-                m.server_retries,
-                m.server_retries_denied,
-                s.window_min,
-                s.window_max,
-                s.window_final,
-                s.window_grows,
-                s.window_shrinks,
-            ];
-            let layout = format!("seed {seed} shards {shards} threads {threads:?}");
-            assert_eq!(got, want, "adaptive golden moved at {layout}");
-            if let Some(service) = sim.service_metrics() {
-                let b = sim.batch_stats();
-                let transport = [
-                    b.queue_depth_peak,
-                    b.in_flight_peak,
-                    b.shed_count,
-                    b.latency_p50_ms.to_bits(),
-                    b.latency_p99_ms.to_bits(),
-                    b.window_min,
-                    b.window_max,
-                    b.window_final,
-                    b.retries_denied,
-                ];
-                let per_shard: Vec<[u64; 3]> = service
-                    .shards
-                    .iter()
-                    .map(|s| [s.requests, s.node_accesses, s.skipped])
-                    .collect();
-                sharded.push((m, transport, per_shard));
+        for threads in [1usize, 2] {
+            for shards in [1usize, 4] {
+                let cfg = SimConfig::new(tiny_params(), seed)
+                    .to_builder()
+                    .threads(threads)
+                    .server_shards(shards)
+                    .fault(FaultConfig::lossy(5))
+                    .transport(fixed(4))
+                    .build();
+                let mut sim = Simulator::new(cfg);
+                let got = pinned_row(&mut sim);
+                let layout = format!("seed {seed} threads {threads} shards {shards}");
+                assert_eq!(got, want, "fixed-window golden moved at {layout}");
+                if let Some(service) = sim.service_metrics() {
+                    let per_shard: Vec<[u64; 3]> = service
+                        .shards
+                        .iter()
+                        .map(|s| [s.requests, s.node_accesses, s.skipped])
+                        .collect();
+                    sharded.push((sim.metrics().clone(), per_shard));
+                }
             }
         }
         assert_eq!(sharded.len(), 2);
@@ -183,10 +211,7 @@ fn adaptive_goldens_are_pinned_for_three_seeds() {
 
 /// The default policy — a fixed window of 32 per lane — pinned at seed
 /// 99 under the lossy fault config: the attribution split, the ladder
-/// counters and the transport's window and peak fields. The values are
-/// those of the static window that `AdaptivePolicy::clamped(32)`
-/// replaced, so the controller stays inert at a fixed window and its
-/// budget never denies.
+/// counters and the transport's peak fields.
 #[test]
 fn default_policy_run_is_pinned() {
     let cfg = SimConfig::new(tiny_params(), 99)
@@ -206,8 +231,7 @@ fn default_policy_run_is_pinned() {
         m.accepted_uncertain,
     ];
     assert_eq!(split, [59, 12, 0, 47, 0]);
-    // retries, timeouts, drops, shed, denied, degraded, failed, and the
-    // run-wide denials of `BatchStats`
+    // retries, timeouts, drops, shed, denied, degraded, failed
     let ladder = [
         m.server_retries,
         m.server_timeouts,
@@ -216,63 +240,47 @@ fn default_policy_run_is_pinned() {
         m.server_retries_denied,
         m.server_degraded,
         m.server_failed,
-        sim.batch_stats().retries_denied,
     ];
-    assert_eq!(ladder, [1, 0, 1, 0, 0, 0, 0, 0]);
-    // window min / max / final, grows, shrinks, queue and in-flight peaks
-    let transport = [
-        s.window_min,
-        s.window_max,
-        s.window_final,
-        s.window_grows,
-        s.window_shrinks,
-        s.queue_depth_peak,
-        s.in_flight_peak,
-    ];
-    assert_eq!(transport, [32, 32, 128, 0, 0, 1, 19]);
+    assert_eq!(ladder, [1, 0, 1, 0, 0, 0, 0]);
+    // queue and in-flight peaks
+    assert_eq!([s.queue_depth_peak, s.in_flight_peak], [1, 19]);
 }
 
-/// The adaptive controller keeps the layout-invariance contract under
-/// burst arrivals: metrics, the AIMD window trajectory summary and the
-/// shed/denial counters are bit-identical across 1/2 worker threads ×
-/// 1/3 shards. Every controller decision keys off the virtual clock and
-/// the request id — never off thread or shard structure.
+/// A burst through two-deep queues and a window of 4 per lane sheds, and
+/// the whole row is pinned and bit-identical across 1/2 worker threads ×
+/// 1/4 shards: every transport decision keys off the virtual clock and
+/// the request id, never off thread or shard structure. The values are
+/// those the run had when the window was a clamped AIMD band.
 #[test]
-fn adaptive_windows_are_bit_identical_across_threads_and_shards() {
-    let mut params = tiny_params();
-    params.lambda_query_per_min = 600.0;
-    let mut reference: Option<(Metrics, senn_core::transport::TransportStats)> = None;
+fn fixed_window_burst_is_pinned_across_threads_and_shards() {
+    let want = [
+        1577, 1380, 5, 192, 0, 88, 0, 88, 0, 207, 152, 8, 16, MS_4, MS_32,
+    ];
+    let mut reference: Option<Metrics> = None;
     for threads in [1usize, 2] {
-        for shards in [1usize, 3] {
-            let cfg = SimConfig::new(params, 7)
+        for shards in [1usize, 4] {
+            let cfg = SimConfig::new(burst_params(), 7)
                 .to_builder()
                 .threads(threads)
                 .server_shards(shards)
                 .transport(TransportPolicy {
                     queue_cap: 2,
-                    control: AdaptivePolicy::default(),
-                    ..TransportPolicy::default()
+                    ..fixed(4)
                 })
                 .build();
             let mut sim = Simulator::new(cfg);
-            let m = sim.run();
-            let s = sim.transport_stats().expect("overlapped mode").clone();
-            // The run must actually exercise the controller: sheds shrink
-            // the window, healthy completions grow it back to the cap.
-            assert!(m.server_shed > 0, "burst must shed through 2-deep queues");
-            assert!(s.window_shrinks > 0 && s.window_grows > 0);
+            let got = pinned_row(&mut sim);
+            assert_eq!(
+                got, want,
+                "burst moved at threads={threads} shards={shards}"
+            );
+            let m = sim.metrics().clone();
             match &reference {
-                None => reference = Some((m, s)),
-                Some((rm, rs)) => {
-                    assert_eq!(
-                        &m, rm,
-                        "metrics diverged at threads={threads} shards={shards}"
-                    );
-                    assert_eq!(
-                        &s, rs,
-                        "windows diverged at threads={threads} shards={shards}"
-                    );
-                }
+                None => reference = Some(m),
+                Some(r) => assert_eq!(
+                    &m, r,
+                    "metrics diverged at threads={threads} shards={shards}"
+                ),
             }
         }
     }
