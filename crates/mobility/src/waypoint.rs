@@ -111,6 +111,7 @@ impl WaypointLeg {
 
 /// The random waypoint step over borrowed state: advances `position` along
 /// `leg` by `dt_secs`, pausing and drawing the next destination on arrival.
+/// It tries [`glide`] first.
 pub fn step_leg<R: Rng>(
     config: &WaypointConfig,
     position: &mut Point,
@@ -118,6 +119,9 @@ pub fn step_leg<R: Rng>(
     dt_secs: f64,
     rng: &mut R,
 ) {
+    if glide(config, position, leg, dt_secs) {
+        return;
+    }
     let mut budget = dt_secs;
     while budget > 1e-12 {
         if leg.pause_left > 0.0 {
@@ -144,6 +148,33 @@ pub fn step_leg<R: Rng>(
             budget = 0.0;
         }
     }
+}
+
+/// The common case of [`step_leg`], which it tries first: a mover that is
+/// not paused and stays short of its destination glides `speed · dt` toward
+/// it — the loop's own expression — and draws nothing. Returns `false`,
+/// having changed nothing, when the step may pause, arrive or draw; only
+/// then does a caller need the stream [`step_leg`] takes.
+#[inline]
+pub fn glide(
+    config: &WaypointConfig,
+    position: &mut Point,
+    leg: &WaypointLeg,
+    dt_secs: f64,
+) -> bool {
+    // The loop's own tests, in its own form, so that every input — NaN
+    // included — takes the branch the loop's first pass would.
+    if dt_secs.is_nan() || dt_secs <= 1e-12 || leg.pause_left > 0.0 {
+        return false;
+    }
+    let to_dest = leg.destination - *position;
+    let dist = to_dest.norm();
+    let reach = config.speed_mps * dt_secs;
+    if reach >= dist {
+        return false;
+    }
+    *position = *position + to_dest * (reach / dist);
+    true
 }
 
 fn random_point<R: Rng>(area: Rect, rng: &mut R) -> Point {
@@ -296,6 +327,139 @@ mod tests {
             assert_eq!(format!("{rng_a:?}"), format!("{rng_b:?}"), "step {i}");
         }
         assert!(arrivals > 100, "{arrivals}");
+    }
+
+    /// The step loop as it was before [`glide`] was split out of it, kept
+    /// as the reference the kernel must match bit for bit.
+    fn reference_step(
+        config: &WaypointConfig,
+        position: &mut Point,
+        leg: &mut WaypointLeg,
+        dt_secs: f64,
+        rng: &mut SmallRng,
+    ) {
+        let mut budget = dt_secs;
+        while budget > 1e-12 {
+            if leg.pause_left > 0.0 {
+                let used = leg.pause_left.min(budget);
+                leg.pause_left -= used;
+                budget -= used;
+                continue;
+            }
+            let to_dest = leg.destination - *position;
+            let dist = to_dest.norm();
+            let reach = config.speed_mps * budget;
+            if reach >= dist {
+                *position = leg.destination;
+                budget -= if config.speed_mps > 0.0 {
+                    dist / config.speed_mps
+                } else {
+                    budget
+                };
+                leg.pause_left = rng.gen_range(0.0..=config.max_pause_secs.max(0.0));
+                leg.destination = pick_destination(config, *position, rng);
+            } else {
+                *position = *position + to_dest * (reach / dist);
+                budget = 0.0;
+            }
+        }
+    }
+
+    /// Position, leg and stream bits after one `step_leg` and one
+    /// reference step from the same state, which must be equal.
+    fn step_both(
+        cfg: &WaypointConfig,
+        position: &mut Point,
+        leg: &mut WaypointLeg,
+        dt: f64,
+        rng: &mut SmallRng,
+    ) {
+        let (mut ref_position, mut ref_leg, mut ref_rng) = (*position, *leg, rng.clone());
+        step_leg(cfg, position, leg, dt, rng);
+        reference_step(cfg, &mut ref_position, &mut ref_leg, dt, &mut ref_rng);
+        let bits = |p: Point| (p.x.to_bits(), p.y.to_bits());
+        assert_eq!(bits(*position), bits(ref_position), "dt {dt}");
+        assert_eq!(bits(leg.destination), bits(ref_leg.destination), "dt {dt}");
+        assert_eq!(leg.pause_left.to_bits(), ref_leg.pause_left.to_bits());
+        assert_eq!(format!("{rng:?}"), format!("{ref_rng:?}"), "dt {dt}");
+    }
+
+    /// The glide case at its edges: it takes exactly the steps the loop
+    /// would finish in one glide, leaves everything else untouched, and
+    /// `step_leg` matches the reference loop either way.
+    #[test]
+    fn glide_edges_match_the_reference_loop() {
+        let mut cfg = WaypointConfig::new(area(), 5.0);
+        cfg.max_pause_secs = 10.0;
+        let here = Point::new(100.0, 100.0);
+        // A 3-4-5 leg: 5 m, exactly, from `here`.
+        let there = Point::new(103.0, 104.0);
+        let leg = |destination: Point, pause_left: f64| WaypointLeg {
+            destination,
+            pause_left,
+        };
+        let cases = [
+            // reach == dist exactly: the arrival path, which draws.
+            (leg(there, 0.0), 1.0, false),
+            (leg(there, 0.0), 0.5, true),
+            (leg(there, 0.0), 0.999_999, true),
+            // No time to spend: a no-op.
+            (leg(there, 0.0), 1e-12, false),
+            (leg(there, 0.0), 0.0, false),
+            (leg(there, 0.0), -1.0, false),
+            (leg(there, 0.0), f64::NAN, false),
+            // A pause that ends mid-step, then travel; a pause that does not.
+            (leg(there, 0.4), 1.0, false),
+            (leg(there, 0.4), 0.1, false),
+            (leg(there, 3.0), 1.0, false),
+            // A NaN pause is not a pause, to the loop or to the glide.
+            (leg(there, f64::NAN), 0.5, true),
+            // A zero-length leg arrives at once.
+            (leg(here, 0.0), 1.0, false),
+            (leg(here, 0.0), 1e-13, false),
+        ];
+        for (i, (start, dt, glides)) in cases.into_iter().enumerate() {
+            let mut probe = here;
+            assert_eq!(glide(&cfg, &mut probe, &start, dt), glides, "case {i}");
+            if !glides {
+                assert_eq!(probe, here, "case {i}: a refused glide moved");
+            }
+            let (mut position, mut leg) = (here, start);
+            let mut rng = SmallRng::seed_from_u64(i as u64);
+            step_both(&cfg, &mut position, &mut leg, dt, &mut rng);
+            if glides {
+                assert_eq!(position, probe, "case {i}");
+            }
+        }
+        // The exact-reach case landed on the waypoint and drew a new one.
+        let (mut position, mut exact) = (here, leg(there, 0.0));
+        let mut rng = SmallRng::seed_from_u64(0);
+        step_leg(&cfg, &mut position, &mut exact, 1.0, &mut rng);
+        assert_eq!(position, there);
+        assert_ne!(exact.destination, there);
+    }
+
+    /// A long walk through every kind of step, with arrivals, pauses and
+    /// sub-threshold dts, matches the reference loop bit for bit.
+    #[test]
+    fn step_leg_walks_the_reference_path() {
+        let mut cfg = WaypointConfig::new(area(), 40.0);
+        cfg.max_pause_secs = 5.0;
+        cfg.trip_radius = Some(200.0);
+        let mut rng = SmallRng::seed_from_u64(29);
+        let mut position = Point::new(500.0, 500.0);
+        let mut leg = WaypointLeg::new(&cfg, position, &mut rng);
+        let dts = [1.0, 0.0, 0.25, 1e-13, 7.5, 0.001, 2.0];
+        let (mut arrivals, mut glides) = (0, 0);
+        for i in 0..5000 {
+            let dt = dts[i % dts.len()];
+            let before = leg.destination;
+            let mut probe = position;
+            glides += usize::from(glide(&cfg, &mut probe, &leg, dt));
+            step_both(&cfg, &mut position, &mut leg, dt, &mut rng);
+            arrivals += usize::from(leg.destination != before);
+        }
+        assert!(arrivals > 100 && glides > 1000, "{arrivals} {glides}");
     }
 
     #[test]

@@ -28,6 +28,13 @@
 //! length alone; the table is never iterated, so its order cannot reach a
 //! result.
 //!
+//! **Inline edits move no memory in bulk.** An insert into an inline list
+//! is one insertion-sort step, a remove a scan then a fixed-length shift
+//! loop: a few compares and stores inside the 28-byte array, with no
+//! `binary_search` and no `memmove`. Both keep their release-build
+//! invariant checks (a removed host must be listed, an inserted one must
+//! not be), and `build` inserts through the same kernel.
+//!
 //! **Cell assignment truncates**: `(x * inv_cell) as isize`, then a clamp
 //! to `[0, cols - 1]`. `as` rounds toward zero, saturates and maps NaN to
 //! 0; it differs from `floor` only on negative non-integers, where both
@@ -68,7 +75,7 @@ pub struct HostGrid {
     cell: f64,
     /// `1.0 / cell`, precomputed: cell assignment multiplies instead of
     /// dividing, and every path (build, `apply_move`, lookups) uses the
-    /// same [`HostGrid::cell_of`], so assignments stay mutually
+    /// same `CrossingProbe::cell_of`, so assignments stay mutually
     /// consistent.
     inv_cell: f64,
     cols: usize,
@@ -101,7 +108,7 @@ impl HostGrid {
             host_cells: Vec::with_capacity(positions.len()),
         };
         for (i, p) in positions.iter().enumerate() {
-            let idx = grid.flat_cell(*p);
+            let idx = grid.probe().flat_cell(*p);
             grid.insert_into_cell(i as u32, idx);
             grid.host_cells.push(idx);
         }
@@ -118,17 +125,17 @@ impl HostGrid {
         self.host_cells.is_empty()
     }
 
-    /// Cell coordinates of `p`, clamped (module docs: truncation is floor).
-    fn cell_of(&self, p: Point) -> (usize, usize) {
-        let axis = |d: f64, n: usize| ((d * self.inv_cell) as isize).clamp(0, n as isize - 1);
-        let cx = axis(p.x - self.bounds.min.x, self.cols);
-        let cy = axis(p.y - self.bounds.min.y, self.rows);
-        (cx as usize, cy as usize)
-    }
-
-    fn flat_cell(&self, p: Point) -> u32 {
-        let (cx, cy) = self.cell_of(p);
-        (cy * self.cols + cx) as u32
+    /// Cell assignment and the crossing check, with the grid's constants
+    /// copied out once: a sweep takes one for all its movers.
+    pub(crate) fn probe(&self) -> CrossingProbe<'_> {
+        CrossingProbe {
+            min: self.bounds.min,
+            inv_cell: self.inv_cell,
+            last_col: self.cols as isize - 1,
+            last_row: self.rows as isize - 1,
+            cols: self.cols,
+            host_cells: &self.host_cells,
+        }
     }
 
     /// The ascending id list of cell `idx`.
@@ -147,8 +154,20 @@ impl HostGrid {
         let len = cell.len as usize;
         cell.len -= 1;
         if len <= INLINE_IDS {
-            let at = cell.ids[..len].binary_search(&host).expect(LISTED);
-            cell.ids.copy_within(at + 1..len, at);
+            let ids = &mut cell.ids;
+            let mut at = 0;
+            while at < len && ids[at] < host {
+                at += 1;
+            }
+            assert!(at < len && ids[at] == host, "{LISTED}");
+            // Every slot from `at` takes its successor's id: a fixed-length
+            // loop, so no `memmove`. The last slot keeps a stale id that
+            // `len` hides.
+            for k in 0..INLINE_IDS - 1 {
+                if k >= at {
+                    ids[k] = ids[k + 1];
+                }
+            }
             return;
         }
         let list = self
@@ -170,9 +189,16 @@ impl HostGrid {
         let len = cell.len as usize;
         cell.len += 1;
         if len < INLINE_IDS {
-            let at = cell.ids[..len].binary_search(&host).expect_err(ONCE);
-            cell.ids.copy_within(at..len, at + 1);
-            cell.ids[at] = host;
+            // One insertion-sort step: larger ids move up a slot until
+            // `host`'s place is free.
+            let ids = &mut cell.ids;
+            let mut at = len;
+            while at > 0 && ids[at - 1] > host {
+                ids[at] = ids[at - 1];
+                at -= 1;
+            }
+            assert!(at == 0 || ids[at - 1] != host, "{ONCE}");
+            ids[at] = host;
             return;
         }
         // A full inline list moves out whole on its first spill.
@@ -205,8 +231,7 @@ impl HostGrid {
     /// would record `host` at `new_pos`, or `None` when it is still in its
     /// recorded cell. Nothing changes until the move is committed.
     pub fn crossing(&self, host: u32, new_pos: Point) -> Option<CellMove> {
-        let cell = self.flat_cell(new_pos);
-        (self.host_cells[host as usize] != cell).then_some(CellMove { host, cell })
+        self.probe().crossing(host, new_pos)
     }
 
     /// Applies staged crossings in order, each exactly as
@@ -262,7 +287,7 @@ impl HostGrid {
         // query's clamped index, so a ring in clamped coordinates still
         // covers every candidate within `radius`.
         let reach = (radius / self.cell).ceil() as isize;
-        let (cx, cy) = self.cell_of(p);
+        let (cx, cy) = self.probe().cell_of(p);
         for dy in -reach..=reach {
             let y = cy as isize + dy;
             if y < 0 || y >= self.rows as isize {
@@ -283,11 +308,47 @@ impl HostGrid {
     }
 }
 
+/// A read-only view of the grid's cell assignment and recorded cells, its
+/// constants held by value: the one place a position becomes a cell.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CrossingProbe<'a> {
+    min: Point,
+    inv_cell: f64,
+    last_col: isize,
+    last_row: isize,
+    cols: usize,
+    host_cells: &'a [u32],
+}
+
+impl CrossingProbe<'_> {
+    /// Cell coordinates of `p`, clamped (module docs: truncation is floor).
+    #[inline]
+    fn cell_of(&self, p: Point) -> (usize, usize) {
+        let axis = |d: f64, last: isize| ((d * self.inv_cell) as isize).clamp(0, last);
+        let cx = axis(p.x - self.min.x, self.last_col);
+        let cy = axis(p.y - self.min.y, self.last_row);
+        (cx as usize, cy as usize)
+    }
+
+    #[inline]
+    fn flat_cell(&self, p: Point) -> u32 {
+        let (cx, cy) = self.cell_of(p);
+        (cy * self.cols + cx) as u32
+    }
+
+    /// [`HostGrid::crossing`].
+    #[inline]
+    pub(crate) fn crossing(&self, host: u32, new_pos: Point) -> Option<CellMove> {
+        let cell = self.flat_cell(new_pos);
+        (self.host_cells[host as usize] != cell).then_some(CellMove { host, cell })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::{BTreeSet, HashSet};
 
     #[test]
     fn grid_matches_linear_scan() {
@@ -734,6 +795,75 @@ mod tests {
         assert_equivalent(&grid, &positions, bounds, 10.0);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The cell-edit kernel against a model set: random inserts and
+        /// removes of hosts 0..20 on one cell, in four phases of 40 edits
+        /// that lean to inserting, removing, inserting, removing — so the
+        /// list grows past `INLINE_IDS` and shrinks back, twice. After every
+        /// edit the list is the model's ids ascending, its length is the
+        /// model's, and it is spilled exactly when it is longer than
+        /// `INLINE_IDS`.
+        #[test]
+        fn cell_edits_match_a_set_model(
+            draws in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64), 160),
+        ) {
+            let bounds = Rect::new(Point::ORIGIN, Point::new(10.0, 10.0));
+            let mut grid = HostGrid::build(bounds, 100.0, &[]);
+            let mut model = BTreeSet::new();
+            let (mut ups, mut downs) = (0, 0);
+            for (i, &(op, pick)) in draws.iter().enumerate() {
+                let grow = if (i / 40) % 2 == 0 { 0.8 } else { 0.2 };
+                let absent: Vec<u32> = (0..20).filter(|h| !model.contains(h)).collect();
+                let before = model.len();
+                if model.is_empty() || (op < grow && !absent.is_empty()) {
+                    let host = absent[(pick * absent.len() as f64) as usize];
+                    grid.insert_into_cell(host, 0);
+                    model.insert(host);
+                } else {
+                    let host = *model.iter().nth((pick * before as f64) as usize).unwrap();
+                    grid.remove_from_cell(host, 0);
+                    model.remove(&host);
+                }
+                let listed: Vec<u32> = model.iter().copied().collect();
+                prop_assert_eq!(grid.ids(0), &listed[..]);
+                prop_assert_eq!(grid.cells[0].len as usize, model.len());
+                prop_assert_eq!(grid.spill.contains_key(&0), model.len() > INLINE_IDS);
+                ups += usize::from(before == INLINE_IDS && model.len() > INLINE_IDS);
+                downs += usize::from(before > INLINE_IDS && model.len() == INLINE_IDS);
+            }
+            prop_assert!(ups >= 1 && downs >= 1, "up {ups}, down {downs}");
+        }
+    }
+
+    /// A cell listing hosts 2, 4 and 6, inline.
+    fn three_listed() -> HostGrid {
+        let bounds = Rect::new(Point::ORIGIN, Point::new(10.0, 10.0));
+        let mut grid = HostGrid::build(bounds, 100.0, &[]);
+        for host in [4, 2, 6] {
+            grid.insert_into_cell(host, 0);
+        }
+        assert_eq!(grid.ids(0), [2, 4, 6]);
+        grid
+    }
+
+    /// The inline kernel keeps the release-build check: removing a host
+    /// its cell does not list panics.
+    #[test]
+    #[should_panic(expected = "grid invariant: host listed in its recorded cell")]
+    fn removing_an_unlisted_host_panics() {
+        three_listed().remove_from_cell(5, 0);
+    }
+
+    /// The inline kernel keeps the release-build check: inserting a host
+    /// its cell already lists panics.
+    #[test]
+    #[should_panic(expected = "grid invariant: host tracked at most once")]
+    fn inserting_a_listed_host_panics() {
+        three_listed().insert_into_cell(4, 0);
+    }
+
     /// Truncation then clamp is floor then clamp, for every input the
     /// clamp's floor of 0 can meet: the old expression is kept here.
     #[test]
@@ -780,7 +910,11 @@ mod tests {
             for &x in &coords {
                 for &y in &coords {
                     let p = Point::new(x, y);
-                    assert_eq!(grid.cell_of(p), floor_then_clamp(&grid, p), "{p:?} {cell}");
+                    assert_eq!(
+                        grid.probe().cell_of(p),
+                        floor_then_clamp(&grid, p),
+                        "{p:?} {cell}"
+                    );
                 }
             }
         }

@@ -8,9 +8,10 @@
 //!
 //! * **step** — walk the store's mover column (`store.rs`) in mover
 //!   order, one loop per movement mode picked once per sweep: the model's
-//!   one step kernel, then the read-only
-//!   [`HostGrid::crossing`](crate::grid::HostGrid::crossing) check,
-//!   which stages the host's new cell if it left its recorded one;
+//!   one step kernel, then the read-only crossing check (the grid's
+//!   constants copied out once per sweep, as
+//!   [`HostGrid::crossing`](crate::grid::HostGrid::crossing) computes
+//!   it), which stages the host's new cell if it left its recorded one;
 //! * **commit** — apply the interval's staged crossings in one
 //!   [`HostGrid::commit`](crate::grid::HostGrid::commit).
 //!
@@ -19,15 +20,26 @@
 //! order the sweep visits hosts in. So the commit makes the edits
 //! per-host `apply_move` calls inside the sweep would make, in the same
 //! order, and the grid after every interval is the same either way.
-//! Paused movers take the same path; skipping them measured nothing
-//! (EXPERIMENTS.md, "dense mover columns, inline grid cells").
+//!
+//! A step costs what it changes. A free mover first tries
+//! [`glide`](senn_mobility::glide), the kernel's common case (not
+//! paused, and short of its waypoint: it moves and draws nothing); only
+//! when that refuses is the host's stream handle built and
+//! [`step_leg`](senn_mobility::step_leg) run, which tries the same case
+//! first, so the step is the one kernel either way. A road mover keeps
+//! its current segment resident (`senn_mobility::road`), so a step along
+//! it reads neither the route nor the network.
+//! Paused movers take the same path as moving ones: a pause is one of
+//! the cases `glide` refuses, and skipping paused movers outright
+//! measured nothing (EXPERIMENTS.md, "dense mover columns, inline grid
+//! cells").
 
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use senn_mobility::step_leg;
+use senn_mobility::{glide, step_leg};
 
 use crate::simulator::Simulator;
 use crate::store::MoverColumn;
@@ -61,22 +73,21 @@ impl Simulator {
         crossings.clear();
         match mobility {
             MoverColumn::Free { config, legs } => {
+                let probe = grid.probe();
                 for (leg, &host) in legs.iter_mut().zip(movers) {
-                    let i = host as usize;
-                    step_leg(config, &mut positions[i], leg, dt, &mut streams.host(host));
-                    if let Some(crossed) = grid.crossing(host, positions[i]) {
-                        crossings.push(crossed);
+                    let position = &mut positions[host as usize];
+                    if !glide(config, position, leg, dt) {
+                        step_leg(config, position, leg, dt, &mut streams.host(host));
                     }
+                    crossings.extend(probe.crossing(host, *position));
                 }
             }
             MoverColumn::Road(road) => {
+                let probe = grid.probe();
                 for (mover, &host) in road.iter_mut().zip(movers) {
-                    let i = host as usize;
                     mover.step(network, dt, &mut streams.host(host));
-                    positions[i] = mover.position();
-                    if let Some(crossed) = grid.crossing(host, positions[i]) {
-                        crossings.push(crossed);
-                    }
+                    positions[host as usize] = mover.position();
+                    crossings.extend(probe.crossing(host, mover.position()));
                 }
             }
         }
