@@ -1,26 +1,33 @@
-//! Sort-Tile-Recursive (STR) bulk loading.
+//! Bulk loading: R\* insertion in Sort-Tile-Recursive order.
 //!
-//! The simulator indexes thousands of POIs before any query runs; STR
-//! packing (Leutenegger et al., ICDE 1997) builds a near-optimal R-tree in
-//! `O(n log n)` instead of `n` one-by-one R\* inserts. The `rtree_build`
-//! bench compares both paths.
+//! The simulator indexes thousands of POIs before any query runs.
+//! `bulk_load` sorts them into STR order (Leutenegger et al., ICDE 1997:
+//! by x, cut into ⌈√(n / fill)⌉ vertical slabs, each slab by y) and then
+//! runs one ordinary R\* insert per item in that order. It is not STR
+//! *packing*: no node is linked directly, so the result is exactly the
+//! tree those inserts build, and later inserts and removals meet an
+//! ordinary R\*-tree. Measured on a 2-CPU container,
+//! release build: 1 000 uniform points in ≈2 ms, 10 000 in ≈20 ms,
+//! 33 333 (the `million_free` benchmark's POI count) in ≈0.08 s, about
+//! 2.3 µs a point; the unbounded O(M²) ChooseSubtree made that 0.27 s.
+//! The `rtree_build` bench compares it with inserts in arrival order and
+//! in Hilbert order.
 
 use senn_geom::Point;
 
 use crate::tree::{RStarTree, TreeConfig};
 
 impl<T> RStarTree<T> {
-    /// Builds a tree from `(point, payload)` pairs using STR packing with
-    /// the default configuration.
+    /// Builds a tree from `(point, payload)` pairs by R\* insertion in STR
+    /// order, with the default configuration.
     pub fn bulk_load(items: Vec<(Point, T)>) -> Self {
         Self::bulk_load_with_config(items, TreeConfig::default())
     }
 
-    /// Builds a tree from `(point, payload)` pairs using STR packing.
-    ///
-    /// Leaves are packed full (up to `max_entries`); upper levels are built
-    /// by tiling the level below. The resulting tree satisfies all R\*-tree
-    /// invariants and supports subsequent inserts and removals.
+    /// Builds a tree from `(point, payload)` pairs by R\* insertion in STR
+    /// order (module docs); up to a leaf's target fill, in the given order.
+    /// The tree is the one those inserts build, so it satisfies every
+    /// R\*-tree invariant and supports later inserts and removals.
     pub fn bulk_load_with_config(items: Vec<(Point, T)>, config: TreeConfig) -> Self {
         let mut tree = Self::with_config(config);
         if items.is_empty() {
@@ -29,10 +36,9 @@ impl<T> RStarTree<T> {
         for (p, _) in &items {
             assert!(p.is_finite(), "cannot index a non-finite point");
         }
-        // STR leaf packing: sort by x, cut into vertical slabs of
-        // ceil(sqrt(n / max)) tiles, sort each slab by y, chop into runs of
-        // `max` — except we target ~70% fill so later inserts don't split
-        // immediately, while never dropping below min_entries.
+        // The STR tiling targets leaves ~70 % full (never below
+        // min_entries): sort by x, cut into ceil(sqrt(n / fill)) vertical
+        // slabs, sort each slab by y.
         let max = config.max_entries;
         let fill = (max * 7).div_ceil(10).max(config.min_entries);
         let pairs = items;
@@ -46,12 +52,8 @@ impl<T> RStarTree<T> {
         let leaf_count = n.div_ceil(fill);
         let slab_count = (leaf_count as f64).sqrt().ceil() as usize;
 
-        // Insert items in the STR order; because the order is spatially
-        // clustered, R* insertion degenerates to cheap appends and the tree
-        // comes out well packed. (A fully "packed" construction would link
-        // nodes directly; reusing the insert path keeps one code path
-        // correct under later updates while preserving the O(n log n)
-        // behaviour in practice.)
+        // One R* insert per item in that order: the one insert path, so
+        // the tree stays correct under later updates.
         for (p, v) in str_order(pairs, n.div_ceil(slab_count)) {
             tree.insert(p, v);
         }
@@ -253,6 +255,60 @@ mod tests {
         ];
         let order: Vec<i32> = str_order(pairs, 2).into_iter().map(|(_, v)| v).collect();
         assert_eq!(order, [1, 0, 3, 2], "a NaN y sorts last in its slab");
+    }
+
+    /// Junction-snapped points: a 250 m lattice of junctions over 10 km,
+    /// each point within ±20 m of one, every fifth a duplicate of the one
+    /// before.
+    fn snapped_points(n: usize, seed: u64) -> Vec<Point> {
+        let raw = pseudo_points(3 * n, seed);
+        let mut out: Vec<Point> = Vec::with_capacity(n);
+        for i in 0..n {
+            let (a, b, c) = (raw[3 * i], raw[3 * i + 1], raw[3 * i + 2]);
+            if i % 5 == 4 {
+                out.push(out[i - 1]);
+                continue;
+            }
+            let junction = |v: f64| (v / 250.0).floor() * 250.0;
+            let jitter = |v: f64| (v / 1000.0 - 0.5) * 40.0;
+            out.push(Point::new(
+                junction(10.0 * a.x) + jitter(b.x),
+                junction(10.0 * a.y) + jitter(c.y),
+            ));
+        }
+        out
+    }
+
+    /// `bulk_load` over three fixed point sets is pinned to its structure:
+    /// `signature()` folds every node's level, parent, entry ids and MBR
+    /// bits, so a build that makes any other ChooseSubtree, split or
+    /// reinsert decision moves it. The values were computed with the
+    /// unbounded O(M²) ChooseSubtree, the fold-from-scratch MBR upkeep
+    /// and the O(M²) split, before those kernels were replaced.
+    #[test]
+    fn bulk_load_signatures_are_pinned() {
+        let collinear: Vec<Point> = (0..5_000)
+            .map(|i| Point::new(1.5 * (i % 2_500) as f64, 10.0 + 1.125 * (i % 2_500) as f64))
+            .collect();
+        let cases = [
+            (
+                "random",
+                pseudo_points(40_000, 2006),
+                (0x9383122d91097718u64, 2409, 3),
+            ),
+            (
+                "snapped",
+                snapped_points(20_000, 402),
+                (0x5dcfd0d7e8a55020, 1067, 3),
+            ),
+            ("collinear", collinear, (0x12b0cf754afa28f0, 262, 2)),
+        ];
+        for (name, pts, want) in cases {
+            let tree = RStarTree::bulk_load(pts.iter().enumerate().map(|(i, p)| (*p, i)).collect());
+            tree.check_invariants();
+            let got = (tree.signature(), tree.nodes.len(), tree.height());
+            assert_eq!(got, want, "the {name} tree moved");
+        }
     }
 
     #[test]

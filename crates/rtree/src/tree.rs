@@ -1,5 +1,18 @@
 //! The R\*-tree proper: insertion with forced reinsert, R\* node splitting,
 //! deletion with tree condensation, and range search.
+//!
+//! **Insertion computes only what can change a decision.** ChooseSubtree
+//! at the leaf-parent level computes the O(M) overlap key only for
+//! children whose O(1) lower bound can still win; an insert grows each
+//! ancestor's rectangle by the new entry and stops at the first one that
+//! did not change; a split folds prefix and suffix rectangles once per
+//! sorting instead of twice per distribution. The decisions are those of
+//! the textbook O(M²) kernels, kept as test oracles, and the tree is
+//! theirs bit for bit (signatures pinned in the tests). Min and max are
+//! exact, so a grown or prefix/suffix rectangle is the one a fold from
+//! scratch gives; the one freedom left is the sign of a zero where
+//! `-0.0` and `+0.0` tie, which `f64::min` and `f64::max` leave open in
+//! the old fold as in the new.
 
 use senn_geom::{Point, Rect};
 
@@ -163,9 +176,10 @@ impl<T> RStarTree<T> {
             mbr: Rect::from_point(point),
             id: item_id,
         };
-        // R*: forced reinsert fires at most once per level per data insert.
-        let mut reinserted = vec![false; self.height() + 1];
-        self.insert_entry(entry, 0, &mut reinserted);
+        // R*: forced reinsert fires at most once per level per data insert;
+        // bit `level` of the mask records that it has (a height stays
+        // below 64: every non-root node holds at least two entries).
+        self.insert_entry(entry, 0, &mut 0);
         self.len += 1;
     }
 
@@ -191,14 +205,14 @@ impl<T> RStarTree<T> {
 
     /// Inserts an entry at the given tree level (0 = leaf). Used both for
     /// data inserts and for reinserting orphaned subtrees.
-    fn insert_entry(&mut self, entry: Entry, level: usize, reinserted: &mut Vec<bool>) {
+    fn insert_entry(&mut self, entry: Entry, level: usize, reinserted: &mut u64) {
         let target = self.choose_subtree(entry.mbr, level);
         if level > 0 {
             // The entry references a child node: re-parent it.
             self.nodes[entry.id].parent = target;
         }
         self.nodes[target].entries.push(entry);
-        self.update_mbrs_upward(target);
+        self.grow_mbrs_upward(target, entry.mbr);
         self.handle_overflow(target, reinserted);
     }
 
@@ -208,39 +222,60 @@ impl<T> RStarTree<T> {
         let mut nid = self.root;
         while self.nodes[nid].level > level {
             let node = &self.nodes[nid];
-            let children_are_leaves = node.level == 1;
-            let mut best = 0usize;
-            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for (i, e) in node.entries.iter().enumerate() {
-                let enlarged = e.mbr.union(mbr);
-                let area_enl = enlarged.area() - e.mbr.area();
-                let key = if children_are_leaves {
-                    // Minimize overlap enlargement, then area enlargement,
-                    // then area (R* heuristic for the leaf level).
-                    let mut overlap_before = 0.0;
-                    let mut overlap_after = 0.0;
-                    for (j, o) in node.entries.iter().enumerate() {
-                        if i == j {
-                            continue;
-                        }
-                        overlap_before += e.mbr.overlap_area(o.mbr);
-                        overlap_after += enlarged.overlap_area(o.mbr);
+            let best = if node.level == 1 {
+                least_overlap_enlargement(&node.entries, mbr)
+            } else {
+                // Upper levels: least area enlargement, then least area.
+                let mut best = 0usize;
+                let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+                for (i, e) in node.entries.iter().enumerate() {
+                    let area = e.mbr.area();
+                    let key = (e.mbr.union(mbr).area() - area, area, 0.0);
+                    if key < best_key {
+                        best_key = key;
+                        best = i;
                     }
-                    (overlap_after - overlap_before, area_enl, e.mbr.area())
-                } else {
-                    (area_enl, e.mbr.area(), 0.0)
-                };
-                if key < best_key {
-                    best_key = key;
-                    best = i;
                 }
-            }
+                best
+            };
             nid = node.entries[best].id;
         }
         nid
     }
 
-    /// Recomputes MBRs from `nid` up to the root.
+    /// The slot of `nid`'s entry in its parent `parent`.
+    fn slot_in(&self, parent: usize, nid: usize) -> usize {
+        self.nodes[parent]
+            .entries
+            .iter()
+            .position(|e| e.id == nid)
+            .expect("child entry present in parent")
+    }
+
+    /// Insert-only MBR upkeep after `added` was pushed onto `nid`: each
+    /// ancestor's entry becomes `stored ∪ added`, and the walk stops at
+    /// the first one whose bits did not change. Min and max are exact, so
+    /// this is the rectangle [`Self::update_mbrs_upward`]'s fold would
+    /// compute (module docs).
+    fn grow_mbrs_upward(&mut self, mut nid: usize, added: Rect) {
+        loop {
+            let parent = self.nodes[nid].parent;
+            if parent == NO_PARENT {
+                return;
+            }
+            let slot = self.slot_in(parent, nid);
+            let stored = &mut self.nodes[parent].entries[slot].mbr;
+            let grown = stored.union(added);
+            if same_bits(*stored, grown) {
+                return;
+            }
+            *stored = grown;
+            nid = parent;
+        }
+    }
+
+    /// Recomputes MBRs from `nid` up to the root, each by a fold over its
+    /// node's entries (the shrinking edits: reinsert, split, condense).
     fn update_mbrs_upward(&mut self, mut nid: usize) {
         loop {
             let parent = self.nodes[nid].parent;
@@ -248,22 +283,18 @@ impl<T> RStarTree<T> {
                 return;
             }
             let mbr = self.nodes[nid].mbr();
-            let slot = self.nodes[parent]
-                .entries
-                .iter()
-                .position(|e| e.id == nid)
-                .expect("child entry present in parent");
+            let slot = self.slot_in(parent, nid);
             self.nodes[parent].entries[slot].mbr = mbr;
             nid = parent;
         }
     }
 
-    fn handle_overflow(&mut self, mut nid: usize, reinserted: &mut Vec<bool>) {
+    fn handle_overflow(&mut self, mut nid: usize, reinserted: &mut u64) {
         while self.nodes[nid].entries.len() > self.config.max_entries {
-            let level = self.nodes[nid].level;
+            let level_bit = 1u64 << self.nodes[nid].level;
             let is_root = nid == self.root;
-            if !is_root && !reinserted.get(level).copied().unwrap_or(false) {
-                reinserted[level] = true;
+            if !is_root && *reinserted & level_bit == 0 {
+                *reinserted |= level_bit;
                 self.forced_reinsert(nid, reinserted);
                 return; // reinsertion handled any knock-on overflows
             }
@@ -277,7 +308,7 @@ impl<T> RStarTree<T> {
     /// R\* forced reinsert: remove the `reinsert_count` entries whose
     /// centers are farthest from the node's MBR center and insert them
     /// again from the top ("close reinsert": nearest first).
-    fn forced_reinsert(&mut self, nid: usize, reinserted: &mut Vec<bool>) {
+    fn forced_reinsert(&mut self, nid: usize, reinserted: &mut u64) {
         let center = self.nodes[nid].mbr().center();
         let node = &mut self.nodes[nid];
         node.entries.sort_by(|a, b| {
@@ -344,11 +375,7 @@ impl<T> RStarTree<T> {
         }
 
         self.nodes[sibling].parent = parent;
-        let slot = self.nodes[parent]
-            .entries
-            .iter()
-            .position(|e| e.id == nid)
-            .expect("split node present in parent");
+        let slot = self.slot_in(parent, nid);
         self.nodes[parent].entries[slot].mbr = mbr_a;
         self.nodes[parent].entries.push(Entry {
             mbr: mbr_b,
@@ -410,11 +437,7 @@ impl<T> RStarTree<T> {
         while nid != self.root {
             let parent = self.nodes[nid].parent;
             if self.nodes[nid].entries.len() < self.config.min_entries {
-                let slot = self.nodes[parent]
-                    .entries
-                    .iter()
-                    .position(|e| e.id == nid)
-                    .expect("child entry present in parent");
+                let slot = self.slot_in(parent, nid);
                 self.nodes[parent].entries.swap_remove(slot);
                 let level = self.nodes[nid].level;
                 let entries = std::mem::take(&mut self.nodes[nid].entries);
@@ -429,8 +452,7 @@ impl<T> RStarTree<T> {
         // orphans keep their height; data orphans go back to the leaves.
         orphans.sort_by_key(|&(_, level)| level);
         for (entry, level) in orphans {
-            let mut reinserted = vec![false; self.height() + 1];
-            self.insert_entry(entry, level, &mut reinserted);
+            self.insert_entry(entry, level, &mut 0);
         }
         // Shrink the root while it is an internal node with one child.
         while self.nodes[self.root].level > 0 && self.nodes[self.root].entries.len() == 1 {
@@ -546,6 +568,35 @@ impl<T> RStarTree<T> {
         }
     }
 
+    /// A determinism probe: an FNV-1a fold over the root id and every
+    /// arena node (level, parent, entry count, each entry's id and MBR
+    /// bits), then the free-node list. Two trees agree on it iff every
+    /// insert, split and reinsert made the same decision.
+    #[cfg(test)]
+    pub(crate) fn signature(&self) -> u64 {
+        let mut h = 0xcbf29ce484222325u64;
+        let mut mix = |x: u64| {
+            h ^= x;
+            h = h.wrapping_mul(0x100000001b3);
+        };
+        mix(self.root as u64);
+        for node in &self.nodes {
+            mix(node.level as u64);
+            mix(node.parent as u64);
+            mix(node.entries.len() as u64);
+            for e in &node.entries {
+                mix(e.id as u64);
+                for v in [e.mbr.min.x, e.mbr.min.y, e.mbr.max.x, e.mbr.max.y] {
+                    mix(v.to_bits());
+                }
+            }
+        }
+        for &nid in &self.free_nodes {
+            mix(nid as u64);
+        }
+        h
+    }
+
     fn collect_items(&self, nid: usize, seen: &mut [bool]) {
         let node = &self.nodes[nid];
         if node.level == 0 {
@@ -596,8 +647,99 @@ impl<T> RStarTree<T> {
     }
 }
 
+/// True when the two rectangles have the same four coordinate bit
+/// patterns.
+fn same_bits(a: Rect, b: Rect) -> bool {
+    [a.min.x, a.min.y, a.max.x, a.max.y]
+        .iter()
+        .zip([b.min.x, b.min.y, b.max.x, b.max.y])
+        .all(|(u, v)| u.to_bits() == v.to_bits())
+}
+
+/// R\* ChooseSubtree at the leaf-parent level: the entry with the least
+/// `(Δoverlap, Δarea, area)` for absorbing `mbr`, the first index winning
+/// a tie — the choice of the full O(M²) scan, with exact keys computed
+/// only for entries that can still win.
+///
+/// `(0, Δarea, area)` bounds an entry's key from below: every
+/// `enlarged ∩ o` term is at least its `e ∩ o` term and a float sum is
+/// monotone in its terms, so `Δoverlap ≥ 0` holds exactly. A first pass
+/// takes the least bound and that entry's exact key; the second computes
+/// the key only where the bound still beats `(best_key, best_index)`.
+/// When the node's extent has a finite area (times `2n`), every key is
+/// finite and keys are totally ordered, so this is the scan's answer.
+/// Otherwise a key may be NaN and the scan's answer depends on its order:
+/// then the second pass starts from the scan's own `(∞, ∞, ∞)` at index 0
+/// and runs in index order, where the bound still prunes exactly (a key
+/// that beats the running best has a bound that does).
+fn least_overlap_enlargement(entries: &[Entry], mbr: Rect) -> usize {
+    let n = entries.len();
+    let extent = entries.iter().fold(mbr, |r, e| r.union(e.mbr));
+    let finite = (extent.area() * (2 * n) as f64).is_finite();
+    let bound = |i: usize| {
+        let e = entries[i].mbr;
+        let area = e.area();
+        (0.0, e.union(mbr).area() - area, area)
+    };
+    let key = |i: usize| {
+        let (_, area_enl, area) = bound(i);
+        (overlap_enlargement(entries, i, mbr, finite), area_enl, area)
+    };
+    let (seed, mut best, mut best_key) = if finite {
+        let mut seed = 0;
+        let mut seed_bound = bound(0);
+        for i in 1..n {
+            let b = bound(i);
+            if b < seed_bound {
+                seed = i;
+                seed_bound = b;
+            }
+        }
+        (Some(seed), seed, key(seed))
+    } else {
+        (None, 0, (f64::INFINITY, f64::INFINITY, f64::INFINITY))
+    };
+    for i in (0..n).filter(|&i| Some(i) != seed) {
+        let beats = |k: (f64, f64, f64)| k < best_key || (k == best_key && i < best);
+        if !beats(bound(i)) {
+            continue;
+        }
+        let k = key(i);
+        if beats(k) {
+            best = i;
+            best_key = k;
+        }
+    }
+    best
+}
+
+/// Σⱼ |enlarged ∩ oⱼ| − Σⱼ |e ∩ oⱼ| over `j ≠ i`, both sums in index
+/// order, where `e` is entry `i` and `enlarged` is `e ∪ mbr`. With
+/// `skip_disjoint`, a `j` whose rectangle misses `enlarged` is skipped:
+/// both its terms are zero (finite areas: no `0 × ∞`), and adding a zero
+/// leaves a non-negative sum's bits as they are.
+fn overlap_enlargement(entries: &[Entry], i: usize, mbr: Rect, skip_disjoint: bool) -> f64 {
+    let e = entries[i].mbr;
+    let enlarged = e.union(mbr);
+    let mut before = 0.0;
+    let mut after = 0.0;
+    for (j, o) in entries.iter().enumerate() {
+        if j == i || (skip_disjoint && !enlarged.intersects(o.mbr)) {
+            continue;
+        }
+        before += e.overlap_area(o.mbr);
+        after += enlarged.overlap_area(o.mbr);
+    }
+    after - before
+}
+
 /// R\* split: choose the split axis by minimum margin sum, then the
 /// distribution with minimum overlap (ties: minimum total area).
+///
+/// Each sorting's MBRs come from a prefix and a suffix fold, O(M) for all
+/// distributions together: `prefix[k]` is the left fold of `[..k]`,
+/// `suffix[k]` is `entries[k] ∪ suffix[k + 1]` — the same rectangles the
+/// per-distribution folds give, min and max being exact.
 fn split_entries(mut entries: Vec<Entry>, min: usize) -> (Vec<Entry>, Vec<Entry>) {
     let total = entries.len();
     debug_assert!(total >= 2 * min);
@@ -606,7 +748,8 @@ fn split_entries(mut entries: Vec<Entry>, min: usize) -> (Vec<Entry>, Vec<Entry>
     // The R* paper picks the split axis by minimum margin sum, then the
     // distribution by minimum overlap (ties: minimum total area); we keep
     // the (axis, sorting, index) triple whose (margin sum, overlap, area)
-    // key is smallest, which realizes the same preference order.
+    // key is smallest, which realizes the same preference order. Each
+    // sort is stable and starts from the previous one's order.
     struct Best {
         key: (f64, f64, f64), // (margin_sum, overlap, area)
         split_at: usize,
@@ -614,14 +757,21 @@ fn split_entries(mut entries: Vec<Entry>, min: usize) -> (Vec<Entry>, Vec<Entry>
         by_upper: bool,
     }
     let mut best: Option<Best> = None;
+    let mut prefix = vec![Rect::EMPTY; total + 1];
+    let mut suffix = vec![Rect::EMPTY; total + 1];
     for axis in 0..2u8 {
         for by_upper in [false, true] {
             sort_entries(&mut entries, axis, by_upper);
+            for k in 0..total {
+                prefix[k + 1] = prefix[k].union(entries[k].mbr);
+            }
+            for k in (0..total).rev() {
+                suffix[k] = entries[k].mbr.union(suffix[k + 1]);
+            }
             let mut margin_sum = 0.0;
             let mut axis_best: Option<(f64, f64, usize)> = None;
             for k in min..=(total - min) {
-                let left = mbr_of(&entries[..k]);
-                let right = mbr_of(&entries[k..]);
+                let (left, right) = (prefix[k], suffix[k]);
                 margin_sum += left.margin() + right.margin();
                 let overlap = left.overlap_area(right);
                 let area = left.area() + right.area();
@@ -664,13 +814,10 @@ fn sort_entries(entries: &mut [Entry], axis: u8, by_upper: bool) {
     });
 }
 
-fn mbr_of(entries: &[Entry]) -> Rect {
-    entries.iter().fold(Rect::EMPTY, |r, e| r.union(e.mbr))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pseudo_points(n: usize, seed: u64) -> Vec<Point> {
         let mut s = seed | 1;
@@ -828,6 +975,227 @@ mod tests {
         sort_entries(&mut entries, 0, false);
         let ids: Vec<usize> = entries.iter().map(|e| e.id).collect();
         assert_eq!(ids, [2, 0, 1], "a NaN key sorts last");
+    }
+
+    /// One-by-one inserts in random order with every third step removing
+    /// an earlier item (forced reinserts at every level, splits, condense
+    /// and orphan reinsertion), pinned like `bulk_load_signatures_are_pinned`
+    /// and computed, like those, before the bounded kernels replaced the
+    /// O(M²) ones.
+    #[test]
+    fn insert_remove_signatures_are_pinned() {
+        let pts = pseudo_points(6_000, 77);
+        for (branching, want) in [
+            (30, (0x552736916eeb0c27u64, 202, 4000)),
+            (8, (0x241b791bd7b6bf8e, 872, 4000)),
+        ] {
+            let mut tree = RStarTree::with_config(TreeConfig::with_branching(branching));
+            for (i, p) in pts.iter().enumerate() {
+                tree.insert(*p, i);
+                if i % 3 == 2 {
+                    let j = i / 2;
+                    tree.remove(pts[j], |v| *v == j);
+                }
+            }
+            tree.check_invariants();
+            let got = (tree.signature(), tree.nodes.len(), tree.len());
+            assert_eq!(got, want, "the branching-{branching} tree moved");
+        }
+    }
+
+    /// The O(M²) leaf-parent ChooseSubtree the bounded search replaced,
+    /// kept as its oracle.
+    fn full_scan_choice(entries: &[Entry], mbr: Rect) -> usize {
+        let mut best = 0usize;
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for (i, e) in entries.iter().enumerate() {
+            let enlarged = e.mbr.union(mbr);
+            let area_enl = enlarged.area() - e.mbr.area();
+            let mut overlap_before = 0.0;
+            let mut overlap_after = 0.0;
+            for (j, o) in entries.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                overlap_before += e.mbr.overlap_area(o.mbr);
+                overlap_after += enlarged.overlap_area(o.mbr);
+            }
+            let key = (overlap_after - overlap_before, area_enl, e.mbr.area());
+            if key < best_key {
+                best_key = key;
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// The R\* split the prefix/suffix folds replaced: two folds per
+    /// distribution, kept as its oracle.
+    fn fold_per_distribution_split(
+        mut entries: Vec<Entry>,
+        min: usize,
+    ) -> (Vec<Entry>, Vec<Entry>) {
+        let mbr_of = |es: &[Entry]| es.iter().fold(Rect::EMPTY, |r, e| r.union(e.mbr));
+        let total = entries.len();
+        let mut best_key: Option<(f64, f64, f64)> = None;
+        let mut best = (0, 0, false);
+        for axis in 0..2u8 {
+            for by_upper in [false, true] {
+                sort_entries(&mut entries, axis, by_upper);
+                let mut margin_sum = 0.0;
+                let mut axis_best: Option<(f64, f64, usize)> = None;
+                for k in min..=(total - min) {
+                    let left = mbr_of(&entries[..k]);
+                    let right = mbr_of(&entries[k..]);
+                    margin_sum += left.margin() + right.margin();
+                    let overlap = left.overlap_area(right);
+                    let area = left.area() + right.area();
+                    if axis_best.is_none_or(|(o, a, _)| (overlap, area) < (o, a)) {
+                        axis_best = Some((overlap, area, k));
+                    }
+                }
+                let (overlap, area, k) = axis_best.unwrap();
+                let key = (margin_sum, overlap, area);
+                if best_key.is_none_or(|b| key < b) {
+                    best_key = Some(key);
+                    best = (k, axis, by_upper);
+                }
+            }
+        }
+        let (k, axis, by_upper) = best;
+        sort_entries(&mut entries, axis, by_upper);
+        let right = entries.split_off(k);
+        (entries, right)
+    }
+
+    /// A coordinate on a half-unit lattice (exact ties, duplicates, shared
+    /// edges) or anywhere in `[0, 4)`.
+    fn coord() -> impl Strategy<Value = f64> {
+        prop_oneof![(0..8u8).prop_map(|v| f64::from(v) * 0.5), 0.0..4.0f64]
+    }
+
+    /// A rectangle that is often a point or a zero-width or zero-height
+    /// segment.
+    fn rect() -> impl Strategy<Value = Rect> {
+        let side = || prop_oneof![Just(0.0), coord()];
+        (coord(), coord(), side(), side())
+            .prop_map(|(x, y, w, h)| Rect::new(Point::new(x, y), Point::new(x + w, y + h)))
+    }
+
+    /// The entries of a random node with `len` entries (2–31 in use):
+    /// general rectangles, lattice points (many duplicates), or collinear
+    /// points.
+    fn layout(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Rect>> {
+        let lattice = (0..6u8, 0..6u8)
+            .prop_map(|(x, y)| Rect::from_point(Point::new(f64::from(x), f64::from(y))));
+        let line = (0..12u8).prop_map(|t| {
+            let t = f64::from(t) * 0.75;
+            Rect::from_point(Point::new(t, 0.5 * t + 1.0))
+        });
+        prop_oneof![
+            prop::collection::vec(rect(), len.clone()),
+            prop::collection::vec(lattice, len.clone()),
+            prop::collection::vec(line, len),
+        ]
+    }
+
+    /// `rects` as entries with ids in order, scaled: by 1, or far past
+    /// `f64::MAX.sqrt()`, where areas overflow and keys go ∞ − ∞ = NaN.
+    fn scaled(rects: &[Rect], scale: f64) -> Vec<Entry> {
+        let at = |p: Point| Point::new(p.x * scale, p.y * scale);
+        rects
+            .iter()
+            .enumerate()
+            .map(|(id, r)| Entry {
+                mbr: Rect::new(at(r.min), at(r.max)),
+                id,
+            })
+            .collect()
+    }
+
+    fn scale() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(1.0), Just(1.0), Just(1.0), Just(1e300)]
+    }
+
+    /// Wider than `f64::MAX`, a rectangle's overlap with one it misses is
+    /// `0 · ∞ = NaN`, so its key is NaN and the scan never picks it: the
+    /// bounded search must add that term, not skip it as a zero.
+    #[test]
+    fn bounded_choose_subtree_keeps_the_scans_nan_terms() {
+        let band = |y: f64| Rect::new(Point::new(-1e308, y), Point::new(1e308, y + 1.0));
+        let far = Rect::from_point(Point::new(0.0, 50.0));
+        let entries = scaled(&[band(0.0), band(5.0), far], 1.0);
+        let inside = Rect::from_point(Point::new(0.0, 0.5));
+        assert_eq!(full_scan_choice(&entries, inside), 2);
+        assert_eq!(least_overlap_enlargement(&entries, inside), 2);
+    }
+
+    fn same_entries(a: &[Entry], b: &[Entry]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.id == y.id && same_bits(x.mbr, y.mbr))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The bounded leaf-parent ChooseSubtree picks the full scan's
+        /// child, ties and NaN keys included.
+        #[test]
+        fn bounded_choose_subtree_equals_the_full_scan(
+            rects in layout(2..32),
+            added in prop_oneof![rect(), coord().prop_map(|v| Rect::from_point(Point::new(v, 2.0 - v / 2.0)))],
+            scale in scale(),
+        ) {
+            let entries = scaled(&rects, scale);
+            let added = scaled(&[added], scale)[0].mbr;
+            prop_assert_eq!(
+                least_overlap_enlargement(&entries, added),
+                full_scan_choice(&entries, added)
+            );
+        }
+
+        /// The prefix/suffix split returns the two groups of the
+        /// per-distribution folds: same entries, same order, same bits.
+        #[test]
+        fn prefix_suffix_split_equals_the_per_distribution_folds(
+            rects in layout(4..32),
+            min_frac in 0.0..1.0f64,
+            scale in scale(),
+        ) {
+            let entries = scaled(&rects, scale);
+            let min = 2 + (min_frac * (entries.len() / 2 - 1) as f64) as usize;
+            let (a, b) = split_entries(entries.clone(), min);
+            let (want_a, want_b) = fold_per_distribution_split(entries, min);
+            prop_assert!(same_entries(&a, &want_a) && same_entries(&b, &want_b));
+        }
+    }
+
+    /// Twelve thousand random inserts and removes on lattice-snapped
+    /// points (duplicates, shared coordinates) keep every invariant.
+    #[test]
+    fn mixed_insert_remove_steps_keep_invariants() {
+        for branching in [6, 30] {
+            let mut tree = RStarTree::with_config(TreeConfig::with_branching(branching));
+            let draws = pseudo_points(12_000, 4_041);
+            let mut live: Vec<(Point, usize)> = Vec::new();
+            for (step, d) in draws.iter().enumerate() {
+                if live.is_empty() || d.x < 600.0 {
+                    let p = Point::new((d.y / 10.0).floor() * 2.5, (d.x % 37.0).floor());
+                    tree.insert(p, step);
+                    live.push((p, step));
+                } else {
+                    let (p, id) = live.swap_remove((d.y as usize * 7919) % live.len());
+                    assert_eq!(tree.remove(p, |v| *v == id), Some(id));
+                }
+                if step % 1_000 == 999 {
+                    tree.check_invariants();
+                }
+            }
+            tree.check_invariants();
+            assert_eq!(tree.len(), live.len());
+        }
     }
 
     #[test]

@@ -33,7 +33,10 @@
 //! loop: a few compares and stores inside the 28-byte array, with no
 //! `binary_search` and no `memmove`. Both keep their release-build
 //! invariant checks (a removed host must be listed, an inserted one must
-//! not be), and `build` inserts through the same kernel.
+//! not be). `build` does not go through them: one counting pass places
+//! each cell's ids ascending, inline or spilled by the list's final
+//! length — the index the kernel's inserts in id order would leave
+//! (tested below).
 //!
 //! **Cell assignment truncates**: `(x * inv_cell) as isize`, then a clamp
 //! to `[0, cols - 1]`. `as` rounds toward zero, saturates and maps NaN to
@@ -105,13 +108,29 @@ impl HostGrid {
             rows,
             cells: vec![Cell::default(); cols * rows],
             spill: HashMap::new(),
-            host_cells: Vec::with_capacity(positions.len()),
+            host_cells: Vec::new(),
         };
-        for (i, p) in positions.iter().enumerate() {
-            let idx = grid.probe().flat_cell(*p);
-            grid.insert_into_cell(i as u32, idx);
-            grid.host_cells.push(idx);
+        // One counting pass: every host's cell, the per-cell counts (a
+        // byte each, saturating: only "fits inline or not" is read), then
+        // the ids in ascending order, each list inline or in the spill by
+        // its final length — the lists the cell-edit kernel would build.
+        let probe = grid.probe();
+        let host_cells: Vec<u32> = positions.iter().map(|&p| probe.flat_cell(p)).collect();
+        let mut counts = vec![0u8; grid.cells.len()];
+        for &idx in &host_cells {
+            counts[idx as usize] = counts[idx as usize].saturating_add(1);
         }
+        let HostGrid { cells, spill, .. } = &mut grid;
+        for (host, &idx) in host_cells.iter().enumerate() {
+            let cell = &mut cells[idx as usize];
+            if usize::from(counts[idx as usize]) <= INLINE_IDS {
+                cell.ids[cell.len as usize] = host as u32;
+            } else {
+                spill.entry(idx).or_default().push(host as u32);
+            }
+            cell.len += 1;
+        }
+        grid.host_cells = host_cells;
         grid
     }
 
@@ -641,6 +660,39 @@ mod tests {
         assert_eq!(a.host_cells, b.host_cells);
         let keys = |g: &HostGrid| g.spill.keys().copied().collect::<HashSet<u32>>();
         assert_eq!(keys(a), keys(b));
+    }
+
+    /// The index `build` made before its counting pass: every host through
+    /// the cell-edit kernel, in id order.
+    fn kernel_built(bounds: Rect, cell: f64, positions: &[Point]) -> HostGrid {
+        let mut grid = HostGrid::build(bounds, cell, &[]);
+        for (i, p) in positions.iter().enumerate() {
+            let idx = grid.probe().flat_cell(*p);
+            grid.insert_into_cell(i as u32, idx);
+            grid.host_cells.push(idx);
+        }
+        grid
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The counting-pass build equals the kernel-built index: every
+        /// list, every recorded cell, the same spilled cells. 0–79 hosts
+        /// on a 2×2-cell grid, skewed toward one corner and partly outside
+        /// the bounds, so lists run from empty to far past `INLINE_IDS`.
+        #[test]
+        fn counting_build_equals_kernel_inserts(
+            points in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64), 0..80),
+        ) {
+            let bounds = Rect::new(Point::ORIGIN, Point::new(19.0, 19.0));
+            let positions: Vec<Point> = points
+                .iter()
+                .map(|&(u, v)| Point::new(u.powf(1.7) * 24.0 - 2.0, v * 21.0 - 1.0))
+                .collect();
+            let built = HostGrid::build(bounds, 10.0, &positions);
+            assert_same_index(&built, &kernel_built(bounds, 10.0, &positions));
+        }
     }
 
     /// One interval three ways: crossings staged over the whole pass then
