@@ -1,12 +1,13 @@
 //! Network kNN: IER vs INE vs SNNN (warm peer caches), plus the Dijkstra
-//! vs A\* distance-kernel ablation and the contraction-hierarchy build.
+//! vs A\* distance-kernel ablation, the contraction-hierarchy build, and
+//! road-trip planning under Euclidean A\* and ALT.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::{honest_peer, network_world, BenchRng};
 use senn_core::{snnn_query, RTreeServer, SennEngine, SnnnConfig};
 use senn_network::{
-    astar_distance, counting_alt, dijkstra_distance, generate_network, ier_knn, ine_knn, AltIndex,
-    ChIndex, GeneratorConfig, NetworkDistance,
+    alt_path_into, astar_distance, astar_path, counting_alt, dijkstra_distance, generate_network,
+    ier_knn, ine_knn, AltIndex, ChIndex, GeneratorConfig, NetworkDistance, NodeId,
 };
 
 fn network_knn(c: &mut Criterion) {
@@ -113,9 +114,50 @@ fn ch_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// One road trip as a mover plans it, on a county-size network (the
+/// 24 140 m side of the `county_road` workload) over a seeded list of 512
+/// trips whose ends lie within 3 km, the movers' trip radius: Euclidean
+/// A\* (`astar_path`, the reference) against ALT over the network's route
+/// index (`alt_path_into`, what movers run). The index is built before
+/// timing.
+fn route_plan(c: &mut Criterion) {
+    let side = 24_140.0;
+    let net = generate_network(&GeneratorConfig::city(side, 0x9e37));
+    let n = net.node_count() as f64;
+    let mut rng = BenchRng::new(29);
+    let mut trips: Vec<(NodeId, NodeId)> = Vec::with_capacity(512);
+    while trips.len() < 512 {
+        let from = (rng.next_f64() * n) as NodeId;
+        let to = (rng.next_f64() * n) as NodeId;
+        if from != to && net.position(from).dist(net.position(to)) <= 3_000.0 {
+            trips.push((from, to));
+        }
+    }
+    let index = net.route_index();
+    let mut group = c.benchmark_group("network_knn");
+    group.bench_function("route_plan_astar", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let (from, to) = trips[i % trips.len()];
+            i += 1;
+            black_box(astar_path(&net, from, to))
+        })
+    });
+    group.bench_function("route_plan_alt", |b| {
+        let mut route = Vec::new();
+        let mut i = 0;
+        b.iter(|| {
+            let (from, to) = trips[i % trips.len()];
+            i += 1;
+            black_box(alt_path_into(&net, index, from, to, &mut route))
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = network_knn, ch_build
+    targets = network_knn, ch_build, route_plan
 }
 criterion_main!(benches);

@@ -659,6 +659,10 @@ impl ChIndex {
         scratch: &mut ChScratch,
         stats: &mut SearchStats,
     ) -> Option<f64> {
+        #[cfg(test)]
+        {
+            scratch.queries += 1;
+        }
         let n = self.up.len();
         if from as usize >= n || to as usize >= n {
             return None;
@@ -766,6 +770,9 @@ impl ChIndex {
 pub struct ChScratch {
     chain: Vec<(u32, NodeId)>,
     work: Vec<(u32, NodeId)>,
+    /// Queries answered over this scratch.
+    #[cfg(test)]
+    pub(crate) queries: u64,
 }
 
 impl ChScratch {

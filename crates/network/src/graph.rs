@@ -1,6 +1,10 @@
 //! The road-network modeling graph.
 
+use std::sync::OnceLock;
+
 use senn_geom::{Point, Rect};
+
+use crate::alt::{AltIndex, ROUTE_LANDMARKS};
 
 /// Index of a node in a [`RoadNetwork`].
 pub type NodeId = u32;
@@ -66,6 +70,7 @@ pub struct HalfEdge {
 /// [`add_node`](Self::add_node) is O(1); [`add_edge`](Self::add_edge)
 /// splices two half-edges into the middle of the array, O(V + E) per
 /// call, which suits the small hand-built graphs of tests and fixtures.
+/// Either edit drops the route index ([`RoadNetwork::route_index`]).
 #[derive(Clone, Debug)]
 pub struct RoadNetwork {
     positions: Vec<Point>,
@@ -73,6 +78,8 @@ pub struct RoadNetwork {
     /// more than there are nodes.
     first: Vec<u32>,
     edges: Vec<HalfEdge>,
+    /// The landmark index trips are planned with, built on first use.
+    route_index: OnceLock<AltIndex>,
 }
 
 impl Default for RoadNetwork {
@@ -81,6 +88,7 @@ impl Default for RoadNetwork {
             positions: Vec::new(),
             first: vec![0],
             edges: Vec::new(),
+            route_index: OnceLock::new(),
         }
     }
 }
@@ -126,13 +134,29 @@ impl RoadNetwork {
             positions,
             first,
             edges,
+            route_index: OnceLock::new(),
         }
+    }
+
+    /// The landmark index road trips are planned with: [`ROUTE_LANDMARKS`]
+    /// landmarks picked from node 0, built by the first call (on the
+    /// calling thread's search scratch) and kept until the network
+    /// changes. A world that plans no trip never builds it.
+    pub fn route_index(&self) -> &AltIndex {
+        self.route_index
+            .get_or_init(|| AltIndex::build(self, ROUTE_LANDMARKS))
+    }
+
+    /// True once [`RoadNetwork::route_index`] has been built.
+    pub fn has_route_index(&self) -> bool {
+        self.route_index.get().is_some()
     }
 
     /// Adds a node at `position`, returning its id.
     pub fn add_node(&mut self, position: Point) -> NodeId {
         assert!(position.is_finite(), "node positions must be finite");
         let id = self.positions.len() as NodeId;
+        self.route_index.take();
         self.positions.push(position);
         self.first.push(self.edges.len() as u32);
         id
@@ -177,6 +201,7 @@ impl RoadNetwork {
     /// Appends `edge` to the end of `from`'s half-edges, shifting every
     /// later node's range by one.
     fn push_half_edge(&mut self, from: NodeId, edge: HalfEdge) {
+        self.route_index.take();
         let end = from as usize + 1;
         self.edges.insert(self.first[end] as usize, edge);
         for offset in &mut self.first[end..] {

@@ -22,6 +22,10 @@
 //!   admissible because every edge is at least as long as the straight
 //!   line between its endpoints), plus one-to-many distance maps, over
 //!   the one label-setting kernel every search of the crate but CH runs.
+//! * [`alt`] — landmark (ALT) lower bounds in one `f32` table: the
+//!   heuristic every road trip is planned with
+//!   ([`RoadNetwork::route_index`], [`alt_path_into`]) and the SNNN ALT
+//!   metric's.
 //! * [`poi`] + [`knn`] — POIs snapped onto the network and the **IER** /
 //!   **INE** network-kNN baselines used by SNNN.
 //! * [`ch`] — a contraction-hierarchy distance oracle: seeded
@@ -45,7 +49,7 @@ pub mod locator;
 pub mod poi;
 pub mod shortest_path;
 
-pub use alt::{counting_alt, AltIndex};
+pub use alt::{alt_path_into, counting_alt, AltIndex, ROUTE_LANDMARKS};
 pub use ch::{counting_ch, ChIndex, ChScratch};
 pub use distance::{
     AltBound, AltDistance, Anchored, ChBound, ChDistance, ExactCore, NetworkDistance,
@@ -56,6 +60,6 @@ pub use knn::{ier_knn, ine_knn, NetworkNeighbor};
 pub use locator::NodeLocator;
 pub use poi::NetworkPois;
 pub use shortest_path::{
-    astar_distance, astar_path, astar_path_into, counting_astar, counting_dijkstra,
-    dijkstra_distance, dijkstra_map, SearchStats,
+    astar_distance, astar_path, counting_astar, counting_dijkstra, dijkstra_distance, dijkstra_map,
+    SearchStats,
 };

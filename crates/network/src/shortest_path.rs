@@ -5,7 +5,8 @@
 //! distance between any two arbitrary points" (Section 3.4). A\* with the
 //! Euclidean heuristic is provided as an extension; the heuristic is
 //! admissible because every edge is at least as long as the straight line
-//! between its endpoints.
+//! between its endpoints. [`astar_path`] is the reference road-trip
+//! routes are tested against; movers plan with ALT ([`crate::alt`]).
 //!
 //! ## One kernel
 //!
@@ -17,13 +18,16 @@
 //! that orders the queue, and a visitor that sees each settled node and
 //! may stop the search. It counts [`SearchStats`] as it goes.
 //!
-//! The kernel runs on the calling thread's scratch: distance and
-//! predecessor arrays validated by a *generation stamp* (bumping one
-//! counter invalidates the whole array in O(1), no `memset`) plus a
-//! reused heap. Route planning runs once per host trip and network kNN
-//! once per candidate POI, so no search allocates. Each question has one
-//! public entry, and a node id outside the network is an absent endpoint:
-//! the answer is `None`, not a panic.
+//! The kernel runs on the calling thread's scratch: one array of 16-byte
+//! labels (distance, predecessor, and a *generation stamp* that says
+//! whether the other two belong to the current search: bumping one
+//! counter invalidates every label in O(1), no `memset`) plus a reused
+//! heap. Route planning ([`crate::alt_path_into`]) runs once per host
+//! trip, the route index's build runs one search per landmark on the
+//! same scratch, and network kNN runs once per candidate POI, so no
+//! search allocates. Each question has one public entry, and a node id
+//! outside the network is an absent endpoint: the answer is `None`, not
+//! a panic.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -76,18 +80,34 @@ impl SearchStats {
     }
 }
 
-/// The kernel's reusable state: generation-stamped distance and
-/// predecessor arrays plus the priority queue.
+/// One node's search label, 16 bytes: the distance it was reached at,
+/// its predecessor, and the generation stamp that says whether the other
+/// two belong to the current search.
+#[derive(Clone, Copy)]
+struct Label {
+    dist: f64,
+    prev: NodeId,
+    stamp: u32,
+}
+
+impl Label {
+    const UNSEEN: Label = Label {
+        dist: f64::INFINITY,
+        prev: NodeId::MAX,
+        stamp: 0,
+    };
+}
+
+/// The kernel's reusable state: one generation-stamped label per node
+/// plus the priority queue.
 ///
-/// Entries whose stamp does not match the current generation read as
-/// "unvisited", so starting a search resets the arrays without touching
-/// their bytes. One scratch serves any number of consecutive searches over
-/// networks of any size (arrays grow to the largest node count seen).
+/// A label whose stamp does not match the current generation reads as
+/// "unvisited", so starting a search resets the array without touching
+/// its bytes. One scratch serves any number of consecutive searches over
+/// networks of any size (the array grows to the largest node count seen).
 #[derive(Default)]
 pub(crate) struct DijkstraScratch {
-    dist: Vec<f64>,
-    prev: Vec<NodeId>,
-    stamp: Vec<u32>,
+    labels: Vec<Label>,
     generation: u32,
     heap: BinaryHeap<HeapItem>,
 }
@@ -95,15 +115,13 @@ pub(crate) struct DijkstraScratch {
 impl DijkstraScratch {
     /// Logically resets the scratch for a search over `n` nodes.
     fn begin(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, f64::INFINITY);
-            self.prev.resize(n, NodeId::MAX);
-            self.stamp.resize(n, 0);
+        if self.labels.len() < n {
+            self.labels.resize(n, Label::UNSEEN);
         }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Stamp wrap-around: erase stale stamps once every 2^32 runs.
-            self.stamp.fill(0);
+            self.labels.iter_mut().for_each(|l| l.stamp = 0);
             self.generation = 1;
         }
         self.heap.clear();
@@ -111,9 +129,9 @@ impl DijkstraScratch {
 
     #[inline]
     fn dist(&self, node: NodeId) -> f64 {
-        let i = node as usize;
-        if self.stamp[i] == self.generation {
-            self.dist[i]
+        let label = self.labels[node as usize];
+        if label.stamp == self.generation {
+            label.dist
         } else {
             f64::INFINITY
         }
@@ -169,11 +187,12 @@ impl DijkstraScratch {
     }
 
     #[inline]
-    fn set(&mut self, node: NodeId, d: f64, prev: NodeId) {
-        let i = node as usize;
-        self.dist[i] = d;
-        self.prev[i] = prev;
-        self.stamp[i] = self.generation;
+    fn set(&mut self, node: NodeId, dist: f64, prev: NodeId) {
+        self.labels[node as usize] = Label {
+            dist,
+            prev,
+            stamp: self.generation,
+        };
     }
 
     /// Walks the predecessor chain of the last search back from a settled
@@ -182,7 +201,7 @@ impl DijkstraScratch {
         path.push(to);
         let mut cur = to;
         while cur != from {
-            cur = self.prev[cur as usize];
+            cur = self.labels[cur as usize].prev;
             path.push(cur);
         }
         path.reverse();
@@ -268,23 +287,12 @@ pub fn dijkstra_map(net: &RoadNetwork, from: NodeId) -> Vec<f64> {
 
 /// Shortest path via A\* (Euclidean heuristic) as a node sequence
 /// (inclusive of both endpoints) plus its length; `None` when unreachable.
+/// The reference the route planner ([`crate::alt_path_into`]) is tested
+/// against.
 pub fn astar_path(net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<(Vec<NodeId>, f64)> {
     let mut path = Vec::new();
-    let total = astar_path_into(net, from, to, &mut path)?;
+    let total = to_target(net, from, to, || euclid(net, to), Some(&mut path)).0?;
     Some((path, total))
-}
-
-/// [`astar_path`] writing the node sequence into `path` (cleared first;
-/// left empty when unreachable) and returning its length, so a caller
-/// that plans route after route reuses one buffer.
-pub fn astar_path_into(
-    net: &RoadNetwork,
-    from: NodeId,
-    to: NodeId,
-    path: &mut Vec<NodeId>,
-) -> Option<f64> {
-    path.clear();
-    to_target(net, from, to, || euclid(net, to), Some(path)).0
 }
 
 /// Plain Dijkstra with effort counters (the heuristic-quality baseline).
@@ -371,12 +379,7 @@ mod tests {
         let island = net.add_node(Point::new(100.0, 100.0));
         assert_eq!(dijkstra_distance(&net, 0, island), None);
         assert_eq!(astar_distance(&net, 0, island), None);
-        let mut path = vec![7];
-        assert_eq!(astar_path_into(&net, 0, island, &mut path), None);
-        assert!(
-            path.is_empty(),
-            "an unreachable route leaves the buffer empty"
-        );
+        assert_eq!(astar_path(&net, 0, island), None);
     }
 
     #[test]

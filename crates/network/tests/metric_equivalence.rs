@@ -518,7 +518,10 @@ fn fnv(hash: &mut u64, word: u64) {
 /// heuristic moves these numbers. The ratio floors above would not notice.
 /// The expected values were computed by compiling this test into the tree
 /// from before the searches shared one kernel, when each search still ran
-/// its own loop.
+/// its own loop. The ALT effort was re-pinned once, when the landmark
+/// table became `f32` rows less a two-ulp slack: nodes whose `f64` bound
+/// tied the target's priority now sit a millimetre below it and settle
+/// first (1 655 → 1 674 settles); every answer bit stayed.
 #[test]
 fn search_effort_and_answer_bits_are_pinned() {
     let net = generate_network(&GeneratorConfig::city(3000.0, 7));
@@ -552,7 +555,7 @@ fn search_effort_and_answer_bits_are_pinned() {
         .flat_map(|q| ine_knn(&net, &pois, q, locator.nearest(q).unwrap(), 4))
         .map(|n| (n.poi, n.network_dist.to_bits()))
         .collect();
-    assert_eq!(effort, [(15356, 55445), (3658, 13602), (1655, 6054)]);
+    assert_eq!(effort, [(15356, 55445), (3658, 13602), (1674, 6128)]);
     assert_eq!(fold, 11891478617877047852);
     assert_eq!(
         ine,
