@@ -1,5 +1,6 @@
 //! Network kNN: IER vs INE vs SNNN (warm peer caches), plus the Dijkstra
-//! vs A\* distance-kernel ablation, the contraction-hierarchy build, and
+//! vs A\* distance-kernel ablation, the contraction-hierarchy build and
+//! its queries (point to point, and one anchor to many targets), and
 //! road-trip planning under Euclidean A\* and ALT.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -7,7 +8,7 @@ use senn_bench::{honest_peer, network_world, BenchRng};
 use senn_core::{snnn_query, RTreeServer, SennEngine, SnnnConfig};
 use senn_network::{
     alt_path_into, astar_distance, astar_path, counting_alt, dijkstra_distance, generate_network,
-    ier_knn, ine_knn, AltIndex, ChIndex, GeneratorConfig, NetworkDistance, NodeId,
+    ier_knn, ine_knn, AltIndex, ChIndex, ChScratch, GeneratorConfig, NetworkDistance, NodeId,
 };
 
 fn network_knn(c: &mut Criterion) {
@@ -114,6 +115,48 @@ fn ch_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// Hub-label queries on the same downtown-sized city over one kept
+/// [`ChScratch`]: point to point (every query from a new source, so each
+/// scatters its source label), and one anchor to 16 targets (the anchor's
+/// label scattered once, then 16 target scans), the shape of the queries
+/// an SNNN model issues from one query point. The seeded pairs (2^16 of
+/// each) cycle far beyond the 2^14 answers a scratch keeps, so queries
+/// run the scan rather than a kept answer.
+fn ch_query(c: &mut Criterion) {
+    let net = generate_network(&GeneratorConfig::city(6_828.0, 0x9e37));
+    let index = ChIndex::build_seeded(&net, 1);
+    let n = net.node_count() as f64;
+    let mut rng = BenchRng::new(31);
+    let nodes: Vec<NodeId> = (0..1 << 16)
+        .map(|_| (rng.next_f64() * n) as NodeId)
+        .collect();
+    let mut group = c.benchmark_group("network_knn");
+    group.bench_function("ch_point_to_point", |b| {
+        let mut scratch = ChScratch::new();
+        let mut i = 0;
+        b.iter(|| {
+            let (from, to) = (nodes[i % nodes.len()], nodes[(i + 1) % nodes.len()]);
+            i += 2;
+            black_box(index.distance_with(from, to, &mut scratch))
+        })
+    });
+    group.bench_function("ch_one_to_many", |b| {
+        let mut scratch = ChScratch::new();
+        let mut i = 0;
+        b.iter(|| {
+            let from = nodes[i % nodes.len()];
+            let mut sum = 0.0;
+            for t in 1..=16 {
+                let to = nodes[(i + t) % nodes.len()];
+                sum += index.distance_with(from, to, &mut scratch).unwrap_or(0.0);
+            }
+            i += 17;
+            black_box(sum)
+        })
+    });
+    group.finish();
+}
+
 /// One road trip as a mover plans it, on a county-size network (the
 /// 24 140 m side of the `county_road` workload) over a seeded list of 512
 /// trips whose ends lie within 3 km, the movers' trip radius: Euclidean
@@ -158,6 +201,6 @@ fn route_plan(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = network_knn, ch_build, route_plan
+    targets = network_knn, ch_build, ch_query, route_plan
 }
 criterion_main!(benches);

@@ -13,8 +13,6 @@
 //! candidates in ascending distance and stops at the first failure.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use senn_cache::{CacheEntry, CachedNn};
 use senn_geom::{Circle, DiskRegion, Point, PolygonRegion};
@@ -124,30 +122,88 @@ impl Candidate {
     pub(crate) const UNCERTIFIED: u32 = u32::MAX;
 }
 
-/// The scratch index of [`collect_candidates`], POI id → table row. It is
-/// looked up once per cached POI occurrence and never iterated, and the
-/// ids are the simulator's own, so one multiply (Fibonacci hashing: the
-/// table takes its bucket from the low bits and its tag from the high
-/// ones) stands in for SipHash.
-pub(crate) type PoiIndex = HashMap<u64, u32, BuildHasherDefault<PoiIdHasher>>;
+/// The scratch index of [`collect_candidates`], POI id → table row: an
+/// open-addressing table (linear probing from a Fibonacci hash of the id)
+/// whose slots count only when stamped with the current walk's
+/// generation, so starting a walk is one increment, not a clear. Any
+/// `u64` id works; the table holds at least twice the entries of the
+/// largest walk so far and never shrinks.
+#[derive(Debug, Default)]
+pub(crate) struct PoiIndex {
+    /// A power-of-two number of slots (none before the first insert).
+    slots: Vec<PoiSlot>,
+    /// The walk in progress; a slot stamped otherwise is empty.
+    generation: u32,
+    /// Ids entered under `generation`.
+    len: usize,
+}
 
-/// The hasher of [`PoiIndex`].
+/// One slot of [`PoiIndex`].
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct PoiIdHasher(u64);
+struct PoiSlot {
+    id: u64,
+    row: u32,
+    generation: u32,
+}
 
-impl Hasher for PoiIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
+impl PoiIndex {
+    /// The table's smallest size.
+    const MIN_SLOTS: usize = 16;
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
+    /// Empties the index for a new walk.
+    fn start(&mut self) {
+        self.len = 0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slots.fill(PoiSlot::default());
+            self.generation = 1;
         }
     }
 
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    /// The slot `id` probes first: the top bits of its Fibonacci hash.
+    fn home(&self, id: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
+    }
+
+    /// The row of `id` in the walk in progress, entering it as `next`
+    /// when it is new.
+    fn row_or_insert(&mut self, id: u64, next: u32) -> u32 {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(id);
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.generation != self.generation {
+                *slot = PoiSlot {
+                    id,
+                    row: next,
+                    generation: self.generation,
+                };
+                self.len += 1;
+                return next;
+            }
+            if slot.id == id {
+                return slot.row;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the table, re-entering the walk's ids.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![PoiSlot::default(); size]);
+        let mask = size - 1;
+        for slot in old.into_iter().filter(|s| s.generation == self.generation) {
+            let mut i = self.home(slot.id);
+            while self.slots[i].generation == self.generation {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
     }
 }
 
@@ -162,18 +218,19 @@ pub(crate) fn collect_candidates<'a>(
     index: &mut PoiIndex,
 ) {
     candidates.clear();
-    index.clear();
+    index.start();
     for (pos, peer) in peers.enumerate() {
         for (i, dist, certainty) in classify_entry(query, peer) {
             let poi = peer.neighbors[i];
-            let row = *index.entry(poi.poi_id).or_insert_with(|| {
+            let next = candidates.len() as u32;
+            let row = index.row_or_insert(poi.poi_id, next);
+            if row == next {
                 candidates.push(Candidate {
                     dist,
                     poi,
                     certified_by: Candidate::UNCERTIFIED,
                 });
-                candidates.len() as u32 - 1
-            });
+            }
             if certainty == Certainty::Certain {
                 let by = &mut candidates[row as usize].certified_by;
                 *by = (*by).min(pos as u32);
@@ -371,6 +428,104 @@ mod tests {
         );
         let ids: Vec<u64> = candidates.iter().map(|c| c.poi.poi_id).collect();
         assert_eq!(ids, vec![3, 2, 1]);
+    }
+
+    /// The candidate table as [`collect_candidates`] built it over a
+    /// `HashMap` index: rows in first-seen order, certified by the first
+    /// certifying peer, stably sorted by distance.
+    fn reference_candidates(query: Point, peers: &[CacheEntry]) -> Vec<Candidate> {
+        let mut rows = std::collections::HashMap::new();
+        let mut candidates: Vec<Candidate> = Vec::new();
+        for (pos, peer) in peers.iter().enumerate() {
+            for (i, dist, certainty) in classify_entry(query, peer) {
+                let poi = peer.neighbors[i];
+                let row = *rows.entry(poi.poi_id).or_insert_with(|| {
+                    candidates.push(Candidate {
+                        dist,
+                        poi,
+                        certified_by: Candidate::UNCERTIFIED,
+                    });
+                    candidates.len() - 1
+                });
+                if certainty == Certainty::Certain {
+                    let by = &mut candidates[row].certified_by;
+                    *by = (*by).min(pos as u32);
+                }
+            }
+        }
+        candidates.sort_by(|a, b| a.dist.total_cmp(&b.dist));
+        candidates
+    }
+
+    /// A candidate table as comparable bits (NaN distances included).
+    fn table_bits(candidates: &[Candidate]) -> Vec<(u64, u64, u64, u64, u32)> {
+        candidates
+            .iter()
+            .map(|c| {
+                let p = c.poi.position;
+                (
+                    c.dist.to_bits(),
+                    c.poi.poi_id,
+                    p.x.to_bits(),
+                    p.y.to_bits(),
+                    c.certified_by,
+                )
+            })
+            .collect()
+    }
+
+    /// The stamped index builds the table a `HashMap` does, walk after
+    /// walk on one index: churned caches repeat ids at other positions
+    /// (the first occurrence's position wins), ids sit near `u64::MAX`
+    /// and collide in their home slots, NaN distances sort last, walks
+    /// grow and shrink, and the generation wraps around.
+    #[test]
+    fn stamped_index_builds_the_hashmap_table() {
+        let mut s = 0x9e37u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut index = PoiIndex {
+            generation: u32::MAX - 3,
+            ..PoiIndex::default()
+        };
+        let mut candidates = Vec::new();
+        for walk in 0..40 {
+            let q = Point::new((next() % 100) as f64, (next() % 100) as f64);
+            let peer_count = 1 + next() as usize % if walk % 7 == 3 { 40 } else { 5 };
+            let peers: Vec<CacheEntry> = (0..peer_count)
+                .map(|_| {
+                    let loc = Point::new((next() % 100) as f64, (next() % 100) as f64);
+                    let pois: Vec<(u64, f64, f64)> = (0..1 + next() % 6)
+                        .map(|j| {
+                            let id = match next() % 4 {
+                                0 => u64::MAX - next() % 8,
+                                1 => (next() % 16) << 60,
+                                _ => next() % 24,
+                            };
+                            let x = if j == 5 {
+                                f64::NAN
+                            } else {
+                                (next() % 100) as f64
+                            };
+                            (id, x, (next() % 100) as f64)
+                        })
+                        .collect();
+                    entry(loc, &pois)
+                })
+                .collect();
+            collect_candidates(q, peers.iter(), &mut candidates, &mut index);
+            assert_eq!(
+                table_bits(&candidates),
+                table_bits(&reference_candidates(q, &peers)),
+                "walk {walk}"
+            );
+            assert!(2 * index.len <= index.slots.len(), "walk {walk}");
+        }
+        assert!(index.generation < 40, "the generation wrapped");
     }
 
     #[test]

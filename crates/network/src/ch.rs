@@ -11,11 +11,32 @@
 //! path climbs the order and then descends it. On top of the finished
 //! hierarchy a **hub label** is tabulated per node — its pruned upward
 //! search space as a rank-sorted `(hub, distance, first edge)` list — so
-//! a query is not a graph search at all: it is a two-pointer merge of two
-//! short sorted arrays (the canonical hub-labeling query, the fastest
-//! known exact road-network oracle and the decisive ingredient of fast
-//! road-network kNN per Abeywickrama et al., PVLDB 2016). Every query
-//! ([`ChIndex::distance_with`], [`counting_ch`]) is that merge.
+//! a query is not a graph search at all: it finds the cheapest hub the
+//! two labels share (the canonical hub-labeling query, the fastest known
+//! exact road-network oracle and the decisive ingredient of fast
+//! road-network kNN per Abeywickrama et al., PVLDB 2016).
+//!
+//! ## One-to-many queries
+//!
+//! Every query ([`ChIndex::distance_with`], [`counting_ch`]) is a
+//! *scatter-and-scan*: the source label is scattered once into a
+//! rank-indexed, generation-stamped table in the [`ChScratch`], and the
+//! target label is scanned against it, from its top hub down to the
+//! source's own rank (the scattered label has no hub below it). The
+//! scratch keeps the scattered label until it is asked about another
+//! source (or another index), so the many queries an SNNN model issues
+//! from one anchor read only their targets' labels. The scan computes the
+//! same sum `source dist + target dist` per common hub as a two-pointer
+//! merge of the two labels (the test builds' oracle) and picks the hub
+//! the merge picks (the first strict minimum in ascending hub order), so
+//! the two return the same bits. The scratch also keeps its last answers,
+//! direct-mapped by `(from, to)`: a pair asked again is answered without
+//! reading a label (hosts query again from the node they queried from,
+//! about candidates that are the same POIs). Effort counters:
+//! [`SearchStats::relaxed`] counts label entries read (the source label
+//! once per scatter, the target label's entries down to the cut once per
+//! query, nothing for a kept answer) and [`SearchStats::settled`] counts
+//! common hubs evaluated.
 //!
 //! ## Determinism contract
 //!
@@ -39,7 +60,10 @@
 //!   exceeds the cap and so the candidate shortcut's length;
 //! * hub labels are derived from the finished hierarchy by a fixed-order
 //!   dynamic program over the weight-sorted upward lists — no further
-//!   randomness.
+//!   randomness; the pruning test ("some kept hub reaches this one at
+//!   least as cheaply") is an existential over the kept hubs, so testing
+//!   it against a stamped table of them decides exactly what a sorted
+//!   merge of the two (the test builds' oracle) decides.
 //!
 //! Repeated builds from the same seed produce identical shortcut sets,
 //! orders, labels and query traces — pinned by [`ChIndex::signature`]
@@ -60,9 +84,25 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::graph::{NodeId, RoadNetwork};
 use crate::shortest_path::SearchStats;
+
+/// Source of [`ChIndex::id`]: every build takes the next value.
+static NEXT_INDEX_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Answers a [`ChScratch`] keeps (16 B each). On `downtown_snnn` about
+/// half of the queries repeat one of the last 2^14 distinct pairs: hosts
+/// query again from the node they queried from before, and candidates are
+/// the same POIs.
+const ANSWER_SLOTS: usize = 1 << 14;
+
+/// The slot of [`ChScratch::answers`] that `key` maps to: the top bits
+/// of its Fibonacci hash.
+fn answer_slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - ANSWER_SLOTS.trailing_zeros())) as usize
+}
 
 /// Witness searches stop after settling this many nodes; truncation adds
 /// a (possibly unnecessary) shortcut, which is always sound.
@@ -99,7 +139,8 @@ struct UpEdge {
 /// identified by its contraction rank, with the exact distance to it and
 /// the first arena edge of the monotone upward path towards it
 /// (`u32::MAX` on the node's own self-entry). Labels are sorted by hub
-/// rank so queries are linear merges and path walks are binary searches.
+/// rank so queries scan them in hub order and path walks are binary
+/// searches.
 #[derive(Clone, Copy, Debug)]
 struct LabelEntry {
     hub: u32,
@@ -111,11 +152,14 @@ struct LabelEntry {
 /// [`RoadNetwork`].
 ///
 /// Build once with [`ChIndex::build_seeded`], then answer exact network
-/// distances with [`ChIndex::distance_with`] (hub-label merge,
+/// distances with [`ChIndex::distance_with`] (hub-label scatter-and-scan,
 /// allocation-free against a caller-managed [`ChScratch`]) or the
 /// counting probe [`counting_ch`].
 #[derive(Clone, Debug)]
 pub struct ChIndex {
+    /// Distinct per build (a clone shares it, and every table with it), so
+    /// a [`ChScratch`] can tell whose label it holds scattered.
+    id: u64,
     /// `rank[v]` = position of `v` in the contraction order.
     rank: Vec<u32>,
     /// Nodes in contraction order (least important first).
@@ -401,6 +445,7 @@ impl ChIndex {
             });
         }
         let mut index = ChIndex {
+            id: NEXT_INDEX_ID.fetch_add(1, AtomicOrdering::Relaxed),
             rank: vec![0; n],
             order: Vec::with_capacity(n),
             edges: Vec::new(),
@@ -517,11 +562,19 @@ impl ChIndex {
     /// first-edge pointer leads to a neighbor whose own label still
     /// contains the hub (pruning happened strictly before consumption),
     /// so paths can always be walked hub-ward for exact unpacking.
+    ///
+    /// The kept hubs' distances live in a rank-indexed table stamped with
+    /// `v`'s turn, so each candidate is tested by one scan of its hub's
+    /// label.
     fn build_labels(&mut self, n: usize) {
         self.labels = vec![Vec::new(); n];
         // Candidate buffer: (hub rank, dist, first arena edge).
         let mut cand: Vec<LabelEntry> = Vec::new();
-        for &v in self.order.iter().rev() {
+        // `kept_dist[r]` is the kept distance to the hub of rank `r` where
+        // `kept_turn[r]` is the current turn (turns start at 1).
+        let mut kept_dist = vec![0.0f64; n];
+        let mut kept_turn = vec![0u32; n];
+        for (turn, &v) in (1u32..).zip(self.order.iter().rev()) {
             cand.clear();
             cand.push(LabelEntry {
                 hub: self.rank[v as usize],
@@ -553,26 +606,25 @@ impl ChIndex {
                 }
                 last_hub = c.hub;
                 // Prune if some kept (strictly higher) hub already
-                // reaches this one at least as cheaply: `kept` runs hub
-                // descending and the hub's label hub ascending, so one
-                // merge from the label's top finds every shared hub.
-                let hub_label = &self.labels[self.order[c.hub as usize] as usize];
-                let mut top = hub_label.len();
-                for k in &kept {
-                    while top > 0 && hub_label[top - 1].hub > k.hub {
-                        top -= 1;
-                    }
-                    if top == 0 {
-                        break;
-                    }
-                    let h = &hub_label[top - 1];
-                    if h.hub == k.hub && k.dist + h.dist <= c.dist {
+                // reaches this one at least as cheaply: every hub the
+                // two share is in the hub's label.
+                for h in &self.labels[self.order[c.hub as usize] as usize] {
+                    let r = h.hub as usize;
+                    if kept_turn[r] == turn && kept_dist[r] + h.dist <= c.dist {
                         continue 'cands;
                     }
                 }
+                kept_turn[c.hub as usize] = turn;
+                kept_dist[c.hub as usize] = c.dist;
                 kept.push(c);
             }
-            // Rank-ascending for merge queries and binary-search walks.
+            #[cfg(test)]
+            assert_eq!(
+                tests::entry_bits(&kept),
+                tests::entry_bits(&tests::merge_prune(&self.labels, &self.order, &cand)),
+                "scatter prune diverged from the merge prune at node {v}"
+            );
+            // Rank-ascending for hub-order scans and binary-search walks.
             kept.reverse();
             kept.shrink_to_fit();
             self.labels[v as usize] = kept;
@@ -591,7 +643,7 @@ impl ChIndex {
 
     /// Total hub-label entries across all nodes (the oracle's table
     /// size; divide by [`ChIndex::node_count`] for the mean label
-    /// length, which bounds the per-query merge work).
+    /// length, which bounds the per-query scan work).
     pub fn label_entries(&self) -> usize {
         self.labels.iter().map(Vec::len).sum()
     }
@@ -631,26 +683,27 @@ impl ChIndex {
         h
     }
 
-    /// Exact network distance via the hub-label merge; `None` when
-    /// unreachable. Allocates a fresh [`ChScratch`] — use
-    /// [`ChIndex::distance_with`] on hot paths.
+    /// Exact network distance via the hub labels; `None` when
+    /// unreachable. Uses a fresh [`ChScratch`] (which does no per-node
+    /// work) — use [`ChIndex::distance_with`] on hot paths.
     pub fn distance(&self, from: NodeId, to: NodeId) -> Option<f64> {
         self.distance_with(from, to, &mut ChScratch::new())
     }
 
-    /// [`ChIndex::distance`] against a caller-managed [`ChScratch`].
+    /// [`ChIndex::distance`] against a caller-managed [`ChScratch`]; a
+    /// run of queries from one `from` scatters its label once.
     pub fn distance_with(&self, from: NodeId, to: NodeId, scratch: &mut ChScratch) -> Option<f64> {
         let mut stats = SearchStats::default();
         self.label_query(from, to, scratch, &mut stats)
     }
 
-    /// The hub-label query: a two-pointer merge of the rank-sorted
-    /// labels of `from` and `to`; the cheapest common hub wins and its
-    /// two monotone paths are walked edge-by-edge through the neighbor
-    /// labels, unpacked and folded left-to-right (the bit-identity
-    /// contract). `stats.relaxed` counts label entries scanned — each a
-    /// compare-and-add, strictly cheaper than a graph edge relaxation,
-    /// so the comparison against A\*/ALT relaxation counts is
+    /// The hub-label query: scatters `from`'s label into the scratch (see
+    /// the module docs), scans `to`'s label for the cheapest common hub,
+    /// then walks its two monotone paths edge-by-edge through the
+    /// neighbor labels, unpacked and folded left-to-right (the
+    /// bit-identity contract). `stats.relaxed` counts label entries read
+    /// — each a compare-and-add, strictly cheaper than a graph edge
+    /// relaxation, so the comparison against A\*/ALT relaxation counts is
     /// conservative. `stats.settled` counts common hubs evaluated.
     fn label_query(
         &self,
@@ -670,55 +723,57 @@ impl ChIndex {
         if from == to {
             return Some(0.0);
         }
-        let la = &self.labels[from as usize];
-        let lb = &self.labels[to as usize];
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut best = f64::INFINITY;
-        let mut best_hub = u32::MAX;
-        while i < la.len() && j < lb.len() {
-            stats.relaxed += 1;
-            match la[i].hub.cmp(&lb[j].hub) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    stats.settled += 1;
-                    let d = la[i].dist + lb[j].dist;
-                    if d < best {
-                        best = d;
-                        best_hub = la[i].hub;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
+        let key = u64::from(from) << 32 | u64::from(to);
+        if let Some(answer) = scratch.recall(self.id, key) {
+            return answer;
         }
-        if best_hub == u32::MAX {
-            return None;
-        }
-        // Walk both monotone paths into the chain buffer: from → hub in
-        // path order, then to → hub reversed into hub → to order.
+        scratch.scatter(self, from, stats);
+        let target = &self.labels[to as usize];
+        let best = scratch.best_hub(target, stats);
+        #[cfg(test)]
+        assert_eq!(
+            best.map(|e| e.hub),
+            tests::merge_best_hub(&self.labels[from as usize], target).0,
+            "scan diverged from the merge on {from}->{to}"
+        );
+        let answer = best.map(|best| self.unpack(from, to, best, scratch));
+        scratch.remember(key, answer);
+        answer
+    }
+
+    /// The length of the shortest `from → to` path through `best.hub`
+    /// (`best` being `to`'s label entry for it, which holds the first edge
+    /// of `to`'s side): both monotone paths walked into the chain buffer,
+    /// `from → hub` in path order, then `to → hub` reversed into
+    /// `hub → to` order, and folded.
+    fn unpack(&self, from: NodeId, to: NodeId, best: LabelEntry, scratch: &mut ChScratch) -> f64 {
+        let hub = best.hub;
         scratch.chain.clear();
         let mut cur = from;
-        while self.rank[cur as usize] != best_hub {
-            let e = self.label_edge(cur, best_hub);
+        while self.rank[cur as usize] != hub {
+            let e = self.label_edge(cur, hub);
             scratch.chain.push((e, cur));
             cur = self.other_end(e, cur);
         }
         let start = scratch.chain.len();
         let mut cur = to;
-        while self.rank[cur as usize] != best_hub {
-            let e = self.label_edge(cur, best_hub);
+        while self.rank[cur as usize] != hub {
+            let e = if cur == to {
+                best.edge
+            } else {
+                self.label_edge(cur, hub)
+            };
             let next = self.other_end(e, cur);
             scratch.chain.push((e, next));
             cur = next;
         }
         scratch.chain[start..].reverse();
-        Some(self.fold_chain(scratch))
+        self.fold_chain(scratch)
     }
 
     /// The first arena edge of `node`'s monotone path to `hub` (which
-    /// must be present in its label — guaranteed for hubs discovered by
-    /// a label merge, see [`ChIndex::build_labels`]).
+    /// must be present in its label — guaranteed for a hub common to two
+    /// labels, see [`ChIndex::build_labels`]).
     #[inline]
     fn label_edge(&self, node: NodeId, hub: u32) -> u32 {
         let label = &self.labels[node as usize];
@@ -763,11 +818,30 @@ impl ChIndex {
     }
 }
 
-/// Reusable unpacking state for [`ChIndex`] queries: the buffers that
+/// Reusable query state for [`ChIndex`] queries: the scattered label of
+/// the last source asked about, the last answers, and the buffers that
 /// expand a hub path back into original edges. One scratch serves any
-/// number of consecutive queries.
+/// number of consecutive queries, against any number of indexes.
 #[derive(Default)]
 pub struct ChScratch {
+    /// `hub_dist[r]` is the source label's distance to the hub of rank
+    /// `r` where `hub_stamp[r] == stamp`. Both are allocated zeroed, and
+    /// stamp 0 is never current, so no entry is written before it is used.
+    hub_dist: Vec<f64>,
+    hub_stamp: Vec<u32>,
+    stamp: u32,
+    /// The lowest hub of the scattered label: the source's own rank.
+    base: u32,
+    /// `(index id, node)` whose label the table holds.
+    source: Option<(u64, NodeId)>,
+    /// Recent answers, direct-mapped by a hash of their key
+    /// `from << 32 | to` (never 0: a query from a node to itself is not
+    /// kept): `[key, answer bits]`, `u64::MAX` standing for no path. They
+    /// belong to the index whose id is `answers_of`.
+    answers: Vec<[u64; 2]>,
+    answers_of: u64,
+    /// The hub path being unpacked: `(arena edge, node it is entered at)`,
+    /// and the stack that expands its shortcuts.
     chain: Vec<(u32, NodeId)>,
     work: Vec<(u32, NodeId)>,
     /// Queries answered over this scratch.
@@ -780,14 +854,91 @@ impl ChScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The kept answer for `key` over the index `index`, if any. The
+    /// first call, and the first call about another index, sets up an
+    /// empty table (allocated zeroed: no slot is written before use).
+    fn recall(&mut self, index: u64, key: u64) -> Option<Option<f64>> {
+        if self.answers.is_empty() || self.answers_of != index {
+            if self.answers.is_empty() {
+                self.answers = vec![[0; 2]; ANSWER_SLOTS];
+            } else {
+                self.answers.fill([0; 2]);
+            }
+            self.answers_of = index;
+            return None;
+        }
+        let [kept, bits] = self.answers[answer_slot(key)];
+        (kept == key).then(|| (bits != u64::MAX).then(|| f64::from_bits(bits)))
+    }
+
+    /// Keeps `answer` for `key`, over whatever its slot held.
+    fn remember(&mut self, key: u64, answer: Option<f64>) {
+        self.answers[answer_slot(key)] = [key, answer.map_or(u64::MAX, f64::to_bits)];
+    }
+
+    /// Scatters `from`'s label into the hub table, unless the table holds
+    /// it already.
+    fn scatter(&mut self, index: &ChIndex, from: NodeId, stats: &mut SearchStats) {
+        if self.source == Some((index.id, from)) {
+            return;
+        }
+        let n = index.node_count();
+        if self.hub_stamp.len() < n {
+            self.hub_dist = vec![0.0; n];
+            self.hub_stamp = vec![0; n];
+            self.stamp = 0;
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.hub_stamp.fill(0);
+            self.stamp = 1;
+        }
+        let label = &index.labels[from as usize];
+        stats.relaxed += label.len() as u64;
+        for e in label {
+            self.hub_dist[e.hub as usize] = e.dist;
+            self.hub_stamp[e.hub as usize] = self.stamp;
+        }
+        self.base = label.first().map_or(0, |e| e.hub);
+        self.source = Some((index.id, from));
+    }
+
+    /// `label`'s entry for the cheapest hub it shares with the scattered
+    /// label: the first strict minimum of `source dist + target dist` in
+    /// ascending hub order, or `None` when the two share no hub. The scan
+    /// runs down from the top and stops below the source's own rank,
+    /// under which the scattered label has no hub; keeping the last of
+    /// equal minima (`<=`) going down keeps the first going up.
+    fn best_hub(&self, label: &[LabelEntry], stats: &mut SearchStats) -> Option<LabelEntry> {
+        let mut best = f64::INFINITY;
+        let mut best_entry = None;
+        for e in label.iter().rev() {
+            stats.relaxed += 1;
+            if e.hub < self.base {
+                break;
+            }
+            let r = e.hub as usize;
+            if self.hub_stamp[r] == self.stamp {
+                stats.settled += 1;
+                let d = self.hub_dist[r] + e.dist;
+                if d <= best {
+                    best = d;
+                    best_entry = Some(*e);
+                }
+            }
+        }
+        best_entry
+    }
 }
 
 /// Hub-label CH query with effort counters — the oracle-side analogue of
 /// [`crate::counting_dijkstra`] / [`crate::counting_astar`] /
 /// [`crate::counting_alt`], so per-query work is directly
 /// comparable across the four strategies. `relaxed` counts label entries
-/// scanned by the merge (each strictly cheaper than one graph edge
-/// relaxation); `settled` counts common hubs evaluated.
+/// read — both labels, since the scratch is fresh (each entry strictly
+/// cheaper than one graph edge relaxation); `settled` counts common hubs
+/// evaluated.
 pub fn counting_ch(index: &ChIndex, from: NodeId, to: NodeId) -> (Option<f64>, SearchStats) {
     let mut stats = SearchStats::default();
     let d = index.label_query(from, to, &mut ChScratch::new(), &mut stats);
@@ -881,6 +1032,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The two-pointer merge of two labels: over the common hubs in
+    /// ascending order, the first strict minimum of
+    /// `la.dist + lb.dist`, with the number of common hubs.
+    /// [`ChIndex::label_query`] asserts, on every query in a test build,
+    /// that the scan picks this hub.
+    pub(super) fn merge_best_hub(la: &[LabelEntry], lb: &[LabelEntry]) -> (Option<u32>, u64) {
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut best = f64::INFINITY;
+        let mut best_hub = None;
+        let mut common = 0;
+        while i < la.len() && j < lb.len() {
+            match la[i].hub.cmp(&lb[j].hub) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    common += 1;
+                    let d = la[i].dist + lb[j].dist;
+                    if d < best {
+                        best = d;
+                        best_hub = Some(la[i].hub);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        (best_hub, common)
+    }
+
+    /// The label pruning as one merge per candidate: the kept entries, hub
+    /// descending, of one node's sorted candidates. `kept` runs hub
+    /// descending and each hub's label hub ascending, so one merge from
+    /// the label's top finds every shared hub. [`ChIndex::build_labels`]
+    /// asserts, for every node in a test build, that it keeps these.
+    pub(super) fn merge_prune(
+        labels: &[Vec<LabelEntry>],
+        order: &[NodeId],
+        cand: &[LabelEntry],
+    ) -> Vec<LabelEntry> {
+        let mut kept: Vec<LabelEntry> = Vec::new();
+        let mut last_hub = u32::MAX;
+        'cands: for &c in cand {
+            if c.hub == last_hub {
+                continue;
+            }
+            last_hub = c.hub;
+            let hub_label = &labels[order[c.hub as usize] as usize];
+            let mut top = hub_label.len();
+            for k in &kept {
+                while top > 0 && hub_label[top - 1].hub > k.hub {
+                    top -= 1;
+                }
+                if top == 0 {
+                    break;
+                }
+                let h = &hub_label[top - 1];
+                if h.hub == k.hub && k.dist + h.dist <= c.dist {
+                    continue 'cands;
+                }
+            }
+            kept.push(c);
+        }
+        kept
+    }
+
+    /// Label entries as comparable bits.
+    pub(super) fn entry_bits(entries: &[LabelEntry]) -> Vec<(u32, u64, u32)> {
+        entries
+            .iter()
+            .map(|e| (e.hub, e.dist.to_bits(), e.edge))
+            .collect()
     }
 
     /// A `w × h` grid whose nodes are jittered by a xorshift stream from
@@ -1005,6 +1229,45 @@ mod tests {
                 fresh,
                 "{from}->{to}"
             );
+        }
+    }
+
+    /// A scratch answers a repeated pair from its kept answers, and those
+    /// equal a fresh scratch's bit for bit, unreachable pairs included; a
+    /// query against another index in between sets the kept answers aside.
+    #[test]
+    fn remembered_answers_equal_fresh_answers() {
+        let mut net = net();
+        let island = net.add_node(Point::new(9e5, 9e5));
+        let idx = ChIndex::build_seeded(&net, 3);
+        let other = ChIndex::build_seeded(&net, 4);
+        let n = net.node_count() as u32;
+        let pairs: Vec<(NodeId, NodeId)> = (0..40u32)
+            .map(|i| ((i * 41) % n, (i * 89 + 5) % n))
+            .chain([(0, island), (island, 7)])
+            .collect();
+        let mut scratch = ChScratch::new();
+        for round in 0..3 {
+            for &(from, to) in &pairs {
+                let mut stats = SearchStats::default();
+                let got = idx.label_query(from, to, &mut scratch, &mut stats);
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    idx.distance(from, to).map(f64::to_bits),
+                    "round {round}: {from}->{to}"
+                );
+                if round == 1 && from != to {
+                    assert_eq!(stats.relaxed, 0, "a kept answer reads no label");
+                }
+            }
+            // Between the second and third rounds, a query against
+            // another index.
+            if round == 1 {
+                assert_eq!(
+                    other.distance_with(1, 2, &mut scratch),
+                    other.distance(1, 2)
+                );
+            }
         }
     }
 
@@ -1137,7 +1400,7 @@ mod tests {
 
     #[test]
     fn label_and_search_queries_agree_everywhere() {
-        // The hub-label merge against a Dijkstra search over a lattice
+        // The hub-label query against a Dijkstra search over a lattice
         // of endpoint pairs.
         let net = net();
         let idx = ChIndex::build(&net);
@@ -1155,6 +1418,44 @@ mod tests {
                         )
                     }
                     (a, b) => assert_eq!(a.is_some(), b.is_some(), "{from}->{to}"),
+                }
+            }
+        }
+    }
+
+    /// On an unjittered lattice with 200 m blocks every sum is an exact
+    /// integer, so many hubs tie for the minimum and many kept hubs tie a
+    /// candidate's distance. The build checks every node's prune against
+    /// the merge prune, and every query here checks its hub against the
+    /// merge's (the asserts in `build_labels` and `label_query`); the
+    /// lengths equal Dijkstra's, as every fold of these paths is exact.
+    #[test]
+    fn scan_and_prune_keep_the_merges_choice_on_ties() {
+        let (w, h) = (9usize, 7usize);
+        let mut net = RoadNetwork::new();
+        let ids: Vec<NodeId> = (0..w * h)
+            .map(|i| net.add_node(Point::new(200.0 * (i % w) as f64, 200.0 * (i / w) as f64)))
+            .collect();
+        for y in 0..h {
+            for x in 0..w {
+                if x + 1 < w {
+                    net.add_edge(ids[y * w + x], ids[y * w + x + 1], RoadClass::Local);
+                }
+                if y + 1 < h {
+                    net.add_edge(ids[y * w + x], ids[(y + 1) * w + x], RoadClass::Local);
+                }
+            }
+        }
+        for seed in 0..4 {
+            let idx = ChIndex::build_seeded(&net, seed);
+            let mut scratch = ChScratch::new();
+            for &from in &ids {
+                for &to in &ids {
+                    assert_eq!(
+                        idx.distance_with(from, to, &mut scratch),
+                        dijkstra_distance(&net, from, to),
+                        "seed {seed}: {from}->{to}"
+                    );
                 }
             }
         }
@@ -1185,6 +1486,59 @@ mod tests {
                     let want = dijkstra_distance(&net, from, to);
                     let got = idx.distance_with(from, to, &mut scratch);
                     proptest::prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                }
+            }
+        }
+
+        /// The one-to-many scan against the merge on a jittered grid with
+        /// a second, unreachable component (and an isolated node): one
+        /// scratch answers every target from one anchor, then re-anchors,
+        /// returns to earlier anchors (kept answers) and asks a second
+        /// index over the same network in between. Every answer picks the
+        /// merge's hub (the assert in `label_query`) with its common-hub
+        /// count, and its bits equal a fresh scratch's and Dijkstra's.
+        /// Every build here also runs the scatter prune against the merge
+        /// prune (the assert in `build_labels`).
+        #[test]
+        fn scan_matches_the_merge_one_to_many(
+            w in 2usize..7,
+            h in 2usize..7,
+            seed in 1u64..u64::MAX,
+            build_seed in proptest::prelude::any::<u64>(),
+            anchors in proptest::prop::collection::vec(0usize..1000, 1..6),
+        ) {
+            let mut net = jittered_grid(w, h, seed, 0.0);
+            let base = net.node_count() as NodeId;
+            for k in 0..3 {
+                net.add_node(Point::new(9e5 + 150.0 * f64::from(k), 9e5));
+            }
+            net.add_edge(base, base + 1, RoadClass::Local);
+            net.add_edge(base + 1, base + 2, RoadClass::Local);
+            net.add_node(Point::new(-9e5, 9e5));
+            let idx = ChIndex::build_seeded(&net, build_seed);
+            let other = ChIndex::build_seeded(&net, build_seed ^ 0x5a5a);
+            let n = net.node_count() as NodeId;
+            let mut scratch = ChScratch::new();
+            for (turn, &a) in anchors.iter().enumerate() {
+                let from = a as NodeId % n;
+                for to in 0..n {
+                    let index = if (to as usize + turn).is_multiple_of(5) { &other } else { &idx };
+                    let mut stats = SearchStats::default();
+                    let got = index.label_query(from, to, &mut scratch, &mut stats);
+                    let (hub, common) = merge_best_hub(
+                        &index.labels[from as usize],
+                        &index.labels[to as usize],
+                    );
+                    let want = index.distance(from, to);
+                    proptest::prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                    proptest::prop_assert_eq!(got.is_some(), hub.is_some() || from == to);
+                    proptest::prop_assert_eq!(
+                        got.map(f64::to_bits),
+                        dijkstra_distance(&net, from, to).map(f64::to_bits)
+                    );
+                    if from != to {
+                        proptest::prop_assert_eq!(stats.settled, common);
+                    }
                 }
             }
         }

@@ -13,8 +13,10 @@
 //!   an [`AltIndex`]; identical distances, fewer settled nodes.
 //!   [`AltBound`] reads the same landmark table without searching.
 //! * [`ChDistance`] / [`ChBound`] — the contraction-hierarchy oracle of a
-//!   prebuilt [`ChIndex`]: the same exact distances again, answered by two
-//!   tiny upward searches instead of a full graph search.
+//!   prebuilt [`ChIndex`]: the same exact distances again (bit for bit
+//!   where the shortest path is unique), answered from hub labels instead
+//!   of a full graph search; the anchor's label is scattered once and
+//!   every candidate reads only its own.
 //!
 //! Plugged into `senn_core::snnn_query`, these models turn the generic
 //! IER driver into Algorithm 2 proper; the Euclidean lower-bound property
@@ -220,7 +222,9 @@ impl<'a> AltBound<'a> {
 }
 
 /// The distance query of a prebuilt contraction hierarchy ([`ChIndex`])
-/// over an owned, reused [`ChScratch`].
+/// over an owned, reused [`ChScratch`]: every query from one anchor node
+/// scatters that node's label once (the one-to-many query of
+/// [`crate::ch`]).
 pub struct ChQuery<'a> {
     index: &'a ChIndex,
     scratch: ChScratch,
@@ -235,18 +239,21 @@ impl ExactCore for ChQuery<'_> {}
 impl LengthBoundCore for ChQuery<'_> {}
 
 /// A [`DistanceModel`] backed by a contraction hierarchy: the same exact
-/// distances as [`NetworkDistance`] / [`AltDistance`] (the CH query
-/// unpacks shortcuts and folds the original edge sequence left-to-right,
-/// so unique shortest paths reproduce A\*'s result bit-for-bit), answered
-/// in near-constant time.
+/// distances as [`NetworkDistance`] / [`AltDistance`], answered in
+/// near-constant time. The CH query unpacks shortcuts and folds the
+/// original edge sequence left-to-right, so on a unique shortest path it
+/// reproduces Dijkstra's result bit for bit (and A\*'s, which holds there
+/// too). Where several shortest paths tie, the fold of another tied path
+/// may differ in the last bit: see [`astar_distance`].
 pub type ChDistance<'a> = Anchored<'a, ChQuery<'a>>;
 
 /// A [`LowerBoundOracle`] from a contraction hierarchy — the same type as
 /// [`ChDistance`]: the CH core is *exact* for the length metric, so its
 /// bound is the tightest admissible one the seam can express. It equals
-/// [`ChDistance`]'s value bit-for-bit and lower-bounds
-/// [`NetworkDistance`] / [`AltDistance`]; every candidate ALT's landmark
-/// bound can prune, this bound prunes too.
+/// [`ChDistance`]'s value bit for bit, and lower-bounds
+/// [`NetworkDistance`] / [`AltDistance`] exactly where the shortest path
+/// is unique (on tied paths, up to the last bit); every candidate ALT's
+/// landmark bound can prune, this bound prunes too.
 pub type ChBound<'a> = ChDistance<'a>;
 
 impl<'a> ChDistance<'a> {
@@ -258,8 +265,25 @@ impl<'a> ChDistance<'a> {
         index: &'a ChIndex,
         query: Point,
     ) -> Option<Self> {
-        let scratch = ChScratch::new();
+        Self::with_scratch(net, locator, index, query, ChScratch::new())
+    }
+
+    /// [`ChDistance::new`] over a scratch kept from an earlier model (see
+    /// [`ChDistance::into_scratch`]), so a driver that makes a model per
+    /// pass does not regrow its buffers every pass.
+    pub fn with_scratch(
+        net: &'a RoadNetwork,
+        locator: &'a NodeLocator,
+        index: &'a ChIndex,
+        query: Point,
+        scratch: ChScratch,
+    ) -> Option<Self> {
         Self::at(net, locator, query, ChQuery { index, scratch })
+    }
+
+    /// Gives the model's query scratch back for the next pass.
+    pub fn into_scratch(self) -> ChScratch {
+        self.core.scratch
     }
 }
 

@@ -65,14 +65,20 @@ impl NodeLocator {
             return None;
         }
         let (cx, cy) = clamp_cell(self.bounds, self.cell, self.cols, self.rows, p);
+        // How far `p` lies inside its own cell (0 outside the grid), less
+        // a slack far above rounding: a node of ring `r >= 1` is at least
+        // `(r - 1) * cell + margin` away.
+        let fx = p.x - self.bounds.min.x - cx as f64 * self.cell;
+        let fy = p.y - self.bounds.min.y - cy as f64 * self.cell;
+        let margin =
+            (fx.min(self.cell - fx).min(fy).min(self.cell - fy) - 1e-9 * self.cell).max(0.0);
         let mut best: Option<(f64, NodeId)> = None;
         let max_ring = self.cols.max(self.rows);
         for ring in 0..=max_ring {
-            // Once a candidate is found, one extra ring guarantees
-            // correctness (a node in a farther ring is at least
-            // `(ring - 1) * cell` away).
+            // Once a candidate is found, a ring that cannot hold a nearer
+            // node ends the search.
             if let Some((bd, _)) = best {
-                if (ring as f64 - 1.0) * self.cell > bd.sqrt() {
+                if ring > 0 && (ring as f64 - 1.0) * self.cell + margin > bd.sqrt() {
                     break;
                 }
             }
@@ -201,6 +207,71 @@ mod tests {
                 (q.dist(net.position(fast)) - q.dist(net.position(slow))).abs() < 1e-9,
                 "locator returned a farther node"
             );
+        }
+    }
+
+    /// The ring search with the plain stopping rule (a ring `r` is at
+    /// least `(r - 1) * cell` away), every ring scanned in full.
+    fn reference_nearest(loc: &NodeLocator, p: Point) -> Option<NodeId> {
+        let (cx, cy) = clamp_cell(loc.bounds, loc.cell, loc.cols, loc.rows, p);
+        let mut best: Option<(f64, NodeId)> = None;
+        for ring in 0..=loc.cols.max(loc.rows) {
+            if let Some((bd, _)) = best {
+                if (ring as f64 - 1.0) * loc.cell > bd.sqrt() {
+                    break;
+                }
+            }
+            for (x, y) in ring_cells(cx, cy, ring, loc.cols, loc.rows) {
+                for &id in &loc.cells[y * loc.cols + x] {
+                    let d = p.dist_sq(loc.positions[id as usize]);
+                    if best.is_none_or(|(bd, _)| d < bd) {
+                        best = Some((d, id));
+                    }
+                }
+            }
+        }
+        best.map(|(_, id)| id)
+    }
+
+    /// The margin that skips the next ring picks the node the plain rule
+    /// picks, ties included: on a unit lattice (where many queries sit
+    /// at equal distances from several nodes, and on cell edges) and on
+    /// scattered nodes, from inside and outside the grid.
+    #[test]
+    fn nearest_matches_the_plain_ring_rule() {
+        let lattice: Vec<(f64, f64)> = (0..144)
+            .map(|i| ((i % 12) as f64, (i / 12) as f64))
+            .collect();
+        let mut s = 7u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let scattered: Vec<(f64, f64)> =
+            (0..400).map(|_| (next() * 100.0, next() * 60.0)).collect();
+        for (pts, side) in [(lattice, 12.0), (scattered, 100.0)] {
+            let net = net_with(&pts);
+            for loc in [
+                NodeLocator::new(&net),
+                NodeLocator::with_cell_size(&net, side / 7.0),
+            ] {
+                let step = side / 48.0;
+                for i in -6..54 {
+                    for j in -6..54 {
+                        let q = Point::new(f64::from(i) * step, f64::from(j) * step);
+                        assert_eq!(loc.nearest(q), reference_nearest(&loc, q), "{q:?}");
+                    }
+                }
+                for _ in 0..2000 {
+                    let q = Point::new(
+                        next() * side * 1.2 - side * 0.1,
+                        next() * side * 1.2 - side * 0.1,
+                    );
+                    assert_eq!(loc.nearest(q), reference_nearest(&loc, q), "{q:?}");
+                }
+            }
         }
     }
 

@@ -269,8 +269,14 @@ pub fn dijkstra_distance(net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<
     counting_dijkstra(net, from, to).0
 }
 
-/// Network distance via A\* with the Euclidean heuristic. Identical result
-/// to [`dijkstra_distance`], usually with fewer node settlements.
+/// Network distance via A\* with the Euclidean heuristic, usually with
+/// fewer node settlements than [`dijkstra_distance`]. The result equals
+/// Dijkstra's bit for bit where the shortest path is unique (always, up
+/// to measure-zero ties, on jittered networks). Where several paths tie,
+/// it is the left-to-right fold of whichever tied path A\* settles the
+/// target through, which can differ from Dijkstra's in the last bit: the
+/// heuristic is exact along a straight run, so it is admissible only up
+/// to rounding (pinned by `astar_rounding_differs_from_dijkstra_on_a_tie`).
 pub fn astar_distance(net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
     counting_astar(net, from, to).0
 }
@@ -472,6 +478,25 @@ mod tests {
             assert_eq!(scratch.dist(15), 6.0);
             assert_eq!(stats.settled, 16, "the far corner settles last");
         }
+    }
+
+    /// On an unjittered city (tie-rich: every grid block has two equal
+    /// routes round it) A\* settles trip 31 → 338 through a tied route
+    /// whose fold is one ulp above Dijkstra's; ALT matches Dijkstra. Both
+    /// lengths are the shortest up to rounding.
+    #[test]
+    fn astar_rounding_differs_from_dijkstra_on_a_tie() {
+        use crate::generator::{generate_network, GeneratorConfig};
+        let net = generate_network(&GeneratorConfig {
+            jitter: 0.0,
+            ..GeneratorConfig::city(3000.0, 5)
+        });
+        let astar = astar_distance(&net, 31, 338).map(f64::to_bits);
+        let dijkstra = dijkstra_distance(&net, 31, 338).map(f64::to_bits);
+        assert_eq!(astar, Some(4660204341633358577));
+        assert_eq!(dijkstra, Some(4660204341633358576));
+        let alt = crate::alt::counting_alt(&net, net.route_index(), 31, 338).0;
+        assert_eq!(alt.map(f64::to_bits), dijkstra);
     }
 
     #[test]

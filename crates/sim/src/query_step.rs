@@ -32,7 +32,9 @@ use senn_core::{
     SennEngine, SennOutcome, SnnnExpansion,
 };
 use senn_geom::Point;
-use senn_network::{AltBound, AltDistance, Anchored, ChDistance, ExactCore, NetworkDistance};
+use senn_network::{
+    AltBound, AltDistance, Anchored, ChDistance, ChScratch, ExactCore, NetworkDistance,
+};
 
 use crate::comms::{QueryScratch, WorkerScratch};
 use crate::simulator::{KChoice, RoadMetric, Simulator};
@@ -225,6 +227,10 @@ pub(crate) struct ExpandScratch {
     /// runs, so the pool stays a handful deep however many queries an
     /// interval expands.
     walks: Vec<QueryContext>,
+    /// The CH model's query scratch (its scattered anchor label, kept
+    /// answers and unpacking buffers), handed from pass to pass, so later
+    /// intervals' queries find the answers earlier ones kept.
+    ch: ChScratch,
 }
 
 /// The one completion of a residual round-trip, for a query's own
@@ -371,17 +377,22 @@ impl Simulator {
         // empty graph, where there is nothing to rank with.
         match metric {
             RoadMetric::AStar => {
-                let model = NetworkDistance::new(net, locator, origin);
-                self.expand_with(tasks, scratch, model, euclid)
+                let mut model = NetworkDistance::new(net, locator, origin);
+                self.expand_with(tasks, scratch, model.as_mut(), euclid)
             }
             RoadMetric::Alt(index) => {
-                let model = AltDistance::new(net, locator, index, origin);
+                let mut model = AltDistance::new(net, locator, index, origin);
                 let oracle = AltBound::new(net, locator, index, origin).map(ActiveOracle::Alt);
-                self.expand_with(tasks, scratch, model, oracle)
+                self.expand_with(tasks, scratch, model.as_mut(), oracle)
             }
             RoadMetric::Ch(index) => {
-                let model = ChDistance::new(net, locator, index, origin);
-                self.expand_with(tasks, scratch, model, euclid)
+                let ch = std::mem::take(&mut scratch.ch);
+                let mut model = ChDistance::with_scratch(net, locator, index, origin, ch);
+                let rounds = self.expand_with(tasks, scratch, model.as_mut(), euclid);
+                if let Some(model) = model {
+                    scratch.ch = model.into_scratch();
+                }
+                rounds
             }
         }
     }
@@ -417,11 +428,11 @@ impl Simulator {
         &self,
         tasks: &mut [QueryTask],
         scratch: &mut ExpandScratch,
-        model: Option<Anchored<'_, C>>,
+        model: Option<&mut Anchored<'_, C>>,
         oracle: Option<ActiveOracle<'_>>,
     ) -> u64 {
         let mut rounds = 0;
-        let (Some(mut model), Some(mut oracle)) = (model, oracle) else {
+        let (Some(model), Some(mut oracle)) = (model, oracle) else {
             return rounds;
         };
         let mut comms = QueryScratch {
@@ -437,7 +448,7 @@ impl Simulator {
                     model.rebase(q);
                     oracle.rebase(q);
                     let failed = served.trace.server_failed;
-                    Self::offer_round(&mut a.exp, &served.results, failed, &mut model, &mut oracle);
+                    Self::offer_round(&mut a.exp, &served.results, failed, model, &mut oracle);
                     a
                 }
                 // The Euclidean round is final: begin. An expansion already
@@ -448,8 +459,7 @@ impl Simulator {
                     if !Self::expansion_eligible(pending) || !model.rebase(q) || !oracle.rebase(q) {
                         continue;
                     }
-                    let exp =
-                        SnnnExpansion::begin(q, task.plan.k, &pending.outcome.results, &mut model);
+                    let exp = SnnnExpansion::begin(q, task.plan.k, &pending.outcome.results, model);
                     if !exp.needs_round() || self.config.snnn_max_expansion == 0 {
                         Self::finish_expansion(pending, &exp);
                         continue;
@@ -464,7 +474,7 @@ impl Simulator {
             task.round = self.read_rounds(
                 active,
                 &mut task.pending,
-                &mut model,
+                model,
                 &mut oracle,
                 &mut rounds,
                 &mut scratch.walks,
