@@ -7,8 +7,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::{honest_peer, network_world, BenchRng};
 use senn_core::{snnn_query, RTreeServer, SennEngine, SnnnConfig};
 use senn_network::{
-    alt_path_into, astar_distance, astar_path, counting_alt, dijkstra_distance, generate_network,
-    ier_knn, ine_knn, AltIndex, ChIndex, ChScratch, GeneratorConfig, NetworkDistance, NodeId,
+    alt_path_into, astar_distance, astar_path, dijkstra_distance, generate_network, ier_knn,
+    ine_knn, ChIndex, ChScratch, GeneratorConfig, NetworkDistance, NodeId,
 };
 
 fn network_knn(c: &mut Criterion) {
@@ -88,16 +88,6 @@ fn network_knn(c: &mut Criterion) {
             let (_, z) = queries[(i + 7) % queries.len()];
             i += 1;
             black_box(astar_distance(&w.net, a, z))
-        })
-    });
-    let alt = AltIndex::build(&w.net, 8);
-    group.bench_function("alt_point_to_point", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let (_, a) = queries[i % queries.len()];
-            let (_, z) = queries[(i + 7) % queries.len()];
-            i += 1;
-            black_box(counting_alt(&w.net, &alt, a, z))
         })
     });
     group.finish();

@@ -4,14 +4,15 @@
 //! The skip rule in [`SnnnExpansion::offer_pruned`] drops an exact model
 //! evaluation whenever the candidate's lower bound already reaches the
 //! current k-th network distance. This suite proves, over generated
-//! jittered-grid road networks and all three exact road models (A\*,
-//! ALT, contraction hierarchy), that the rule is *only* an optimization:
+//! jittered-grid road networks and both exact road models (A\* and the
+//! contraction hierarchy), that the rule is *only* an optimization:
 //!
 //! * the pruned driver returns the same `(network_dist, poi_id)`-sorted
 //!   top-k as the unpruned driver — distances bit-identical, ids in the
 //!   same order — with the same cap-hit verdict, under both the
-//!   free-flow Euclidean oracle and the model's road oracle (the ALT
-//!   landmark bound, or the exact CH bound beside the CH model);
+//!   free-flow Euclidean oracle and the road oracle (the exact CH bound,
+//!   beside either model: `dijkstra_ch_agree` in senn-network pins A\* ≡
+//!   CH bit for bit on these grids);
 //! * `lb_evals` is oracle-invariant (the candidate stream the oracle
 //!   sees never depends on which oracle answers), while the tighter
 //!   road oracle saves at least as many evaluations;
@@ -27,8 +28,7 @@ use senn_core::{
 };
 use senn_geom::Point;
 use senn_network::{
-    AltBound, AltDistance, AltIndex, ChBound, ChDistance, ChIndex, NetworkDistance, NodeLocator,
-    RoadClass, RoadNetwork,
+    ChBound, ChDistance, ChIndex, NetworkDistance, NodeLocator, RoadClass, RoadNetwork,
 };
 
 /// Deterministic generator state for grid jitter (proptest drives the
@@ -98,23 +98,17 @@ fn poi_field(net: &RoadNetwork, seed: u64) -> Vec<(u64, Point)> {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum ModelSel {
     AStar,
-    Alt,
     Ch,
 }
 
 fn model_strategy() -> impl Strategy<Value = ModelSel> {
-    prop_oneof![
-        Just(ModelSel::AStar),
-        Just(ModelSel::Alt),
-        Just(ModelSel::Ch),
-    ]
+    prop_oneof![Just(ModelSel::AStar), Just(ModelSel::Ch)]
 }
 
 /// One concrete model instance (fresh scratch per run — the simulator
 /// does the same; distances are pure per `(query, poi)` pair).
 enum Model<'a> {
     AStar(NetworkDistance<'a>),
-    Alt(AltDistance<'a>),
     Ch(ChDistance<'a>),
 }
 
@@ -122,16 +116,14 @@ impl DistanceModel for Model<'_> {
     fn distance(&mut self, q: Point, p: Point) -> Option<f64> {
         match self {
             Model::AStar(m) => m.distance(q, p),
-            Model::Alt(m) => m.distance(q, p),
             Model::Ch(m) => m.distance(q, p),
         }
     }
 }
 
-/// Any of the lower-bound oracles under one dispatchable type.
+/// Either lower-bound oracle under one dispatchable type.
 enum Oracle<'a> {
     Euclid(EuclideanBound),
-    Alt(AltBound<'a>),
     Ch(ChBound<'a>),
 }
 
@@ -139,47 +131,38 @@ impl LowerBoundOracle for Oracle<'_> {
     fn lower_bound(&mut self, query: Point, p: Point) -> f64 {
         match self {
             Oracle::Euclid(o) => o.lower_bound(query, p),
-            Oracle::Alt(o) => o.lower_bound(query, p),
             Oracle::Ch(o) => o.lower_bound(query, p),
         }
     }
 }
 
-/// What a case's model and oracles read: the snap locator, the landmark
-/// table, and the contraction hierarchy when the case runs the CH model.
+/// What a case's model and oracles read: the snap locator and the
+/// contraction hierarchy (the road oracle's, and the CH model's).
 struct Indexes {
     locator: NodeLocator,
-    alt: AltIndex,
-    ch: Option<ChIndex>,
+    ch: ChIndex,
 }
 
 impl Indexes {
     fn of(case: &Case) -> Self {
         Indexes {
             locator: NodeLocator::new(&case.net),
-            alt: AltIndex::build_seeded(&case.net, case.landmarks, case.seed),
-            ch: (case.sel == ModelSel::Ch).then(|| ChIndex::build_seeded(&case.net, case.seed)),
+            ch: ChIndex::build_seeded(&case.net, case.seed),
         }
     }
 
     /// The case's exact model, anchored at its query point.
     fn model<'a>(&'a self, case: &'a Case) -> Model<'a> {
         let (net, locator, q) = (&case.net, &self.locator, case.q);
-        match (case.sel, &self.ch) {
-            (ModelSel::Ch, Some(ch)) => Model::Ch(ChDistance::new(net, locator, ch, q).unwrap()),
-            (ModelSel::Alt, _) => Model::Alt(AltDistance::new(net, locator, &self.alt, q).unwrap()),
-            _ => Model::AStar(NetworkDistance::new(net, locator, q).unwrap()),
+        match case.sel {
+            ModelSel::Ch => Model::Ch(ChDistance::new(net, locator, &self.ch, q).unwrap()),
+            ModelSel::AStar => Model::AStar(NetworkDistance::new(net, locator, q).unwrap()),
         }
     }
 
-    /// The road oracle paired with the case's model: the exact CH bound
-    /// beside the CH model, the landmark bound otherwise.
+    /// The road oracle paired with either model: the exact CH bound.
     fn road_oracle<'a>(&'a self, case: &'a Case) -> Oracle<'a> {
-        let (net, locator, q) = (&case.net, &self.locator, case.q);
-        match &self.ch {
-            Some(ch) => Oracle::Ch(ChBound::new(net, locator, ch, q).unwrap()),
-            None => Oracle::Alt(AltBound::new(net, locator, &self.alt, q).unwrap()),
-        }
+        Oracle::Ch(ChBound::new(&case.net, &self.locator, &self.ch, case.q).unwrap())
     }
 }
 
@@ -189,7 +172,6 @@ struct Case {
     q: Point,
     k: usize,
     sel: ModelSel,
-    landmarks: usize,
     seed: u64,
 }
 
@@ -232,7 +214,7 @@ fn run_unpruned(case: &Case) -> SnnnOutcome {
     )
 }
 
-fn make_case(w: usize, h: usize, seed: u64, k: usize, sel: ModelSel, landmarks: usize) -> Case {
+fn make_case(w: usize, h: usize, seed: u64, k: usize, sel: ModelSel) -> Case {
     let net = grid_network(w, h, seed);
     let pois = poi_field(&net, seed);
     let mut rng = Mix(seed ^ 0x9a9a);
@@ -246,7 +228,6 @@ fn make_case(w: usize, h: usize, seed: u64, k: usize, sel: ModelSel, landmarks: 
         q,
         k,
         sel,
-        landmarks,
         seed,
     }
 }
@@ -265,10 +246,9 @@ proptest! {
         h in 3usize..7,
         seed in any::<u64>(),
         k in 1usize..5,
-        landmarks in 1usize..5,
         sel in model_strategy(),
     ) {
-        let case = make_case(w, h, seed, k, sel, landmarks);
+        let case = make_case(w, h, seed, k, sel);
         prop_assume!(case.pois.len() > k);
         let plain = run_unpruned(&case);
         let euclid = run_pruned(&case, false);
@@ -309,10 +289,9 @@ proptest! {
         h in 3usize..7,
         seed in any::<u64>(),
         k in 1usize..5,
-        landmarks in 1usize..5,
         sel in model_strategy(),
     ) {
-        let case = make_case(w, h, seed, k, sel, landmarks);
+        let case = make_case(w, h, seed, k, sel);
         prop_assume!(case.pois.len() > k);
         let indexes = Indexes::of(&case);
         let server = RTreeServer::new(case.pois.clone());
@@ -343,17 +322,17 @@ proptest! {
     }
 }
 
-/// On a sizable grid the landmark oracle must actually fire: a fixed
-/// seed where pruning saves at least 30 % of the exact evaluations
-/// while the result set stays identical.
+/// On a sizable grid the road oracle must actually fire: a fixed seed
+/// where pruning under the CH bound saves at least 30 % of the exact
+/// evaluations while the result set stays identical.
 #[test]
 fn pruning_saves_evaluations_on_a_large_grid() {
-    let case = make_case(14, 14, 0x5eed, 3, ModelSel::Alt, 6);
+    let case = make_case(14, 14, 0x5eed, 3, ModelSel::Ch);
     let plain = run_unpruned(&case);
     let pruned = run_pruned(&case, true);
     assert!(
         pruned.trace.model_evals_saved * 10 >= pruned.trace.lb_evals * 3,
-        "landmark pruning saved {} of {} exact evaluations on a 14x14 grid",
+        "CH-bound pruning saved {} of {} exact evaluations on a 14x14 grid",
         pruned.trace.model_evals_saved,
         pruned.trace.lb_evals
     );

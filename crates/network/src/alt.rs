@@ -4,17 +4,13 @@
 //! distance ≈ L1 on a grid, heuristic = L2). ALT preprocesses
 //! shortest-path distances from a few *landmarks* and uses the triangle
 //! inequality `d(u, t) >= |d(L, t) - d(L, u)|` as an admissible heuristic
-//! that is much tighter. The paper plans routes and ranks SNNN candidates
-//! with plain Dijkstra; here ALT does two jobs:
-//!
-//! * **Every road trip.** [`alt_path_into`] plans each trip of a road
-//!   mover over the network's own [`RoadNetwork::route_index`]
-//!   ([`ROUTE_LANDMARKS`] landmarks, built on first use). On the
-//!   simulator's city networks it settles about half the nodes Euclidean
-//!   A\* settles for the same route (EXPERIMENTS.md).
-//! * **The SNNN ALT metric.** [`crate::distance::AltDistance`] ranks
-//!   candidates with it, and [`crate::distance::AltBound`] reads the
-//!   table alone as a search-free lower bound.
+//! that is much tighter. The paper plans routes with plain Dijkstra;
+//! here [`alt_path_into`] plans each trip of a road mover over the
+//! network's own [`RoadNetwork::route_index`] ([`ROUTE_LANDMARKS`]
+//! landmarks, built on first use). On the simulator's city networks it
+//! settles about half the nodes Euclidean A\* settles for the same route
+//! (EXPERIMENTS.md). SNNN ranks candidates with the CH oracle, not with
+//! ALT ([`crate::distance`]).
 //!
 //! The search itself is the crate's one label-setting kernel
 //! ([`crate::shortest_path`]) with the landmark bound as its heuristic.

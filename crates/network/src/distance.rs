@@ -1,22 +1,19 @@
 //! The road-network implementations of `senn-core`'s distance-model seam.
 //!
-//! Every model and bound here shares one convention, written once in
-//! [`Anchored`]: anchor the
-//! query point to its nearest modeling-graph node, ask a node-to-node
-//! [`RoadCore`] for the part between snap nodes, and add the straight-line
-//! legs to/from them (the same convention the IER/INE kNN baselines use).
-//! The public names are aliases that pick the core:
+//! Every model here shares one convention, written once in [`Anchored`]:
+//! anchor the query point to its nearest modeling-graph node, ask a
+//! node-to-node [`RoadCore`] for the exact distance between snap nodes,
+//! and add the straight-line legs to/from them (the same convention the
+//! IER/INE kNN baselines use). The public names are aliases that pick the
+//! core:
 //!
 //! * [`NetworkDistance`] — A\* with the Euclidean heuristic (the
-//!   baseline model).
-//! * [`AltDistance`] — A\* with the precomputed landmark lower bounds of
-//!   an [`AltIndex`]; identical distances, fewer settled nodes.
-//!   [`AltBound`] reads the same landmark table without searching.
+//!   reference model).
 //! * [`ChDistance`] / [`ChBound`] — the contraction-hierarchy oracle of a
-//!   prebuilt [`ChIndex`]: the same exact distances again (bit for bit
-//!   where the shortest path is unique), answered from hub labels instead
-//!   of a full graph search; the anchor's label is scattered once and
-//!   every candidate reads only its own.
+//!   prebuilt [`ChIndex`]: the same exact distances (bit for bit where
+//!   the shortest path is unique), answered from hub labels instead of a
+//!   full graph search; the anchor's label is scattered once and every
+//!   candidate reads only its own.
 //!
 //! Plugged into `senn_core::snnn_query`, these models turn the generic
 //! IER driver into Algorithm 2 proper; the Euclidean lower-bound property
@@ -26,34 +23,25 @@
 use senn_core::{DistanceModel, LowerBoundOracle};
 use senn_geom::Point;
 
-use crate::alt::{counting_alt, AltIndex};
 use crate::ch::{ChIndex, ChScratch};
 use crate::graph::{NodeId, RoadNetwork};
 use crate::locator::NodeLocator;
 use crate::shortest_path::astar_distance;
 
-/// The node-to-node part of a road model: everything a model or bound
-/// knows beyond the snap-leg convention [`Anchored`] owns.
+/// The node-to-node part of a road model: the exact distance of the
+/// length metric between two nodes, everything a model knows beyond the
+/// snap-leg convention [`Anchored`] owns.
 pub trait RoadCore {
-    /// The core's value between two nodes of `net`, or `None` when no
-    /// path exists.
+    /// The shortest-path length between two nodes of `net`, or `None`
+    /// when no path exists.
     fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64>;
 }
 
-/// A [`RoadCore`] whose value is the exact distance of its metric, so
-/// [`Anchored`] around it is a [`DistanceModel`].
-pub trait ExactCore: RoadCore {}
-
-/// A [`RoadCore`] whose value never exceeds the shortest path *length*
-/// between the nodes, so [`Anchored`] around it is a [`LowerBoundOracle`]
-/// for every model of this module.
-pub trait LengthBoundCore: RoadCore {}
-
-/// A road model or bound anchored at a query point: the network, the
-/// snap locator, the node the query snapped to, and the [`RoadCore`]
-/// that answers between snap nodes. The label-setting cores search on the
-/// thread's scratch; the CH core owns its query scratch, which
-/// [`Anchored::rebase`] keeps across queries.
+/// A road model anchored at a query point: the network, the snap locator,
+/// the node the query snapped to, and the [`RoadCore`] that answers
+/// between snap nodes. The A\* core searches on the thread's scratch; the
+/// CH core owns its query scratch, which [`Anchored::rebase`] keeps
+/// across queries.
 pub struct Anchored<'a, C> {
     net: &'a RoadNetwork,
     locator: &'a NodeLocator,
@@ -101,41 +89,12 @@ impl<C: RoadCore> Anchored<'_, C> {
     }
 }
 
-impl<C: ExactCore> DistanceModel for Anchored<'_, C> {
+impl<C: RoadCore> DistanceModel for Anchored<'_, C> {
     /// The snap-leg sum around the exact core, or `None` when `p` cannot
     /// be snapped or no path exists.
     fn distance(&mut self, query: Point, p: Point) -> Option<f64> {
         let pn = self.locator.nearest(p)?;
         self.snapped(query, p, pn)
-    }
-}
-
-/// The bound is the larger of two admissible estimates: the free-flow
-/// Euclidean distance `|q → p|` (the [`DistanceModel`] contract's
-/// `ED <= ND`) and the snap-leg sum around the bounding core.
-///
-/// Degenerate placements stay sound without any clamping: when the query
-/// point coincides with a candidate (or sits exactly on a snap node of
-/// its own candidate segment) both estimates collapse to the exact snap
-/// legs — a core bounds `(n, n)` by 0, never negative — so the bound is
-/// `0` when the exact distance is `0` and never exceeds it
-/// (regression-tested by the degenerate-placement proptest in
-/// `tests/metric_equivalence.rs`). When `p` cannot be snapped the oracle
-/// falls back to the Euclidean estimate alone; when the core finds no
-/// path it returns `f64::INFINITY` — sound, because the exact models
-/// return `None` for the same pair, so the candidate could never pass a
-/// replacement test anyway.
-impl<C: LengthBoundCore> LowerBoundOracle for Anchored<'_, C> {
-    fn lower_bound(&mut self, query: Point, p: Point) -> f64 {
-        let euclid = query.dist(p);
-        let Some(pn) = self.locator.nearest(p) else {
-            return euclid;
-        };
-        let Some(snapped) = self.snapped(query, p, pn) else {
-            return f64::INFINITY;
-        };
-        debug_assert!(snapped >= 0.0, "core bounds are never negative");
-        euclid.max(snapped)
     }
 }
 
@@ -148,7 +107,6 @@ impl RoadCore for AStar {
         astar_distance(net, from, to)
     }
 }
-impl ExactCore for AStar {}
 
 /// A [`DistanceModel`] over a road network: A\* from the anchored query
 /// node.
@@ -159,65 +117,6 @@ impl<'a> NetworkDistance<'a> {
     /// `None` when the network has no nodes.
     pub fn new(net: &'a RoadNetwork, locator: &'a NodeLocator, query: Point) -> Option<Self> {
         Self::at(net, locator, query, AStar)
-    }
-}
-
-/// A\* with the ALT heuristic of a prebuilt [`AltIndex`].
-pub struct AltSearch<'a>(&'a AltIndex);
-
-impl RoadCore for AltSearch<'_> {
-    fn core(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-        counting_alt(net, self.0, from, to).0
-    }
-}
-impl ExactCore for AltSearch<'_> {}
-
-/// A [`DistanceModel`] using the ALT heuristic: identical distances to
-/// [`NetworkDistance`] (both are exact label-setting searches), typically
-/// with far fewer settled nodes on grid-like networks where the
-/// Euclidean heuristic is weak.
-pub type AltDistance<'a> = Anchored<'a, AltSearch<'a>>;
-
-impl<'a> AltDistance<'a> {
-    /// Anchors the model at the network node nearest to `query`. Returns
-    /// `None` when the network has no nodes.
-    pub fn new(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        index: &'a AltIndex,
-        query: Point,
-    ) -> Option<Self> {
-        Self::at(net, locator, query, AltSearch(index))
-    }
-}
-
-/// The landmark triangle bound of an [`AltIndex`] — a search-free lower
-/// bound on the length core shared by [`NetworkDistance`] and
-/// [`AltDistance`].
-pub struct Landmarks<'a>(&'a AltIndex);
-
-impl RoadCore for Landmarks<'_> {
-    fn core(&mut self, _net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-        Some(self.0.lower_bound(from, to))
-    }
-}
-impl LengthBoundCore for Landmarks<'_> {}
-
-/// A [`LowerBoundOracle`] from the landmark table of an [`AltIndex`]: a
-/// search-free lower bound on every road model's distance, used by
-/// SNNN's pruned expansion to skip exact evaluations.
-pub type AltBound<'a> = Anchored<'a, Landmarks<'a>>;
-
-impl<'a> AltBound<'a> {
-    /// Anchors the oracle at the network node nearest to `query`. Returns
-    /// `None` when the network has no nodes.
-    pub fn new(
-        net: &'a RoadNetwork,
-        locator: &'a NodeLocator,
-        index: &'a AltIndex,
-        query: Point,
-    ) -> Option<Self> {
-        Self::at(net, locator, query, Landmarks(index))
     }
 }
 
@@ -235,26 +134,52 @@ impl RoadCore for ChQuery<'_> {
         self.index.distance_with(from, to, &mut self.scratch)
     }
 }
-impl ExactCore for ChQuery<'_> {}
-impl LengthBoundCore for ChQuery<'_> {}
 
 /// A [`DistanceModel`] backed by a contraction hierarchy: the same exact
-/// distances as [`NetworkDistance`] / [`AltDistance`], answered in
-/// near-constant time. The CH query unpacks shortcuts and folds the
-/// original edge sequence left-to-right, so on a unique shortest path it
-/// reproduces Dijkstra's result bit for bit (and A\*'s, which holds there
-/// too). Where several shortest paths tie, the fold of another tied path
-/// may differ in the last bit: see [`astar_distance`].
+/// distances as [`NetworkDistance`], answered in near-constant time. The
+/// CH query unpacks shortcuts and folds the original edge sequence
+/// left-to-right, so on a unique shortest path it reproduces Dijkstra's
+/// result bit for bit (and A\*'s, which holds there too). Where several
+/// shortest paths tie, the fold of another tied path may differ in the
+/// last bit: see [`astar_distance`].
 pub type ChDistance<'a> = Anchored<'a, ChQuery<'a>>;
 
 /// A [`LowerBoundOracle`] from a contraction hierarchy — the same type as
 /// [`ChDistance`]: the CH core is *exact* for the length metric, so its
 /// bound is the tightest admissible one the seam can express. It equals
 /// [`ChDistance`]'s value bit for bit, and lower-bounds
-/// [`NetworkDistance`] / [`AltDistance`] exactly where the shortest path
-/// is unique (on tied paths, up to the last bit); every candidate ALT's
-/// landmark bound can prune, this bound prunes too.
+/// [`NetworkDistance`] exactly where the shortest path is unique (on tied
+/// paths, up to the last bit).
 pub type ChBound<'a> = ChDistance<'a>;
+
+/// The bound is the larger of two admissible estimates: the free-flow
+/// Euclidean distance `|q → p|` (the [`DistanceModel`] contract's
+/// `ED <= ND`) and the snap-leg sum around the CH core.
+///
+/// Degenerate placements stay sound without any clamping: when the query
+/// point coincides with a candidate (or sits exactly on a snap node of
+/// its own candidate segment) both estimates collapse to the exact snap
+/// legs — the core bounds `(n, n)` by 0, never negative — so the bound is
+/// `0` when the exact distance is `0` and never exceeds it
+/// (regression-tested by the degenerate-placement proptest in
+/// `tests/metric_equivalence.rs`). When `p` cannot be snapped the oracle
+/// falls back to the Euclidean estimate alone; when the core finds no
+/// path it returns `f64::INFINITY` — sound, because the exact models
+/// return `None` for the same pair, so the candidate could never pass a
+/// replacement test anyway.
+impl LowerBoundOracle for ChDistance<'_> {
+    fn lower_bound(&mut self, query: Point, p: Point) -> f64 {
+        let euclid = query.dist(p);
+        let Some(pn) = self.locator.nearest(p) else {
+            return euclid;
+        };
+        let Some(snapped) = self.snapped(query, p, pn) else {
+            return f64::INFINITY;
+        };
+        debug_assert!(snapped >= 0.0, "core distances are never negative");
+        euclid.max(snapped)
+    }
+}
 
 impl<'a> ChDistance<'a> {
     /// Anchors the model (or oracle) at the network node nearest to
@@ -327,60 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn alt_model_matches_astar_model() {
-        let net = generate_network(&GeneratorConfig::city(2000.0, 8));
-        let locator = NodeLocator::new(&net);
-        let index = AltIndex::build(&net, 5);
-        let q = Point::new(400.0, 1600.0);
-        let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
-        let mut alt = AltDistance::new(&net, &locator, &index, q).unwrap();
-        assert_eq!(astar.query_node(), alt.query_node());
-        for i in 0..25 {
-            let p = Point::new(80.0 * i as f64, 70.0 * i as f64);
-            match (astar.distance(q, p), alt.distance(q, p)) {
-                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "at {p:?}: {a} vs {b}"),
-                (a, b) => assert_eq!(a.is_some(), b.is_some()),
-            }
-        }
-    }
-
-    #[test]
-    fn alt_bound_is_admissible_for_all_three_models() {
-        let net = generate_network(&GeneratorConfig::city(2000.0, 8));
-        let locator = NodeLocator::new(&net);
-        let index = AltIndex::build(&net, 5);
-        let q = Point::new(400.0, 1600.0);
-        let mut bound = AltBound::new(&net, &locator, &index, q).unwrap();
-        let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
-        let mut alt = AltDistance::new(&net, &locator, &index, q).unwrap();
-        let ch_index = ChIndex::build_seeded(&net, 8);
-        let mut ch = ChDistance::new(&net, &locator, &ch_index, q).unwrap();
-        assert_eq!(bound.query_node(), astar.query_node());
-        let mut tight = 0usize;
-        for i in 0..25 {
-            let p = Point::new(80.0 * i as f64, 70.0 * i as f64);
-            let lb = bound.lower_bound(q, p);
-            assert!(lb >= 0.0);
-            assert!(lb >= q.dist(p) - 1e-9, "never looser than Euclidean");
-            for exact in [astar.distance(q, p), alt.distance(q, p), ch.distance(q, p)]
-                .into_iter()
-                .flatten()
-            {
-                assert!(lb <= exact + 1e-9, "bound {lb} overshot exact {exact}");
-            }
-            if let Some(exact) = astar.distance(q, p) {
-                if lb > q.dist(p) + 1e-9 && lb <= exact + 1e-9 {
-                    tight += 1;
-                }
-            }
-        }
-        assert!(
-            tight > 0,
-            "the landmark term should beat plain Euclidean somewhere"
-        );
-    }
-
-    #[test]
     fn ch_model_matches_astar_model() {
         let net = generate_network(&GeneratorConfig::city(2000.0, 8));
         let locator = NodeLocator::new(&net);
@@ -402,23 +273,26 @@ mod tests {
     fn ch_bound_is_admissible_and_tighter_than_alt() {
         let net = generate_network(&GeneratorConfig::city(2000.0, 8));
         let locator = NodeLocator::new(&net);
-        let alt_index = AltIndex::build(&net, 5);
+        let alt_index = crate::alt::AltIndex::build(&net, 5);
         let ch_index = ChIndex::build_seeded(&net, 8);
         let q = Point::new(400.0, 1600.0);
-        let mut alt_bound = AltBound::new(&net, &locator, &alt_index, q).unwrap();
         let mut ch_bound = ChBound::new(&net, &locator, &ch_index, q).unwrap();
         let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
         let mut ch = ChDistance::new(&net, &locator, &ch_index, q).unwrap();
-        let mut alt = AltDistance::new(&net, &locator, &alt_index, q).unwrap();
+        let qn = astar.query_node();
         for i in 0..25 {
             let p = Point::new(80.0 * i as f64, 70.0 * i as f64);
             let lb = ch_bound.lower_bound(q, p);
             assert!(lb >= q.dist(p) - 1e-9, "never looser than Euclidean");
+            // The landmark triangle bound over the same snap legs.
+            let pn = locator.nearest(p).unwrap();
+            let landmark =
+                q.dist(net.position(qn)) + alt_index.lower_bound(qn, pn) + net.position(pn).dist(p);
             assert!(
-                lb >= alt_bound.lower_bound(q, p) - 1e-9,
+                lb >= landmark - 1e-9,
                 "the exact core can never be looser than a landmark bound"
             );
-            for exact in [astar.distance(q, p), ch.distance(q, p), alt.distance(q, p)]
+            for exact in [astar.distance(q, p), ch.distance(q, p)]
                 .into_iter()
                 .flatten()
             {
@@ -440,22 +314,6 @@ mod tests {
         let mut bound = ChBound::new(&net, &locator, &index, q).unwrap();
         assert_eq!(bound.lower_bound(q, q), 0.0);
         let mut model = ChDistance::new(&net, &locator, &index, q).unwrap();
-        assert_eq!(model.distance(q, q), Some(0.0));
-    }
-
-    #[test]
-    fn alt_bound_is_zero_on_its_own_snap_node() {
-        // The admissibility edge: a query point lying exactly on an
-        // auxiliary (snap) node of its own candidate segment must bound
-        // the zero self-distance by exactly 0, not a negative clamp.
-        let net = generate_network(&GeneratorConfig::city(1500.0, 5));
-        let locator = NodeLocator::new(&net);
-        let index = AltIndex::build(&net, 4);
-        let q = net.position(locator.nearest(Point::new(700.0, 700.0)).unwrap());
-        let mut bound = AltBound::new(&net, &locator, &index, q).unwrap();
-        let lb = bound.lower_bound(q, q);
-        assert_eq!(lb, 0.0, "self-bound on a snap node must be exactly zero");
-        let mut model = NetworkDistance::new(&net, &locator, q).unwrap();
         assert_eq!(model.distance(q, q), Some(0.0));
     }
 

@@ -24,8 +24,7 @@
 //!   the one label-setting kernel every search of the crate but CH runs.
 //! * [`alt`] — landmark (ALT) lower bounds in one `f32` table: the
 //!   heuristic every road trip is planned with
-//!   ([`RoadNetwork::route_index`], [`alt_path_into`]) and the SNNN ALT
-//!   metric's.
+//!   ([`RoadNetwork::route_index`], [`alt_path_into`]).
 //! * [`poi`] + [`knn`] — POIs snapped onto the network and the **IER** /
 //!   **INE** network-kNN baselines used by SNNN.
 //! * [`ch`] — a contraction-hierarchy distance oracle: seeded
@@ -33,10 +32,9 @@
 //!   searches, shortcuts) and hub-label queries whose unpacked distances
 //!   are bit-identical to Dijkstra on unique shortest paths.
 //! * [`distance`] — the road-network implementations of `senn-core`'s
-//!   `DistanceModel` seam: [`NetworkDistance`] (Euclidean-heuristic A\*),
-//!   [`AltDistance`] (landmark lower bounds) and [`ChDistance`] (the
-//!   hierarchy oracle), with the lower bounds [`AltBound`] and
-//!   [`ChBound`].
+//!   `DistanceModel` seam: [`NetworkDistance`] (Euclidean-heuristic A\*,
+//!   the reference) and [`ChDistance`] (the hierarchy oracle), which is
+//!   also the lower bound [`ChBound`].
 //! * [`generator`] — the seeded synthetic network generator.
 
 pub mod alt;
@@ -51,9 +49,7 @@ pub mod shortest_path;
 
 pub use alt::{alt_path_into, counting_alt, AltIndex, ROUTE_LANDMARKS};
 pub use ch::{counting_ch, ChIndex, ChScratch};
-pub use distance::{
-    AltBound, AltDistance, Anchored, ChBound, ChDistance, ExactCore, NetworkDistance,
-};
+pub use distance::{Anchored, ChBound, ChDistance, NetworkDistance};
 pub use generator::{generate_network, GeneratorConfig};
 pub use graph::{NodeId, RoadClass, RoadNetwork};
 pub use knn::{ier_knn, ine_knn, NetworkNeighbor};

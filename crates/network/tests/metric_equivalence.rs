@@ -3,8 +3,8 @@
 //!
 //! The SNNN expansion (Algorithm 2) is sound iff the [`DistanceModel`]
 //! respects the Euclidean lower bound, and the simulator's cross-model
-//! metrics-equality tests lean on the three exact road metrics agreeing
-//! on every distance. This suite checks both families of claims on
+//! metrics-equality tests lean on the two exact road metrics (A\* and
+//! CH) agreeing on every distance; movers plan routes with ALT. This suite checks both families of claims on
 //! generated jittered-grid networks:
 //!
 //! * Dijkstra ≡ A\* ≡ ALT to 1e-9 (A\* vs ALT bit-identical — they sum
@@ -14,19 +14,15 @@
 //!   path);
 //! * the [`ChBound`] oracle is admissible for all exact models and
 //!   bounds the zero self-distance by exactly 0 on its own snap node;
-//! * every model/bound alias answers the same bits after `rebase(q)`
+//! * every model alias answers the same bits after `rebase(q)`
 //!   as a fresh `new(.., q)` (re-anchoring is shared code in `Anchored`);
 //! * CH preprocessing is deterministic per seed: identical contraction
 //!   orders, shortcut sets, signatures and query traces;
 //! * ALT landmark lower bounds are admissible and never negative;
-//! * the [`AltBound`] oracle stays within `[0, exact]` for all three
-//!   models even under degenerate placements — a query point sitting
-//!   exactly on an auxiliary (snap) node of its own candidate segment
-//!   bounds the zero self-distance by exactly 0, never a negative clamp;
 //! * the network metric obeys the triangle inequality and dominates the
 //!   straight-line distance;
 //! * the library SNNN driver returns the same result set under the A\*
-//!   and ALT models;
+//!   and CH models;
 //! * landmark selection is deterministic per seed;
 //! * the searches' exact effort and answer bits on a generated city are
 //!   pinned, and an out-of-range node is an absent endpoint, not a panic.
@@ -37,9 +33,8 @@ use senn_core::{snnn_query, RTreeServer, SennEngine, SnnnConfig};
 use senn_geom::Point;
 use senn_network::{
     astar_distance, astar_path, counting_alt, counting_astar, counting_ch, counting_dijkstra,
-    dijkstra_distance, generate_network, ine_knn, AltBound, AltDistance, AltIndex, ChBound,
-    ChDistance, ChIndex, GeneratorConfig, NetworkDistance, NetworkPois, NodeId, NodeLocator,
-    RoadClass, RoadNetwork,
+    dijkstra_distance, generate_network, ine_knn, AltIndex, ChBound, ChDistance, ChIndex,
+    GeneratorConfig, NetworkDistance, NetworkPois, NodeId, NodeLocator, RoadClass, RoadNetwork,
 };
 
 /// Deterministic generator state for grid jitter (proptest drives the
@@ -147,61 +142,6 @@ proptest! {
         }
     }
 
-    /// Admissibility edge of the [`AltBound`] oracle under degenerate
-    /// placements: the query point sits *exactly* on an auxiliary (snap)
-    /// node of its own candidate segment — i.e. on the node the locator
-    /// anchors it to — and the candidate is the query itself, a point on
-    /// the same snap node, or another exact node position. In every case
-    /// `0 ≤ bound ≤ exact` must hold for all three road models, and the
-    /// self-placement must bound the zero distance by exactly `0` (not a
-    /// negative value clamped or otherwise).
-    #[test]
-    fn alt_bound_admissible_under_degenerate_placements(
-        w in 2usize..6,
-        h in 2usize..6,
-        seed in any::<u64>(),
-        landmarks in 1usize..6,
-    ) {
-        let net = grid_network(w, h, seed);
-        let locator = NodeLocator::new(&net);
-        let index = AltIndex::build_seeded(&net, landmarks, seed);
-        let ch_index = ChIndex::build_seeded(&net, seed);
-        for (a, b) in node_pairs(&net, seed, 8) {
-            // Anchor the query exactly on node `a` — the oracle and all
-            // three models snap it to `a` itself (zero snap leg).
-            let q = net.position(a);
-            let mut bound = AltBound::new(&net, &locator, &index, q).unwrap();
-            let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
-            let mut alt = AltDistance::new(&net, &locator, &index, q).unwrap();
-            let mut ch = ChDistance::new(&net, &locator, &ch_index, q).unwrap();
-            // Candidates: the query itself (self-distance 0), the exact
-            // position of node `b`, and a point midway to `b`'s position
-            // (snaps to whichever node is nearest — still degenerate
-            // because the query leg stays on its own snap node).
-            let mid = Point::new(
-                (q.x + net.position(b).x) / 2.0,
-                (q.y + net.position(b).y) / 2.0,
-            );
-            for p in [q, net.position(b), mid] {
-                let lb = bound.lower_bound(q, p);
-                prop_assert!(lb >= 0.0, "negative bound {lb} for degenerate placement");
-                prop_assert!(lb >= q.dist(p) - 1e-9, "looser than Euclidean");
-                for exact in [astar.distance(q, p), alt.distance(q, p), ch.distance(q, p)]
-                    .into_iter()
-                    .flatten()
-                {
-                    prop_assert!(
-                        lb <= exact + 1e-9,
-                        "bound {lb} overshot exact {exact} at degenerate placement"
-                    );
-                }
-            }
-            // The self-placement: distance 0, bound exactly 0.
-            prop_assert_eq!(bound.lower_bound(q, q), 0.0);
-            prop_assert_eq!(astar.distance(q, q), Some(0.0));
-        }
-    }
-
     /// The network metric is a metric: triangle inequality over sampled
     /// triples, and symmetric (the graph is undirected).
     #[test]
@@ -233,18 +173,17 @@ proptest! {
 
     /// The library SNNN driver returns the same result set — same POI ids
     /// in the same order, distances within 1e-9 — under the A* model and
-    /// the ALT model.
+    /// the CH model.
     #[test]
     fn snnn_result_sets_agree_across_exact_models(
         w in 3usize..7,
         h in 3usize..7,
         seed in any::<u64>(),
         k in 1usize..5,
-        landmarks in 1usize..5,
     ) {
         let net = grid_network(w, h, seed);
         let locator = NodeLocator::new(&net);
-        let index = AltIndex::build_seeded(&net, landmarks, seed);
+        let index = ChIndex::build_seeded(&net, seed);
         // POIs jittered off grid nodes; the query sits mid-area.
         let mut rng = Mix(seed ^ 0xbeef);
         let pois: Vec<(u64, Point)> = (0..net.node_count())
@@ -266,12 +205,12 @@ proptest! {
         );
         let engine = SennEngine::default();
         let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
-        let mut alt = AltDistance::new(&net, &locator, &index, q).unwrap();
+        let mut ch = ChDistance::new(&net, &locator, &index, q).unwrap();
         let a = snnn_query::<senn_core::PeerCacheEntry, _>(
             &engine, q, k, &[], &server, &mut astar, SnnnConfig::default(),
         );
         let b = snnn_query::<senn_core::PeerCacheEntry, _>(
-            &engine, q, k, &[], &server, &mut alt, SnnnConfig::default(),
+            &engine, q, k, &[], &server, &mut ch, SnnnConfig::default(),
         );
         prop_assert_eq!(a.results.len(), b.results.len());
         for (x, y) in a.results.iter().zip(&b.results) {
@@ -315,18 +254,15 @@ proptest! {
         w in 2usize..6,
         h in 2usize..6,
         seed in any::<u64>(),
-        landmarks in 1usize..6,
     ) {
         let net = grid_network(w, h, seed);
         let locator = NodeLocator::new(&net);
         let index = ChIndex::build_seeded(&net, seed);
-        let alt_index = AltIndex::build_seeded(&net, landmarks, seed);
         for (a, b) in node_pairs(&net, seed, 8) {
             let q = net.position(a);
             let mut bound = ChBound::new(&net, &locator, &index, q).unwrap();
             let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
             let mut ch = ChDistance::new(&net, &locator, &index, q).unwrap();
-            let mut alt = AltDistance::new(&net, &locator, &alt_index, q).unwrap();
             let mid = Point::new(
                 (q.x + net.position(b).x) / 2.0,
                 (q.y + net.position(b).y) / 2.0,
@@ -335,7 +271,7 @@ proptest! {
                 let lb = bound.lower_bound(q, p);
                 prop_assert!(lb >= 0.0, "negative bound {lb}");
                 prop_assert!(lb >= q.dist(p) - 1e-9, "looser than Euclidean");
-                for exact in [astar.distance(q, p), ch.distance(q, p), alt.distance(q, p)]
+                for exact in [astar.distance(q, p), ch.distance(q, p)]
                     .into_iter()
                     .flatten()
                 {
@@ -361,12 +297,10 @@ proptest! {
         w in 2usize..6,
         h in 2usize..6,
         seed in any::<u64>(),
-        landmarks in 1usize..6,
         coords in prop::collection::vec(0.0..1200.0f64, 6),
     ) {
         let net = grid_network(w, h, seed);
         let locator = NodeLocator::new(&net);
-        let alt = AltIndex::build_seeded(&net, landmarks, seed);
         let ch = ChIndex::build_seeded(&net, seed);
         let (far, q, p) = (
             Point::new(coords[0], coords[1]),
@@ -400,9 +334,7 @@ proptest! {
             }};
         }
         check_model!(|at| NetworkDistance::new(&net, &locator, at));
-        check_model!(|at| AltDistance::new(&net, &locator, &alt, at));
         check_model!(|at| ChDistance::new(&net, &locator, &ch, at));
-        check_bound!(|at| AltBound::new(&net, &locator, &alt, at));
         check_bound!(|at| ChBound::new(&net, &locator, &ch, at));
     }
 

@@ -8,7 +8,7 @@ use senn_core::service::SpatialService;
 use senn_core::{snnn_query, PeerCacheEntry, RTreeServer, SennEngine, SnnnConfig, SnnnNeighbor};
 use senn_geom::Point;
 use senn_network::{
-    generate_network, AltDistance, AltIndex, GeneratorConfig, NetworkDistance, NodeLocator,
+    generate_network, ChDistance, ChIndex, GeneratorConfig, NetworkDistance, NodeLocator,
 };
 use senn_server::ShardedService;
 
@@ -95,23 +95,23 @@ fn snnn_result_sets_are_backend_invariant() {
         }
     }
 
-    // The ALT model agrees with the A* model over the sharded backend too.
-    let index = AltIndex::build_seeded(&net, 6, 42);
+    // The CH model agrees with the A* model over the sharded backend too.
+    let index = ChIndex::build_seeded(&net, 42);
     let svc = ShardedService::new(pois, 3);
     let engine = SennEngine::default();
     for (qi, &(q, k)) in queries.iter().enumerate() {
-        let mut alt = AltDistance::new(&net, &locator, &index, q).unwrap();
+        let mut ch = ChDistance::new(&net, &locator, &index, q).unwrap();
         let out = snnn_query::<PeerCacheEntry, _>(
             &engine,
             q,
             k,
             &[],
             &svc,
-            &mut alt,
+            &mut ch,
             SnnnConfig::default(),
         );
         for (w, h) in golden[qi].iter().zip(&out.results) {
-            assert_eq!(w.poi.poi_id, h.poi.poi_id, "query {qi}: ALT diverged");
+            assert_eq!(w.poi.poi_id, h.poi.poi_id, "query {qi}: CH diverged");
             assert!((w.network_dist - h.network_dist).abs() < 1e-9);
         }
     }

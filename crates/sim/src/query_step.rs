@@ -28,13 +28,12 @@
 use senn_cache::{CacheEntry, CachedNn};
 use senn_core::service::{RequestOutcome, ServerRequest};
 use senn_core::{
-    EuclideanBound, LowerBoundOracle, QueryContext, QueryTrace, Resolution, SearchBounds,
-    SennEngine, SennOutcome, SnnnExpansion,
+    EuclideanBound, QueryContext, QueryTrace, Resolution, SearchBounds, SennEngine, SennOutcome,
+    SnnnExpansion,
 };
 use senn_geom::Point;
-use senn_network::{
-    AltBound, AltDistance, Anchored, ChDistance, ChScratch, ExactCore, NetworkDistance,
-};
+use senn_network::distance::RoadCore;
+use senn_network::{Anchored, ChDistance, ChScratch, NetworkDistance};
 
 use crate::comms::{QueryScratch, WorkerScratch};
 use crate::simulator::{KChoice, RoadMetric, Simulator};
@@ -178,37 +177,6 @@ impl QueryOutcome {
     }
 }
 
-/// The lower-bound oracle paired with the configured model: landmark
-/// bounds when the ALT index exists, the free-flow Euclidean bound
-/// otherwise (admissible for every model by the `ED <= ND` contract).
-/// The CH model gets the free-flow bound too: an exact CH bound is one
-/// CH query per candidate, the same query the model runs for a
-/// candidate the free-flow bound lets through.
-enum ActiveOracle<'a> {
-    Euclid(EuclideanBound),
-    Alt(AltBound<'a>),
-}
-
-impl ActiveOracle<'_> {
-    /// Re-anchors the oracle at a new query point, mirroring the model's
-    /// `rebase` (the Euclidean bound needs no anchor).
-    fn rebase(&mut self, query: Point) -> bool {
-        match self {
-            ActiveOracle::Euclid(_) => true,
-            ActiveOracle::Alt(o) => o.rebase(query),
-        }
-    }
-}
-
-impl LowerBoundOracle for ActiveOracle<'_> {
-    fn lower_bound(&mut self, query: Point, p: Point) -> f64 {
-        match self {
-            ActiveOracle::Euclid(o) => o.lower_bound(query, p),
-            ActiveOracle::Alt(o) => o.lower_bound(query, p),
-        }
-    }
-}
-
 /// One query's expansion: its state machine and the verification walk
 /// every one of its rounds reads (begun once, at the query's issue point).
 pub(crate) struct ActiveExpansion {
@@ -346,12 +314,14 @@ impl Simulator {
     /// that needs the server (left in [`QueryTask::round`]). Returns the
     /// expansion rounds run.
     ///
-    /// Candidate verification is bound-driven: an [`ActiveOracle`] (ALT
-    /// landmark bounds under the ALT metric, the free-flow Euclidean
-    /// bound otherwise) is consulted before every
-    /// exact model evaluation, and evaluations the bound already rules
-    /// out are skipped — counted by [`QueryTrace::lb_evals`] /
-    /// [`QueryTrace::model_evals_saved`].
+    /// Candidate verification is bound-driven: the free-flow
+    /// [`EuclideanBound`] (admissible for every model by the `ED <= ND`
+    /// contract) is consulted before every exact model evaluation, and
+    /// evaluations the bound already rules out are skipped — counted by
+    /// [`QueryTrace::lb_evals`] / [`QueryTrace::model_evals_saved`]. The
+    /// CH model is paired with it too: an exact CH bound would be one CH
+    /// query per candidate, the same query the model runs for a candidate
+    /// the free-flow bound lets through.
     ///
     /// Expansion refines *which* POIs the host would rank first under the
     /// road metric; it never rewrites the initial round's `results`,
@@ -372,23 +342,17 @@ impl Simulator {
         };
         let net = &self.network;
         let (locator, origin) = (&self.locator, Point::ORIGIN);
-        let euclid = Some(ActiveOracle::Euclid(EuclideanBound));
-        // Every model and oracle constructor returns `None` only on an
-        // empty graph, where there is nothing to rank with.
+        // Every model constructor returns `None` only on an empty graph,
+        // where there is nothing to rank with.
         match metric {
             RoadMetric::AStar => {
                 let mut model = NetworkDistance::new(net, locator, origin);
-                self.expand_with(tasks, scratch, model.as_mut(), euclid)
-            }
-            RoadMetric::Alt(index) => {
-                let mut model = AltDistance::new(net, locator, index, origin);
-                let oracle = AltBound::new(net, locator, index, origin).map(ActiveOracle::Alt);
-                self.expand_with(tasks, scratch, model.as_mut(), oracle)
+                self.expand_with(tasks, scratch, model.as_mut())
             }
             RoadMetric::Ch(index) => {
                 let ch = std::mem::take(&mut scratch.ch);
                 let mut model = ChDistance::with_scratch(net, locator, index, origin, ch);
-                let rounds = self.expand_with(tasks, scratch, model.as_mut(), euclid);
+                let rounds = self.expand_with(tasks, scratch, model.as_mut());
                 if let Some(model) = model {
                     scratch.ch = model.into_scratch();
                 }
@@ -414,8 +378,8 @@ impl Simulator {
     }
 
     /// The expand pass of [`Simulator::expand_network_batch`]. Generic
-    /// over the model's core — one model and one oracle serve the whole
-    /// pass (they own their search scratch), re-anchored per task.
+    /// over the model's core — one model serves the whole pass (it owns
+    /// its search scratch), re-anchored per task.
     ///
     /// Each expanding query gathers its peers and begins its verification
     /// walk **once**; a round is a read of that walk at the next `k`
@@ -424,15 +388,14 @@ impl Simulator {
     /// on nothing but its own query's walk and replies, so the order in
     /// which tasks advance, and how their rounds share submissions, never
     /// reaches an answer.
-    fn expand_with<C: ExactCore>(
+    fn expand_with<C: RoadCore>(
         &self,
         tasks: &mut [QueryTask],
         scratch: &mut ExpandScratch,
         model: Option<&mut Anchored<'_, C>>,
-        oracle: Option<ActiveOracle<'_>>,
     ) -> u64 {
         let mut rounds = 0;
-        let (Some(model), Some(mut oracle)) = (model, oracle) else {
+        let Some(model) = model else {
             return rounds;
         };
         let mut comms = QueryScratch {
@@ -444,11 +407,9 @@ impl Simulator {
                 // A round came back: resume at the issue point the walk
                 // keeps (anchors moved while other tasks ran).
                 Some((mut a, served)) => {
-                    let q = a.walk.query();
-                    model.rebase(q);
-                    oracle.rebase(q);
+                    model.rebase(a.walk.query());
                     let failed = served.trace.server_failed;
-                    Self::offer_round(&mut a.exp, &served.results, failed, model, &mut oracle);
+                    Self::offer_round(&mut a.exp, &served.results, failed, model);
                     a
                 }
                 // The Euclidean round is final: begin. An expansion already
@@ -456,7 +417,7 @@ impl Simulator {
                 // POIs, or a zero round budget — finalizes at once.
                 None => {
                     let (q, pending) = (task.pending.at, &mut task.pending);
-                    if !Self::expansion_eligible(pending) || !model.rebase(q) || !oracle.rebase(q) {
+                    if !Self::expansion_eligible(pending) || !model.rebase(q) {
                         continue;
                     }
                     let exp = SnnnExpansion::begin(q, task.plan.k, &pending.outcome.results, model);
@@ -475,7 +436,6 @@ impl Simulator {
                 active,
                 &mut task.pending,
                 model,
-                &mut oracle,
                 &mut rounds,
                 &mut scratch.walks,
             );
@@ -487,31 +447,29 @@ impl Simulator {
     /// Offers one finished round to its expansion. A round that could not
     /// be served (or came back uncertain) ends it: the best ranking seen
     /// stays, unconfirmed.
-    fn offer_round<C: ExactCore>(
+    fn offer_round<C: RoadCore>(
         exp: &mut SnnnExpansion,
         results: &[senn_core::HeapEntry],
         failed: bool,
         model: &mut Anchored<'_, C>,
-        oracle: &mut ActiveOracle<'_>,
     ) {
         if failed || results.iter().any(|e| !e.certain) {
             exp.abort();
         } else {
-            exp.offer_pruned(results, model, oracle);
+            exp.offer_pruned(results, model, &mut EuclideanBound);
         }
     }
 
-    /// Runs `active`'s rounds (model and oracle anchored at its query) for
+    /// Runs `active`'s rounds (the model anchored at its query) for
     /// as long as its walk resolves them: a peer-resolved round is folded
     /// into the query's trace and offered from the walk in place. Returns
     /// the expansion parked at the first round that needs the server;
     /// otherwise finalizes it and returns its walk to the pool.
-    fn read_rounds<C: ExactCore>(
+    fn read_rounds<C: RoadCore>(
         &self,
         mut active: ActiveExpansion,
         pending: &mut PendingQuery,
         model: &mut Anchored<'_, C>,
-        oracle: &mut ActiveOracle<'_>,
         rounds: &mut u64,
         walks: &mut Vec<QueryContext>,
     ) -> Option<Parked> {
@@ -525,7 +483,7 @@ impl Simulator {
             pending.outcome.trace.absorb(&active.walk.trace);
             active.walk.trace.reset();
             let results = active.walk.heap.entries();
-            Self::offer_round(&mut active.exp, results, false, model, oracle);
+            Self::offer_round(&mut active.exp, results, false, model);
         }
         Self::finish_expansion(pending, &active.exp);
         if walks.len() < WALK_POOL {

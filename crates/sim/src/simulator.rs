@@ -61,23 +61,16 @@ use crate::transport_step::Uplink;
 
 /// The road model of network-mode (SNNN) queries — which
 /// `DistanceModel` implementation ranks candidates during the incremental
-/// Euclidean expansion (Algorithm 2). Every one of them computes the
-/// exact shortest-path length, which respects the Euclidean lower bound,
-/// so the expansion stays sound; they differ only in how the
-/// shortest-path evaluation is driven.
+/// Euclidean expansion (Algorithm 2). Both compute the exact
+/// shortest-path length, which respects the Euclidean lower bound, so the
+/// expansion stays sound; they differ only in how the shortest-path
+/// evaluation is driven. A\* is the reference; CH is the metric the
+/// `downtown_snnn` benchmark workload runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NetworkModelKind {
     /// Euclidean-heuristic A\* over edge lengths
     /// (`senn_network::NetworkDistance`).
     AStar,
-    /// ALT (A\*, Landmarks, Triangle inequality) over the same edge
-    /// lengths: distances are identical to [`NetworkModelKind::AStar`],
-    /// but the landmark lower bounds prune the search harder
-    /// (`senn_network::AltDistance`).
-    Alt {
-        /// Landmarks to select (clamped to the node count; must be ≥ 1).
-        landmarks: usize,
-    },
     /// Contraction-hierarchy distance oracle over the same edge lengths:
     /// distances are identical to [`NetworkModelKind::AStar`], but every
     /// exact evaluation is a hub-label merge instead of a graph search
@@ -102,8 +95,6 @@ pub enum SimConfigError {
     /// Euclidean ground truth, so expanding them under a network metric
     /// would rank unverified candidates — the combination is unsound.
     NetworkModelWithUncertainAnswers,
-    /// `Alt { landmarks: 0 }` — the ALT index needs at least one landmark.
-    AltWithoutLandmarks,
     /// An overlapped transport was configured with a zero-capacity queue —
     /// every request past the in-flight window would be shed on arrival.
     ZeroQueueCapacity,
@@ -125,9 +116,6 @@ impl std::fmt::Display for SimConfigError {
                 "a network distance model cannot rank uncertain answers; \
                  disable accept_uncertain"
             ),
-            SimConfigError::AltWithoutLandmarks => {
-                write!(f, "the ALT model needs at least one landmark")
-            }
             SimConfigError::ZeroQueueCapacity => write!(
                 f,
                 "the overlapped transport needs a queue capacity of at \
@@ -276,15 +264,12 @@ impl SimConfig {
     /// this, so an invalid hand-assembled config fails fast with the same
     /// typed reason.
     pub fn validate(&self) -> Result<(), SimConfigError> {
-        if let Some(kind) = self.distance_model {
+        if self.distance_model.is_some() {
             if self.mode != MovementMode::RoadNetwork {
                 return Err(SimConfigError::NetworkModelWithoutRoadNetwork);
             }
             if self.accept_uncertain {
                 return Err(SimConfigError::NetworkModelWithUncertainAnswers);
-            }
-            if let NetworkModelKind::Alt { landmarks: 0 } = kind {
-                return Err(SimConfigError::AltWithoutLandmarks);
             }
         }
         if let Some(policy) = self.transport {
@@ -583,13 +568,11 @@ pub struct RknnHost {
     pub cached_dists: Vec<f64>,
 }
 
-/// A [`NetworkModelKind`] with the index it runs on. The landmark index
-/// and the contraction hierarchy are part of the world: built once,
-/// seeded by the master seed so runs are reproducible, and shared by
-/// every batch of the run.
+/// A [`NetworkModelKind`] with the index it runs on. The contraction
+/// hierarchy is part of the world: built once, seeded by the master seed
+/// so runs are reproducible, and shared by every batch of the run.
 pub(crate) enum RoadMetric {
     AStar,
-    Alt(senn_network::AltIndex),
     Ch(senn_network::ChIndex),
 }
 
@@ -597,9 +580,6 @@ impl RoadMetric {
     fn build(kind: NetworkModelKind, network: &RoadNetwork, seed: u64) -> Self {
         match kind {
             NetworkModelKind::AStar => RoadMetric::AStar,
-            NetworkModelKind::Alt { landmarks } => RoadMetric::Alt(
-                senn_network::AltIndex::build_seeded(network, landmarks, seed),
-            ),
             NetworkModelKind::Ch => {
                 RoadMetric::Ch(senn_network::ChIndex::build_seeded(network, seed))
             }
@@ -1104,28 +1084,10 @@ mod tests {
     fn network_model_with_uncertain_answers_is_rejected() {
         let err = SimConfig::builder()
             .accept_uncertain(true)
-            .distance_model(NetworkModelKind::Alt { landmarks: 4 })
+            .distance_model(NetworkModelKind::Ch)
             .try_build()
             .unwrap_err();
         assert_eq!(err, SimConfigError::NetworkModelWithUncertainAnswers);
-    }
-
-    #[test]
-    fn alt_model_needs_landmarks() {
-        let err = SimConfig::builder()
-            .distance_model(NetworkModelKind::Alt { landmarks: 0 })
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err, SimConfigError::AltWithoutLandmarks);
-        // Valid combinations still build.
-        let cfg = SimConfig::builder()
-            .distance_model(NetworkModelKind::Alt { landmarks: 4 })
-            .try_build()
-            .unwrap();
-        assert_eq!(
-            cfg.distance_model,
-            Some(NetworkModelKind::Alt { landmarks: 4 })
-        );
     }
 
     #[test]

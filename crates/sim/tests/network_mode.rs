@@ -2,13 +2,13 @@
 //!
 //! The headline claims this suite proves:
 //!
-//! * the simulator runs Algorithm 2 end-to-end under all three road
-//!   models (A\*, ALT, the CH oracle) — peer probe,
-//!   verification, and batched residual rounds through the configured
-//!   service;
-//! * A\*, ALT and the contraction-hierarchy oracle are interchangeable:
-//!   they produce **bit-identical whole [`Metrics`]** (they compute the
-//!   same distances, so every expansion makes the same decisions);
+//! * the simulator runs Algorithm 2 end-to-end under both road models
+//!   (A\*, the reference, and the CH oracle the benchmark runs) — peer
+//!   probe, verification, and batched residual rounds through the
+//!   configured service;
+//! * A\* and the contraction-hierarchy oracle are interchangeable: they
+//!   produce **bit-identical whole [`Metrics`]** (they compute the same
+//!   distances, so every expansion makes the same decisions);
 //! * a fault-free SNNN run records the same Metrics as the Euclidean run
 //!   apart from `expansion_cap_hits` — expansion refines the ranking but
 //!   never rewrites the paper's accounting unit (the initial round);
@@ -37,11 +37,7 @@ fn run_counting_rounds(cfg: SimConfig) -> (Metrics, u64) {
     (m, sim.batch_stats().snnn_rounds)
 }
 
-const MODELS: [NetworkModelKind; 3] = [
-    NetworkModelKind::AStar,
-    NetworkModelKind::Alt { landmarks: 4 },
-    NetworkModelKind::Ch,
-];
+const MODELS: [NetworkModelKind; 2] = [NetworkModelKind::AStar, NetworkModelKind::Ch];
 
 #[test]
 fn snnn_runs_end_to_end_under_every_model() {
@@ -64,65 +60,21 @@ fn snnn_runs_end_to_end_under_every_model() {
 }
 
 #[test]
-fn astar_and_alt_metrics_are_bit_identical() {
-    // A* and ALT compute the exact same shortest-path distances (proven
-    // in senn-network's metric_equivalence suite), so every expansion
-    // decision — and therefore the whole Metrics block, f64 sums
-    // included — must coincide. The one legitimate difference is the
-    // pruning payoff: ALT runs with landmark lower bounds while A* runs
-    // with the looser free-flow bound, so `model_evals_saved` may
-    // differ. `lb_evals` may NOT — the candidate stream the oracle sees
-    // never depends on which oracle is consulted.
-    let astar = run(base(42)
-        .to_builder()
-        .distance_model(NetworkModelKind::AStar)
-        .build());
-    let alt = run(base(42)
-        .to_builder()
-        .distance_model(NetworkModelKind::Alt { landmarks: 4 })
-        .build());
-    assert_eq!(astar.lb_evals, alt.lb_evals, "candidate streams diverged");
-    assert!(
-        alt.model_evals_saved >= astar.model_evals_saved,
-        "landmark bounds must prune at least as much as free-flow bounds"
-    );
-    let mut alt_norm = alt.clone();
-    alt_norm.model_evals_saved = astar.model_evals_saved;
-    assert_eq!(astar, alt_norm);
-    // The landmark count tunes search effort, never answers.
-    let alt8 = run(base(42)
-        .to_builder()
-        .distance_model(NetworkModelKind::Alt { landmarks: 8 })
-        .build());
-    let mut alt8_norm = alt8.clone();
-    alt8_norm.model_evals_saved = astar.model_evals_saved;
-    assert_eq!(astar, alt8_norm);
-}
-
-#[test]
-fn ch_metrics_are_bit_identical_to_astar_and_alt() {
+fn ch_metrics_are_bit_identical_to_astar() {
     // The hub-label oracle unpacks and folds the same original edge
     // sequence Dijkstra walks, so every exact evaluation — and therefore
     // every expansion decision and the whole Metrics block — coincides
-    // with the A*/ALT runs. CH is paired with the free-flow bound, as A*
-    // is, so against A* not even `model_evals_saved` may differ; against
-    // ALT it is the one legitimately different counter.
+    // with the A* run. CH is paired with the free-flow bound, as A* is,
+    // so not even `model_evals_saved` may differ.
     let astar = run(base(42)
         .to_builder()
         .distance_model(NetworkModelKind::AStar)
-        .build());
-    let alt = run(base(42)
-        .to_builder()
-        .distance_model(NetworkModelKind::Alt { landmarks: 4 })
         .build());
     let ch = run(base(42)
         .to_builder()
         .distance_model(NetworkModelKind::Ch)
         .build());
     assert_eq!(astar, ch, "CH-mode Metrics diverged from A*");
-    let mut alt_norm = alt.clone();
-    alt_norm.model_evals_saved = ch.model_evals_saved;
-    assert_eq!(ch, alt_norm, "CH-mode Metrics diverged from ALT");
 }
 
 #[test]
@@ -166,7 +118,7 @@ fn network_mode_metrics_are_shard_invariant() {
     let mk = |shards: usize| {
         base(11)
             .to_builder()
-            .distance_model(NetworkModelKind::Alt { landmarks: 4 })
+            .distance_model(NetworkModelKind::Ch)
             .server_shards(shards)
             .build()
     };
@@ -269,7 +221,7 @@ fn golden_snnn_attribution_is_pinned() {
     // Golden run: seed 42, LA 2×2, A* model. Pins the exact attribution
     // so any change to planning order, expansion logic or the service
     // seam shows up as a diff here rather than as silent drift. (A* vs
-    // ALT equality above extends the pin to the ALT model.)
+    // CH equality above extends the pin to the CH model.)
     let mut sim = Simulator::new(
         base(42)
             .to_builder()
