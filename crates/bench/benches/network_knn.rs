@@ -1,7 +1,8 @@
 //! Network kNN: IER vs INE vs SNNN (warm peer caches), plus the Dijkstra
 //! vs A\* distance-kernel ablation, the contraction-hierarchy build and
-//! its queries (point to point, and one anchor to many targets), and
-//! road-trip planning under Euclidean A\* and ALT.
+//! its queries (point to point, and one anchor to many targets),
+//! road-trip planning under Euclidean A\* and ALT, and the grid snap of a
+//! point to its nearest node.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::{honest_peer, network_world, BenchRng};
@@ -22,8 +23,18 @@ fn network_knn(c: &mut Criterion) {
         })
         .collect();
     let k = 5usize;
+    // Points to snap: SNNN anchors every query and candidate this way.
+    let snaps: Vec<_> = (0..256).map(|_| rng.point(side)).collect();
 
     let mut group = c.benchmark_group("network_knn");
+    group.bench_function("locator_nearest", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let p = snaps[i % snaps.len()];
+            i += 1;
+            black_box(w.locator.nearest(p))
+        })
+    });
     group.bench_function("ier", |b| {
         let mut i = 0;
         b.iter(|| {

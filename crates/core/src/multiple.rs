@@ -15,6 +15,7 @@
 use std::borrow::Borrow;
 
 use senn_cache::{CacheEntry, CachedNn};
+use senn_geom::arcset::ArcSet;
 use senn_geom::{Circle, DiskRegion, Point, PolygonRegion};
 
 use crate::heap::ResultHeap;
@@ -73,6 +74,17 @@ impl CertainRegion {
         match self {
             CertainRegion::Polygonized(r) => r.covers_circle(&c),
             CertainRegion::Exact(r) => r.covers_circle(&c),
+        }
+    }
+
+    /// [`Self::covers_candidate`] with the caller's scratch for the exact
+    /// region's arrangement fills ([`DiskRegion::covers_circle_in`]); the
+    /// polygonized region fills with its own.
+    pub fn covers_candidate_in(&mut self, query: Point, dist: f64, arcs: &mut ArcSet) -> bool {
+        let c = Circle::new(query, dist);
+        match self {
+            CertainRegion::Polygonized(r) => r.covers_circle(&c),
+            CertainRegion::Exact(r) => r.covers_circle_in(&c, arcs),
         }
     }
 

@@ -39,10 +39,15 @@
 //!   the table the walk is self-contained, which keeps the context
 //!   `'static`, storable in worker structs, and resumable after the peer
 //!   slice is gone.
+//! * A walk can change hands ([`QueryContext::hand_over`]): its rows, `R_c`
+//!   and memos move to another context in exchange for that context's
+//!   buffers, and the scratch of building a walk (the POI index, the arc
+//!   scratch of coverage fills) stays with the context that built it.
 
 use std::borrow::Borrow;
 
 use senn_cache::CacheEntry;
+use senn_geom::arcset::ArcSet;
 use senn_geom::{Circle, Point};
 use senn_rtree::SearchBounds;
 
@@ -82,6 +87,8 @@ pub struct QueryContext {
     circles: Vec<Circle>,
     /// `R_c`, built on the first coverage test.
     region: Option<CertainRegion>,
+    /// Scratch of the exact region's arrangement fills.
+    arcs: ArcSet,
     /// Lemma 3.8 per table row, filled in as rows are tested.
     covered: Vec<Option<bool>>,
     /// Rows `..extension` are certain for caching (some peer's Lemma 3.2
@@ -114,6 +121,7 @@ impl QueryContext {
             ranks: Vec::new(),
             circles: Vec::new(),
             region: None,
+            arcs: ArcSet::default(),
             covered: Vec::new(),
             extension: 0,
             extension_closed: false,
@@ -121,6 +129,32 @@ impl QueryContext {
             #[cfg(test)]
             coverage_tests: 0,
         }
+    }
+
+    /// Hands the walk in progress over to `walk`: its query point, probe
+    /// order, candidate table, `R_c` with the coverage memo, and the
+    /// extension cursor. `walk` reads on exactly as this context would
+    /// have (property-tested). Whatever walk `walk` held comes here in
+    /// exchange, its buffers re-armed by this context's next walk. The
+    /// scratch of building a walk — the POI index, the arc scratch —
+    /// stays here, and so does the heap; `walk` keeps its own heap, which
+    /// its next read re-arms, and its own trace, reset here (take the
+    /// outcome of this context's read first).
+    pub fn hand_over(&mut self, walk: &mut QueryContext) {
+        use std::mem::swap;
+        swap(&mut self.order, &mut walk.order);
+        swap(&mut self.query, &mut walk.query);
+        swap(&mut self.table, &mut walk.table);
+        swap(&mut self.ranks, &mut walk.ranks);
+        swap(&mut self.circles, &mut walk.circles);
+        swap(&mut self.region, &mut walk.region);
+        swap(&mut self.covered, &mut walk.covered);
+        swap(&mut self.extension, &mut walk.extension);
+        swap(&mut self.extension_closed, &mut walk.extension_closed);
+        swap(&mut self.next_circle, &mut walk.next_circle);
+        #[cfg(test)]
+        swap(&mut self.coverage_tests, &mut walk.coverage_tests);
+        walk.trace.reset();
     }
 
     /// Starts a new walk, viewed at `k`: re-arms every buffer.
@@ -227,8 +261,9 @@ impl QueryContext {
         {
             self.coverage_tests += 1;
         }
+        let dist = self.table[row].dist;
         let covered =
-            !region.is_empty() && region.covers_candidate(self.query, self.table[row].dist);
+            !region.is_empty() && region.covers_candidate_in(self.query, dist, &mut self.arcs);
         self.covered[row] = Some(covered);
         covered
     }

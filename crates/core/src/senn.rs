@@ -190,7 +190,12 @@ impl SennEngine {
     /// PeerProbe, then the `k`-independent whole of SingleVerify (every
     /// cached POI classified into the candidate table). The walk keeps
     /// nothing borrowed from `peers`; read it with [`Self::read_walk`] at
-    /// as many `k` as needed. A walk belongs to the engine that began it.
+    /// as many `k` as needed. A walk belongs to the engine that began it,
+    /// not to `ctx`: [`QueryContext::hand_over`] moves it between reads
+    /// (the simulator hands each query's walk to the task that expands it,
+    /// so an SNNN expansion reads on from the query's own read, over the
+    /// candidate table, coverage memo and `R_c` that read and the cache
+    /// extension filled, and never begins a second walk).
     pub fn begin_walk<B: Borrow<CacheEntry>>(
         &self,
         query: Point,
@@ -627,6 +632,54 @@ mod tests {
         }
         // The worlds reach every branch the walk has.
         assert!(multi > 20 && unresolved > 200 && extended > 100);
+    }
+
+    #[test]
+    fn handed_over_walk_reads_as_a_fresh_walk() {
+        // A worker context runs a query and hands its walk to a carrier
+        // that held another walk; the carrier's reads at k..=k+Δ equal
+        // fresh queries, and the worker's next query equals a fresh one.
+        const DELTA: usize = 4;
+        let mut rng = Rng(0x4a4d_0fe2 | 1);
+        let mut worker = QueryContext::new();
+        let mut carrier = QueryContext::new();
+        let mut fresh_ctx = QueryContext::new();
+        let mut read_on = 0;
+        for trial in 0..300 {
+            let (q, peers, _) = walk_world(&mut rng);
+            let k = 1 + (rng.next() * 6.0) as usize;
+            let engine = SennEngine::new(SennConfig {
+                region_method: if trial % 2 == 0 {
+                    RegionMethod::Polygonized { vertices: 24 }
+                } else {
+                    RegionMethod::Exact
+                },
+                accept_uncertain: trial % 5 == 0,
+                server_fetch: (trial % 3) * k,
+            });
+            let first = engine.query_peers_only_with(q, k, &peers, &mut worker);
+            let fresh = engine.query_peers_only_with(q, k, &peers, &mut fresh_ctx);
+            assert_eq!(answer(&first), answer(&fresh), "trial {trial}");
+            worker.hand_over(&mut carrier);
+            assert_eq!(carrier.query(), q);
+            for kk in k + 1..=k + DELTA {
+                let fresh = engine.query_peers_only_with(q, kk, &peers, &mut fresh_ctx);
+                let resolution = engine.read_walk(kk, &mut carrier);
+                let mut read = engine.take_outcome(&mut carrier);
+                engine.extend_cacheable(&mut read, &mut carrier);
+                assert_eq!(resolution, fresh.resolution(), "trial {trial} k {kk}");
+                assert_eq!(answer(&read), answer(&fresh), "trial {trial} k {kk}");
+                assert_eq!(read.trace.stage_calls[0], 0, "a read probes nothing");
+                read_on += (fresh.resolution() != Resolution::Unresolved) as usize;
+            }
+            // The coverage memo travelled: the carried reads test no more
+            // than one fresh pass at k+Δ (slack as in the resumed-walk test).
+            assert!(
+                carrier.coverage_tests <= fresh_ctx.coverage_tests + 1,
+                "trial {trial}"
+            );
+        }
+        assert!(read_on > 200, "the carried reads reach verified answers");
     }
 
     #[test]

@@ -370,17 +370,24 @@ impl DiskRegion {
     /// Fills in the kept arrangement along the disks `D` reaches (module
     /// docs).
     pub fn covers_circle(&mut self, circle: &Circle) -> bool {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let covered = self.covers_circle_in(circle, &mut scratch);
+        self.scratch = scratch;
+        covered
+    }
+
+    /// [`Self::covers_circle`] with the caller's scratch for the arcs a
+    /// fill computes, so a caller that builds many regions keeps one
+    /// scratch for all of them. The scratch carries nothing from one call
+    /// to the next.
+    pub fn covers_circle_in(&mut self, circle: &Circle, scratch: &mut ArcSet) -> bool {
         if !self.covers_point(circle.center) {
             return false;
         }
         if circle.radius <= 0.0 {
             return true;
         }
-        let DiskRegion {
-            disks,
-            exposed,
-            scratch,
-        } = self;
+        let DiskRegion { disks, exposed, .. } = self;
         for (i, di) in disks.iter().enumerate() {
             let Some((toward, half)) = boundary_inside_open_disk(di, circle) else {
                 continue;

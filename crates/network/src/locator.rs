@@ -138,7 +138,10 @@ fn clamp_cell(bounds: Rect, cell: f64, cols: usize, rows: usize, p: Point) -> (u
 }
 
 /// The cells at Chebyshev distance exactly `ring` from `(cx, cy)`, clipped
-/// to the grid.
+/// to the grid, walked in place: the top and bottom rows column by column
+/// (top cell first), then the left and right sides row by row (left cell
+/// first), corners in the rows. [`NodeLocator::nearest`] keeps the first
+/// of equally near nodes, so this order is part of its answer.
 fn ring_cells(
     cx: usize,
     cy: usize,
@@ -148,23 +151,19 @@ fn ring_cells(
 ) -> impl Iterator<Item = (usize, usize)> {
     let r = ring as isize;
     let (cx, cy) = (cx as isize, cy as isize);
-    let mut out = Vec::new();
-    if ring == 0 {
-        out.push((cx, cy));
-    } else {
-        for dx in -r..=r {
-            out.push((cx + dx, cy - r));
-            out.push((cx + dx, cy + r));
-        }
-        for dy in (-r + 1)..r {
-            out.push((cx - r, cy + dy));
-            out.push((cx + r, cy + dy));
-        }
-    }
-    out.into_iter().filter_map(move |(x, y)| {
-        (x >= 0 && y >= 0 && (x as usize) < cols && (y as usize) < rows)
-            .then_some((x as usize, y as usize))
-    })
+    // Ring 0 is its centre alone: no rows, and the sides' range is empty.
+    let centre = (ring == 0).then_some((cx, cy));
+    let across = (ring > 0).then_some(-r..=r).into_iter().flatten();
+    let top_bottom = across.flat_map(move |dx| [(cx + dx, cy - r), (cx + dx, cy + r)]);
+    let sides = ((-r + 1)..r).flat_map(move |dy| [(cx - r, cy + dy), (cx + r, cy + dy)]);
+    centre
+        .into_iter()
+        .chain(top_bottom)
+        .chain(sides)
+        .filter_map(move |(x, y)| {
+            (x >= 0 && y >= 0 && (x as usize) < cols && (y as usize) < rows)
+                .then_some((x as usize, y as usize))
+        })
 }
 
 #[cfg(test)]
@@ -273,6 +272,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The ring as a list, built and then clipped: the form the in-place
+    /// walk replaced, kept as its reference.
+    fn listed_ring_cells(
+        cx: usize,
+        cy: usize,
+        ring: usize,
+        cols: usize,
+        rows: usize,
+    ) -> Vec<(usize, usize)> {
+        let r = ring as isize;
+        let (cx, cy) = (cx as isize, cy as isize);
+        let mut out = Vec::new();
+        if ring == 0 {
+            out.push((cx, cy));
+        } else {
+            for dx in -r..=r {
+                out.push((cx + dx, cy - r));
+                out.push((cx + dx, cy + r));
+            }
+            for dy in (-r + 1)..r {
+                out.push((cx - r, cy + dy));
+                out.push((cx + r, cy + dy));
+            }
+        }
+        out.into_iter()
+            .filter(|&(x, y)| x >= 0 && y >= 0 && (x as usize) < cols && (y as usize) < rows)
+            .map(|(x, y)| (x as usize, y as usize))
+            .collect()
+    }
+
+    /// Cell for cell, in order, on rings 0..=8 around every cell of grids
+    /// from 1x1 to 9x7, so rings are clipped at each edge and corner (and
+    /// vanish wholly outside small grids).
+    #[test]
+    fn ring_walk_equals_the_listed_ring() {
+        let mut clipped = 0;
+        for (cols, rows) in [(1, 1), (1, 4), (2, 2), (3, 5), (6, 1), (9, 7)] {
+            for cx in 0..cols {
+                for cy in 0..rows {
+                    for ring in 0..=8 {
+                        let walked: Vec<_> = ring_cells(cx, cy, ring, cols, rows).collect();
+                        let listed = listed_ring_cells(cx, cy, ring, cols, rows);
+                        assert_eq!(walked, listed, "{cols}x{rows} at ({cx}, {cy}) ring {ring}");
+                        clipped += (ring > 0 && listed.len() < 8 * ring) as usize;
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            clipped, 688,
+            "rings 1..=8 of these grids that an edge clips"
+        );
     }
 
     #[test]

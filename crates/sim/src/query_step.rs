@@ -11,10 +11,11 @@
 //!    stages of the SENN kernel; queries the peers cannot finish come back
 //!    [`Resolution::Unresolved`] and wait for their residual's reply.
 //! 2. **expand** (main thread, network mode only) — once its Euclidean
-//!    round is final, a task begins its SNNN expansion: one verification
-//!    walk (peers gathered once), each round a read of that walk at a
-//!    larger `k`. A round the peers cannot answer parks the task until
-//!    the reply comes back; the pass then resumes it.
+//!    round is final, a task begins its SNNN expansion on the verification
+//!    walk the execute pass built and handed to it, each round a read of
+//!    that walk at a larger `k` (the query's peers are gathered and walked
+//!    once). A round the peers cannot answer parks the task until the
+//!    reply comes back; the pass then resumes it.
 //! 3. **measure** (parallel, `&self` only) — grading against ground truth
 //!    and the PAR shadow searches, always against the concrete truth
 //!    [`RTreeServer`](senn_core::RTreeServer) so metrics are invariant to
@@ -35,18 +36,12 @@ use senn_geom::Point;
 use senn_network::distance::RoadCore;
 use senn_network::{Anchored, ChDistance, ChScratch, NetworkDistance};
 
-use crate::comms::{QueryScratch, WorkerScratch};
+use crate::comms::WorkerScratch;
 use crate::simulator::{KChoice, RoadMetric, Simulator};
 
 /// Queries of one interval that repay one more worker thread: a query
 /// costs 5–40 µs in either parallel pass and a scoped spawn 40–80 µs.
 const BATCH_GRAIN: usize = 16;
-
-/// Retired walks the expand pass keeps for reuse. A running expansion
-/// needs one and each parked one holds its own, so a cold-cache interval
-/// can have dozens live at once; keeping them all would pin that burst for
-/// the rest of the run.
-const WALK_POOL: usize = 8;
 
 /// One planned query of a batch. Every random draw happens up front in
 /// batch order, so executing a plan is a pure function of the frozen world
@@ -68,6 +63,11 @@ pub(crate) struct PendingQuery {
     pub(crate) outcome: SennOutcome,
     pub(crate) remote_entries: u64,
     pub(crate) remote_records: u64,
+    /// On a run with a road metric, the verification walk the execute
+    /// pass built, carried until the expand pass continues it (or finds
+    /// nothing to expand) and retires it to the
+    /// [`WalkPool`](crate::comms::WalkPool).
+    pub(crate) walk: Option<Box<QueryContext>>,
 }
 
 impl PendingQuery {
@@ -178,26 +178,20 @@ impl QueryOutcome {
 }
 
 /// One query's expansion: its state machine and the verification walk
-/// every one of its rounds reads (begun once, at the query's issue point).
+/// every one of its rounds reads — the walk its Euclidean round was
+/// verified on, begun once, at the query's issue point.
 pub(crate) struct ActiveExpansion {
     exp: SnnnExpansion,
-    walk: QueryContext,
+    walk: Box<QueryContext>,
 }
 
-/// What the expand pass reuses from query to query and from interval to
-/// interval, so that its steady state allocates only what a server-bound
-/// round carries away.
+/// What the expand pass reuses from interval to interval: the CH model's
+/// query scratch (its scattered anchor label, kept answers and unpacking
+/// buffers), handed from pass to pass, so later intervals' queries find
+/// the answers earlier ones kept. The walks the pass reads come with their
+/// tasks and retire to the simulator's [`WalkPool`](crate::comms::WalkPool).
 #[derive(Default)]
 pub(crate) struct ExpandScratch {
-    peer_ids: Vec<u32>,
-    /// Walks of retired expansions, buffers kept for the next one. Only
-    /// an expansion waiting for the server holds a walk while another
-    /// runs, so the pool stays a handful deep however many queries an
-    /// interval expands.
-    walks: Vec<QueryContext>,
-    /// The CH model's query scratch (its scattered anchor label, kept
-    /// answers and unpacking buffers), handed from pass to pass, so later
-    /// intervals' queries find the answers earlier ones kept.
     ch: ChScratch,
 }
 
@@ -272,7 +266,10 @@ impl Simulator {
     /// Executes one planned SENN query up to the server seam: peer
     /// gathering ([`Simulator::gather_peers`]) and the peer stages of the
     /// staged kernel (`SennEngine::query_peers_only_with` over the
-    /// worker's reused context).
+    /// worker's reused context). On a run with a road metric, a query its
+    /// SNNN expansion may read on hands its walk to a carrier from the
+    /// [`WalkPool`](crate::comms::WalkPool) (`QueryContext::hand_over`),
+    /// which the task keeps.
     fn execute_query<'a>(
         &'a self,
         plan: &QueryPlan,
@@ -296,11 +293,20 @@ impl Simulator {
             .map(|e| e.len() as u64)
             .sum::<u64>();
 
+        // An unresolved query expands once the server has answered it.
+        let may_expand =
+            outcome.resolution() == Resolution::Unresolved || Self::expansion_eligible(&outcome);
+        let walk = (self.road_metric.is_some() && may_expand).then(|| {
+            let mut walk = self.walks.take();
+            scratch.ctx.hand_over(&mut walk);
+            walk
+        });
         PendingQuery {
             at: q,
             outcome,
             remote_entries,
             remote_records,
+            walk,
         }
     }
 
@@ -347,12 +353,12 @@ impl Simulator {
         match metric {
             RoadMetric::AStar => {
                 let mut model = NetworkDistance::new(net, locator, origin);
-                self.expand_with(tasks, scratch, model.as_mut())
+                self.expand_with(tasks, model.as_mut())
             }
             RoadMetric::Ch(index) => {
                 let ch = std::mem::take(&mut scratch.ch);
                 let mut model = ChDistance::with_scratch(net, locator, index, origin, ch);
-                let rounds = self.expand_with(tasks, scratch, model.as_mut());
+                let rounds = self.expand_with(tasks, model.as_mut());
                 if let Some(model) = model {
                     scratch.ch = model.into_scratch();
                 }
@@ -363,11 +369,11 @@ impl Simulator {
 
     /// True when the query's resolved Euclidean round qualifies for SNNN
     /// expansion: an attributed resolution with an all-certain result set.
-    fn expansion_eligible(pending: &PendingQuery) -> bool {
+    fn expansion_eligible(outcome: &SennOutcome) -> bool {
         matches!(
-            pending.outcome.resolution(),
+            outcome.resolution(),
             Resolution::SinglePeer | Resolution::MultiPeer | Resolution::Server
-        ) && pending.outcome.results.iter().all(|e| e.certain)
+        ) && outcome.results.iter().all(|e| e.certain)
     }
 
     /// Finalizes one finished expansion into its query's trace.
@@ -381,26 +387,27 @@ impl Simulator {
     /// over the model's core — one model serves the whole pass (it owns
     /// its search scratch), re-anchored per task.
     ///
-    /// Each expanding query gathers its peers and begins its verification
-    /// walk **once**; a round is a read of that walk at the next `k`
-    /// (`SennEngine::read_walk`), so no round re-probes, re-classifies or
-    /// re-tests what an earlier round verified. A round's outcome depends
-    /// on nothing but its own query's walk and replies, so the order in
-    /// which tasks advance, and how their rounds share submissions, never
-    /// reaches an answer.
+    /// An expansion continues the walk its query's Euclidean round was
+    /// verified on, carried in the task from the execute pass: between an
+    /// interval's execute and expand passes no host moves, no cache is
+    /// stored and the clock stands still, so that walk is the one a second
+    /// peer exchange would rebuild, and its rounds read the table, coverage
+    /// memo and `R_c` the cache extension already filled. A round is a
+    /// read of the walk at the next `k` (`SennEngine::read_walk`), so no
+    /// round re-probes, re-classifies or re-tests what an earlier read
+    /// verified. Under an overlapped transport a Euclidean round that
+    /// matures in a later interval still expands over its issue-time peers.
+    /// A round's outcome depends on nothing but its own query's walk and
+    /// replies, so the order in which tasks advance, and how their rounds
+    /// share submissions, never reaches an answer.
     fn expand_with<C: RoadCore>(
         &self,
         tasks: &mut [QueryTask],
-        scratch: &mut ExpandScratch,
         model: Option<&mut Anchored<'_, C>>,
     ) -> u64 {
         let mut rounds = 0;
         let Some(model) = model else {
             return rounds;
-        };
-        let mut comms = QueryScratch {
-            peer_ids: std::mem::take(&mut scratch.peer_ids),
-            peers: Vec::new(),
         };
         for task in tasks.iter_mut() {
             let active = match task.round.take().map(|parked| *parked) {
@@ -417,30 +424,24 @@ impl Simulator {
                 // POIs, or a zero round budget — finalizes at once.
                 None => {
                     let (q, pending) = (task.pending.at, &mut task.pending);
-                    if !Self::expansion_eligible(pending) || !model.rebase(q) {
+                    let Some(walk) = pending.walk.take() else {
+                        continue;
+                    };
+                    if !Self::expansion_eligible(&pending.outcome) || !model.rebase(q) {
+                        self.walks.retire(walk);
                         continue;
                     }
                     let exp = SnnnExpansion::begin(q, task.plan.k, &pending.outcome.results, model);
                     if !exp.needs_round() || self.config.snnn_max_expansion == 0 {
                         Self::finish_expansion(pending, &exp);
+                        self.walks.retire(walk);
                         continue;
                     }
-                    // The peers in range now, verified for the issue point.
-                    self.gather_peers(&task.plan, &mut comms);
-                    let mut walk = scratch.walks.pop().unwrap_or_default();
-                    self.engine.begin_walk(q, &comms.peers, &mut walk);
                     ActiveExpansion { exp, walk }
                 }
             };
-            task.round = self.read_rounds(
-                active,
-                &mut task.pending,
-                model,
-                &mut rounds,
-                &mut scratch.walks,
-            );
+            task.round = self.read_rounds(active, &mut task.pending, model, &mut rounds);
         }
-        scratch.peer_ids = comms.peer_ids;
         rounds
     }
 
@@ -464,14 +465,13 @@ impl Simulator {
     /// as long as its walk resolves them: a peer-resolved round is folded
     /// into the query's trace and offered from the walk in place. Returns
     /// the expansion parked at the first round that needs the server;
-    /// otherwise finalizes it and returns its walk to the pool.
+    /// otherwise finalizes it and retires its walk to the pool.
     fn read_rounds<C: RoadCore>(
         &self,
         mut active: ActiveExpansion,
         pending: &mut PendingQuery,
         model: &mut Anchored<'_, C>,
         rounds: &mut u64,
-        walks: &mut Vec<QueryContext>,
     ) -> Option<Parked> {
         while active.exp.needs_round() && active.exp.rounds() < self.config.snnn_max_expansion {
             *rounds += 1;
@@ -486,9 +486,7 @@ impl Simulator {
             Self::offer_round(&mut active.exp, results, false, model);
         }
         Self::finish_expansion(pending, &active.exp);
-        if walks.len() < WALK_POOL {
-            walks.push(active.walk);
-        }
+        self.walks.retire(active.walk);
         None
     }
 

@@ -51,6 +51,7 @@ use senn_server::{FaultConfig, FaultyService, ServiceMetrics, ShardedService};
 pub use crate::cache_step::CachePolicy;
 pub use crate::movement::MovementMode;
 
+use crate::comms::WalkPool;
 use crate::grid::{CellMove, HostGrid};
 use crate::metrics::Metrics;
 use crate::movement::poisson;
@@ -214,7 +215,8 @@ pub struct SimConfig {
     /// *enqueued* at the interval that issued them and their completions
     /// *polled* at later interval boundaries, so round-trips overlap
     /// subsequent intervals instead of blocking, and an SNNN expansion
-    /// advances one server round per matured reply.
+    /// advances one server round per matured reply, over the peers its
+    /// query exchanged with when it was issued.
     /// Request ids are the run-wide plan sequence in either case — so the
     /// keyed fault schedule and the transport's own service-time draws are
     /// a pure function of plan order, and recorded [`Metrics`] stay
@@ -538,9 +540,11 @@ pub struct Simulator {
     pub(crate) batch_stats: BatchStats,
     /// The queries the last fold finished ([`Simulator::last_answers`]).
     pub(crate) answers: Vec<Answer>,
-    /// The SNNN expand pass's pooled walks and round buffers (one set per
-    /// simulator, sized by an interval's expanding queries).
+    /// The SNNN expand pass's model scratch, handed from pass to pass.
     pub(crate) expand_scratch: ExpandScratch,
+    /// Carriers of the walks SNNN expansions continue, shared by the
+    /// execute workers and the expand pass (empty on a Euclidean run).
+    pub(crate) walks: WalkPool,
 }
 
 /// One finished query, as [`Simulator::last_answers`] hands it out: what
@@ -790,6 +794,7 @@ impl Simulator {
             batch_stats: BatchStats::default(),
             answers: Vec::new(),
             expand_scratch: ExpandScratch::default(),
+            walks: WalkPool::default(),
         }
     }
 

@@ -16,7 +16,10 @@
 //!
 //! A harvested SNNN round resumes its expansion at the query's issue
 //! point; the expansion then parks at its next server round — a new
-//! submission — or finishes and is folded.
+//! submission — or finishes and is folded. An expansion begins on the
+//! walk its query was executed on, however late its Euclidean round
+//! matures: the peers it reads are the ones the query exchanged with (and
+//! `remote_entries` / `remote_records` counted) at issue time.
 //!
 //! Determinism contract: request ids are a global sequence assigned in
 //! plan order (unique across the whole run), the transport's lane count is

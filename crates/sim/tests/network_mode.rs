@@ -17,8 +17,12 @@
 //!   submitted on the main thread in plan order);
 //! * a starved expansion budget is reported, not silently truncated.
 
+use senn_core::Stage;
 use senn_network::{generate_network, ChIndex, GeneratorConfig};
-use senn_sim::{FaultConfig, Metrics, NetworkModelKind, ParamSet, SimConfig, SimParams, Simulator};
+use senn_sim::{
+    FaultConfig, Metrics, NetworkModelKind, ParamSet, SimConfig, SimParams, Simulator,
+    TransportPolicy,
+};
 
 fn base(seed: u64) -> SimConfig {
     let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
@@ -111,6 +115,41 @@ fn network_mode_metrics_are_thread_invariant() {
     let four = run_counting_rounds(mk(4));
     assert_eq!(one, two, "1 vs 2 threads");
     assert_eq!(one, four, "1 vs 4 threads");
+}
+
+/// An SNNN expansion continues the walk its query's Euclidean round was
+/// verified on: every query probes and classifies its peers once, however
+/// many rounds it expands, on one worker thread or two, and under the
+/// overlapped transport, where a round can mature intervals later.
+#[test]
+fn every_query_walks_its_peers_once() {
+    for kind in MODELS {
+        for threads in [1, 2] {
+            for transport in [None, Some(TransportPolicy::default())] {
+                let mut cfg = base(42)
+                    .to_builder()
+                    .distance_model(kind)
+                    .threads(threads)
+                    .build();
+                cfg.transport = transport;
+                let mut sim = Simulator::new(cfg);
+                sim.run();
+                let stats = sim.batch_stats();
+                let at = format!("{kind:?}, {threads} threads, transport {transport:?}");
+                assert!(stats.snnn_rounds > 0, "{at}: nothing expanded");
+                assert_eq!(
+                    stats.stage_calls[Stage::PeerProbe as usize],
+                    stats.queries,
+                    "{at}: peer probes"
+                );
+                assert_eq!(
+                    stats.stage_calls[Stage::SingleVerify as usize],
+                    stats.queries,
+                    "{at}: candidate tables"
+                );
+            }
+        }
+    }
 }
 
 #[test]
