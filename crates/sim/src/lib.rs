@@ -38,8 +38,8 @@ pub use grid::HostGrid;
 pub use metrics::{KStats, LatencyModel, Metrics};
 pub use params::{ParamSet, SimParams};
 pub use simulator::{
-    Answer, BatchStats, CachePolicy, KChoice, MovementMode, NetworkModelKind, RknnHost, SimConfig,
-    SimConfigBuilder, SimConfigError, Simulator,
+    Answer, BatchStats, CachePolicy, KChoice, MovementMode, NetworkModelKind, RknnHost,
+    RoadRanking, SimConfig, SimConfigBuilder, SimConfigError, Simulator,
 };
 
 // Service-seam knobs a simulation config can carry, re-exported so callers

@@ -93,12 +93,8 @@ fn snnn_agrees_with_ier_ine_and_brute_force() {
         for i in 0..k {
             assert!((ier[i].network_dist - want[i]).abs() < 1e-6, "IER rank {i}");
             assert!((ine[i].network_dist - want[i]).abs() < 1e-6, "INE rank {i}");
-            // SNNN's distance convention differs slightly for the POI leg
-            // (it snaps the POI independently); compare with a tolerance
-            // proportional to the snap legs involved.
-            let tol = 1e-6 + w.pois.snap_leg(ier[i].poi) + 1.0;
             assert!(
-                (snnn.results[i].network_dist - want[i]).abs() <= tol,
+                (snnn.results[i].network_dist - want[i]).abs() <= 1e-9,
                 "SNNN rank {i}: {} vs {}",
                 snnn.results[i].network_dist,
                 want[i]
