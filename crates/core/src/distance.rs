@@ -33,8 +33,8 @@ pub trait DistanceModel {
 /// The identity model: the target metric *is* the Euclidean distance.
 ///
 /// Under this model the SNNN driver degenerates to SENN — the first
-/// Euclidean round is already the answer and a single expansion round
-/// confirms the bound.
+/// Euclidean round is already the answer and the range round confirms
+/// the bound.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Euclidean;
 

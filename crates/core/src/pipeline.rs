@@ -22,7 +22,8 @@
 //! cursor. The result heap `H` at a given `k` is a *view* of that table,
 //! and reading the walk at another `k` (`SennEngine::read_walk`) repeats
 //! no distance computation, region build or coverage test: a query (and
-//! every round of an SNNN expansion) verifies each candidate once.
+//! its SNNN expansion's range round, which reads on through the cache
+//! extension's cursor) verifies each candidate once.
 //!
 //! Resumption is exact because both lemmas are monotone in the candidate's
 //! distance and neither mentions `k`; `k` only decides how far down the
@@ -248,24 +249,27 @@ impl QueryContext {
         false
     }
 
-    /// Lemma 3.8 for table row `row`, tested at most once per walk; the
-    /// first test builds `R_c`.
+    /// Lemma 3.8 for table row `row`, tested at most once per walk.
     fn covers(&mut self, row: usize, method: RegionMethod) -> bool {
         if let Some(known) = self.covered[row] {
             return known;
         }
-        let region = self
-            .region
-            .get_or_insert_with(|| CertainRegion::from_circles(&self.circles, method));
         #[cfg(test)]
         {
             self.coverage_tests += 1;
         }
-        let dist = self.table[row].dist;
-        let covered =
-            !region.is_empty() && region.covers_candidate_in(self.query, dist, &mut self.arcs);
+        let covered = self.region_covers(self.table[row].dist, method);
         self.covered[row] = Some(covered);
         covered
+    }
+
+    /// Lemma 3.8 for the circle of radius `dist` around the query; the
+    /// first test builds `R_c`.
+    fn region_covers(&mut self, dist: f64, method: RegionMethod) -> bool {
+        let region = self
+            .region
+            .get_or_insert_with(|| CertainRegion::from_circles(&self.circles, method));
+        !region.is_empty() && region.covers_candidate_in(self.query, dist, &mut self.arcs)
     }
 
     /// The certain NNs beyond `results` worth caching, at most `limit` of
@@ -284,10 +288,9 @@ impl QueryContext {
         let mut out = Vec::new();
         let mut row = 0;
         while out.len() < limit {
-            if row == self.extension && !self.advance_extension(method) {
+            let Some(c) = self.certified_row(row, method) else {
                 break;
-            }
-            let c = self.table[row];
+            };
             if !results.iter().any(|e| e.poi.poi_id == c.poi.poi_id) {
                 out.push(HeapEntry {
                     poi: c.poi,
@@ -298,6 +301,32 @@ impl QueryContext {
             row += 1;
         }
         out
+    }
+
+    /// The rows the extension cursor has certified, ascending by distance.
+    pub(crate) fn certified(&self) -> &[Candidate] {
+        &self.table[..self.extension]
+    }
+
+    /// Row `row` if it is certain, advancing the extension cursor to it
+    /// (rows are certified in table order; `row` is at most the cursor).
+    pub(crate) fn certified_row(&mut self, row: usize, method: RegionMethod) -> Option<Candidate> {
+        (row < self.extension || self.advance_extension(method)).then(|| self.table[row])
+    }
+
+    /// True when the certified rows hold every POI within `radius`: the
+    /// next row lies beyond it, and the disk passes what a row at that
+    /// distance would (one peer's Lemma 3.2, or Lemma 3.8). Never for an
+    /// infinite or NaN radius.
+    pub(crate) fn holds_disk(&mut self, radius: f64, method: RegionMethod) -> bool {
+        let (q, next) = (self.query, self.table.get(self.extension));
+        radius < f64::INFINITY
+            && next.is_none_or(|c| c.dist > radius)
+            && (self
+                .circles
+                .iter()
+                .any(|p| radius + q.dist(p.center) <= p.radius)
+                || self.region_covers(radius, method))
     }
 
     /// Certifies the extension cursor's next row, if it can be.
@@ -392,8 +421,8 @@ pub struct ServerResidual {
 }
 
 /// Builds the wire request of **Stage 3 — ServerResidual** from the
-/// certain prefix the peer stages verified, without contacting any
-/// service.
+/// distances of the certain prefix the peer stages verified, without
+/// contacting any service.
 ///
 /// With a lower bound `lb` the server will skip POIs strictly inside the
 /// verified circle — exactly the certain entries below `lb` — so the
@@ -408,7 +437,7 @@ pub struct ServerResidual {
 /// [`SpatialService::submit`](crate::service::SpatialService::submit)
 /// batch.
 pub fn residual_request(
-    certain: &[HeapEntry],
+    certain: impl IntoIterator<Item = f64>,
     id: impl Into<RequestId>,
     query: Point,
     k: usize,
@@ -417,8 +446,8 @@ pub fn residual_request(
 ) -> ServerRequest {
     let strictly_below = match bounds.lower {
         Some(lb) => certain
-            .iter()
-            .filter(|e| e.dist < lb - senn_geom::EPS)
+            .into_iter()
+            .filter(|&d| d < lb - senn_geom::EPS)
             .count(),
         None => 0,
     };

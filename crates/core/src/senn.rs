@@ -14,7 +14,8 @@
 //! [`QueryContext`]: [`SennEngine::begin_walk`] probes and classifies the
 //! peers once, and [`SennEngine::read_walk`] reads the answer at any `k`
 //! — [`SennEngine::query_peers_only_with`] is the two in sequence plus the
-//! cache extension, and an SNNN expansion reads one walk once per round.
+//! cache extension, and an SNNN expansion's range round reads on the same
+//! walk (`SnnnExpansion::read_range`).
 
 use std::borrow::Borrow;
 use std::time::Instant;
@@ -286,33 +287,7 @@ impl SennEngine {
         ctx: &mut QueryContext,
     ) -> SennOutcome {
         let outcome = self.query_peers_only_with(query, k, peers, ctx);
-        self.serve_residual(query, k, outcome, server)
-    }
-
-    /// [`Self::query_with`] for a further `k` of the walk already in
-    /// `ctx` — one round of an SNNN expansion (answer only: a round's
-    /// cacheable extras are never stored).
-    pub(crate) fn resume_with(
-        &self,
-        k: usize,
-        server: &dyn SpatialService,
-        ctx: &mut QueryContext,
-    ) -> SennOutcome {
-        self.read_walk(k, ctx);
-        let outcome = self.take_outcome(ctx);
-        self.serve_residual(ctx.query(), k, outcome, server)
-    }
-
-    /// The server stage of a one-query driver: a no-op unless the peer
-    /// stages left `outcome` [`Resolution::Unresolved`].
-    fn serve_residual(
-        &self,
-        query: Point,
-        k: usize,
-        outcome: SennOutcome,
-        server: &dyn SpatialService,
-    ) -> SennOutcome {
-        if outcome.trace.resolutions.last() != Some(&Resolution::Unresolved) {
+        if outcome.resolution() != Resolution::Unresolved {
             return outcome;
         }
         let started = Instant::now();
@@ -343,7 +318,7 @@ impl SennEngine {
         outcome: &SennOutcome,
     ) -> ServerRequest {
         residual_request(
-            outcome.certain(),
+            outcome.certain().iter().map(|e| e.dist),
             id,
             query,
             k,
@@ -387,15 +362,9 @@ impl SennEngine {
         let residual = merge_residual(verified, k, response);
         outcome.results = residual.results;
         outcome.extra_certain = residual.extra_certain;
-        if outcome.trace.resolutions.last() == Some(&Resolution::Unresolved) {
-            outcome.trace.resolutions.pop();
-        }
-        outcome.trace.resolutions.push(Resolution::Server);
-        outcome.trace.server_accesses += node_accesses;
-        outcome.trace.server_contacted = true;
         outcome
             .trace
-            .record_stage(Stage::ServerResidual, started.elapsed().as_nanos() as u64);
+            .record_server(node_accesses, started.elapsed().as_nanos() as u64);
         outcome
     }
 }

@@ -1,7 +1,7 @@
 //! Pruning conformance suite: bound-driven SNNN expansion is
 //! observationally identical to the unpruned expansion.
 //!
-//! The skip rule in [`SnnnExpansion::offer_pruned`] drops an exact model
+//! The skip rule in `SnnnExpansion::offer_pruned` drops an exact model
 //! evaluation whenever the candidate's lower bound already reaches the
 //! current k-th network distance. This suite proves, over generated
 //! jittered-grid road networks and both exact road models (A\* and the
@@ -18,13 +18,18 @@
 //!   road oracle saves at least as many evaluations;
 //! * every *skipped* candidate's recorded lower bound genuinely exceeds
 //!   the final k-th network distance — no skip could have changed the
-//!   answer — and no skipped POI appears in the final result set.
+//!   answer — and no skipped POI appears in the final result set;
+//! * the range round answers what Algorithm 2's incremental loop answers
+//!   (one fresh SENN query per round, kept here as the reference): the
+//!   same ranking distances, `lb_evals`, `model_evals_saved` and cap-hit
+//!   verdict, with peers or without, under tight caps and with POIs the
+//!   model cannot reach.
 
 use proptest::prelude::*;
 use senn_core::distance::{DistanceModel, EuclideanBound, LowerBoundOracle};
 use senn_core::{
-    snnn_query, snnn_query_pruned_with, PeerCacheEntry, QueryContext, RTreeServer, SennEngine,
-    SnnnConfig, SnnnExpansion, SnnnOutcome,
+    snnn_query, snnn_query_pruned_with, CachedNn, PeerCacheEntry, QueryContext, RTreeServer,
+    SennEngine, SnnnConfig, SnnnOutcome,
 };
 use senn_geom::Point;
 use senn_network::{
@@ -133,6 +138,38 @@ impl LowerBoundOracle for Oracle<'_> {
             Oracle::Euclid(o) => o.lower_bound(query, p),
             Oracle::Ch(o) => o.lower_bound(query, p),
         }
+    }
+}
+
+/// A model or oracle that logs every POI it was asked about with its
+/// answer.
+struct Logged<T> {
+    inner: T,
+    log: Vec<(Point, f64)>,
+}
+
+impl<T> Logged<T> {
+    fn new(inner: T) -> Self {
+        Logged {
+            inner,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl<M: DistanceModel> DistanceModel for Logged<M> {
+    fn distance(&mut self, q: Point, p: Point) -> Option<f64> {
+        let d = self.inner.distance(q, p);
+        self.log.push((p, d.unwrap_or(f64::INFINITY)));
+        d
+    }
+}
+
+impl<O: LowerBoundOracle> LowerBoundOracle for Logged<O> {
+    fn lower_bound(&mut self, q: Point, p: Point) -> f64 {
+        let lb = self.inner.lower_bound(q, p);
+        self.log.push((p, lb));
+        lb
     }
 }
 
@@ -277,12 +314,12 @@ proptest! {
         );
     }
 
-    /// Skip audit: drive the expansion state machine directly with the
-    /// skip log enabled, and check every skipped candidate's recorded
-    /// lower bound exceeds the *final* k-th network distance (the k-th
-    /// distance only shrinks across rounds, so beating the bound at skip
-    /// time implies beating it at the end) — and that no skipped POI
-    /// made the final result set.
+    /// Skip audit: log what the model and the oracle were asked, and
+    /// check every candidate the oracle saw but the model never evaluated
+    /// — a skip — had a lower bound beyond the *final* k-th network
+    /// distance (the k-th distance only shrinks, so beating the bound at
+    /// skip time implies beating it at the end), and did not make the
+    /// final result set.
     #[test]
     fn every_skip_is_justified_by_the_final_bound(
         w in 3usize..7,
@@ -295,28 +332,34 @@ proptest! {
         prop_assume!(case.pois.len() > k);
         let indexes = Indexes::of(&case);
         let server = RTreeServer::new(case.pois.clone());
-        let engine = SennEngine::default();
-        let mut model = indexes.model(&case);
-        let mut oracle = indexes.road_oracle(&case);
-
-        let initial = engine.query::<PeerCacheEntry>(case.q, case.k, &[], &server);
-        let mut exp = SnnnExpansion::begin(case.q, case.k, &initial.results, &mut model);
-        exp.record_skips();
-        let config = SnnnConfig::default();
-        while exp.needs_round() && exp.rounds() < config.max_expansion {
-            let round = engine.query::<PeerCacheEntry>(case.q, exp.next_k(), &[], &server);
-            exp.offer_pruned(&round.results, &mut model, &mut oracle);
-        }
-        prop_assert_eq!(exp.skipped().len() as u64, exp.model_evals_saved());
-        let final_kth = exp.results()[case.k - 1].network_dist;
-        for &(poi_id, lb) in exp.skipped() {
+        let mut model = Logged::new(indexes.model(&case));
+        let mut oracle = Logged::new(indexes.road_oracle(&case));
+        let out = snnn_query_pruned_with::<PeerCacheEntry, _, _>(
+            &SennEngine::default(),
+            case.q,
+            case.k,
+            &[],
+            &server,
+            &mut model,
+            &mut oracle,
+            SnnnConfig::default(),
+            &mut QueryContext::new(),
+        );
+        let skipped: Vec<(Point, f64)> = oracle
+            .log
+            .into_iter()
+            .filter(|(p, _)| model.log.iter().all(|(m, _)| m != p))
+            .collect();
+        prop_assert_eq!(skipped.len() as u64, out.trace.model_evals_saved);
+        let final_kth = out.results[case.k - 1].network_dist;
+        for (p, lb) in skipped {
             prop_assert!(
                 lb >= final_kth,
-                "skip of poi {poi_id} unjustified: bound {lb} < final k-th {final_kth}"
+                "skip of the poi at {p:?} unjustified: bound {lb} < final k-th {final_kth}"
             );
             prop_assert!(
-                exp.results().iter().all(|r| r.poi.poi_id != poi_id),
-                "skipped poi {poi_id} still surfaced in the result set"
+                out.results.iter().all(|r| r.poi.position != p),
+                "skipped poi at {p:?} still surfaced in the result set"
             );
         }
     }
@@ -341,5 +384,176 @@ fn pruning_saves_evaluations_on_a_large_grid() {
     for (a, b) in plain.results.iter().zip(&pruned.results) {
         assert_eq!(a.poi.poi_id, b.poi.poi_id);
         assert_eq!(a.network_dist.to_bits(), b.network_dist.to_bits());
+    }
+}
+
+/// What an SNNN driver answered, in the terms the range round must keep.
+#[derive(Debug, PartialEq)]
+struct Verdict {
+    dists: Vec<f64>,
+    cap_hit: bool,
+    lb_evals: u64,
+    model_evals_saved: u64,
+}
+
+/// Algorithm 2 as the paper words it, the reference of the range round:
+/// round `i` asks a fresh SENN query for the `k + i` Euclidean NNs and
+/// takes the `(k + i)`-th, until one lies beyond the k-th network
+/// distance, the world runs out, or `max_expansion` rounds ran. Each
+/// candidate is pruned by its lower bound before the exact model runs.
+#[allow(clippy::too_many_arguments)]
+fn incremental_reference<M: DistanceModel, O: LowerBoundOracle>(
+    engine: &SennEngine,
+    q: Point,
+    k: usize,
+    peers: &[PeerCacheEntry],
+    server: &RTreeServer,
+    model: &mut M,
+    oracle: &mut O,
+    max_expansion: usize,
+) -> Verdict {
+    let network =
+        |model: &mut M, poi: &CachedNn| model.distance(q, poi.position).unwrap_or(f64::INFINITY);
+    let initial = engine.query(q, k, peers, server);
+    let mut ranked: Vec<(f64, u64)> = initial
+        .results
+        .iter()
+        .map(|e| (network(model, &e.poi), e.poi.poi_id))
+        .collect();
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut confirmed = ranked.len() < k;
+    let (mut lb_evals, mut model_evals_saved) = (0, 0);
+    for round in 1..=max_expansion {
+        if confirmed {
+            break;
+        }
+        let target = k + round;
+        let s_bound = ranked[k - 1].0;
+        let results = engine.query(q, target, peers, server).results;
+        let Some(next) = results.get(target - 1) else {
+            confirmed = true; // the world has no more POIs
+            break;
+        };
+        if next.dist > s_bound {
+            confirmed = true;
+            break;
+        }
+        if ranked.iter().any(|r| r.1 == next.poi.poi_id) {
+            continue;
+        }
+        lb_evals += 1;
+        if oracle.lower_bound(q, next.poi.position) >= s_bound {
+            model_evals_saved += 1;
+            continue;
+        }
+        let nd = network(model, &next.poi);
+        if nd < s_bound {
+            ranked[k - 1] = (nd, next.poi.poi_id);
+            ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
+    }
+    Verdict {
+        dists: ranked.iter().map(|r| r.0).collect(),
+        cap_hit: !confirmed,
+        lb_evals,
+        model_evals_saved,
+    }
+}
+
+/// A road model with closed POIs: every POI whose id is a multiple of
+/// `closed_every` is unreachable, so a ranking can hold an infinite k-th
+/// distance and only the cap bounds the range.
+struct Closed<'a> {
+    inner: Model<'a>,
+    pois: &'a [(u64, Point)],
+    closed_every: u64,
+}
+
+impl DistanceModel for Closed<'_> {
+    fn distance(&mut self, q: Point, p: Point) -> Option<f64> {
+        let id = self.pois.iter().find(|(_, at)| *at == p).map(|(id, _)| *id);
+        if id.is_some_and(|id| id % self.closed_every == 0) {
+            return None;
+        }
+        self.inner.distance(q, p)
+    }
+}
+
+/// Honest peers near the query: each caches the `cached` POIs nearest
+/// its own location.
+fn peers_around(case: &Case, count: usize, cached: usize) -> Vec<PeerCacheEntry> {
+    let mut rng = Mix(case.seed ^ 0x7e57);
+    (0..count)
+        .map(|_| {
+            let at = Point::new(
+                case.q.x + (rng.unit() - 0.5) * 400.0,
+                case.q.y + (rng.unit() - 0.5) * 400.0,
+            );
+            let mut by_dist = case.pois.clone();
+            by_dist.sort_by(|a, b| at.dist(a.1).total_cmp(&at.dist(b.1)));
+            by_dist.truncate(cached);
+            PeerCacheEntry::from_sorted(at, by_dist)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The range round (one read of the walk, at most one server request)
+    /// answers what the incremental loop answers: ranking distances bit
+    /// for bit, the same oracle consultations and skips, the same cap-hit
+    /// verdict — for caps of 0, 1, 2 and the default, with and without
+    /// peers, and with unreachable POIs in the ranking.
+    #[test]
+    fn range_round_matches_the_incremental_loop(
+        w in 3usize..7,
+        h in 3usize..7,
+        seed in any::<u64>(),
+        k in 1usize..5,
+        sel in model_strategy(),
+        cap in prop_oneof![Just(0usize), Just(1), Just(2), Just(256)],
+        peer_count in 0usize..4,
+        cached in 1usize..12,
+        closed_every in prop_oneof![Just(u64::MAX), Just(2u64), Just(5)],
+    ) {
+        let case = make_case(w, h, seed, k, sel);
+        let indexes = Indexes::of(&case);
+        let server = RTreeServer::new(case.pois.clone());
+        let peers = peers_around(&case, peer_count, cached);
+        let engine = SennEngine::default();
+        let closed = |indexes| Closed {
+            inner: Indexes::model(indexes, &case),
+            pois: &case.pois,
+            closed_every,
+        };
+        let want = incremental_reference(
+            &engine,
+            case.q,
+            k,
+            &peers,
+            &server,
+            &mut closed(&indexes),
+            &mut indexes.road_oracle(&case),
+            cap,
+        );
+        let got = snnn_query_pruned_with(
+            &engine,
+            case.q,
+            k,
+            &peers,
+            &server,
+            &mut closed(&indexes),
+            &mut indexes.road_oracle(&case),
+            SnnnConfig { max_expansion: cap },
+            &mut QueryContext::new(),
+        );
+        let got = Verdict {
+            dists: got.results.iter().map(|r| r.network_dist).collect(),
+            cap_hit: got.trace.cap_hit,
+            lb_evals: got.trace.lb_evals,
+            model_evals_saved: got.trace.model_evals_saved,
+        };
+        prop_assert_eq!(got, want);
     }
 }

@@ -9,7 +9,7 @@
 use senn_cache::{CacheEntry, LruCache, MostRecentCache, QueryCache};
 use senn_core::{Resolution, STAGE_COUNT};
 
-use crate::query_step::{QueryOutcome, QueryPlan};
+use crate::query_step::{Measured, PendingQuery, QueryPlan};
 use crate::simulator::Simulator;
 
 /// Which host-side cache policy the simulation uses.
@@ -70,21 +70,27 @@ impl Simulator {
     /// the `f64` inflation sum) matches a sequential run bit-for-bit.
     /// Stage wall times from the trace land in the observation-only
     /// [`BatchStats`](crate::simulator::BatchStats), never in `Metrics`.
-    pub(crate) fn apply_outcome(&mut self, plan: &QueryPlan, outcome: QueryOutcome) {
-        self.metrics.record_trace(&outcome.trace);
+    pub(crate) fn apply_outcome(
+        &mut self,
+        plan: &QueryPlan,
+        pending: &PendingQuery,
+        outcome: Measured,
+    ) {
+        let trace = &pending.outcome.trace;
+        self.metrics.record_trace(trace);
         for i in 0..STAGE_COUNT {
-            self.batch_stats.stage_nanos[i] += outcome.trace.stage_nanos[i];
-            self.batch_stats.stage_calls[i] += outcome.trace.stage_calls[i];
+            self.batch_stats.stage_nanos[i] += trace.stage_nanos[i];
+            self.batch_stats.stage_calls[i] += trace.stage_calls[i];
         }
-        self.metrics.peer_entries_received += outcome.remote_entries;
-        self.metrics.peer_records_received += outcome.remote_records;
+        self.metrics.peer_entries_received += pending.remote_entries;
+        self.metrics.peer_records_received += pending.remote_records;
         if outcome.graded {
             self.metrics.peer_answers_graded += 1;
             if outcome.wrong {
                 self.metrics.peer_answers_wrong += 1;
             }
         }
-        match outcome.trace.resolution() {
+        match trace.resolution() {
             Resolution::SinglePeer | Resolution::MultiPeer => {}
             Resolution::AcceptedUncertain => {
                 if outcome.uncertain_exact {

@@ -93,9 +93,11 @@ pub struct Metrics {
     /// Sum over accepted-uncertain answers of the relative distance
     /// inflation `(sum of returned distances / sum of true distances) - 1`.
     pub uncertain_inflation_sum: f64,
-    /// Queries whose SNNN expansion hit `max_expansion` before the network
-    /// bound was confirmed (always 0 for pure-Euclidean runs; the flag
-    /// rides in on [`QueryTrace::cap_hit`]).
+    /// Queries whose SNNN expansion ended before the network bound
+    /// confirmed its ranking: the `max_expansion`-th candidate was ranked
+    /// with the range still open, or the range request failed (always 0
+    /// for pure-Euclidean runs; the flag rides in on
+    /// [`QueryTrace::cap_hit`]).
     pub expansion_cap_hits: u64,
     /// Residual-request re-submissions performed by the service retry
     /// layer, degraded attempts included (always 0 for a fault-free

@@ -68,8 +68,8 @@ fn main() {
             SnnnConfig::default(),
         );
         // Count how much of the SNNN work the rolling cache absorbed: the
-        // expansion calls ask for ever-larger k and eventually need the
-        // server, but the initial k-NN round is what the paper attributes.
+        // range round after the k-NN round may still need the server, but
+        // the initial k-NN round is what the paper attributes.
         let first_peer = out
             .trace
             .resolutions
@@ -78,8 +78,13 @@ fn main() {
         if first_peer {
             peer_answered += 1;
         }
+        let range = match out.trace.resolutions.get(1) {
+            None => "no range round",
+            Some(Resolution::Server) => "range from the server",
+            Some(_) => "range from the peers",
+        };
         println!(
-            "stop {:>2} @ ({:>6.0},{:>6.0}): {} SENN calls, {}",
+            "stop {:>2} @ ({:>6.0},{:>6.0}): {} rounds ({range}), {}",
             stop,
             q.x,
             q.y,
