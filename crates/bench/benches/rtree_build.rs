@@ -29,16 +29,6 @@ fn build(c: &mut Criterion) {
                 black_box(RStarTree::bulk_load(items).len())
             })
         });
-        group.bench_with_input(BenchmarkId::new("bulk_hilbert", n), &n, |b, _| {
-            b.iter(|| {
-                let items: Vec<_> = pts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (*p, i as u32))
-                    .collect();
-                black_box(RStarTree::bulk_load_hilbert(items, TreeConfig::default()).len())
-            })
-        });
         group.bench_with_input(
             BenchmarkId::new("insert_minimal_reinsert", n),
             &n,
@@ -72,34 +62,23 @@ fn build(c: &mut Criterion) {
             .map(|(i, p)| (*p, i as u32))
             .collect(),
     );
-    let hilbert = RStarTree::bulk_load_hilbert(
-        pts.iter()
-            .enumerate()
-            .map(|(i, p)| (*p, i as u32))
-            .collect(),
-        TreeConfig::default(),
-    );
     let mut acc_incr = 0u64;
     let mut acc_bulk = 0u64;
-    let mut acc_hil = 0u64;
     let mut rng = senn_bench::BenchRng::new(3);
     for _ in 0..100 {
         let q = rng.point(10_000.0);
         acc_incr += incr.knn(q, 10).1;
         acc_bulk += bulk.knn(q, 10).1;
-        acc_hil += hilbert.knn(q, 10).1;
     }
     println!(
-        "[rtree_build] mean 10-NN accesses: incremental {:.1}, STR {:.1}, Hilbert {:.1}",
+        "[rtree_build] mean 10-NN accesses: incremental {:.1}, STR {:.1}",
         acc_incr as f64 / 100.0,
-        acc_bulk as f64 / 100.0,
-        acc_hil as f64 / 100.0
+        acc_bulk as f64 / 100.0
     );
     println!(
-        "[rtree_build] stats: incremental {:?}\n                 STR {:?}\n             Hilbert {:?}",
+        "[rtree_build] stats: incremental {:?}\n                 STR {:?}",
         incr.stats(),
-        bulk.stats(),
-        hilbert.stats()
+        bulk.stats()
     );
 }
 

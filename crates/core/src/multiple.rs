@@ -9,13 +9,13 @@
 //! disk-union arrangement — the circles the lemma is stated on, and the
 //! default — or the paper's polygonization (inscribed polygons, a
 //! conservative subset, kept as the paper-fidelity arm of the ablation).
-//! Both are monotone in the candidate's distance, so verification walks
-//! candidates in ascending distance and stops at the first failure.
+//! Every candidate circle is centred on the querier, so one number,
+//! [`CertainRegion::covered_radius`], certifies all candidates up to it;
+//! [`knn_multiple`] is the textbook form, one coverage test per candidate.
 
 use std::borrow::Borrow;
 
 use senn_cache::{CacheEntry, CachedNn};
-use senn_geom::arcset::ArcSet;
 use senn_geom::{Circle, DiskRegion, Point, PolygonRegion};
 
 use crate::heap::ResultHeap;
@@ -77,14 +77,14 @@ impl CertainRegion {
         }
     }
 
-    /// [`Self::covers_candidate`] with the caller's scratch for the exact
-    /// region's arrangement fills ([`DiskRegion::covers_circle_in`]); the
-    /// polygonized region fills with its own.
-    pub fn covers_candidate_in(&mut self, query: Point, dist: f64, arcs: &mut ArcSet) -> bool {
-        let c = Circle::new(query, dist);
+    /// Lemma 3.8 for every candidate of `query` at once: `min(R, cap)` for
+    /// `R` the distance from `query` to the region's exposed boundary
+    /// (`-∞` when `query` is outside the region). A candidate at distance
+    /// `d <= cap` is certain iff `d` is at most the result.
+    pub fn covered_radius(&mut self, query: Point, cap: f64) -> f64 {
         match self {
-            CertainRegion::Polygonized(r) => r.covers_circle(&c),
-            CertainRegion::Exact(r) => r.covers_circle_in(&c, arcs),
+            CertainRegion::Polygonized(r) => r.covered_radius(query, cap),
+            CertainRegion::Exact(r) => r.covered_radius(query, cap),
         }
     }
 

@@ -14,16 +14,22 @@
 //!
 //! Almost nothing the peer stages compute depends on the query's `k`: the
 //! probe order, every cached POI's distance and which peer certifies it
-//! (Lemma 3.2), the merged certain region and which candidates it covers
-//! (Lemma 3.8) are facts about one (query point, peer set) pair. The
-//! context therefore keeps them as one **candidate table** — one row per
-//! POI, ascending by distance — built once by [`single_verify`], plus the
-//! lazily built region, a per-row coverage memo and the cache-extension
-//! cursor. The result heap `H` at a given `k` is a *view* of that table,
-//! and reading the walk at another `k` (`SennEngine::read_walk`) repeats
-//! no distance computation, region build or coverage test: a query (and
-//! its SNNN expansion's range round, which reads on through the cache
-//! extension's cursor) verifies each candidate once.
+//! (Lemma 3.2), the merged certain region and how far around the querier
+//! it reaches (Lemma 3.8) are facts about one (query point, peer set)
+//! pair. The context therefore keeps them as one **candidate table** —
+//! one row per POI, ascending by distance — built once by
+//! [`single_verify`]. Every test is centred on the query, so the certified
+//! rows are a prefix of the table, decided by two radii: `r_single`, the
+//! largest distance some probed circle certifies (Lemma 3.2, per circle
+//! the last float its `d + Dist(Q, P) <= r` passes), and `r_cov`, how far
+//! from the query `R_c`'s exposed boundary begins (Lemma 3.8,
+//! [`CertainRegion::covered_radius`], capped at the farthest row and
+//! computed the first time a reader asks beyond `r_single`). MultiVerify
+//! reads the rows within `r_cov`, the cache extension and an SNNN range
+//! round those within `max(r_single, r_cov)`. The result heap `H` at a
+//! given `k` is a *view* of that table, and reading the walk at another
+//! `k` (`SennEngine::read_walk`) repeats no distance computation, region
+//! build or radius.
 //!
 //! Resumption is exact because both lemmas are monotone in the candidate's
 //! distance and neither mentions `k`; `k` only decides how far down the
@@ -41,14 +47,13 @@
 //!   `'static`, storable in worker structs, and resumable after the peer
 //!   slice is gone.
 //! * A walk can change hands ([`QueryContext::hand_over`]): its rows, `R_c`
-//!   and memos move to another context in exchange for that context's
-//!   buffers, and the scratch of building a walk (the POI index, the arc
-//!   scratch of coverage fills) stays with the context that built it.
+//!   and radii move to another context in exchange for that context's
+//!   buffers, and the scratch of building a walk (the POI index) stays
+//!   with the context that built it.
 
 use std::borrow::Borrow;
 
 use senn_cache::CacheEntry;
-use senn_geom::arcset::ArcSet;
 use senn_geom::{Circle, Point};
 use senn_rtree::SearchBounds;
 
@@ -60,6 +65,7 @@ use crate::server::ServerResponse;
 use crate::service::ServerRequest;
 use crate::trace::QueryTrace;
 use crate::transport::RequestId;
+use crate::verify::certified_radius;
 
 /// One verification walk — all state of a query's peer stages — in
 /// reusable buffers. Create once per worker (or per in-flight expansion),
@@ -86,21 +92,18 @@ pub struct QueryContext {
     ranks: Vec<u32>,
     /// Certain-area circles of the probed peers, in probe order.
     circles: Vec<Circle>,
-    /// `R_c`, built on the first coverage test.
+    /// Lemma 3.2 as a radius: a row is certified by some probed circle
+    /// iff its distance is at most this (`-∞` with no circle).
+    r_single: f64,
+    /// `R_c`, built with `r_cov`.
     region: Option<CertainRegion>,
-    /// Scratch of the exact region's arrangement fills.
-    arcs: ArcSet,
-    /// Lemma 3.8 per table row, filled in as rows are tested.
-    covered: Vec<Option<bool>>,
-    /// Rows `..extension` are certain for caching (some peer's Lemma 3.2
-    /// or `R_c`); `extension_closed` once the next row failed both.
-    extension: usize,
-    extension_closed: bool,
-    /// First circle that may still pass Lemma 3.2 for the extension's next
-    /// row (the test is monotone in the row's distance).
-    next_circle: usize,
+    /// Lemma 3.8 as a radius: `R_c`'s covered radius around the query,
+    /// computed up to `cov_cap` (both `-∞` before the first computation).
+    r_cov: f64,
+    cov_cap: f64,
+    /// `r_cov` computations of the walk (`R_c` is built with the first).
     #[cfg(test)]
-    pub(crate) coverage_tests: usize,
+    pub(crate) radius_computations: usize,
 }
 
 impl Default for QueryContext {
@@ -121,26 +124,23 @@ impl QueryContext {
             index: PoiIndex::default(),
             ranks: Vec::new(),
             circles: Vec::new(),
+            r_single: f64::NEG_INFINITY,
             region: None,
-            arcs: ArcSet::default(),
-            covered: Vec::new(),
-            extension: 0,
-            extension_closed: false,
-            next_circle: 0,
+            r_cov: f64::NEG_INFINITY,
+            cov_cap: f64::NEG_INFINITY,
             #[cfg(test)]
-            coverage_tests: 0,
+            radius_computations: 0,
         }
     }
 
     /// Hands the walk in progress over to `walk`: its query point, probe
-    /// order, candidate table, `R_c` with the coverage memo, and the
-    /// extension cursor. `walk` reads on exactly as this context would
-    /// have (property-tested). Whatever walk `walk` held comes here in
-    /// exchange, its buffers re-armed by this context's next walk. The
-    /// scratch of building a walk — the POI index, the arc scratch —
-    /// stays here, and so does the heap; `walk` keeps its own heap, which
-    /// its next read re-arms, and its own trace, reset here (take the
-    /// outcome of this context's read first).
+    /// order, candidate table, `R_c` and both radii. `walk` reads on
+    /// exactly as this context would have (property-tested). Whatever
+    /// walk `walk` held comes here in exchange, its buffers re-armed by
+    /// this context's next walk. The scratch of building a walk — the POI
+    /// index — stays here, and so does the heap; `walk` keeps its own
+    /// heap, which its next read re-arms, and its own trace, reset here
+    /// (take the outcome of this context's read first).
     pub fn hand_over(&mut self, walk: &mut QueryContext) {
         use std::mem::swap;
         swap(&mut self.order, &mut walk.order);
@@ -148,13 +148,12 @@ impl QueryContext {
         swap(&mut self.table, &mut walk.table);
         swap(&mut self.ranks, &mut walk.ranks);
         swap(&mut self.circles, &mut walk.circles);
+        swap(&mut self.r_single, &mut walk.r_single);
         swap(&mut self.region, &mut walk.region);
-        swap(&mut self.covered, &mut walk.covered);
-        swap(&mut self.extension, &mut walk.extension);
-        swap(&mut self.extension_closed, &mut walk.extension_closed);
-        swap(&mut self.next_circle, &mut walk.next_circle);
+        swap(&mut self.r_cov, &mut walk.r_cov);
+        swap(&mut self.cov_cap, &mut walk.cov_cap);
         #[cfg(test)]
-        swap(&mut self.coverage_tests, &mut walk.coverage_tests);
+        swap(&mut self.radius_computations, &mut walk.radius_computations);
         walk.trace.reset();
     }
 
@@ -171,14 +170,13 @@ impl QueryContext {
         self.table.clear();
         self.ranks.clear();
         self.circles.clear();
+        self.r_single = f64::NEG_INFINITY;
         self.region = None;
-        self.covered.clear();
-        self.extension = 0;
-        self.extension_closed = false;
-        self.next_circle = 0;
+        self.r_cov = f64::NEG_INFINITY;
+        self.cov_cap = f64::NEG_INFINITY;
         #[cfg(test)]
         {
-            self.coverage_tests = 0;
+            self.radius_computations = 0;
         }
     }
 
@@ -188,7 +186,8 @@ impl QueryContext {
     }
 
     /// Builds the candidate table from the probed peers — the whole of
-    /// single-peer verification that does not depend on `k`.
+    /// single-peer verification that does not depend on `k` — and
+    /// `r_single`.
     pub(crate) fn classify<B: Borrow<CacheEntry>>(&mut self, query: Point, peers: &[B]) {
         self.query = query;
         let probed = || self.order.iter().map(|&i| peers[i as usize].borrow());
@@ -202,8 +201,11 @@ impl QueryContext {
                 .filter(|&by| by != Candidate::UNCERTIFIED),
         );
         self.ranks.sort_unstable();
-        self.covered.clear();
-        self.covered.resize(self.table.len(), None);
+        self.r_single = self
+            .circles
+            .iter()
+            .map(|p| certified_radius(query.dist(p.center), p.radius))
+            .fold(f64::NEG_INFINITY, f64::max);
     }
 
     /// Reads `H` after single-peer verification at `k`: what visiting the
@@ -232,15 +234,12 @@ impl QueryContext {
         false
     }
 
-    /// Continues the read into multi-peer verification: rows are certified
-    /// against `R_c` ascending by distance until `H` holds `k` certain NNs
-    /// (true) or the first uncovered row (false).
+    /// Continues the read into multi-peer verification: the rows within
+    /// `r_cov` are certified, ascending by distance, until `H` holds `k`
+    /// certain NNs (true) or they run out (false).
     pub(crate) fn read_multi(&mut self, method: RegionMethod) -> bool {
-        for row in 0..self.table.len() {
-            if !self.covers(row, method) {
-                break;
-            }
-            let c = self.table[row];
+        let r_cov = self.r_cov(self.farthest(), method);
+        for c in self.table.iter().take_while(|c| c.dist <= r_cov) {
             self.heap.insert_certain(c.poi, c.dist);
             if self.heap.is_certain_complete() {
                 return true;
@@ -249,36 +248,51 @@ impl QueryContext {
         false
     }
 
-    /// Lemma 3.8 for table row `row`, tested at most once per walk.
-    fn covers(&mut self, row: usize, method: RegionMethod) -> bool {
-        if let Some(known) = self.covered[row] {
-            return known;
-        }
-        #[cfg(test)]
-        {
-            self.coverage_tests += 1;
-        }
-        let covered = self.region_covers(self.table[row].dist, method);
-        self.covered[row] = Some(covered);
-        covered
+    /// Distance of the farthest row (NaN distances aside; `-∞` with none).
+    pub(crate) fn farthest(&self) -> f64 {
+        let mut dists = self.table.iter().rev().map(|c| c.dist);
+        dists.find(|d| !d.is_nan()).unwrap_or(f64::NEG_INFINITY)
     }
 
-    /// Lemma 3.8 for the circle of radius `dist` around the query; the
-    /// first test builds `R_c`.
-    fn region_covers(&mut self, dist: f64, method: RegionMethod) -> bool {
-        let region = self
-            .region
-            .get_or_insert_with(|| CertainRegion::from_circles(&self.circles, method));
-        !region.is_empty() && region.covers_candidate_in(self.query, dist, &mut self.arcs)
+    /// `r_cov`, good for deciding a row at `dist`: the first call builds
+    /// `R_c` and computes its covered radius up to the farthest row (or
+    /// `dist`, beyond it); a later call computes again only for a `dist`
+    /// beyond a cap the radius reached.
+    fn r_cov(&mut self, dist: f64, method: RegionMethod) -> f64 {
+        if self.r_cov == self.cov_cap && dist > self.cov_cap {
+            let cap = dist.max(self.farthest());
+            let region = self
+                .region
+                .get_or_insert_with(|| CertainRegion::from_circles(&self.circles, method));
+            #[cfg(test)]
+            {
+                self.radius_computations += 1;
+            }
+            self.r_cov = region.covered_radius(self.query, cap);
+            self.cov_cap = cap;
+        }
+        self.r_cov
+    }
+
+    /// True when a row at `dist` is certain: within `r_single`, or — asked
+    /// only then — within `r_cov`.
+    fn certifies(&mut self, dist: f64, method: RegionMethod) -> bool {
+        dist <= self.r_single || dist <= self.r_cov(dist, method)
+    }
+
+    /// Table row `row` if it is certain (Lemma 3.2 through some probed
+    /// circle, or Lemma 3.8); the certain rows are a prefix of the table.
+    pub(crate) fn certain_row(&mut self, row: usize, method: RegionMethod) -> Option<Candidate> {
+        let c = *self.table.get(row)?;
+        self.certifies(c.dist, method).then_some(c)
     }
 
     /// The certain NNs beyond `results` worth caching, at most `limit` of
     /// them, ascending by distance: the paper's client caches "as many NN
     /// as its cache capacity allows", and the certain set is a
-    /// downward-closed prefix of the true ranking, so the cursor walks the
-    /// table until the first row that neither a single peer (Lemma 3.2,
-    /// tried first: it is one comparison) nor `R_c` (Lemma 3.8) certifies.
-    /// How far the cursor got is kept, so a later read resumes it.
+    /// downward-closed prefix of the true ranking, so the extension takes
+    /// the table's certain rows. `R_c` is consulted only when a row beyond
+    /// `r_single` is needed.
     pub(crate) fn extend(
         &mut self,
         results: &[HeapEntry],
@@ -288,7 +302,7 @@ impl QueryContext {
         let mut out = Vec::new();
         let mut row = 0;
         while out.len() < limit {
-            let Some(c) = self.certified_row(row, method) else {
+            let Some(c) = self.certain_row(row, method) else {
                 break;
             };
             if !results.iter().any(|e| e.poi.poi_id == c.poi.poi_id) {
@@ -303,53 +317,18 @@ impl QueryContext {
         out
     }
 
-    /// The rows the extension cursor has certified, ascending by distance.
+    /// The certain rows, ascending by distance, as far as the readers so
+    /// far have needed `R_c`: every row within `max(r_single, r_cov)`.
     pub(crate) fn certified(&self) -> &[Candidate] {
-        &self.table[..self.extension]
+        let reach = self.r_single.max(self.r_cov);
+        &self.table[..self.table.partition_point(|c| c.dist <= reach)]
     }
 
-    /// Row `row` if it is certain, advancing the extension cursor to it
-    /// (rows are certified in table order; `row` is at most the cursor).
-    pub(crate) fn certified_row(&mut self, row: usize, method: RegionMethod) -> Option<Candidate> {
-        (row < self.extension || self.advance_extension(method)).then(|| self.table[row])
-    }
-
-    /// True when the certified rows hold every POI within `radius`: the
-    /// next row lies beyond it, and the disk passes what a row at that
-    /// distance would (one peer's Lemma 3.2, or Lemma 3.8). Never for an
-    /// infinite or NaN radius.
+    /// True when the walk holds every POI within `radius`: a row there
+    /// would be certain (one peer's Lemma 3.2, or Lemma 3.8), so every row
+    /// there is. Never for an infinite or NaN radius.
     pub(crate) fn holds_disk(&mut self, radius: f64, method: RegionMethod) -> bool {
-        let (q, next) = (self.query, self.table.get(self.extension));
-        radius < f64::INFINITY
-            && next.is_none_or(|c| c.dist > radius)
-            && (self
-                .circles
-                .iter()
-                .any(|p| radius + q.dist(p.center) <= p.radius)
-                || self.region_covers(radius, method))
-    }
-
-    /// Certifies the extension cursor's next row, if it can be.
-    fn advance_extension(&mut self, method: RegionMethod) -> bool {
-        let Some(c) = self.table.get(self.extension).copied() else {
-            return false;
-        };
-        if self.extension_closed {
-            return false;
-        }
-        // A circle that failed a nearer row fails this one too.
-        while let Some(peer) = self.circles.get(self.next_circle) {
-            if c.dist + self.query.dist(peer.center) <= peer.radius {
-                break;
-            }
-            self.next_circle += 1;
-        }
-        if self.next_circle < self.circles.len() || self.covers(self.extension, method) {
-            self.extension += 1;
-        } else {
-            self.extension_closed = true;
-        }
-        !self.extension_closed
+        radius < f64::INFINITY && self.certifies(radius, method)
     }
 }
 
@@ -393,9 +372,9 @@ pub fn single_verify<B: Borrow<CacheEntry>>(
 
 /// **Stage 2 — MultiVerify** (after [`single_verify`] fell short): merges
 /// the certain areas of all probed peers into the certain region `R_c` and
-/// verifies the table's candidates against it (Lemma 3.8), walking
-/// ascending by distance until the first failure. Coverage already tested
-/// by this walk — at another `k`, or by the cache extension — is reused.
+/// certifies the table's candidates within its covered radius around the
+/// query (Lemma 3.8), ascending by distance. A radius this walk already
+/// computed — at another `k`, or for the cache extension — is reused.
 /// Returns true when the query is fully answered. The walk holds what it
 /// needs of `query` and `peers` since [`single_verify`].
 pub fn multi_verify<B: Borrow<CacheEntry>>(

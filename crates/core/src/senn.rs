@@ -195,8 +195,8 @@ impl SennEngine {
     /// not to `ctx`: [`QueryContext::hand_over`] moves it between reads
     /// (the simulator hands each query's walk to the task that expands it,
     /// so an SNNN expansion reads on from the query's own read, over the
-    /// candidate table, coverage memo and `R_c` that read and the cache
-    /// extension filled, and never begins a second walk).
+    /// candidate table, `R_c` and radii that read and the cache extension
+    /// computed, and never begins a second walk).
     pub fn begin_walk<B: Borrow<CacheEntry>>(
         &self,
         query: Point,
@@ -559,7 +559,6 @@ mod tests {
             });
             let mut walk = QueryContext::new();
             let mut fresh_ctx = QueryContext::new();
-            let mut last = Resolution::Unresolved;
             for kk in k..=k + DELTA {
                 let fresh = engine.query_peers_only_with(q, kk, &peers, &mut fresh_ctx);
                 let resumed = if kk == k {
@@ -581,23 +580,10 @@ mod tests {
                 multi += (fresh.resolution() == Resolution::MultiPeer) as usize;
                 unresolved += (fresh.resolution() == Resolution::Unresolved) as usize;
                 extended += !fresh.extra_certain.is_empty() as usize;
-                last = fresh.resolution();
             }
-            // Each candidate's coverage is tested at most once per walk,
-            // so the whole k..=k+Δ sequence costs no more tests than the
-            // one fresh pass at k+Δ. One exception is possible, once per
-            // walk, when that pass ends at an uncovered row: if a single
-            // peer certifies that row (the inscribed polygons reject what
-            // Lemma 3.2 accepts by a hair), an earlier, peer-resolved
-            // read's extension has tested the row after it.
-            let verified = matches!(last, Resolution::SinglePeer | Resolution::MultiPeer);
-            let slack = !verified as usize;
-            assert!(
-                walk.coverage_tests <= fresh_ctx.coverage_tests + slack,
-                "trial {trial}: resumed {} tests, fresh at k+Δ {}",
-                walk.coverage_tests,
-                fresh_ctx.coverage_tests
-            );
+            // The whole k..=k+Δ sequence builds `R_c` and computes its
+            // radius at most once.
+            assert!(walk.radius_computations <= 1, "trial {trial}");
         }
         // The worlds reach every branch the walk has.
         assert!(multi > 20 && unresolved > 200 && extended > 100);
@@ -641,14 +627,58 @@ mod tests {
                 assert_eq!(read.trace.stage_calls[0], 0, "a read probes nothing");
                 read_on += (fresh.resolution() != Resolution::Unresolved) as usize;
             }
-            // The coverage memo travelled: the carried reads test no more
-            // than one fresh pass at k+Δ (slack as in the resumed-walk test).
-            assert!(
-                carrier.coverage_tests <= fresh_ctx.coverage_tests + 1,
-                "trial {trial}"
-            );
+            // `R_c` and its radius travelled: the carried reads compute
+            // neither again.
+            assert!(carrier.radius_computations <= 1, "trial {trial}");
         }
         assert!(read_on > 200, "the carried reads reach verified answers");
+    }
+
+    #[test]
+    fn a_walk_builds_one_region_and_computes_one_radius() {
+        // Reads at k..=k+Δ, the cache extension after each, then the
+        // range round's question at distances up to the farthest row:
+        // `R_c` is built and its radius computed at most once, and every
+        // answer is the per-distance Lemma 3.2 / 3.8 test's.
+        const DELTA: usize = 4;
+        let mut rng = Rng(0x0ad1_05ed | 1);
+        let mut walk = QueryContext::new();
+        let mut computed = 0;
+        for trial in 0..400 {
+            let (q, peers, _) = walk_world(&mut rng);
+            let k = 1 + (rng.next() * 6.0) as usize;
+            let method = if trial % 2 == 0 {
+                RegionMethod::Polygonized { vertices: 24 }
+            } else {
+                RegionMethod::Exact
+            };
+            let engine = SennEngine::new(SennConfig {
+                region_method: method,
+                accept_uncertain: false,
+                server_fetch: (trial % 3) * k,
+            });
+            engine.query_peers_only_with(q, k, &peers, &mut walk);
+            for kk in k + 1..=k + DELTA {
+                engine.read_walk(kk, &mut walk);
+                let mut outcome = engine.take_outcome(&mut walk);
+                engine.extend_cacheable(&mut outcome, &mut walk);
+            }
+            let farthest = walk.farthest();
+            let probed: Vec<&CacheEntry> = walk.order.iter().map(|&i| &peers[i as usize]).collect();
+            let mut region = crate::multiple::CertainRegion::build(&probed, method);
+            let radii = (0..=8).map(|step| farthest * step as f64 / 8.0);
+            for radius in radii.filter(|r| r.is_finite()) {
+                let single = probed
+                    .iter()
+                    .any(|p| radius + q.dist(p.query_location) <= p.farthest_distance());
+                let covered = !region.is_empty() && region.covers_candidate(q, radius);
+                let held = walk.holds_disk(radius, method);
+                assert_eq!(held, single || covered, "trial {trial} radius {radius}");
+            }
+            assert!(walk.radius_computations <= 1, "trial {trial}");
+            computed += walk.radius_computations;
+        }
+        assert!(computed > 150, "the walks reach R_c ({computed})");
     }
 
     #[test]

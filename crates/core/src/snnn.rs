@@ -224,8 +224,8 @@ impl SnnnExpansion {
     }
 
     /// The range round's read of `walk`, the walk the initial round was
-    /// verified on: offers the rows it certifies (Lemma 3.2 or 3.8, through
-    /// the cache extension's cursor) while the expansion needs them, and
+    /// verified on: offers the rows it certifies (within one of its two
+    /// radii, Lemma 3.2 or 3.8) while the expansion needs them, and
     /// settles the round if the walk holds every POI within `d_k`. Records
     /// a [`Stage::MultiVerify`] stage in the walk's trace, and the round as
     /// [`Resolution::MultiPeer`] when the peers vouched for the whole range
@@ -242,7 +242,7 @@ impl SnnnExpansion {
         let method = engine.config().region_method;
         let mut row = 0;
         while !self.finished {
-            let Some(c) = walk.certified_row(row, method) else {
+            let Some(c) = walk.certain_row(row, method) else {
                 if walk.holds_disk(self.radius(), method) {
                     self.settle();
                 }

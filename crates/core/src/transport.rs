@@ -75,11 +75,6 @@ impl RequestId {
         RequestId(raw)
     }
 
-    /// A request id from a batch/plan index.
-    pub const fn from_index(index: usize) -> Self {
-        RequestId(index as u64)
-    }
-
     /// The raw id — the word every keyed schedule mixes.
     pub const fn raw(self) -> u64 {
         self.0
@@ -276,16 +271,6 @@ impl TransportStats {
             (63 - (ms as u64).leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
         };
         self.hist[bucket] += 1;
-    }
-
-    /// The fraction of admitted requests that were shed.
-    pub fn shed_fraction(&self) -> f64 {
-        let offered = self.enqueued + self.shed;
-        if offered == 0 {
-            0.0
-        } else {
-            self.shed as f64 / offered as f64
-        }
     }
 
     /// Mean end-to-end virtual latency, milliseconds.
@@ -887,7 +872,7 @@ mod tests {
             .filter(|(_, r)| r.status == ReplyStatus::Shed)
             .count();
         assert_eq!(shed, 7);
-        assert!((t.stats().shed_fraction() - 7.0 / 12.0).abs() < 1e-12);
+        assert_eq!(t.stats().enqueued + t.stats().shed, 12);
         // In-flight never exceeded the window while draining.
         assert_eq!(t.stats().in_flight_peak, 2);
     }
@@ -1055,7 +1040,7 @@ mod tests {
 
     #[test]
     fn request_id_newtype_round_trips() {
-        let id = RequestId::from_index(7);
+        let id = RequestId::new(7);
         assert_eq!(id.raw(), 7);
         assert_eq!(u64::from(id), 7);
         assert_eq!(RequestId::from(7u64), id);

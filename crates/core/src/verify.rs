@@ -25,6 +25,45 @@ pub fn is_certain(query: Point, peer_location: Point, peer_radius: f64, poi: Poi
     query.dist(poi) + delta <= peer_radius
 }
 
+/// Lemma 3.2 as a radius: the largest `d` with `d + delta <= radius` in
+/// floating point, so a candidate at distance `d'` passes the test against
+/// a peer `delta` away with certain-area `radius` iff `d' <= d`. `-∞` when
+/// no distance passes.
+pub(crate) fn certified_radius(delta: f64, radius: f64) -> f64 {
+    if radius == f64::INFINITY && !delta.is_nan() {
+        return f64::INFINITY;
+    }
+    let guess = radius - delta;
+    if !guess.is_finite() {
+        return f64::NEG_INFINITY;
+    }
+    // `d + delta` rounds, monotonically in `d`: gallop from the guess, in
+    // the order of the floats, to one that passes and one that fails (-∞
+    // passes, +∞ fails), then bisect to the last that passes.
+    let key = |x: f64| (x.to_bits() as i64) ^ ((x.to_bits() as i64 >> 63) & i64::MAX);
+    let float = |k: i64| f64::from_bits((k ^ ((k >> 63) & i64::MAX)) as u64);
+    let passes = |k: i64| float(k) + delta <= radius;
+    let (floor, ceil) = (key(f64::NEG_INFINITY), key(f64::INFINITY));
+    let (mut lo, mut hi, mut step) = (key(guess), key(guess), 1i64);
+    while !passes(lo) {
+        (hi, lo) = (lo, lo.saturating_sub(step).max(floor));
+        step = step.saturating_mul(2);
+    }
+    while passes(hi) {
+        (lo, hi) = (hi, hi.saturating_add(step).min(ceil));
+        step = step.saturating_mul(2);
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if passes(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    float(lo)
+}
+
 /// The verification outcome for one candidate POI from one peer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Certainty {
@@ -51,14 +90,6 @@ pub fn classify_entry(
         };
         (i, d, c)
     })
-}
-
-/// The *certain-area radius* a peer contributes to the multi-peer region
-/// `R_c`: the disk around its cached query location through its farthest
-/// cached NN. Empty caches contribute nothing (radius 0).
-#[inline]
-pub fn certain_area_radius(entry: &CacheEntry) -> f64 {
-    entry.farthest_distance()
 }
 
 #[cfg(test)]
@@ -130,7 +161,37 @@ mod tests {
     fn empty_entry_classifies_empty() {
         let e = entry(Point::ORIGIN, &[]);
         assert_eq!(classify_entry(Point::new(1.0, 1.0), &e).count(), 0);
-        assert_eq!(certain_area_radius(&e), 0.0);
+    }
+
+    #[test]
+    fn certified_radius_is_the_last_distance_that_passes() {
+        let mut s = 0x5eed_4ad1u64 | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for i in 0..20_000 {
+            let scale = [1e-3, 1.0, 150.0, 4e4][i % 4];
+            let (delta, radius) = (next() * scale, next() * scale);
+            let d = certified_radius(delta, radius);
+            if d == f64::NEG_INFINITY {
+                continue;
+            }
+            assert!(d + delta <= radius, "{d} + {delta} > {radius}");
+            assert!(
+                d.next_up() + delta > radius,
+                "{delta} {radius}: {d} is not the last"
+            );
+        }
+        assert_eq!(certified_radius(f64::NAN, 1.0), f64::NEG_INFINITY);
+        assert_eq!(certified_radius(1.0, f64::NAN), f64::NEG_INFINITY);
+        assert_eq!(certified_radius(f64::INFINITY, 1.0), f64::NEG_INFINITY);
+        assert_eq!(certified_radius(1.0, f64::INFINITY), f64::INFINITY);
+        // The slack of one rounding, from a distance of zero.
+        let d = certified_radius(2.0, 2.0);
+        assert!(d > 0.0 && d + 2.0 == 2.0 && d.next_up() + 2.0 > 2.0, "{d}");
     }
 
     #[test]

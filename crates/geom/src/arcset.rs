@@ -126,6 +126,20 @@ impl ArcSet {
         self.set.spans()
     }
 
+    /// The remaining arcs, counter-clockwise from `lo` to `hi`: the pieces
+    /// from 0 and up to 2π join into one arc, with `hi < lo`.
+    pub(crate) fn arcs(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let mut spans = self.spans();
+        let mut joined = None;
+        if let [(0.0, hi), .., (lo, end)] = *spans {
+            if end == TAU {
+                joined = Some((lo, hi));
+                spans = &spans[1..spans.len() - 1];
+            }
+        }
+        joined.into_iter().chain(spans.iter().copied())
+    }
+
     /// True when nothing remains.
     pub fn is_empty(&self) -> bool {
         self.set.is_empty()

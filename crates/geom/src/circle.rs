@@ -36,12 +36,6 @@ impl Circle {
         self.center.dist_sq(p) <= self.radius * self.radius
     }
 
-    /// True when `p` lies strictly inside the circle (by more than `eps`).
-    #[inline]
-    pub fn contains_point_strict(&self, p: Point, eps: f64) -> bool {
-        self.center.dist(p) < self.radius - eps
-    }
-
     /// True when the closed disk `other` lies entirely inside this closed
     /// disk: `dist(centers) + r_other <= r_self`.
     #[inline]
@@ -99,13 +93,6 @@ mod tests {
         assert!(c.contains_point(Point::new(3.0, 1.0)));
         assert!(c.contains_point(Point::new(1.0, 1.0)));
         assert!(!c.contains_point(Point::new(3.1, 1.0)));
-    }
-
-    #[test]
-    fn strict_containment_excludes_boundary() {
-        let c = Circle::new(Point::ORIGIN, 1.0);
-        assert!(!c.contains_point_strict(Point::new(1.0, 0.0), 1e-12));
-        assert!(c.contains_point_strict(Point::new(0.5, 0.0), 1e-12));
     }
 
     #[test]

@@ -58,9 +58,8 @@ impl IntervalSet {
 
     /// Removes `[lo, hi]` from the set, in place. No-op if `lo > hi`.
     ///
-    /// Surviving endpoints are copied, never computed — what lets the
-    /// regions of [`crate::region`] keep an edge's or a disk's exposed
-    /// spans and read them through any later cut (its module docs).
+    /// Surviving endpoints are copied, never computed, so an exposed
+    /// piece's end is exactly the end of the cut that made it.
     pub fn subtract(&mut self, lo: f64, hi: f64) {
         if lo > hi {
             return;

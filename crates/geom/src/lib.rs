@@ -17,17 +17,18 @@
 //! * [`ConvexPolygon`] — inscribed polygonizations of certain-area circles
 //!   (the paper's polygonization step, Section 3.2.2).
 //! * [`DiskRegion`] — the merged certain region `R_c` as the union of the
-//!   peers' disks themselves, with an *exact* coverage test over the arc
-//!   arrangement (kept per disk, filled in where a test first needs it).
-//!   The region queries run against.
+//!   peers' disks themselves, with an *exact* covered radius over the arc
+//!   arrangement: how far from a centre the union's exposed boundary
+//!   begins, the one number a verification walk needs. The region queries
+//!   run against.
 //! * [`PolygonRegion`] — `R_c` as the paper builds it. The paper merges
 //!   polygons with the MapOverlay algorithm; we answer the only query the
-//!   verification needs (`does the region cover this circle?`) against the
-//!   union's boundary, kept per polygon edge and filled in where a test
-//!   first needs it: exactly the overlay pieces the tests consume. See
-//!   `DESIGN.md` §2 for the substitution argument. It certifies a subset
-//!   of what [`DiskRegion`] does and is kept as the paper-fidelity arm of
-//!   the ablation.
+//!   verification needs (`how far around this centre is the region
+//!   covered?`) against the union's boundary, computed per polygon edge
+//!   where the answer needs it: exactly the overlay pieces the query
+//!   consumes. See `DESIGN.md` §2 for the substitution argument. It
+//!   certifies a subset of what [`DiskRegion`] does and is kept as the
+//!   paper-fidelity arm of the ablation.
 //!
 //! All coordinates are `f64`. The crate is `no_std`-agnostic in spirit but
 //! uses `std` floats throughout; predicates take an explicit epsilon where

@@ -65,12 +65,6 @@ impl Point {
         self.x * other.y - self.y * other.x
     }
 
-    /// Returns the vector rotated 90° counter-clockwise.
-    #[inline]
-    pub fn perp(self) -> Point {
-        Point::new(-self.y, self.x)
-    }
-
     /// Linear interpolation: `self + t * (other - self)`.
     #[inline]
     pub fn lerp(self, other: Point, t: f64) -> Point {
@@ -177,14 +171,6 @@ mod tests {
         assert_eq!(-a, Point::new(-1.0, -2.0));
         assert_eq!(a.dot(b), 1.0);
         assert_eq!(a.cross(b), -7.0);
-    }
-
-    #[test]
-    fn perp_is_ccw_rotation() {
-        let v = Point::new(1.0, 0.0);
-        assert_eq!(v.perp(), Point::new(0.0, 1.0));
-        // Rotating twice flips the sign.
-        assert_eq!(v.perp().perp(), -v);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Certain-region representations and circle-coverage tests.
+//! Certain-region representations and their covered radius.
 //!
 //! Lemma 3.8: with peers `P_1..P_j`, the certain region is
 //! `R_c = P_1-area ∪ ... ∪ P_j-area` (each area the peer's outermost-NN
@@ -24,49 +24,42 @@
 //! under-approximates each disk, so it can answer `false` for circles the
 //! true region covers — the paper's approximation has the same property).
 //!
-//! ## The overlay is kept, edge by edge
+//! ## One radius per centre
 //!
-//! The paper overlays once and then tests every candidate against the
-//! one merged region. So does [`PolygonRegion`], lazily: the first time a
-//! candidate disk cuts an edge `e`, the edge's exposed spans `X_e = [0, 1]
-//! − ∪ T_j` (`T_j` the clip of `e` to every other polygon) are computed
-//! and kept; a candidate that cuts `e` along `[c0, c1]` then only asks
-//! whether a piece of `X_e ∩ [c0, c1]` is longer than the tolerance. A
-//! walk's candidates share the centre and grow outwards, so most edges a
-//! test cuts were filled by the test before it.
+//! Every candidate of a verification walk is centred on the querier `q`,
+//! so the walk asks one question: how far from `q` does the union's
+//! exposed boundary begin? `covered_radius(q, cap)` answers it. The disk
+//! of radius `d` around `q` is covered iff `d` is at most that radius,
+//! and `covers_circle` is this comparison with `cap` the circle's radius.
 //!
-//! Keeping `X_e` changes no answer, whatever the candidates and whatever
-//! order they come in. Subtracting `T_j` from a span only *copies*
-//! endpoints (a survivor of `(a, b)` is `(a, lo)` or `(hi, b)`) and
-//! decides what survives by comparing them, so the positive-length pieces
-//! of `[c0, c1] − ∪ T_j` and of `([0, 1] − ∪ T_j) ∩ [c0, c1]` are pairs of
-//! the same floats — induct over `j`: clipping a span to `[c0, c1]` and
-//! subtracting `T_j` commute up to zero-length spans, which no later step
-//! can grow. `X_e` depends on nothing but the region, so an edge filled by
-//! one candidate reads the same to the next.
+//! The sliver tolerance is the one the per-circle test had: a circle is
+//! refused only when exposed boundary longer than [`EPS`] lies strictly
+//! inside it. So the radius an exposed piece (an edge span, or an arc of
+//! a disk no other disk covers) contributes is the smallest `d` whose open
+//! disk holds a sub-piece [`EPS`] long: the distance from `q` to the
+//! farther end of the sub-piece nearest `q` — centred on the foot of `q`
+//! when that fits inside the piece, else flush with the piece's nearer
+//! end. Distance along an edge, or along a circle from the point nearest
+//! `q`, only grows away from the foot, so no other sub-piece does better.
 //!
-//! ## So is the arrangement, disk by disk
-//!
-//! [`DiskRegion`] keeps the same thing on circles: the first time a
-//! candidate's open disk reaches `∂D_i`, the arcs of `∂D_i` no other disk
-//! covers, `X_i = [0, 2π] − ∪ A_j`, are computed and kept, and a candidate
-//! whose disk holds the window `W` of `∂D_i` asks whether an arc of
-//! `X_i ∩ W` is wider than the tolerance. An arc is at most two linear
-//! pieces of `[0, 2π]` (it is split where it passes 2π), so `W − ∪ A_j` is
-//! the same interval subtraction as above on each piece of `W`, one `A_j`
-//! piece at a time, and the endpoint-copy argument carries over piece by
-//! piece: `W − ∪ A_j` and `X_i ∩ W` have the same positive-length pieces,
-//! as pairs of the same floats. Both are then measured by the one rule of
-//! [`crate::arcset`] — the piece from 0 and the piece up to 2π are one arc
-//! — and a piece starts at 0 (ends at 2π) in the one exactly when it does
-//! in the other, those endpoints being copies too.
+//! The boundary is searched nearest first: a circle (an edge) is never
+//! nearer to `q` than `|dist(q, c) − r|` (the segment's distance to `q`),
+//! and the search stops at the first whose bound reaches the radius found
+//! so far or `cap`. Of each boundary it reaches, only the window nearer
+//! than that radius is subtracted, against the disks (polygons) that reach
+//! the window; a margin of `10⁻⁶` relative keeps the window's own ends
+//! beyond the radius, so they never lower it. Nothing is kept between
+//! calls.
 
-use crate::arcset::{arc_pieces, longer_than, ArcSet};
+use std::cmp::Ordering;
+
+use crate::arcset::ArcSet;
 use crate::circle::Circle;
 use crate::interval::IntervalSet;
 use crate::point::Point;
 use crate::polygon::ConvexPolygon;
 use crate::rect::Rect;
+use crate::segment::Segment;
 use crate::EPS;
 
 /// Relative tolerance used when deduplicating source disks.
@@ -93,68 +86,10 @@ const DEDUP_EPS: f64 = 1e-12;
 pub struct PolygonRegion {
     polygons: Vec<ConvexPolygon>,
     bounds: Vec<Rect>,
-    /// The union boundary as far as coverage tests have asked for it
-    /// (module docs): per polygon edge, polygon by polygon, the exposed
-    /// spans of its parameter interval. Sized by the first coverage test.
-    boundary: KeptSpans,
-    scratch: IntervalSet,
-}
-
-/// Span lists kept per slot — a polygon edge, a disk — each computed the
-/// first time a coverage test reaches its slot (module docs).
-#[derive(Clone, Debug, Default)]
-struct KeptSpans {
-    /// Per slot: its range of `spans`, or [`KeptSpans::UNFILLED`].
-    slots: Vec<(u32, u32)>,
-    spans: Vec<(f64, f64)>,
-}
-
-impl KeptSpans {
-    const UNFILLED: (u32, u32) = (u32::MAX, u32::MAX);
-
-    fn with_slots(slots: usize) -> Self {
-        KeptSpans {
-            slots: vec![Self::UNFILLED; slots],
-            spans: Vec::new(),
-        }
-    }
-
-    /// The spans kept for `slot`: what `fill` computes, the first time.
-    fn get_or_fill<'a>(
-        &'a mut self,
-        slot: usize,
-        fill: impl FnOnce() -> &'a [(f64, f64)],
-    ) -> &'a [(f64, f64)] {
-        if self.slots[slot] == Self::UNFILLED {
-            let start = self.spans.len() as u32;
-            self.spans.extend_from_slice(fill());
-            self.slots[slot] = (start, self.spans.len() as u32);
-        }
-        let (start, end) = self.slots[slot];
-        &self.spans[start as usize..end as usize]
-    }
-}
-
-/// The exposed spans of edge `seg` of polygon `owner`: `[0, 1]` minus the
-/// clip of `seg` to every other polygon, left in `exposed`.
-fn exposed_spans(
-    polygons: &[ConvexPolygon],
-    owner: usize,
-    seg: &crate::segment::Segment,
-    exposed: &mut IntervalSet,
-) {
-    exposed.reset(0.0, 1.0);
-    for (j, other) in polygons.iter().enumerate() {
-        if j == owner {
-            continue;
-        }
-        if let Some((t0, t1)) = other.clip_segment(seg) {
-            exposed.subtract(t0, t1);
-            if exposed.is_empty() {
-                break;
-            }
-        }
-    }
+    /// Scratch of [`PolygonRegion::covered_radius`]: the edges by their
+    /// distance to the centre, and one edge's exposed spans.
+    near: Vec<(f64, Segment, u32)>,
+    exposed: IntervalSet,
 }
 
 impl PolygonRegion {
@@ -172,8 +107,8 @@ impl PolygonRegion {
         PolygonRegion {
             polygons,
             bounds,
-            boundary: KeptSpans::default(),
-            scratch: IntervalSet::new(),
+            near: Vec::new(),
+            exposed: IntervalSet::new(),
         }
     }
 
@@ -204,7 +139,7 @@ impl PolygonRegion {
     /// edges not covered by any other polygon, each oriented as its source
     /// edge (counter-clockwise around the union). This is exactly the
     /// boundary a MapOverlay merge would output, as a segment soup.
-    pub fn union_boundary(&self) -> Vec<crate::segment::Segment> {
+    pub fn union_boundary(&self) -> Vec<Segment> {
         let mut out = Vec::new();
         for (i, poly) in self.polygons.iter().enumerate() {
             for seg in poly.edges() {
@@ -242,7 +177,7 @@ impl PolygonRegion {
                 }
                 for &(t0, t1) in exposed.spans() {
                     if (t1 - t0) * seg_len > EPS {
-                        out.push(crate::segment::Segment::new(seg.at(t0), seg.at(t1)));
+                        out.push(Segment::new(seg.at(t0), seg.at(t1)));
                     }
                 }
             }
@@ -263,54 +198,67 @@ impl PolygonRegion {
     }
 
     /// True when the closed disk bounded by `circle` is fully covered by the
-    /// union (Lemma 3.8's test, on the polygonized region). Fills in the
-    /// kept union boundary along the edges the disk cuts (module docs).
+    /// union (Lemma 3.8's test, on the polygonized region): its radius is
+    /// within [`Self::covered_radius`] of its centre.
     pub fn covers_circle(&mut self, circle: &Circle) -> bool {
-        if !self.covers_point(circle.center) {
-            return false;
-        }
-        if circle.radius <= 0.0 {
-            return true;
+        circle.radius <= self.covered_radius(circle.center, circle.radius)
+    }
+
+    /// `min(R, cap)` for `R` the distance from `q` to the union's exposed
+    /// boundary, with the sliver tolerance of the module docs; `-∞` when
+    /// `q` is outside the union. A disk of radius `d ≤ cap` around `q` is
+    /// covered iff `d` is at most the result. Edges are taken nearest
+    /// first, and of each only the part nearer to `q` than the radius
+    /// found so far is subtracted against the polygons that reach it.
+    pub fn covered_radius(&mut self, q: Point, cap: f64) -> f64 {
+        if !self.covers_point(q) {
+            return f64::NEG_INFINITY;
         }
         let PolygonRegion {
             polygons,
             bounds,
-            boundary,
-            scratch,
+            near,
+            exposed,
         } = self;
-        if boundary.slots.is_empty() {
-            *boundary = KeptSpans::with_slots(polygons.iter().map(|p| p.vertices().len()).sum());
-        }
-        let target_bb = circle.bounding_rect();
-        let mut first_edge = 0;
+        near.clear();
         for (i, poly) in polygons.iter().enumerate() {
-            let edges = first_edge..;
-            first_edge += poly.vertices().len();
-            if !bounds[i].intersects(target_bb) {
-                continue;
+            let edges = poly.edges().filter(|seg| seg.len() > EPS);
+            near.extend(edges.map(|seg| (seg.closest_point(q).dist(q), seg, i as u32)));
+        }
+        near.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut radius = cap;
+        for &(bound, seg, owner) in near.iter() {
+            if bound.partial_cmp(&radius) != Some(Ordering::Less) {
+                break;
             }
-            for (seg, edge) in poly.edges().zip(edges) {
-                // Part of this edge inside the open candidate disk.
-                let Some((c0, c1)) = seg.clip_to_open_disk(circle.center, circle.radius) else {
-                    continue;
-                };
-                let seg_len = seg.len();
-                if seg_len <= EPS {
-                    continue;
+            // The part of the edge within reach, minus every other
+            // polygon that reaches it (module docs).
+            let reach = radius + 1e-6 * (1.0 + radius);
+            let Some((c0, c1)) = seg.clip_to_open_disk(q, reach) else {
+                continue;
+            };
+            exposed.reset(c0, c1);
+            let within = Rect::new(seg.at(c0), seg.at(c1));
+            for (j, other) in polygons.iter().enumerate() {
+                if exposed.is_empty() {
+                    break;
                 }
-                // An exposed piece longer than EPS (as a distance) is union
-                // boundary strictly inside the disk: not covered.
-                let eps = EPS / seg_len;
-                let exposed = boundary.get_or_fill(edge, || {
-                    exposed_spans(polygons, i, &seg, scratch);
-                    scratch.spans()
-                });
-                if exposed.iter().any(|&(a, b)| b.min(c1) - a.max(c0) > eps) {
-                    return false;
+                if j != owner as usize && bounds[j].intersects(within) {
+                    if let Some((t0, t1)) = other.clip_segment(&seg) {
+                        exposed.subtract(t0, t1);
+                    }
+                }
+            }
+            let eps = EPS / seg.len();
+            let foot = seg.project(q);
+            for &(a, b) in exposed.spans() {
+                if b - a > eps {
+                    let s = (foot - 0.5 * eps).max(a).min(b - eps);
+                    radius = radius.min(q.dist(seg.at(s)).max(q.dist(seg.at(s + eps))));
                 }
             }
         }
-        true
+        radius
     }
 }
 
@@ -318,10 +266,10 @@ impl PolygonRegion {
 #[derive(Clone, Debug)]
 pub struct DiskRegion {
     disks: Vec<Circle>,
-    /// The arrangement as far as coverage tests have asked for it (module
-    /// docs): per disk, the arcs of its boundary no other disk covers.
-    exposed: KeptSpans,
-    scratch: ArcSet,
+    /// Scratch of [`DiskRegion::covered_radius`]: the disks by how near
+    /// their circles come to the centre, and one circle's exposed arcs.
+    near: Vec<(f64, u32)>,
+    exposed: ArcSet,
 }
 
 impl DiskRegion {
@@ -330,11 +278,10 @@ impl DiskRegion {
     /// disks that bound nothing: zero or non-finite radius, non-finite
     /// centre.
     pub fn from_circles(circles: &[Circle]) -> Self {
-        let disks = source_disks(circles);
         DiskRegion {
-            exposed: KeptSpans::with_slots(disks.len()),
-            disks,
-            scratch: ArcSet::new(),
+            disks: source_disks(circles),
+            near: Vec::new(),
+            exposed: ArcSet::new(),
         }
     }
 
@@ -360,92 +307,120 @@ impl DiskRegion {
 
     /// Exact test: is the closed disk bounded by `circle` covered by the
     /// union of the region's disks? (Lemma 3.8's test, on the circles it
-    /// is stated on.)
+    /// is stated on): its radius is within [`Self::covered_radius`] of its
+    /// centre.
+    pub fn covers_circle(&mut self, circle: &Circle) -> bool {
+        circle.radius <= self.covered_radius(circle.center, circle.radius)
+    }
+
+    /// `min(R, cap)` for `R` the distance from `q` to the union's exposed
+    /// boundary, with the sliver tolerance of the module docs; `-∞` when
+    /// `q` is outside the union. A disk of radius `d ≤ cap` around `q` is
+    /// covered iff `d` is at most the result.
     ///
     /// A closed disk `D` is covered by the closed union `U` iff
     /// `center(D) ∈ U` and `∂U ∩ int(D) = ∅`. Every point of `∂U` lies on
-    /// some disk boundary and is covered by no other disk, so per disk the
-    /// arc of its boundary inside `int(D)` is met with the arcs no other
-    /// disk covers; any piece wider than the tolerance refutes coverage.
-    /// Fills in the kept arrangement along the disks `D` reaches (module
-    /// docs).
-    pub fn covers_circle(&mut self, circle: &Circle) -> bool {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let covered = self.covers_circle_in(circle, &mut scratch);
-        self.scratch = scratch;
-        covered
-    }
-
-    /// [`Self::covers_circle`] with the caller's scratch for the arcs a
-    /// fill computes, so a caller that builds many regions keeps one
-    /// scratch for all of them. The scratch carries nothing from one call
-    /// to the next.
-    pub fn covers_circle_in(&mut self, circle: &Circle, scratch: &mut ArcSet) -> bool {
-        if !self.covers_point(circle.center) {
-            return false;
+    /// some disk's circle and in no other disk, so per circle the arcs no
+    /// other disk covers are the candidates. Circles are taken nearest
+    /// first, and of each only the part nearer to `q` than the radius
+    /// found so far is subtracted against the disks that reach it.
+    pub fn covered_radius(&mut self, q: Point, cap: f64) -> f64 {
+        if !self.covers_point(q) {
+            return f64::NEG_INFINITY;
         }
-        if circle.radius <= 0.0 {
-            return true;
-        }
-        let DiskRegion { disks, exposed, .. } = self;
-        for (i, di) in disks.iter().enumerate() {
-            let Some((toward, half)) = boundary_inside_open_disk(di, circle) else {
-                continue;
-            };
-            let exposed = exposed.get_or_fill(i, || {
-                exposed_arcs(disks, i, scratch);
-                scratch.spans()
-            });
-            let inside = arc_pieces(toward, half)
-                .into_iter()
-                .flatten()
-                .flat_map(|(w0, w1)| exposed.iter().map(move |&(a, b)| (a.max(w0), b.min(w1))));
-            if longer_than(inside, EPS / di.radius) {
-                return false;
+        let DiskRegion {
+            disks,
+            near,
+            exposed,
+        } = self;
+        near.clear();
+        let bound = |d: &Circle| (q.dist(d.center) - d.radius).abs();
+        near.extend(disks.iter().zip(0..).map(|(d, i)| (bound(d), i)));
+        near.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut radius = cap;
+        for &(bound, i) in near.iter() {
+            if bound.partial_cmp(&radius) != Some(Ordering::Less) {
+                break;
+            }
+            let reach = radius + 1e-6 * (1.0 + radius);
+            exposed_arcs(disks, i as usize, q, reach, exposed);
+            let disk = &disks[i as usize];
+            for arc in exposed.arcs() {
+                radius = radius.min(arc_radius(disk, q, arc));
             }
         }
-        true
+        radius
     }
 }
 
-/// The arcs of `∂disks[owner]` that no other disk covers, left in `arcs`.
-fn exposed_arcs(disks: &[Circle], owner: usize, arcs: &mut ArcSet) {
+/// The radius exposed arc `(lo, hi)` of `∂disk` (angles, counter-clockwise;
+/// `hi < lo` for an arc through 0) contributes at centre `q` (module
+/// docs): `∞` when the arc is no longer than the tolerance.
+fn arc_radius(disk: &Circle, q: Point, (lo, hi): (f64, f64)) -> f64 {
+    use std::f64::consts::{PI, TAU};
+    let eps = EPS / disk.radius;
+    let width = if hi < lo {
+        (hi - lo).rem_euclid(TAU)
+    } else {
+        hi - lo
+    };
+    if width <= eps {
+        return f64::INFINITY;
+    }
+    // Angles on ∂disk, measured from the point nearest q.
+    let foot = (q - disk.center).angle();
+    let off = |theta: f64| {
+        let x = (theta - foot).rem_euclid(TAU);
+        x.min(TAU - x)
+    };
+    // The widest angle from the foot on the sub-arc [s, s + eps].
+    let reach = |s: f64| {
+        if (foot + PI - s).rem_euclid(TAU) <= eps {
+            PI
+        } else {
+            off(s).max(off(s + eps))
+        }
+    };
+    let at = (foot - lo).rem_euclid(TAU);
+    let alpha = if width >= TAU || (0.5 * eps <= at && at <= width - 0.5 * eps) {
+        0.5 * eps
+    } else {
+        reach(lo).min(reach(hi - eps))
+    };
+    // Law of cosines, in the form that stays accurate near the foot.
+    let (delta, r) = (q.dist(disk.center), disk.radius);
+    let half = (0.5 * alpha).sin();
+    ((delta - r) * (delta - r) + 4.0 * delta * r * half * half).sqrt()
+}
+
+/// The arcs of `∂disks[owner]` closer to `q` than `reach` that no other
+/// disk covers, left in `arcs`. Disks `reach` or farther from `q` cover
+/// none of them and are passed over.
+fn exposed_arcs(disks: &[Circle], owner: usize, q: Point, reach: f64, arcs: &mut ArcSet) {
+    use std::f64::consts::PI;
+    let di = &disks[owner];
+    let (delta, r) = (q.dist(di.center), di.radius);
     arcs.reset_full();
+    if delta + r >= reach {
+        // Only the window of ∂di nearer than `reach`: what remains once
+        // the arc opposite it is taken out.
+        let cos_a = (delta * delta + r * r - reach * reach) / (2.0 * delta * r);
+        if delta <= f64::EPSILON || cos_a >= 1.0 {
+            arcs.subtract_arc(0.0, PI + 1.0);
+            return;
+        }
+        let half = cos_a.clamp(-1.0, 1.0).acos();
+        arcs.subtract_arc((q - di.center).angle() + PI, PI - half);
+    }
     for (j, dj) in disks.iter().enumerate() {
-        if j == owner {
+        if j == owner || q.dist(dj.center) >= reach + dj.radius {
             continue;
         }
-        subtract_coverage(arcs, &disks[owner], dj);
+        subtract_coverage(arcs, di, dj);
         if arcs.is_empty() {
             break;
         }
     }
-}
-
-/// Angular section of `∂disk` lying strictly inside the open disk bounded by
-/// `target`, as the direction of its midpoint and its half-width (`π`: all
-/// of `∂disk`), or `None` when there is none (tangency counts as none).
-fn boundary_inside_open_disk(disk: &Circle, target: &Circle) -> Option<(f64, f64)> {
-    let d = disk.center.dist(target.center);
-    let (r, rt) = (disk.radius, target.radius);
-    if d >= rt + r {
-        return None; // fully outside (or externally tangent)
-    }
-    if d + r < rt {
-        return Some((0.0, std::f64::consts::PI)); // ∂disk entirely inside int(target)
-    }
-    if d <= f64::EPSILON {
-        // Concentric and not strictly inside: boundary touches/exceeds.
-        return None;
-    }
-    // Law of cosines on the triangle (disk.center, target.center, x) for a
-    // boundary point x of `disk` at angle alpha from the center line.
-    let cos_a = (d * d + r * r - rt * rt) / (2.0 * d * r);
-    if cos_a >= 1.0 {
-        return None;
-    }
-    let half = cos_a.clamp(-1.0, 1.0).acos();
-    Some(((target.center - disk.center).angle(), half))
 }
 
 /// Subtracts from `arc` (angles on `∂di`) the section covered by the closed
@@ -475,7 +450,7 @@ fn subtract_coverage(arc: &mut ArcSet, di: &Circle, dj: &Circle) {
 
 /// Parameter intervals of `seg` that lie along (collinear with) some edge
 /// of `poly`.
-fn collinear_overlaps(seg: &crate::segment::Segment, poly: &ConvexPolygon) -> Vec<(f64, f64)> {
+fn collinear_overlaps(seg: &Segment, poly: &ConvexPolygon) -> Vec<(f64, f64)> {
     use crate::point::orient;
     let mut out = Vec::new();
     let len = seg.len().max(f64::MIN_POSITIVE);
@@ -630,7 +605,7 @@ mod tests {
         for at in [0.0, 1.0] {
             let disks = almost_covered_circle(r, at);
             let mut exposed = ArcSet::new();
-            exposed_arcs(&disks, 0, &mut exposed);
+            exposed_arcs(&disks, 0, Point::ORIGIN, f64::INFINITY, &mut exposed);
             let len = exposed.total_len() * r;
             assert!(len > 1.4 * EPS && len < 1.6 * EPS, "exposed {len}");
             // Centred on angle 0 the arc is held as two pieces, each
@@ -840,10 +815,11 @@ mod tests {
         );
     }
 
-    // ---------- the kept union boundary ----------
+    // ---------- the covered radius ----------
 
-    /// [`PolygonRegion::covers_circle`] deriving every exposed piece from
-    /// nothing: the reference the kept boundary is tested against.
+    /// [`PolygonRegion::covers_circle`] as a per-edge test, deriving every
+    /// exposed piece inside the circle from nothing: the reference the
+    /// covered radius is tested against.
     fn covers_circle_stateless(region: &PolygonRegion, circle: &Circle) -> bool {
         if !region.covers_point(circle.center) {
             return false;
@@ -903,13 +879,35 @@ mod tests {
         disks
     }
 
+    #[test]
+    fn covered_radius_of_a_lens() {
+        // Two unit disks overlapping: from (0.5, 0) the union's boundary
+        // begins at the lens vertices, sqrt(3)/2 away.
+        let mut region = DiskRegion::from_circles(&[c(0.0, 0.0, 1.0), c(1.0, 0.0, 1.0)]);
+        let radius = region.covered_radius(Point::new(0.5, 0.0), f64::INFINITY);
+        assert!((radius - 0.75f64.sqrt()).abs() < 1e-9, "{radius}");
+        // Capped below that, the cap comes back; outside, -∞.
+        assert_eq!(region.covered_radius(Point::new(0.5, 0.0), 0.5), 0.5);
+        assert_eq!(
+            region.covered_radius(Point::new(5.0, 0.0), f64::INFINITY),
+            f64::NEG_INFINITY
+        );
+        // A single disk: the distance to its circle.
+        let mut single = DiskRegion::from_circles(&[c(0.0, 0.0, 2.0)]);
+        assert_eq!(
+            single.covered_radius(Point::new(0.5, 0.0), f64::INFINITY),
+            1.5
+        );
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(192))]
 
-        /// Whatever was asked before, in whatever order, the kept boundary
-        /// answers what deriving every exposed piece from nothing answers.
+        /// The covered radius is where the per-edge test turns: it covers
+        /// the circle a micrometre inside the radius and refuses the one a
+        /// micrometre outside; a cap below the radius comes back as is.
         #[test]
-        fn memoised_coverage_equals_stateless(
+        fn covered_radius_is_where_the_stateless_test_turns(
             draws in proptest::prop::collection::vec(
                 (0.0..6.0f64, 0.0..6.0f64, 1.0..4.0f64, 0u8..9),
                 1..=8usize,
@@ -919,35 +917,28 @@ mod tests {
                 proptest::Just(8usize),
                 proptest::Just(24usize),
             ],
-            walks in proptest::prop::collection::vec(
-                (0usize..8, -1.0..1.0f64, -1.0..1.0f64, 0.05..1.5f64, 0.05..1.0f64),
+            centres in proptest::prop::collection::vec(
+                (0usize..8, -1.0..1.0f64, -1.0..1.0f64, 0.0..1.0f64),
                 6..=9usize,
             ),
         ) {
             let disks = colliding_disks(&draws);
-            // Centres in and around the disks; per centre, radii ascending,
-            // then descending, then repeated.
-            let mut candidates = Vec::new();
-            for &(near, dx, dy, r, grow) in &walks {
+            let mut region = PolygonRegion::from_circles(&disks, vertices);
+            for &(near, dx, dy, cut) in &centres {
                 let near = disks[near % disks.len()];
-                let (x, y) = (near.center.x + dx * near.radius, near.center.y + dy * near.radius);
-                let radii = [r, r + grow, r + 2.0 * grow];
-                let asked = radii.iter().chain(radii.iter().rev()).chain(&radii[1..2]);
-                candidates.extend(asked.map(|&radius| c(x, y, radius)));
+                let q = Point::new(near.center.x + dx * near.radius, near.center.y + dy * near.radius);
+                let radius = region.covered_radius(q, f64::INFINITY);
+                let at = |r: f64| covers_circle_stateless(&region, &Circle::new(q, r));
+                if radius == f64::NEG_INFINITY {
+                    proptest::prop_assert!(!at(0.0));
+                    continue;
+                }
+                proptest::prop_assert!(radius.is_finite() && radius >= 0.0, "{}", radius);
+                proptest::prop_assert!(at((radius - 1e-6).max(0.0)), "refused inside {}", radius);
+                proptest::prop_assert!(!at(radius + 1e-6), "covered outside {}", radius);
+                let cap = cut * 2.0 * radius;
+                proptest::prop_assert_eq!(region.covered_radius(q, cap), radius.min(cap));
             }
-            let reference = PolygonRegion::from_circles(&disks, vertices);
-            let expected: Vec<bool> =
-                candidates.iter().map(|cand| covers_circle_stateless(&reference, cand)).collect();
-
-            let mut forward = reference.clone();
-            let got: Vec<bool> = candidates.iter().map(|cand| forward.covers_circle(cand)).collect();
-            proptest::prop_assert_eq!(&got, &expected);
-
-            let mut backward = reference.clone();
-            let mut got: Vec<bool> =
-                candidates.iter().rev().map(|cand| backward.covers_circle(cand)).collect();
-            got.reverse();
-            proptest::prop_assert_eq!(&got, &expected);
         }
     }
 

@@ -25,12 +25,6 @@ impl Segment {
         self.a.dist(self.b)
     }
 
-    /// True for a degenerate (zero-length) segment.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.a == self.b
-    }
-
     /// The point at parameter `t` (not clamped).
     #[inline]
     pub fn at(&self, t: f64) -> Point {
@@ -53,12 +47,6 @@ impl Segment {
     /// Closest point on the segment (clamped to the endpoints) to `p`.
     pub fn closest_point(&self, p: Point) -> Point {
         self.at(self.project(p).clamp(0.0, 1.0))
-    }
-
-    /// Distance from `p` to the segment.
-    #[inline]
-    pub fn dist_to_point(&self, p: Point) -> f64 {
-        self.closest_point(p).dist(p)
     }
 
     /// Parameter interval `[t0, t1]` of the segment that lies inside the
@@ -105,8 +93,6 @@ mod tests {
         let s = Segment::new(Point::new(0.0, 0.0), Point::new(6.0, 8.0));
         assert_eq!(s.len(), 10.0);
         assert_eq!(s.at(0.5), Point::new(3.0, 4.0));
-        assert!(!s.is_degenerate());
-        assert!(Segment::new(Point::ORIGIN, Point::ORIGIN).is_degenerate());
     }
 
     #[test]
@@ -119,7 +105,6 @@ mod tests {
             Point::new(10.0, 0.0)
         );
         assert_eq!(s.closest_point(Point::new(-5.0, 1.0)), Point::new(0.0, 0.0));
-        assert_eq!(s.dist_to_point(Point::new(3.0, 5.0)), 5.0);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl HostMobility {
             }
         }
     }
-
-    /// True when the host moves at all.
-    pub fn is_mobile(&self) -> bool {
-        !matches!(self, HostMobility::Parked(_))
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +80,6 @@ mod tests {
             host.step(None, 1.0, &mut rng);
         }
         assert_eq!(host.position(), Point::new(3.0, 4.0));
-        assert!(!host.is_mobile());
     }
 
     #[test]
@@ -99,7 +93,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let mut host =
             HostMobility::Free(RandomWaypoint::new(Point::new(50.0, 50.0), cfg, &mut rng));
-        assert!(host.is_mobile());
         let before = host.position();
         for _ in 0..200 {
             host.step(None, 1.0, &mut rng);

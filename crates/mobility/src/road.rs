@@ -104,11 +104,6 @@ impl RoadMover {
         self.position
     }
 
-    /// Node the mover last departed from or is resting at.
-    pub fn anchor_node(&self) -> NodeId {
-        self.at_node
-    }
-
     /// Speed on the current segment: host velocity capped by the segment's
     /// speed limit; the host velocity when idle.
     pub fn current_speed(&self, net: &RoadNetwork) -> f64 {
@@ -291,7 +286,7 @@ mod tests {
             // against the anchor's incident segments (cheap sufficient
             // condition: distance to nearest node bounded by longest
             // incident edge).
-            let anchor = m.anchor_node();
+            let anchor = m.at_node;
             let max_incident = net
                 .neighbors(anchor)
                 .iter()

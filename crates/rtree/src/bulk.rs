@@ -10,8 +10,7 @@
 //! release build: 1 000 uniform points in ≈2 ms, 10 000 in ≈20 ms,
 //! 33 333 (the `million_free` benchmark's POI count) in ≈0.08 s, about
 //! 2.3 µs a point; the unbounded O(M²) ChooseSubtree made that 0.27 s.
-//! The `rtree_build` bench compares it with inserts in arrival order and
-//! in Hilbert order.
+//! The `rtree_build` bench compares it with inserts in arrival order.
 
 use senn_geom::Point;
 
@@ -76,64 +75,6 @@ fn str_order<T>(mut pairs: Vec<(Point, T)>, slab_size: usize) -> Vec<(Point, T)>
     ordered
 }
 
-impl<T> RStarTree<T> {
-    /// Builds a tree by inserting items in **Hilbert curve** order — the
-    /// classic alternative to STR tiling (Kamel & Faloutsos). Hilbert
-    /// ordering preserves locality in both axes at once, which tends to
-    /// produce squarer leaves on clustered data; `rtree_build` benches the
-    /// trade-off.
-    pub fn bulk_load_hilbert(items: Vec<(Point, T)>, config: TreeConfig) -> Self {
-        let mut tree = Self::with_config(config);
-        if items.is_empty() {
-            return tree;
-        }
-        for (p, _) in &items {
-            assert!(p.is_finite(), "cannot index a non-finite point");
-        }
-        let bounds = senn_geom::Rect::from_points(items.iter().map(|(p, _)| *p));
-        let side = bounds.width().max(bounds.height()).max(f64::MIN_POSITIVE);
-        const ORDER: u32 = 16; // 2^16 cells per axis
-        let cells = (1u32 << ORDER) as f64;
-        let mut keyed: Vec<(u64, (Point, T))> = items
-            .into_iter()
-            .map(|(p, v)| {
-                let x = (((p.x - bounds.min.x) / side) * (cells - 1.0)) as u32;
-                let y = (((p.y - bounds.min.y) / side) * (cells - 1.0)) as u32;
-                (hilbert_d(ORDER, x, y), (p, v))
-            })
-            .collect();
-        keyed.sort_by_key(|(h, _)| *h);
-        for (_, (p, v)) in keyed {
-            tree.insert(p, v);
-        }
-        tree
-    }
-}
-
-/// Distance along the Hilbert curve of order `order` for cell `(x, y)`
-/// (standard xy→d conversion).
-fn hilbert_d(order: u32, mut x: u32, mut y: u32) -> u64 {
-    let mut rx: u32;
-    let mut ry: u32;
-    let mut d: u64 = 0;
-    let mut s: u32 = 1 << (order - 1);
-    while s > 0 {
-        rx = u32::from((x & s) > 0);
-        ry = u32::from((y & s) > 0);
-        d += (s as u64) * (s as u64) * ((3 * rx) ^ ry) as u64;
-        // Rotate the quadrant.
-        if ry == 0 {
-            if rx == 1 {
-                x = s.wrapping_sub(1).wrapping_sub(x) & (s.wrapping_mul(2).wrapping_sub(1));
-                y = s.wrapping_sub(1).wrapping_sub(y) & (s.wrapping_mul(2).wrapping_sub(1));
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        s /= 2;
-    }
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,56 +122,6 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.1, y.1);
-        }
-    }
-
-    #[test]
-    fn hilbert_distance_is_a_bijection_on_small_grids() {
-        // Order 3: 8x8 grid, indices 0..64 all distinct, adjacent cells on
-        // the curve are grid neighbors.
-        let mut seen = std::collections::HashSet::new();
-        let mut by_d: Vec<(u64, (u32, u32))> = Vec::new();
-        for x in 0..8u32 {
-            for y in 0..8u32 {
-                let d = hilbert_d(3, x, y);
-                assert!(d < 64);
-                assert!(seen.insert(d), "duplicate index {d} at ({x},{y})");
-                by_d.push((d, (x, y)));
-            }
-        }
-        by_d.sort_by_key(|(d, _)| *d);
-        for w in by_d.windows(2) {
-            let (x0, y0) = w[0].1;
-            let (x1, y1) = w[1].1;
-            let manhattan = x0.abs_diff(x1) + y0.abs_diff(y1);
-            assert_eq!(
-                manhattan, 1,
-                "curve jumps from {:?} to {:?}",
-                w[0].1, w[1].1
-            );
-        }
-    }
-
-    #[test]
-    fn hilbert_bulk_load_equivalent_queries() {
-        let pts = pseudo_points(800, 4242);
-        let hil = RStarTree::bulk_load_hilbert(
-            pts.iter().enumerate().map(|(i, p)| (*p, i)).collect(),
-            TreeConfig::default(),
-        );
-        hil.check_invariants();
-        assert_eq!(hil.len(), pts.len());
-        let window = Rect::new(Point::new(100.0, 300.0), Point::new(600.0, 900.0));
-        let (hits, _) = hil.range_query(window);
-        let expected = pts.iter().filter(|p| window.contains_point(**p)).count();
-        assert_eq!(hits.len(), expected);
-        // kNN agrees with brute force.
-        let q = Point::new(500.0, 500.0);
-        let (nn, _) = hil.knn(q, 5);
-        let mut d: Vec<f64> = pts.iter().map(|p| q.dist(*p)).collect();
-        d.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (g, w) in nn.iter().zip(&d) {
-            assert!((g.dist - w).abs() < 1e-9);
         }
     }
 

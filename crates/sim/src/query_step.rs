@@ -320,7 +320,7 @@ impl Simulator {
     /// interval's execute and expand passes no host moves, no cache is
     /// stored and the clock stands still, so that walk is the one a second
     /// peer exchange would rebuild, and its range round reads the table,
-    /// coverage memo and `R_c` the cache extension already filled
+    /// `R_c` and radii the first read and the cache extension computed
     /// (`SnnnExpansion::read_range`). Under an overlapped transport a
     /// Euclidean round that matures in a later interval still expands over
     /// its issue-time peers. An expansion's outcome depends on nothing but

@@ -3,7 +3,7 @@
 //! into EXPERIMENTS.md.
 
 use crate::experiments::{
-    AblationRow, MixPoint, MixSeries, ModeComparison, OverheadPoint, PageAccessPoint, StalenessRow,
+    AblationRow, MixSeries, ModeComparison, OverheadPoint, PageAccessPoint, StalenessRow,
     UncertainQualityRow,
 };
 use crate::params::ParamSet;
@@ -199,14 +199,10 @@ fn trim_float(x: f64) -> String {
     }
 }
 
-/// Convenience constructor for tests and docs.
-pub fn mix_series(set: ParamSet, points: Vec<MixPoint>) -> MixSeries {
-    MixSeries { set, points }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::MixPoint;
 
     fn point(x: f64) -> MixPoint {
         MixPoint {
@@ -221,8 +217,14 @@ mod tests {
     #[test]
     fn mix_table_renders_all_series() {
         let series = vec![
-            mix_series(ParamSet::LosAngeles, vec![point(20.0), point(200.0)]),
-            mix_series(ParamSet::Riverside, vec![point(20.0)]),
+            MixSeries {
+                set: ParamSet::LosAngeles,
+                points: vec![point(20.0), point(200.0)],
+            },
+            MixSeries {
+                set: ParamSet::Riverside,
+                points: vec![point(20.0)],
+            },
         ];
         let t = mix_table("Figure 9", "tx (m)", &series);
         assert!(t.contains("Figure 9"));

@@ -121,6 +121,8 @@ struct Tally {
     multi: u64,
     server: u64,
     ranked: u64,
+    /// Rankings of answers the peers certified through `R_c`.
+    ranked_multi: u64,
     wrong: Vec<String>,
 }
 
@@ -129,6 +131,7 @@ impl Tally {
         for answer in sim.last_answers() {
             if let (Some(road), Some(_)) = (road, &answer.ranking) {
                 self.ranked += 1;
+                self.ranked_multi += (answer.resolution == Resolution::MultiPeer) as u64;
                 if !road.is_true_ranking(sim.poi_positions(), answer) {
                     let t = sim.time();
                     self.wrong
@@ -178,8 +181,9 @@ impl Tally {
 
     fn assert_all_true(&self) {
         println!(
-            "graded {} answers ({} multi-peer, {} server) and {} road rankings over {} configs",
-            self.graded, self.multi, self.server, self.ranked, self.configs
+            "graded {} answers ({} multi-peer, {} server) and {} road rankings ({} multi-peer) \
+             over {} configs",
+            self.graded, self.multi, self.server, self.ranked, self.ranked_multi, self.configs
         );
         assert!(
             self.wrong.is_empty(),
@@ -200,6 +204,40 @@ fn world(set: ParamSet, seed: u64) -> SimConfig {
     cfg.accept_uncertain = false;
     cfg.compare_inn = false;
     cfg
+}
+
+/// A world whose caches hold exactly `k` POIs: a peer's cache then
+/// certifies a whole answer only from close by, so far more queries
+/// resolve through the merged region `R_c` (Lemma 3.8) than at the
+/// defaults.
+fn warm_world(seed: u64) -> SimConfig {
+    let mut cfg = world(ParamSet::LosAngeles, seed);
+    cfg.params.c_size = 4;
+    cfg.params.t_execution_hours = 0.5;
+    cfg.k_choice = KChoice::Fixed(4);
+    cfg
+}
+
+#[test]
+fn multi_peer_answers_equal_the_linear_scan_knn() {
+    for (method, floor) in [
+        (RegionMethod::Exact, 1000),
+        (RegionMethod::Polygonized { vertices: 24 }, 300),
+    ] {
+        let mut tally = Tally::default();
+        for mode in [MovementMode::RoadNetwork, MovementMode::FreeMovement] {
+            let configs = tally.configs;
+            let mut cfg = warm_world(0x3a1_7100 + configs);
+            cfg.mode = mode;
+            cfg.region_method = method;
+            tally.run(
+                cfg,
+                &format!("warm config {configs} ({mode:?}, {method:?})"),
+            );
+        }
+        tally.assert_all_true();
+        assert!(tally.multi >= floor, "{method:?}: multi {}", tally.multi);
+    }
 }
 
 #[test]
@@ -305,6 +343,15 @@ fn snnn_rankings_equal_the_road_brute_force() {
             }
         }
     }
-    assert!(tally.ranked >= 2000, "ranked {}", tally.ranked);
+    // A warm world, where the range rounds settle on `R_c`.
+    let mut cfg = warm_world(0x5_0a0 + tally.configs);
+    cfg.distance_model = Some(NetworkModelKind::AStar);
+    tally.run(cfg, "warm config (AStar)");
     tally.assert_all_true();
+    assert!(tally.ranked >= 2000, "ranked {}", tally.ranked);
+    assert!(
+        tally.ranked_multi >= 100,
+        "multi-peer rankings {}",
+        tally.ranked_multi
+    );
 }

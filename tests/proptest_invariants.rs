@@ -16,11 +16,11 @@ fn pois(max: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(pt(), 1..max)
 }
 
-/// `DiskRegion::covers_circle` as it was before the region kept its
-/// arrangement (a copy of that body and its two helpers, on the public
-/// `ArcSet`): every disk the candidate cuts re-derives, from nothing, the
-/// arc each other disk covers. `disks` are a region's own, so duplicates
-/// and empty disks are already gone.
+/// `DiskRegion::covers_circle` as a per-circle test (a copy of the body
+/// it had before coverage became a radius, and its two helpers, on the
+/// public `ArcSet`): every disk the candidate cuts re-derives, from
+/// nothing, the arc each other disk covers. `disks` are a region's own, so
+/// duplicates and empty disks are already gone.
 fn covers_circle_stateless(disks: &[Circle], circle: &Circle) -> bool {
     /// Angular section of `∂disk` strictly inside the open disk `target`.
     fn boundary_inside_open_disk(disk: &Circle, target: &Circle) -> Option<ArcSet> {
@@ -217,23 +217,23 @@ proptest! {
         }
     }
 
-    /// The arrangement the exact region keeps answers what deriving every
-    /// covered arc from nothing answers, whatever was asked before and in
-    /// whatever order. Disks crowd one neighbourhood, so boundaries are
-    /// partly covered, and are built to collide (each drawn fresh or from
-    /// the one before it: a duplicate, nested, externally tangent, empty,
-    /// concentric). Per centre the candidates sit where the answer turns:
-    /// the two radii a bisection of the stateless test ends on, then a
-    /// source disk's own circle and a circle through its centre
-    /// (tangency), then anything.
+    /// The exact region's covered radius is where the per-circle test
+    /// turns: at each centre the stateless test covers the circle a
+    /// micrometre inside the radius and refuses the one a micrometre
+    /// outside, and a cap below the radius comes back as is. Disks crowd
+    /// one neighbourhood, so boundaries are partly covered, and are built
+    /// to collide (each drawn fresh or from the one before it: a
+    /// duplicate, nested, externally tangent, empty, concentric). Centres
+    /// sit in and around the disks, on a source disk's centre or just
+    /// inside its circle among them.
     #[test]
-    fn kept_arrangement_equals_stateless(
+    fn covered_radius_is_where_the_stateless_test_turns(
         draws in prop::collection::vec(
             (0.0..150.0f64, 0.0..150.0f64, 40.0..120.0f64, 0u8..9),
             2..=8usize,
         ),
         asks in prop::collection::vec(
-            (0usize..8, -1.2..1.2f64, -1.2..1.2f64, 0.05..1.5f64, 0.0..1.0f64),
+            (0usize..8, -1.2..1.2f64, -1.2..1.2f64, 0u8..4, 0.0..1.0f64),
             3..=6usize,
         ),
     ) {
@@ -250,55 +250,35 @@ proptest! {
                 _ => c(x, y, r),
             });
         }
-        let reference = DiskRegion::from_circles(&disks);
-        let stateless = |cand: &Circle| covers_circle_stateless(reference.disks(), cand);
-
-        // (order key, candidate)
-        let mut candidates: Vec<(f64, Circle)> = Vec::new();
-        for (n, &(near, dx, dy, scale, key)) in asks.iter().enumerate() {
-            let near = disks[near % disks.len()];
-            let center = Point::new(
-                near.center.x + dx * near.radius,
-                near.center.y + dy * near.radius,
-            );
-            let mut radii = vec![scale * near.radius, center.dist(near.center)];
-            // Coverage is monotone in the radius: close in on where it ends.
-            let (mut lo, mut hi) = (0.0, 400.0);
-            if stateless(&Circle::new(center, lo)) && !stateless(&Circle::new(center, hi)) {
-                for _ in 0..60 {
-                    let mid = 0.5 * (lo + hi);
-                    if stateless(&Circle::new(center, mid)) {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                radii.extend([lo, hi]);
+        let mut region = DiskRegion::from_circles(&disks);
+        let reference = region.clone();
+        let stateless = |q: Point, r: f64| covers_circle_stateless(reference.disks(), &Circle::new(q, r));
+        for &(near, dx, dy, place, cut) in &asks {
+            // Around the disks the region kept: a dropped empty disk can
+            // sit on another's circle (a tangent chain), where the
+            // per-circle test's window collapses below a few micrometres.
+            let Some(&near) = reference.disks().get(near % reference.len().max(1)) else {
+                break;
+            };
+            let q = match place {
+                0 => near.center,
+                // A millimetre inside the circle: a radius the per-circle
+                // test still resolves (on the circle itself its window
+                // collapses to nothing below a few micrometres).
+                1 => Circle::new(near.center, near.radius - 1e-3).point_at(dx),
+                _ => Point::new(near.center.x + dx * near.radius, near.center.y + dy * near.radius),
+            };
+            let radius = region.covered_radius(q, f64::INFINITY);
+            if radius == f64::NEG_INFINITY {
+                prop_assert!(!stateless(q, 0.0));
+                continue;
             }
-            for (m, radius) in radii.into_iter().enumerate() {
-                // Keys scatter each centre's radii among the others'.
-                let order = (key * (1 + n + 7 * m) as f64 * 0.618).fract();
-                candidates.push((order, Circle::new(center, radius)));
-            }
-            candidates.push((key, near));
+            prop_assert!(radius.is_finite() && radius >= 0.0, "{}", radius);
+            prop_assert!(stateless(q, (radius - 1e-6).max(0.0)), "refused inside {}", radius);
+            prop_assert!(!stateless(q, radius + 1e-6), "covered outside {}", radius);
+            let cap = cut * 2.0 * radius;
+            prop_assert_eq!(region.covered_radius(q, cap), radius.min(cap));
         }
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let candidates: Vec<Circle> = candidates.into_iter().map(|(_, cand)| cand).collect();
-        let expected: Vec<bool> = candidates.iter().map(stateless).collect();
-
-        let mut forward = reference.clone();
-        let got: Vec<bool> = candidates.iter().map(|cand| forward.covers_circle(cand)).collect();
-        prop_assert_eq!(&got, &expected);
-
-        // Backwards, each asked twice: the arrangement fills in another order.
-        let mut backward = reference.clone();
-        let mut got: Vec<bool> = candidates
-            .iter()
-            .rev()
-            .map(|cand| backward.covers_circle(cand) & backward.covers_circle(cand))
-            .collect();
-        got.reverse();
-        prop_assert_eq!(&got, &expected);
     }
 
     /// Heap invariants under arbitrary insertion sequences: certains
