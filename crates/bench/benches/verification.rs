@@ -1,14 +1,12 @@
 //! Client-side verification cost: kNN_single vs kNN_multiple vs a brute
-//! force scan, plus the Heuristic 3.3 (peer ordering) ablation, and the
-//! peers-only kernel read at k, k+1, … k+4 — fresh per round vs one
-//! resumed walk.
+//! force scan, plus the Heuristic 3.3 (peer ordering) ablation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use senn_bench::{honest_peer, random_points, BenchRng};
 use senn_cache::CacheEntry;
 use senn_core::multiple::{knn_multiple, RegionMethod};
 use senn_core::single::{knn_single_all, sort_peers_by_query_location};
-use senn_core::{QueryContext, ResultHeap, SennConfig, SennEngine};
+use senn_core::ResultHeap;
 use senn_geom::Point;
 
 fn make_world(
@@ -108,45 +106,9 @@ fn verification(c: &mut Criterion) {
     group.finish();
 }
 
-/// An SNNN expansion's peer side: the answer at `k`, then at `k + 1` …
-/// `k + 4`. `fresh` restarts the whole kernel per round (what every round
-/// cost before the walk was resumable); `resumed` begins one walk and
-/// reads it five times.
-fn peers_only_resume(c: &mut Criterion) {
-    let k = 5usize;
-    let engine = SennEngine::new(SennConfig {
-        server_fetch: 10,
-        ..Default::default()
-    });
-    let mut group = c.benchmark_group("peers_only_resume");
-    for peer_count in [8usize, 32] {
-        let (q, _, peers) = make_world(peer_count, 10, peer_count as u64);
-        let mut ctx = QueryContext::new();
-
-        group.bench_with_input(BenchmarkId::new("fresh", peer_count), &(), |b, _| {
-            b.iter(|| {
-                for kk in k..=k + 4 {
-                    black_box(engine.query_peers_only_with(q, kk, &peers, &mut ctx));
-                }
-            })
-        });
-
-        group.bench_with_input(BenchmarkId::new("resumed", peer_count), &(), |b, _| {
-            b.iter(|| {
-                black_box(engine.query_peers_only_with(q, k, &peers, &mut ctx));
-                for kk in k + 1..=k + 4 {
-                    black_box(engine.read_walk(kk, &mut ctx));
-                    black_box(engine.take_outcome(&mut ctx));
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = verification, peers_only_resume
+    targets = verification
 }
 criterion_main!(benches);

@@ -48,7 +48,7 @@ pub mod verify;
 
 pub use distance::{DistanceModel, Euclidean, EuclideanBound, LowerBoundOracle, NeverPrune};
 pub use heap::{HeapEntry, HeapState, ResultHeap};
-pub use pipeline::QueryContext;
+pub use pipeline::{Certificate, QueryContext};
 pub use senn::{SennConfig, SennEngine, SennOutcome};
 pub use senn_cache::{CacheEntry as PeerCacheEntry, CachedNn};
 pub use senn_rtree::SearchBounds;

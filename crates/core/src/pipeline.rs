@@ -1,5 +1,6 @@
-//! The staged query pipeline and the resumable verification walk that
-//! carries it: [`QueryContext`].
+//! The staged query pipeline, the resumable verification walk that
+//! carries it ([`QueryContext`]) and what the walk proved
+//! ([`Certificate`]).
 //!
 //! Algorithm 1 decomposes into four explicit stages, run in order by the
 //! [`crate::SennEngine`] driver:
@@ -10,25 +11,25 @@
 //!   Heur. 3.3)     Lemma 3.2)       Lemma 3.8)      bounds)
 //! ```
 //!
-//! ## The walk
+//! ## The walk and its certificate
 //!
 //! Almost nothing the peer stages compute depends on the query's `k`: the
 //! probe order, every cached POI's distance and which peer certifies it
 //! (Lemma 3.2), the merged certain region and how far around the querier
 //! it reaches (Lemma 3.8) are facts about one (query point, peer set)
-//! pair. The context therefore keeps them as one **candidate table** —
-//! one row per POI, ascending by distance — built once by
-//! [`single_verify`]. Every test is centred on the query, so the certified
-//! rows are a prefix of the table, decided by two radii: `r_single`, the
-//! largest distance some probed circle certifies (Lemma 3.2, per circle
-//! the last float its `d + Dist(Q, P) <= r` passes), and `r_cov`, how far
-//! from the query `R_c`'s exposed boundary begins (Lemma 3.8,
-//! [`CertainRegion::covered_radius`], capped at the farthest row and
-//! computed the first time a reader asks beyond `r_single`). MultiVerify
-//! reads the rows within `r_cov`, the cache extension and an SNNN range
-//! round those within `max(r_single, r_cov)`. The result heap `H` at a
-//! given `k` is a *view* of that table, and reading the walk at another
-//! `k` (`SennEngine::read_walk`) repeats no distance computation, region
+//! pair. The context keeps what the lemmas prove in a [`Certificate`]: one
+//! **candidate table** — one row per POI, ascending by distance — built
+//! once by [`single_verify`], the peers' circles and two radii. Every test
+//! is centred on the query, so the certified rows are a prefix of the
+//! table, decided by `r_single`, the largest distance some probed circle
+//! certifies (Lemma 3.2, per circle the last float its `d + Dist(Q, P) <=
+//! r` passes), and `r_cov`, how far from the query `R_c`'s exposed
+//! boundary begins (Lemma 3.8, [`CertainRegion::covered_radius`], capped
+//! at the farthest row and computed the first time a reader asks beyond
+//! `r_single`). MultiVerify reads the rows within `r_cov`, the cache
+//! extension and an SNNN range round those within `max(r_single, r_cov)`.
+//! The result heap `H` at a given `k` is a *view* of that table, and
+//! reading the walk at another `k` repeats no distance computation, region
 //! build or radius.
 //!
 //! Resumption is exact because both lemmas are monotone in the candidate's
@@ -44,14 +45,15 @@
 //!   through it and their return values — no hidden state.
 //! * The context never borrows peer data: once [`single_verify`] has built
 //!   the table the walk is self-contained, which keeps the context
-//!   `'static`, storable in worker structs, and resumable after the peer
-//!   slice is gone.
-//! * A walk can change hands ([`QueryContext::hand_over`]): its rows, `R_c`
-//!   and radii move to another context in exchange for that context's
-//!   buffers, and the scratch of building a walk (the POI index) stays
-//!   with the context that built it.
+//!   `'static` and storable in worker structs.
+//! * The certificate can leave the context
+//!   ([`QueryContext::take_certificate`]): it answers for its rows and
+//!   disks as the context would have (property-tested), and the context's
+//!   next walk grows a new one. The reader — heap, probe order, ranks,
+//!   trace and the POI index the table is built with — stays.
 
 use std::borrow::Borrow;
+use std::mem::take;
 
 use senn_cache::CacheEntry;
 use senn_geom::{Circle, Point};
@@ -67,33 +69,22 @@ use crate::trace::QueryTrace;
 use crate::transport::RequestId;
 use crate::verify::certified_radius;
 
-/// One verification walk — all state of a query's peer stages — in
-/// reusable buffers. Create once per worker (or per in-flight expansion),
-/// reuse for every query (see the module docs).
+/// What one query's peers proved about the POIs around its query point
+/// (Lemmas 3.2 and 3.8): the candidate table, the peers' circles, the two
+/// radii and `R_c`, built under the region method the walk was classified
+/// with. An SNNN expansion reads nothing else of the walk.
 #[derive(Debug)]
-pub struct QueryContext {
-    /// The result heap `H` (Table 1): the walk's view at the `k` it was
-    /// last read at.
-    pub heap: ResultHeap,
-    /// Indices of the non-empty peers, sorted by cached-query-location
-    /// distance (Heuristic 3.3) after [`peer_probe`].
-    pub order: Vec<u32>,
-    /// The trace of the read in flight, taken by the driver on finish.
-    pub trace: QueryTrace,
+pub struct Certificate {
     query: Point,
+    method: RegionMethod,
     /// The candidate table, ascending by distance; `certified_by` indexes
-    /// `order`.
+    /// the probe order.
     table: Vec<Candidate>,
-    /// Scratch of the table build.
-    index: PoiIndex,
-    /// `certified_by` of every certified row, ascending: entry `k - 1` is
-    /// the last peer single-peer verification visits before it holds `k`
-    /// certain NNs.
-    ranks: Vec<u32>,
     /// Certain-area circles of the probed peers, in probe order.
     circles: Vec<Circle>,
     /// Lemma 3.2 as a radius: a row is certified by some probed circle
-    /// iff its distance is at most this (`-∞` with no circle).
+    /// iff its distance is at most this (`-∞` with no circle; the last
+    /// row's distance in a server-resolved round's certificate).
     r_single: f64,
     /// `R_c`, built with `r_cov`.
     region: Option<CertainRegion>,
@@ -104,6 +95,152 @@ pub struct QueryContext {
     /// `r_cov` computations of the walk (`R_c` is built with the first).
     #[cfg(test)]
     pub(crate) radius_computations: usize,
+}
+
+impl Default for Certificate {
+    fn default() -> Self {
+        Certificate {
+            query: Point::ORIGIN,
+            method: RegionMethod::default(),
+            table: Vec::new(),
+            circles: Vec::new(),
+            r_single: f64::NEG_INFINITY,
+            region: None,
+            r_cov: f64::NEG_INFINITY,
+            cov_cap: f64::NEG_INFINITY,
+            #[cfg(test)]
+            radius_computations: 0,
+        }
+    }
+}
+
+impl Certificate {
+    /// The certificate of a server-resolved round: its rows are the
+    /// round's certain answer, ascending by distance, all certain. It has
+    /// no circle, so it holds no disk: the server vouched for the `k`
+    /// nearest POIs, not for every POI within the `k`-th distance.
+    pub fn from_answer(query: Point, answer: &[HeapEntry]) -> Self {
+        let row = |e: &HeapEntry| Candidate {
+            dist: e.dist,
+            poi: e.poi,
+            certified_by: Candidate::UNCERTIFIED,
+        };
+        Certificate {
+            query,
+            table: answer.iter().map(row).collect(),
+            r_single: answer.last().map_or(f64::NEG_INFINITY, |e| e.dist),
+            ..Certificate::default()
+        }
+    }
+
+    /// Empties the certificate for a new walk, keeping its buffers.
+    fn restart(&mut self) {
+        self.table.clear();
+        self.circles.clear();
+        let (table, circles) = (take(&mut self.table), take(&mut self.circles));
+        *self = Certificate {
+            table,
+            circles,
+            ..Certificate::default()
+        };
+    }
+
+    /// Distance of the farthest row (NaN distances aside; `-∞` with none).
+    pub(crate) fn farthest(&self) -> f64 {
+        let mut dists = self.table.iter().rev().map(|c| c.dist);
+        dists.find(|d| !d.is_nan()).unwrap_or(f64::NEG_INFINITY)
+    }
+
+    /// `r_cov`, good for deciding a row at `dist`: the first call builds
+    /// `R_c` and computes its covered radius up to the farthest row (or
+    /// `dist`, beyond it); a later call computes again only for a `dist`
+    /// beyond a cap the radius reached.
+    fn r_cov(&mut self, dist: f64) -> f64 {
+        if self.r_cov == self.cov_cap && dist > self.cov_cap {
+            let cap = dist.max(self.farthest());
+            let region = self
+                .region
+                .get_or_insert_with(|| CertainRegion::from_circles(&self.circles, self.method));
+            #[cfg(test)]
+            {
+                self.radius_computations += 1;
+            }
+            self.r_cov = region.covered_radius(self.query, cap);
+            self.cov_cap = cap;
+        }
+        self.r_cov
+    }
+
+    /// True when a row at `dist` is certain: within `r_single`, or — asked
+    /// only then — within `r_cov`.
+    fn certifies(&mut self, dist: f64) -> bool {
+        dist <= self.r_single || dist <= self.r_cov(dist)
+    }
+
+    /// Table row `row` if it is certain (Lemma 3.2 through some probed
+    /// circle, or Lemma 3.8); the certain rows are a prefix of the table.
+    pub(crate) fn certain_row(&mut self, row: usize) -> Option<Candidate> {
+        let c = *self.table.get(row)?;
+        self.certifies(c.dist).then_some(c)
+    }
+
+    /// The certain NNs beyond `results` worth caching, at most `limit` of
+    /// them, ascending by distance: the paper's client caches "as many NN
+    /// as its cache capacity allows", and the certain set is a
+    /// downward-closed prefix of the true ranking, so the extension takes
+    /// the table's certain rows. `R_c` is consulted only when a row beyond
+    /// `r_single` is needed.
+    pub(crate) fn extend(&mut self, results: &[HeapEntry], limit: usize) -> Vec<HeapEntry> {
+        let entry = |c: Candidate| HeapEntry {
+            poi: c.poi,
+            dist: c.dist,
+            certain: true,
+        };
+        (0..)
+            .map_while(|row| self.certain_row(row))
+            .filter(|c| results.iter().all(|e| e.poi.poi_id != c.poi.poi_id))
+            .take(limit)
+            .map(entry)
+            .collect()
+    }
+
+    /// The certain rows, ascending by distance, as far as the readers so
+    /// far have needed `R_c`: every row within `max(r_single, r_cov)`.
+    pub(crate) fn certified(&self) -> &[Candidate] {
+        let reach = self.r_single.max(self.r_cov);
+        &self.table[..self.table.partition_point(|c| c.dist <= reach)]
+    }
+
+    /// True when the certificate holds every POI within `radius`: a row
+    /// there would be certain (one peer's Lemma 3.2, or Lemma 3.8), so
+    /// every row there is. Never without a circle, and never for an
+    /// infinite or NaN radius.
+    pub(crate) fn holds_disk(&mut self, radius: f64) -> bool {
+        radius < f64::INFINITY && !self.circles.is_empty() && self.certifies(radius)
+    }
+}
+
+/// One verification walk — all state of a query's peer stages — in
+/// reusable buffers. Create once per worker, reuse for every query (see
+/// the module docs).
+#[derive(Debug)]
+pub struct QueryContext {
+    /// The result heap `H` (Table 1): the walk's view at the `k` it was
+    /// last read at.
+    pub heap: ResultHeap,
+    /// Indices of the non-empty peers, sorted by cached-query-location
+    /// distance (Heuristic 3.3) after [`peer_probe`].
+    pub order: Vec<u32>,
+    /// The trace of the read in flight, taken by the driver on finish.
+    pub trace: QueryTrace,
+    /// What the walk proved.
+    pub(crate) cert: Certificate,
+    /// Scratch of the table build.
+    index: PoiIndex,
+    /// `certified_by` of every certified row, ascending: entry `k - 1` is
+    /// the last peer single-peer verification visits before it holds `k`
+    /// certain NNs.
+    ranks: Vec<u32>,
 }
 
 impl Default for QueryContext {
@@ -119,42 +256,16 @@ impl QueryContext {
             heap: ResultHeap::new(1),
             order: Vec::new(),
             trace: QueryTrace::new(),
-            query: Point::ORIGIN,
-            table: Vec::new(),
+            cert: Certificate::default(),
             index: PoiIndex::default(),
             ranks: Vec::new(),
-            circles: Vec::new(),
-            r_single: f64::NEG_INFINITY,
-            region: None,
-            r_cov: f64::NEG_INFINITY,
-            cov_cap: f64::NEG_INFINITY,
-            #[cfg(test)]
-            radius_computations: 0,
         }
     }
 
-    /// Hands the walk in progress over to `walk`: its query point, probe
-    /// order, candidate table, `R_c` and both radii. `walk` reads on
-    /// exactly as this context would have (property-tested). Whatever
-    /// walk `walk` held comes here in exchange, its buffers re-armed by
-    /// this context's next walk. The scratch of building a walk — the POI
-    /// index — stays here, and so does the heap; `walk` keeps its own
-    /// heap, which its next read re-arms, and its own trace, reset here
-    /// (take the outcome of this context's read first).
-    pub fn hand_over(&mut self, walk: &mut QueryContext) {
-        use std::mem::swap;
-        swap(&mut self.order, &mut walk.order);
-        swap(&mut self.query, &mut walk.query);
-        swap(&mut self.table, &mut walk.table);
-        swap(&mut self.ranks, &mut walk.ranks);
-        swap(&mut self.circles, &mut walk.circles);
-        swap(&mut self.r_single, &mut walk.r_single);
-        swap(&mut self.region, &mut walk.region);
-        swap(&mut self.r_cov, &mut walk.r_cov);
-        swap(&mut self.cov_cap, &mut walk.cov_cap);
-        #[cfg(test)]
-        swap(&mut self.radius_computations, &mut walk.radius_computations);
-        walk.trace.reset();
+    /// Moves the certificate of the walk in progress out of the context;
+    /// the context's next walk starts a new one.
+    pub fn take_certificate(&mut self) -> Certificate {
+        take(&mut self.cert)
     }
 
     /// Starts a new walk, viewed at `k`: re-arms every buffer.
@@ -167,41 +278,34 @@ impl QueryContext {
     pub(crate) fn restart(&mut self) {
         self.order.clear();
         self.trace.reset();
-        self.table.clear();
         self.ranks.clear();
-        self.circles.clear();
-        self.r_single = f64::NEG_INFINITY;
-        self.region = None;
-        self.r_cov = f64::NEG_INFINITY;
-        self.cov_cap = f64::NEG_INFINITY;
-        #[cfg(test)]
-        {
-            self.radius_computations = 0;
-        }
-    }
-
-    /// The query point of the walk in progress.
-    pub fn query(&self) -> Point {
-        self.query
+        self.cert.restart();
     }
 
     /// Builds the candidate table from the probed peers — the whole of
     /// single-peer verification that does not depend on `k` — and
-    /// `r_single`.
-    pub(crate) fn classify<B: Borrow<CacheEntry>>(&mut self, query: Point, peers: &[B]) {
-        self.query = query;
+    /// `r_single`; `R_c`, when a reader needs it, is built under `method`.
+    pub(crate) fn classify<B: Borrow<CacheEntry>>(
+        &mut self,
+        query: Point,
+        peers: &[B],
+        method: RegionMethod,
+    ) {
+        let cert = &mut self.cert;
+        cert.query = query;
+        cert.method = method;
         let probed = || self.order.iter().map(|&i| peers[i as usize].borrow());
-        collect_circles(probed(), &mut self.circles);
-        collect_candidates(query, probed(), &mut self.table, &mut self.index);
+        collect_circles(probed(), &mut cert.circles);
+        collect_candidates(query, probed(), &mut cert.table, &mut self.index);
         self.ranks.clear();
         self.ranks.extend(
-            self.table
+            cert.table
                 .iter()
                 .map(|c| c.certified_by)
                 .filter(|&by| by != Candidate::UNCERTIFIED),
         );
         self.ranks.sort_unstable();
-        self.r_single = self
+        cert.r_single = cert
             .circles
             .iter()
             .map(|p| certified_radius(query.dist(p.center), p.radius))
@@ -214,8 +318,9 @@ impl QueryContext {
     /// answered.
     pub(crate) fn read_single(&mut self, k: usize) -> bool {
         self.heap.reset(k);
+        let table = &self.cert.table;
         if let Some(&last) = self.ranks.get(k - 1) {
-            let visited = self.table.iter().filter(|c| c.certified_by <= last);
+            let visited = table.iter().filter(|c| c.certified_by <= last);
             for c in visited.take(k) {
                 self.heap.push(c.poi, c.dist, true);
             }
@@ -224,11 +329,11 @@ impl QueryContext {
         // Every probed peer was visited: all certified rows, then the
         // nearest of the rest as uncertain fill.
         let certified = |c: &&Candidate| c.certified_by != Candidate::UNCERTIFIED;
-        for c in self.table.iter().filter(certified) {
+        for c in table.iter().filter(certified) {
             self.heap.push(c.poi, c.dist, true);
         }
         let room = k - self.ranks.len();
-        for c in self.table.iter().filter(|c| !certified(c)).take(room) {
+        for c in table.iter().filter(|c| !certified(c)).take(room) {
             self.heap.push(c.poi, c.dist, false);
         }
         false
@@ -237,98 +342,15 @@ impl QueryContext {
     /// Continues the read into multi-peer verification: the rows within
     /// `r_cov` are certified, ascending by distance, until `H` holds `k`
     /// certain NNs (true) or they run out (false).
-    pub(crate) fn read_multi(&mut self, method: RegionMethod) -> bool {
-        let r_cov = self.r_cov(self.farthest(), method);
-        for c in self.table.iter().take_while(|c| c.dist <= r_cov) {
+    pub(crate) fn read_multi(&mut self) -> bool {
+        let r_cov = self.cert.r_cov(self.cert.farthest());
+        for c in self.cert.table.iter().take_while(|c| c.dist <= r_cov) {
             self.heap.insert_certain(c.poi, c.dist);
             if self.heap.is_certain_complete() {
                 return true;
             }
         }
         false
-    }
-
-    /// Distance of the farthest row (NaN distances aside; `-∞` with none).
-    pub(crate) fn farthest(&self) -> f64 {
-        let mut dists = self.table.iter().rev().map(|c| c.dist);
-        dists.find(|d| !d.is_nan()).unwrap_or(f64::NEG_INFINITY)
-    }
-
-    /// `r_cov`, good for deciding a row at `dist`: the first call builds
-    /// `R_c` and computes its covered radius up to the farthest row (or
-    /// `dist`, beyond it); a later call computes again only for a `dist`
-    /// beyond a cap the radius reached.
-    fn r_cov(&mut self, dist: f64, method: RegionMethod) -> f64 {
-        if self.r_cov == self.cov_cap && dist > self.cov_cap {
-            let cap = dist.max(self.farthest());
-            let region = self
-                .region
-                .get_or_insert_with(|| CertainRegion::from_circles(&self.circles, method));
-            #[cfg(test)]
-            {
-                self.radius_computations += 1;
-            }
-            self.r_cov = region.covered_radius(self.query, cap);
-            self.cov_cap = cap;
-        }
-        self.r_cov
-    }
-
-    /// True when a row at `dist` is certain: within `r_single`, or — asked
-    /// only then — within `r_cov`.
-    fn certifies(&mut self, dist: f64, method: RegionMethod) -> bool {
-        dist <= self.r_single || dist <= self.r_cov(dist, method)
-    }
-
-    /// Table row `row` if it is certain (Lemma 3.2 through some probed
-    /// circle, or Lemma 3.8); the certain rows are a prefix of the table.
-    pub(crate) fn certain_row(&mut self, row: usize, method: RegionMethod) -> Option<Candidate> {
-        let c = *self.table.get(row)?;
-        self.certifies(c.dist, method).then_some(c)
-    }
-
-    /// The certain NNs beyond `results` worth caching, at most `limit` of
-    /// them, ascending by distance: the paper's client caches "as many NN
-    /// as its cache capacity allows", and the certain set is a
-    /// downward-closed prefix of the true ranking, so the extension takes
-    /// the table's certain rows. `R_c` is consulted only when a row beyond
-    /// `r_single` is needed.
-    pub(crate) fn extend(
-        &mut self,
-        results: &[HeapEntry],
-        limit: usize,
-        method: RegionMethod,
-    ) -> Vec<HeapEntry> {
-        let mut out = Vec::new();
-        let mut row = 0;
-        while out.len() < limit {
-            let Some(c) = self.certain_row(row, method) else {
-                break;
-            };
-            if !results.iter().any(|e| e.poi.poi_id == c.poi.poi_id) {
-                out.push(HeapEntry {
-                    poi: c.poi,
-                    dist: c.dist,
-                    certain: true,
-                });
-            }
-            row += 1;
-        }
-        out
-    }
-
-    /// The certain rows, ascending by distance, as far as the readers so
-    /// far have needed `R_c`: every row within `max(r_single, r_cov)`.
-    pub(crate) fn certified(&self) -> &[Candidate] {
-        let reach = self.r_single.max(self.r_cov);
-        &self.table[..self.table.partition_point(|c| c.dist <= reach)]
-    }
-
-    /// True when the walk holds every POI within `radius`: a row there
-    /// would be certain (one peer's Lemma 3.2, or Lemma 3.8), so every row
-    /// there is. Never for an infinite or NaN radius.
-    pub(crate) fn holds_disk(&mut self, radius: f64, method: RegionMethod) -> bool {
-        radius < f64::INFINITY && self.certifies(radius, method)
     }
 }
 
@@ -366,7 +388,7 @@ pub fn single_verify<B: Borrow<CacheEntry>>(
     query: Point,
     peers: &[B],
 ) -> bool {
-    ctx.classify(query, peers);
+    ctx.classify(query, peers, RegionMethod::default());
     ctx.read_single(ctx.heap.k())
 }
 
@@ -376,7 +398,8 @@ pub fn single_verify<B: Borrow<CacheEntry>>(
 /// query (Lemma 3.8), ascending by distance. A radius this walk already
 /// computed — at another `k`, or for the cache extension — is reused.
 /// Returns true when the query is fully answered. The walk holds what it
-/// needs of `query` and `peers` since [`single_verify`].
+/// needs of `query` and `peers` since [`single_verify`]; `R_c` is built
+/// under `method` unless this walk built it already.
 pub fn multi_verify<B: Borrow<CacheEntry>>(
     ctx: &mut QueryContext,
     query: Point,
@@ -384,7 +407,8 @@ pub fn multi_verify<B: Borrow<CacheEntry>>(
     method: RegionMethod,
 ) -> bool {
     let _ = (query, peers);
-    ctx.read_multi(method)
+    ctx.cert.method = method;
+    ctx.read_multi()
 }
 
 /// What **Stage 3 — ServerResidual** produced.

@@ -10,12 +10,12 @@
 //! ServerResidual  residual server query with the pruning bounds (§3.3)
 //! ```
 //!
-//! The peer stages are one resumable verification walk held by the
-//! [`QueryContext`]: [`SennEngine::begin_walk`] probes and classifies the
-//! peers once, and [`SennEngine::read_walk`] reads the answer at any `k`
-//! — [`SennEngine::query_peers_only_with`] is the two in sequence plus the
-//! cache extension, and an SNNN expansion's range round reads on the same
-//! walk (`SnnnExpansion::read_range`).
+//! The peer stages are one verification walk held by the
+//! [`QueryContext`]: [`SennEngine::query_peers_only_with`] probes and
+//! classifies the peers once, reads the answer at `k` and extends the
+//! cacheable set. What the walk proved stays in the context's
+//! [`Certificate`](crate::pipeline::Certificate), which an SNNN
+//! expansion's range round reads (`SnnnExpansion::read_range`).
 
 use std::borrow::Borrow;
 use std::time::Instant;
@@ -183,21 +183,17 @@ impl SennEngine {
                 .config
                 .server_fetch
                 .saturating_sub(outcome.results.len());
-            outcome.extra_certain = ctx.extend(&outcome.results, limit, self.config.region_method);
+            outcome.extra_certain = ctx.cert.extend(&outcome.results, limit);
         }
     }
 
     /// Starts the verification walk of `query` over `peers` in `ctx`:
     /// PeerProbe, then the `k`-independent whole of SingleVerify (every
-    /// cached POI classified into the candidate table). The walk keeps
-    /// nothing borrowed from `peers`; read it with [`Self::read_walk`] at
-    /// as many `k` as needed. A walk belongs to the engine that began it,
-    /// not to `ctx`: [`QueryContext::hand_over`] moves it between reads
-    /// (the simulator hands each query's walk to the task that expands it,
-    /// so an SNNN expansion reads on from the query's own read, over the
-    /// candidate table, `R_c` and radii that read and the cache extension
-    /// computed, and never begins a second walk).
-    pub fn begin_walk<B: Borrow<CacheEntry>>(
+    /// cached POI classified into the candidate table of the context's
+    /// certificate, `R_c` to be built under the configured region method).
+    /// The walk keeps nothing borrowed from `peers`; read it with
+    /// [`Self::read_walk`] at as many `k` as needed.
+    pub(crate) fn begin_walk<B: Borrow<CacheEntry>>(
         &self,
         query: Point,
         peers: &[B],
@@ -209,7 +205,7 @@ impl SennEngine {
         ctx.trace
             .record_stage(Stage::PeerProbe, started.elapsed().as_nanos() as u64);
         let started = Instant::now();
-        ctx.classify(query, peers);
+        ctx.classify(query, peers, self.config.region_method);
         ctx.trace
             .record_stage(Stage::SingleVerify, started.elapsed().as_nanos() as u64);
     }
@@ -221,13 +217,13 @@ impl SennEngine {
     /// ([`Resolution::Unresolved`] when the server would be needed).
     /// Reading at `k` after `k'` equals a fresh query at `k`, answer for
     /// answer, and re-verifies nothing the walk has verified.
-    pub fn read_walk(&self, k: usize, ctx: &mut QueryContext) -> Resolution {
+    pub(crate) fn read_walk(&self, k: usize, ctx: &mut QueryContext) -> Resolution {
         let resolution = if ctx.read_single(k) {
             Resolution::SinglePeer
         } else {
             let multi = !ctx.order.is_empty() && {
                 let started = Instant::now();
-                let done = ctx.read_multi(self.config.region_method);
+                let done = ctx.read_multi();
                 ctx.trace
                     .record_stage(Stage::MultiVerify, started.elapsed().as_nanos() as u64);
                 done
@@ -247,7 +243,7 @@ impl SennEngine {
     /// Packages the last [`Self::read_walk`] as a [`SennOutcome`] (answer
     /// only: `extra_certain` is empty), taking the context's trace — so
     /// the first outcome of a walk carries the stages that began it.
-    pub fn take_outcome(&self, ctx: &mut QueryContext) -> SennOutcome {
+    pub(crate) fn take_outcome(&self, ctx: &mut QueryContext) -> SennOutcome {
         let unresolved = ctx.trace.resolutions.last() == Some(&Resolution::Unresolved);
         SennOutcome {
             results: ctx.heap.entries().to_vec(),
@@ -372,6 +368,7 @@ impl SennEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Certificate;
     use crate::server::RTreeServer;
     use senn_cache::CachedNn;
 
@@ -583,23 +580,22 @@ mod tests {
             }
             // The whole k..=k+Δ sequence builds `R_c` and computes its
             // radius at most once.
-            assert!(walk.radius_computations <= 1, "trial {trial}");
+            assert!(walk.cert.radius_computations <= 1, "trial {trial}");
         }
         // The worlds reach every branch the walk has.
         assert!(multi > 20 && unresolved > 200 && extended > 100);
     }
 
     #[test]
-    fn handed_over_walk_reads_as_a_fresh_walk() {
-        // A worker context runs a query and hands its walk to a carrier
-        // that held another walk; the carrier's reads at k..=k+Δ equal
-        // fresh queries, and the worker's next query equals a fresh one.
-        const DELTA: usize = 4;
+    fn a_taken_certificate_answers_as_the_walk_did() {
+        // A worker context runs a query and its certificate is taken: the
+        // certificate certifies the rows and holds the disks the context's
+        // did before the take, with at most one radius computation between
+        // the two, and the worker's next query equals a fresh context's.
         let mut rng = Rng(0x4a4d_0fe2 | 1);
         let mut worker = QueryContext::new();
-        let mut carrier = QueryContext::new();
         let mut fresh_ctx = QueryContext::new();
-        let mut read_on = 0;
+        let (mut held, mut multi_row) = (0, 0);
         for trial in 0..300 {
             let (q, peers, _) = walk_world(&mut rng);
             let k = 1 + (rng.next() * 6.0) as usize;
@@ -615,23 +611,27 @@ mod tests {
             let first = engine.query_peers_only_with(q, k, &peers, &mut worker);
             let fresh = engine.query_peers_only_with(q, k, &peers, &mut fresh_ctx);
             assert_eq!(answer(&first), answer(&fresh), "trial {trial}");
-            worker.hand_over(&mut carrier);
-            assert_eq!(carrier.query(), q);
-            for kk in k + 1..=k + DELTA {
-                let fresh = engine.query_peers_only_with(q, kk, &peers, &mut fresh_ctx);
-                let resolution = engine.read_walk(kk, &mut carrier);
-                let mut read = engine.take_outcome(&mut carrier);
-                engine.extend_cacheable(&mut read, &mut carrier);
-                assert_eq!(resolution, fresh.resolution(), "trial {trial} k {kk}");
-                assert_eq!(answer(&read), answer(&fresh), "trial {trial} k {kk}");
-                assert_eq!(read.trace.stage_calls[0], 0, "a read probes nothing");
-                read_on += (fresh.resolution() != Resolution::Unresolved) as usize;
-            }
-            // `R_c` and its radius travelled: the carried reads compute
-            // neither again.
-            assert!(carrier.radius_computations <= 1, "trial {trial}");
+            let farthest = worker.cert.farthest();
+            let radii: Vec<f64> = (0..=8)
+                .map(|step| farthest * step as f64 / 8.0)
+                .filter(|r| r.is_finite())
+                .collect();
+            let read = |cert: &mut Certificate| {
+                let rows: Vec<(u64, u64)> = (0..)
+                    .map_while(|row| cert.certain_row(row))
+                    .map(|c| (c.poi.poi_id, c.dist.to_bits()))
+                    .collect();
+                let disks: Vec<bool> = radii.iter().map(|&r| cert.holds_disk(r)).collect();
+                (rows, disks)
+            };
+            let before = read(&mut worker.cert);
+            let mut cert = worker.take_certificate();
+            assert_eq!(read(&mut cert), before, "trial {trial}");
+            assert!(cert.radius_computations <= 1, "trial {trial}");
+            held += before.1.iter().filter(|&&h| h).count();
+            multi_row += (before.0.len() > first.results.len()) as usize;
         }
-        assert!(read_on > 200, "the carried reads reach verified answers");
+        assert!(held > 200 && multi_row > 50, "{held} disks, {multi_row}");
     }
 
     #[test]
@@ -663,7 +663,7 @@ mod tests {
                 let mut outcome = engine.take_outcome(&mut walk);
                 engine.extend_cacheable(&mut outcome, &mut walk);
             }
-            let farthest = walk.farthest();
+            let farthest = walk.cert.farthest();
             let probed: Vec<&CacheEntry> = walk.order.iter().map(|&i| &peers[i as usize]).collect();
             let mut region = crate::multiple::CertainRegion::build(&probed, method);
             let radii = (0..=8).map(|step| farthest * step as f64 / 8.0);
@@ -672,11 +672,11 @@ mod tests {
                     .iter()
                     .any(|p| radius + q.dist(p.query_location) <= p.farthest_distance());
                 let covered = !region.is_empty() && region.covers_candidate(q, radius);
-                let held = walk.holds_disk(radius, method);
+                let held = walk.cert.holds_disk(radius);
                 assert_eq!(held, single || covered, "trial {trial} radius {radius}");
             }
-            assert!(walk.radius_computations <= 1, "trial {trial}");
-            computed += walk.radius_computations;
+            assert!(walk.cert.radius_computations <= 1, "trial {trial}");
+            computed += walk.cert.radius_computations;
         }
         assert!(computed > 150, "the walks reach R_c ({computed})");
     }

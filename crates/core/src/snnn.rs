@@ -9,15 +9,19 @@
 //!
 //! The paper pulls those POIs one Euclidean NN per round. `d_k` only
 //! falls, so they are exactly the POIs within `d_k` of the first ranking,
-//! and one **range round** fetches them: a read of the query's one
-//! verification walk ([`crate::pipeline`]) offering its certified rows
-//! nearest first, then — only when the walk cannot vouch for the whole
-//! disk of radius `d_k` — one server request for the rest (EINN bounds:
-//! the walk's certified radius below, `d_k` above). The candidates, their
-//! order, the `d_k` updates and the stop test are the incremental loop's,
-//! so the answer is too (`tests/expansion_pruning.rs` holds that loop as
-//! the reference). The [`crate::distance::Euclidean`] model collapses the
-//! driver to plain SENN.
+//! and one **range round** fetches them: a read of the initial round's
+//! [`Certificate`] (what the peers proved, [`crate::pipeline`]) offering
+//! its certified rows nearest first, then — only when the certificate
+//! cannot vouch for the whole disk of radius `d_k` — one server request
+//! for the rest (EINN bounds: the certified rows' reach below, `d_k`
+//! above). A server-resolved initial round reads the certificate of its
+//! answer ([`Certificate::from_answer`]): the `k` POIs certified, no disk
+//! held, so its request starts at the `k`-th Euclidean distance `D_k`.
+//! The candidates, their order, the `d_k` updates and the stop test are
+//! the incremental loop's, so the answer is too
+//! (`tests/expansion_pruning.rs` holds that loop as the reference). The
+//! [`crate::distance::Euclidean`] model collapses the driver to plain
+//! SENN.
 
 use std::borrow::Borrow;
 use std::time::Instant;
@@ -27,8 +31,8 @@ use senn_geom::Point;
 use senn_rtree::SearchBounds;
 
 use crate::distance::{DistanceModel, LowerBoundOracle, NeverPrune};
-use crate::pipeline::{residual_request, QueryContext};
-use crate::senn::SennEngine;
+use crate::pipeline::{residual_request, Certificate, QueryContext};
+use crate::senn::{SennEngine, SennOutcome};
 use crate::server::ServerResponse;
 use crate::service::{ReplyStatus, ServerRequest, SpatialService};
 use crate::trace::{QueryTrace, Resolution, Stage};
@@ -83,9 +87,10 @@ impl SnnnOutcome {
 /// network mode) that serve the range request through their own channel.
 ///
 /// Protocol: [`SnnnExpansion::begin`]; while [`SnnnExpansion::needs_round`],
-/// [`SnnnExpansion::read_range`] on the initial round's walk; if that
-/// leaves the range open, [`SnnnExpansion::complete_range`] with the reply
-/// to [`SnnnExpansion::range_request`] (or [`SnnnExpansion::abort`]).
+/// [`SnnnExpansion::read_range`] on the initial round's [`Certificate`];
+/// if that leaves the range open, [`SnnnExpansion::complete_range`] with
+/// the reply to [`SnnnExpansion::range_request`] (or
+/// [`SnnnExpansion::abort`]).
 #[derive(Clone, Debug)]
 pub struct SnnnExpansion {
     query: Point,
@@ -223,27 +228,26 @@ impl SnnnExpansion {
         self.finished = true;
     }
 
-    /// The range round's read of `walk`, the walk the initial round was
-    /// verified on: offers the rows it certifies (within one of its two
-    /// radii, Lemma 3.2 or 3.8) while the expansion needs them, and
-    /// settles the round if the walk holds every POI within `d_k`. Records
-    /// a [`Stage::MultiVerify`] stage in the walk's trace, and the round as
-    /// [`Resolution::MultiPeer`] when the peers vouched for the whole range
-    /// (else [`Resolution::Unresolved`]). Returns false when the rest of
-    /// the range must come from the server.
+    /// The range round's read of `cert`, what the initial round's peers
+    /// (or server) proved: offers the rows it certifies while the
+    /// expansion needs them, and settles the round if the certificate
+    /// holds every POI within `d_k`. Records a [`Stage::MultiVerify`]
+    /// stage in `trace`, and the round as [`Resolution::MultiPeer`] when
+    /// the peers vouched for the whole range (else
+    /// [`Resolution::Unresolved`]). Returns false when the rest of the
+    /// range must come from the server.
     pub fn read_range<M: DistanceModel, O: LowerBoundOracle>(
         &mut self,
-        engine: &SennEngine,
-        walk: &mut QueryContext,
+        cert: &mut Certificate,
+        trace: &mut QueryTrace,
         model: &mut M,
         oracle: &mut O,
     ) -> bool {
         let started = Instant::now();
-        let method = engine.config().region_method;
         let mut row = 0;
         while !self.finished {
-            let Some(c) = walk.certain_row(row, method) else {
-                if walk.holds_disk(self.radius(), method) {
+            let Some(c) = cert.certain_row(row) else {
+                if cert.holds_disk(self.radius()) {
                     self.settle();
                 }
                 break;
@@ -251,9 +255,8 @@ impl SnnnExpansion {
             self.offer_pruned(c.poi, c.dist, model, oracle);
             row += 1;
         }
-        walk.trace
-            .record_stage(Stage::MultiVerify, started.elapsed().as_nanos() as u64);
-        walk.trace.resolutions.push(if self.finished {
+        trace.record_stage(Stage::MultiVerify, started.elapsed().as_nanos() as u64);
+        trace.resolutions.push(if self.finished {
             Resolution::MultiPeer
         } else {
             Resolution::Unresolved
@@ -262,10 +265,11 @@ impl SnnnExpansion {
     }
 
     /// The server request of a range [`SnnnExpansion::read_range`] left
-    /// open on `walk`: the residual request of a `k + max_expansion` query
-    /// whose certain prefix is the walk's certified rows, bounded by `d_k`.
-    pub fn range_request(&self, id: impl Into<RequestId>, walk: &QueryContext) -> ServerRequest {
-        let certified = walk.certified();
+    /// open on `cert`: the residual request of a `k + max_expansion` query
+    /// whose certain prefix is the certificate's certified rows, bounded
+    /// by their reach below and `d_k` above.
+    pub fn range_request(&self, id: impl Into<RequestId>, cert: &Certificate) -> ServerRequest {
+        let certified = cert.certified();
         let radius = self.radius();
         let bounds = SearchBounds {
             upper: (radius < f64::INFINITY).then_some(radius),
@@ -277,25 +281,26 @@ impl SnnnExpansion {
     }
 
     /// Completes the range round with the `response` to
-    /// [`SnnnExpansion::range_request`]: offers the POIs the walk had not
-    /// certified and settles the expansion (the response holds the whole
-    /// range, or enough of it to reach the cap).
+    /// [`SnnnExpansion::range_request`], recording the server stage in
+    /// `trace`: offers the POIs `cert` had not certified and settles the
+    /// expansion (the response holds the whole range, or enough of it to
+    /// reach the cap).
     pub fn complete_range<M: DistanceModel, O: LowerBoundOracle>(
         &mut self,
-        walk: &mut QueryContext,
+        cert: &Certificate,
+        trace: &mut QueryTrace,
         response: ServerResponse,
         model: &mut M,
         oracle: &mut O,
     ) {
         let started = Instant::now();
         for &(poi, dist) in &response.pois {
-            if walk.certified().iter().all(|c| c.poi.poi_id != poi.poi_id) {
+            if cert.certified().iter().all(|c| c.poi.poi_id != poi.poi_id) {
                 self.offer_pruned(poi, dist, model, oracle);
             }
         }
         self.settle();
-        walk.trace
-            .record_server(response.node_accesses, started.elapsed().as_nanos() as u64);
+        trace.record_server(response.node_accesses, started.elapsed().as_nanos() as u64);
     }
 
     /// Ends the expansion unconfirmed ([`SnnnExpansion::cap_hit`] stays
@@ -348,8 +353,9 @@ pub fn snnn_query<B: Borrow<CacheEntry>, M: DistanceModel>(
 
 /// Runs Algorithm 2 with bound-driven pruning against a caller-owned
 /// [`QueryContext`] (the allocation-reusing batch entry point): the SENN
-/// round, then one range round on the walk it left in `ctx`, with at most
-/// one server request — unanswered, it leaves the ranking unconfirmed.
+/// round, then one range round on its certificate — the walk's in `ctx`,
+/// or a server-resolved round's answer — with at most one server request:
+/// unanswered, it leaves the ranking unconfirmed.
 ///
 /// `model` supplies the target metric; it must respect the Euclidean
 /// lower-bound property (see [`DistanceModel`]). `oracle` must lower-bound
@@ -369,20 +375,27 @@ pub fn snnn_query_pruned_with<B: Borrow<CacheEntry>, M: DistanceModel, O: LowerB
     config: SnnnConfig,
     ctx: &mut QueryContext,
 ) -> SnnnOutcome {
-    let mut trace = QueryTrace::new();
-    let initial = engine.query_with(query, k, peers, server, ctx);
-    trace.absorb(&initial.trace);
-    let mut expansion =
-        SnnnExpansion::begin(query, k, &initial.results, config.max_expansion, model);
-    if expansion.needs_round() && !expansion.read_range(engine, ctx, model, oracle) {
-        let request = expansion.range_request(0u64, ctx);
-        let reply = server.submit(std::slice::from_ref(&request)).pop();
-        match reply.filter(|r| r.status == ReplyStatus::Ok) {
-            Some(reply) => expansion.complete_range(ctx, reply.response, model, oracle),
-            None => expansion.abort(),
+    let SennOutcome {
+        results, mut trace, ..
+    } = engine.query_with(query, k, peers, server, ctx);
+    let mut expansion = SnnnExpansion::begin(query, k, &results, config.max_expansion, model);
+    if expansion.needs_round() {
+        let mut answered;
+        let cert = if trace.resolution() == Resolution::Server {
+            answered = Certificate::from_answer(query, &results);
+            &mut answered
+        } else {
+            &mut ctx.cert
+        };
+        if !expansion.read_range(cert, &mut trace, model, oracle) {
+            let request = expansion.range_request(0u64, cert);
+            let reply = server.submit(std::slice::from_ref(&request)).pop();
+            match reply.filter(|r| r.status == ReplyStatus::Ok) {
+                Some(r) => expansion.complete_range(cert, &mut trace, r.response, model, oracle),
+                None => expansion.abort(),
+            }
         }
     }
-    trace.absorb(&ctx.trace);
     trace.cap_hit = expansion.cap_hit();
     trace.lb_evals = expansion.lb_evals();
     trace.model_evals_saved = expansion.model_evals_saved();
@@ -577,6 +590,77 @@ mod tests {
             peer_settled > 20,
             "the worlds must settle range rounds on the walk ({peer_settled})"
         );
+    }
+
+    /// A service that logs every request it answers with its reply.
+    struct Recording<'a> {
+        inner: &'a RTreeServer,
+        log: std::cell::RefCell<Vec<(ServerRequest, crate::service::ServerReply)>>,
+    }
+
+    impl SpatialService for Recording<'_> {
+        fn submit(&self, batch: &[ServerRequest]) -> Vec<crate::service::ServerReply> {
+            let replies = self.inner.submit(batch);
+            let mut log = self.log.borrow_mut();
+            log.extend(batch.iter().cloned().zip(replies.iter().cloned()));
+            replies
+        }
+
+        fn poi_count(&self) -> usize {
+            self.inner.poi_count()
+        }
+    }
+
+    #[test]
+    fn a_server_resolved_range_starts_at_the_kth_distance() {
+        // With no peers the Euclidean round goes to the server, and the
+        // range round reads its answer: the `k` POIs are known, no disk is
+        // held, and the range request's lower bound is `D_k`, the answer's
+        // k-th distance — the reply re-reports no POI nearer than that.
+        let mut rng = Rng(0xd_4a11 | 1);
+        for trial in 0..40 {
+            let n = 15 + (rng.next() * 80.0) as usize;
+            let pois: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.next() * 100.0, rng.next() * 100.0))
+                .collect();
+            let server = RTreeServer::new(pois.iter().enumerate().map(|(i, p)| (i as u64, *p)));
+            let q = Point::new(rng.next() * 100.0, rng.next() * 100.0);
+            let k = 2 + (rng.next() * 5.0) as usize;
+            let recording = Recording {
+                inner: &server,
+                log: Default::default(),
+            };
+            let out = snnn_query::<CacheEntry, _>(
+                &SennEngine::default(),
+                q,
+                k,
+                &[],
+                &recording,
+                &mut Manhattan,
+                SnnnConfig::default(),
+            );
+            let want = brute_network_knn(&pois, q, k);
+            for (r, (wd, _)) in out.results.iter().zip(&want) {
+                assert!((r.network_dist - wd).abs() < 1e-9, "trial {trial}");
+            }
+            assert_eq!(
+                out.trace.resolutions,
+                [Resolution::Server, Resolution::Server],
+                "trial {trial}"
+            );
+            let log = recording.log.into_inner();
+            let d_k = log[0].1.response.pois[k - 1].1;
+            let (range, reply) = &log[1];
+            assert_eq!(range.bounds.lower, Some(d_k), "trial {trial}");
+            assert!(
+                reply
+                    .response
+                    .pois
+                    .iter()
+                    .all(|&(_, d)| d >= d_k - senn_geom::EPS),
+                "trial {trial}: the reply re-reports the answer"
+            );
+        }
     }
 
     #[test]

@@ -175,26 +175,6 @@ impl QueryTrace {
         self.record_stage(Stage::ServerResidual, nanos);
     }
 
-    /// Folds another round's trace into this one (SNNN expansion).
-    pub fn absorb(&mut self, round: &QueryTrace) {
-        self.resolutions.extend_from_slice(&round.resolutions);
-        self.server_accesses += round.server_accesses;
-        self.server_contacted |= round.server_contacted;
-        self.cap_hit |= round.cap_hit;
-        self.server_retries += round.server_retries;
-        self.server_timeouts += round.server_timeouts;
-        self.server_drops += round.server_drops;
-        self.server_shed += round.server_shed;
-        self.server_degraded |= round.server_degraded;
-        self.server_failed |= round.server_failed;
-        self.lb_evals += round.lb_evals;
-        self.model_evals_saved += round.model_evals_saved;
-        for i in 0..STAGE_COUNT {
-            self.stage_nanos[i] += round.stage_nanos[i];
-            self.stage_calls[i] += round.stage_calls[i];
-        }
-    }
-
     /// Attributes the retry layer's disposition of one residual request
     /// (a `senn_core::service::RequestOutcome`) to this query.
     pub fn record_service_outcome(&mut self, outcome: &crate::service::RequestOutcome) {
@@ -218,31 +198,6 @@ mod tests {
         assert_eq!(t.senn_rounds(), 0);
         assert!(!t.server_contacted);
         assert!(!t.cap_hit);
-    }
-
-    #[test]
-    fn absorb_accumulates_rounds() {
-        let mut total = QueryTrace::new();
-        let mut a = QueryTrace::new();
-        a.resolutions.push(Resolution::SinglePeer);
-        a.record_stage(Stage::PeerProbe, 10);
-        let mut b = QueryTrace::new();
-        b.resolutions.push(Resolution::Server);
-        b.server_accesses = 7;
-        b.server_contacted = true;
-        b.lb_evals = 5;
-        b.model_evals_saved = 2;
-        b.record_stage(Stage::ServerResidual, 20);
-        total.absorb(&a);
-        total.absorb(&b);
-        assert_eq!(total.senn_rounds(), 2);
-        assert_eq!(total.resolution(), Resolution::SinglePeer);
-        assert_eq!(total.server_accesses, 7);
-        assert!(total.server_contacted);
-        assert_eq!(total.lb_evals, 5);
-        assert_eq!(total.model_evals_saved, 2);
-        assert_eq!(total.stage_calls, [1, 0, 0, 1]);
-        assert_eq!(total.stage_nanos, [10, 0, 0, 20]);
     }
 
     #[test]
@@ -308,10 +263,5 @@ mod tests {
         assert_eq!(t.server_drops, 1);
         assert_eq!(t.server_shed, 1);
         assert!(t.server_degraded && t.server_failed);
-        // Absorption carries the attribution along.
-        let mut total = QueryTrace::new();
-        total.absorb(&t);
-        assert_eq!(total.server_retries, 3);
-        assert!(total.server_degraded && total.server_failed);
     }
 }

@@ -9,11 +9,9 @@
 //! peer ids, borrowed entries, and the staged kernel's
 //! [`QueryContext`](senn_core::QueryContext) — so the steady-state query
 //! path stays allocation-free and each worker thread reuses one context
-//! across every query it executes. A query whose walk its SNNN expansion
-//! will read on hands that walk to a carrier from the [`WalkPool`], which
-//! the expand pass refills.
-
-use std::sync::Mutex;
+//! across every query it executes. A peer-resolved query whose SNNN
+//! expansion will read what its peers proved takes the context's
+//! certificate; the context's next walk grows a new one.
 
 use senn_cache::CacheEntry;
 use senn_core::QueryContext;
@@ -44,44 +42,6 @@ impl WorkerScratch<'_> {
             },
             ctx: QueryContext::new(),
         }
-    }
-}
-
-/// Carriers of verification walks between a query's execute and expand
-/// passes, shared by the execute workers (which take one per query that
-/// may expand) and the expand pass (which retires each walk it finishes).
-/// A carrier keeps the row buffers of the walks it carried, so a query
-/// takes buffers an earlier one grew; only the carrier's box is new. An
-/// interval's queries hold one each until their expansions end, so the
-/// pool keeps at most [`WalkPool::CAP`] for the next interval and lets a
-/// larger burst go. Locked once per take or retire.
-#[derive(Default)]
-pub(crate) struct WalkPool {
-    walks: Mutex<Vec<QueryContext>>,
-}
-
-impl WalkPool {
-    /// Walks kept between intervals: about the queries of a mean
-    /// `downtown_snnn` interval (27), so most intervals allocate no
-    /// buffers; each carrier kept holds the rows of a walk it carried.
-    const CAP: usize = 32;
-
-    /// A carrier with the buffers of a retired walk, or a new one.
-    pub(crate) fn take(&self) -> Box<QueryContext> {
-        Box::new(self.lock().pop().unwrap_or_default())
-    }
-
-    /// Keeps a finished walk's buffers for a later query, up to the cap.
-    pub(crate) fn retire(&self, walk: Box<QueryContext>) {
-        let mut walks = self.lock();
-        if walks.len() < Self::CAP {
-            walks.push(*walk);
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<QueryContext>> {
-        // A worker that panicked holding the lock left the vector whole.
-        self.walks.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 

@@ -12,10 +12,12 @@
 //!    [`Resolution::Unresolved`] and wait for their residual's reply.
 //! 2. **expand** (main thread, network mode only) — once its Euclidean
 //!    round is final, a task begins its SNNN expansion and runs its one
-//!    range round: a read of the verification walk the execute pass built
-//!    and handed to it (the query's peers are gathered and walked once).
-//!    A range the walk cannot settle parks the task until the server's
-//!    reply comes back; the pass then completes it.
+//!    range round: a read of what its Euclidean round proved — the
+//!    certificate a peer-resolved query's execute pass took from its walk
+//!    (the query's peers are gathered and walked once), or a
+//!    server-resolved query's answer. A range the certificate cannot
+//!    settle parks the task until the server's reply comes back; the pass
+//!    then completes it.
 //! 3. **measure** (parallel, `&self` only) — grading against ground truth
 //!    and the PAR shadow searches, always against the concrete truth
 //!    [`RTreeServer`](senn_core::RTreeServer) so metrics are invariant to
@@ -30,7 +32,7 @@
 use senn_cache::{CacheEntry, CachedNn};
 use senn_core::service::{RequestOutcome, ServerRequest};
 use senn_core::{
-    EuclideanBound, QueryContext, Resolution, SearchBounds, SennEngine, SennOutcome, SnnnExpansion,
+    Certificate, EuclideanBound, Resolution, SearchBounds, SennEngine, SennOutcome, SnnnExpansion,
 };
 use senn_geom::Point;
 use senn_network::distance::RoadCore;
@@ -63,11 +65,11 @@ pub(crate) struct PendingQuery {
     pub(crate) outcome: SennOutcome,
     pub(crate) remote_entries: u64,
     pub(crate) remote_records: u64,
-    /// On a run with a road metric, the verification walk the execute
-    /// pass built, carried until the expand pass continues it (or finds
-    /// nothing to expand) and retires it to the
-    /// [`WalkPool`](crate::comms::WalkPool).
-    pub(crate) walk: Option<Box<QueryContext>>,
+    /// On a run with a road metric, what a peer-resolved query's peers
+    /// proved, taken from its walk for the expand pass to read (boxed, so
+    /// a task that carries none stays small as the fold sorts and moves
+    /// it).
+    pub(crate) cert: Option<Box<Certificate>>,
     /// The road ranking its SNNN expansion finished with.
     pub(crate) ranking: Option<RoadRanking>,
 }
@@ -75,8 +77,7 @@ pub(crate) struct PendingQuery {
 /// One issued query on its way to the fold: its run-wide sequence number
 /// (its request id and its fold position), its plan, the outcome so far,
 /// and — while its SNNN expansion's range round waits for the server —
-/// that expansion. Boxed: a walk is several times the size of the rest of
-/// a task, and few tasks ever park.
+/// that expansion. Boxed: few tasks ever park.
 pub(crate) struct QueryTask {
     pub(crate) seq: u64,
     pub(crate) plan: QueryPlan,
@@ -91,7 +92,7 @@ impl QueryTask {
         let (seq, pending) = (self.seq, &self.pending);
         match &self.parked {
             None => engine.residual_request(seq, pending.at, self.plan.k, &pending.outcome),
-            Some(a) => a.exp.range_request(seq, &a.walk),
+            Some(a) => a.exp.range_request(seq, &a.cert),
         }
     }
 
@@ -136,11 +137,11 @@ pub(crate) struct Measured {
 }
 
 /// One query's expansion parked at its range request: its state machine,
-/// the walk its Euclidean round was verified on (at the query's issue
-/// point), and, once it is back, the server's reply.
+/// the certificate of its Euclidean round (at the query's issue point),
+/// and, once it is back, the server's reply.
 pub(crate) struct ActiveExpansion {
     exp: SnnnExpansion,
-    walk: Box<QueryContext>,
+    cert: Box<Certificate>,
     reply: Option<RequestOutcome>,
 }
 
@@ -194,10 +195,10 @@ impl Simulator {
     /// Executes one planned SENN query up to the server seam: peer
     /// gathering ([`Simulator::gather_peers`]) and the peer stages of the
     /// staged kernel (`SennEngine::query_peers_only_with` over the
-    /// worker's reused context). On a run with a road metric, a query its
-    /// SNNN expansion may read on hands its walk to a carrier from the
-    /// [`WalkPool`](crate::comms::WalkPool) (`QueryContext::hand_over`),
-    /// which the task keeps.
+    /// worker's reused context). On a run with a road metric, a
+    /// peer-resolved query that will expand takes the certificate out of
+    /// the worker's context (`QueryContext::take_certificate`); the
+    /// reader's buffers stay with the worker.
     fn execute_query<'a>(
         &'a self,
         plan: &QueryPlan,
@@ -221,20 +222,15 @@ impl Simulator {
             .map(|e| e.len() as u64)
             .sum::<u64>();
 
-        // An unresolved query expands once the server has answered it.
-        let may_expand =
-            outcome.resolution() == Resolution::Unresolved || Self::expansion_eligible(&outcome);
-        let walk = (self.road_metric.is_some() && may_expand).then(|| {
-            let mut walk = self.walks.take();
-            scratch.ctx.hand_over(&mut walk);
-            walk
-        });
+        // An unresolved query expands over its server answer.
+        let expands = self.road_metric.is_some() && Self::expansion_eligible(&outcome);
+        let cert = expands.then(|| Box::new(scratch.ctx.take_certificate()));
         PendingQuery {
             at: q,
             outcome,
             remote_entries,
             remote_records,
-            walk,
+            cert,
             ranking: None,
         }
     }
@@ -243,10 +239,10 @@ impl Simulator {
     /// Euclidean round is final through the SNNN expansion (Algorithm 2)
     /// under the configured [`crate::NetworkModelKind`], on the main
     /// thread in task order. A task without a parked expansion begins one
-    /// and runs its range round on its walk; a range the walk cannot
-    /// settle parks (left in [`QueryTask::parked`]) until its one server
-    /// request comes back, and the pass then completes it. Returns the
-    /// range rounds read.
+    /// and runs its range round on its certificate; a range the
+    /// certificate cannot settle parks (left in [`QueryTask::parked`])
+    /// until its one server request comes back, and the pass then
+    /// completes it. Returns the range rounds read.
     ///
     /// Candidate verification is bound-driven: the free-flow
     /// [`EuclideanBound`] (admissible for every model by the `ED <= ND`
@@ -315,18 +311,19 @@ impl Simulator {
     /// over the model's core — one model serves the whole pass (it owns
     /// its search scratch), re-anchored per task.
     ///
-    /// An expansion continues the walk its query's Euclidean round was
-    /// verified on, carried in the task from the execute pass: between an
-    /// interval's execute and expand passes no host moves, no cache is
-    /// stored and the clock stands still, so that walk is the one a second
-    /// peer exchange would rebuild, and its range round reads the table,
-    /// `R_c` and radii the first read and the cache extension computed
-    /// (`SnnnExpansion::read_range`). Under an overlapped transport a
-    /// Euclidean round that matures in a later interval still expands over
-    /// its issue-time peers. An expansion's outcome depends on nothing but
-    /// its own query's walk and reply, so the order in which tasks
-    /// advance, and how their requests share submissions, never reaches an
-    /// answer.
+    /// An expansion reads the certificate of its query's Euclidean round:
+    /// for a peer-resolved round, the one the execute pass took from the
+    /// query's walk — between an interval's execute and expand passes no
+    /// host moves, no cache is stored and the clock stands still, so it is
+    /// what a second peer exchange would prove, with the table, `R_c` and
+    /// radii the first read and the cache extension computed; for a
+    /// server-resolved round, its answer ([`Certificate::from_answer`]),
+    /// whose walk certified fewer than `k` rows and so could settle no
+    /// range. Under an overlapped transport a Euclidean round that matures
+    /// in a later interval still expands at its issue point. An
+    /// expansion's outcome depends on nothing but its own query's
+    /// certificate and reply, so the order in which tasks advance, and how
+    /// their requests share submissions, never reaches an answer.
     fn expand_with<C: RoadCore>(
         &self,
         tasks: &mut [QueryTask],
@@ -336,66 +333,58 @@ impl Simulator {
         let Some(model) = model else {
             return reads;
         };
+        let oracle = &mut EuclideanBound;
         for task in tasks.iter_mut() {
             let pending = &mut task.pending;
-            let active = match task.parked.take() {
+            let q = pending.at;
+            let exp = match task.parked.take() {
                 // The range request came back: complete the round at the
-                // issue point the walk keeps (anchors moved while other
-                // tasks ran). A failed request leaves the ranking
-                // unconfirmed.
+                // issue point (anchors moved while other tasks ran). A
+                // failed request leaves the ranking unconfirmed.
                 Some(parked) => {
-                    let mut a = *parked;
-                    model.rebase(a.walk.query());
-                    match a.reply.take().filter(|reply| !reply.failed) {
+                    let ActiveExpansion {
+                        mut exp,
+                        cert,
+                        reply,
+                    } = *parked;
+                    model.rebase(q);
+                    match reply.filter(|reply| !reply.failed) {
                         Some(reply) => {
-                            let oracle = &mut EuclideanBound;
-                            a.exp
-                                .complete_range(&mut a.walk, reply.response, model, oracle);
+                            let trace = &mut pending.outcome.trace;
+                            exp.complete_range(&cert, trace, reply.response, model, oracle)
                         }
-                        None => a.exp.abort(),
+                        None => exp.abort(),
                     }
-                    a
+                    exp
                 }
                 // The Euclidean round is final: begin, and read the range
-                // on the walk unless begin already settled the expansion
-                // (the world holds fewer than `k` POIs, or a zero cap).
+                // on the certificate unless begin already settled the
+                // expansion (the world holds fewer than `k` POIs, or a
+                // zero cap).
                 None => {
-                    let Some(walk) = pending.walk.take() else {
-                        continue;
-                    };
-                    let q = pending.at;
                     if !Self::expansion_eligible(&pending.outcome) || !model.rebase(q) {
-                        self.walks.retire(walk);
                         continue;
                     }
-                    let exp = SnnnExpansion::begin(
-                        q,
-                        task.plan.k,
-                        &pending.outcome.results,
-                        self.config.snnn_max_expansion,
-                        model,
-                    );
-                    let mut a = ActiveExpansion {
-                        exp,
-                        walk,
-                        reply: None,
-                    };
-                    if a.exp.needs_round() {
+                    let results = &pending.outcome.results;
+                    let cap = self.config.snnn_max_expansion;
+                    let mut exp = SnnnExpansion::begin(q, task.plan.k, results, cap, model);
+                    if exp.needs_round() {
                         reads += 1;
-                        if !a
-                            .exp
-                            .read_range(&self.engine, &mut a.walk, model, &mut EuclideanBound)
-                        {
-                            task.parked = Some(Box::new(a));
+                        let mut cert = pending
+                            .cert
+                            .take()
+                            .unwrap_or_else(|| Box::new(Certificate::from_answer(q, results)));
+                        let trace = &mut pending.outcome.trace;
+                        if !exp.read_range(&mut cert, trace, model, oracle) {
+                            let reply = None;
+                            task.parked = Some(Box::new(ActiveExpansion { exp, cert, reply }));
                             continue;
                         }
                     }
-                    a
+                    exp
                 }
             };
-            pending.outcome.trace.absorb(&active.walk.trace);
-            Self::finish_expansion(pending, active.exp);
-            self.walks.retire(active.walk);
+            Self::finish_expansion(pending, exp);
         }
         reads
     }

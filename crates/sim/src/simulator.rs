@@ -53,7 +53,6 @@ use senn_server::{FaultConfig, FaultyService, ServiceMetrics, ShardedService};
 pub use crate::cache_step::CachePolicy;
 pub use crate::movement::MovementMode;
 
-use crate::comms::WalkPool;
 use crate::grid::{CellMove, HostGrid};
 use crate::metrics::Metrics;
 use crate::movement::poisson;
@@ -549,9 +548,6 @@ pub struct Simulator {
     /// pass, so later intervals' queries find the answers earlier ones
     /// kept.
     pub(crate) expand_ch: ChScratch,
-    /// Carriers of the walks SNNN expansions continue, shared by the
-    /// execute workers and the expand pass (empty on a Euclidean run).
-    pub(crate) walks: WalkPool,
 }
 
 /// One finished query, as [`Simulator::last_answers`] hands it out: what
@@ -635,8 +631,8 @@ pub struct BatchStats {
     pub stage_nanos: [u64; STAGE_COUNT],
     /// Times each pipeline stage ran, summed over every executed query.
     pub stage_calls: [u64; STAGE_COUNT],
-    /// SNNN range rounds read across all batches: one read of its walk
-    /// per expansion that begins one (0 unless a [`NetworkModelKind`] is
+    /// SNNN range rounds read across all batches: one read of its
+    /// certificate per expansion that begins one (0 unless a [`NetworkModelKind`] is
     /// configured).
     pub snnn_rounds: u64,
     /// Expand passes whose parked range requests went to the service
@@ -817,7 +813,6 @@ impl Simulator {
             batch_stats: BatchStats::default(),
             answers: Vec::new(),
             expand_ch: ChScratch::default(),
-            walks: WalkPool::default(),
         }
     }
 

@@ -16,10 +16,11 @@
 //!
 //! A harvested range request completes its expansion at the query's issue
 //! point, and the query is folded: an expansion parks at most once. An
-//! expansion begins on the walk its query was executed on, however late
-//! its Euclidean round matures: the peers it reads are the ones the query
-//! exchanged with (and `remote_entries` / `remote_records` counted) at
-//! issue time.
+//! expansion reads the certificate of its query's Euclidean round,
+//! however late that round matures: a peer-resolved round's certificate
+//! holds what the peers the query exchanged with at issue time (and
+//! `remote_entries` / `remote_records` counted) proved, and a
+//! server-resolved round's holds the reply's answer.
 //!
 //! Determinism contract: request ids are a global sequence assigned in
 //! plan order (unique across the whole run), the transport's lane count is
