@@ -6,7 +6,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::{honest_peer, network_world, BenchRng};
-use senn_core::{snnn_query, RTreeServer, SennEngine, SnnnConfig};
+use senn_core::{
+    snnn_query_pruned_with, NeverPrune, QueryContext, RTreeServer, SennEngine, SnnnConfig,
+};
 use senn_network::{
     alt_path_into, astar_distance, astar_path, dijkstra_distance, generate_network, ier_knn,
     ine_knn, ChIndex, ChScratch, GeneratorConfig, NetworkDistance, NodeId,
@@ -69,14 +71,16 @@ fn network_knn(c: &mut Criterion) {
             i += 1;
             let peer = honest_peer(q, &poi_positions, 20);
             let mut model = NetworkDistance::new(&w.net, &w.locator, q).expect("non-empty network");
-            let out = snnn_query(
+            let out = snnn_query_pruned_with(
                 &engine,
                 q,
                 k,
                 std::slice::from_ref(&peer),
                 &server,
                 &mut model,
+                &mut NeverPrune,
                 SnnnConfig::default(),
+                &mut QueryContext::new(),
             );
             black_box(out.results.len())
         })

@@ -18,7 +18,7 @@
 //! | [`single`] | `kNN_single` — single-peer verification (§3.2.1) |
 //! | [`multiple`] | `kNN_multiple` — multi-peer certain region `R_c` (§3.2.2, Lemma 3.8) |
 //! | [`bounds`] | branch-expanding upper/lower bounds (§3.3) |
-//! | [`pipeline`] | the staged kernel (PeerProbe → SingleVerify → MultiVerify → ServerResidual) and its resumable verification walk |
+//! | [`pipeline`] | the four stage functions (PeerProbe → SingleVerify → MultiVerify → ServerResidual), the walk they share and its certificate |
 //! | [`distance`] | the [`DistanceModel`] target-metric seam (Euclidean here, network in `senn-network`) |
 //! | [`trace`] | the unified [`QueryTrace`] outcome (attribution + accounting + stage timings) |
 //! | [`senn`] | Algorithm 1 — the SENN driver over the staged kernel |
@@ -54,9 +54,7 @@ pub use senn_cache::{CacheEntry as PeerCacheEntry, CachedNn};
 pub use senn_rtree::SearchBounds;
 pub use server::{RTreeServer, ServerResponse};
 pub use service::{ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService};
-pub use snnn::{
-    snnn_query, snnn_query_pruned_with, SnnnConfig, SnnnExpansion, SnnnNeighbor, SnnnOutcome,
-};
+pub use snnn::{snnn_query_pruned_with, SnnnConfig, SnnnExpansion, SnnnNeighbor, SnnnOutcome};
 pub use trace::{QueryTrace, Resolution, Stage, STAGE_COUNT, STAGE_NAMES};
 pub use transport::{
     submit_with_retry, AsyncClient, RequestId, RetryPolicy, Ticket, Transport, TransportPolicy,
@@ -70,11 +68,13 @@ pub use transport::{
 /// use senn_core::prelude::*;
 ///
 /// let server = RTreeServer::new((0..5).map(|i| (i, senn_geom::Point::new(i as f64, 0.0))));
-/// let out = SennEngine::default().query::<PeerCacheEntry>(
+/// let mut ctx = QueryContext::new();
+/// let out = SennEngine::default().query_with::<PeerCacheEntry>(
 ///     senn_geom::Point::new(2.2, 0.0),
 ///     2,
 ///     &[],
 ///     &server,
+///     &mut ctx,
 /// );
 /// assert_eq!(out.results[0].poi.poi_id, 2);
 /// ```
@@ -89,9 +89,7 @@ pub mod prelude {
     pub use crate::service::{
         ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService,
     };
-    pub use crate::snnn::{
-        snnn_query, snnn_query_pruned_with, SnnnConfig, SnnnNeighbor, SnnnOutcome,
-    };
+    pub use crate::snnn::{snnn_query_pruned_with, SnnnConfig, SnnnNeighbor, SnnnOutcome};
     pub use crate::trace::{QueryTrace, Resolution};
     pub use crate::transport::{
         AsyncClient, RequestId, RetryPolicy, Ticket, Transport, TransportPolicy, TransportStats,

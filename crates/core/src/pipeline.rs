@@ -1,9 +1,9 @@
-//! The staged query pipeline, the resumable verification walk that
-//! carries it ([`QueryContext`]) and what the walk proved
-//! ([`Certificate`]).
+//! The staged query pipeline: the four stage functions of Algorithm 1,
+//! the verification walk they share ([`QueryContext`]) and what the walk
+//! proved ([`Certificate`]).
 //!
-//! Algorithm 1 decomposes into four explicit stages, run in order by the
-//! [`crate::SennEngine`] driver:
+//! [`crate::SennEngine`] runs the stages in order on one context, each
+//! under its stage timer:
 //!
 //! ```text
 //! PeerProbe ──► SingleVerify ──► MultiVerify ──► ServerResidual
@@ -13,28 +13,22 @@
 //!
 //! ## The walk and its certificate
 //!
-//! Almost nothing the peer stages compute depends on the query's `k`: the
-//! probe order, every cached POI's distance and which peer certifies it
-//! (Lemma 3.2), the merged certain region and how far around the querier
-//! it reaches (Lemma 3.8) are facts about one (query point, peer set)
-//! pair. The context keeps what the lemmas prove in a [`Certificate`]: one
-//! **candidate table** — one row per POI, ascending by distance — built
-//! once by [`single_verify`], the peers' circles and two radii. Every test
-//! is centred on the query, so the certified rows are a prefix of the
-//! table, decided by `r_single`, the largest distance some probed circle
-//! certifies (Lemma 3.2, per circle the last float its `d + Dist(Q, P) <=
-//! r` passes), and `r_cov`, how far from the query `R_c`'s exposed
-//! boundary begins (Lemma 3.8, [`CertainRegion::covered_radius`], capped
-//! at the farthest row and computed the first time a reader asks beyond
-//! `r_single`). MultiVerify reads the rows within `r_cov`, the cache
-//! extension and an SNNN range round those within `max(r_single, r_cov)`.
-//! The result heap `H` at a given `k` is a *view* of that table, and
-//! reading the walk at another `k` repeats no distance computation, region
-//! build or radius.
-//!
-//! Resumption is exact because both lemmas are monotone in the candidate's
-//! distance and neither mentions `k`; `k` only decides how far down the
-//! table the answer reaches.
+//! [`QueryContext::begin`] starts a walk at `k`. [`peer_probe`] orders the
+//! peers; [`single_verify`] classifies every cached POI of the probed
+//! peers into the certificate's **candidate table** — one row per POI,
+//! ascending by distance, with the first probed peer that certifies it
+//! (Lemma 3.2) — and reads `H` at `k` from it, stopping where
+//! `kNN_single` would; [`multi_verify`], when that fell short, certifies
+//! the rows within `R_c`'s reach. Every test is centred on the query, so
+//! the certified rows are a prefix of the table, decided by two radii:
+//! `r_single`, the largest distance some probed circle certifies (per
+//! circle the last float its `d + Dist(Q, P) <= r` passes), and `r_cov`,
+//! how far from the query `R_c`'s exposed boundary begins (Lemma 3.8,
+//! [`CertainRegion::covered_radius`], capped at the farthest row and
+//! computed the first time a reader asks beyond `r_single`). MultiVerify
+//! reads the rows within `r_cov`, the cache extension and an SNNN range
+//! round those within `max(r_single, r_cov)`; `R_c` is built and its
+//! radius computed at most once per walk.
 //!
 //! ## Ownership rules
 //!
@@ -49,7 +43,7 @@
 //! * The certificate can leave the context
 //!   ([`QueryContext::take_certificate`]): it answers for its rows and
 //!   disks as the context would have (property-tested), and the context's
-//!   next walk grows a new one. The reader — heap, probe order, ranks,
+//!   next walk grows a new one. The rest — heap, probe order, ranks,
 //!   trace and the POI index the table is built with — stays.
 
 use std::borrow::Borrow;
@@ -71,12 +65,13 @@ use crate::verify::certified_radius;
 
 /// What one query's peers proved about the POIs around its query point
 /// (Lemmas 3.2 and 3.8): the candidate table, the peers' circles, the two
-/// radii and `R_c`, built under the region method the walk was classified
-/// with. An SNNN expansion reads nothing else of the walk.
+/// radii and `R_c`, built under the walk's region method. An SNNN
+/// expansion reads nothing else of the walk.
 #[derive(Debug)]
 pub struct Certificate {
     query: Point,
-    method: RegionMethod,
+    /// The method `R_c` is built under.
+    pub(crate) method: RegionMethod,
     /// The candidate table, ascending by distance; `certified_by` indexes
     /// the probe order.
     table: Vec<Candidate>,
@@ -225,14 +220,13 @@ impl Certificate {
 /// the module docs).
 #[derive(Debug)]
 pub struct QueryContext {
-    /// The result heap `H` (Table 1): the walk's view at the `k` it was
-    /// last read at.
-    pub heap: ResultHeap,
+    /// The result heap `H` (Table 1) of the walk, at its `k`.
+    pub(crate) heap: ResultHeap,
     /// Indices of the non-empty peers, sorted by cached-query-location
     /// distance (Heuristic 3.3) after [`peer_probe`].
-    pub order: Vec<u32>,
-    /// The trace of the read in flight, taken by the driver on finish.
-    pub trace: QueryTrace,
+    pub(crate) order: Vec<u32>,
+    /// The trace of the walk, taken by the engine when the walk finishes.
+    pub(crate) trace: QueryTrace,
     /// What the walk proved.
     pub(crate) cert: Certificate,
     /// Scratch of the table build.
@@ -268,89 +262,13 @@ impl QueryContext {
         take(&mut self.cert)
     }
 
-    /// Starts a new walk, viewed at `k`: re-arms every buffer.
+    /// Starts a new walk at `k`: re-arms every buffer.
     pub fn begin(&mut self, k: usize) {
-        self.restart();
-        self.heap.reset(k);
-    }
-
-    /// Starts a new walk (its `k` comes with the first read).
-    pub(crate) fn restart(&mut self) {
         self.order.clear();
         self.trace.reset();
         self.ranks.clear();
         self.cert.restart();
-    }
-
-    /// Builds the candidate table from the probed peers — the whole of
-    /// single-peer verification that does not depend on `k` — and
-    /// `r_single`; `R_c`, when a reader needs it, is built under `method`.
-    pub(crate) fn classify<B: Borrow<CacheEntry>>(
-        &mut self,
-        query: Point,
-        peers: &[B],
-        method: RegionMethod,
-    ) {
-        let cert = &mut self.cert;
-        cert.query = query;
-        cert.method = method;
-        let probed = || self.order.iter().map(|&i| peers[i as usize].borrow());
-        collect_circles(probed(), &mut cert.circles);
-        collect_candidates(query, probed(), &mut cert.table, &mut self.index);
-        self.ranks.clear();
-        self.ranks.extend(
-            cert.table
-                .iter()
-                .map(|c| c.certified_by)
-                .filter(|&by| by != Candidate::UNCERTIFIED),
-        );
-        self.ranks.sort_unstable();
-        cert.r_single = cert
-            .circles
-            .iter()
-            .map(|p| certified_radius(query.dist(p.center), p.radius))
-            .fold(f64::NEG_INFINITY, f64::max);
-    }
-
-    /// Reads `H` after single-peer verification at `k`: what visiting the
-    /// peers in probe order, stopping at the first one that brings `k`
-    /// certain NNs, leaves in it. Returns true when the query is fully
-    /// answered.
-    pub(crate) fn read_single(&mut self, k: usize) -> bool {
         self.heap.reset(k);
-        let table = &self.cert.table;
-        if let Some(&last) = self.ranks.get(k - 1) {
-            let visited = table.iter().filter(|c| c.certified_by <= last);
-            for c in visited.take(k) {
-                self.heap.push(c.poi, c.dist, true);
-            }
-            return true;
-        }
-        // Every probed peer was visited: all certified rows, then the
-        // nearest of the rest as uncertain fill.
-        let certified = |c: &&Candidate| c.certified_by != Candidate::UNCERTIFIED;
-        for c in table.iter().filter(certified) {
-            self.heap.push(c.poi, c.dist, true);
-        }
-        let room = k - self.ranks.len();
-        for c in table.iter().filter(|c| !certified(c)).take(room) {
-            self.heap.push(c.poi, c.dist, false);
-        }
-        false
-    }
-
-    /// Continues the read into multi-peer verification: the rows within
-    /// `r_cov` are certified, ascending by distance, until `H` holds `k`
-    /// certain NNs (true) or they run out (false).
-    pub(crate) fn read_multi(&mut self) -> bool {
-        let r_cov = self.cert.r_cov(self.cert.farthest());
-        for c in self.cert.table.iter().take_while(|c| c.dist <= r_cov) {
-            self.heap.insert_certain(c.poi, c.dist);
-            if self.heap.is_certain_complete() {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -379,27 +297,71 @@ pub fn peer_probe<B: Borrow<CacheEntry>>(ctx: &mut QueryContext, query: Point, p
 }
 
 /// **Stage 1 — SingleVerify**: classifies every cached POI of the probed
-/// peers with Lemma 3.2 into the walk's candidate table, then reads `H` at
-/// the context's `k`: certain and uncertain candidates folded in peer
-/// order, stopping early once `k` certain NNs are verified. Returns true
-/// when the query is fully answered.
+/// peers with Lemma 3.2 into the walk's candidate table and computes
+/// `r_single`, then reads `H` at the context's `k`: what visiting the
+/// peers in probe order, stopping at the first one that brings `k`
+/// certain NNs, leaves in it. Returns true when the query is fully
+/// answered.
 pub fn single_verify<B: Borrow<CacheEntry>>(
     ctx: &mut QueryContext,
     query: Point,
     peers: &[B],
 ) -> bool {
-    ctx.classify(query, peers, RegionMethod::default());
-    ctx.read_single(ctx.heap.k())
+    let QueryContext {
+        heap,
+        order,
+        cert,
+        index,
+        ranks,
+        ..
+    } = ctx;
+    cert.query = query;
+    let probed = || order.iter().map(|&i| peers[i as usize].borrow());
+    collect_circles(probed(), &mut cert.circles);
+    collect_candidates(query, probed(), &mut cert.table, index);
+    ranks.clear();
+    ranks.extend(
+        cert.table
+            .iter()
+            .map(|c| c.certified_by)
+            .filter(|&by| by != Candidate::UNCERTIFIED),
+    );
+    ranks.sort_unstable();
+    cert.r_single = cert
+        .circles
+        .iter()
+        .map(|p| certified_radius(query.dist(p.center), p.radius))
+        .fold(f64::NEG_INFINITY, f64::max);
+
+    let k = heap.k();
+    let table = &cert.table;
+    if let Some(&last) = ranks.get(k - 1) {
+        let visited = table.iter().filter(|c| c.certified_by <= last);
+        for c in visited.take(k) {
+            heap.push(c.poi, c.dist, true);
+        }
+        return true;
+    }
+    // Every probed peer was visited: all certified rows, then the nearest
+    // of the rest as uncertain fill.
+    let certified = |c: &&Candidate| c.certified_by != Candidate::UNCERTIFIED;
+    for c in table.iter().filter(certified) {
+        heap.push(c.poi, c.dist, true);
+    }
+    let room = k - ranks.len();
+    for c in table.iter().filter(|c| !certified(c)).take(room) {
+        heap.push(c.poi, c.dist, false);
+    }
+    false
 }
 
 /// **Stage 2 — MultiVerify** (after [`single_verify`] fell short): merges
-/// the certain areas of all probed peers into the certain region `R_c` and
-/// certifies the table's candidates within its covered radius around the
-/// query (Lemma 3.8), ascending by distance. A radius this walk already
-/// computed — at another `k`, or for the cache extension — is reused.
-/// Returns true when the query is fully answered. The walk holds what it
-/// needs of `query` and `peers` since [`single_verify`]; `R_c` is built
-/// under `method` unless this walk built it already.
+/// the certain areas of all probed peers into the certain region `R_c`,
+/// built under `method`, and certifies the table's candidates within its
+/// covered radius around the query (Lemma 3.8), ascending by distance,
+/// until `H` holds `k` certain NNs (true) or they run out (false). The
+/// walk holds what it needs of `query` and `peers` since
+/// [`single_verify`].
 pub fn multi_verify<B: Borrow<CacheEntry>>(
     ctx: &mut QueryContext,
     query: Point,
@@ -407,8 +369,16 @@ pub fn multi_verify<B: Borrow<CacheEntry>>(
     method: RegionMethod,
 ) -> bool {
     let _ = (query, peers);
-    ctx.cert.method = method;
-    ctx.read_multi()
+    let QueryContext { heap, cert, .. } = ctx;
+    cert.method = method;
+    let r_cov = cert.r_cov(cert.farthest());
+    for c in cert.table.iter().take_while(|c| c.dist <= r_cov) {
+        heap.insert_certain(c.poi, c.dist);
+        if heap.is_certain_complete() {
+            return true;
+        }
+    }
+    false
 }
 
 /// What **Stage 3 — ServerResidual** produced.

@@ -10,10 +10,11 @@
 //! ServerResidual  residual server query with the pruning bounds (§3.3)
 //! ```
 //!
-//! The peer stages are one verification walk held by the
-//! [`QueryContext`]: [`SennEngine::query_peers_only_with`] probes and
-//! classifies the peers once, reads the answer at `k` and extends the
-//! cacheable set. What the walk proved stays in the context's
+//! The peer stages are one verification walk held by a caller-owned
+//! [`QueryContext`]: [`SennEngine::query_peers_only_with`] runs the
+//! stage functions of [`crate::pipeline`] on it in order, then extends
+//! the cacheable set; [`SennEngine::query_with`] adds the server stage.
+//! What the walk proved stays in the context's
 //! [`Certificate`](crate::pipeline::Certificate), which an SNNN
 //! expansion's range round reads (`SnnnExpansion::read_range`).
 
@@ -27,7 +28,9 @@ use senn_rtree::SearchBounds;
 use crate::bounds::bounds_from_heap;
 use crate::heap::{HeapEntry, HeapState};
 use crate::multiple::RegionMethod;
-use crate::pipeline::{merge_residual, peer_probe, residual_request, QueryContext};
+use crate::pipeline::{
+    merge_residual, multi_verify, peer_probe, residual_request, single_verify, QueryContext,
+};
 use crate::server::ServerResponse;
 use crate::service::{ReplyStatus, ServerRequest, SpatialService};
 use crate::trace::{QueryTrace, Stage};
@@ -101,7 +104,7 @@ impl SennOutcome {
 /// The SENN query engine (stateless; configuration only).
 ///
 /// ```
-/// use senn_core::{PeerCacheEntry, RTreeServer, SennEngine, Resolution};
+/// use senn_core::{PeerCacheEntry, QueryContext, RTreeServer, Resolution, SennEngine};
 /// use senn_geom::Point;
 ///
 /// let server = RTreeServer::new(vec![
@@ -115,7 +118,9 @@ impl SennOutcome {
 ///     vec![(1, Point::new(40.0, 0.0)), (0, Point::new(10.0, 0.0)), (2, Point::new(90.0, 0.0))],
 /// );
 /// let engine = SennEngine::default();
-/// let out = engine.query(Point::new(35.0, 0.0), 2, std::slice::from_ref(&peer), &server);
+/// // One context per worker, reused across its queries.
+/// let mut ctx = QueryContext::new();
+/// let out = engine.query_with(Point::new(35.0, 0.0), 2, &[peer], &server, &mut ctx);
 /// assert_eq!(out.resolution(), Resolution::SinglePeer);
 /// assert_eq!(out.results[0].poi.poi_id, 1);
 /// assert!(out.server_accesses().is_none());
@@ -136,28 +141,22 @@ impl SennEngine {
         &self.config
     }
 
-    /// Runs only the peer stages (PeerProbe → SingleVerify → MultiVerify,
-    /// then optionally accept an uncertain full heap). Returns
-    /// [`Resolution::Unresolved`] when the server would be needed.
+    /// Runs the peer stages of Algorithm 1 against a caller-owned
+    /// [`QueryContext`] (reused across queries, it keeps every buffer):
+    /// [`peer_probe`], [`single_verify`] and — when there are probed peers
+    /// and single-peer verification fell short — [`multi_verify`], each
+    /// under its stage timer; then optionally accept an uncertain full
+    /// heap. Returns [`Resolution::Unresolved`] when the server would be
+    /// needed.
+    ///
+    /// A peer-resolved, fully certain answer also carries the certain NNs
+    /// beyond `k` worth caching, up to the configured `server_fetch`
+    /// (cache capacity). The extension serves the *next* query's cache,
+    /// not this query's answer, and runs outside the four timed stages.
     ///
     /// Generic over the peer representation: pass `&[CacheEntry]` or
     /// `&[&CacheEntry]` — the latter lets batch drivers hand over borrowed
     /// cache snapshots without cloning an entry per query.
-    pub fn query_peers_only<B: Borrow<CacheEntry>>(
-        &self,
-        query: Point,
-        k: usize,
-        peers: &[B],
-    ) -> SennOutcome {
-        self.query_peers_only_with(query, k, peers, &mut QueryContext::new())
-    }
-
-    /// [`Self::query_peers_only`] against a caller-owned [`QueryContext`]
-    /// (the allocation-reusing batch entry point): a new walk, read at
-    /// `k`, plus — for a peer-resolved query — the certain NNs beyond `k`
-    /// worth caching, up to the configured `server_fetch` (cache
-    /// capacity). The extension serves the *next* query's cache, not this
-    /// query's answer, and runs outside the four timed stages.
     pub fn query_peers_only_with<B: Borrow<CacheEntry>>(
         &self,
         query: Point,
@@ -165,65 +164,25 @@ impl SennEngine {
         peers: &[B],
         ctx: &mut QueryContext,
     ) -> SennOutcome {
-        self.begin_walk(query, peers, ctx);
-        self.read_walk(k, ctx);
-        let mut outcome = self.take_outcome(ctx);
-        self.extend_cacheable(&mut outcome, ctx);
-        outcome
-    }
-
-    /// Fills `extra_certain` of the outcome just taken from `ctx`. Only a
-    /// fully-certain result set is a known prefix of the true ranking;
-    /// accepted-uncertain answers cannot be extended.
-    fn extend_cacheable(&self, outcome: &mut SennOutcome, ctx: &mut QueryContext) {
-        if outcome.resolution() != Resolution::Unresolved
-            && outcome.results.iter().all(|e| e.certain)
-        {
-            let limit = self
-                .config
-                .server_fetch
-                .saturating_sub(outcome.results.len());
-            outcome.extra_certain = ctx.cert.extend(&outcome.results, limit);
-        }
-    }
-
-    /// Starts the verification walk of `query` over `peers` in `ctx`:
-    /// PeerProbe, then the `k`-independent whole of SingleVerify (every
-    /// cached POI classified into the candidate table of the context's
-    /// certificate, `R_c` to be built under the configured region method).
-    /// The walk keeps nothing borrowed from `peers`; read it with
-    /// [`Self::read_walk`] at as many `k` as needed.
-    pub(crate) fn begin_walk<B: Borrow<CacheEntry>>(
-        &self,
-        query: Point,
-        peers: &[B],
-        ctx: &mut QueryContext,
-    ) {
-        ctx.restart();
+        let method = self.config.region_method;
+        ctx.begin(k);
+        // The cache extension and an SNNN range round read `R_c` too, also
+        // on walks where MultiVerify never runs.
+        ctx.cert.method = method;
         let started = Instant::now();
         peer_probe(ctx, query, peers);
         ctx.trace
             .record_stage(Stage::PeerProbe, started.elapsed().as_nanos() as u64);
         let started = Instant::now();
-        ctx.classify(query, peers, self.config.region_method);
+        let single = single_verify(ctx, query, peers);
         ctx.trace
             .record_stage(Stage::SingleVerify, started.elapsed().as_nanos() as u64);
-    }
-
-    /// Reads the walk in `ctx` at `k` (steps 1–5 of Algorithm 1): leaves
-    /// the answer in `ctx.heap`, appends the resolution — and a MultiVerify
-    /// stage record when single-peer verification fell short — to
-    /// `ctx.trace`, and returns the resolution
-    /// ([`Resolution::Unresolved`] when the server would be needed).
-    /// Reading at `k` after `k'` equals a fresh query at `k`, answer for
-    /// answer, and re-verifies nothing the walk has verified.
-    pub(crate) fn read_walk(&self, k: usize, ctx: &mut QueryContext) -> Resolution {
-        let resolution = if ctx.read_single(k) {
+        let resolution = if single {
             Resolution::SinglePeer
         } else {
             let multi = !ctx.order.is_empty() && {
                 let started = Instant::now();
-                let done = ctx.read_multi();
+                let done = multi_verify(ctx, query, peers, method);
                 ctx.trace
                     .record_stage(Stage::MultiVerify, started.elapsed().as_nanos() as u64);
                 done
@@ -237,43 +196,32 @@ impl SennEngine {
             }
         };
         ctx.trace.resolutions.push(resolution);
-        resolution
-    }
-
-    /// Packages the last [`Self::read_walk`] as a [`SennOutcome`] (answer
-    /// only: `extra_certain` is empty), taking the context's trace — so
-    /// the first outcome of a walk carries the stages that began it.
-    pub(crate) fn take_outcome(&self, ctx: &mut QueryContext) -> SennOutcome {
-        let unresolved = ctx.trace.resolutions.last() == Some(&Resolution::Unresolved);
+        let unresolved = resolution == Resolution::Unresolved;
+        let results = ctx.heap.entries().to_vec();
+        // Only a fully-certain result set is a known prefix of the true
+        // ranking; accepted-uncertain answers cannot be extended.
+        let extra_certain = if !unresolved && results.iter().all(|e| e.certain) {
+            let limit = self.config.server_fetch.saturating_sub(results.len());
+            ctx.cert.extend(&results, limit)
+        } else {
+            Vec::new()
+        };
         SennOutcome {
-            results: ctx.heap.entries().to_vec(),
-            extra_certain: Vec::new(),
+            results,
+            extra_certain,
             bounds: bounds_from_heap(&ctx.heap),
             heap_state: unresolved.then(|| ctx.heap.state()),
             trace: std::mem::take(&mut ctx.trace),
         }
     }
 
-    /// Runs the full Algorithm 1 against `server`.
-    ///
-    /// Generic over the peer representation (see [`Self::query_peers_only`]).
-    pub fn query<B: Borrow<CacheEntry>>(
-        &self,
-        query: Point,
-        k: usize,
-        peers: &[B],
-        server: &dyn SpatialService,
-    ) -> SennOutcome {
-        self.query_with(query, k, peers, server, &mut QueryContext::new())
-    }
-
-    /// [`Self::query`] against a caller-owned [`QueryContext`] (the
-    /// allocation-reusing batch entry point): the peer stages, then — when
-    /// they leave the query [`Resolution::Unresolved`] — the server stage
-    /// as a batch of one through the service seam, i.e. exactly the
-    /// [`Self::residual_request`] → `submit` → [`Self::complete_residual`]
-    /// path batch drivers run, with the round-trip inside the
-    /// [`Stage::ServerResidual`] timing.
+    /// Runs the full Algorithm 1 against `server` on a caller-owned
+    /// [`QueryContext`]: the peer stages ([`Self::query_peers_only_with`]),
+    /// then — when they leave the query [`Resolution::Unresolved`] — the
+    /// server stage as a batch of one through the service seam, i.e.
+    /// exactly the [`Self::residual_request`] → `submit` →
+    /// [`Self::complete_residual`] path the simulator's batches take, with
+    /// the round-trip inside the [`Stage::ServerResidual`] timing.
     pub fn query_with<B: Borrow<CacheEntry>>(
         &self,
         query: Point,
@@ -301,7 +249,7 @@ impl SennEngine {
     }
 
     /// Builds the [`ServerRequest`] that would complete an
-    /// [`Resolution::Unresolved`] outcome of [`Self::query_peers_only`] —
+    /// [`Resolution::Unresolved`] outcome of [`Self::query_peers_only_with`] —
     /// the deferred half of the server stage. Batch drivers collect one
     /// request per unresolved query, submit them through the retry client
     /// ([`crate::transport::AsyncClient`]), and finish each query with
@@ -326,7 +274,7 @@ impl SennEngine {
     /// Completes a deferred [`Resolution::Unresolved`] outcome with the
     /// service response for its [`Self::residual_request`]. Equivalent —
     /// result for result, trace for trace — to having called
-    /// [`Self::query`] directly (stage timing then covers only the merge;
+    /// [`Self::query_with`] directly (stage timing then covers only the merge;
     /// the service round-trip is the driver's to account).
     pub fn complete_residual(
         &self,
@@ -538,9 +486,12 @@ mod tests {
     }
 
     #[test]
-    fn resumed_walk_equals_fresh_query_answer_for_answer() {
+    fn the_walk_answers_as_the_heap_driven_stages() {
+        // Queries at k..=k+Δ on one reused context, each equal to the
+        // textbook stages restarted from nothing.
         const DELTA: usize = 4;
         let mut rng = Rng(0x7e5a11ed | 1);
+        let mut ctx = QueryContext::new();
         let (mut multi, mut unresolved, mut extended) = (0, 0, 0);
         for trial in 0..400 {
             let (q, peers, consistent) = walk_world(&mut rng);
@@ -554,33 +505,20 @@ mod tests {
                 accept_uncertain: trial % 5 == 0,
                 server_fetch: (trial % 3) * k,
             });
-            let mut walk = QueryContext::new();
-            let mut fresh_ctx = QueryContext::new();
             for kk in k..=k + DELTA {
-                let fresh = engine.query_peers_only_with(q, kk, &peers, &mut fresh_ctx);
-                let resumed = if kk == k {
-                    engine.query_peers_only_with(q, kk, &peers, &mut walk)
-                } else {
-                    engine.read_walk(kk, &mut walk);
-                    let mut outcome = engine.take_outcome(&mut walk);
-                    engine.extend_cacheable(&mut outcome, &mut walk);
-                    outcome
-                };
-                assert_eq!(answer(&resumed), answer(&fresh), "trial {trial} k {kk}");
+                let out = engine.query_peers_only_with(q, kk, &peers, &mut ctx);
                 if consistent {
                     assert_eq!(
-                        answer(&fresh),
+                        answer(&out),
                         staged_reference(*engine.config(), q, kk, &peers),
                         "trial {trial} k {kk}: walk vs heap-driven stages"
                     );
                 }
-                multi += (fresh.resolution() == Resolution::MultiPeer) as usize;
-                unresolved += (fresh.resolution() == Resolution::Unresolved) as usize;
-                extended += !fresh.extra_certain.is_empty() as usize;
+                assert!(ctx.cert.radius_computations <= 1, "trial {trial} k {kk}");
+                multi += (out.resolution() == Resolution::MultiPeer) as usize;
+                unresolved += (out.resolution() == Resolution::Unresolved) as usize;
+                extended += !out.extra_certain.is_empty() as usize;
             }
-            // The whole k..=k+Δ sequence builds `R_c` and computes its
-            // radius at most once.
-            assert!(walk.cert.radius_computations <= 1, "trial {trial}");
         }
         // The worlds reach every branch the walk has.
         assert!(multi > 20 && unresolved > 200 && extended > 100);
@@ -636,11 +574,10 @@ mod tests {
 
     #[test]
     fn a_walk_builds_one_region_and_computes_one_radius() {
-        // Reads at k..=k+Δ, the cache extension after each, then the
-        // range round's question at distances up to the farthest row:
+        // A query — MultiVerify and the cache extension included — then
+        // the range round's question at distances up to the farthest row:
         // `R_c` is built and its radius computed at most once, and every
         // answer is the per-distance Lemma 3.2 / 3.8 test's.
-        const DELTA: usize = 4;
         let mut rng = Rng(0x0ad1_05ed | 1);
         let mut walk = QueryContext::new();
         let mut computed = 0;
@@ -658,11 +595,6 @@ mod tests {
                 server_fetch: (trial % 3) * k,
             });
             engine.query_peers_only_with(q, k, &peers, &mut walk);
-            for kk in k + 1..=k + DELTA {
-                engine.read_walk(kk, &mut walk);
-                let mut outcome = engine.take_outcome(&mut walk);
-                engine.extend_cacheable(&mut outcome, &mut walk);
-            }
             let farthest = walk.cert.farthest();
             let probed: Vec<&CacheEntry> = walk.order.iter().map(|&i| &peers[i as usize]).collect();
             let mut region = crate::multiple::CertainRegion::build(&probed, method);
@@ -690,7 +622,12 @@ mod tests {
         ];
         let peer = honest_peer(Point::new(0.1, 0.0), &pois, 3);
         let engine = SennEngine::default();
-        let out = engine.query_peers_only(Point::new(0.0, 0.0), 2, std::slice::from_ref(&peer));
+        let out = engine.query_peers_only_with(
+            Point::new(0.0, 0.0),
+            2,
+            std::slice::from_ref(&peer),
+            &mut QueryContext::new(),
+        );
         assert_eq!(out.resolution(), Resolution::SinglePeer);
         assert_eq!(out.certain().len(), 2);
         assert_eq!(out.certain()[0].poi.poi_id, 0);
@@ -705,7 +642,7 @@ mod tests {
         let server = RTreeServer::new(pois.iter().enumerate().map(|(i, p)| (i as u64, *p)));
         let engine = SennEngine::default();
         let q = Point::new(20.2, 3.3);
-        let out = engine.query::<CacheEntry>(q, 5, &[], &server);
+        let out = engine.query_with::<CacheEntry>(q, 5, &[], &server, &mut QueryContext::new());
         assert_eq!(out.resolution(), Resolution::Server);
         assert!(out.bounds.is_none());
         assert!(out.server_accesses().unwrap() > 0);
@@ -729,7 +666,13 @@ mod tests {
         let q = Point::new(50.0, 50.0);
         let peer = honest_peer(Point::new(50.5, 50.2), &pois, 4);
         let engine = SennEngine::default();
-        let out = engine.query(q, 8, std::slice::from_ref(&peer), &server);
+        let out = engine.query_with(
+            q,
+            8,
+            std::slice::from_ref(&peer),
+            &server,
+            &mut QueryContext::new(),
+        );
         assert_eq!(out.resolution(), Resolution::Server);
         assert!(
             out.bounds.lower.is_some(),
@@ -752,7 +695,12 @@ mod tests {
             accept_uncertain: true,
             ..Default::default()
         });
-        let out = engine.query_peers_only(Point::ORIGIN, 2, std::slice::from_ref(&peer));
+        let out = engine.query_peers_only_with(
+            Point::ORIGIN,
+            2,
+            std::slice::from_ref(&peer),
+            &mut QueryContext::new(),
+        );
         assert_eq!(out.resolution(), Resolution::AcceptedUncertain);
         assert_eq!(out.results.len(), 2);
         assert!(out.results.iter().all(|e| !e.certain));
@@ -771,7 +719,7 @@ mod tests {
             ..Default::default()
         });
         let q = Point::new(25.0, 25.0);
-        let out = engine.query::<CacheEntry>(q, 3, &[], &server);
+        let out = engine.query_with::<CacheEntry>(q, 3, &[], &server, &mut QueryContext::new());
         assert_eq!(out.results.len(), 3);
         assert_eq!(out.extra_certain.len(), 7);
         assert_eq!(out.cacheable().len(), 10);
@@ -805,7 +753,7 @@ mod tests {
                 })
                 .collect();
             let engine = SennEngine::default();
-            let out = engine.query(q, k, &peers, &server);
+            let out = engine.query_with(q, k, &peers, &server, &mut QueryContext::new());
             let want = true_knn(&pois, q, k);
             assert_eq!(out.results.len(), k.min(n), "trial {trial}");
             for (r, (wd, _)) in out.results.iter().zip(&want) {
@@ -859,7 +807,7 @@ mod tests {
                 })
                 .collect();
             let shared_out = engine.query_with(q, k, &peers, &server, &mut shared);
-            let fresh_out = engine.query(q, k, &peers, &server);
+            let fresh_out = engine.query_with(q, k, &peers, &server, &mut QueryContext::new());
             assert_eq!(shared_out.results, fresh_out.results, "trial {trial}");
             assert_eq!(
                 shared_out.extra_certain, fresh_out.extra_certain,
@@ -905,9 +853,9 @@ mod tests {
                     honest_peer(loc, &pois, 1 + (rng.next() * 8.0) as usize)
                 })
                 .collect();
-            let direct = engine.query(q, k, &peers, &server);
+            let direct = engine.query_with(q, k, &peers, &server, &mut QueryContext::new());
 
-            let peers_only = engine.query_peers_only(q, k, &peers);
+            let peers_only = engine.query_peers_only_with(q, k, &peers, &mut QueryContext::new());
             let deferred = if peers_only.resolution() == Resolution::Unresolved {
                 let req = engine.residual_request(trial as u64, q, k, &peers_only);
                 let resp = server.knn_one(req.query, req.count, req.bounds);
@@ -945,7 +893,12 @@ mod tests {
     fn peers_with_empty_caches_are_ignored() {
         let empty = CacheEntry::new(Point::ORIGIN, vec![]);
         let engine = SennEngine::default();
-        let out = engine.query_peers_only(Point::new(1.0, 1.0), 2, std::slice::from_ref(&empty));
+        let out = engine.query_peers_only_with(
+            Point::new(1.0, 1.0),
+            2,
+            std::slice::from_ref(&empty),
+            &mut QueryContext::new(),
+        );
         assert_eq!(out.resolution(), Resolution::Unresolved);
         assert!(out.results.is_empty());
     }
@@ -960,7 +913,8 @@ mod tests {
         let p1 = honest_peer(Point::new(0.2, 0.0), &pois, 3);
         let p2 = honest_peer(Point::new(0.3, 0.1), &pois, 3);
         let engine = SennEngine::default();
-        let out = engine.query_peers_only(Point::ORIGIN, 3, &[p1, p2]);
+        let out =
+            engine.query_peers_only_with(Point::ORIGIN, 3, &[p1, p2], &mut QueryContext::new());
         let mut ids: Vec<u64> = out.results.iter().map(|e| e.poi.poi_id).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -989,7 +943,7 @@ mod tests {
         );
         let p4 = mk(Point::new(0.7, 0.0), &[(103, 1.0, -0.9), (104, 2.05, 0.0)]);
         let engine = SennEngine::default();
-        let out = engine.query_peers_only(q, 1, &[p3, p4]);
+        let out = engine.query_peers_only_with(q, 1, &[p3, p4], &mut QueryContext::new());
         assert_eq!(out.resolution(), Resolution::MultiPeer);
         assert_eq!(out.certain()[0].poi.poi_id, 100);
     }
@@ -1000,18 +954,25 @@ mod tests {
         let server = RTreeServer::new(pois.iter().enumerate().map(|(i, p)| (i as u64, *p)));
         let engine = SennEngine::default();
         // Server-bound query: probe + single ran, server residual ran.
-        let out = engine.query::<CacheEntry>(Point::new(5.5, 3.0), 3, &[], &server);
+        let out = engine.query_with::<CacheEntry>(
+            Point::new(5.5, 3.0),
+            3,
+            &[],
+            &server,
+            &mut QueryContext::new(),
+        );
         assert_eq!(out.trace.stage_calls[0], 1, "peer probe runs once");
         assert_eq!(out.trace.stage_calls[1], 1, "single verify runs once");
         assert_eq!(out.trace.stage_calls[2], 0, "no peers: multi skipped");
         assert_eq!(out.trace.stage_calls[3], 1, "server residual ran");
         // Peer-resolved query: no server stage.
         let peer = honest_peer(Point::new(5.0, 0.1), &pois, 6);
-        let out = engine.query(
+        let out = engine.query_with(
             Point::new(5.2, 0.0),
             2,
             std::slice::from_ref(&peer),
             &server,
+            &mut QueryContext::new(),
         );
         assert_eq!(out.resolution(), Resolution::SinglePeer);
         assert_eq!(out.trace.stage_calls[3], 0, "peer-resolved: no server");

@@ -22,6 +22,33 @@
 //! (`tests/expansion_pruning.rs` holds that loop as the reference). The
 //! [`crate::distance::Euclidean`] model collapses the driver to plain
 //! SENN.
+//!
+//! [`snnn_query_pruned_with`] runs it all on a caller-owned
+//! [`QueryContext`]; [`crate::distance::NeverPrune`] is the oracle that
+//! prunes nothing:
+//!
+//! ```
+//! use senn_core::{
+//!     snnn_query_pruned_with, Euclidean, NeverPrune, PeerCacheEntry, QueryContext, RTreeServer,
+//!     SennEngine, SnnnConfig,
+//! };
+//! use senn_geom::Point;
+//!
+//! let server = RTreeServer::new((0..5).map(|i| (i, Point::new(i as f64, 0.0))));
+//! let mut ctx = QueryContext::new();
+//! let out = snnn_query_pruned_with::<PeerCacheEntry, _, _>(
+//!     &SennEngine::default(),
+//!     Point::new(2.2, 0.0),
+//!     2,
+//!     &[],
+//!     &server,
+//!     &mut Euclidean,
+//!     &mut NeverPrune,
+//!     SnnnConfig::default(),
+//!     &mut ctx,
+//! );
+//! assert_eq!(out.results[0].poi.poi_id, 2);
+//! ```
 
 use std::borrow::Borrow;
 use std::time::Instant;
@@ -30,7 +57,7 @@ use senn_cache::{CacheEntry, CachedNn};
 use senn_geom::Point;
 use senn_rtree::SearchBounds;
 
-use crate::distance::{DistanceModel, LowerBoundOracle, NeverPrune};
+use crate::distance::{DistanceModel, LowerBoundOracle};
 use crate::pipeline::{residual_request, Certificate, QueryContext};
 use crate::senn::{SennEngine, SennOutcome};
 use crate::server::ServerResponse;
@@ -326,36 +353,11 @@ impl SnnnExpansion {
     }
 }
 
-/// Runs Algorithm 2 with a fresh [`QueryContext`] and no lower-bound
-/// oracle: every candidate is evaluated exactly. The no-frills form of
-/// [`snnn_query_pruned_with`].
-pub fn snnn_query<B: Borrow<CacheEntry>, M: DistanceModel>(
-    engine: &SennEngine,
-    query: Point,
-    k: usize,
-    peers: &[B],
-    server: &dyn SpatialService,
-    model: &mut M,
-    config: SnnnConfig,
-) -> SnnnOutcome {
-    snnn_query_pruned_with(
-        engine,
-        query,
-        k,
-        peers,
-        server,
-        model,
-        &mut NeverPrune,
-        config,
-        &mut QueryContext::new(),
-    )
-}
-
 /// Runs Algorithm 2 with bound-driven pruning against a caller-owned
-/// [`QueryContext`] (the allocation-reusing batch entry point): the SENN
-/// round, then one range round on its certificate — the walk's in `ctx`,
-/// or a server-resolved round's answer — with at most one server request:
-/// unanswered, it leaves the ranking unconfirmed.
+/// [`QueryContext`] (reused across queries, it keeps every buffer): the
+/// SENN round, then one range round on its certificate — the walk's in
+/// `ctx`, or a server-resolved round's answer — with at most one server
+/// request: unanswered, it leaves the ranking unconfirmed.
 ///
 /// `model` supplies the target metric; it must respect the Euclidean
 /// lower-bound property (see [`DistanceModel`]). `oracle` must lower-bound
@@ -408,7 +410,7 @@ pub fn snnn_query_pruned_with<B: Borrow<CacheEntry>, M: DistanceModel, O: LowerB
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::Euclidean;
+    use crate::distance::{Euclidean, NeverPrune};
     use crate::senn::SennConfig;
     use crate::server::RTreeServer;
 
@@ -429,6 +431,20 @@ mod tests {
         fn distance(&mut self, q: Point, p: Point) -> Option<f64> {
             Some((p.x - q.x).abs() + (p.y - q.y).abs())
         }
+    }
+
+    /// Algorithm 2 on a fresh context, every candidate evaluated exactly.
+    fn snnn<M: DistanceModel>(
+        engine: &SennEngine,
+        query: Point,
+        k: usize,
+        peers: &[CacheEntry],
+        server: &dyn SpatialService,
+        model: &mut M,
+        config: SnnnConfig,
+    ) -> SnnnOutcome {
+        let (oracle, ctx) = (&mut NeverPrune, &mut QueryContext::new());
+        snnn_query_pruned_with(engine, query, k, peers, server, model, oracle, config, ctx)
     }
 
     fn brute_network_knn(pois: &[Point], q: Point, k: usize) -> Vec<(f64, usize)> {
@@ -455,7 +471,7 @@ mod tests {
             let q = Point::new(rng.next() * 100.0, rng.next() * 100.0);
             let k = 1 + (rng.next() * 6.0) as usize;
             let engine = SennEngine::default();
-            let out = snnn_query::<CacheEntry, _>(
+            let out = snnn(
                 &engine,
                 q,
                 k,
@@ -479,7 +495,7 @@ mod tests {
     }
 
     /// The candidates Algorithm 2's incremental loop offers: round `i` a
-    /// whole fresh `SennEngine::query` at `k + i`, its `(k + i)`-th entry
+    /// whole SENN query at `k + i` on a fresh context, its `(k + i)`-th entry
     /// offered to the same state machine — the oracle of the range round's
     /// candidate stream.
     #[allow(clippy::too_many_arguments)]
@@ -493,7 +509,7 @@ mod tests {
         oracle: &mut O,
         config: SnnnConfig,
     ) -> SnnnExpansion {
-        let initial = engine.query(query, k, peers, server);
+        let initial = engine.query_with(query, k, peers, server, &mut QueryContext::new());
         let mut expansion =
             SnnnExpansion::begin(query, k, &initial.results, config.max_expansion, model);
         for e in &initial.results {
@@ -503,7 +519,11 @@ mod tests {
             if !expansion.needs_round() {
                 break;
             }
-            match engine.query(query, kk, peers, server).results.get(kk - 1) {
+            match engine
+                .query_with(query, kk, peers, server, &mut QueryContext::new())
+                .results
+                .get(kk - 1)
+            {
                 Some(e) => expansion.offer_pruned(e.poi, e.dist, model, oracle),
                 None => expansion.settle(),
             }
@@ -630,7 +650,7 @@ mod tests {
                 inner: &server,
                 log: Default::default(),
             };
-            let out = snnn_query::<CacheEntry, _>(
+            let out = snnn(
                 &SennEngine::default(),
                 q,
                 k,
@@ -682,7 +702,7 @@ mod tests {
                 Some(q.dist(p) * if p.x == 1.0 { 2.0 } else { 1.25 })
             }
         }
-        let out = snnn_query(
+        let out = snnn(
             &SennEngine::default(),
             Point::ORIGIN,
             1,
@@ -708,7 +728,7 @@ mod tests {
         let server = RTreeServer::new(pois.iter().enumerate().map(|(i, p)| (i as u64, *p)));
         let q = Point::new(10.0, 0.0);
         let engine = SennEngine::default();
-        let out = snnn_query::<CacheEntry, _>(
+        let out = snnn(
             &engine,
             q,
             3,
@@ -723,7 +743,7 @@ mod tests {
             assert!((r.network_dist - want).abs() < 1e-9);
         }
         // The SENN answer under the same engine agrees rank by rank.
-        let senn = engine.query::<CacheEntry>(q, 3, &[], &server);
+        let senn = engine.query_with::<CacheEntry>(q, 3, &[], &server, &mut QueryContext::new());
         for (s, r) in senn.results.iter().zip(&out.results) {
             assert_eq!(s.poi.poi_id, r.poi.poi_id);
         }
@@ -752,7 +772,7 @@ mod tests {
             }
         }
         let engine = SennEngine::default();
-        let out = snnn_query::<CacheEntry, _>(
+        let out = snnn(
             &engine,
             q,
             2,
@@ -789,7 +809,7 @@ mod tests {
                 })
             }
         }
-        let out = snnn_query::<CacheEntry, _>(
+        let out = snnn(
             &SennEngine::default(),
             Point::ORIGIN,
             2,
@@ -809,7 +829,7 @@ mod tests {
         let server = RTreeServer::new(pois.iter().enumerate().map(|(i, p)| (i as u64, *p)));
         let q = Point::ORIGIN;
         let engine = SennEngine::default();
-        let out = snnn_query::<CacheEntry, _>(
+        let out = snnn(
             &engine,
             q,
             5,
@@ -841,7 +861,7 @@ mod tests {
                 Some(q.dist(p) * 50.0 + 1000.0)
             }
         }
-        let capped = snnn_query::<CacheEntry, _>(
+        let capped = snnn(
             &engine,
             q,
             3,
@@ -851,7 +871,7 @@ mod tests {
             SnnnConfig { max_expansion: 1 },
         );
         assert!(capped.trace.cap_hit, "1-step cap must be reported");
-        let uncapped = snnn_query::<CacheEntry, _>(
+        let uncapped = snnn(
             &engine,
             q,
             3,
@@ -889,7 +909,7 @@ mod tests {
                 .collect(),
         );
         let engine = SennEngine::new(SennConfig::default());
-        let out = snnn_query(
+        let out = snnn(
             &engine,
             q,
             3,

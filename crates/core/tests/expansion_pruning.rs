@@ -26,10 +26,10 @@
 //!   model cannot reach.
 
 use proptest::prelude::*;
-use senn_core::distance::{DistanceModel, EuclideanBound, LowerBoundOracle};
+use senn_core::distance::{DistanceModel, EuclideanBound, LowerBoundOracle, NeverPrune};
 use senn_core::{
-    snnn_query, snnn_query_pruned_with, CachedNn, PeerCacheEntry, QueryContext, RTreeServer,
-    SennEngine, SnnnConfig, SnnnOutcome,
+    snnn_query_pruned_with, CachedNn, PeerCacheEntry, QueryContext, RTreeServer, SennEngine,
+    SnnnConfig, SnnnOutcome,
 };
 use senn_geom::Point;
 use senn_network::{
@@ -240,14 +240,16 @@ fn run_unpruned(case: &Case) -> SnnnOutcome {
     let server = RTreeServer::new(case.pois.clone());
     let engine = SennEngine::default();
     let mut model = indexes.model(case);
-    snnn_query::<PeerCacheEntry, _>(
+    snnn_query_pruned_with::<PeerCacheEntry, _, _>(
         &engine,
         case.q,
         case.k,
         &[],
         &server,
         &mut model,
+        &mut NeverPrune,
         SnnnConfig::default(),
+        &mut QueryContext::new(),
     )
 }
 
@@ -414,7 +416,7 @@ fn incremental_reference<M: DistanceModel, O: LowerBoundOracle>(
 ) -> Verdict {
     let network =
         |model: &mut M, poi: &CachedNn| model.distance(q, poi.position).unwrap_or(f64::INFINITY);
-    let initial = engine.query(q, k, peers, server);
+    let initial = engine.query_with(q, k, peers, server, &mut QueryContext::new());
     let mut ranked: Vec<(f64, u64)> = initial
         .results
         .iter()
@@ -429,7 +431,9 @@ fn incremental_reference<M: DistanceModel, O: LowerBoundOracle>(
         }
         let target = k + round;
         let s_bound = ranked[k - 1].0;
-        let results = engine.query(q, target, peers, server).results;
+        let results = engine
+            .query_with(q, target, peers, server, &mut QueryContext::new())
+            .results;
         let Some(next) = results.get(target - 1) else {
             confirmed = true; // the world has no more POIs
             break;

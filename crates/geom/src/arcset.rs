@@ -155,11 +155,6 @@ impl ArcSet {
     pub fn has_span_longer_than(&self, eps: f64) -> bool {
         longer_than(self.spans().iter().copied(), eps)
     }
-
-    /// An angle inside the widest remaining arc, if any.
-    pub fn witness(&self) -> Option<f64> {
-        self.set.longest_span_midpoint()
-    }
 }
 
 /// Adds `[a, b]` to `set` (helper: `IntervalSet` only supports subtraction,
@@ -248,8 +243,6 @@ mod tests {
         let mut a = ArcSet::from_arc(1.5, 0.5);
         a.subtract_arc(0.25, 1.25); // covers [2π-1, 2π) ∪ [0, 1.5]
         assert!((a.total_len() - 0.5).abs() < 1e-12);
-        let w = a.witness().unwrap();
-        assert!(w > 1.5 && w < 2.0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! One-dimensional interval sets on a line parameter.
 //!
-//! The union boundary of [`crate::region::PolygonRegion`] is computed per
-//! polygon edge: start from the edge's whole parameter interval and
+//! [`crate::region::PolygonRegion`]'s covered radius works per polygon
+//! edge: start from the window of the edge within reach of the centre and
 //! *subtract* the sub-intervals covered by the other polygons. Whatever
-//! survives is exposed boundary of the union — inside a candidate circle,
-//! a witness that the circle is not covered. [`crate::region::DiskRegion`]
-//! does the same per disk on `[0, 2π]`, through [`crate::arcset::ArcSet`].
+//! survives is exposed boundary of the union, and the nearest piece bounds
+//! the radius. [`crate::region::DiskRegion`] does the same per disk on
+//! `[0, 2π]`, through [`crate::arcset::ArcSet`].
 
 /// A set of disjoint, sorted, closed intervals `[lo, hi]` on the real line.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -119,14 +119,6 @@ impl IntervalSet {
     pub fn has_span_longer_than(&self, eps: f64) -> bool {
         self.spans.iter().any(|(lo, hi)| hi - lo > eps)
     }
-
-    /// Midpoint of the longest remaining interval, if any.
-    pub fn longest_span_midpoint(&self) -> Option<f64> {
-        self.spans
-            .iter()
-            .max_by(|a, b| (a.1 - a.0).total_cmp(&(b.1 - b.0)))
-            .map(|(lo, hi)| (lo + hi) * 0.5)
-    }
 }
 
 #[cfg(test)]
@@ -210,23 +202,5 @@ mod tests {
                 assert_eq!(bits(&in_place), bits(&rebuilt), "after [{lo}, {hi}]");
             }
         }
-    }
-
-    #[test]
-    fn longest_span_midpoint_survives_a_nan_length() {
-        // `inf - inf` is NaN; the comparison used to abort on it
-        // (`partial_cmp(..).unwrap()`).
-        let s = IntervalSet {
-            spans: vec![(0.0, 1.0), (f64::INFINITY, f64::INFINITY)],
-        };
-        assert!(s.longest_span_midpoint().is_some());
-    }
-
-    #[test]
-    fn longest_span_midpoint() {
-        let mut s = IntervalSet::single(0.0, 10.0);
-        s.subtract(1.0, 2.0); // leaves [0,1] and [2,10]
-        assert_eq!(s.longest_span_midpoint(), Some(6.0));
-        assert_eq!(IntervalSet::new().longest_span_midpoint(), None);
     }
 }

@@ -24,10 +24,10 @@
 //! * [`PolygonRegion`] — `R_c` as the paper builds it. The paper merges
 //!   polygons with the MapOverlay algorithm; we answer the only query the
 //!   verification needs (`how far around this centre is the region
-//!   covered?`) against the union's boundary, computed per polygon edge
-//!   where the answer needs it: exactly the overlay pieces the query
-//!   consumes. See `DESIGN.md` §2 for the substitution argument. It
-//!   certifies a subset of what [`DiskRegion`] does and is kept as the
+//!   covered?`) by subtracting, from each polygon edge's window within
+//!   reach of the centre, the other polygons that cover it. No merged
+//!   boundary is built. See `DESIGN.md` §2 for the substitution argument.
+//!   It certifies a subset of what [`DiskRegion`] does and is kept as the
 //!   paper-fidelity arm of the ablation.
 //!
 //! All coordinates are `f64`. The crate is `no_std`-agnostic in spirit but

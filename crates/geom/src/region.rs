@@ -11,10 +11,11 @@
 //!   inscribed regular polygons (a conservative under-approximation) and
 //!   coverage is answered against their union: a disk `D` is covered by a
 //!   union `U` of convex polygons iff `center(D) ∈ U` and no point of `∂U`
-//!   lies in the open disk `int(D)`. `∂U` is exactly the sub-segments of
-//!   polygon edges not covered by any *other* polygon, which we compute
-//!   with 1-D interval subtraction per edge — the same boundary pieces a
-//!   MapOverlay pass would produce, without maintaining a DCEL.
+//!   lies in the open disk `int(D)`. `∂U` is the sub-segments of polygon
+//!   edges not covered by any *other* polygon; the covered radius finds
+//!   the ones it needs by 1-D interval subtraction over each edge's window
+//!   within reach of the centre, so no merged boundary (the paper's
+//!   MapOverlay output) is ever built.
 //! * [`DiskRegion`] — an exact test on the original disks via the arc
 //!   arrangement: the circles the lemma is stated on, and the region
 //!   queries run against.
@@ -133,68 +134,6 @@ impl PolygonRegion {
             .iter()
             .zip(&self.bounds)
             .any(|(poly, bb)| bb.contains_point(p) && poly.contains_point(p, EPS))
-    }
-
-    /// The exposed boundary of the union: the sub-segments of polygon
-    /// edges not covered by any other polygon, each oriented as its source
-    /// edge (counter-clockwise around the union). This is exactly the
-    /// boundary a MapOverlay merge would output, as a segment soup.
-    pub fn union_boundary(&self) -> Vec<Segment> {
-        let mut out = Vec::new();
-        for (i, poly) in self.polygons.iter().enumerate() {
-            for seg in poly.edges() {
-                let seg_len = seg.len();
-                if seg_len <= EPS {
-                    continue;
-                }
-                let mut exposed = IntervalSet::single(0.0, 1.0);
-                for (j, other) in self.polygons.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
-                    let Some((t0, t1)) = other.clip_segment(&seg) else {
-                        continue;
-                    };
-                    if j < i {
-                        // Lower-indexed polygon wins boundary-shared
-                        // pieces: subtract the whole covered interval.
-                        exposed.subtract(t0, t1);
-                    } else {
-                        // Keep sub-intervals where the segment runs along
-                        // j's boundary (collinear shared edges) so each
-                        // shared piece is emitted exactly once.
-                        let mut covered = IntervalSet::single(t0, t1);
-                        for (s0, s1) in collinear_overlaps(&seg, other) {
-                            covered.subtract(s0, s1);
-                        }
-                        for &(c0, c1) in covered.spans() {
-                            exposed.subtract(c0, c1);
-                        }
-                    }
-                    if exposed.is_empty() {
-                        break;
-                    }
-                }
-                for &(t0, t1) in exposed.spans() {
-                    if (t1 - t0) * seg_len > EPS {
-                        out.push(Segment::new(seg.at(t0), seg.at(t1)));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Area of the union, via Green's theorem over the oriented exposed
-    /// boundary (`½ Σ (a × b)` over the boundary segments). Exact up to
-    /// floating point for any arrangement of the member polygons —
-    /// overlapping, nested or disjoint.
-    pub fn union_area(&self) -> f64 {
-        self.union_boundary()
-            .iter()
-            .map(|s| s.a.cross(s.b))
-            .sum::<f64>()
-            * 0.5
     }
 
     /// True when the closed disk bounded by `circle` is fully covered by the
@@ -446,31 +385,6 @@ fn subtract_coverage(arc: &mut ArcSet, di: &Circle, dj: &Circle) {
     let half = cos_b.clamp(-1.0, 1.0).acos();
     let toward = (dj.center - di.center).angle();
     arc.subtract_arc(toward, half);
-}
-
-/// Parameter intervals of `seg` that lie along (collinear with) some edge
-/// of `poly`.
-fn collinear_overlaps(seg: &Segment, poly: &ConvexPolygon) -> Vec<(f64, f64)> {
-    use crate::point::orient;
-    let mut out = Vec::new();
-    let len = seg.len().max(f64::MIN_POSITIVE);
-    for e in poly.edges() {
-        let elen = e.len().max(f64::MIN_POSITIVE);
-        // Collinear iff both endpoints of `seg` sit on e's carrier line.
-        let d0 = orient(e.a, e.b, seg.a).abs() / elen;
-        let d1 = orient(e.a, e.b, seg.b).abs() / elen;
-        if d0 > EPS || d1 > EPS {
-            continue;
-        }
-        let ta = seg.project(e.a);
-        let tb = seg.project(e.b);
-        let (lo, hi) = if ta <= tb { (ta, tb) } else { (tb, ta) };
-        let (lo, hi) = (lo.max(0.0), hi.min(1.0));
-        if hi - lo > EPS / len {
-            out.push((lo, hi));
-        }
-    }
-    out
 }
 
 /// The disks a region is built from: `circles` without those that bound
@@ -731,88 +645,6 @@ mod tests {
         let mut region = PolygonRegion::from_circles(&[c(0.0, 0.0, 0.0)], 24);
         assert!(region.is_empty());
         assert!(!region.covers_circle(&c(0.0, 0.0, 0.0)));
-    }
-
-    #[test]
-    fn union_area_disjoint_is_sum() {
-        let squares = vec![
-            ConvexPolygon::new(vec![
-                Point::new(0.0, 0.0),
-                Point::new(1.0, 0.0),
-                Point::new(1.0, 1.0),
-                Point::new(0.0, 1.0),
-            ])
-            .unwrap(),
-            ConvexPolygon::new(vec![
-                Point::new(5.0, 0.0),
-                Point::new(7.0, 0.0),
-                Point::new(7.0, 2.0),
-                Point::new(5.0, 2.0),
-            ])
-            .unwrap(),
-        ];
-        let region = PolygonRegion::from_polygons(squares);
-        assert!((region.union_area() - 5.0).abs() < 1e-9);
-        assert_eq!(region.union_boundary().len(), 8);
-    }
-
-    #[test]
-    fn union_area_overlap_matches_inclusion_exclusion() {
-        // Two unit squares overlapping in a 0.5x1 strip: union = 1.5.
-        let a = ConvexPolygon::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(0.0, 1.0),
-        ])
-        .unwrap();
-        let b = ConvexPolygon::new(vec![
-            Point::new(0.5, 0.0),
-            Point::new(1.5, 0.0),
-            Point::new(1.5, 1.0),
-            Point::new(0.5, 1.0),
-        ])
-        .unwrap();
-        let region = PolygonRegion::from_polygons(vec![a, b]);
-        assert!(
-            (region.union_area() - 1.5).abs() < 1e-9,
-            "got {}",
-            region.union_area()
-        );
-    }
-
-    #[test]
-    fn union_area_nested_is_outer() {
-        let outer = ConvexPolygon::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(4.0, 0.0),
-            Point::new(4.0, 4.0),
-            Point::new(0.0, 4.0),
-        ])
-        .unwrap();
-        let inner = ConvexPolygon::new(vec![
-            Point::new(1.0, 1.0),
-            Point::new(2.0, 1.0),
-            Point::new(2.0, 2.0),
-            Point::new(1.0, 2.0),
-        ])
-        .unwrap();
-        let region = PolygonRegion::from_polygons(vec![outer, inner]);
-        assert!((region.union_area() - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn union_area_of_polygonized_disks_approaches_disk_area() {
-        // Two far-apart disks: union area ≈ sum of disk areas, scaled by
-        // the inscribed-polygon factor.
-        let circles = [c(0.0, 0.0, 1.0), c(10.0, 0.0, 2.0)];
-        let region = PolygonRegion::from_circles(&circles, 64);
-        let expected: f64 = circles.iter().map(|d| d.area()).sum();
-        let got = region.union_area();
-        assert!(
-            (got - expected).abs() / expected < 0.01,
-            "union {got} vs disks {expected}"
-        );
     }
 
     // ---------- the covered radius ----------

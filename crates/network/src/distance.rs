@@ -15,7 +15,7 @@
 //!   full graph search; the anchor's label is scattered once and every
 //!   candidate reads only its own.
 //!
-//! Plugged into `senn_core::snnn_query`, these models turn the generic
+//! Plugged into `senn_core::snnn_query_pruned_with`, these models turn the generic
 //! IER driver into Algorithm 2 proper; the Euclidean lower-bound property
 //! the driver relies on holds because every edge of the modeling graph is
 //! at least as long as the straight line between its endpoints.
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn an_unpruned_ch_candidate_costs_one_ch_query() {
         use senn_core::{
-            snnn_query, snnn_query_pruned_with, EuclideanBound, PeerCacheEntry, QueryContext,
+            snnn_query_pruned_with, EuclideanBound, NeverPrune, PeerCacheEntry, QueryContext,
             RTreeServer, SennEngine, SnnnConfig,
         };
         let net = generate_network(&GeneratorConfig::city(3000.0, 12));
@@ -360,14 +360,16 @@ mod tests {
             assert_eq!(queries, k as u64 + lb_evals - saved, "query {i}");
             unpruned += lb_evals - saved;
             let mut plain = ChDistance::new(&net, &locator, &index, q).unwrap();
-            let want = snnn_query::<PeerCacheEntry, _>(
+            let want = snnn_query_pruned_with::<PeerCacheEntry, _, _>(
                 &engine,
                 q,
                 k,
                 &[],
                 &server,
                 &mut plain,
+                &mut NeverPrune,
                 SnnnConfig::default(),
+                &mut QueryContext::new(),
             );
             let ids = |o: &senn_core::SnnnOutcome| -> Vec<(u64, u64)> {
                 o.results

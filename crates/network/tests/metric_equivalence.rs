@@ -29,7 +29,9 @@
 
 use proptest::prelude::*;
 use senn_core::distance::{DistanceModel, LowerBoundOracle};
-use senn_core::{snnn_query, RTreeServer, SennEngine, SnnnConfig};
+use senn_core::{
+    snnn_query_pruned_with, NeverPrune, QueryContext, RTreeServer, SennEngine, SnnnConfig,
+};
 use senn_geom::Point;
 use senn_network::{
     astar_distance, astar_path, counting_alt, counting_astar, counting_ch, counting_dijkstra,
@@ -206,12 +208,8 @@ proptest! {
         let engine = SennEngine::default();
         let mut astar = NetworkDistance::new(&net, &locator, q).unwrap();
         let mut ch = ChDistance::new(&net, &locator, &index, q).unwrap();
-        let a = snnn_query::<senn_core::PeerCacheEntry, _>(
-            &engine, q, k, &[], &server, &mut astar, SnnnConfig::default(),
-        );
-        let b = snnn_query::<senn_core::PeerCacheEntry, _>(
-            &engine, q, k, &[], &server, &mut ch, SnnnConfig::default(),
-        );
+        let a = snnn_query_pruned_with::<senn_core::PeerCacheEntry, _, _>(&engine, q, k, &[], &server, &mut astar, &mut NeverPrune, SnnnConfig::default(), &mut QueryContext::new());
+        let b = snnn_query_pruned_with::<senn_core::PeerCacheEntry, _, _>(&engine, q, k, &[], &server, &mut ch, &mut NeverPrune, SnnnConfig::default(), &mut QueryContext::new());
         prop_assert_eq!(a.results.len(), b.results.len());
         for (x, y) in a.results.iter().zip(&b.results) {
             prop_assert_eq!(x.poi.poi_id, y.poi.poi_id);

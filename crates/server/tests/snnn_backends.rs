@@ -5,7 +5,10 @@
 //! network-mode counterpart of the golden sharded-equivalence suite.
 
 use senn_core::service::SpatialService;
-use senn_core::{snnn_query, PeerCacheEntry, RTreeServer, SennEngine, SnnnConfig, SnnnNeighbor};
+use senn_core::{
+    snnn_query_pruned_with, NeverPrune, PeerCacheEntry, QueryContext, RTreeServer, SennEngine,
+    SnnnConfig, SnnnNeighbor,
+};
 use senn_geom::Point;
 use senn_network::{
     generate_network, ChDistance, ChIndex, GeneratorConfig, NetworkDistance, NodeLocator,
@@ -33,14 +36,16 @@ fn snnn_over(
         .iter()
         .map(|&(q, k)| {
             let mut model = NetworkDistance::new(net, locator, q).unwrap();
-            snnn_query::<PeerCacheEntry, _>(
+            snnn_query_pruned_with::<PeerCacheEntry, _, _>(
                 &engine,
                 q,
                 k,
                 &[],
                 server,
                 &mut model,
+                &mut NeverPrune,
                 SnnnConfig::default(),
+                &mut QueryContext::new(),
             )
             .results
         })
@@ -101,14 +106,16 @@ fn snnn_result_sets_are_backend_invariant() {
     let engine = SennEngine::default();
     for (qi, &(q, k)) in queries.iter().enumerate() {
         let mut ch = ChDistance::new(&net, &locator, &index, q).unwrap();
-        let out = snnn_query::<PeerCacheEntry, _>(
+        let out = snnn_query_pruned_with::<PeerCacheEntry, _, _>(
             &engine,
             q,
             k,
             &[],
             &svc,
             &mut ch,
+            &mut NeverPrune,
             SnnnConfig::default(),
+            &mut QueryContext::new(),
         );
         for (w, h) in golden[qi].iter().zip(&out.results) {
             assert_eq!(w.poi.poi_id, h.poi.poi_id, "query {qi}: CH diverged");

@@ -99,8 +99,8 @@ impl Simulator {
                 self.metrics.uncertain_inflation_sum += outcome.uncertain_inflation;
             }
             Resolution::Server | Resolution::Unresolved => {
-                if let Some(idx) = outcome.heap_state_idx {
-                    self.metrics.heap_states[idx] += 1;
+                if let Some(state) = pending.outcome.heap_state {
+                    self.metrics.record_heap_state(state);
                 }
                 self.metrics.einn_accesses += outcome.einn_accesses;
                 if let Some(inn) = outcome.inn_accesses {

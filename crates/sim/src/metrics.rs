@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use senn_core::{QueryTrace, Resolution};
+use senn_core::{HeapState, QueryTrace, Resolution};
 
 /// Latency cost model for the paper's "improving access latency" claim.
 ///
@@ -170,6 +170,20 @@ impl Metrics {
         self.model_evals_saved += trace.model_evals_saved;
     }
 
+    /// Counts a server-bound query's heap state in
+    /// [`Metrics::heap_states`]: State `n` of Section 3.3 at index `n - 1`.
+    pub(crate) fn record_heap_state(&mut self, state: HeapState) {
+        let index = match state {
+            HeapState::FullMixed => 0,
+            HeapState::FullUncertain => 1,
+            HeapState::PartialMixed => 2,
+            HeapState::PartialCertain => 3,
+            HeapState::PartialUncertain => 4,
+            HeapState::Empty => 5,
+        };
+        self.heap_states[index] += 1;
+    }
+
     /// SQRR: fraction of queries hitting the server, in `[0, 1]`.
     pub fn sqrr(&self) -> f64 {
         ratio(self.server, self.queries)
@@ -187,22 +201,22 @@ impl Metrics {
 
     /// Mean EINN node accesses per server-bound query.
     pub fn einn_pages_per_query(&self) -> f64 {
-        ratio_f(self.einn_accesses, self.server)
+        ratio(self.einn_accesses, self.server)
     }
 
     /// Mean INN node accesses per server-bound query.
     pub fn inn_pages_per_query(&self) -> f64 {
-        ratio_f(self.inn_accesses, self.server)
+        ratio(self.inn_accesses, self.server)
     }
 
     /// Mean peer cache entries received per query (P2P message overhead).
     pub fn peer_entries_per_query(&self) -> f64 {
-        ratio_f(self.peer_entries_received, self.queries)
+        ratio(self.peer_entries_received, self.queries)
     }
 
     /// Mean cached NN records received per query (P2P payload overhead).
     pub fn peer_records_per_query(&self) -> f64 {
-        ratio_f(self.peer_records_received, self.queries)
+        ratio(self.peer_records_received, self.queries)
     }
 
     /// Mean query latency (ms) under a cost model: every query pays the
@@ -287,14 +301,6 @@ impl Metrics {
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
-
-fn ratio_f(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
     } else {

@@ -119,18 +119,17 @@ impl QueryTask {
 }
 
 /// The measurement-only observations of one finished query — everything
-/// that needs world ground truth (grading, heap states, the EINN/INN
-/// shadow) or the frozen snapshot time (the cache entry). The merge fold
-/// reads it beside the query's [`PendingQuery`], whose kernel
-/// `QueryTrace` travels whole: attribution, server accounting (retry
-/// and degradation dispositions included), the expansion-cap flag and the
-/// per-stage timings all come from it.
+/// that needs world ground truth (grading, the EINN/INN shadow) or the
+/// frozen snapshot time (the cache entry). The merge fold reads it beside
+/// the query's [`PendingQuery`], whose kernel `QueryTrace` travels whole:
+/// attribution, heap state, server accounting (retry and degradation
+/// dispositions included), the expansion-cap flag and the per-stage
+/// timings all come from it.
 pub(crate) struct Measured {
     pub(crate) graded: bool,
     pub(crate) wrong: bool,
     pub(crate) uncertain_exact: bool,
     pub(crate) uncertain_inflation: f64,
-    pub(crate) heap_state_idx: Option<usize>,
     pub(crate) einn_accesses: u64,
     pub(crate) inn_accesses: Option<u64>,
     pub(crate) cache_entry: Option<CacheEntry>,
@@ -436,7 +435,6 @@ impl Simulator {
 
         let mut uncertain_exact = false;
         let mut uncertain_inflation = 0.0;
-        let mut heap_state_idx = None;
         let mut einn_accesses = 0;
         let mut inn_accesses = None;
         match outcome.resolution() {
@@ -453,17 +451,6 @@ impl Simulator {
                 }
             }
             Resolution::Server | Resolution::Unresolved => {
-                heap_state_idx = outcome.heap_state.map(|state| {
-                    use senn_core::HeapState;
-                    match state {
-                        HeapState::FullMixed => 0,
-                        HeapState::FullUncertain => 1,
-                        HeapState::PartialMixed => 2,
-                        HeapState::PartialCertain => 3,
-                        HeapState::PartialUncertain => 4,
-                        HeapState::Empty => 5,
-                    }
-                });
                 // PAR measurement (Section 4.4): "the server module executes
                 // both the original INN algorithm and our extended INN
                 // algorithm (EINN) to compare the performance". Both run on
@@ -496,7 +483,6 @@ impl Simulator {
             wrong,
             uncertain_exact,
             uncertain_inflation,
-            heap_state_idx,
             einn_accesses,
             inn_accesses,
             cache_entry,

@@ -102,6 +102,13 @@ pub enum SimConfigError {
     /// An overlapped transport was configured with a window of zero —
     /// the uplink could never dispatch.
     InvalidWindow,
+    /// `server_shards` is zero: there would be no service to answer.
+    ZeroServerShards,
+    /// `params.mh_number` is zero: no host would ever issue a query.
+    NoHosts,
+    /// `warmup_frac` lies outside `[0, 1)` (or is NaN): nothing, or a
+    /// negative span, would be measured.
+    InvalidWarmup,
 }
 
 impl std::fmt::Display for SimConfigError {
@@ -127,6 +134,13 @@ impl std::fmt::Display for SimConfigError {
                 "the overlapped transport needs a window of at least one \
                  request (TransportPolicy::window)"
             ),
+            SimConfigError::ZeroServerShards => {
+                write!(f, "the service needs at least one shard (server_shards)")
+            }
+            SimConfigError::NoHosts => {
+                write!(f, "the world needs at least one host (mh_number)")
+            }
+            SimConfigError::InvalidWarmup => write!(f, "warmup_frac must lie in [0, 1)"),
         }
     }
 }
@@ -264,11 +278,20 @@ impl SimConfig {
         }
     }
 
-    /// Checks cross-field invariants — the combinations
+    /// Checks the knobs and their cross-field invariants — the configs
     /// [`SimConfigBuilder::try_build`] rejects. [`Simulator::new`] calls
     /// this, so an invalid hand-assembled config fails fast with the same
     /// typed reason.
     pub fn validate(&self) -> Result<(), SimConfigError> {
+        if self.server_shards == 0 {
+            return Err(SimConfigError::ZeroServerShards);
+        }
+        if self.params.mh_number == 0 {
+            return Err(SimConfigError::NoHosts);
+        }
+        if !(0.0..1.0).contains(&self.warmup_frac) {
+            return Err(SimConfigError::InvalidWarmup);
+        }
         if self.distance_model.is_some() {
             if self.mode != MovementMode::RoadNetwork {
                 return Err(SimConfigError::NetworkModelWithoutRoadNetwork);
@@ -308,16 +331,14 @@ impl Default for SimConfig {
     }
 }
 
-/// Fluent construction of a [`SimConfig`] — new knobs (like the service
-/// backend and retry policy) get a builder method instead of breaking
-/// every struct-literal call site. Every method overrides one field;
-/// everything not set keeps the [`SimConfig::default`] value.
+/// Fluent construction of a [`SimConfig`]. Every method overrides one
+/// field; everything not set keeps the [`SimConfig::default`] value.
+/// Fields without a method are set by assignment.
 ///
 /// ```
 /// use senn_sim::SimConfig;
 ///
 /// let cfg = SimConfig::builder()
-///     .seed(7)
 ///     .threads(2)
 ///     .server_shards(4)
 ///     .build();
@@ -330,75 +351,15 @@ pub struct SimConfigBuilder {
 }
 
 impl SimConfigBuilder {
-    /// Table 3/4 parameter set.
-    pub fn params(mut self, params: SimParams) -> Self {
-        self.config.params = params;
-        self
-    }
-
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
     /// Road-network or free movement.
     pub fn mode(mut self, mode: MovementMode) -> Self {
         self.config.mode = mode;
         self
     }
 
-    /// Fraction of `T_execution` discarded as warm-up.
-    pub fn warmup_frac(mut self, frac: f64) -> Self {
-        self.config.warmup_frac = frac;
-        self
-    }
-
-    /// Mean spacing of query batches, seconds.
-    pub fn mean_interval_secs(mut self, secs: f64) -> Self {
-        self.config.mean_interval_secs = secs;
-        self
-    }
-
-    /// Certain-region representation used by `kNN_multiple`.
-    pub fn region_method(mut self, method: RegionMethod) -> Self {
-        self.config.region_method = method;
-        self
-    }
-
-    /// How each query's `k` is drawn.
-    pub fn k_choice(mut self, choice: KChoice) -> Self {
-        self.config.k_choice = choice;
-        self
-    }
-
-    /// Whether to run the baseline INN shadow for the PAR comparison.
-    pub fn compare_inn(mut self, on: bool) -> Self {
-        self.config.compare_inn = on;
-        self
-    }
-
-    /// Host-side cache policy.
-    pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.config.cache_policy = policy;
-        self
-    }
-
     /// Accept a full heap of uncertain answers instead of the server.
     pub fn accept_uncertain(mut self, on: bool) -> Self {
         self.config.accept_uncertain = on;
-        self
-    }
-
-    /// Expected POI relocations per simulated hour.
-    pub fn poi_churn_per_hour(mut self, per_hour: f64) -> Self {
-        self.config.poi_churn_per_hour = per_hour;
-        self
-    }
-
-    /// Time-to-live for cached entries (`None` disables invalidation).
-    pub fn cache_ttl_secs(mut self, ttl: Option<f64>) -> Self {
-        self.config.cache_ttl_secs = ttl;
         self
     }
 
@@ -410,7 +371,6 @@ impl SimConfigBuilder {
 
     /// Shard count of the residual-query service backend (≥ 1).
     pub fn server_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "the service needs at least one shard");
         self.config.server_shards = shards;
         self
     }
@@ -418,12 +378,6 @@ impl SimConfigBuilder {
     /// Seeded fault injection on the service seam.
     pub fn fault(mut self, fault: FaultConfig) -> Self {
         self.config.fault = Some(fault);
-        self
-    }
-
-    /// Client-side retry/backoff/degradation policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
         self
     }
 
@@ -694,11 +648,6 @@ impl Simulator {
             .validate()
             .expect("invalid SimConfig (use SimConfigBuilder::try_build to handle the error)");
         let params = &config.params;
-        assert!(params.mh_number >= 1, "need at least one host");
-        assert!(
-            (0.0..1.0).contains(&config.warmup_frac),
-            "warm-up must be in [0,1)"
-        );
         let side = params.area_side_m();
         let area = Rect::new(Point::ORIGIN, Point::new(side, side));
         let mut rng = SmallRng::seed_from_u64(config.seed);
@@ -727,10 +676,6 @@ impl Simulator {
             pois.push((i as u64, p));
         }
         let poi_positions: Vec<Point> = pois.iter().map(|(_, p)| *p).collect();
-        assert!(
-            config.server_shards >= 1,
-            "the service needs at least one shard"
-        );
         let server = RTreeServer::new(pois.iter().copied());
         let backend = if config.server_shards > 1 {
             let sharded = ShardedService::new(pois, config.server_shards);
@@ -1138,6 +1083,32 @@ mod tests {
         assert_eq!(err, SimConfigError::InvalidWindow);
         // The message names the knob to fix.
         assert!(err.to_string().contains("window"));
+    }
+
+    #[test]
+    fn degenerate_sizes_are_rejected_not_panicked_on() {
+        let no_shards = SimConfig {
+            server_shards: 0,
+            ..SimConfig::default()
+        };
+        let mut no_hosts = SimConfig::default();
+        no_hosts.params.mh_number = 0;
+        let cases = [
+            (no_shards, SimConfigError::ZeroServerShards, "shard"),
+            (no_hosts, SimConfigError::NoHosts, "host"),
+        ];
+        let warmups = [-0.1, 1.0, f64::NAN].map(|warmup_frac| {
+            let cfg = SimConfig {
+                warmup_frac,
+                ..SimConfig::default()
+            };
+            (cfg, SimConfigError::InvalidWarmup, "warmup_frac")
+        });
+        for (cfg, want, names) in cases.into_iter().chain(warmups) {
+            assert_eq!(cfg.validate(), Err(want));
+            assert_eq!(cfg.to_builder().try_build().unwrap_err(), want);
+            assert!(want.to_string().contains(names), "{want}");
+        }
     }
 
     #[test]

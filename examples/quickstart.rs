@@ -52,7 +52,8 @@ fn main() {
     // Our querier is 40 m away and wants its 2 nearest stations.
     let q = Point::new(340.0, 50.0);
     let engine = SennEngine::new(SennConfig::default());
-    let outcome = engine.query(q, 2, std::slice::from_ref(&peer), &server);
+    let mut ctx = QueryContext::new();
+    let outcome = engine.query_with(q, 2, std::slice::from_ref(&peer), &server, &mut ctx);
 
     println!(
         "query @ ({:.0},{:.0}), k=2 → resolved by {:?}",

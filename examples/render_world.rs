@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use mobishare_senn::cache::QueryCache;
 use mobishare_senn::cache::{CacheEntry, MostRecentCache};
-use mobishare_senn::core::{RTreeServer, SennEngine};
+use mobishare_senn::core::{QueryContext, RTreeServer, SennEngine};
 use mobishare_senn::geom::Point;
 use mobishare_senn::mobility::{RoadMover, RoadMoverConfig};
 use mobishare_senn::network::{generate_network, GeneratorConfig, NodeLocator, RoadClass};
@@ -50,12 +50,13 @@ fn main() {
             )
         })
         .collect();
+    let mut ctx = QueryContext::new();
     for t in 0..300 {
         for (mover, cache) in &mut hosts {
             mover.step(&net, 1.0, &mut rng);
             if t % 60 == 30 && rng.gen_bool(0.3) {
                 let q = mover.position();
-                let out = engine.query::<CacheEntry>(q, 3, &[], &server);
+                let out = engine.query_with::<CacheEntry>(q, 3, &[], &server, &mut ctx);
                 let nns: Vec<_> = out.cacheable().iter().map(|e| e.poi).collect();
                 if !nns.is_empty() {
                     cache.store(CacheEntry::new(q, nns));

@@ -47,6 +47,7 @@ fn main() {
     let start = locator.nearest(Point::new(side / 2.0, side / 2.0)).unwrap();
     let mut car = RoadMover::new(&net, start, RoadMoverConfig::new(15.0));
     let engine = SennEngine::default();
+    let mut ctx = QueryContext::new();
     let mut cache: Option<PeerCacheEntry> = None;
     let mut peer_answered = 0usize;
     let k = 3usize;
@@ -58,14 +59,16 @@ fn main() {
         let q = car.position();
         let peers: Vec<PeerCacheEntry> = cache.iter().cloned().collect();
         let mut model = NetworkDistance::new(&net, &locator, q).unwrap();
-        let out = snnn_query(
+        let out = snnn_query_pruned_with(
             &engine,
             q,
             k,
             &peers,
             &server,
             &mut model,
+            &mut NeverPrune,
             SnnnConfig::default(),
+            &mut ctx,
         );
         // Count how much of the SNNN work the rolling cache absorbed: the
         // range round after the k-NN round may still need the server, but
@@ -105,7 +108,7 @@ fn main() {
             );
         }
         // Refresh the cache with the Euclidean-certain POIs for next time.
-        let euclid = engine.query(q, k + 7, &peers, &server);
+        let euclid = engine.query_with(q, k + 7, &peers, &server, &mut ctx);
         cache = Some(PeerCacheEntry::new(
             q,
             euclid.cacheable().iter().map(|e| e.poi).collect(),

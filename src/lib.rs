@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use mobishare_senn::geom::Point;
-//! use mobishare_senn::core::{PeerCacheEntry, SennConfig, SennEngine};
+//! use mobishare_senn::core::{PeerCacheEntry, QueryContext, SennConfig, SennEngine};
 //!
 //! // Points of interest (gas stations).
 //! let pois = vec![Point::new(1.0, 0.0), Point::new(4.0, 0.0), Point::new(9.0, 0.0)];
@@ -37,7 +37,8 @@
 //!
 //! // A querier right next to the peer verifies its own 1NN from the cache.
 //! let engine = SennEngine::new(SennConfig::default());
-//! let outcome = engine.query_peers_only(Point::new(0.6, 0.0), 1, &[peer]);
+//! let mut ctx = QueryContext::new();
+//! let outcome = engine.query_peers_only_with(Point::new(0.6, 0.0), 1, &[peer], &mut ctx);
 //! let verified = outcome.certain();
 //! assert_eq!(verified.len(), 1);
 //! assert_eq!(verified[0].poi.position, Point::new(1.0, 0.0));

@@ -12,7 +12,7 @@
 //! * malformed inputs (unsorted, duplicated, empty) never panic or hang.
 
 use mobishare_senn::core::CachedNn;
-use mobishare_senn::core::{PeerCacheEntry, RTreeServer, Resolution, SennEngine};
+use mobishare_senn::core::{PeerCacheEntry, QueryContext, RTreeServer, Resolution, SennEngine};
 use mobishare_senn::geom::Point;
 
 fn world() -> (Vec<Point>, RTreeServer) {
@@ -38,7 +38,8 @@ fn lying_peer_produces_detectably_wrong_certains() {
     );
     let engine = SennEngine::default();
     let q = Point::new(5.0, 0.0);
-    let out = engine.query_peers_only(q, 1, std::slice::from_ref(&liar));
+    let out =
+        engine.query_peers_only_with(q, 1, std::slice::from_ref(&liar), &mut QueryContext::new());
     assert_eq!(
         out.resolution(),
         Resolution::SinglePeer,
@@ -46,7 +47,7 @@ fn lying_peer_produces_detectably_wrong_certains() {
     );
     assert_eq!(out.certain()[0].poi.poi_id, 1, "wrong POI certified");
     // ... and the server cross-check exposes it.
-    let truth = engine.query::<PeerCacheEntry>(q, 1, &[], &server);
+    let truth = engine.query_with::<PeerCacheEntry>(q, 1, &[], &server, &mut QueryContext::new());
     assert_ne!(truth.results[0].poi.poi_id, out.certain()[0].poi.poi_id);
 }
 
@@ -61,11 +62,12 @@ fn understated_radius_is_harmless() {
     );
     let engine = SennEngine::default();
     for k in 1..=3usize {
-        let out = engine.query(
+        let out = engine.query_with(
             Point::new(2.0, 0.0),
             k,
             std::slice::from_ref(&honest_prefix),
             &server,
+            &mut QueryContext::new(),
         );
         // Whatever gets certified matches ground truth.
         let mut d: Vec<(f64, usize)> = pois
@@ -126,7 +128,13 @@ fn malformed_caches_never_panic() {
             position: q,
         }], // POI exactly at the query point?!
     );
-    let out = engine.query(q, 2, &[dup_a, dup_b, empty, zero], &server);
+    let out = engine.query_with(
+        q,
+        2,
+        &[dup_a, dup_b, empty, zero],
+        &server,
+        &mut QueryContext::new(),
+    );
     assert_eq!(out.results.len(), 2);
     let mut ids: Vec<u64> = out.results.iter().map(|e| e.poi.poi_id).collect();
     ids.dedup();
@@ -153,11 +161,12 @@ fn extreme_coordinates_stay_finite() {
     let peer =
         PeerCacheEntry::from_sorted(Point::new(far - 10.0, far), vec![(0, Point::new(far, far))]);
     let engine = SennEngine::default();
-    let out = engine.query(
+    let out = engine.query_with(
         Point::new(far - 5.0, far),
         1,
         std::slice::from_ref(&peer),
         &server,
+        &mut QueryContext::new(),
     );
     assert_eq!(out.results.len(), 1);
     assert!(out.results[0].dist.is_finite());

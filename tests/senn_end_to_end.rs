@@ -2,7 +2,9 @@
 //! `senn-geom`, `senn-rtree`, `senn-cache` and `senn-core`.
 
 use mobishare_senn::core::multiple::RegionMethod;
-use mobishare_senn::core::{PeerCacheEntry, RTreeServer, Resolution, SennConfig, SennEngine};
+use mobishare_senn::core::{
+    PeerCacheEntry, QueryContext, RTreeServer, Resolution, SennConfig, SennEngine,
+};
 use mobishare_senn::geom::Point;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +64,7 @@ fn senn_always_returns_true_knn() {
             })
             .collect();
         let engine = SennEngine::default();
-        let out = engine.query(q, k, &peers, &server);
+        let out = engine.query_with(q, k, &peers, &server, &mut QueryContext::new());
         let want = true_knn(&pois, q, k);
         assert_eq!(out.results.len(), k.min(n), "trial {trial}");
         for (i, (r, (wd, _))) in out.results.iter().zip(&want).enumerate() {
@@ -98,7 +100,7 @@ fn no_false_certains_even_with_stale_peer_positions() {
             })
             .collect();
         let engine = SennEngine::default();
-        let out = engine.query_peers_only(q, k, &peers);
+        let out = engine.query_peers_only_with(q, k, &peers, &mut QueryContext::new());
         let want = true_knn(&pois, q, k);
         for (rank, e) in out.certain().iter().enumerate() {
             assert!(
@@ -141,7 +143,7 @@ fn region_methods_agree_on_resolution_soundness() {
                 region_method: method,
                 ..Default::default()
             });
-            let out = engine.query_peers_only(q, k, &peers);
+            let out = engine.query_peers_only_with(q, k, &peers, &mut QueryContext::new());
             if out.resolution() != Resolution::Unresolved {
                 *counter += 1;
                 let want = true_knn(&pois, q, k);
@@ -181,8 +183,15 @@ fn bounds_forwarded_to_server_do_not_change_answers() {
             3,
         );
         let engine = SennEngine::default();
-        let with_peer = engine.query(q, k, std::slice::from_ref(&peer), &server);
-        let without = engine.query::<PeerCacheEntry>(q, k, &[], &server);
+        let with_peer = engine.query_with(
+            q,
+            k,
+            std::slice::from_ref(&peer),
+            &server,
+            &mut QueryContext::new(),
+        );
+        let without =
+            engine.query_with::<PeerCacheEntry>(q, k, &[], &server, &mut QueryContext::new());
         assert_eq!(with_peer.results.len(), without.results.len());
         for (a, b) in with_peer.results.iter().zip(&without.results) {
             assert!((a.dist - b.dist).abs() < 1e-9);

@@ -2,7 +2,10 @@
 //! brute-force network kNN oracle. Spans `senn-network`, `senn-rtree` and
 //! `senn-core`.
 
-use mobishare_senn::core::{snnn_query, PeerCacheEntry, RTreeServer, SennEngine, SnnnConfig};
+use mobishare_senn::core::{
+    snnn_query_pruned_with, NeverPrune, PeerCacheEntry, QueryContext, RTreeServer, SennEngine,
+    SnnnConfig,
+};
 use mobishare_senn::geom::Point;
 use mobishare_senn::network::{
     dijkstra_map, generate_network, ier_knn, ine_knn, GeneratorConfig, NetworkDistance,
@@ -78,14 +81,16 @@ fn snnn_agrees_with_ier_ine_and_brute_force() {
         let ier = ier_knn(&w.net, &w.pois, &w.tree, q, qn, k);
         let ine = ine_knn(&w.net, &w.pois, q, qn, k);
         let mut model = NetworkDistance::new(&w.net, &w.locator, q).unwrap();
-        let snnn = snnn_query::<mobishare_senn::core::PeerCacheEntry, _>(
+        let snnn = snnn_query_pruned_with::<mobishare_senn::core::PeerCacheEntry, _, _>(
             &engine,
             q,
             k,
             &[],
             &w.server,
             &mut model,
+            &mut NeverPrune,
             SnnnConfig::default(),
+            &mut QueryContext::new(),
         );
         assert_eq!(ier.len(), k);
         assert_eq!(ine.len(), k);
@@ -124,14 +129,16 @@ fn snnn_with_warm_peer_avoids_server_for_euclidean_phase() {
             .collect(),
     );
     let mut model = NetworkDistance::new(&w.net, &w.locator, q).unwrap();
-    let out = snnn_query(
+    let out = snnn_query_pruned_with(
         &engine,
         q,
         3,
         std::slice::from_ref(&peer),
         &w.server,
         &mut model,
+        &mut NeverPrune,
         SnnnConfig::default(),
+        &mut QueryContext::new(),
     );
     assert_eq!(
         out.trace.server_accesses, 0,
