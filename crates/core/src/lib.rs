@@ -23,7 +23,7 @@
 //! | [`trace`] | the unified [`QueryTrace`] outcome (attribution + accounting + stage timings) |
 //! | [`senn`] | Algorithm 1 — the SENN driver over the staged kernel |
 //! | [`snnn`] | Algorithm 2 — the SNNN/IER driver, generic over [`DistanceModel`] (§3.4) |
-//! | [`service`] | the batched request/reply service API |
+//! | [`service`] | the one-request request/reply service API |
 //! | [`transport`] | the event-driven async transport (virtual clock, admission control) and the retry/degradation client |
 //! | [`server`] | the R\*-tree reference backend of the service seam (§4.4) |
 //!

@@ -406,9 +406,8 @@ pub struct ServerResidual {
 /// unpruned retry ([`ServerRequest::unpruned`]) is self-contained.
 ///
 /// Splitting the build from [`merge_residual`] is what lets batch drivers
-/// collect one interval's residual requests and submit them as a single
-/// [`SpatialService::submit`](crate::service::SpatialService::submit)
-/// batch.
+/// hand each residual request to the transport and merge its reply when
+/// it completes.
 pub fn residual_request(
     certain: impl IntoIterator<Item = f64>,
     id: impl Into<RequestId>,

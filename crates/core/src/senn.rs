@@ -218,10 +218,10 @@ impl SennEngine {
     /// Runs the full Algorithm 1 against `server` on a caller-owned
     /// [`QueryContext`]: the peer stages ([`Self::query_peers_only_with`]),
     /// then — when they leave the query [`Resolution::Unresolved`] — the
-    /// server stage as a batch of one through the service seam, i.e.
-    /// exactly the [`Self::residual_request`] → `submit` →
-    /// [`Self::complete_residual`] path the simulator's batches take, with
-    /// the round-trip inside the [`Stage::ServerResidual`] timing.
+    /// server stage as one request through the service seam, i.e.
+    /// exactly the [`Self::residual_request`] → `serve` →
+    /// [`Self::complete_residual`] path the simulator's residuals take,
+    /// with the round-trip inside the [`Stage::ServerResidual`] timing.
     pub fn query_with<B: Borrow<CacheEntry>>(
         &self,
         query: Point,
@@ -236,12 +236,11 @@ impl SennEngine {
         }
         let started = Instant::now();
         let request = self.residual_request(0u64, query, k, &outcome);
-        // A non-Ok reply (fault wrappers without a retry layer) degrades
-        // to the empty response and the merge keeps whatever the peers
-        // verified.
+        // A lost or non-Ok reply (fault wrappers without a retry layer)
+        // degrades to the empty response and the merge keeps whatever the
+        // peers verified.
         let response = server
-            .submit(std::slice::from_ref(&request))
-            .pop()
+            .serve(&request)
             .filter(|r| r.status == ReplyStatus::Ok)
             .map(|r| r.response)
             .unwrap_or_default();
@@ -250,8 +249,8 @@ impl SennEngine {
 
     /// Builds the [`ServerRequest`] that would complete an
     /// [`Resolution::Unresolved`] outcome of [`Self::query_peers_only_with`] —
-    /// the deferred half of the server stage. Batch drivers collect one
-    /// request per unresolved query, submit them through the retry client
+    /// the deferred half of the server stage. Batch drivers build one
+    /// request per unresolved query, submit each through the retry client
     /// ([`crate::transport::AsyncClient`]), and finish each query with
     /// [`Self::complete_residual`].
     pub fn residual_request(

@@ -1,4 +1,4 @@
-//! The R\*-tree-backed reference implementation of the batched
+//! The R\*-tree-backed reference implementation of the
 //! [`SpatialService`] seam.
 //!
 //! When peer verification cannot complete a query, the mobile host
@@ -7,9 +7,9 @@
 //! the bounds (Section 3.3) — and reports its node accesses so the
 //! simulator can compute the page access rate (PAR).
 //!
-//! [`RTreeServer`] is the trivial single-shard backend: one tree, requests
-//! of a batch served one after another on the calling thread. The sharded,
-//! fan-out backend lives in the `senn-server` crate behind the same trait.
+//! [`RTreeServer`] is the trivial single-shard backend: one tree, each
+//! request served on the calling thread. The sharded backend lives in the
+//! `senn-server` crate behind the same trait.
 
 use senn_cache::CachedNn;
 use senn_geom::Point;
@@ -50,8 +50,8 @@ impl RTreeServer {
         &self.tree
     }
 
-    /// Answers one request of a batch.
-    pub(crate) fn serve(&self, request: &ServerRequest) -> ServerResponse {
+    /// Runs the bounded search one request asks for.
+    fn search(&self, request: &ServerRequest) -> ServerResponse {
         let mut it = self.tree.nn_iter_bounded(request.query, request.bounds);
         let pois: Vec<(CachedNn, f64)> = it
             .by_ref()
@@ -75,7 +75,7 @@ impl RTreeServer {
     /// Answers one query directly against the truth index — a
     /// measurement probe (ground-truth grading, expansion baselines), not
     /// service traffic. Residual queries go through
-    /// [`SpatialService::submit`] (possibly behind retry/transport
+    /// [`SpatialService::serve`] (possibly behind retry/transport
     /// layers); this inherent method deliberately bypasses them.
     pub fn knn_one(
         &self,
@@ -83,7 +83,7 @@ impl RTreeServer {
         count: usize,
         bounds: senn_rtree::SearchBounds,
     ) -> ServerResponse {
-        self.serve(&ServerRequest {
+        self.search(&ServerRequest {
             id: crate::transport::RequestId::new(0),
             query,
             count,
@@ -105,11 +105,8 @@ impl RTreeServer {
 }
 
 impl SpatialService for RTreeServer {
-    fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
-        batch
-            .iter()
-            .map(|r| ServerReply::ok(r.id, self.serve(r)))
-            .collect()
+    fn serve(&self, request: &ServerRequest) -> Option<ServerReply> {
+        Some(ServerReply::ok(request.id, self.search(request)))
     }
 
     fn poi_count(&self) -> usize {

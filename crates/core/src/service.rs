@@ -1,28 +1,27 @@
-//! The batched spatial-service API: the request/reply message pair and the
-//! [`SpatialService`] trait whose unit of work is a **batch** of residual
-//! queries.
+//! The spatial-service API: the request/reply message pair and the
+//! [`SpatialService`] trait whose unit of work is **one** residual query.
 //!
-//! ## Why a batch API
+//! ## One request at a time
 //!
 //! Every query the peer caches cannot verify falls through to the remote
-//! spatial database (EINN over the R\*-tree, §3.3/§4.4). At
-//! millions-of-users scale those residuals arrive as a *stream of
-//! intervals*, not as isolated calls: the simulator's batch engine already
-//! collects one interval's residuals before any of them is answered, and a
-//! real backend amortizes index traversal, fan-out and scheduling across a
-//! request set. The service seam therefore speaks batches:
+//! spatial database (EINN over the R\*-tree, §3.3/§4.4) as one request,
+//! and every caller sends exactly one: the transport dispatches each
+//! request from its lane on its own, and a direct query's residual and
+//! an SNNN expansion's range request are single trips too. The seam
+//! therefore answers one request:
 //!
 //! ```text
-//! client                       service
-//!   │  submit(&[ServerRequest]) ─►  (shard fan-out, per-shard search)
-//!   │  ◄─ Vec<ServerReply>          (merge, per-shard accounting)
+//! client                         service
+//!   │  serve(&ServerRequest) ─►  (home shard, foreign shards)
+//!   │  ◄─ Option<ServerReply>    (merge, per-shard accounting)
 //! ```
 //!
-//! [`SpatialService::submit`] answers a whole batch; replies come back in
-//! request order, each echoing its request's [`RequestId`]. There is no
-//! single-query convenience on the trait — a lone query is a batch of one,
-//! and callers that need retry or overlap semantics use the retry client
-//! in [`crate::transport`] ([`crate::transport::AsyncClient`]).
+//! [`SpatialService::serve`] returns the reply, echoing the request's
+//! [`RequestId`], or `None` when the reply was lost. The provided
+//! [`SpatialService::submit`] serves a slice of requests in turn, a lost
+//! reply becoming [`ReplyStatus::Dropped`]. Callers that need retry or
+//! overlap semantics use the client in [`crate::transport`]
+//! ([`crate::transport::AsyncClient`]).
 //!
 //! ## Robustness
 //!
@@ -40,7 +39,7 @@ use senn_rtree::SearchBounds;
 pub use crate::server::ServerResponse;
 pub use crate::transport::RequestId;
 
-/// One residual kNN query in a service batch.
+/// One residual kNN query.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServerRequest {
     /// Client-chosen correlation id, echoed verbatim in the reply and the
@@ -126,26 +125,48 @@ impl ServerReply {
             latency_ms: 0.0,
         }
     }
+
+    /// The reply of a request that produced no answer: refused at the
+    /// admission edge, or lost by the backend.
+    pub(crate) fn failed(id: RequestId, status: ReplyStatus) -> Self {
+        ServerReply {
+            id,
+            status,
+            response: Default::default(),
+            latency_ms: 0.0,
+        }
+    }
 }
 
-/// A remote spatial database answering kNN queries in batches.
+/// A remote spatial database answering kNN queries one at a time.
 ///
-/// Implementations must return exactly one reply per request, **in request
-/// order**, each echoing the request's `id`. In-process backends
+/// A reply echoes its request's `id`. In-process backends
 /// ([`crate::RTreeServer`], the sharded service in `senn-server`) always
 /// reply [`ReplyStatus::Ok`]; fault-injecting wrappers may drop or time
 /// out individual requests, and the async transport may shed them.
 pub trait SpatialService {
-    /// Answers a batch of residual queries.
-    fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply>;
+    /// Answers one residual query; `None` is a lost reply.
+    fn serve(&self, request: &ServerRequest) -> Option<ServerReply>;
 
     /// Total number of POIs the service indexes.
     fn poi_count(&self) -> usize;
+
+    /// Serves each request of `batch` in turn: one reply per request, in
+    /// request order, a lost reply as [`ReplyStatus::Dropped`].
+    fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
+        batch
+            .iter()
+            .map(|r| {
+                self.serve(r)
+                    .unwrap_or_else(|| ServerReply::failed(r.id, ReplyStatus::Dropped))
+            })
+            .collect()
+    }
 }
 
 impl<S: SpatialService + ?Sized> SpatialService for &S {
-    fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
-        (**self).submit(batch)
+    fn serve(&self, request: &ServerRequest) -> Option<ServerReply> {
+        (**self).serve(request)
     }
 
     fn poi_count(&self) -> usize {
@@ -197,24 +218,21 @@ mod tests {
     }
 
     impl SpatialService for Flaky {
-        fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
+        fn serve(&self, request: &ServerRequest) -> Option<ServerReply> {
             let call = self.calls.fetch_add(1, Ordering::SeqCst);
             if call < self.fail_first as u64 {
-                return batch
-                    .iter()
-                    .map(|r| ServerReply {
-                        id: r.id,
-                        status: if self.drop_instead {
-                            ReplyStatus::Dropped
-                        } else {
-                            ReplyStatus::TimedOut
-                        },
-                        response: ServerResponse::default(),
-                        latency_ms: 7.0,
-                    })
-                    .collect();
+                return Some(ServerReply {
+                    id: request.id,
+                    status: if self.drop_instead {
+                        ReplyStatus::Dropped
+                    } else {
+                        ReplyStatus::TimedOut
+                    },
+                    response: ServerResponse::default(),
+                    latency_ms: 7.0,
+                });
             }
-            self.inner.submit(batch)
+            self.inner.serve(request)
         }
 
         fn poi_count(&self) -> usize {
@@ -222,16 +240,38 @@ mod tests {
         }
     }
 
+    /// A backend that loses every reply.
+    struct Lost;
+
+    impl SpatialService for Lost {
+        fn serve(&self, _request: &ServerRequest) -> Option<ServerReply> {
+            None
+        }
+
+        fn poi_count(&self) -> usize {
+            0
+        }
+    }
+
     #[test]
-    fn single_query_is_a_batch_of_one() {
+    fn serve_answers_one_request_and_submit_serves_each_in_turn() {
         let srv = server();
         let req = ServerRequest::plain(0u64, Point::new(10.2, 0.0), 3);
-        let replies = srv.submit(std::slice::from_ref(&req));
-        assert_eq!(replies.len(), 1);
-        assert_eq!(replies[0].status, ReplyStatus::Ok);
-        assert_eq!(replies[0].id, req.id);
-        assert_eq!(replies[0].response.pois.len(), 3);
-        assert_eq!(replies[0].response.pois[0].0.poi_id, 10);
+        let reply = srv
+            .serve(&req)
+            .expect("an in-process backend always replies");
+        assert_eq!(reply.status, ReplyStatus::Ok);
+        assert_eq!(reply.id, req.id);
+        assert_eq!(reply.response.pois.len(), 3);
+        assert_eq!(reply.response.pois[0].0.poi_id, 10);
+        // A lost reply comes back from `submit` as a drop of its own id.
+        let reqs = [req, ServerRequest::plain(5u64, Point::ORIGIN, 1)];
+        let lost = Lost.submit(&reqs);
+        assert_eq!(lost.len(), 2);
+        for (r, reply) in reqs.iter().zip(&lost) {
+            assert_eq!((reply.id, reply.status), (r.id, ReplyStatus::Dropped));
+            assert!(reply.response.pois.is_empty());
+        }
     }
 
     #[test]
@@ -320,16 +360,8 @@ mod tests {
         // A service that sheds every request: the ladder must not retry.
         struct Shedder;
         impl SpatialService for Shedder {
-            fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
-                batch
-                    .iter()
-                    .map(|r| ServerReply {
-                        id: r.id,
-                        status: ReplyStatus::Shed,
-                        response: ServerResponse::default(),
-                        latency_ms: 0.0,
-                    })
-                    .collect()
+            fn serve(&self, request: &ServerRequest) -> Option<ServerReply> {
+                Some(ServerReply::failed(request.id, ReplyStatus::Shed))
             }
             fn poi_count(&self) -> usize {
                 0

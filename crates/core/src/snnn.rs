@@ -391,7 +391,7 @@ pub fn snnn_query_pruned_with<B: Borrow<CacheEntry>, M: DistanceModel, O: LowerB
         };
         if !expansion.read_range(cert, &mut trace, model, oracle) {
             let request = expansion.range_request(0u64, cert);
-            let reply = server.submit(std::slice::from_ref(&request)).pop();
+            let reply = server.serve(&request);
             match reply.filter(|r| r.status == ReplyStatus::Ok) {
                 Some(r) => expansion.complete_range(cert, &mut trace, r.response, model, oracle),
                 None => expansion.abort(),
@@ -619,11 +619,10 @@ mod tests {
     }
 
     impl SpatialService for Recording<'_> {
-        fn submit(&self, batch: &[ServerRequest]) -> Vec<crate::service::ServerReply> {
-            let replies = self.inner.submit(batch);
-            let mut log = self.log.borrow_mut();
-            log.extend(batch.iter().cloned().zip(replies.iter().cloned()));
-            replies
+        fn serve(&self, request: &ServerRequest) -> Option<crate::service::ServerReply> {
+            let reply = self.inner.serve(request)?;
+            self.log.borrow_mut().push((*request, reply.clone()));
+            Some(reply)
         }
 
         fn poi_count(&self) -> usize {

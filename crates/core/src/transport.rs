@@ -3,7 +3,7 @@
 //! requests are *enqueued* and replies *complete* out of order, matched
 //! by ticket.
 //!
-//! The synchronous [`SpatialService::submit`] seam models latency as a
+//! The synchronous [`SpatialService::serve`] seam models latency as a
 //! number on the reply. That cannot express a flash crowd, where the
 //! interesting degradation is *queueing* — requests waiting behind each
 //! other, in-flight windows saturating, and admission control shedding
@@ -12,7 +12,7 @@
 //! ```text
 //! client                    transport (virtual clock)            service
 //!   │ enqueue(req) ─► Ticket   [lane queues │ in-flight windows]
-//!   │                          dispatch ──────────────────────►  submit
+//!   │                          dispatch ──────────────────────►  serve
 //!   │ poll(now) ◄─ completions (time-ordered, out of id order)
 //! ```
 //!
@@ -22,7 +22,7 @@
 //!   queues. A full queue **sheds** the request — the reply completes
 //!   instantly with [`ReplyStatus::Shed`] and the backend never sees it.
 //! * Dispatch calls the wrapped [`SpatialService`] (any backend: the
-//!   single tree, the sharded fan-out, the keyed fault wrapper) and draws
+//!   single tree, the sharded service, the keyed fault wrapper) and draws
 //!   a seeded service time; the completion event fires at
 //!   `dispatch + service_time + reply latency` on the virtual clock. A
 //!   backend that returns no reply counts as [`ReplyStatus::Dropped`].
@@ -40,7 +40,7 @@
 //! per-id attempt ordinal)` through a SplitMix64 finalizer, so a request
 //! keeps its exact schedule no matter how submissions are coalesced,
 //! how many worker threads planned them, or how many shards the backend
-//! fans out to. Completions are delivered sorted by `(completion time,
+//! has. Completions are delivered sorted by `(completion time,
 //! ticket)`, and [`AsyncClient::poll`] re-sorts its resolved outcomes by
 //! ticket, so folding results in ticket order is invariant to any
 //! permutation of completion order (property-tested in
@@ -466,9 +466,8 @@ impl<S: SpatialService> Transport<S> {
             // reply lost the request: a drop, which the ladder retries.
             let reply = self
                 .inner
-                .submit(std::slice::from_ref(&next.request))
-                .pop()
-                .unwrap_or_else(|| failed_reply(next.request.id, ReplyStatus::Dropped));
+                .serve(&next.request)
+                .unwrap_or_else(|| ServerReply::failed(next.request.id, ReplyStatus::Dropped));
             debug_assert_eq!(reply.id, next.request.id);
             self.stats.dispatched += 1;
             let completion_ms = at_ms + service_ms + reply.latency_ms;
@@ -510,7 +509,7 @@ impl<S: SpatialService> Transport<S> {
             // Admission control: refuse at the edge instead of letting
             // the queue (and everyone's latency) grow without bound.
             self.stats.shed += 1;
-            let reply = failed_reply(request.id, ReplyStatus::Shed);
+            let reply = ServerReply::failed(request.id, ReplyStatus::Shed);
             self.ready.push((self.clock_ms, ticket, reply));
             return ticket;
         }
@@ -560,17 +559,6 @@ impl<S: SpatialService> Transport<S> {
         }
         due.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         due.into_iter().map(|(_, t, r)| (t, r)).collect()
-    }
-}
-
-/// The reply of a request that produced no answer: refused at the
-/// admission edge, or omitted by the backend.
-fn failed_reply(id: RequestId, status: ReplyStatus) -> ServerReply {
-    ServerReply {
-        id,
-        status,
-        response: Default::default(),
-        latency_ms: 0.0,
     }
 }
 
@@ -919,32 +907,25 @@ mod tests {
                 attempts: std::cell::RefCell<HashMap<RequestId, u64>>,
             }
             impl SpatialService for Keyed {
-                fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
-                    batch
-                        .iter()
-                        .map(|r| {
-                            let mut map = self.attempts.borrow_mut();
-                            let ordinal = map.entry(r.id).or_insert(0);
-                            *ordinal += 1;
-                            if *ordinal <= r.id.raw() % 3 {
-                                ServerReply {
-                                    id: r.id,
-                                    status: if r.id.raw() % 2 == 0 {
-                                        ReplyStatus::Dropped
-                                    } else {
-                                        ReplyStatus::TimedOut
-                                    },
-                                    response: Default::default(),
-                                    latency_ms: 5.0,
-                                }
+                fn serve(&self, r: &ServerRequest) -> Option<ServerReply> {
+                    let mut map = self.attempts.borrow_mut();
+                    let ordinal = map.entry(r.id).or_insert(0);
+                    *ordinal += 1;
+                    if *ordinal <= r.id.raw() % 3 {
+                        return Some(ServerReply {
+                            id: r.id,
+                            status: if r.id.raw().is_multiple_of(2) {
+                                ReplyStatus::Dropped
                             } else {
-                                let mut reply =
-                                    self.inner.submit(std::slice::from_ref(r)).pop().unwrap();
-                                reply.latency_ms = 1.0;
-                                reply
-                            }
-                        })
-                        .collect()
+                                ReplyStatus::TimedOut
+                            },
+                            response: Default::default(),
+                            latency_ms: 5.0,
+                        });
+                    }
+                    let mut reply = self.inner.serve(r)?;
+                    reply.latency_ms = 1.0;
+                    Some(reply)
                 }
                 fn poi_count(&self) -> usize {
                     self.inner.poi_count()
@@ -1047,12 +1028,12 @@ mod tests {
         assert_eq!(id.to_string(), "7");
     }
 
-    /// A backend that never replies: every batch comes back empty.
+    /// A backend that never replies.
     struct Mute;
 
     impl SpatialService for Mute {
-        fn submit(&self, _batch: &[ServerRequest]) -> Vec<ServerReply> {
-            Vec::new()
+        fn serve(&self, _request: &ServerRequest) -> Option<ServerReply> {
+            None
         }
 
         fn poi_count(&self) -> usize {

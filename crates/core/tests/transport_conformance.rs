@@ -84,45 +84,36 @@ impl ShardedFlaky {
 }
 
 impl SpatialService for ShardedFlaky {
-    fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
-        batch
-            .iter()
-            .map(|req| {
-                let ordinal = {
-                    let mut attempts = self.attempts.lock().unwrap();
-                    let e = attempts.entry(req.id).or_insert(0);
-                    let o = *e;
-                    *e += 1;
-                    o
-                };
-                let failures = if self.flaky {
-                    mix64(self.seed ^ req.id.raw()) % 3
-                } else {
-                    0
-                };
-                if ordinal < failures {
-                    let status = if (ordinal + req.id.raw()) % 2 == 0 {
-                        ReplyStatus::TimedOut
-                    } else {
-                        ReplyStatus::Dropped
-                    };
-                    ServerReply {
-                        id: req.id,
-                        status,
-                        response: Default::default(),
-                        latency_ms: 15.0,
-                    }
-                } else {
-                    let shard = (mix64(req.id.raw()) % self.replicas.len() as u64) as usize;
-                    let mut reply = self.replicas[shard]
-                        .submit(std::slice::from_ref(req))
-                        .pop()
-                        .expect("one reply per request");
-                    reply.latency_ms = 5.0;
-                    reply
-                }
-            })
-            .collect()
+    fn serve(&self, req: &ServerRequest) -> Option<ServerReply> {
+        let ordinal = {
+            let mut attempts = self.attempts.lock().unwrap();
+            let e = attempts.entry(req.id).or_insert(0);
+            let o = *e;
+            *e += 1;
+            o
+        };
+        let failures = if self.flaky {
+            mix64(self.seed ^ req.id.raw()) % 3
+        } else {
+            0
+        };
+        if ordinal < failures {
+            let status = if (ordinal + req.id.raw()).is_multiple_of(2) {
+                ReplyStatus::TimedOut
+            } else {
+                ReplyStatus::Dropped
+            };
+            return Some(ServerReply {
+                id: req.id,
+                status,
+                response: Default::default(),
+                latency_ms: 15.0,
+            });
+        }
+        let shard = (mix64(req.id.raw()) % self.replicas.len() as u64) as usize;
+        let mut reply = self.replicas[shard].serve(req)?;
+        reply.latency_ms = 5.0;
+        Some(reply)
     }
 
     fn poi_count(&self) -> usize {

@@ -65,22 +65,6 @@ impl GeneratorConfig {
             seed,
         }
     }
-
-    /// A sparse rural preset: ~500 m blocks, few arterials, one highway.
-    pub fn rural(side: f64, seed: u64) -> Self {
-        let cells = ((side / 500.0).round() as usize).clamp(2, 200);
-        GeneratorConfig {
-            width: side,
-            height: side,
-            cols: cells + 1,
-            rows: cells + 1,
-            jitter: 0.35,
-            secondary_every: 6,
-            primary_every: 24,
-            ramp_every: 6,
-            seed,
-        }
-    }
 }
 
 /// Deterministic xorshift64* generator — the generator must not depend on
@@ -298,8 +282,6 @@ mod tests {
                 "seed {seed} produced a disconnected network"
             );
         }
-        let net = generate_network(&GeneratorConfig::rural(10_000.0, 5));
-        assert!(net.is_connected());
     }
 
     #[test]

@@ -5,13 +5,11 @@
 //! attempt ordinal)`: the wrapper counts how many times it has seen each
 //! request id and mixes `(seed, id, ordinal)` through a SplitMix64
 //! finalizer to seed the two draws (drop, latency) for that attempt. The
-//! schedule is therefore **keyed, not positional** — splitting a batch
-//! into singles, merging rounds from many queries into one interval
-//! batch, or re-ordering unrelated requests leaves every individual
-//! request's fault sequence untouched. A fixed seed and a fixed per-id
-//! submission history reproduce the exact same faults, retry counts and
-//! latencies, no matter how many threads or shards the wrapped backend
-//! fans out to, and no matter how the client coalesces its submissions.
+//! schedule is therefore **keyed, not positional** — re-ordering or
+//! interleaving unrelated requests leaves every individual request's
+//! fault sequence untouched. A fixed seed and a fixed per-id submission
+//! history reproduce the exact same faults, retry counts and latencies,
+//! no matter how many shards the wrapped backend has.
 //! A [`FaultConfig::disabled`] wrapper is a pure passthrough: it performs
 //! no draws at all, which keeps metrics bit-identical to running the inner
 //! service bare (regression-tested in `senn-sim`).
@@ -21,7 +19,7 @@
 //! slept. Timed-out requests still execute on the inner service — the
 //! server did the work, the client just stopped waiting — so per-shard
 //! counters keep ticking, while dropped requests never reach it. A reply
-//! the inner service omits is a drop too, after the planned latency.
+//! the inner service loses is a drop too, after the planned latency.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -71,7 +69,7 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// A wrapper that injects nothing — submit is a pure passthrough and
+    /// A wrapper that injects nothing — serve is a pure passthrough and
     /// the RNG is never advanced.
     pub fn disabled() -> Self {
         FaultConfig {
@@ -125,11 +123,6 @@ impl<S> FaultyService<S> {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// The wrapped service.
     pub fn inner(&self) -> &S {
         &self.inner
@@ -140,106 +133,81 @@ impl<S> FaultyService<S> {
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
     }
-
-    /// Unwraps the inner service.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 impl<S: SpatialService> SpatialService for FaultyService<S> {
-    fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
+    fn serve(&self, request: &ServerRequest) -> Option<ServerReply> {
         if self.config.is_disabled() {
-            return self.inner.submit(batch);
+            return self.inner.serve(request);
         }
-        // Draw the whole schedule up front under one lock hold. Each
-        // request's draws are keyed by (seed, id, per-id attempt ordinal),
-        // so batch composition and ordering never influence any fate —
+        // The draws are keyed by (seed, id, per-id attempt ordinal), so
+        // neither the order of requests nor their grouping moves a fate —
         // only how often each id has been submitted does.
-        let plan: Vec<(ReplyStatus, f64)> = {
+        let key = {
             // Each counter update is one increment, so a poisoned lock
             // holds no torn state: recover the guard instead of panicking.
             let mut attempts = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
-            batch
-                .iter()
-                .map(|req| {
-                    let ordinal = attempts.entry(req.id).or_insert(0);
-                    let key = mix64(
-                        self.config
-                            .seed
-                            .wrapping_add(mix64(req.id.raw()).wrapping_add(mix64(*ordinal))),
-                    );
-                    *ordinal += 1;
-                    let mut rng = SplitMix64(key);
-                    let dropped = rng.next_f64() < self.config.drop_prob;
-                    let latency = if self.config.mean_latency_ms > 0.0 {
-                        // Exponential via inverse CDF; 1 - u avoids ln(0).
-                        -self.config.mean_latency_ms * (1.0 - rng.next_f64()).ln()
-                    } else {
-                        0.0
-                    };
-                    if dropped {
-                        // The client hears nothing and gives up at its
-                        // patience limit (or immediately without one).
-                        let waited = if self.config.timeout_ms.is_finite() {
-                            self.config.timeout_ms
-                        } else {
-                            latency
-                        };
-                        (ReplyStatus::Dropped, waited)
-                    } else if latency > self.config.timeout_ms {
-                        (ReplyStatus::TimedOut, self.config.timeout_ms)
-                    } else {
-                        (ReplyStatus::Ok, latency)
-                    }
-                })
-                .collect()
+            let ordinal = attempts.entry(request.id).or_insert(0);
+            let key = mix64(
+                self.config
+                    .seed
+                    .wrapping_add(mix64(request.id.raw()).wrapping_add(mix64(*ordinal))),
+            );
+            *ordinal += 1;
+            key
+        };
+        let mut rng = SplitMix64(key);
+        let dropped = rng.next_f64() < self.config.drop_prob;
+        let latency = if self.config.mean_latency_ms > 0.0 {
+            // Exponential via inverse CDF; 1 - u avoids ln(0).
+            -self.config.mean_latency_ms * (1.0 - rng.next_f64()).ln()
+        } else {
+            0.0
+        };
+        let (status, latency_ms) = if dropped {
+            // The client hears nothing and gives up at its patience limit
+            // (or immediately without one).
+            let waited = if self.config.timeout_ms.is_finite() {
+                self.config.timeout_ms
+            } else {
+                latency
+            };
+            (ReplyStatus::Dropped, waited)
+        } else if latency > self.config.timeout_ms {
+            (ReplyStatus::TimedOut, self.config.timeout_ms)
+        } else {
+            (ReplyStatus::Ok, latency)
         };
         // Everything that wasn't dropped reaches the backend — including
-        // timed-out requests, whose answers the client discards.
-        let reached: Vec<ServerRequest> = batch
-            .iter()
-            .zip(&plan)
-            .filter(|(_, (status, _))| *status != ReplyStatus::Dropped)
-            .map(|(r, _)| *r)
-            .collect();
-        let mut inner_replies = self.inner.submit(&reached).into_iter();
-        batch
-            .iter()
-            .zip(&plan)
-            .map(|(r, &(status, latency_ms))| {
-                // A request the plan dropped never reached the backend; one
-                // the backend omitted a reply for was lost there. Either way
-                // the client hears a drop after the planned latency.
-                let reply = match status {
-                    ReplyStatus::Dropped => None,
-                    _ => inner_replies.next(),
-                };
-                let Some(reply) = reply else {
-                    return ServerReply {
-                        id: r.id,
-                        status: ReplyStatus::Dropped,
-                        response: Default::default(),
-                        latency_ms,
-                    };
-                };
-                debug_assert_eq!(reply.id, r.id);
-                ServerReply {
-                    id: r.id,
-                    status: if reply.status == ReplyStatus::Ok {
-                        status
-                    } else {
-                        reply.status
-                    },
-                    response: if status == ReplyStatus::Ok {
-                        reply.response
-                    } else {
-                        Default::default()
-                    },
-                    latency_ms: latency_ms + reply.latency_ms,
-                }
-            })
-            .collect()
+        // timed-out requests, whose answers the client discards. A request
+        // dropped here, or one whose reply the backend lost, is a drop
+        // after the planned latency.
+        let reply = match status {
+            ReplyStatus::Dropped => None,
+            _ => self.inner.serve(request),
+        };
+        let Some(reply) = reply else {
+            return Some(ServerReply {
+                id: request.id,
+                status: ReplyStatus::Dropped,
+                response: Default::default(),
+                latency_ms,
+            });
+        };
+        Some(ServerReply {
+            id: request.id,
+            status: if reply.status == ReplyStatus::Ok {
+                status
+            } else {
+                reply.status
+            },
+            response: if status == ReplyStatus::Ok {
+                reply.response
+            } else {
+                Default::default()
+            },
+            latency_ms: latency_ms + reply.latency_ms,
+        })
     }
 
     fn poi_count(&self) -> usize {
@@ -367,11 +335,11 @@ mod tests {
             .iter()
             .map(|r| (r.id, r.status, r.latency_ms.to_bits()))
             .collect();
-        // Singles, submitted one by one.
+        // Singles, served one by one.
         let svc = FaultyService::new(server(), cfg);
         let singles: Vec<_> = reqs
             .iter()
-            .flat_map(|r| svc.submit(std::slice::from_ref(r)))
+            .flat_map(|r| svc.serve(r))
             .map(|r| (r.id, r.status, r.latency_ms.to_bits()))
             .collect();
         assert_eq!(whole, singles, "splitting a batch must not move faults");
@@ -380,7 +348,7 @@ mod tests {
         let mut reversed: Vec<_> = reqs
             .iter()
             .rev()
-            .flat_map(|r| svc.submit(std::slice::from_ref(r)))
+            .flat_map(|r| svc.serve(r))
             .map(|r| (r.id, r.status, r.latency_ms.to_bits()))
             .collect();
         reversed.reverse();
@@ -402,10 +370,10 @@ mod tests {
         // Submit id 0 three times on one service: the three fates follow
         // the id's private ordinal stream.
         let svc = FaultyService::new(server(), cfg);
-        let req = batch(1);
+        let req = batch(1)[0];
         let fates: Vec<_> = (0..3)
             .map(|_| {
-                let r = &svc.submit(&req)[0];
+                let r = svc.serve(&req).expect("the wrapper always replies");
                 (r.status, r.latency_ms.to_bits())
             })
             .collect();
@@ -414,9 +382,9 @@ mod tests {
         let other = ServerRequest::plain(77, Point::new(5.0, 5.0), 3);
         let mut interleaved = Vec::new();
         for _ in 0..3 {
-            let r = &svc.submit(&req)[0];
+            let r = svc.serve(&req).expect("the wrapper always replies");
             interleaved.push((r.status, r.latency_ms.to_bits()));
-            svc.submit(std::slice::from_ref(&other));
+            svc.serve(&other);
         }
         assert_eq!(fates, interleaved, "foreign ids must not perturb a stream");
         // The per-attempt fates are not all identical for this seed — the
@@ -427,14 +395,12 @@ mod tests {
         );
     }
 
-    /// A backend that loses the last reply of every batch.
-    struct LosesLastReply(RTreeServer);
+    /// A backend that loses its reply to one request id.
+    struct LosesReplyTo(RTreeServer, RequestId);
 
-    impl SpatialService for LosesLastReply {
-        fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
-            let mut replies = self.0.submit(batch);
-            replies.pop();
-            replies
+    impl SpatialService for LosesReplyTo {
+        fn serve(&self, request: &ServerRequest) -> Option<ServerReply> {
+            self.0.serve(request).filter(|_| request.id != self.1)
         }
 
         fn poi_count(&self) -> usize {
@@ -450,9 +416,6 @@ mod tests {
             mean_latency_ms: 10.0,
             timeout_ms: f64::INFINITY,
         };
-        let reqs = batch(8);
-        let whole = FaultyService::new(server(), cfg).submit(&reqs);
-        let short = FaultyService::new(LosesLastReply(server()), cfg).submit(&reqs);
         let fate = |r: &ServerReply| {
             (
                 r.id,
@@ -461,22 +424,25 @@ mod tests {
                 r.response.pois.clone(),
             )
         };
-        assert_eq!(short.len(), reqs.len());
-        assert_eq!(
-            short[..7].iter().map(fate).collect::<Vec<_>>(),
-            whole[..7].iter().map(fate).collect::<Vec<_>>(),
-            "the replies the backend gave pass through untouched"
-        );
-        assert_eq!(whole[7].status, ReplyStatus::Ok);
-        assert_eq!(
-            fate(&short[7]),
-            (
-                reqs[7].id,
-                ReplyStatus::Dropped,
-                whole[7].latency_ms.to_bits(),
-                vec![]
-            )
-        );
+        // The last reply of eight, then the middle one of three: the lost
+        // request comes back dropped, every other one with its own answer.
+        for (n, lost) in [(8, 7), (3, 1)] {
+            let reqs = batch(n);
+            let whole = FaultyService::new(server(), cfg).submit(&reqs);
+            let backend = LosesReplyTo(server(), RequestId::new(lost));
+            let short = FaultyService::new(backend, cfg).submit(&reqs);
+            assert_eq!(short.len(), reqs.len());
+            for ((req, got), want) in reqs.iter().zip(&short).zip(&whole) {
+                assert_eq!((want.id, want.status), (req.id, ReplyStatus::Ok));
+                let expected = if req.id.raw() == lost {
+                    let latency = want.latency_ms.to_bits();
+                    (req.id, ReplyStatus::Dropped, latency, vec![])
+                } else {
+                    fate(want)
+                };
+                assert_eq!(fate(got), expected, "request {} of {n}", req.id);
+            }
+        }
     }
 
     #[test]

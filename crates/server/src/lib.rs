@@ -2,17 +2,15 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # senn-server
 //!
-//! Backends for the batched [`SpatialService`] seam of `senn-core`
+//! Backends for the one-request [`SpatialService`] seam of `senn-core`
 //! (§3.3/§4.4 of the paper: the remote spatial database serving residual
 //! queries; the ROADMAP's "sharded/async server" open item):
 //!
 //! * [`ShardedService`] — the POI set strip-partitioned across N
 //!   R\*-tree shards, each request's per-shard candidate lists merged
-//!   under global bound tightening, batches big enough to repay a spawn
-//!   fanned out over their requests on scoped threads. Returns
-//!   answers identical to the single-tree [`senn_core::RTreeServer`]
-//!   (golden-tested), with per-shard counters and p50/p99 batch-latency
-//!   histograms for observability.
+//!   under global bound tightening. Returns answers identical to the
+//!   single-tree [`senn_core::RTreeServer`] (golden-tested), with
+//!   per-shard counters for observability.
 //! * [`FaultyService`] — a seeded fault-injection decorator (latency,
 //!   timeout and drop schedules) for exercising the client-side
 //!   retry/backoff/degradation layer deterministically.

@@ -1,7 +1,6 @@
 //! The sharded backend: the POI set strip-partitioned across N
 //! [`RStarTree`] shards, every request answered by its home strip first
-//! and by the other strips under **global bound tightening**, batches
-//! fanned out over *requests* with the `senn-par` scoped-thread engine.
+//! and by the other strips under **global bound tightening**.
 //!
 //! ## Partitioning
 //!
@@ -26,20 +25,15 @@
 //! truncated candidate list is therefore identical to the single-tree
 //! answer (golden-tested against [`senn_core::RTreeServer`]).
 //!
-//! A request's searches depend on no other request, so a batch is one
-//! fan-out over its requests — and only when it is big enough to repay a
-//! thread spawn (`FANOUT_GRAIN`); the transport's one-request dispatches
-//! run on the caller.
+//! A request's searches run one after another on the caller's thread.
 //!
 //! ## Observability
 //!
-//! Every shard keeps atomic counters (requests routed, node accesses,
-//! MBR-skips, peak queue depth) and a log2-bucket histogram of its
-//! per-batch busy time, from which [`ShardedService::metrics`] derives
-//! p50/p99 batch latencies without any lock on the hot path.
+//! Every shard keeps atomic counters (requests searched, node accesses,
+//! MBR-skips), which [`ShardedService::metrics`] snapshots without any
+//! lock on the hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use senn_cache::CachedNn;
 use senn_core::service::{ServerReply, ServerRequest, SpatialService};
@@ -47,62 +41,8 @@ use senn_core::ServerResponse;
 use senn_geom::{Point, EPS};
 use senn_rtree::{RStarTree, SearchBounds};
 
-/// Number of log2 latency buckets (covers 1 ns .. ~584 years).
-const HIST_BUCKETS: usize = 64;
-
-/// Lock-free log2-bucket latency histogram.
-#[derive(Debug)]
-struct LatencyHist {
-    buckets: Vec<AtomicU64>,
-}
-
-impl LatencyHist {
-    fn new() -> Self {
-        LatencyHist {
-            buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn bucket_of(nanos: u64) -> usize {
-        (64 - nanos.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-    }
-
-    fn record(&self, nanos: u64) {
-        self.buckets[Self::bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The `q`-quantile in milliseconds (bucket-midpoint estimate; `0`
-    /// when nothing was recorded).
-    fn quantile_ms(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (b, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Midpoint of [2^(b-1), 2^b) nanoseconds.
-                let rep = if b == 0 {
-                    0.5
-                } else {
-                    1.5 * (1u64 << (b - 1)) as f64
-                };
-                return rep / 1.0e6;
-            }
-        }
-        unreachable!("rank <= total")
-    }
-}
-
 /// Atomic per-shard counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ShardCounters {
     /// Requests the shard actually searched (home + non-skipped foreign).
     requests: AtomicU64,
@@ -110,22 +50,6 @@ struct ShardCounters {
     node_accesses: AtomicU64,
     /// Foreign-pass requests skipped by the MBR bound check.
     skipped: AtomicU64,
-    /// Largest number of requests queued on this shard in one batch.
-    max_queue_depth: AtomicU64,
-    /// Per-batch busy time of this shard.
-    batch_latency: LatencyHist,
-}
-
-impl ShardCounters {
-    fn new() -> Self {
-        ShardCounters {
-            requests: AtomicU64::new(0),
-            node_accesses: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
-            batch_latency: LatencyHist::new(),
-        }
-    }
 }
 
 /// Point-in-time metrics of one shard (see [`ShardedService::metrics`]).
@@ -141,25 +65,13 @@ pub struct ShardMetrics {
     pub node_accesses: u64,
     /// Foreign-pass requests the MBR bound check skipped.
     pub skipped: u64,
-    /// Largest per-batch queue depth observed.
-    pub max_queue_depth: u64,
-    /// Median per-batch busy time, milliseconds.
-    pub p50_batch_ms: f64,
-    /// 99th-percentile per-batch busy time, milliseconds.
-    pub p99_batch_ms: f64,
 }
 
 /// Point-in-time metrics of the whole service.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceMetrics {
-    /// Batches served.
-    pub batches: u64,
-    /// Requests served (across all batches).
+    /// Requests served.
     pub requests: u64,
-    /// Median end-to-end batch latency, milliseconds.
-    pub p50_batch_ms: f64,
-    /// 99th-percentile end-to-end batch latency, milliseconds.
-    pub p99_batch_ms: f64,
     /// Per-shard breakdown, in strip order.
     pub shards: Vec<ShardMetrics>,
 }
@@ -176,20 +88,6 @@ struct Shard {
     counters: ShardCounters,
 }
 
-/// Requests that repay one more worker thread. A scoped spawn measures
-/// 40–80 µs on the benchmark box (`par.fanout_t2_ns`) and one bounded shard
-/// search 1.4 µs (`rtree.einn_ns`), a request being one to `shards` of
-/// them: 64 requests are 90–360 µs of search, the first point at which a
-/// second worker cannot lose.
-const FANOUT_GRAIN: usize = 64;
-
-/// What one batch routed to one shard: searches, and nanoseconds in them.
-#[derive(Default)]
-struct BatchLoad {
-    searches: AtomicU64,
-    nanos: AtomicU64,
-}
-
 /// The sharded [`SpatialService`] backend.
 pub struct ShardedService {
     shards: Vec<Shard>,
@@ -197,11 +95,7 @@ pub struct ShardedService {
     boundaries: Vec<f64>,
     /// POI id → shard currently holding it (relocation routing).
     homes: std::collections::HashMap<u64, usize>,
-    /// Most worker threads one batch may occupy.
-    threads: usize,
-    batches: AtomicU64,
     requests: AtomicU64,
-    batch_latency: LatencyHist,
 }
 
 impl ShardedService {
@@ -223,37 +117,21 @@ impl ShardedService {
             homes.extend(chunk.iter().map(|&(id, _)| (id, shards.len())));
             shards.push(Shard {
                 tree: RStarTree::bulk_load(chunk.iter().map(|&(id, p)| (p, id)).collect()),
-                counters: ShardCounters::new(),
+                counters: ShardCounters::default(),
             });
         }
         while shards.len() < n {
             shards.push(Shard {
                 tree: RStarTree::bulk_load(Vec::new()),
-                counters: ShardCounters::new(),
+                counters: ShardCounters::default(),
             });
         }
         ShardedService {
             shards,
             boundaries,
             homes,
-            threads: senn_par::worker_count(),
-            batches: AtomicU64::new(0),
             requests: AtomicU64::new(0),
-            batch_latency: LatencyHist::new(),
         }
-    }
-
-    /// Caps the worker threads one batch may occupy (clamped to at least
-    /// 1; the default is [`senn_par::worker_count`]). Replies and counters
-    /// do not depend on it.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The strip owning coordinate `x`.
@@ -284,10 +162,7 @@ impl ShardedService {
     /// Snapshot of the per-shard and service-level counters.
     pub fn metrics(&self) -> ServiceMetrics {
         ServiceMetrics {
-            batches: self.batches.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
-            p50_batch_ms: self.batch_latency.quantile_ms(0.50),
-            p99_batch_ms: self.batch_latency.quantile_ms(0.99),
             shards: self
                 .shards
                 .iter()
@@ -298,25 +173,19 @@ impl ShardedService {
                     requests: s.counters.requests.load(Ordering::Relaxed),
                     node_accesses: s.counters.node_accesses.load(Ordering::Relaxed),
                     skipped: s.counters.skipped.load(Ordering::Relaxed),
-                    max_queue_depth: s.counters.max_queue_depth.load(Ordering::Relaxed),
-                    p50_batch_ms: s.counters.batch_latency.quantile_ms(0.50),
-                    p99_batch_ms: s.counters.batch_latency.quantile_ms(0.99),
                 })
                 .collect(),
         }
     }
 
-    /// One bounded search of shard `s` for `r`: appends the hits to `pois`,
-    /// returns the node accesses, and books the time since `clock` to the
-    /// shard.
+    /// One bounded search of shard `s` for `r`: appends the hits to `pois`
+    /// and returns the node accesses.
     fn search(
         &self,
         s: usize,
         r: &ServerRequest,
         bounds: SearchBounds,
         pois: &mut Vec<(CachedNn, f64)>,
-        clock: &mut Instant,
-        load: &[BatchLoad],
     ) -> u64 {
         let shard = &self.shards[s];
         let mut it = shard.tree.nn_iter_bounded(r.query, bounds);
@@ -335,22 +204,18 @@ impl ShardedService {
             .counters
             .node_accesses
             .fetch_add(accesses, Ordering::Relaxed);
-        let now = Instant::now();
-        load[s].searches.fetch_add(1, Ordering::Relaxed);
-        load[s]
-            .nanos
-            .fetch_add((now - *clock).as_nanos() as u64, Ordering::Relaxed);
-        *clock = now;
         accesses
     }
+}
 
+impl SpatialService for ShardedService {
     /// Answers one request: home strip, tightened bound, foreign strips,
     /// merge.
-    fn serve(&self, r: &ServerRequest, load: &[BatchLoad]) -> ServerReply {
+    fn serve(&self, r: &ServerRequest) -> Option<ServerReply> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
         let home = self.strip_for(r.query.x);
         let mut pois = Vec::new();
-        let mut clock = Instant::now();
-        let mut accesses = self.search(home, r, r.bounds, &mut pois, &mut clock, load);
+        let mut accesses = self.search(home, r, r.bounds, &mut pois);
 
         // Global bound tightening: the home k-th distance caps the search
         // of every foreign shard.
@@ -369,7 +234,7 @@ impl ShardedService {
             if prunable {
                 shard.counters.skipped.fetch_add(1, Ordering::Relaxed);
             } else {
-                accesses += self.search(s, r, bounds, &mut pois, &mut clock, load);
+                accesses += self.search(s, r, bounds, &mut pois);
             }
         }
 
@@ -380,46 +245,13 @@ impl ShardedService {
                 .then_with(|| a.0.poi_id.cmp(&b.0.poi_id))
         });
         pois.truncate(r.count);
-        ServerReply::ok(
+        Some(ServerReply::ok(
             r.id,
             ServerResponse {
                 pois,
                 node_accesses: accesses,
             },
-        )
-    }
-}
-
-impl SpatialService for ShardedService {
-    fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
-        let batch_started = Instant::now();
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.requests
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let load: Vec<BatchLoad> = self.shards.iter().map(|_| BatchLoad::default()).collect();
-        let replies = senn_par::par_map_grained(
-            batch,
-            self.threads,
-            FANOUT_GRAIN,
-            || (),
-            |(), _, r| self.serve(r, &load),
-        );
-        for (shard, load) in self.shards.iter().zip(&load) {
-            let searches = load.searches.load(Ordering::Relaxed);
-            if searches > 0 {
-                shard
-                    .counters
-                    .max_queue_depth
-                    .fetch_max(searches, Ordering::Relaxed);
-                shard
-                    .counters
-                    .batch_latency
-                    .record(load.nanos.load(Ordering::Relaxed));
-            }
-        }
-        self.batch_latency
-            .record(batch_started.elapsed().as_nanos() as u64);
-        replies
+        ))
     }
 
     fn poi_count(&self) -> usize {
@@ -431,8 +263,7 @@ impl SpatialService for ShardedService {
 mod tests {
     use super::*;
 
-    /// A single query as a batch of one through the service seam (the
-    /// trait has no single-query convenience).
+    /// A single query through the service seam.
     fn knn_one(
         svc: &ShardedService,
         query: Point,
@@ -446,9 +277,8 @@ mod tests {
             bounds,
             full_count: count,
         };
-        svc.submit(std::slice::from_ref(&req))
-            .pop()
-            .expect("one reply per request")
+        svc.serve(&req)
+            .expect("an in-process backend always replies")
             .response
     }
 
@@ -469,7 +299,7 @@ mod tests {
     fn strips_partition_the_poi_set() {
         let world = pois(500, 0xabc);
         let svc = ShardedService::new(world.clone(), 4);
-        assert_eq!(svc.shard_count(), 4);
+        assert_eq!(svc.metrics().shards.len(), 4);
         assert_eq!(svc.poi_count(), 500);
         let m = svc.metrics();
         assert_eq!(m.shards.iter().map(|s| s.pois).sum::<usize>(), 500);
@@ -492,7 +322,7 @@ mod tests {
     #[test]
     fn more_shards_than_pois() {
         let svc = ShardedService::new(vec![(0, Point::new(1.0, 1.0))], 8);
-        assert_eq!(svc.shard_count(), 8);
+        assert_eq!(svc.metrics().shards.len(), 8);
         let resp = knn_one(&svc, Point::ORIGIN, 3, SearchBounds::NONE);
         assert_eq!(resp.pois.len(), 1);
         assert_eq!(resp.pois[0].0.poi_id, 0);
@@ -526,7 +356,6 @@ mod tests {
         let replies = svc.submit(&batch);
         assert_eq!(replies.len(), 16);
         let m = svc.metrics();
-        assert_eq!(m.batches, 1);
         assert_eq!(m.requests, 16);
         assert!(m.node_accesses() > 0);
         assert_eq!(
@@ -542,8 +371,6 @@ mod tests {
             touched >= 16,
             "every request touched at least its home shard"
         );
-        assert!(m.shards.iter().any(|s| s.max_queue_depth > 0));
-        assert!(m.p99_batch_ms >= m.p50_batch_ms);
     }
 
     #[test]
@@ -561,20 +388,5 @@ mod tests {
         let m = svc.metrics();
         let skipped: u64 = m.shards.iter().map(|s| s.skipped).sum();
         assert!(skipped > 0, "distant shards should be MBR-skipped: {m:?}");
-    }
-
-    #[test]
-    fn latency_histogram_quantiles() {
-        let h = LatencyHist::new();
-        assert_eq!(h.quantile_ms(0.5), 0.0);
-        for _ in 0..99 {
-            h.record(1_000_000); // ~1 ms
-        }
-        h.record(1_000_000_000); // one ~1 s outlier
-        let p50 = h.quantile_ms(0.50);
-        let p99 = h.quantile_ms(0.99);
-        assert!(p50 > 0.4 && p50 < 2.0, "p50 ~1 ms, got {p50}");
-        assert!(p99 < 2.0, "p99 still in the 1 ms bucket, got {p99}");
-        assert!(h.quantile_ms(1.0) > 500.0, "max hits the outlier bucket");
     }
 }

@@ -1,9 +1,8 @@
-//! Equivalence of the request-major `ShardedService::submit` with the
+//! Equivalence of the request-major `ShardedService::serve` with the
 //! single-tree `RTreeServer` and with the shard-major two-pass algorithm it
 //! replaced, which lives on here as an oracle: replies id-for-id and
 //! `node_accesses`-equal, per-shard `requests` / `node_accesses` /
-//! `skipped` equal — for every shard count, thread budget and way of
-//! cutting the same requests into batches.
+//! `skipped` equal — for every shard count, one request at a time.
 
 use senn_core::service::{ServerRequest, SpatialService};
 use senn_core::RTreeServer;
@@ -11,9 +10,6 @@ use senn_geom::{Point, EPS};
 use senn_rtree::{RStarTree, SearchBounds};
 use senn_server::ShardedService;
 
-/// `ShardedService`'s fan-out grain: batches up to this size run on the
-/// caller, one more request brings in a second worker.
-const GRAIN: usize = 64;
 const SIDE: f64 = 2000.0;
 
 struct Rng(u64);
@@ -104,20 +100,16 @@ fn workload(n: usize, pois: usize, seed: u64) -> Vec<ServerRequest> {
 /// `(poi id, distance bits)` per hit, plus the node accesses, of a reply.
 type Answer = (Vec<(u64, u64)>, u64);
 
-fn answers(replies: &[senn_core::service::ServerReply], reqs: &[ServerRequest]) -> Vec<Answer> {
-    assert_eq!(replies.len(), reqs.len());
-    replies
-        .iter()
-        .zip(reqs)
-        .map(|(reply, req)| {
-            assert_eq!(reply.id, req.id);
-            let hits = reply.response.pois.iter();
-            (
-                hits.map(|(p, d)| (p.poi_id, d.to_bits())).collect(),
-                reply.response.node_accesses,
-            )
-        })
-        .collect()
+fn answer(svc: &ShardedService, req: &ServerRequest) -> Answer {
+    let reply = svc
+        .serve(req)
+        .expect("an in-process backend always replies");
+    assert_eq!(reply.id, req.id);
+    let hits = reply.response.pois.iter();
+    (
+        hits.map(|(p, d)| (p.poi_id, d.to_bits())).collect(),
+        reply.response.node_accesses,
+    )
 }
 
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -139,7 +131,7 @@ fn tallies(svc: &ShardedService) -> Vec<ShardTally> {
         .collect()
 }
 
-/// The algorithm `ShardedService::submit` ran until it went request-major:
+/// The algorithm the sharded service ran until it went request-major:
 /// every shard answers the requests it is home to, the home k-th distances
 /// tighten the bounds, then every shard answers the foreign requests its
 /// MBR cannot rule out. Sequential, and guarded against `count = 0`, which
@@ -149,7 +141,6 @@ struct TwoPassOracle {
     boundaries: Vec<f64>,
     homes: std::collections::HashMap<u64, usize>,
     tally: Vec<ShardTally>,
-    max_queue_depth: Vec<u64>,
 }
 
 impl TwoPassOracle {
@@ -162,7 +153,6 @@ impl TwoPassOracle {
             boundaries: Vec::new(),
             homes: std::collections::HashMap::new(),
             tally: vec![ShardTally::default(); shard_count],
-            max_queue_depth: vec![0; shard_count],
         };
         for (s, chunk) in items.chunks(per).enumerate() {
             if s > 0 {
@@ -244,9 +234,7 @@ impl TwoPassOracle {
                 }
             }
         }
-        for (s, (home, foreign)) in home_work.iter().zip(&foreign_work).enumerate() {
-            let depth = (home.len() + foreign.len()) as u64;
-            self.max_queue_depth[s] = self.max_queue_depth[s].max(depth);
+        for (s, foreign) in foreign_work.iter().enumerate() {
             for &i in foreign {
                 let r = &batch[i];
                 let bounds = SearchBounds {
@@ -273,33 +261,27 @@ impl TwoPassOracle {
     }
 }
 
-/// Submits `reqs` to a fresh service in batches of `batch`, and checks the
-/// answers against the single tree and the answers and per-shard tallies
-/// against the oracle. Returns the tallies.
+/// Serves `reqs` one at a time on a fresh service, and checks the answers
+/// against the single tree and the answers and per-shard tallies against
+/// the oracle, which takes them as one batch.
 fn check(
     pois: &[(u64, Point)],
     relocations: &[(u64, Point, Point)],
     reqs: &[ServerRequest],
     shards: usize,
-    threads: usize,
-    batch: usize,
-) -> Vec<ShardTally> {
-    let label = format!("shards {shards} threads {threads} batch {batch}");
+) {
+    let label = format!("shards {shards}");
     let mut golden = RTreeServer::new(pois.iter().copied());
     let mut oracle = TwoPassOracle::new(pois, shards);
-    let mut svc = ShardedService::new(pois.iter().copied(), shards).with_threads(threads);
+    let mut svc = ShardedService::new(pois.iter().copied(), shards);
     for &(id, old, new) in relocations {
         assert!(golden.relocate(id, old, new));
         assert!(oracle.relocate(id, old, new));
         assert!(svc.relocate(id, old, new));
     }
 
-    let mut got = Vec::new();
-    let mut want = Vec::new();
-    for chunk in reqs.chunks(batch) {
-        got.extend(answers(&svc.submit(chunk), chunk));
-        want.extend(oracle.submit(chunk));
-    }
+    let got: Vec<Answer> = reqs.iter().map(|r| answer(&svc, r)).collect();
+    let want = oracle.submit(reqs);
     for ((req, got), want) in reqs.iter().zip(&got).zip(&want) {
         assert_eq!(got, want, "{label}: request {} vs the oracle", req.id);
         let single = golden.knn_one(req.query, req.count, req.bounds);
@@ -321,27 +303,14 @@ fn check(
     assert_eq!(tallies(&svc), oracle.tally, "{label}: per-shard tallies");
     let m = svc.metrics();
     assert_eq!(m.requests, reqs.len() as u64);
-    assert_eq!(m.batches, reqs.len().div_ceil(batch) as u64);
     assert_eq!(m.node_accesses(), got.iter().map(|a| a.1).sum::<u64>());
-    let depths: Vec<u64> = m.shards.iter().map(|s| s.max_queue_depth).collect();
-    assert_eq!(depths, oracle.max_queue_depth, "{label}: queue depths");
-    oracle.tally
 }
 
-/// Every shard count × thread budget × batch size over `pois`.
+/// Every shard count over `pois`.
 fn check_matrix(pois: &[(u64, Point)], relocations: &[(u64, Point, Point)], seed: u64) {
     let reqs = workload(256, pois.len(), seed);
     for shards in [1, 3, 4, 8] {
-        let mut totals = Vec::new();
-        for batch in [1, GRAIN - 1, GRAIN, GRAIN + 1, 256] {
-            for threads in [1, 2, 4] {
-                totals.push(check(pois, relocations, &reqs, shards, threads, batch));
-            }
-        }
-        assert!(
-            totals.windows(2).all(|w| w[0] == w[1]),
-            "shards {shards}: per-shard totals move with the thread budget or the batch size"
-        );
+        check(pois, relocations, &reqs, shards);
     }
 }
 

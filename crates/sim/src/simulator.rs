@@ -195,25 +195,24 @@ pub struct SimConfig {
     /// Time-to-live for cached entries: peers ignore (and hosts purge)
     /// entries older than this. `None` disables TTL invalidation.
     pub cache_ttl_secs: Option<f64>,
-    /// Worker threads for the batch engine's execute and measure passes,
-    /// and for a sharded service backend: `None` uses every available core
-    /// (`SENN_THREADS` still overrides), `Some(1)` keeps the whole run on
-    /// the calling thread. Metrics are identical either way; only wall
-    /// time changes.
+    /// Worker threads for the batch engine's execute and measure passes:
+    /// `None` uses every available core (`SENN_THREADS` still overrides),
+    /// `Some(1)` keeps the whole run on the calling thread. Metrics are
+    /// identical either way; only wall time changes.
     pub threads: Option<usize>,
     /// Shard count of the residual-query service backend: `1` serves from
     /// the single-tree [`RTreeServer`] reference backend, `> 1`
     /// strip-partitions the POI set across that many R\*-tree shards
     /// (`senn_server::ShardedService`). Query results — and therefore
-    /// every recorded metric — are identical either way; only server-side
-    /// fan-out and per-shard accounting change.
+    /// every recorded metric — are identical either way; only the
+    /// server-side search and per-shard accounting change.
     pub server_shards: usize,
     /// Seeded fault injection on the service seam (`None` = no faults; a
     /// disabled config is a pure passthrough and leaves [`Metrics`]
     /// bit-identical). Each request's fate is keyed by
     /// `(seed, request id, attempt ordinal)`, so a fixed seed reproduces
-    /// the exact same retry counts regardless of worker-thread count,
-    /// shard count, or how submissions are coalesced into batches.
+    /// the exact same retry counts regardless of worker-thread count or
+    /// shard count.
     pub fault: Option<FaultConfig>,
     /// Retry ladder of the settled client (inert when the service never
     /// fails). With [`SimConfig::transport`] set, the ladder embedded in
@@ -421,7 +420,7 @@ impl SimConfigBuilder {
 }
 
 /// The configurable backend behind the sim's residual-query service seam.
-/// `RTreeServer` stays the trivial 1-shard implementation of the batched
+/// `RTreeServer` stays the trivial 1-shard implementation of the
 /// trait; higher shard counts use the strip-partitioned service. Both
 /// return identical answers (golden-tested in `senn-server`), so the
 /// choice never leaks into [`Metrics`].
@@ -443,10 +442,10 @@ impl ServiceBackend {
 }
 
 impl SpatialService for ServiceBackend {
-    fn submit(&self, batch: &[ServerRequest]) -> Vec<ServerReply> {
+    fn serve(&self, request: &ServerRequest) -> Option<ServerReply> {
         match self {
-            ServiceBackend::Plain(s) => s.submit(batch),
-            ServiceBackend::Sharded(s) => s.submit(batch),
+            ServiceBackend::Plain(s) => s.serve(request),
+            ServiceBackend::Sharded(s) => s.serve(request),
         }
     }
 
@@ -678,12 +677,7 @@ impl Simulator {
         let poi_positions: Vec<Point> = pois.iter().map(|(_, p)| *p).collect();
         let server = RTreeServer::new(pois.iter().copied());
         let backend = if config.server_shards > 1 {
-            let sharded = ShardedService::new(pois, config.server_shards);
-            // `None` leaves the service its default, every available core.
-            ServiceBackend::Sharded(match config.threads {
-                Some(threads) => sharded.with_threads(threads),
-                None => sharded,
-            })
+            ServiceBackend::Sharded(ShardedService::new(pois, config.server_shards))
         } else {
             // A bulk load is a pure function of the POIs, so the backend
             // starts as a copy of the truth server's tree.

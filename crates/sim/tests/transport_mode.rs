@@ -152,8 +152,7 @@ fn tiny_queues_shed_under_burst_arrivals_and_stay_attributed() {
 /// retry once paid the (bottomless) budget. Any change to the lane
 /// dequeue order or the keyed draw discipline moves at least one of
 /// them. The same pins hold at one and two threads over one and four
-/// shards — where every residual is a one-request
-/// `ShardedService::submit` under the simulator's thread budget — with
+/// shards — where every residual is one `ShardedService::serve` — with
 /// `Metrics` and the per-shard accounting bit-identical between the two
 /// thread budgets.
 ///

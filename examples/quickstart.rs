@@ -81,13 +81,15 @@ fn main() {
     println!("server was never contacted — the peer's cache answered everything.");
 
     // Had the cache fallen short, the residual would go out over the
-    // batched service API: one ServerRequest per unresolved query, one
-    // submit() per interval. The same seam a sharded backend implements.
+    // service API: one ServerRequest per unresolved query, one serve()
+    // each. The same seam a sharded backend implements.
     let request = ServerRequest::plain(0, q, 2);
-    let replies = server.submit(std::slice::from_ref(&request));
-    assert_eq!(replies[0].status, ReplyStatus::Ok);
+    let reply = server
+        .serve(&request)
+        .expect("an in-process server replies");
+    assert_eq!(reply.status, ReplyStatus::Ok);
     println!(
-        "(for comparison, one batched server request would have cost {} node accesses)",
-        replies[0].response.node_accesses
+        "(for comparison, one server request would have cost {} node accesses)",
+        reply.response.node_accesses
     );
 }
