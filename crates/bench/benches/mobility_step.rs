@@ -1,14 +1,17 @@
 //! Per-step cost of the two mobility models: per object (`mobility_step`,
-//! a `Vec<HostMobility>`) and as the simulator runs them (`column_sweep`:
-//! a dense mover column beside a position column and a per-host RNG
-//! column, half the population paused for the whole measurement).
+//! a `Vec<HostMobility>`) and over the simulator's dense columns
+//! (`column_sweep`: a mover column beside a position column and a per-host
+//! RNG column, half the population paused for the whole measurement). A
+//! road mover steps; a free mover's closed-form leg is carried to the
+//! sweep's time and evaluated there, which is what the simulator does for
+//! each free mover its calendar brings due (without the grid).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use senn_geom::{Point, Rect};
 use senn_mobility::{
-    step_leg, HostMobility, RandomWaypoint, RoadMover, RoadMoverConfig, WaypointConfig, WaypointLeg,
+    HostMobility, RandomWaypoint, RoadMover, RoadMoverConfig, WaypointConfig, WaypointLeg,
 };
 use senn_network::{generate_network, GeneratorConfig, NodeLocator};
 
@@ -60,9 +63,9 @@ fn mobility(c: &mut Criterion) {
     }
     group.finish();
 
-    // The sweep of `Simulator::advance_movement`, minus the grid. Odd
-    // movers sit out a pause no measurement outlasts; even ones never
-    // pause.
+    // The movers of `Simulator::advance_movement`, minus the grid and the
+    // calendar. Odd movers sit out a pause no measurement outlasts; even
+    // ones never pause.
     const LONG_PAUSE_SECS: f64 = 1e12;
     let mut group = c.benchmark_group("column_sweep");
     for hosts in [1000usize, 100_000] {
@@ -75,19 +78,24 @@ fn mobility(c: &mut Criterion) {
             let mut config = WaypointConfig::new(area, 13.4);
             config.max_pause_secs = 0.0;
             let mut rngs = rngs();
-            let mut positions: Vec<Point> = (0..hosts).map(start).collect();
+            let mut anchors: Vec<Point> = (0..hosts).map(start).collect();
             let mut legs: Vec<WaypointLeg> = (0..hosts)
                 .map(|i| {
-                    let mut leg = WaypointLeg::new(&config, positions[i], &mut rngs[i]);
-                    leg.pause_left = (i % 2) as f64 * LONG_PAUSE_SECS;
+                    let mut leg = WaypointLeg::new(&config, anchors[i], &mut rngs[i]);
+                    leg.depart = (i % 2) as f64 * LONG_PAUSE_SECS;
                     leg
                 })
                 .collect();
+            let mut clock = 0.0;
             b.iter(|| {
+                clock += 1.0;
+                let mut last = Point::ORIGIN;
                 for (i, leg) in legs.iter_mut().enumerate() {
-                    step_leg(&config, &mut positions[i], leg, 1.0, &mut rngs[i]);
+                    last = leg
+                        .advance(&mut anchors[i], &config, clock, &mut rngs[i])
+                        .at(clock);
                 }
-                black_box(positions[0])
+                black_box(last)
             })
         });
         group.bench_with_input(BenchmarkId::new("road", hosts), &hosts, |b, &hosts| {

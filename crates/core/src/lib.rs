@@ -42,6 +42,7 @@ pub mod server;
 pub mod service;
 pub mod single;
 pub mod snnn;
+pub mod splitmix;
 pub mod trace;
 pub mod transport;
 pub mod verify;

@@ -60,6 +60,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::service::{ReplyStatus, RequestOutcome, ServerReply, ServerRequest, SpatialService};
+use crate::splitmix::{mix64, SplitMix64};
 
 /// The shared request-correlation id: chosen by the client, echoed by
 /// every reply, and the key of every *keyed* schedule in the system (the
@@ -194,29 +195,6 @@ impl TransportPolicy {
             window: SETTLED_WINDOW,
         }
     }
-}
-
-/// Deterministic SplitMix64 stream (no external RNG dependency).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix64(self.0)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-/// SplitMix64 finalizer: a bijective avalanche mix of one word — the same
-/// mix `FaultyService` keys its fate draws with.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Number of log2 latency buckets (covers 1 ms .. ~2^63 ms).
@@ -450,13 +428,10 @@ impl<S: SpatialService> Transport<S> {
             // ordinal) — the same discipline as FaultyService's fate
             // draws, so the schedule is invariant to batch layout.
             let ordinal = self.attempts.entry(next.request.id).or_insert(0);
-            let key = mix64(
-                self.seed
-                    .wrapping_add(mix64(next.request.id.raw()).wrapping_add(mix64(*ordinal))),
-            );
+            let mut rng = SplitMix64::keyed(self.seed, next.request.id.raw(), *ordinal);
             *ordinal += 1;
             let service_ms = if self.mean_service_ms > 0.0 {
-                -self.mean_service_ms * (1.0 - SplitMix64(key).next_f64()).ln()
+                -self.mean_service_ms * (1.0 - rng.next_f64()).ln()
             } else {
                 0.0
             };

@@ -25,7 +25,7 @@ use senn_geom::Point;
 use senn_network::RoadNetwork;
 
 pub use road::{RoadMover, RoadMoverConfig, RoutePlans};
-pub use waypoint::{glide, step_leg, RandomWaypoint, WaypointConfig, WaypointLeg};
+pub use waypoint::{RandomWaypoint, Travel, WaypointConfig, WaypointLeg};
 
 /// The movement state of one mobile host.
 #[derive(Clone, Debug)]

@@ -25,33 +25,8 @@ use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 use senn_core::service::{ReplyStatus, ServerReply, ServerRequest, SpatialService};
+use senn_core::splitmix::SplitMix64;
 use senn_core::transport::RequestId;
-
-/// Deterministic SplitMix64 stream (no external RNG dependency).
-#[derive(Clone, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-/// SplitMix64 finalizer: a bijective avalanche mix of one word.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Configuration of the fault-injecting wrapper.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -143,20 +118,15 @@ impl<S: SpatialService> SpatialService for FaultyService<S> {
         // The draws are keyed by (seed, id, per-id attempt ordinal), so
         // neither the order of requests nor their grouping moves a fate —
         // only how often each id has been submitted does.
-        let key = {
+        let mut rng = {
             // Each counter update is one increment, so a poisoned lock
             // holds no torn state: recover the guard instead of panicking.
             let mut attempts = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
             let ordinal = attempts.entry(request.id).or_insert(0);
-            let key = mix64(
-                self.config
-                    .seed
-                    .wrapping_add(mix64(request.id.raw()).wrapping_add(mix64(*ordinal))),
-            );
+            let rng = SplitMix64::keyed(self.config.seed, request.id.raw(), *ordinal);
             *ordinal += 1;
-            key
+            rng
         };
-        let mut rng = SplitMix64(key);
         let dropped = rng.next_f64() < self.config.drop_prob;
         let latency = if self.config.mean_latency_ms > 0.0 {
             // Exponential via inverse CDF; 1 - u avoids ln(0).

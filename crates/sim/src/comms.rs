@@ -57,8 +57,8 @@ impl Simulator {
         scratch: &mut QueryScratch<'a>,
     ) -> usize {
         let q = self.store.position(plan.querier);
-        self.grid.within_into(
-            self.store.positions(),
+        self.grid.within_by(
+            |id| self.store.position(id),
             q,
             self.config.params.tx_range_m,
             plan.querier,

@@ -52,6 +52,7 @@
 use std::collections::HashMap;
 
 use senn_geom::{Point, Rect};
+use senn_mobility::Travel;
 
 /// Ids a cell holds inline: with the count, 32 bytes, two to a cache line.
 const INLINE_IDS: usize = 7;
@@ -147,8 +148,14 @@ impl HostGrid {
     /// Cell assignment and the crossing check, with the grid's constants
     /// copied out once: a sweep takes one for all its movers.
     pub(crate) fn probe(&self) -> CrossingProbe<'_> {
+        let b = self.bounds;
+        let reach = [b.min.x, b.min.y, b.max.x, b.max.y]
+            .into_iter()
+            .fold(self.cell, |m, v| m.max(v.abs()));
         CrossingProbe {
-            min: self.bounds.min,
+            min: b.min,
+            cell: self.cell,
+            margin: WALL_MARGIN * reach,
             inv_cell: self.inv_cell,
             last_col: self.cols as isize - 1,
             last_row: self.rows as isize - 1,
@@ -299,6 +306,19 @@ impl HostGrid {
         exclude: u32,
         out: &mut Vec<u32>,
     ) {
+        self.within_by(|id| positions[id as usize], p, radius, exclude, out);
+    }
+
+    /// [`HostGrid::within_into`] reading each candidate's position through
+    /// `position`, for a store whose positions are evaluated on demand.
+    pub(crate) fn within_by(
+        &self,
+        position: impl Fn(u32) -> Point,
+        p: Point,
+        radius: f64,
+        exclude: u32,
+        out: &mut Vec<u32>,
+    ) {
         out.clear();
         let r2 = radius * radius;
         // Hosts clamped into edge cells sit arbitrarily far outside the
@@ -318,7 +338,7 @@ impl HostGrid {
                     continue;
                 }
                 for &id in self.ids(y as usize * self.cols + x as usize) {
-                    if id != exclude && p.dist_sq(positions[id as usize]) <= r2 {
+                    if id != exclude && p.dist_sq(position(id)) <= r2 {
                         out.push(id);
                     }
                 }
@@ -332,6 +352,9 @@ impl HostGrid {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CrossingProbe<'a> {
     min: Point,
+    cell: f64,
+    /// How far inside a cell wall [`CrossingProbe::exit_time`] stops.
+    margin: f64,
     inv_cell: f64,
     last_col: isize,
     last_row: isize,
@@ -352,16 +375,78 @@ impl CrossingProbe<'_> {
     #[inline]
     fn flat_cell(&self, p: Point) -> u32 {
         let (cx, cy) = self.cell_of(p);
+        self.flat((cx, cy))
+    }
+
+    #[inline]
+    fn flat(&self, (cx, cy): (usize, usize)) -> u32 {
         (cy * self.cols + cx) as u32
+    }
+
+    /// The move of `host` into `cell`, unless it is recorded there.
+    #[inline]
+    fn staged(&self, host: u32, cell: u32) -> Option<CellMove> {
+        (self.host_cells[host as usize] != cell).then_some(CellMove { host, cell })
+    }
+
+    /// The cell `host` is recorded in.
+    #[inline]
+    pub(crate) fn recorded_cell(&self, host: u32) -> u32 {
+        self.host_cells[host as usize]
     }
 
     /// [`HostGrid::crossing`].
     #[inline]
     pub(crate) fn crossing(&self, host: u32, new_pos: Point) -> Option<CellMove> {
-        let cell = self.flat_cell(new_pos);
-        (self.host_cells[host as usize] != cell).then_some(CellMove { host, cell })
+        self.staged(host, self.flat_cell(new_pos))
+    }
+
+    /// [`CrossingProbe::crossing`] for a host on a straight leg, with the
+    /// earliest time it can leave the cell `at` lies in (the leg's
+    /// position at time `t` is [`Travel::at`]). Each axis's wall ahead is
+    /// pulled `margin` (a billionth of the grid's largest coordinate) back
+    /// inside the cell, far more than the rounding of a position or of the
+    /// truncation in [`CrossingProbe::cell_of`], so the host cannot change
+    /// cells before the time returned. An edge cell has no wall on its
+    /// outer side (the clamp extends it), and an axis with no travel has
+    /// none either: with neither wall, the time is infinite. It may lie in
+    /// the past when `at` is within the margin of a wall.
+    #[inline]
+    pub(crate) fn leg_crossing(
+        &self,
+        host: u32,
+        at: Point,
+        travel: &Travel,
+    ) -> (Option<CellMove>, f64) {
+        let (cx, cy) = self.cell_of(at);
+        let crossed = self.staged(host, self.flat((cx, cy)));
+        let Travel {
+            from,
+            to,
+            depart,
+            secs,
+        } = *travel;
+        let axis = |c: usize, last: isize, origin: f64, from: f64, to: f64| {
+            let wall = if to > from && (c as isize) < last {
+                origin + (c + 1) as f64 * self.cell - self.margin
+            } else if to < from && c > 0 {
+                origin + c as f64 * self.cell + self.margin
+            } else {
+                return f64::INFINITY;
+            };
+            depart + (wall - from) / (to - from) * secs
+        };
+        let tx = axis(cx, self.last_col, self.min.x, from.x, to.x);
+        (
+            crossed,
+            tx.min(axis(cy, self.last_row, self.min.y, from.y, to.y)),
+        )
     }
 }
+
+/// [`CrossingProbe::leg_crossing`]'s margin, relative to the grid's largest
+/// coordinate.
+const WALL_MARGIN: f64 = 1e-9;
 
 #[cfg(test)]
 mod tests {

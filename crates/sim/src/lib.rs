@@ -21,6 +21,7 @@
 //! ```
 
 mod cache_step;
+mod calendar;
 mod comms;
 pub mod experiments;
 pub mod grid;

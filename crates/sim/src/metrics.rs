@@ -130,7 +130,105 @@ pub struct Metrics {
     pub model_evals_saved: u64,
 }
 
+/// An order-sensitive FNV-1a over 64-bit words: the fold behind
+/// [`Simulator::digest`](crate::Simulator::digest).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    /// Folds in one word.
+    pub(crate) fn word(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Folds in each word, in order.
+    pub(crate) fn words(&mut self, words: impl IntoIterator<Item = u64>) {
+        for word in words {
+            self.word(word);
+        }
+    }
+
+    /// The digest so far.
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 impl Metrics {
+    /// Folds the bits of every field into `h`, in declaration order (the
+    /// destructuring names every field, so a new one must be added here).
+    pub(crate) fn digest_into(&self, h: &mut Fnv) {
+        let Metrics {
+            queries,
+            single_peer,
+            multi_peer,
+            accepted_uncertain,
+            server,
+            einn_accesses,
+            inn_accesses,
+            per_k,
+            peer_entries_received,
+            peer_records_received,
+            heap_states,
+            peer_answers_graded,
+            peer_answers_wrong,
+            uncertain_exact,
+            uncertain_inflation_sum,
+            expansion_cap_hits,
+            server_retries,
+            server_timeouts,
+            server_drops,
+            server_shed,
+            server_retries_denied,
+            server_degraded,
+            server_failed,
+            lb_evals,
+            model_evals_saved,
+        } = self;
+        h.words([
+            *queries,
+            *single_peer,
+            *multi_peer,
+            *accepted_uncertain,
+            *server,
+            *einn_accesses,
+            *inn_accesses,
+        ]);
+        h.word(per_k.len() as u64);
+        for (&k, stats) in per_k {
+            h.words([
+                k as u64,
+                stats.queries,
+                stats.einn_accesses,
+                stats.inn_accesses,
+            ]);
+        }
+        h.words([*peer_entries_received, *peer_records_received]);
+        h.words(heap_states.iter().copied());
+        h.words([
+            *peer_answers_graded,
+            *peer_answers_wrong,
+            *uncertain_exact,
+            uncertain_inflation_sum.to_bits(),
+            *expansion_cap_hits,
+            *server_retries,
+            *server_timeouts,
+            *server_drops,
+            *server_shed,
+            *server_retries_denied,
+            *server_degraded,
+            *server_failed,
+            *lb_evals,
+            *model_evals_saved,
+        ]);
+    }
+
     /// Starts from zero.
     pub fn new() -> Self {
         Metrics::default()

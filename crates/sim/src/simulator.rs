@@ -54,7 +54,7 @@ pub use crate::cache_step::CachePolicy;
 pub use crate::movement::MovementMode;
 
 use crate::grid::{CellMove, HostGrid};
-use crate::metrics::Metrics;
+use crate::metrics::{Fnv, Metrics};
 use crate::movement::poisson;
 use crate::params::{ParamSet, SimParams};
 use crate::store::{HostStore, Spawn};
@@ -496,6 +496,9 @@ pub struct Simulator {
     pub(crate) batch_stats: BatchStats,
     /// The queries the last fold finished ([`Simulator::last_answers`]).
     pub(crate) answers: Vec<Answer>,
+    /// Every answer handed out so far, folded in order
+    /// ([`Simulator::digest`]).
+    pub(crate) answer_digest: Fnv,
     /// The CH model's query scratch (its scattered anchor label, kept
     /// answers and unpacking buffers), handed from expand pass to expand
     /// pass, so later intervals' queries find the answers earlier ones
@@ -551,6 +554,44 @@ pub(crate) enum RoadMetric {
     Ch(senn_network::ChIndex),
 }
 
+impl Answer {
+    /// Folds the answer's bits into `h` ([`Simulator::digest`]).
+    pub(crate) fn digest_into(&self, h: &mut Fnv) {
+        let nn = |h: &mut Fnv, poi: &senn_cache::CachedNn| {
+            h.words([
+                poi.poi_id,
+                poi.position.x.to_bits(),
+                poi.position.y.to_bits(),
+            ]);
+        };
+        h.words([
+            self.query.x.to_bits(),
+            self.query.y.to_bits(),
+            self.k as u64,
+            self.resolution as u64,
+            self.results.len() as u64,
+        ]);
+        for entry in &self.results {
+            nn(h, &entry.poi);
+            h.words([entry.dist.to_bits(), u64::from(entry.certain)]);
+        }
+        match &self.ranking {
+            None => h.word(0),
+            Some(ranking) => {
+                h.words([
+                    1,
+                    ranking.results.len() as u64,
+                    u64::from(ranking.confirmed),
+                ]);
+                for n in &ranking.results {
+                    nn(h, &n.poi);
+                    h.words([n.network_dist.to_bits(), n.euclid_dist.to_bits()]);
+                }
+            }
+        }
+    }
+}
+
 impl RoadMetric {
     fn build(kind: NetworkModelKind, network: &RoadNetwork, seed: u64) -> Self {
         match kind {
@@ -603,6 +644,9 @@ pub struct BatchStats {
     /// Grid cell-boundary crossings the movement pass applied — the
     /// per-interval grid work actually paid.
     pub grid_cell_moves: u64,
+    /// Movers the movement passes visited: every road mover every
+    /// interval, a free mover only when its calendar event came due.
+    pub mover_visits: u64,
     /// Route searches road movers ran (0 in free movement).
     pub route_plans: u64,
     /// Nodes those searches settled, from the kernel's `SearchStats`.
@@ -703,7 +747,7 @@ impl Simulator {
             config.cache_policy,
             params.c_size,
             params.mh_number,
-            free.then_some(waypoint_cfg),
+            free.then_some((waypoint_cfg, config.mean_interval_secs / 8.0)),
             config.seed,
         );
         for _ in 0..params.mh_number {
@@ -727,9 +771,10 @@ impl Simulator {
             server_fetch: params.c_size,
         });
 
-        // The grid indexes the store's position column from the start, so
-        // incremental maintenance has a valid baseline before any batch.
-        let grid = HostGrid::build(area, config.params.tx_range_m.max(1.0), store.positions());
+        // The grid indexes every host from the start, so incremental
+        // maintenance has a valid baseline before any batch. At time 0
+        // every host stands on its anchor.
+        let grid = HostGrid::build(area, config.params.tx_range_m.max(1.0), store.anchors());
         let road_metric = config
             .distance_model
             .map(|kind| RoadMetric::build(kind, &network, config.seed));
@@ -751,6 +796,7 @@ impl Simulator {
             crossings: Vec::new(),
             batch_stats: BatchStats::default(),
             answers: Vec::new(),
+            answer_digest: Fnv::default(),
             expand_ch: ChScratch::default(),
         }
     }
@@ -852,6 +898,21 @@ impl Simulator {
         &self.answers
     }
 
+    /// A fingerprint of everything the run computed: an order-sensitive
+    /// FNV-1a over the bits of every [`Metrics`] field, of
+    /// [`BatchStats::stage_calls`], and of every [`Answer`] handed out so
+    /// far, warm-up included — where each querier stood, `k`, the
+    /// resolution, each result's POI id, position, distance and
+    /// certainty, and the road ranking. Two runs with equal digests
+    /// computed the same numbers; wall-clock fields are left out.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv::default();
+        self.metrics.digest_into(&mut h);
+        h.words(self.batch_stats.stage_calls);
+        h.word(self.answer_digest.finish());
+        h.finish()
+    }
+
     /// Current POI positions, indexed by POI id: with
     /// [`Simulator::rknn_hosts`], the end-of-run snapshot of the world.
     pub fn poi_positions(&self) -> &[Point] {
@@ -865,9 +926,10 @@ impl Simulator {
     /// POI relocates, so under POI churn every distance list is empty.
     pub fn rknn_hosts(&self) -> Vec<RknnHost> {
         let use_caches = self.config.poi_churn_per_hour <= 0.0;
+        let positions = self.store.positions_now();
         (0..self.store.len() as u32)
-            .map(|h| {
-                let position = self.store.position(h);
+            .zip(positions)
+            .map(|(h, position)| {
                 let mut seen: Vec<u64> = Vec::new();
                 let mut cached_dists: Vec<f64> = Vec::new();
                 if use_caches {

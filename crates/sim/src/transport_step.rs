@@ -250,13 +250,15 @@ impl Simulator {
             let QueryTask {
                 plan, mut pending, ..
             } = task;
-            self.answers.push(Answer {
+            let answer = Answer {
                 query: pending.at,
                 k: plan.k,
                 resolution: pending.outcome.resolution(),
                 results: std::mem::take(&mut pending.outcome.results),
                 ranking: pending.ranking.take(),
-            });
+            };
+            answer.digest_into(&mut self.answer_digest);
+            self.answers.push(answer);
             self.apply_outcome(&plan, &pending, measured);
         }
     }
