@@ -2,7 +2,9 @@
 //! the peer-discovery ablation: incrementally maintained grid (what
 //! the simulator runs) vs a fresh build per interval vs naive linear scan,
 //! and grid upkeep at a million hosts: per-host `apply_move` vs
-//! stage-then-commit (what the movement pass runs).
+//! stage-then-commit (what the movement pass runs). The maintained and
+//! staged variants also run with storage cells five times the 200 m
+//! range (`_storage_5r`), the layout free-movement worlds use.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::random_points;
@@ -40,30 +42,33 @@ fn sim_tick(c: &mut Criterion) {
     let side = 3218.7;
     let bounds = Rect::new(Point::ORIGIN, Point::new(side, side));
     let positions = random_points(463, side, 13);
-    group.bench_function("peer_discovery_maintained", |b| {
-        // Deterministic per-iteration drift (~27 m, a 2 s interval at
-        // 30 mph) — most moves stay inside their 200 m cell, exactly the
-        // regime incremental maintenance exploits.
-        let mut moved = positions.clone();
-        let mut grid = HostGrid::build(bounds, 200.0, &moved);
-        let mut tick = 0u64;
-        b.iter(|| {
-            tick += 1;
-            for (i, p) in moved.iter_mut().enumerate() {
-                let phase = (i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ tick;
-                let dx = ((phase & 0xff) as f64 / 255.0 - 0.5) * 54.0;
-                let dy = (((phase >> 8) & 0xff) as f64 / 255.0 - 0.5) * 54.0;
-                p.x = (p.x + dx).clamp(0.0, side);
-                p.y = (p.y + dy).clamp(0.0, side);
-                grid.apply_move(i as u32, *p);
-            }
-            let mut total = 0usize;
-            for (i, p) in moved.iter().enumerate().take(64) {
-                total += grid.within(&moved, *p, 200.0, i as u32).len();
-            }
-            black_box(total)
-        })
-    });
+    let sides = [("", 200.0), ("_storage_5r", 1000.0)];
+    for (suffix, storage) in sides {
+        group.bench_function(format!("peer_discovery_maintained{suffix}"), |b| {
+            // Deterministic per-iteration drift (~27 m, a 2 s interval at
+            // 30 mph) — most moves stay inside their storage cell, exactly
+            // the regime incremental maintenance exploits.
+            let mut moved = positions.clone();
+            let mut grid = HostGrid::build_with_storage(bounds, 200.0, storage, &moved);
+            let mut tick = 0u64;
+            b.iter(|| {
+                tick += 1;
+                for (i, p) in moved.iter_mut().enumerate() {
+                    let phase = (i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ tick;
+                    let dx = ((phase & 0xff) as f64 / 255.0 - 0.5) * 54.0;
+                    let dy = (((phase >> 8) & 0xff) as f64 / 255.0 - 0.5) * 54.0;
+                    p.x = (p.x + dx).clamp(0.0, side);
+                    p.y = (p.y + dy).clamp(0.0, side);
+                    grid.apply_move(i as u32, *p);
+                }
+                let mut total = 0usize;
+                for (i, p) in moved.iter().enumerate().take(64) {
+                    total += grid.within(&moved, *p, 200.0, i as u32).len();
+                }
+                black_box(total)
+            })
+        });
+    }
     group.bench_function("peer_discovery_rebuild", |b| {
         b.iter(|| {
             let grid = HostGrid::build(bounds, 200.0, &positions);
@@ -121,24 +126,27 @@ fn sim_tick(c: &mut Criterion) {
             black_box(crossed)
         })
     });
-    group.bench_function("grid_commit_staged", |b| {
-        let (home, east) = sets();
-        let mut grid = HostGrid::build(bounds, 200.0, &home);
-        let mut staged = Vec::new();
-        let mut tick = 0usize;
-        b.iter(|| {
-            tick += 1;
-            let target = if tick % 2 == 1 { &east } else { &home };
-            staged.clear();
-            for (i, p) in target.iter().enumerate() {
-                if let Some(crossed) = grid.crossing(i as u32, *p) {
-                    staged.push(crossed);
+    for (suffix, storage) in sides {
+        // With 1 000 m storage cells a fifth of the shifted hosts cross.
+        group.bench_function(format!("grid_commit_staged{suffix}"), |b| {
+            let (home, east) = sets();
+            let mut grid = HostGrid::build_with_storage(bounds, 200.0, storage, &home);
+            let mut staged = Vec::new();
+            let mut tick = 0usize;
+            b.iter(|| {
+                tick += 1;
+                let target = if tick % 2 == 1 { &east } else { &home };
+                staged.clear();
+                for (i, p) in target.iter().enumerate() {
+                    if let Some(crossed) = grid.crossing(i as u32, *p) {
+                        staged.push(crossed);
+                    }
                 }
-            }
-            grid.commit(&staged);
-            black_box(staged.len())
-        })
-    });
+                grid.commit(&staged);
+                black_box(staged.len())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -4,8 +4,8 @@
 //! A free mover's position is a closed-form function of time
 //! ([`WaypointLeg::position`](senn_mobility::WaypointLeg::position)), so
 //! the pass need not visit it until it can next change the grid or draw:
-//! the earlier of its next cell-wall crossing (scheduled a margin early,
-//! [`CrossingProbe::exit_time`](crate::grid::CrossingProbe::exit_time))
+//! the earlier of its next storage-cell wall crossing (scheduled a margin
+//! early, [`CrossingProbe::leg_crossing`](crate::grid::CrossingProbe::leg_crossing))
 //! and its arrival at the waypoint. The calendar files every mover under
 //! the slot of that time; slots are `width` seconds wide and sit on a ring
 //! of [`RING`] slots, and a time further ahead than the ring reaches is

@@ -26,11 +26,11 @@
 //! the store keeps its anchor and leg, and readers evaluate it on demand
 //! ([`HostStore::position`](crate::store::HostStore::position)). The pass
 //! visits a free mover only when the [`Calendar`](crate::calendar) says
-//! it may have left its cell or reached its waypoint: it then carries the
-//! leg to the interval's end (drawing the pause and the next destination
-//! on each arrival, from the host's own stream, in the order the
-//! incremental step drew them), checks the cell and files the mover under
-//! its next event. Visits go in mover order, which is host order. A pass
+//! it may have left its storage cell (`grid` module docs) or reached its
+//! waypoint: it then carries the leg to the interval's end (drawing the
+//! pause and the next destination on each arrival, from the host's own
+//! stream, in the order the incremental step drew them), checks the cell
+//! and files the mover under its next event. Visits go in mover order, which is host order. A pass
 //! therefore costs the movers that crossed or arrived, not every mover.
 //!
 //! **Road movers sweep.** Every road mover steps every interval; it keeps
@@ -64,7 +64,7 @@ pub enum MovementMode {
 impl Simulator {
     /// Moves every mobile host forward by `dt` seconds (see module docs),
     /// keeping the peer-discovery grid current as a side effect: each host
-    /// that crossed a cell boundary costs two sorted cell-list edits,
+    /// that crossed a storage-cell boundary costs two cell-list edits,
     /// everything else costs nothing. Parked hosts are not visited: they
     /// have no mobility state and would draw no RNG.
     pub(crate) fn advance_movement(&mut self, dt: f64) {
@@ -175,11 +175,13 @@ mod tests {
     use rand::SeedableRng;
     use senn_geom::{Point, Rect};
 
-    /// The maintained grid answers every peer lookup exactly — ids and
-    /// order — like a fresh build over the hosts' positions: after every
-    /// interval of a free world with churn and TTL (so no crossing the
-    /// calendar defers is ever missed, and the calendar files every mover
-    /// exactly once), and after a whole road run.
+    /// The maintained grid records every host in the storage cell of its
+    /// position and answers every peer lookup exactly — ids and order —
+    /// like a fresh `Tx_Range` build over the hosts' positions: after every
+    /// interval of a free world with churn and TTL, whose storage cells are
+    /// coarser than the range (so no crossing the calendar defers is ever
+    /// missed, and the calendar files every mover exactly once), and after
+    /// a whole road run.
     #[test]
     fn maintained_grid_equals_fresh_build_after_a_run() {
         let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
@@ -197,6 +199,7 @@ mod tests {
             let fresh = HostGrid::build(area, range.max(1.0), &positions);
             let (mut kept, mut built) = (Vec::new(), Vec::new());
             for (h, &p) in positions.iter().enumerate() {
+                assert_eq!(sim.grid.crossing(h as u32, p), None, "{what} host {h}");
                 sim.grid
                     .within_by(|id| sim.store.position(id), p, range, h as u32, &mut kept);
                 fresh.within_into(&positions, p, range, h as u32, &mut built);
@@ -204,6 +207,7 @@ mod tests {
             }
         };
         let mut sim = Simulator::new(free);
+        assert!(sim.grid.storage_cell() > 2.0 * range);
         let mut intervals = 0;
         while sim.step() {
             intervals += 1;
@@ -221,6 +225,7 @@ mod tests {
         assert!(intervals > 10 && sim.batch_stats.grid_cell_moves > 0);
 
         let mut sim = Simulator::new(road);
+        assert_eq!(sim.grid.storage_cell(), range);
         sim.run();
         assert!(sim.batch_stats.grid_cell_moves > 0);
         same_lookups(&sim, "road");
@@ -231,8 +236,10 @@ mod tests {
     /// for the two runs of the test above. The road pin was computed
     /// before the dense mover columns and the inline grid cells; the free
     /// pin when free movers moved to closed-form legs, which changed only
-    /// the rounding of their positions (the crossing count is the old
-    /// one). Any change to movement that is not bit-identical moves these.
+    /// the rounding of their positions. The free crossing count is of
+    /// storage cells, 529.5 m wide in this world (`grid::storage_side`;
+    /// 1 484 crossings of 200 m cells before). Any change to movement that
+    /// is not bit-identical moves these.
     #[test]
     fn trajectory_fingerprints_are_pinned() {
         let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
@@ -244,7 +251,7 @@ mod tests {
         free.cache_ttl_secs = Some(60.0);
         let pinned = [
             (road, 0x6611_270d_78ec_521e_u64, 2245),
-            (free, 0x2643_0c11_3141_4565_u64, 1484),
+            (free, 0x2643_0c11_3141_4565_u64, 767),
         ];
         for (cfg, fingerprint, cell_moves) in pinned {
             let mut sim = Simulator::new(cfg);
