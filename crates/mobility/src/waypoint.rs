@@ -35,7 +35,8 @@ impl WaypointConfig {
 }
 
 /// A host moving under the random waypoint model: a [`WaypointLeg`] from
-/// its anchor, and the time it has been carried to.
+/// its anchor, the time it has been carried to, and the leg's [`Travel`]
+/// as of that time, so reading the position evaluates no square root.
 ///
 /// ```
 /// use rand::rngs::SmallRng;
@@ -61,22 +62,26 @@ pub struct RandomWaypoint {
     anchor: Point,
     leg: WaypointLeg,
     clock: f64,
+    /// `leg.travel(anchor, &config)`, kept from the last step.
+    travel: Travel,
 }
 
 impl RandomWaypoint {
     /// Creates a mover at `start` with a random first destination.
     pub fn new(start: Point, config: WaypointConfig, rng: &mut SmallRng) -> Self {
+        let leg = WaypointLeg::new(&config, start, rng);
         RandomWaypoint {
             config,
             anchor: start,
-            leg: WaypointLeg::new(&config, start, rng),
+            leg,
             clock: 0.0,
+            travel: leg.travel(start, &config),
         }
     }
 
     /// Current position.
     pub fn position(&self) -> Point {
-        self.leg.position(self.anchor, &self.config, self.clock)
+        self.travel.at(self.clock)
     }
 
     /// Current destination waypoint.
@@ -90,7 +95,8 @@ impl RandomWaypoint {
         if dt_secs > 0.0 {
             self.clock += dt_secs;
         }
-        self.leg
+        self.travel = self
+            .leg
             .advance(&mut self.anchor, &self.config, self.clock, rng);
     }
 }
@@ -352,6 +358,17 @@ mod tests {
         assert!(arrivals > 100, "{arrivals}");
     }
 
+    /// A wrapper at `here` on `leg` at time 0.
+    fn mid_leg(config: WaypointConfig, here: Point, leg: WaypointLeg) -> RandomWaypoint {
+        RandomWaypoint {
+            config,
+            anchor: here,
+            leg,
+            clock: 0.0,
+            travel: leg.travel(here, &config),
+        }
+    }
+
     /// The incremental leg the closed form replaced: the waypoint being
     /// approached and the pause left before travel resumes.
     #[derive(Clone, Copy, Debug)]
@@ -488,15 +505,14 @@ mod tests {
             );
             let mut rng_ref = SmallRng::seed_from_u64(i as u64);
             let mut rng = rng_ref.clone();
-            let mut moving = RandomWaypoint {
-                config: cfg,
-                anchor: here,
-                leg: WaypointLeg {
+            let mut moving = mid_leg(
+                cfg,
+                here,
+                WaypointLeg {
                     destination,
                     depart: pause_left,
                 },
-                clock: 0.0,
-            };
+            );
             step_leg(&cfg, &mut position, &mut old, dt, &mut rng_ref);
             moving.step(dt, &mut rng);
             let drift = position.dist(moving.position());
@@ -512,15 +528,14 @@ mod tests {
         }
         // The exact-reach case landed on the waypoint and drew a new one.
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut exact = RandomWaypoint {
-            config: cfg,
-            anchor: here,
-            leg: WaypointLeg {
+        let mut exact = mid_leg(
+            cfg,
+            here,
+            WaypointLeg {
                 destination: there,
                 depart: 0.0,
             },
-            clock: 0.0,
-        };
+        );
         exact.step(1.0, &mut rng);
         assert_eq!(exact.position(), there);
         assert_ne!(exact.destination(), there);
@@ -535,15 +550,14 @@ mod tests {
         );
         let mut rng_ref = SmallRng::seed_from_u64(1);
         let mut rng = rng_ref.clone();
-        let mut still = RandomWaypoint {
-            config: cfg,
-            anchor: here,
-            leg: WaypointLeg {
+        let mut still = mid_leg(
+            cfg,
+            here,
+            WaypointLeg {
                 destination: here,
                 depart: 0.0,
             },
-            clock: 0.0,
-        };
+        );
         step_leg(&cfg, &mut position, &mut old, 1e-13, &mut rng_ref);
         still.step(1e-13, &mut rng);
         assert_eq!((position, old.destination), (here, here));
