@@ -1,6 +1,6 @@
-//! End-to-end simulator throughput on the scaled Los Angeles world, plus
-//! the peer-discovery ablation: incrementally maintained grid (what
-//! the simulator runs) vs a fresh build per interval vs naive linear scan,
+//! End-to-end simulator throughput on the scaled Los Angeles world, under
+//! road and (`_free_`) free movement, plus the peer-discovery ablation:
+//! incrementally maintained grid (what the simulator runs) vs a fresh build per interval vs naive linear scan,
 //! and grid upkeep at a million hosts: per-host `apply_move` vs
 //! stage-then-commit (what the movement pass runs). The maintained and
 //! staged variants also run with storage cells five times the 200 m
@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use senn_bench::random_points;
 use senn_geom::{Point, Rect};
-use senn_sim::{HostGrid, ParamSet, SimConfig, SimParams, Simulator};
+use senn_sim::{HostGrid, MovementMode, ParamSet, SimConfig, SimParams, Simulator};
 
 fn sim_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_tick");
@@ -33,6 +33,17 @@ fn sim_tick(c: &mut Criterion) {
             black_box(sim.run().queries)
         })
     });
+    group.bench_function("la_30x30_scaled400_free_one_minute", |b| {
+        b.iter(|| {
+            let mut params = SimParams::thirty_by_thirty(ParamSet::LosAngeles).scaled_down(400.0);
+            params.t_execution_hours = 1.0 / 60.0;
+            let mut cfg = SimConfig::new(params, 7);
+            cfg.mode = MovementMode::FreeMovement;
+            cfg.warmup_frac = 0.0;
+            let mut sim = Simulator::new(cfg);
+            black_box(sim.run().queries)
+        })
+    });
 
     // Peer-discovery ablation at LA density. The maintained variant is
     // the production path: one long-lived grid absorbing per-interval
@@ -47,14 +58,21 @@ fn sim_tick(c: &mut Criterion) {
         group.bench_function(format!("peer_discovery_maintained{suffix}"), |b| {
             // Deterministic per-iteration drift (~27 m, a 2 s interval at
             // 30 mph) — most moves stay inside their storage cell, exactly
-            // the regime incremental maintenance exploits.
+            // the regime incremental maintenance exploits. Host and tick
+            // are mixed (the splitmix64 finalizer), so both axes take a
+            // fresh step every iteration and the hosts diffuse rather than
+            // pile onto the clamped edges.
             let mut moved = positions.clone();
-            let mut grid = HostGrid::build_with_storage(bounds, 200.0, storage, &moved);
+            let mut grid =
+                HostGrid::build_with_storage(bounds, 200.0, storage, moved.iter().copied());
             let mut tick = 0u64;
             b.iter(|| {
                 tick += 1;
                 for (i, p) in moved.iter_mut().enumerate() {
-                    let phase = (i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ tick;
+                    let mut phase = (i as u64) << 32 ^ tick;
+                    phase = (phase ^ phase >> 30).wrapping_mul(0xbf58476d1ce4e5b9);
+                    phase = (phase ^ phase >> 27).wrapping_mul(0x94d049bb133111eb);
+                    phase ^= phase >> 31;
                     let dx = ((phase & 0xff) as f64 / 255.0 - 0.5) * 54.0;
                     let dy = (((phase >> 8) & 0xff) as f64 / 255.0 - 0.5) * 54.0;
                     p.x = (p.x + dx).clamp(0.0, side);
@@ -130,7 +148,8 @@ fn sim_tick(c: &mut Criterion) {
         // With 1 000 m storage cells a fifth of the shifted hosts cross.
         group.bench_function(format!("grid_commit_staged{suffix}"), |b| {
             let (home, east) = sets();
-            let mut grid = HostGrid::build_with_storage(bounds, 200.0, storage, &home);
+            let mut grid =
+                HostGrid::build_with_storage(bounds, 200.0, storage, home.iter().copied());
             let mut staged = Vec::new();
             let mut tick = 0usize;
             b.iter(|| {

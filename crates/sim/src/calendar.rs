@@ -12,12 +12,13 @@
 //! filed under its farthest slot, so that mover is only visited early.
 //!
 //! Each slot is [`WAYS`] singly linked lists threaded through one `u32`
-//! per mover (`next`), so the calendar holds every mover exactly once, in
-//! 4 bytes, whatever the spread of event times. [`Calendar::visit_due`] unlinks
-//! every slot up to the current time into a bitmap over mover ordinals
-//! and visits them in ascending order — host-id order, the order the grid
-//! commit takes its crossings in — filing each under the time its visit
-//! returns.
+//! per host (`next`), indexed by host id like the store's records, so the
+//! calendar holds every mover exactly once, in 4 bytes, whatever the
+//! spread of event times; a parked host has its link but is never filed.
+//! [`Calendar::visit_due`] unlinks every slot up to the current time into
+//! a bitmap over host ids and visits them in ascending order — the order
+//! the grid commit takes its crossings in — filing each under the time
+//! its visit returns.
 //!
 //! A slot holds times up to its end, and the slot of the current time is
 //! taken whole, so a pass visits some movers before their time; that is
@@ -26,7 +27,7 @@
 /// Slots on the ring.
 const RING: usize = 1024;
 
-/// Lists per slot: a mover's list is its ordinal modulo this, and a pass
+/// Lists per slot: a mover's list is its host id modulo this, and a pass
 /// walks a slot's lists in lockstep, so that many loads of `next` are in
 /// flight at once instead of one.
 const WAYS: usize = 8;
@@ -48,31 +49,34 @@ pub(crate) struct Calendar {
     /// The first mover of each slot's [`WAYS`] lists, by slot index
     /// modulo [`RING`].
     heads: Box<[[u32; WAYS]]>,
-    /// The mover after each mover in its slot's list.
+    /// The mover after each mover in its slot's list, by host id.
     next: Vec<u32>,
-    /// The movers a pass visits, one bit per mover ordinal.
+    /// The movers a pass visits, one bit per host.
     due: Vec<u64>,
 }
 
 impl Calendar {
-    /// An empty calendar with `width`-second slots and room for `movers`
-    /// movers.
-    pub(crate) fn new(width: f64, movers: usize) -> Self {
+    /// An empty calendar with `width`-second slots and room for `hosts`
+    /// hosts.
+    pub(crate) fn new(width: f64, hosts: usize) -> Self {
         Calendar {
             per_sec: 1.0 / width,
             cursor: 0,
             heads: vec![[NONE; WAYS]; RING].into_boxed_slice(),
-            next: Vec::with_capacity(movers),
+            next: Vec::with_capacity(hosts),
             due: Vec::new(),
         }
     }
 
-    /// Adds the next mover ordinal, due at the next pass.
-    pub(crate) fn push(&mut self) {
-        let mover = self.next.len() as u32;
+    /// Adds the next host: a mover is due at the next pass, a parked host
+    /// is never filed.
+    pub(crate) fn push(&mut self, moves: bool) {
+        let host = self.next.len() as u32;
         self.next.push(NONE);
         self.due.resize(self.next.len().div_ceil(64), 0);
-        self.file(mover, self.cursor);
+        if moves {
+            self.file(host, self.cursor);
+        }
     }
 
     /// Files `mover` under the slot of time `at`, clamped into the ring
@@ -174,9 +178,9 @@ impl Calendar {
         filed
     }
 
-    /// The number of movers the calendar was built for.
-    pub(crate) fn len(&self) -> usize {
-        self.next.len()
+    /// Bytes of the per-host links.
+    pub(crate) fn link_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.next[..])
     }
 }
 
@@ -206,7 +210,7 @@ mod tests {
     fn movers_come_due_by_slot_and_once() {
         let mut cal = Calendar::new(1.0, 70);
         for _ in 0..70 {
-            cal.push();
+            cal.push(true);
         }
         // Times 0.7 and 0.9 are in the current slot, 1.5 in the next,
         // 2000 beyond the ring, NaN nowhere; the rest go far ahead.

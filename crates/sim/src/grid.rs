@@ -176,13 +176,19 @@ impl HostGrid {
     /// Builds the grid for the given host positions with both cell sides
     /// equal to `cell`, which should be the transmission range.
     pub fn build(bounds: Rect, cell: f64, positions: &[Point]) -> Self {
-        HostGrid::build_with_storage(bounds, cell, cell, positions)
+        HostGrid::build_with_storage(bounds, cell, cell, positions.iter().copied())
     }
 
     /// Builds the grid with lookup cells of side `cell` (the transmission
-    /// range) and lists kept under cells of side `storage` (module docs).
-    /// Lookups return the same hits in the same order whatever `storage`.
-    pub fn build_with_storage(bounds: Rect, cell: f64, storage: f64, positions: &[Point]) -> Self {
+    /// range) and lists kept under cells of side `storage` (module docs),
+    /// host `h` at the `h`-th of `positions`. Lookups return the same hits
+    /// in the same order whatever `storage`.
+    pub fn build_with_storage(
+        bounds: Rect,
+        cell: f64,
+        storage: f64,
+        positions: impl ExactSizeIterator<Item = Point>,
+    ) -> Self {
         assert!(!bounds.is_empty(), "area must be non-empty");
         let lattice = Lattice::new(bounds, storage);
         let mut grid = HostGrid {
@@ -199,7 +205,7 @@ impl HostGrid {
         // byte each, saturating: only "fits inline or not" is read), then
         // the ids in ascending order, each list inline or spilled by its
         // final length — the lists the cell-edit kernel would build.
-        let host_cells: Vec<u32> = positions.iter().map(|&p| lattice.flat_cell(p)).collect();
+        let host_cells: Vec<u32> = positions.map(|p| lattice.flat_cell(p)).collect();
         let mut counts = vec![0u8; grid.cells.len()];
         for &idx in &host_cells {
             counts[idx as usize] = counts[idx as usize].saturating_add(1);
@@ -678,7 +684,12 @@ mod tests {
             .map(|_| Point::new(next() * 1000.0, next() * 1000.0))
             .collect();
         for side in SIDES {
-            let grid = HostGrid::build_with_storage(bounds, 200.0, 200.0 * side, &positions);
+            let grid = HostGrid::build_with_storage(
+                bounds,
+                200.0,
+                200.0 * side,
+                positions.iter().copied(),
+            );
             let probes = (0..50).map(|i| (positions[i * 7 % positions.len()], 200.0, i as u32));
             assert_lookups(&grid, (bounds, 200.0), &positions, probes, true);
         }
@@ -718,7 +729,8 @@ mod tests {
             Point::new(96.0, 101.0),
         ];
         for side in SIDES {
-            let grid = HostGrid::build_with_storage(bounds, 25.0, 25.0 * side, &positions);
+            let grid =
+                HostGrid::build_with_storage(bounds, 25.0, 25.0 * side, positions.iter().copied());
             let hits = grid.within(&positions, Point::new(0.0, 50.0), 10.0, u32::MAX);
             assert_eq!(hits, vec![0], "storage {side}");
             let corners = [(0.0, 50.0), (100.0, 100.0), (-1.0, 0.0)].map(|(x, y)| Point::new(x, y));
@@ -755,7 +767,8 @@ mod tests {
             Point::new(50.0 + radius + 1e-9, 50.0),
         ];
         for side in SIDES {
-            let grid = HostGrid::build_with_storage(bounds, cell, cell * side, &positions);
+            let grid =
+                HostGrid::build_with_storage(bounds, cell, cell * side, positions.iter().copied());
             let mut hits = grid.within(&positions, q, radius, 0);
             assert_lookups(&grid, (bounds, cell), &positions, [(q, radius, 0)], true);
             hits.sort_unstable();
@@ -780,7 +793,12 @@ mod tests {
                     Point::new(qx + radius, 100.0),
                 ];
                 for side in SIDES {
-                    let grid = HostGrid::build_with_storage(bounds, cell, cell * side, &positions);
+                    let grid = HostGrid::build_with_storage(
+                        bounds,
+                        cell,
+                        cell * side,
+                        positions.iter().copied(),
+                    );
                     let mut hits = grid.within(&positions, q, radius, 0);
                     hits.sort_unstable();
                     assert_eq!(hits, vec![1, 2], "qx={qx} radius={radius} side {side}");
@@ -808,7 +826,12 @@ mod tests {
             .collect();
         for cell in [7.0, 20.0, 150.0] {
             for side in SIDES {
-                let grid = HostGrid::build_with_storage(bounds, cell, cell * side, &positions);
+                let grid = HostGrid::build_with_storage(
+                    bounds,
+                    cell,
+                    cell * side,
+                    positions.iter().copied(),
+                );
                 let wide = grid.within(&positions, positions[39], 299.0, u32::MAX);
                 assert!(wide.len() > STACK_HITS);
                 let radii = [3.0, 25.0, 90.0, 299.0].into_iter().enumerate();
@@ -851,7 +874,8 @@ mod tests {
             .within(&positions, Point::new(5.0, 5.0), 3.0, u32::MAX)
             .is_empty());
         // Storage cells twice as wide: the same move is no crossing.
-        let mut coarse = HostGrid::build_with_storage(bounds, 10.0, 20.0, &positions);
+        let mut coarse =
+            HostGrid::build_with_storage(bounds, 10.0, 20.0, positions.iter().copied());
         assert!(!coarse.apply_move(0, Point::new(19.0, 9.0)));
         assert!(coarse.apply_move(0, Point::new(21.0, 9.0)));
     }
@@ -921,7 +945,8 @@ mod tests {
         let cell = 10.0;
         let at = |x: f64, y: f64| Point::new(snap(place(x), cell), snap(place(y), cell));
         let mut positions: Vec<Point> = start.iter().map(|&(x, y)| at(x, y)).collect();
-        let mut grid = HostGrid::build_with_storage(bounds, cell, cell * side, &positions);
+        let mut grid =
+            HostGrid::build_with_storage(bounds, cell, cell * side, positions.iter().copied());
         let mut spill_changes = 0;
         for (k, &(u, v)) in moves.iter().enumerate() {
             let i = (u * positions.len() as f64) as usize % positions.len();
@@ -998,7 +1023,7 @@ mod tests {
     /// The index `build` made before its counting pass: every host through
     /// the cell-edit kernel, in id order.
     fn kernel_built(bounds: Rect, cell: f64, storage: f64, positions: &[Point]) -> HostGrid {
-        let mut grid = HostGrid::build_with_storage(bounds, cell, storage, &[]);
+        let mut grid = HostGrid::build_with_storage(bounds, cell, storage, std::iter::empty());
         grid.places = vec![0; positions.len()];
         for (i, p) in positions.iter().enumerate() {
             let idx = grid.storage.flat_cell(*p);
@@ -1026,7 +1051,7 @@ mod tests {
                 .map(|&(u, v)| Point::new(u.powf(1.7) * 24.0 - 2.0, v * 21.0 - 1.0))
                 .collect();
             let storage = 10.0 * SIDES[side];
-            let built = HostGrid::build_with_storage(bounds, 10.0, storage, &positions);
+            let built = HostGrid::build_with_storage(bounds, 10.0, storage, positions.iter().copied());
             assert_same_index(&built, &kernel_built(bounds, 10.0, storage, &positions));
             assert_listing(&built, &positions);
         }
@@ -1051,7 +1076,8 @@ mod tests {
         let cell = 10.0;
         let snapped = |p: Point| Point::new(snap(p.x, cell), snap(p.y, cell));
         let mut positions: Vec<Point> = (0..steps.len()).map(|i| snapped(start(i))).collect();
-        let mut staged_grid = HostGrid::build_with_storage(bounds, cell, cell * side, &positions);
+        let mut staged_grid =
+            HostGrid::build_with_storage(bounds, cell, cell * side, positions.iter().copied());
         let mut sequential = staged_grid.clone();
         // The step phase: every position moves before the grid is touched.
         let mut staged = Vec::new();
@@ -1077,7 +1103,8 @@ mod tests {
             spill_outs += before.difference(&after).count();
         }
         assert_same_index(&staged_grid, &sequential);
-        let fresh = HostGrid::build_with_storage(bounds, cell, cell * side, &positions);
+        let fresh =
+            HostGrid::build_with_storage(bounds, cell, cell * side, positions.iter().copied());
         assert_same_sets(&staged_grid, &fresh);
         assert_equivalent(&staged_grid, &positions, bounds, cell, true);
         (spill_ins, spill_outs)
@@ -1343,7 +1370,7 @@ mod tests {
         for (origin, side, cell) in [(0.0, 100.0, 10.0), (-7.0, 3.0, 0.3)] {
             let min = Point::new(origin, origin);
             let bounds = Rect::new(min, Point::new(origin + side, origin + side));
-            let grid = HostGrid::build_with_storage(bounds, cell, cell * 2.5, &[]);
+            let grid = HostGrid::build_with_storage(bounds, cell, cell * 2.5, std::iter::empty());
             for lattice in [&grid.lookup, &grid.storage] {
                 for &x in &coords {
                     for &y in &coords {

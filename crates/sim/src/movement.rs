@@ -23,15 +23,17 @@
 //!
 //! **Free movers move in closed form.** A random-waypoint mover's position
 //! is a function of time ([`WaypointLeg`](senn_mobility::WaypointLeg)):
-//! the store keeps its anchor and leg, and readers evaluate it on demand
+//! the store keeps each host's anchor and leg in one record by host id,
+//! and readers evaluate it on demand
 //! ([`HostStore::position`](crate::store::HostStore::position)). The pass
 //! visits a free mover only when the [`Calendar`](crate::calendar) says
 //! it may have left its storage cell (`grid` module docs) or reached its
 //! waypoint: it then carries the leg to the interval's end (drawing the
 //! pause and the next destination on each arrival, from the host's own
 //! stream, in the order the incremental step drew them), checks the cell
-//! and files the mover under its next event. Visits go in mover order, which is host order. A pass
-//! therefore costs the movers that crossed or arrived, not every mover.
+//! and files the mover under its next event. Visits go in host order. A
+//! pass therefore costs the movers that crossed or arrived, not every
+//! mover; parked hosts are never filed, so never visited.
 //!
 //! **Road movers sweep.** Every road mover steps every interval; it keeps
 //! its current segment resident (`senn_mobility::road`), so a step along
@@ -50,7 +52,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::simulator::Simulator;
-use crate::store::MoverColumn;
+use crate::store::{FreeHost, HostColumn};
 
 /// Movement mode of the mobile hosts (Section 4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,7 +68,7 @@ impl Simulator {
     /// keeping the peer-discovery grid current as a side effect: each host
     /// that crossed a storage-cell boundary costs two cell-list edits,
     /// everything else costs nothing. Parked hosts are not visited: they
-    /// have no mobility state and would draw no RNG.
+    /// never move and would draw no RNG.
     pub(crate) fn advance_movement(&mut self, dt: f64) {
         let started = Instant::now();
         // The time the simulator's own clock reaches at this interval's
@@ -80,12 +82,12 @@ impl Simulator {
             crossings,
             ..
         } = self;
-        let (positions, mobility, streams, movers) = store.movement_columns();
+        let (mobility, streams) = store.movement_columns();
         crossings.clear();
         match mobility {
-            MoverColumn::Free {
+            HostColumn::Free {
                 config,
-                legs,
+                hosts,
                 calendar,
                 now,
             } => {
@@ -96,16 +98,15 @@ impl Simulator {
                     // any visit: the loads are independent of each other,
                     // so their cache misses overlap.
                     let mut touched = 0;
-                    for &j in chunk {
-                        let host = movers[j as usize];
-                        touched ^= legs[j as usize].depart.to_bits()
-                            ^ positions[host as usize].x.to_bits()
+                    for &host in chunk {
+                        let FreeHost { anchor, leg } = &hosts[host as usize];
+                        touched ^= leg.depart.to_bits()
+                            ^ anchor.x.to_bits()
                             ^ u64::from(probe.recorded_cell(host));
                     }
                     std::hint::black_box(touched);
-                    for (&j, next) in chunk.iter().zip(times) {
-                        let (leg, host) = (&mut legs[j as usize], movers[j as usize]);
-                        let anchor = &mut positions[host as usize];
+                    for (&host, next) in chunk.iter().zip(times) {
+                        let FreeHost { anchor, leg } = &mut hosts[host as usize];
                         let travel = leg.advance(anchor, config, end, &mut streams.host(host));
                         let (crossed, exit) = probe.leg_crossing(host, travel.at(end), &travel);
                         crossings.extend(crossed);
@@ -113,16 +114,16 @@ impl Simulator {
                     }
                 }) as u64;
             }
-            MoverColumn::Road(road) if !road.is_empty() => {
+            HostColumn::Road(positions, movers, hosts) if !movers.is_empty() => {
                 // Build the movers' route index here, on its own clock.
                 if !network.has_route_index() {
                     let began = Instant::now();
                     network.route_index();
                     batch_stats.route_index_secs += began.elapsed().as_secs_f64();
                 }
-                batch_stats.mover_visits += road.len() as u64;
+                batch_stats.mover_visits += movers.len() as u64;
                 let probe = grid.probe();
-                for (mover, &host) in road.iter_mut().zip(movers) {
+                for (mover, &host) in movers.iter_mut().zip(hosts.iter()) {
                     let planned = mover.step(network, dt, &mut streams.host(host));
                     batch_stats.route_plans += planned.plans;
                     batch_stats.route_settles += planned.settled;
@@ -130,7 +131,7 @@ impl Simulator {
                     crossings.extend(probe.crossing(host, mover.position()));
                 }
             }
-            MoverColumn::Road(_) => {}
+            HostColumn::Road(..) => {}
         }
         let stepped = Instant::now();
         grid.commit(crossings);
@@ -212,15 +213,23 @@ mod tests {
         while sim.step() {
             intervals += 1;
             same_lookups(&sim, &format!("free interval {intervals}"));
-            let (_, mobility, _, movers) = sim.store.movement_columns();
-            let MoverColumn::Free { calendar, .. } = mobility else {
-                panic!("a free world has a free mover column");
+            let (
+                HostColumn::Free {
+                    hosts, calendar, ..
+                },
+                _,
+            ) = sim.store.movement_columns()
+            else {
+                panic!("a free world has a free host column");
             };
-            let mut filed: Vec<u32> = calendar.filed().iter().map(|&(j, _)| j).collect();
+            let movers: Vec<u32> = (0..)
+                .zip(hosts.iter())
+                .filter(|(_, record)| record.leg.depart.is_finite())
+                .map(|(host, _)| host)
+                .collect();
+            let mut filed: Vec<u32> = calendar.filed().iter().map(|&(h, _)| h).collect();
             filed.sort_unstable();
-            filed.dedup();
-            assert_eq!(filed.len(), calendar.len(), "interval {intervals}");
-            assert_eq!(calendar.len(), movers.len());
+            assert_eq!(filed, movers, "interval {intervals}");
         }
         assert!(intervals > 10 && sim.batch_stats.grid_cell_moves > 0);
 
@@ -229,6 +238,25 @@ mod tests {
         sim.run();
         assert!(sim.batch_stats.grid_cell_moves > 0);
         same_lookups(&sim, "road");
+    }
+
+    /// A free world with no movers: every host is parked, so the calendar
+    /// files none, no pass visits one and every host ends where it
+    /// spawned.
+    #[test]
+    fn a_free_world_without_movers_visits_no_host() {
+        let mut params = SimParams::two_by_two(ParamSet::LosAngeles);
+        params.t_execution_hours = 0.01;
+        params.m_percentage = 0.0;
+        let mut cfg = SimConfig::new(params, 42);
+        cfg.mode = MovementMode::FreeMovement;
+        let mut sim = Simulator::new(cfg);
+        let spawned = sim.store.positions_now();
+        let metrics = sim.run();
+        assert!(metrics.queries > 0);
+        assert_eq!(sim.batch_stats.mover_visits, 0);
+        assert_eq!(sim.batch_stats.grid_cell_moves, 0);
+        assert_eq!(sim.store.positions_now(), spawned);
     }
 
     /// Trajectories are pinned, not inferred: an order-sensitive FNV-1a of

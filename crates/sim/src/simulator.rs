@@ -772,14 +772,13 @@ impl Simulator {
         });
 
         // The grid indexes every host from the start, so incremental
-        // maintenance has a valid baseline before any batch. At time 0
-        // every host stands on its anchor. Its storage side is fixed here,
-        // from the scenario (`grid` module docs).
+        // maintenance has a valid baseline before any batch. Its storage
+        // side is fixed here, from the scenario (`grid` module docs).
         let grid = HostGrid::build_with_storage(
             area,
             params.tx_range_m.max(1.0),
             storage_side(params, config.mode),
-            store.anchors(),
+            (0..store.len() as u32).map(|host| store.position(host)),
         );
         let road_metric = config
             .distance_model

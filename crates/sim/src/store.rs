@@ -7,21 +7,18 @@
 //! [`HostStore`] keeps dense columns plus a *sparse side table* of NN
 //! caches keyed by host id:
 //!
-//! * the **position column** (by host id): a parked host's position, a
-//!   road mover's position as of the last movement pass, and a free
-//!   mover's *anchor* — the waypoint its current leg starts from, whose
-//!   position at any time is closed-form. [`HostStore::position`] reads
-//!   every host at the time of the last pass, evaluating free movers on
-//!   demand; it is what the grid indexes and what every query reads;
+//! * the **host column** ([`HostColumn`], by host id; a world has one
+//!   movement mode, so one kind): in a free world one 40-byte [`FreeHost`]
+//!   per host — the anchor its [`WaypointLeg`] starts from and the leg,
+//!   whose position at any time is closed-form — plus one
+//!   [`WaypointConfig`] and the [`Calendar`] of the movers' next events (a
+//!   4-byte link per host). A parked host's leg never departs, so it stays
+//!   at its spawn point, draws nothing and is never filed. In a road world
+//!   every host's position as of the last pass, plus a `RoadMover` per
+//!   mover beside its host id, a list only the sweep reads.
+//!   [`HostStore::position`] is one read of this column;
 //! * the **stream column** (by host id): one `u32` word per host standing
 //!   for its deterministic RNG stream (see below);
-//! * the **movers list** fixes the hosts that can move at world-build
-//!   time, ascending by id, making the movement pass O(movers);
-//! * the **mover column** ([`MoverColumn`]) is dense by *mover ordinal*:
-//!   entry `j` belongs to host `movers[j]`. Free movement keeps one
-//!   [`WaypointConfig`] per world, a 24-byte [`WaypointLeg`] per mover and
-//!   the [`Calendar`] of their next events (4 bytes per mover); road
-//!   movement a `RoadMover` per mover. Parked hosts carry none;
 //! * the **cache side table** holds an entry only for hosts that have
 //!   completed a query — a missing entry is exactly an empty cache, so a
 //!   99%-idle million-host world allocates nothing for the idle majority.
@@ -49,8 +46,8 @@
 //! grid's inline/spill rule, and every draw is bit-identical to a plain
 //! per-host `SmallRng`. Replay is bounded: a stream is replayed only while
 //! counted, so it costs fewer than `SPILL_AT` steps per call and nothing
-//! after it spills. A parked host, which draws only while the world is
-//! built, costs its position and one word.
+//! after it spills. A parked host draws only while the world is built, so
+//! its stream stays one word.
 
 use std::collections::HashMap;
 
@@ -64,20 +61,30 @@ use senn_mobility::{RoadMover, WaypointConfig, WaypointLeg};
 use crate::cache_step::{CachePolicy, HostCache};
 use crate::calendar::Calendar;
 
-/// Mobility state of the movers, in `movers` order; a world has one
-/// movement mode, so one kind of column.
-pub(crate) enum MoverColumn {
-    /// Random waypoint: the shared config, each mover's leg, when each
-    /// mover next needs the movement pass, and the time of the last pass
-    /// (what [`HostStore::position`] evaluates legs at).
+/// One free-world host (40 bytes): the anchor its leg starts from and the
+/// leg. A parked host's leg leaves for its own anchor at +∞ (module docs).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct FreeHost {
+    pub(crate) anchor: Point,
+    pub(crate) leg: WaypointLeg,
+}
+
+/// Every host's mobility state; a world has one movement mode, so one
+/// kind of column (module docs).
+pub(crate) enum HostColumn {
+    /// Random waypoint: the shared config, each host's record by host id,
+    /// when each mover next needs the movement pass, and the time of the
+    /// last pass (what [`HostStore::position`] evaluates legs at).
     Free {
         config: WaypointConfig,
-        legs: Vec<WaypointLeg>,
+        hosts: Vec<FreeHost>,
         calendar: Calendar,
         now: f64,
     },
-    /// Road-network movers (each owns its route and position).
-    Road(Vec<RoadMover>),
+    /// Road network: every host's position by host id, then each road
+    /// mover (which owns its route and position) and, at the same index,
+    /// its host id, ascending.
+    Road(Vec<Point>, Vec<RoadMover>, Vec<u32>),
 }
 
 /// Draw count at which a stream moves from its word into the slab.
@@ -189,15 +196,10 @@ pub(crate) enum Spawn {
 
 /// Struct-of-arrays storage for the host population (see module docs).
 pub(crate) struct HostStore {
-    /// Every host's position, or a free mover's anchor (module docs).
-    positions: Vec<Point>,
+    /// Every host's mobility state (module docs).
+    mobility: HostColumn,
     /// Per-host deterministic RNG streams.
     streams: Streams,
-    /// Ids of the hosts that move, ascending — the only hosts the movement
-    /// pass visits.
-    movers: Vec<u32>,
-    /// Mobility state of `movers[j]` at index `j`.
-    mobility: MoverColumn,
     /// Sparse NN-cache side table: present only for hosts that stored a
     /// query result. Keyed access only — never iterated — so map order
     /// can't leak into the simulation.
@@ -221,21 +223,23 @@ impl HostStore {
         seed: u64,
     ) -> Self {
         HostStore {
-            positions: Vec::with_capacity(host_hint),
+            mobility: match waypoint {
+                Some((config, slot_secs)) => HostColumn::Free {
+                    config,
+                    hosts: Vec::with_capacity(host_hint),
+                    calendar: Calendar::new(slot_secs, host_hint),
+                    now: 0.0,
+                },
+                None => HostColumn::Road(
+                    Vec::with_capacity(host_hint),
+                    Vec::with_capacity(host_hint),
+                    Vec::with_capacity(host_hint),
+                ),
+            },
             streams: Streams {
                 seed,
                 words: Vec::with_capacity(host_hint),
                 live: Vec::new(),
-            },
-            movers: Vec::with_capacity(host_hint),
-            mobility: match waypoint {
-                Some((config, slot_secs)) => MoverColumn::Free {
-                    config,
-                    legs: Vec::with_capacity(host_hint),
-                    calendar: Calendar::new(slot_secs, host_hint),
-                    now: 0.0,
-                },
-                None => MoverColumn::Road(Vec::with_capacity(host_hint)),
             },
             caches: HashMap::new(),
             policy,
@@ -248,76 +252,66 @@ impl HostStore {
     /// host is. A free mover then draws its first destination from the
     /// same stream, and is due at the next movement pass.
     pub(crate) fn push_host(&mut self, spawn: impl FnOnce(&mut HostRng<'_>) -> Spawn) -> u32 {
-        let id = self.positions.len() as u32;
+        let id = self.len() as u32;
         self.streams.words.push(0);
         let mut rng = self.streams.host(id);
-        let position = match (spawn(&mut rng), &mut self.mobility) {
-            (Spawn::Parked(position), _) => position,
+        match (spawn(&mut rng), &mut self.mobility) {
             (
-                Spawn::Free(start),
-                MoverColumn::Free {
+                spawn,
+                HostColumn::Free {
                     config,
-                    legs,
+                    hosts,
                     calendar,
                     ..
                 },
             ) => {
-                legs.push(WaypointLeg::new(config, start, &mut rng));
-                calendar.push();
-                self.movers.push(id);
-                start
+                let (anchor, leg) = match spawn {
+                    Spawn::Free(start) => (start, WaypointLeg::new(config, start, &mut rng)),
+                    Spawn::Parked(at) => (
+                        at,
+                        WaypointLeg {
+                            destination: at,
+                            depart: f64::INFINITY,
+                        },
+                    ),
+                    Spawn::Road(_) => panic!("a road mover pushed into a free-movement store"),
+                };
+                calendar.push(leg.depart.is_finite());
+                hosts.push(FreeHost { anchor, leg });
             }
-            (Spawn::Road(mover), MoverColumn::Road(road)) => {
-                let position = mover.position();
-                road.push(mover);
-                self.movers.push(id);
-                position
+            (Spawn::Parked(at), HostColumn::Road(positions, ..)) => positions.push(at),
+            (Spawn::Road(mover), HostColumn::Road(positions, movers, hosts)) => {
+                positions.push(mover.position());
+                movers.push(mover);
+                hosts.push(id);
             }
-            _ => panic!("a mover of the other movement mode pushed into this store"),
-        };
-        self.positions.push(position);
+            (_, HostColumn::Road(..)) => panic!("a free mover pushed into a road store"),
+        }
         id
     }
 
     /// Number of hosts.
     pub(crate) fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// The dense position column (indexed by host id): positions, but a
-    /// free mover's anchor (module docs).
-    pub(crate) fn anchors(&self) -> &[Point] {
-        &self.positions
+        self.streams.words.len()
     }
 
     /// One host's position at the time of the last movement pass.
     pub(crate) fn position(&self, host: u32) -> Point {
-        let at = self.positions[host as usize];
         match &self.mobility {
-            MoverColumn::Free {
-                config, legs, now, ..
-            } => match self.movers.binary_search(&host) {
-                Ok(j) => legs[j].position(at, config, *now),
-                Err(_) => at,
-            },
-            MoverColumn::Road(_) => at,
+            HostColumn::Free {
+                config, hosts, now, ..
+            } => {
+                let FreeHost { anchor, leg } = hosts[host as usize];
+                leg.position(anchor, config, *now)
+            }
+            HostColumn::Road(positions, ..) => positions[host as usize],
         }
     }
 
     /// Every host's position at the time of the last movement pass, by
     /// host id.
     pub(crate) fn positions_now(&self) -> Vec<Point> {
-        let mut out = self.positions.clone();
-        if let MoverColumn::Free {
-            config, legs, now, ..
-        } = &self.mobility
-        {
-            for (leg, &host) in legs.iter().zip(&self.movers) {
-                let at = &mut out[host as usize];
-                *at = leg.position(*at, config, *now);
-            }
-        }
-        out
+        (0..self.len() as u32).map(|h| self.position(h)).collect()
     }
 
     /// One host's RNG stream.
@@ -325,18 +319,11 @@ impl HostStore {
         self.streams.host(host)
     }
 
-    /// The columns the movement pass streams over: positions (written),
-    /// mobility + streams (stepped), movers (the visit list). Split
-    /// borrows so the caller can hold all four at once.
-    pub(crate) fn movement_columns(
-        &mut self,
-    ) -> (&mut [Point], &mut MoverColumn, &mut Streams, &[u32]) {
-        (
-            &mut self.positions,
-            &mut self.mobility,
-            &mut self.streams,
-            &self.movers,
-        )
+    /// The columns the movement pass works on: mobility (stepped and
+    /// written) and streams (drawn). Split borrows so the caller can hold
+    /// both at once.
+    pub(crate) fn movement_columns(&mut self) -> (&mut HostColumn, &mut Streams) {
+        (&mut self.mobility, &mut self.streams)
     }
 
     /// One host's NN cache, if it ever stored anything (`None` is exactly
@@ -363,7 +350,14 @@ impl HostStore {
 impl HostStore {
     /// Bytes of the per-host columns (those indexed by host id).
     fn per_host_column_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.positions[..]) + std::mem::size_of_val(&self.streams.words[..])
+        let words = std::mem::size_of_val(&self.streams.words[..]);
+        words
+            + match &self.mobility {
+                HostColumn::Free {
+                    hosts, calendar, ..
+                } => std::mem::size_of_val(&hosts[..]) + calendar.link_bytes(),
+                HostColumn::Road(positions, ..) => std::mem::size_of_val(&positions[..]),
+            }
     }
 }
 
@@ -374,6 +368,7 @@ mod tests {
     use rand::Rng;
     use senn_cache::CachedNn;
     use senn_geom::Rect;
+    use senn_mobility::RandomWaypoint;
 
     const SEED: u64 = 20060402;
 
@@ -384,64 +379,47 @@ mod tests {
         store.push_host(|_| Spawn::Parked(Point::new(3.0, 4.0)));
         assert_eq!(store.len(), 2);
         assert_eq!(store.position(1), Point::new(3.0, 4.0));
-        assert_eq!(store.anchors().len(), 2);
-        let (_, mobility, streams, movers) = store.movement_columns();
+        let (mobility, streams) = store.movement_columns();
         assert_eq!(
             streams.words,
             [0, 0],
             "one stream word per host, none drawn"
         );
         assert!(streams.live.is_empty());
-        assert!(movers.is_empty(), "parked hosts never enter the visit list");
-        assert!(matches!(mobility, MoverColumn::Road(road) if road.is_empty()));
+        let HostColumn::Road(positions, movers, hosts) = mobility else {
+            panic!("no waypoint config makes a road-movement store");
+        };
+        assert_eq!(positions.len(), 2);
+        assert!(
+            movers.is_empty() && hosts.is_empty(),
+            "parked hosts never enter the sweep"
+        );
     }
 
-    /// Leg `j` belongs to host `movers[j]`, whatever parked hosts sit in
-    /// between, and parked hosts add nothing to the mover column. Each
-    /// leg is drawn from its host's own stream, after the spawn's draw.
-    #[test]
-    fn mover_column_is_dense_by_mover_ordinal() {
-        let area = Rect::new(Point::ORIGIN, Point::new(100.0, 100.0));
-        let config = WaypointConfig::new(area, 5.0);
-        let mut store = HostStore::new(CachePolicy::MostRecent, 4, 0, Some((config, 1.0)), SEED);
-        let mut expected = Vec::new();
-        for id in 0..40u32 {
-            let mut plain = SmallRng::seed_from_u64(host_key(SEED, id));
-            let drawn = plain.next_u64();
-            let start = Point::new(f64::from(id), 1.0);
-            let pushed = store.push_host(|rng| {
-                assert_eq!(rng.next_u64(), drawn, "host {id}'s first draw");
-                if id % 3 == 1 {
-                    Spawn::Free(start)
-                } else {
-                    Spawn::Parked(start)
-                }
-            });
-            assert_eq!(pushed, id);
-            if id % 3 == 1 {
-                expected.push((id, WaypointLeg::new(&config, start, &mut plain)));
-            }
-        }
-        assert_eq!(store.len(), 40);
-        let (positions, mobility, streams, movers) = store.movement_columns();
-        let MoverColumn::Free { legs, calendar, .. } = mobility else {
+    /// One free-world pass at `now` with no grid: every due mover carried
+    /// to `now` and refiled under its arrival.
+    fn pass(store: &mut HostStore, now: f64) -> usize {
+        let (
+            HostColumn::Free {
+                config,
+                hosts,
+                calendar,
+                now: last,
+            },
+            streams,
+        ) = store.movement_columns()
+        else {
             panic!("a waypoint config makes a free-movement store");
         };
-        let mut filed: Vec<u32> = calendar.filed().iter().map(|&(j, _)| j).collect();
-        filed.sort_unstable();
-        let ordinals: Vec<u32> = (0..expected.len() as u32).collect();
-        assert_eq!(filed, ordinals, "every mover filed once, due now");
-        assert_eq!((positions.len(), streams.words.len()), (40, 40));
-        assert_eq!(
-            legs.len(),
-            expected.len(),
-            "one leg per mover, none per parked host"
-        );
-        for (j, (id, leg)) in expected.iter().enumerate() {
-            assert_eq!(movers[j], *id);
-            assert_eq!(legs[j], *leg, "leg {j} is host {id}'s");
-            assert_eq!(positions[*id as usize], Point::new(f64::from(*id), 1.0));
-        }
+        *last = now;
+        calendar.visit_due(now, |chunk, times| {
+            for (&host, next) in chunk.iter().zip(times) {
+                let FreeHost { anchor, leg } = &mut hosts[host as usize];
+                *next = leg
+                    .advance(anchor, config, now, &mut streams.host(host))
+                    .arrival();
+            }
+        })
     }
 
     #[test]
@@ -461,23 +439,35 @@ mod tests {
         assert_eq!(cached.iter().count(), 1);
     }
 
-    /// A parked host costs its position and its stream word, however many
-    /// draws its spawn made (fewer than `SPILL_AT`).
+    /// The per-host columns cost, whatever draws a spawn made (fewer than
+    /// `SPILL_AT`): in a road world a point and a word per host, parked
+    /// or not; in a free world a record, a word and a calendar link.
     #[test]
-    fn a_parked_host_costs_a_point_and_a_word() {
-        let mut store = HostStore::new(CachePolicy::MostRecent, 4, 100, None, SEED);
-        for id in 0..100u32 {
-            store.push_host(|rng| {
-                for _ in 0..id % SPILL_AT {
-                    rng.next_u64();
-                }
-                Spawn::Parked(Point::ORIGIN)
-            });
+    fn per_host_bytes_follow_the_movement_mode() {
+        let area = Rect::new(Point::ORIGIN, Point::new(100.0, 100.0));
+        let free = Some((WaypointConfig::new(area, 5.0), 1.0));
+        let word = std::mem::size_of::<u32>();
+        let costs = [
+            (None, std::mem::size_of::<Point>() + word),
+            (free, std::mem::size_of::<FreeHost>() + 2 * word),
+        ];
+        assert_eq!(costs.map(|(_, bytes)| bytes), [20, 48]);
+        for (waypoint, per_host) in costs {
+            let mut store = HostStore::new(CachePolicy::MostRecent, 4, 100, waypoint, SEED);
+            for id in 0..100u32 {
+                store.push_host(|rng| {
+                    for _ in 0..id % (SPILL_AT - 8) {
+                        rng.next_u64();
+                    }
+                    match waypoint {
+                        Some(_) if id % 2 == 1 => Spawn::Free(Point::ORIGIN),
+                        _ => Spawn::Parked(Point::ORIGIN),
+                    }
+                });
+            }
+            assert_eq!(store.per_host_column_bytes(), 100 * per_host);
+            assert!(store.streams.live.is_empty(), "nothing spilled");
         }
-        let per_host = std::mem::size_of::<Point>() + std::mem::size_of::<u32>();
-        assert_eq!(per_host, 20);
-        assert_eq!(store.per_host_column_bytes(), 100 * per_host);
-        assert!(store.streams.live.is_empty(), "nothing spilled");
     }
 
     /// However a host's draws are split into calls, replay fast-forwards
@@ -570,6 +560,65 @@ mod tests {
                 if count < SPILL_AT {
                     prop_assert_eq!(word, count);
                 }
+            }
+        }
+
+        /// In a free world of random parked and moving hosts, passes at
+        /// random times keep each host's record its own: `position` is
+        /// `positions_now`, a mover stands where a `RandomWaypoint` fed the
+        /// same stream stands and has drawn as often, and a parked host
+        /// stays at its spawn point and never draws past its spawn.
+        #[test]
+        fn free_hosts_are_one_record_by_host_id(
+            moving in prop::collection::vec(any::<bool>(), 1..48),
+            dts in prop::collection::vec(0.5..600.0f64, 1..12),
+        ) {
+            let area = Rect::new(Point::ORIGIN, Point::new(500.0, 500.0));
+            let mut config = WaypointConfig::new(area, 5.0);
+            config.max_pause_secs = 90.0;
+            let mut store =
+                HostStore::new(CachePolicy::MostRecent, 4, 0, Some((config, 7.0)), SEED);
+            let mut spawns = Vec::new();
+            let mut reference = Vec::new();
+            for (id, &moves) in (0..).zip(&moving) {
+                let mut plain = SmallRng::seed_from_u64(host_key(SEED, id));
+                let spawn = Point::new(plain.gen_range(0.0..500.0), plain.gen_range(0.0..500.0));
+                store.push_host(|rng| {
+                    let start = Point::new(rng.gen_range(0.0..500.0), rng.gen_range(0.0..500.0));
+                    if moves {
+                        Spawn::Free(start)
+                    } else {
+                        Spawn::Parked(start)
+                    }
+                });
+                let mover = moves.then(|| RandomWaypoint::new(spawn, config, &mut plain));
+                spawns.push(spawn);
+                reference.push((mover, plain));
+            }
+            let movers = moving.iter().filter(|&&moves| moves).count();
+            let mut now = 0.0;
+            for (i, &dt) in dts.iter().enumerate() {
+                now += dt;
+                let visits = pass(&mut store, now);
+                prop_assert!(i > 0 || visits == movers, "first pass visits every mover");
+                let positions = store.positions_now();
+                for (h, (mover, plain)) in reference.iter_mut().enumerate() {
+                    let at = store.position(h as u32);
+                    prop_assert_eq!(at, positions[h], "host {}", h);
+                    match mover {
+                        Some(mover) => {
+                            mover.step(dt, plain);
+                            prop_assert_eq!(at, mover.position(), "mover {} at {}", h, now);
+                        }
+                        None => prop_assert_eq!(at, spawns[h], "parked {} at {}", h, now),
+                    }
+                }
+            }
+            for (h, (mover, plain)) in reference.iter_mut().enumerate() {
+                if mover.is_none() {
+                    prop_assert_eq!(store.streams.words[h], 2, "parked {} drew", h);
+                }
+                prop_assert_eq!(store.rng(h as u32).next_u64(), plain.next_u64(), "host {}", h);
             }
         }
     }
